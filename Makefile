@@ -2,9 +2,9 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-diff lint layering experiments examples soak \
-        chaos chaos-overlay chaos-multigroup explore cluster-demo \
-        cluster-shard-demo cluster-smoke clean
+.PHONY: install test bench bench-diff perf perf-ab lint layering experiments \
+        examples soak chaos chaos-overlay chaos-multigroup explore \
+        cluster-demo cluster-shard-demo cluster-smoke clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -25,6 +25,18 @@ bench:
 # speedups) — everything else soft-warns
 bench-diff: bench
 	$(PYTHON) benchmarks/_report.py diff
+
+# the repo benchmark (BENCHMARK.json + perf/): all seven workloads once
+perf:
+	python3 perf/run.py
+
+# before/after by the choosing-metrics rule: alternating pairs of BASE
+# and this working tree under identical benchmark code, medians,
+# quartiles and wins per metric (make perf-ab BASE=<ref> [PAIRS=10])
+PAIRS ?= 10
+perf-ab:
+	@test -n "$(BASE)" || { echo "usage: make perf-ab BASE=<ref>"; exit 2; }
+	python3 tools/perf_ab.py $(BASE) --pairs $(PAIRS)
 
 lint: layering
 	$(PYTHON) -m ruff check src/ tests/ benchmarks/
@@ -114,5 +126,5 @@ cluster-smoke:
 
 clean:
 	rm -rf .pytest_cache .hypothesis benchmarks/results/*.txt \
-	       BENCH_report.json test_output.txt bench_output.txt
+	       BENCH_report.json test_output.txt bench_output.txt perf/out
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -21,14 +21,12 @@ path (``drop_source``, ``clear``) are simply popped on sight.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 __all__ = ["BufferedMessage", "RetransmissionBuffer"]
 
 
-@dataclass(frozen=True)
-class BufferedMessage:
+class BufferedMessage(NamedTuple):
     """One retained wire message."""
 
     source: int

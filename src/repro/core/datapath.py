@@ -427,7 +427,7 @@ class SendPath:
             # RetransmitRequests must not starve the heartbeat, because
             # receivers need the stream's timestamps to keep ordering.
             self._last_send_time = self._ctx.now()
-        if self._ctx.traced:
+        if self._ctx._stack.tracer is not None:
             self._ctx.trace("send", type=mtype.name, seq=h.sequence_number,
                             ts=h.timestamp)
         if address is None and self._batchable(mtype, raw):
@@ -610,18 +610,15 @@ class ReceivePath:
     def __init__(self, group: "ProcessorGroup", batch_stats: BatchStats):
         self._g = group
         self._batch = batch_stats
-        self._current_raw: Optional[bytes] = None
-
-    @property
-    def current_raw(self) -> Optional[bytes]:
-        """Wire bytes of the message currently being processed, if any."""
-        return self._current_raw
+        #: wire bytes of the message RMP is processing right now, if any
+        #: (what :meth:`ProcessorGroup.retain` keeps for NACK answering)
+        self.current_raw: Optional[bytes] = None
 
     def on_datagram(self, msg: FTMPMessage, raw: bytes) -> None:
         g = self._g
         if g.stopped:
             return
-        if isinstance(msg, BatchMessage):
+        if msg.__class__ is BatchMessage:
             self._batch.batches_received += 1
             for part in msg.parts:
                 try:
@@ -639,28 +636,24 @@ class ReceivePath:
             # position in the total order (§7.1).  Before that seed there
             # is nothing to anchor recovery on, so everything else waits
             # for the initiator's periodic retransmission.
-            if isinstance(msg, AddProcessorMessage) and msg.new_member == g.pid:
+            if msg.__class__ is AddProcessorMessage and msg.new_member == g.pid:
                 g.pgmp.prepare_join(msg)
             if g.join_barrier is None:
                 return
-            g.romp.observe_header(msg.header)
-            self._feed_rmp(msg, raw)
-            return
-        if g.traced:
+        elif g._stack.tracer is not None:
             g.trace("recv", type=msg.header.message_type.name,
                     src=msg.header.source, seq=msg.header.sequence_number)
         # every datagram carries usable clock / ack / liveness information
         # (RetransmitRequests included); ordering advancement stays gated
-        # on contiguity inside ROMP
+        # on contiguity inside ROMP.  This is the datagram's one header
+        # observation: ROMP recognises the header again when RMP hands
+        # the message up and does not fold it in twice.
         g.romp.observe_header(msg.header)
-        self._feed_rmp(msg, raw)
-
-    def _feed_rmp(self, msg: FTMPMessage, raw: bytes) -> None:
-        self._current_raw = raw
+        self.current_raw = raw
         try:
-            self._g.rmp.on_message(msg)
+            g.rmp.on_message(msg)
         finally:
-            self._current_raw = None
+            self.current_raw = None
 
 
 class ProcessorGroup:
@@ -681,6 +674,12 @@ class ProcessorGroup:
         joining: bool = False,
     ):
         self._stack = stack
+        # per-group constants, resolved once: the protocol machines read
+        # them on every datagram
+        self._endpoint = stack.endpoint
+        self.pid: int = stack.pid
+        self.config: FTMPConfig = stack.config
+        self.clock = stack.clock
         self.group_id = group_id
         self.address = address
         self.membership: Tuple[int, ...] = tuple(sorted(membership))
@@ -693,6 +692,7 @@ class ProcessorGroup:
         #: view — still deliverable (virtual synchrony grandfathering)
         self.legacy_keys: Set[Tuple[int, int]] = set()
 
+        self.stopped = False
         self.buffer = RetransmissionBuffer(gc_enabled=stack.config.buffer_gc_enabled)
         self.stats = GroupStats()
         self.batch_stats = BatchStats()
@@ -713,7 +713,6 @@ class ProcessorGroup:
 
         self._pending_ordered: List[Tuple[bytes, ConnectionId, int]] = []
         self._heard: Set[int] = set()
-        self._stopped = False
         self._register_stats()
 
         if not joining:
@@ -755,38 +754,18 @@ class ProcessorGroup:
     # context surface used by the protocol layers (GroupContext)
     # ------------------------------------------------------------------
     @property
-    def pid(self) -> int:
-        return self._stack.pid
-
-    @property
-    def config(self) -> FTMPConfig:
-        return self._stack.config
-
-    @property
     def rng(self):
-        return self._stack.endpoint.random()
-
-    @property
-    def clock(self):
-        return self._stack.clock
+        return self._endpoint.random()
 
     @property
     def last_sent_seq(self) -> int:
         return self.send_path.last_sent_seq
 
-    @property
-    def stopped(self) -> bool:
-        return self._stopped
-
-    @property
-    def traced(self) -> bool:
-        return self._stack.tracer is not None
-
     def now(self) -> float:
-        return self._stack.endpoint.now
+        return self._endpoint.now
 
     def schedule(self, delay: float, fn: Callable, *args):
-        return self._stack.endpoint.schedule(delay, fn, *args)
+        return self._endpoint.schedule(delay, fn, *args)
 
     def trace(self, kind: str, **detail) -> None:
         tracer = self._stack.tracer
@@ -836,17 +815,17 @@ class ProcessorGroup:
         self._stack.transmit(address, raw)
 
     def join_wire_address(self, address: int) -> None:
-        self._stack.endpoint.join(address)
+        self._endpoint.join(address)
 
     def leave_wire_address(self, address: int) -> None:
-        self._stack.endpoint.leave(address)
+        self._endpoint.leave(address)
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     def _activate(self) -> None:
         """Join the wire address, start heartbeats and the fault detector."""
-        self._stack.endpoint.join(self.address)
+        self._endpoint.join(self.address)
         self.fault_detector.start()
         for p in self.membership:
             if p != self.pid:
@@ -856,9 +835,9 @@ class ProcessorGroup:
             self.romp.overlay.activate()
 
     def stop(self) -> None:
-        if self._stopped:
+        if self.stopped:
             return
-        self._stopped = True
+        self.stopped = True
         self.send_path.stop()
         if self.romp.overlay is not None:
             self.romp.overlay.stop()
@@ -866,7 +845,7 @@ class ProcessorGroup:
         self.rmp.stop()
         self.pgmp.stop()
         self._stack.registry.unregister_prefix(f"group.{self.group_id}")
-        self._stack.endpoint.leave(self.address)
+        self._endpoint.leave(self.address)
 
     # ------------------------------------------------------------------
     # datagram input (from the stack router)
@@ -923,21 +902,15 @@ class ProcessorGroup:
         h = msg.header
         if self.join_barrier is not None and (h.timestamp, h.source) < self.join_barrier:
             return
-        self.legacy_keys.discard((h.timestamp, h.source))
-        if self.traced:
+        if self.legacy_keys:  # non-empty only after a fault view
+            self.legacy_keys.discard((h.timestamp, h.source))
+        if self._stack.tracer is not None:
             self.trace("deliver", src=h.source, seq=h.sequence_number,
                        ts=h.timestamp, bytes=len(msg.payload))
         self._stack.listener.on_deliver(
-            Delivery(
-                group=self.group_id,
-                source=h.source,
-                sequence_number=h.sequence_number,
-                timestamp=h.timestamp,
-                connection_id=msg.connection_id,
-                request_num=msg.request_num,
-                payload=msg.payload,
-                delivered_at=self.now(),
-            )
+            Delivery(self.group_id, h.source, h.sequence_number, h.timestamp,
+                     msg.connection_id, msg.request_num, msg.payload,
+                     self._endpoint.now)
         )
 
     # ------------------------------------------------------------------
@@ -1018,8 +991,7 @@ class ProcessorGroup:
         return self.flow.blocked
 
     def send_retransmit_request(self, source: int, start: int, stop: int) -> None:
-        if self.traced:
-            self.trace("nack", missing_from=source, start=start, stop=stop)
+        self.trace("nack", missing_from=source, start=start, stop=stop)
         msg = RetransmitRequestMessage(
             header=self._header(MessageType.RETRANSMIT_REQUEST, reliable=False),
             processor_id=source,
@@ -1030,8 +1002,7 @@ class ProcessorGroup:
 
     def retransmit_raw(self, raw: bytes, address: Optional[int] = None) -> None:
         """Re-send a retained message unchanged except the retrans flag (§3.2)."""
-        if self.traced:
-            self.trace("resend", bytes=len(raw))
+        self.trace("resend", bytes=len(raw))
         self.send_path.send_raw(raw, address)
 
     def send_add_processor(self, membership_timestamp: int, membership: Tuple[int, ...],
@@ -1140,9 +1111,8 @@ class ProcessorGroup:
             self.romp.overlay.on_view_installed()
         for p in added:
             self.romp.flush_staging(p)
-        if self.traced:
-            self.trace("view", reason=reason, membership=self.membership,
-                       view_ts=view_timestamp)
+        self.trace("view", reason=reason, membership=self.membership,
+                   view_ts=view_timestamp)
         self._stack.listener.on_view_change(
             ViewChange(
                 group=self.group_id,
@@ -1184,8 +1154,7 @@ class ProcessorGroup:
                 self.romp.multigroup.abort_origin(r)
         self.install_view(membership, view_timestamp, added=(), removed=removed,
                           reason="fault")
-        if self.traced:
-            self.trace("fault", convicted=tuple(removed))
+        self.trace("fault", convicted=tuple(removed))
         self._stack.listener.on_fault_report(
             FaultReport(group=self.group_id, convicted=tuple(removed),
                         reported_at=self.now())
@@ -1275,9 +1244,9 @@ class ProcessorGroup:
         if migrated:
             # the window is bound to the old address: drain it first
             self.send_path.flush()
-            self._stack.endpoint.leave(self.address)
+            self._endpoint.leave(self.address)
             self.address = new_addr
-            self._stack.endpoint.join(new_addr)
+            self._endpoint.join(new_addr)
             if self.romp.overlay is not None:
                 self.romp.overlay.on_address_changed()
         self.view_timestamp = max(self.view_timestamp, msg.header.timestamp)

@@ -107,7 +107,9 @@ class RMP:
     def on_message(self, msg: FTMPMessage) -> None:
         """Route one received FTMP message for this group."""
         mtype = msg.header.message_type
-        if mtype == MessageType.HEARTBEAT:
+        if mtype in RELIABLE_TYPES:
+            self._on_reliable(msg)
+        elif mtype == MessageType.HEARTBEAT:
             self._on_heartbeat(msg)  # type: ignore[arg-type]
         elif mtype == MessageType.RETRANSMIT_REQUEST:
             self._on_retransmit_request(msg)  # type: ignore[arg-type]
@@ -116,8 +118,6 @@ class RMP:
         elif mtype == MessageType.CONNECT_REQUEST:
             # unreliable, straight to PGMP (Figure 3)
             self._g.pgmp_receive_unreliable(msg)
-        elif mtype in RELIABLE_TYPES:
-            self._on_reliable(msg)
         # unknown types were already rejected by the codec
 
     # ------------------------------------------------------------------
@@ -130,7 +130,9 @@ class RMP:
         if h.retransmission:
             self._suppress_retransmission(src, h.sequence_number)
 
-        st = self._state(src)
+        st = self._sources.get(src)
+        if st is None:
+            st = self._sources[src] = SourceState()
         seq = h.sequence_number
         if seq > st.highest_heard:
             st.highest_heard = seq
@@ -144,7 +146,19 @@ class RMP:
         self._g.retain(msg)
 
         if seq == st.next_seq:
-            self._advance(src, st, first=msg)
+            if (not st.pending and st.nack_timer is None
+                    and st.deferred_heartbeat is None and st.highest_heard == seq):
+                # In order and nothing outstanding for this source: no
+                # pending message can become contiguous, no gap remains
+                # to re-check, no NACK timer to cancel (and an unarmed
+                # timer means ``nack_retries`` is already 0), no deferred
+                # heartbeat to replay — all that is left of ``_advance``
+                # is the hand-off itself.
+                st.next_seq = seq + 1
+                self.stats.delivered += 1
+                self._g.romp_receive(msg)
+            else:
+                self._advance(src, st, first=msg)
         else:
             st.pending[seq] = msg
             self.stats.out_of_order += 1

@@ -35,6 +35,14 @@ membership tuple changes (views are rare; the rebuild is one O(n) pass),
 which the query detects by tuple identity.  The ordering queue keeps a
 per-source index (``_by_src``) so per-source queries and purges no longer
 scan the whole queue.
+
+The common case — an in-order message from a member while no safe hold,
+§7 barrier or view change is pending — takes one pass: the header is
+folded in once per datagram (:meth:`observe_header` leaves a one-shot
+token that :meth:`receive` / :meth:`receive_heartbeat` consume instead
+of observing again), the gate peeks the cover heap in line, and the
+stability timestamp is computed once per acknowledgement advance and
+handed to its three consumers (DESIGN.md, "Receive fast path").
 """
 
 from __future__ import annotations
@@ -72,6 +80,7 @@ class ROMP:
 
     def __init__(self, group: "GroupContext"):
         self._g = group
+        self._pid = group.pid
         #: max timestamp of the contiguous message stream per source
         self._order_ts: Dict[int, int] = {}
         #: latest ack timestamp advertised by each source
@@ -108,6 +117,12 @@ class ROMP:
         self._cover_heap: List[Tuple[int, int]] = []
         #: lazy min-heap of (ack, pid) entries over the membership
         self._ack_heap: List[Tuple[int, int]] = []
+        #: the header :meth:`observe_header` folded in last, until the
+        #: receive call for the same datagram consumes it
+        self._observed: Optional[FTMPHeader] = None
+        #: the min trackers were rebuilt since stability was last reported
+        #: upward: it may have jumped without any acknowledgement moving
+        self._stability_stale = False
         self.stats = ROMPStats()
         #: LLFT leader-follower ordering engine; replaces the symmetric
         #: delivery rule when ``llft_mode`` is on.  None = legacy (the
@@ -133,21 +148,24 @@ class ROMP:
     # incremental gate/stability min tracking
     # ------------------------------------------------------------------
     def _sync_gate(self) -> None:
-        """Rebuild the min trackers if the membership tuple was replaced."""
+        """Rebuild the min trackers for a replaced membership tuple.
+
+        Callers test ``self._g.membership is not self._gate_members``
+        first — one identity comparison in the steady state.
+        """
         m = self._g.membership
-        if m is self._gate_members:
-            return
         self._gate_members = m
         self._gate_set = frozenset(m)
         cover = [(self._order_ts.get(p, 0), p) for p in m]
         heapq.heapify(cover)
         self._cover_heap = cover
-        pid = self._g.pid
+        pid = self._pid
         acks = [
             (self._ack if p == pid else self._peer_ack.get(p, 0), p) for p in m
         ]
         heapq.heapify(acks)
         self._ack_heap = acks
+        self._stability_stale = True
 
     def _cover_ts(self) -> Optional[int]:
         """Min of ``_order_ts`` over the membership; None when it is empty.
@@ -156,7 +174,8 @@ class ROMP:
         are popped on sight; every member always has its current value on
         the heap, so the first live entry is the true minimum.
         """
-        self._sync_gate()
+        if self._g.membership is not self._gate_members:
+            self._sync_gate()
         if not self._gate_set:
             return None
         heap = self._cover_heap
@@ -182,16 +201,31 @@ class ROMP:
                 heapq.heappush(self._ack_heap, (ack, src))
             self._maybe_collect()
         self._g.note_alive(src)
+        self._observed = h
 
     # ------------------------------------------------------------------
     # inputs from RMP
     # ------------------------------------------------------------------
     def receive(self, msg: FTMPMessage) -> None:
-        """A reliable message, delivered by RMP in source order."""
+        """A reliable message, delivered by RMP in source order.
+
+        The receive path has already observed the header of the datagram
+        it is feeding through RMP; a message RMP had parked, or one
+        handed in directly, is observed here.
+        """
         h = msg.header
-        self.observe_header(h)
-        self._advance_order_ts(h.source, h.timestamp)
-        self._sync_gate()
+        if h is self._observed:
+            self._observed = None
+        else:
+            self.observe_header(h)
+        src = h.source
+        ts = h.timestamp
+        if ts > self._order_ts.get(src, 0):
+            self._order_ts[src] = ts
+            if src in self._gate_set:
+                heapq.heappush(self._cover_heap, (ts, src))
+        if self._g.membership is not self._gate_members:
+            self._sync_gate()
         if self.llft is not None:
             # LLFT mode: ordered messages go to the leader-follower
             # engine (announce / park / replay); the clock, cover and ack
@@ -200,25 +234,25 @@ class ROMP:
             if h.message_type in TOTALLY_ORDERED_TYPES:
                 self.llft.on_reliable(msg)
             else:
-                if h.source not in self._gate_set:
+                if src not in self._gate_set:
                     return  # stale control traffic from an evicted processor
                 self.stats.bypass_deliveries += 1
                 self._g.pgmp_receive_source_ordered(msg)
             self.evaluate()
             return
         if h.message_type in TOTALLY_ORDERED_TYPES:
-            if h.source not in self._gate_set:
+            if src not in self._gate_set:
                 # A source that is not (yet) a member: stage its ordered
                 # messages until an AddProcessor admits it — never let a
                 # non-member block the head of the ordering queue.
-                stage = self._staging.setdefault(h.source, [])
+                stage = self._staging.setdefault(src, [])
                 if len(stage) < self._STAGING_CAP:
                     stage.append(msg)
                 return
             self._enqueue(msg)
         else:
             # Suspect / Membership: reliable, source-ordered, NOT total order
-            if h.source not in self._gate_set:
+            if src not in self._gate_set:
                 return  # stale control traffic from an evicted processor
             self.stats.bypass_deliveries += 1
             self._g.pgmp_receive_source_ordered(msg)
@@ -226,28 +260,32 @@ class ROMP:
 
     def _enqueue(self, msg: FTMPMessage) -> None:
         h = msg.header
-        key = (h.timestamp, h.source)
+        ts = h.timestamp
+        src = h.source
+        key = (ts, src)
         if key in self._queue_keys:
             return
         self._queue_keys.add(key)
-        self._by_src.setdefault(h.source, {})[h.timestamp] = h.sequence_number
-        heapq.heappush(self._queue, (h.timestamp, h.source, self._insertion, msg))
+        index = self._by_src.get(src)
+        if index is None:
+            index = self._by_src[src] = {}
+        index[ts] = h.sequence_number
+        queue = self._queue
+        heapq.heappush(queue, (ts, src, self._insertion, msg))
         self._insertion += 1
-        if len(self._queue) > self.stats.max_queue_depth:
-            self.stats.max_queue_depth = len(self._queue)
+        depth = len(queue)
+        if depth > self.stats.max_queue_depth:
+            self.stats.max_queue_depth = depth
 
     def receive_heartbeat(self, msg: HeartbeatMessage) -> None:
         """A heartbeat whose seq is contiguous with its source's stream."""
         h = msg.header
-        self.observe_header(h)
-        self._advance_order_ts(h.source, h.timestamp)
+        if h is self._observed:
+            self._observed = None
+        else:
+            self.observe_header(h)
+        self.adopt_order_progress(h.source, h.timestamp)
         self.evaluate()
-
-    def _advance_order_ts(self, src: int, ts: int) -> None:
-        if ts > self._order_ts.get(src, 0):
-            self._order_ts[src] = ts
-            if src in self._gate_set:
-                heapq.heappush(self._cover_heap, (ts, src))
 
     # ------------------------------------------------------------------
     # the total-order delivery rule
@@ -266,16 +304,25 @@ class ROMP:
             cover = self._cover_ts()
             if cover is not None and cover > self._ack:
                 self._ack = cover
-                if self._g.pid in self._gate_set:
-                    heapq.heappush(self._ack_heap, (cover, self._g.pid))
+                if self._pid in self._gate_set:
+                    heapq.heappush(self._ack_heap, (cover, self._pid))
             self._maybe_collect()
             self._check_send_barrier()
             return
-        self._release_safe()  # membership/ack changes may unblock safe holds
+        g = self._g
+        if self._unsafe:
+            # membership/ack changes may unblock safe holds
+            self._release_safe(self.stability_timestamp())
+        queue = self._queue
+        order = self._order_ts
         delivered_any = False
-        while self._queue:
-            ts, src, _ins, msg = self._queue[0]
-            self._sync_gate()
+        while True:
+            # a dispatched view change replaces the membership tuple
+            if g.membership is not self._gate_members:
+                self._sync_gate()
+            if not queue:
+                break
+            ts, src, _ins, msg = queue[0]
             if self._transition is not None:
                 # Fault-view drain (§7.2): the old view's messages are
                 # delivered gated only on the survivors — the convicted
@@ -286,22 +333,31 @@ class ROMP:
                 survivors, cut = self._transition
                 if ts > cut:
                     break
-                if src not in self._gate_set and (ts, src) not in self._g.legacy_keys:
+                if src not in self._gate_set and (ts, src) not in g.legacy_keys:
                     break
-                order = self._order_ts
                 if not all(order.get(p, 0) >= ts for p in survivors):
                     break
             else:
-                if src not in self._gate_set and (ts, src) not in self._g.legacy_keys:
+                if src not in self._gate_set and (ts, src) not in g.legacy_keys:
                     # A not-yet-added member's message: it always follows the
                     # AddProcessor (smaller timestamp) in the queue; if the
                     # source will never join, the view change purges it.
                     # (Messages grandfathered by a fault view are delivered.)
                     break
-                cover = self._cover_ts()
-                if cover is not None and cover < ts:
-                    break
-            heapq.heappop(self._queue)
+                if self._gate_set:
+                    # _cover_ts() in line: min of ``_order_ts`` over the
+                    # members, superseded heap entries popped on sight
+                    heap = self._cover_heap
+                    while heap:
+                        cover, p = heap[0]
+                        if order.get(p, 0) == cover:
+                            break
+                        heapq.heappop(heap)
+                    else:
+                        cover = 0
+                    if cover < ts:
+                        break
+            heapq.heappop(queue)
             self._queue_keys.discard((ts, src))
             index = self._by_src.get(src)
             if index is not None:
@@ -310,16 +366,20 @@ class ROMP:
                     del self._by_src[src]
             if ts > self._ack:
                 self._ack = ts
-                if self._g.pid in self._gate_set:
-                    heapq.heappush(self._ack_heap, (ts, self._g.pid))
+                if self._pid in self._gate_set:
+                    heapq.heappush(self._ack_heap, (ts, self._pid))
             self.stats.ordered_deliveries += 1
             delivered_any = True
             self._dispatch(msg)
         if delivered_any:
             self._maybe_collect()
-        else:
-            self._notify_stability()
-        self._check_send_barrier()
+        elif self._stability_stale or self.overlay is not None:
+            # Stability can jump without an acknowledgement moving — a
+            # fault view removing the slowest member, the overlay floor —
+            # and every acknowledgement advance reports it on the spot.
+            self._notify_stability(self.stability_timestamp())
+        if self._send_barrier is not None:
+            self._check_send_barrier()
 
     def _dispatch(self, msg: FTMPMessage) -> None:
         if self.multigroup is not None:
@@ -334,7 +394,7 @@ class ROMP:
             if self._g.config.delivery_mode == "safe":
                 # hold until the ack timestamps prove every member has it
                 self._unsafe.append(msg)
-                self._release_safe()
+                self._release_safe(self.stability_timestamp())
                 return
             self._g.deliver_regular(msg)  # type: ignore[arg-type]
         else:
@@ -354,34 +414,31 @@ class ROMP:
     def stability_timestamp(self) -> int:
         """Everything at/below this timestamp is stable (§6).
 
-        The legacy signal is the min over members of their directly heard
-        acks; in overlay mode the tree-aggregated floor — a sound lower
-        bound over the same membership — is folded in, so stability keeps
-        advancing even though most members never hear each other's acks
-        directly.
+        The min over members of their directly heard acks — amortized
+        O(1) via the lazy ack min-heap (acks only increase).  In overlay
+        mode the tree-aggregated floor — a sound lower bound over the
+        same membership — is folded in, so stability keeps advancing even
+        though most members never hear each other's acks directly.
         """
-        legacy = self._legacy_stability()
+        if self._g.membership is not self._gate_members:
+            self._sync_gate()
+        stable = 0
+        if self._gate_set:
+            heap = self._ack_heap
+            pid = self._pid
+            peer = self._peer_ack
+            while heap:  # every member keeps a live entry: ends by break
+                ack, p = heap[0]
+                if (self._ack if p == pid else peer.get(p, 0)) == ack:
+                    stable = ack
+                    break
+                heapq.heappop(heap)
         ov = self.overlay
-        if ov is None:
-            return legacy
-        floor = ov.stability_floor()
-        return floor if floor > legacy else legacy
-
-    def _legacy_stability(self) -> int:
-        """min over members of their acks, amortized O(1) via the lazy
-        ack min-heap (acks only increase)."""
-        self._sync_gate()
-        if not self._gate_set:
-            return 0
-        heap = self._ack_heap
-        pid = self._g.pid
-        peer = self._peer_ack
-        while heap:
-            ack, p = heap[0]
-            if (self._ack if p == pid else peer.get(p, 0)) == ack:
-                return ack
-            heapq.heappop(heap)
-        return 0  # unreachable in practice: every member keeps a live entry
+        if ov is not None:
+            floor = ov.stability_floor()
+            if floor > stable:
+                stable = floor
+        return stable
 
     def cover_timestamp(self) -> int:
         """Public cover accessor: the stream heard contiguously from every
@@ -390,15 +447,18 @@ class ROMP:
         return 0 if cover is None else cover
 
     def adopt_order_progress(self, src: int, ts: int) -> None:
-        """Overlay §6 aggregation: advance ``src``'s contiguous-stream
-        timestamp from a progress entry.
+        """Advance ``src``'s contiguous-stream timestamp to ``ts``.
 
-        Sound only after the caller verified local contiguity through the
-        entry's sequence number: the entry claims every message from
-        ``src`` with timestamp <= ``ts`` has seq <= that number, so
-        nothing below ``ts`` can still arrive from ``src``.
+        Sound only when nothing below ``ts`` can still arrive from
+        ``src``: a heartbeat contiguous with the stream, or an overlay §6
+        progress entry whose sequence number the caller has verified
+        local contiguity through (the entry claims every message from
+        ``src`` with timestamp <= ``ts`` has seq <= that number).
         """
-        self._advance_order_ts(src, ts)
+        if ts > self._order_ts.get(src, 0):
+            self._order_ts[src] = ts
+            if src in self._gate_set:
+                heapq.heappush(self._cover_heap, (ts, src))
 
     def overlay_stability_pulse(self) -> None:
         """The aggregated floor may have advanced without new deliveries:
@@ -406,38 +466,26 @@ class ROMP:
         self._maybe_collect()
 
     def _maybe_collect(self) -> None:
-        # stability_timestamp() walks the lazy ack heap (and the overlay
-        # floor); compute it once and thread the value through the three
-        # consumers — this runs on every ack advance under load
+        """An acknowledgement advanced: compute stability once and hand it
+        to safe release, credit notification and buffer GC."""
         stable = self.stability_timestamp()
-        self._release_safe(stable)
+        if self._unsafe:
+            self._release_safe(stable)
         self._notify_stability(stable)
-        if not self._g.config.buffer_gc_enabled:
-            return
-        if stable > 0:
+        if stable > 0 and self._g.config.buffer_gc_enabled:
             reclaimed = self._g.buffer.collect(stable)
             if reclaimed:
                 self.stats.gc_runs += 1
                 self.stats.messages_reclaimed += reclaimed
 
-    def _notify_stability(self, stable: Optional[int] = None) -> None:
-        """Report stability advances upward (flow-control credit releases).
-
-        Stability can also jump without new traffic — e.g. a fault view
-        removing the slowest member — so :meth:`evaluate` calls this too,
-        not just the ack-advance path.
-        """
-        if stable is None:
-            stable = self.stability_timestamp()
+    def _notify_stability(self, stable: int) -> None:
+        """Report a stability advance upward (flow-control credit releases)."""
+        self._stability_stale = False
         if stable > self._stable_notified:
             self._stable_notified = stable
             self._g.on_stability_advance(stable)
 
-    def _release_safe(self, stable: Optional[int] = None) -> None:
-        if not self._unsafe:
-            return
-        if stable is None:
-            stable = self.stability_timestamp()
+    def _release_safe(self, stable: int) -> None:
         while self._unsafe and self._unsafe[0].header.timestamp <= stable:
             msg = self._unsafe.popleft()
             self._g.deliver_regular(msg)  # type: ignore[arg-type]

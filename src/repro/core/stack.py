@@ -346,19 +346,20 @@ class FTMPStack:
             # ring-ingest path hands a memoryview over an immutable popped
             # record: decode zero-copy; plain bytes (socket path) copy as
             # before, so the default runtime is byte-identical
-            msg = decode_view(raw) if type(raw) is memoryview else decode(raw)
+            msg = decode_view(raw) if raw.__class__ is memoryview else decode(raw)
         except CodecError:
             self.stats.decode_errors += 1
             return
-        mtype = msg.header.message_type
+        h = msg.header
+        mtype = h.message_type
         if mtype == MessageType.CONNECT_REQUEST:
             self.connections.on_connect_request(msg)  # type: ignore[arg-type]
             return
-        group = self._groups.get(msg.header.group)
+        group = self._groups.get(h.group)
         if mtype == MessageType.CONNECT and (group is None or group.joining):
             # bootstrap Connect for a connection group we are not yet in
             self.connections.on_connect(msg)  # type: ignore[arg-type]
-            group = self._groups.get(msg.header.group)
+            group = self._groups.get(h.group)
             if group is not None and not group.joining:
                 group.on_datagram(msg, raw)  # feed RMP so seq accounting holds
             return

@@ -26,7 +26,9 @@ Hot-path engineering: the fixed-layout message types (Heartbeat, Regular,
 RetransmitRequest, RemoveProcessor) encode in a single precompiled
 :class:`struct.Struct` ``pack`` call per message and decode with
 ``unpack_from`` at fixed offsets — no intermediate slices, no per-field
-``struct.pack`` allocations.  The field-at-a-time :class:`_Writer` /
+``struct.pack`` allocations.  Regular and Heartbeat — all but a few
+datagrams of a running group — decode header and body in one
+``unpack_from`` (:func:`decode`).  The field-at-a-time :class:`_Writer` /
 :class:`_Reader` pair survives for the variable-layout membership/control
 messages and as the :func:`encode_reference` regression oracle, which must
 stay byte-identical to the fast path for every message type.
@@ -180,6 +182,12 @@ _MAGIC_VER = MAGIC + bytes((VERSION_MAJOR, VERSION_MINOR))
 _TYPE_BY_VALUE = {int(t): t for t in MessageType}
 _BATCH_REC_SIZE = _BATCH_REC[True].size
 _BATCH_VERBATIM_SIZE = _BATCH_VERBATIM[True].size
+#: byte offset of the type field, and the fused decode's two wire values
+_TYPE_OFFSET = 7
+_REGULAR = int(MessageType.REGULAR)
+_HEARTBEAT = int(MessageType.HEARTBEAT)
+#: header + fixed Regular body prefix: where a Regular's payload starts
+_REGULAR_FIXED = _HDR_REGULAR[True].size
 
 _Buffer = Union[bytes, bytearray, memoryview]
 
@@ -641,27 +649,49 @@ def _decode_batch(h: FTMPHeader, data: _Buffer, little: bool) -> BatchMessage:
 
 
 def decode(data: _Buffer) -> FTMPMessage:
-    """Deserialize a full FTMP message (header + body)."""
+    """Deserialize a full FTMP message (header + body).
+
+    A well-formed Regular or Heartbeat is decoded by one ``unpack_from``
+    over header and body together.  The fused branches make the general
+    path's checks (magic, size field, payload bound) on the values they
+    unpacked and return only when all hold; anything else — truncated,
+    wrong size, bad magic, flipped endianness flag — falls through to
+    the general path below, which names the failure.
+    """
+    n = len(data)
+    wire_type = data[_TYPE_OFFSET] if n >= HEADER_SIZE else None
+    if wire_type == _REGULAR and n >= _REGULAR_FIXED:
+        little = bool(data[_FLAGS_OFFSET] & _FLAG_LITTLE_ENDIAN)
+        (magic, vmaj, vmin, flags, _t, size, source, group, seq, ts, ack,
+         cd, cg, sd, sg, req, plen) = _HDR_REGULAR[little].unpack_from(data, 0)
+        if magic == MAGIC and size == n and _REGULAR_FIXED + plen <= n:
+            return RegularMessage(
+                FTMPHeader(MessageType.REGULAR, source, group, seq, ts, ack,
+                           bool(flags & _FLAG_RETRANSMISSION), little, size,
+                           magic, (vmaj, vmin)),
+                ConnectionId(cd, cg, sd, sg), req,
+                bytes(data[_REGULAR_FIXED:_REGULAR_FIXED + plen]))
+    elif wire_type == _HEARTBEAT and n == HEADER_SIZE:
+        little = bool(data[_FLAGS_OFFSET] & _FLAG_LITTLE_ENDIAN)
+        magic, vmaj, vmin, flags, _t, size, source, group, seq, ts, ack = (
+            _HDR[little].unpack_from(data, 0))
+        if magic == MAGIC and size == n:
+            return HeartbeatMessage(
+                FTMPHeader(MessageType.HEARTBEAT, source, group, seq, ts, ack,
+                           bool(flags & _FLAG_RETRANSMISSION), little, size,
+                           magic, (vmaj, vmin)))
     h = peek_header(data)
-    if h.message_size != len(data):
-        raise CodecError(
-            f"size field {h.message_size} != datagram length {len(data)}"
-        )
+    if h.message_size != n:
+        raise CodecError(f"size field {h.message_size} != datagram length {n}")
     little = h.little_endian
     t = h.message_type
     if t == MessageType.REGULAR:
-        s = _REGULAR_BODY[little]
-        try:
-            cd, cg, sd, sg, req, plen = s.unpack_from(data, HEADER_SIZE)
-        except struct.error as exc:
-            raise CodecError("truncated FTMP message body") from exc
-        start = HEADER_SIZE + s.size
-        if start + plen > len(data):
-            raise CodecError("truncated payload")
-        return RegularMessage(h, ConnectionId(cd, cg, sd, sg), req,
-                              bytes(data[start : start + plen]))
+        # magic and size field hold, yet the fused branch did not return:
+        # the fixed body prefix or the payload it announces is cut short
+        raise CodecError("truncated payload" if n >= _REGULAR_FIXED
+                         else "truncated FTMP message body")
     if t == MessageType.HEARTBEAT:
-        return HeartbeatMessage(h)
+        return HeartbeatMessage(h)  # trailing bytes the size field covers
     if t == MessageType.RETRANSMIT_REQUEST:
         try:
             proc, start_seq, stop_seq = _RETRANSMIT_BODY[little].unpack_from(

@@ -5,7 +5,9 @@ delivery, protocol timer and workload action is an :class:`Event` on a heap
 keyed by simulated time.  Determinism matters more than raw speed here (the
 same seed must produce the same protocol run so experiments are
 reproducible), so ties are broken by a monotonically increasing insertion
-counter rather than by object identity.
+counter rather than by object identity.  The heap holds ``(time, seq,
+event)`` tuples: ``seq`` is unique, so ``heapq`` orders entries on the
+first two fields in C and never compares two events.
 
 Simulated time is a ``float`` in **seconds**.
 
@@ -62,9 +64,6 @@ class Event:
             self._sched = None
             sched._on_cancel()
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "cancelled" if self.cancelled else "pending"
         return f"<Event t={self.time:.6f} {getattr(self.fn, '__name__', self.fn)} {state}>"
@@ -89,7 +88,7 @@ class Scheduler:
 
     def __init__(self, policy: Optional[SchedulePolicy] = None) -> None:
         self._now: float = 0.0
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, Event]] = []
         self._counter = itertools.count()
         self._events_processed = 0
         self._live = 0  #: uncancelled events currently on the heap
@@ -153,7 +152,8 @@ class Scheduler:
         # below live ones — rebuild once garbage dominates
         garbage = len(self._heap) - self._live
         if garbage > self._COMPACT_MIN_GARBAGE and garbage > self._live:
-            self._heap = [e for e in self._heap if not e.cancelled]
+            # in place: the run loops hold the list while callbacks cancel
+            self._heap[:] = [e for e in self._heap if not e[2].cancelled]
             heapq.heapify(self._heap)
 
     # ------------------------------------------------------------------
@@ -169,8 +169,9 @@ class Scheduler:
         """Schedule ``fn(*args)`` at absolute simulated ``time``."""
         if time < self._now:
             raise SimTimeError(f"cannot schedule at {time} < now {self._now}")
-        ev = Event(time, next(self._counter), fn, args, sched=self)
-        heapq.heappush(self._heap, ev)
+        seq = next(self._counter)
+        ev = Event(time, seq, fn, args, sched=self)
+        heapq.heappush(self._heap, (time, seq, ev))
         self._live += 1
         return ev
 
@@ -187,15 +188,14 @@ class Scheduler:
         heap = self._heap
         ready: list[Event] = []
         while heap:
-            top = heap[0]
+            t, _seq, top = heap[0]
             if top.cancelled:
                 heapq.heappop(heap)
                 continue
-            if limit_time is not None and top.time > limit_time:
+            if limit_time is not None and t > limit_time:
                 return False
-            t = top.time
-            while heap and heap[0].time == t:
-                ev = heapq.heappop(heap)
+            while heap and heap[0][0] == t:
+                ev = heapq.heappop(heap)[2]
                 if not ev.cancelled:
                     ready.append(ev)  # heap pops arrive in seq order
             if ready:
@@ -211,7 +211,7 @@ class Scheduler:
             self._decisions.append(idx)
         ev = ready.pop(idx)
         for other in ready:
-            heapq.heappush(heap, other)
+            heapq.heappush(heap, (other.time, other.seq, other))
         ev._sched = None
         self._live -= 1
         self._now = ev.time
@@ -224,7 +224,7 @@ class Scheduler:
         if self._policy is not None:
             return self._step_policy(None)
         while self._heap:
-            ev = heapq.heappop(self._heap)
+            ev = heapq.heappop(self._heap)[2]
             if ev.cancelled:
                 continue
             ev._sched = None
@@ -263,17 +263,18 @@ class Scheduler:
             if time > self._now:
                 self._now = time
             return ran
-        while self._heap:
-            ev = self._heap[0]
+        heap = self._heap
+        while heap:
+            t, _seq, ev = heap[0]
             if ev.cancelled:
-                heapq.heappop(self._heap)
+                heapq.heappop(heap)
                 continue
-            if ev.time > time:
+            if t > time:
                 break
-            heapq.heappop(self._heap)
+            heapq.heappop(heap)
             ev._sched = None
             self._live -= 1
-            self._now = ev.time
+            self._now = t
             self._events_processed += 1
             ev.fn(*ev.args)
             ran += 1

@@ -212,6 +212,43 @@ def test_observe_header_notes_liveness():
     assert g.clock.time >= 3
 
 
+def test_header_is_observed_once_per_datagram():
+    g = MockGroup(membership=(1, 2, 3))
+    r = ROMP(g)
+    m = regular(2, ts=5)
+    r.observe_header(m.header)  # the receive path, before RMP
+    r.receive(m)                # RMP hands the same message up
+    assert g.alive == [2]
+    # the token is one-shot: a message handed in again (or one RMP had
+    # parked while other datagrams went by) is observed by ROMP itself
+    r.receive(m)
+    assert g.alive == [2, 2]
+    parked = regular(3, ts=6)
+    hb = heartbeat(2, ts=7)
+    r.observe_header(parked.header)
+    r.observe_header(hb.header)
+    r.receive_heartbeat(hb)
+    r.receive(parked)
+    assert g.alive == [2, 2, 3, 2, 3]
+
+
+def test_stability_jump_without_an_ack_moving_is_still_reported():
+    # member 3 never acknowledges; a view without it lifts the minimum
+    # although no acknowledgement advances — evaluate() must report it
+    g = MockGroup(membership=(1, 2, 3))
+    r = ROMP(g)
+    r.receive(regular(1, ts=5))
+    r.receive_heartbeat(heartbeat(2, ts=6))
+    r.receive_heartbeat(heartbeat(3, ts=6))   # delivers ts 5: own ack = 5
+    r.receive_heartbeat(heartbeat(2, ts=7, ack=5))
+    assert g.stability_advances == []
+    g.membership = (1, 2)
+    r.evaluate()
+    assert g.stability_advances == [5]
+    r.evaluate()  # nothing changed: nothing reported twice
+    assert g.stability_advances == [5]
+
+
 # ----------------------------------------------------------------------
 # §7 quiescence barrier: empty membership must NOT clear it
 # ----------------------------------------------------------------------

@@ -8,9 +8,16 @@ for performance:
 * **fast path == reference** — ``encode`` (one-pack fast paths) produces
   exactly the bytes of :func:`repro.core.wire.encode_reference` (the
   field-at-a-time writer), so the wire format cannot drift between the
-  two implementations.
+  two implementations;
+* **fused decode == general path** — the single-``unpack_from`` decode of
+  Regular and Heartbeat accepts, rejects and *names the rejection* exactly
+  as the header-then-body decode spelled out here does, on truncated and
+  corrupted input as well as on valid messages.
 """
 
+import struct
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,7 +41,7 @@ from repro.core import (
     decode,
     encode,
 )
-from repro.core.wire import encode_reference
+from repro.core.wire import CodecError, encode_reference, peek_header
 
 U16 = st.integers(0, 0xFFFF)
 U32 = st.integers(0, 0xFFFFFFFF)
@@ -127,3 +134,74 @@ def test_batch_parts_reconstructed_byte_exact(batch):
     retention buffers and retransmission identity depend on it."""
     out = decode(encode(batch))
     assert out.parts == batch.parts
+
+
+# ----------------------------------------------------------------------
+# fused Regular / Heartbeat decode against the general path
+# ----------------------------------------------------------------------
+def general_decode(data):
+    """Header, then size field, then body — the checks in the order the
+    general path makes them, for the two types ``decode`` fuses."""
+    h = peek_header(data)
+    if h.message_size != len(data):
+        raise CodecError(f"size field {h.message_size} != datagram length {len(data)}")
+    if h.message_type == MessageType.HEARTBEAT:
+        return HeartbeatMessage(h)
+    assert h.message_type == MessageType.REGULAR
+    try:
+        cd, cg, sd, sg, req, plen = struct.unpack_from(
+            ("<" if h.little_endian else ">") + "IIIIQI", data, 40)
+    except struct.error as exc:
+        raise CodecError("truncated FTMP message body") from exc
+    if 68 + plen > len(data):
+        raise CodecError("truncated payload")
+    return RegularMessage(h, ConnectionId(cd, cg, sd, sg), req, bytes(data[68:68 + plen]))
+
+
+def outcome(fn, data):
+    try:
+        return fn(data)
+    except CodecError as exc:
+        return ("CodecError", str(exc))
+
+
+def corruptions(raw: bytes):
+    """Every prefix up to the Regular fixed part, then the header faults."""
+    for n in range(0, min(len(raw), 68) + 1):
+        yield f"prefix {n}", raw[:n]
+    yield "one byte short", raw[:-1]
+    yield "trailing byte", raw + b"\x00"
+    yield "bad magic", b"FTMQ" + raw[4:]
+    little = bool(raw[6] & 1)
+    for size in (0, len(raw) - 1, len(raw) + 1, 0xFFFFFFFF):
+        yield f"size field {size}", (raw[:8] + struct.pack("<I" if little else ">I", size)
+                                     + raw[12:])
+    yield "flipped endianness flag", raw[:6] + bytes([raw[6] ^ 1]) + raw[7:]
+    yield "unknown type byte", raw[:7] + b"\xee" + raw[8:]
+
+
+FUSED = st.one_of(REGULAR, st.builds(HeartbeatMessage, _header(MessageType.HEARTBEAT)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(FUSED)
+def test_fused_decode_agrees_with_general_path(msg):
+    raw = encode(msg)
+    assert decode(raw) == general_decode(raw) == msg
+    for what, data in corruptions(raw):
+        assert outcome(decode, data) == outcome(general_decode, data), what
+        assert outcome(decode, memoryview(data)) == outcome(decode, data), what
+
+
+@pytest.mark.parametrize("little", [True, False])
+def test_regular_announcing_more_payload_than_it_carries(little):
+    # valid magic and size field, payload length overstated: the fused
+    # branch must hand over to the general path's "truncated payload"
+    msg = RegularMessage(
+        FTMPHeader(MessageType.REGULAR, 1, 1, 1, 1, 0, little_endian=little),
+        ConnectionId.none(), 7, b"abcdef")
+    raw = bytearray(encode(msg))
+    struct.pack_into("<I" if little else ">I", raw, 64, 7)
+    for fn in (decode, general_decode):
+        with pytest.raises(CodecError, match="truncated payload"):
+            fn(bytes(raw))

@@ -147,18 +147,42 @@ def test_pending_counter_survives_compaction():
     s = Scheduler()
     threshold = Scheduler._COMPACT_MIN_GARBAGE
     # strand a burst of cancellations beneath one live far-future event
-    live = s.schedule(1000.0, lambda: None)
-    doomed = [s.schedule(float(i + 1), lambda: None) for i in range(threshold + 2)]
+    hits = []
+    s.schedule(1000.0, hits.append, "live")
+    doomed = [s.schedule(float(i + 1), hits.append, i) for i in range(threshold + 2)]
     for ev in doomed:
         ev.cancel()
-    # compaction has rebuilt the heap: the burst of dead entries is gone
-    # (a handful cancelled after the rebuild may linger below threshold)
+    # the burst crossed the compaction threshold; whatever the heap did
+    # with the dead entries, exactly the live event is still pending
     assert s.pending == 1
-    assert len(s._heap) < threshold
-    assert live in s._heap
+    # cancelling again after the rebuild must not disturb the counter
+    doomed[0].cancel()
+    assert s.pending == 1
     s.run()
+    assert hits == ["live"]  # the live event still fires, the doomed never do
+    assert s.now == 1000.0
     assert s.pending == 0
     assert s.events_processed == 1
+
+
+def test_cancel_inside_callback_may_compact_the_running_heap():
+    # a callback that cancels en masse triggers compaction while
+    # run_until is iterating: the loop must keep seeing later events
+    s = Scheduler()
+    hits = []
+    doomed = []
+
+    def teardown():
+        for ev in doomed:
+            ev.cancel()
+
+    s.schedule(1.0, teardown)
+    doomed.extend(s.schedule(2.0 + i * 1e-6, hits.append, "dead")
+                  for i in range(Scheduler._COMPACT_MIN_GARBAGE + 2))
+    s.schedule(5.0, hits.append, "after")
+    s.run_until(10.0)
+    assert hits == ["after"]
+    assert s.pending == 0
 
 
 def test_cancel_after_fire_is_noop():
