@@ -3,9 +3,9 @@
 "Each message sent by a client (server) object group ... is delivered to
 both groups, which enables duplicate detection and suppression."  With R
 client replicas and S server replicas, one logical invocation produces R
-Request copies and S Reply copies on the wire; `(connection id, request
-number)` suppression makes every server execute once and every client
-resolve once.  Sweep R × S and count.
+Request copies and S Reply copies on the wire — R + S multicasts, never
+R + R·S; `(connection id, request number)` suppression makes every server
+execute once and every client resolve once.  Sweep R × S and count.
 """
 
 from repro.core import FTMPConfig, FTMPStack
@@ -64,7 +64,15 @@ def run_point(n_clients: int, n_servers: int, invocations: int = 10):
         all(e == invocations for e in executions)
         and all(results[p] == list(range(1, invocations + 1)) for p in client_pids)
     )
-    return executions, suppressed, ok
+
+    def regulars(pids):
+        # Requests and Replies are the only Regular messages on the wire
+        return sum(v for p in pids for k, v in hosts[p][1].snapshot().items()
+                   if k.endswith(".send.regulars_sent"))
+
+    requests = regulars(client_pids) / invocations
+    replies = regulars(server_pids) / invocations
+    return executions, suppressed, ok, requests, replies
 
 
 def test_e6_duplicate_suppression(benchmark):
@@ -77,16 +85,20 @@ def test_e6_duplicate_suppression(benchmark):
 
     table = Table(
         ["client replicas", "server replicas", "executions per server",
-         "duplicates suppressed", "exactly-once"],
+         "duplicates suppressed", "multicasts per invocation", "exactly-once"],
         title="E6 — duplicate suppression with replicated clients and servers "
               "(10 logical invocations)",
     )
-    for (r, s), (execs, suppressed, ok) in results.items():
-        table.add_row(r, s, execs[0], suppressed, ok)
+    for (r, s), (execs, suppressed, ok, requests, replies) in results.items():
+        table.add_row(r, s, execs[0], suppressed,
+                      f"{requests:g} + {replies:g}", ok)
     emit("E6_duplicate_suppression", table.render())
 
-    for (r, s), (execs, suppressed, ok) in results.items():
+    for (r, s), (execs, suppressed, ok, requests, replies) in results.items():
         assert ok, f"not exactly-once for {r}x{s}"
+        # a simulated-time count: R Request copies, S Replies, whatever R —
+        # no server answers a further client replica's copy a second time
+        assert (requests, replies) == (r, s), f"{r}x{s}: {requests} + {replies}"
         # with no replication there is nothing to suppress...
         if r == 1 and s == 1:
             assert suppressed == 0

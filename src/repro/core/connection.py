@@ -429,6 +429,12 @@ class DuplicateDetector:
         self._watermark[key] = mark
         return False
 
+    def seen(self, cid: ConnectionId, request_num: int, kind: str) -> bool:
+        """True if (cid, num, kind) was recorded before; records nothing."""
+        key = (cid, kind)
+        return (request_num <= self._watermark.get(key, 0)
+                or request_num in self._sparse.get(key, ()))
+
     def seen_count(self, cid: ConnectionId, kind: str) -> int:
         key = (cid, kind)
         return self._watermark.get(key, 0) + len(self._sparse.get(key, ()))

@@ -36,6 +36,8 @@ from .messages import (
     ServiceContext,
     decode_giop,
     encode_giop,
+    giop_header,
+    peek_request,
 )
 from .values import decode_value, decode_values, encode_value, encode_values
 
@@ -60,6 +62,8 @@ __all__ = [
     "ServiceContext",
     "encode_giop",
     "decode_giop",
+    "giop_header",
+    "peek_request",
     "encode_value",
     "decode_value",
     "encode_values",

@@ -22,6 +22,10 @@ class MarshalError(Exception):
     """Raised on malformed CDR data or unencodable values."""
 
 
+#: the decoder's primitive readers, compiled once: byte order + format code
+_PRIMITIVES = {e + f: struct.Struct(e + f) for e in "<>" for f in "BhHiIqQfd"}
+
+
 class CDREncoder:
     """Append-only CDR stream writer."""
 
@@ -133,12 +137,15 @@ class CDRDecoder:
             self._pos += boundary - rem
 
     def _unpack(self, fmt: str, boundary: int):
-        self.align(boundary)
-        s = struct.Struct(self._e + fmt)
-        end = self._pos + s.size
+        pos = self._pos
+        rem = pos % boundary
+        if rem:
+            pos += boundary - rem
+        s = _PRIMITIVES[self._e + fmt]
+        end = pos + s.size
         if end > len(self._data):
             raise MarshalError("truncated CDR stream")
-        (v,) = s.unpack_from(self._data, self._pos)
+        (v,) = s.unpack_from(self._data, pos)
         self._pos = end
         return v
 

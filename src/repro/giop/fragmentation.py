@@ -16,7 +16,7 @@ layer guarantees, so reassembly needs only a per-source accumulator.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional
+from typing import Callable, Dict, Hashable, List, Optional
 
 from .cdr import MarshalError
 from .messages import GIOP_MAGIC
@@ -106,22 +106,24 @@ class Reassembler:
             raise FragmentationError("not a GIOP message")
         more = bool(data[6] & _FLAG_MORE)
         mtype = data[7]
-        body = data[_HEADER_LEN:]
 
         if source not in self._partial:
             if mtype == _FRAGMENT_TYPE:
                 raise FragmentationError("Fragment without an initial message")
             if not more:
-                return data  # common case: unfragmented
-            self._partial[source] = (data[:_HEADER_LEN], [body])
+                return data  # common case: unfragmented, nothing copied
+            self._partial[source] = (data[:_HEADER_LEN], [data[_HEADER_LEN:]])
             return None
 
         header, chunks = self._partial[source]
         if mtype != _FRAGMENT_TYPE:
+            # fragments are FIFO per source, so the interrupted message can
+            # never complete: drop it, or every later message is rejected
+            del self._partial[source]
             raise FragmentationError(
                 "new message started while a fragmented one was incomplete"
             )
-        chunks.append(body)
+        chunks.append(data[_HEADER_LEN:])
         if more:
             return None
         del self._partial[source]
@@ -133,6 +135,8 @@ class Reassembler:
         """Number of sources with an incomplete message."""
         return len(self._partial)
 
-    def abort(self, source: Hashable) -> None:
-        """Drop a partial message (e.g. its source left the membership)."""
-        self._partial.pop(source, None)
+    def abort_where(self, doomed: Callable[[Hashable], bool]) -> None:
+        """Drop the partial message of every source key ``doomed`` accepts
+        (its source left the membership, its connection closed)."""
+        for source in [s for s in self._partial if doomed(s)]:
+            del self._partial[source]

@@ -10,6 +10,7 @@ what FTMP encapsulates inside a Regular message (Figure 2).
 from __future__ import annotations
 
 import enum
+import struct
 from dataclasses import dataclass, field
 from typing import List, Tuple, Union
 
@@ -33,10 +34,14 @@ __all__ = [
     "GIOPMessage",
     "encode_giop",
     "decode_giop",
+    "giop_header",
+    "peek_request",
 ]
 
 GIOP_MAGIC = b"GIOP"
 _HEADER_LEN = 12
+#: ulong readers by byte order (index: little endian?)
+_ULONG = (struct.Struct(">I").unpack_from, struct.Struct("<I").unpack_from)
 
 
 class GIOPMessageType(enum.IntEnum):
@@ -50,6 +55,9 @@ class GIOPMessageType(enum.IntEnum):
     CLOSE_CONNECTION = 5
     MESSAGE_ERROR = 6
     FRAGMENT = 7
+
+
+_LAST_TYPE = int(GIOPMessageType.FRAGMENT)
 
 
 class ReplyStatus(enum.IntEnum):
@@ -214,25 +222,60 @@ def encode_giop(msg: GIOPMessage) -> bytes:
     return head.getvalue() + payload
 
 
-def decode_giop(data: bytes) -> GIOPMessage:
-    """Deserialize a GIOP message."""
+def giop_header(data: bytes) -> Tuple[int, bool]:
+    """Validate the 12-byte header of an encoded GIOP message.
+
+    Returns ``(type octet, little endian)``; raises :class:`MarshalError`
+    on a bad magic, an unknown type octet or a size field that disagrees
+    with the length.  This is every check :func:`decode_giop` makes before
+    it opens the body, so a receiver that only needs the message type
+    (duplicate suppression, logging) need not walk the CDR stream.
+    """
     if len(data) < _HEADER_LEN or data[:4] != GIOP_MAGIC:
         raise MarshalError("not a GIOP message")
-    version = (data[4], data[5])
+    mtype = data[7]
+    if mtype > _LAST_TYPE:
+        raise MarshalError(f"unknown GIOP message type {mtype}")
     little = data[6] == 1
-    try:
-        mtype = GIOPMessageType(data[7])
-    except ValueError as exc:
-        raise MarshalError(f"unknown GIOP message type {data[7]}") from exc
-    dec = CDRDecoder(data, little_endian=little, offset=8)
-    size = dec.ulong()
+    (size,) = _ULONG[little](data, 8)
     if size != len(data) - _HEADER_LEN:
         raise MarshalError(
             f"GIOP size field {size} != body length {len(data) - _HEADER_LEN}"
         )
-    h = GIOPHeader(message_type=mtype, little_endian=little, version=version,
-                   message_size=size)
+    return mtype, little
 
+
+def peek_request(data: bytes, little_endian: bool) -> Tuple[bool, bytes, str]:
+    """``(response_expected, object_key, operation)`` of an encoded Request.
+
+    For a message that passed :func:`giop_header`.  Reads the Request
+    header the way :func:`decode_giop` does and stops before the
+    principal and the body, which it never touches.
+    """
+    dec = CDRDecoder(data, little_endian=little_endian, offset=_HEADER_LEN)
+    try:
+        _decode_service_context(dec)
+        dec.ulong()  # request id: the FTMP header carries the number that matters
+        return dec.boolean(), dec.octets(), dec.string()
+    except ValueError as exc:  # an operation name that is not UTF-8
+        raise MarshalError(f"malformed GIOP Request: {exc}") from exc
+
+
+def decode_giop(data: bytes) -> GIOPMessage:
+    """Deserialize a GIOP message."""
+    octet, little = giop_header(data)
+    h = GIOPHeader(message_type=GIOPMessageType(octet), little_endian=little,
+                   version=(data[4], data[5]),
+                   message_size=len(data) - _HEADER_LEN)
+    dec = CDRDecoder(data, little_endian=little, offset=_HEADER_LEN)
+    try:
+        return _decode_body(h, dec)
+    except ValueError as exc:  # an enum out of range, a string not UTF-8
+        raise MarshalError(f"malformed GIOP body: {exc}") from exc
+
+
+def _decode_body(h: GIOPHeader, dec: CDRDecoder) -> GIOPMessage:
+    mtype = h.message_type
     if mtype == GIOPMessageType.REQUEST:
         ctx = _decode_service_context(dec)
         return RequestMessage(

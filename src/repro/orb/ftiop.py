@@ -10,8 +10,15 @@ of the authors' Eternal system:
   between the client object group and the server object group;
 * every member of the connection's processor group receives every Request
   and Reply ("delivered to both groups", §4); the adapter suppresses
-  duplicates by ``(connection id, request number, kind)`` so replicated
-  clients invoke once and replicated servers answer once — per receiver;
+  duplicates by ``(connection id, request number, kind)`` — read from the
+  FTMP header and a peek at the Request's target, so a member opens the
+  body only of a message it consumes — and replicated clients invoke
+  once, replicated servers execute once and answer once: an invocation
+  by R client replicas on S server replicas is R + S multicasts;
+* a duplicate Request is answered from the reply cache only when a Reply
+  is already ahead of it in the total order (a log replay, a replica
+  that invokes late); ordered before the Reply, its sender will deliver
+  that Reply itself (DESIGN.md "GIOP mapping");
 * server replicas execute delivered Requests in FTMP's total order, which
   is what keeps active replicas consistent;
 * reserved ``_set_state`` Requests implement state transfer to freshly
@@ -22,7 +29,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple  # noqa: F401
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Set, Tuple  # noqa: F401
 
 from ..core import (
     ConnectionEvent,
@@ -49,6 +56,8 @@ from ..giop import (
     decode_giop,
     encode_giop,
     encode_values,
+    giop_header,
+    peek_request,
 )
 from ..giop.fragmentation import FragmentationError, Reassembler, fragment_giop
 from .futures import InvocationFuture
@@ -88,6 +97,14 @@ class ClientIdentity:
     domain: int
     object_group: int
     processor_ids: Tuple[int, ...]
+
+
+class _Stream(NamedTuple):
+    """Whose fragments a partial reassembly holds (the reassembler's key)."""
+
+    group: int
+    cid: ConnectionId
+    source: int
 
 
 @dataclass
@@ -267,6 +284,8 @@ class FTMPAdapter(Listener):
             fut.set_exception(CommFailure("connection closed"))
         self._awaiting_connection.pop(cid, None)
         self._numbering.pop(cid, None)
+        # a message half received when the connection closed never completes
+        self._reassembler.abort_where(lambda stream: stream.cid == cid)
         self.stack.release_connection_local(cid)
 
     # ==================================================================
@@ -296,61 +315,95 @@ class FTMPAdapter(Listener):
     # FTMP listener implementation
     # ==================================================================
     def on_deliver(self, delivery: Delivery) -> None:
-        if delivery.connection_id == ConnectionId.none():
+        cid = delivery.connection_id
+        if cid == ConnectionId.none():
             self.downstream.on_deliver(delivery)
             return
         payload = delivery.payload
+        request_num = delivery.request_num
+        # Parse first, act after: only parsing runs under the handler, so
+        # a malformed message is handed on with nothing recorded (a bad
+        # first copy must not shadow a good second one), and an error
+        # raised once a message is recorded and acted on is not swallowed.
         try:
             if payload[:4] == b"GIOP":
                 # fragments of one message arrive FIFO per source (RMP)
                 payload = self._reassembler.push(
-                    (delivery.connection_id, delivery.source), payload
+                    _Stream(delivery.group, cid, delivery.source), payload
                 )
                 if payload is None:
                     return  # fragmented message still incomplete
-            msg = decode_giop(payload)
+            # header first: the type octet says who consumes the message,
+            # and only a consumer opens the body (DESIGN.md "GIOP mapping")
+            mtype, little = giop_header(payload)
+            if mtype == GIOPMessageType.REQUEST:
+                target = self._open_request(cid, request_num, payload, little)
+            elif mtype == GIOPMessageType.REPLY:
+                # the member holding the pending future consumes the Reply
+                reply = (decode_giop(payload)
+                         if (cid, request_num) in self._pending else None)
         except (MarshalError, FragmentationError):
             self.downstream.on_deliver(delivery)
             return
-        cid = delivery.connection_id
-        if isinstance(msg, RequestMessage):
-            self._on_request(cid, delivery.group, delivery.request_num, msg)
-        elif isinstance(msg, ReplyMessage):
-            self._on_reply(cid, delivery.request_num, msg)
-        elif isinstance(msg, CloseConnectionMessage):
+        if mtype == GIOPMessageType.REQUEST:
+            self._on_request(cid, delivery.group, request_num, *target)
+        elif mtype == GIOPMessageType.REPLY:
+            self._on_reply(cid, request_num, reply)
+        elif mtype == GIOPMessageType.CLOSE_CONNECTION:
             self._on_close(cid)
         else:
             self.downstream.on_deliver(delivery)
 
+    def _open_request(
+        self, cid: ConnectionId, request_num: int, data: bytes, little_endian: bool
+    ) -> Tuple[str, bool, bytes, Optional[RequestMessage]]:
+        """``(kind, response_expected, object_key, msg)`` of a Request: its
+        duplicate key and target from a peek, ``msg`` decoded only at a
+        member that consumes this copy (else None).  Records nothing."""
+        response_expected, object_key, operation = peek_request(data, little_endian)
+        if operation == SET_STATE_OP:
+            kind = "state"
+            # donors and up-to-date replicas ignore state shipments
+            consumes = object_key in self._awaiting_state
+        else:
+            kind = "request"
+            consumes = self.serves(cid)  # else we are on the client side
+        if consumes and not self.stack.duplicates.seen(cid, request_num, kind):
+            return kind, response_expected, object_key, decode_giop(data)
+        return kind, response_expected, object_key, None
+
     def _on_request(self, cid: ConnectionId, group: int, request_num: int,
-                    msg: RequestMessage) -> None:
-        kind = "state" if msg.operation == SET_STATE_OP else "request"
-        if self.stack.duplicates.is_duplicate(cid, request_num, kind):
+                    kind: str, response_expected: bool, object_key: bytes,
+                    msg: Optional[RequestMessage]) -> None:
+        duplicates = self.stack.duplicates
+        if duplicates.is_duplicate(cid, request_num, kind):
             self.stats_duplicates_suppressed += 1
             cached = self._reply_cache.get((cid, request_num))
-            if cached is not None and msg.response_expected:
-                # a replayed request: answer from the reply log instead of
-                # re-executing ("necessary ... when replaying messages
-                # from a log", §4)
+            if (cached is not None and response_expected
+                    and duplicates.seen(cid, request_num, "reply")):
+                # ordered after the Reply — a replayed request, a late or
+                # freshly joined client replica: answer from the reply log
+                # instead of re-executing ("necessary ... when replaying
+                # messages from a log", §4).  Ordered before it, the Reply
+                # is still to come in the total order and the copy's sender
+                # is a group member awaiting it: nothing to add.
                 self.stats_replies_served_from_cache += 1
                 c_group, c_data = cached
                 for piece in self._wire_pieces(c_data):
                     self.stack.multicast(c_group, piece, cid, request_num)
             return
-        if msg.operation == SET_STATE_OP:
-            self._on_state_transfer(cid, group, msg)
-            return
-        if not self.serves(cid):
-            return  # we are on the client side of this connection
-        if msg.object_key in self._awaiting_state:
-            self._buffered[msg.object_key].append((group, request_num, msg))
-            return
-        if self._expired(msg):
+        if msg is None:
+            return  # a first copy this member does not consume
+        if kind == "state":
+            self._on_state_transfer(cid, msg)
+        elif object_key in self._awaiting_state:
+            self._buffered[object_key].append((group, request_num, msg))
+        elif self._expired(msg):
             # FT-CORBA: an expired request is discarded, never executed —
             # the client has already given up on it
             self.stats_requests_expired += 1
-            return
-        self._execute(cid, group, request_num, msg)
+        else:
+            self._execute(cid, group, request_num, msg)
 
     def _expired(self, msg: RequestMessage) -> bool:
         for ctx in msg.service_context:
@@ -376,11 +429,8 @@ class FTMPAdapter(Listener):
             for piece in self._wire_pieces(data):
                 self.stack.multicast(group, piece, cid, request_num)
 
-    def _on_state_transfer(self, cid: ConnectionId, group: int,
-                           msg: RequestMessage) -> None:
+    def _on_state_transfer(self, cid: ConnectionId, msg: RequestMessage) -> None:
         key = msg.object_key
-        if key not in self._awaiting_state:
-            return  # donors and up-to-date replicas ignore state shipments
         self._awaiting_state.discard(key)
         self.orb.poa.dispatch(msg)  # applies _set_state to the servant
         # replay the requests buffered between the join cut and now
@@ -390,14 +440,13 @@ class FTMPAdapter(Listener):
             self._execute(cid, b_group, b_num, buffered)
 
     def _on_reply(self, cid: ConnectionId, request_num: int,
-                  msg: ReplyMessage) -> None:
+                  msg: Optional[ReplyMessage]) -> None:
         # a pending future always wins, even when the reply is nominally a
         # duplicate — a log replay deliberately solicits a re-sent reply
-        fut = self._pending.pop((cid, request_num), None)
         duplicate = self.stack.duplicates.is_duplicate(cid, request_num, "reply")
-        if fut is not None:
+        if msg is not None:
             self.stats_replies_matched += 1
-            self.orb.complete_from_reply(fut, msg)
+            self.orb.complete_from_reply(self._pending.pop((cid, request_num)), msg)
         elif duplicate:
             self.stats_duplicates_suppressed += 1
 
@@ -409,6 +458,14 @@ class FTMPAdapter(Listener):
         self.downstream.on_connection(event)
 
     def on_view_change(self, view: ViewChange) -> None:
+        if view.removed:
+            # a removed member's unfinished fragments never complete; left
+            # in place they are held for good and cost the pid its next
+            # message should it ever rejoin the group
+            self._reassembler.abort_where(
+                lambda stream: stream.group == view.group
+                and stream.source in view.removed
+            )
         for cb in self.view_callbacks:
             cb(view)
         self.downstream.on_view_change(view)

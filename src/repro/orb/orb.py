@@ -24,6 +24,7 @@ from ..giop import (
     LocateReplyMessage,
     LocateRequestMessage,
     LocateStatus,
+    Marshal,
     MessageErrorMessage,
     MarshalError,
     ObjectRef,
@@ -221,15 +222,25 @@ class ORB:
     def complete_from_reply(self, fut: InvocationFuture, reply: ReplyMessage) -> None:
         """Resolve a future from a decoded GIOP Reply."""
         little = reply.header.little_endian
-        if reply.reply_status == ReplyStatus.NO_EXCEPTION:
-            (value,) = decode_values(reply.body, little)
-            fut.set_result(value)
-        elif reply.reply_status == ReplyStatus.USER_EXCEPTION:
-            name, detail = decode_values(reply.body, little)
-            fut.set_exception(UserException(name, detail))
+        try:
+            values = decode_values(reply.body, little)
+            if reply.reply_status == ReplyStatus.NO_EXCEPTION:
+                (result,) = values
+                raised = None
+            elif reply.reply_status == ReplyStatus.USER_EXCEPTION:
+                name, detail = values
+                raised = UserException(name, detail)
+            else:
+                repo_id, detail = values
+                raised = system_exception_by_name(repo_id)(detail)
+        except (MarshalError, ValueError, TypeError) as exc:
+            # a body that is not the values its status promises: the
+            # invocation ends with MARSHAL, as a server's does in the POA
+            raised = Marshal(f"cannot unmarshal reply: {exc}")
+        if raised is None:
+            fut.set_result(result)
         else:
-            repo_id, detail = decode_values(reply.body, little)
-            fut.set_exception(system_exception_by_name(repo_id)(detail))
+            fut.set_exception(raised)
 
     # ------------------------------------------------------------------
     # synchronous convenience (simulation only)

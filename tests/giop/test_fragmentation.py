@@ -98,8 +98,13 @@ def test_interrupted_stream_rejected():
     pieces = fragment_giop(raw, 512)
     r = Reassembler()
     r.push("s", pieces[0])
+    small = big_request(10)
     with pytest.raises(FragmentationError):
-        r.push("s", big_request(10))  # a new message mid-reassembly
+        r.push("s", small)  # a new message mid-reassembly
+    # the interrupted message can never complete: it is dropped with the
+    # error, so the source is not rejected from here on
+    assert r.pending() == 0
+    assert r.push("s", small) == small
 
 
 def test_abort_clears_partial_state():
@@ -107,9 +112,10 @@ def test_abort_clears_partial_state():
     pieces = fragment_giop(raw, 512)
     r = Reassembler()
     r.push("s", pieces[0])
+    r.push("t", pieces[0])
+    assert r.pending() == 2
+    r.abort_where(lambda source: source == "s")
     assert r.pending() == 1
-    r.abort("s")
-    assert r.pending() == 0
     # a fresh unfragmented message now goes straight through
     small = big_request(10)
     assert r.push("s", small) == small

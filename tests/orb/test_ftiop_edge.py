@@ -102,3 +102,66 @@ def test_adapter_stats_accumulate():
     assert hosts[1][2].stats_requests_executed == 3
     assert cadapter.stats_replies_matched == 3
     assert cadapter.stats_duplicates_suppressed >= 3  # second replica's replies
+
+
+def _fragmenting_cluster(client_pids, mtu=256):
+    net = Network(lan(), seed=0)
+    cfg = FTMPConfig(suspect_timeout=0.060)
+    orbs, adapters = {}, {}
+    for pid in (1, 2) + client_pids:
+        orbs[pid] = ORB(pid, net.scheduler)
+        adapters[pid] = FTMPAdapter(
+            orbs[pid], FTMPStack(net.endpoint(pid), cfg), giop_mtu=mtu)
+    for pid in (1, 2):
+        orbs[pid].poa.activate(b"svc", Servant())
+        adapters[pid].export(7, 100, (1, 2))
+    for pid in client_pids:
+        adapters[pid].set_client(ClientIdentity(3, 200, client_pids))
+    futs = [orbs[pid].proxy(REF).ping(1) for pid in client_pids]
+    net.run_for(0.5)
+    assert all(f.result() == 1 for f in futs)
+    return net, adapters
+
+
+def _send_first_fragment_only(adapter, mtu=256):
+    """Put the first piece of a fragmented Request on the connection and
+    nothing after it — what the members see when the source stops there."""
+    from repro.giop import (
+        GIOPHeader,
+        GIOPMessageType,
+        RequestMessage,
+        encode_giop,
+        encode_values,
+    )
+    from repro.giop.fragmentation import fragment_giop
+
+    req = RequestMessage(header=GIOPHeader(GIOPMessageType.REQUEST),
+                         request_id=50, object_key=b"svc", operation="ping",
+                         body=encode_values([b"z" * 2000]))
+    pieces = fragment_giop(encode_giop(req), mtu)
+    assert len(pieces) > 2
+    adapter.stack.send_on_connection(adapter.connection_id_for(REF), pieces[0], 50)
+
+
+def test_partial_reassembly_dropped_when_its_source_is_removed():
+    """Regression: a source that crashed between two fragments left its
+    partial message behind for good (nothing ever dropped one); had the pid
+    ever been seen again, its messages would have been rejected as 'new
+    message started while a fragmented one was incomplete'."""
+    net, adapters = _fragmenting_cluster((8,))
+    _send_first_fragment_only(adapters[8])
+    net.run_for(0.2)
+    assert [adapters[p]._reassembler.pending() for p in (1, 2)] == [1, 1]
+    net.crash(8)
+    net.run_for(1.5)  # the fault view removing 8 installs
+    assert [adapters[p]._reassembler.pending() for p in (1, 2)] == [0, 0]
+
+
+def test_partial_reassembly_dropped_when_its_connection_closes():
+    net, adapters = _fragmenting_cluster((8, 9))
+    _send_first_fragment_only(adapters[8])
+    net.run_for(0.2)
+    assert [adapters[p]._reassembler.pending() for p in (1, 2, 9)] == [1, 1, 1]
+    adapters[9].close_connection(REF)
+    net.run_for(0.5)
+    assert [a._reassembler.pending() for a in adapters.values()] == [0, 0, 0, 0]
