@@ -10,8 +10,10 @@ on three scenarios::
     churn    member 3 crashes at 1/3, processor 6 joins (ordered) at 2/3
 
 For each run :func:`observe` returns the per-member delivery-order hash,
-the ``rmp.* / romp.* / send.* / batch.* / flow.*`` ``snapshot()``
-counters of every member and the ``net.trace`` datagram / byte totals.
+the ``rmp.* / romp.* / send.* / batch.* / flow.* / pgmp.* /
+fault_detector.*`` (and, per mode, ``llft.* / overlay.* / multigroup.*``)
+``snapshot()`` counters of every member and the ``net.trace`` datagram /
+byte totals.
 A pure refactor of the receive path must leave every one of them equal.
 
 Record (on the commit whose behaviour is the reference)::
@@ -51,7 +53,8 @@ GROUP, ADDRESS = 1, 5001
 SIDE_GROUP, SIDE_ADDRESS, SIDE_PIDS = 2, 5002, (1, 2, 3)
 VICTIM, NEWCOMER = 3, 6
 RATE, WINDOW, WARMUP, DRAIN = 250.0, 0.9, 0.1, 0.5
-COUNTED = ("rmp", "romp", "send", "batch", "flow")
+COUNTED = ("rmp", "romp", "send", "batch", "flow",
+           "llft", "overlay", "multigroup", "pgmp", "fault_detector")
 
 
 class HashingListener(Listener):
