@@ -510,7 +510,6 @@ class ShardedAioFabric(AioFabric):
         peer_rings: bool = True,
         ring_capacity: int = 1 << 20,
         own_rings: bool = False,
-        chaos_kill_shard_after_s: Optional[float] = None,
         peer_doorbell_rx: Optional[Dict[int, int]] = None,
         peer_doorbell_tx: Optional[Dict[int, int]] = None,
     ):
@@ -523,7 +522,6 @@ class ShardedAioFabric(AioFabric):
         self.peer_rings = peer_rings
         self.ring_capacity = ring_capacity
         self.own_rings = own_rings
-        self.chaos_kill_shard_after_s = chaos_kill_shard_after_s
         self._shards: Dict[int, List[_ShardProc]] = {}
         self._rr: Dict[int, int] = {}  # per-pid round-robin TX shard index
         self._peer_tx: Dict[int, Dict[int, SpscRing]] = {}
@@ -542,7 +540,6 @@ class ShardedAioFabric(AioFabric):
         self._fallback_bound: Set[int] = set()
         self._drain_scheduled = False
         self._peer_poll_handle: Optional[asyncio.TimerHandle] = None
-        self._chaos_handle: Optional[asyncio.TimerHandle] = None
         self._stopping = False
         # net.* counters (ISSUE 9 satellite)
         self.stat_tx_ring_full = 0
@@ -657,10 +654,6 @@ class ShardedAioFabric(AioFabric):
         self._local[pid] = ep
         self._rebuild_remote_targets()
         self._arm_peer_poll()
-        if (self.chaos_kill_shard_after_s is not None
-                and self._chaos_handle is None):
-            self._chaos_handle = self._loop.call_later(
-                self.chaos_kill_shard_after_s, self._chaos_kill_one_shard)
         return ep
 
     def shards_ready(self) -> bool:
@@ -995,9 +988,9 @@ class ShardedAioFabric(AioFabric):
             if ep is not None:
                 ep._on_packet(data)
 
-    def _chaos_kill_one_shard(self) -> None:
-        """Chaos hook: SIGKILL the first live shard (spec-driven)."""
-        self._chaos_handle = None
+    def chaos_kill_one_shard(self) -> None:
+        """Chaos hook: SIGKILL the first live shard (the worker calls it
+        at a fixed point of its run's progress, not of the clock)."""
         for shards in self._shards.values():
             for shard in shards:
                 if shard.alive and shard.proc.poll() is None:
@@ -1036,9 +1029,6 @@ class ShardedAioFabric(AioFabric):
         if self._peer_poll_handle is not None:
             self._peer_poll_handle.cancel()
             self._peer_poll_handle = None
-        if self._chaos_handle is not None:
-            self._chaos_handle.cancel()
-            self._chaos_handle = None
         super().stop()
         for pid, shards in self._shards.items():
             for shard in shards:

@@ -93,9 +93,9 @@ class ClusterSpec:
     #: host-local shm fast path between co-located workers (sharded mode)
     peer_rings: bool = True
     ring_capacity: int = 1 << 20
-    #: chaos hook: SIGKILL one of worker 1's I/O shards after this many
-    #: seconds into the run (sharded mode; None = no chaos)
-    chaos_kill_shard_after_s: Optional[float] = None
+    #: chaos hook (sharded mode): SIGKILL one of worker 1's I/O shards
+    #: once that worker has delivered a quarter of its expected messages
+    chaos_kill_shard: bool = False
 
 
 @dataclass
@@ -273,8 +273,7 @@ def run_cluster(spec: ClusterSpec) -> ClusterResult:
                 "peer_rings": spec.peer_rings,
                 "ring_capacity": spec.ring_capacity,
                 # chaos: only the first worker loses a shard
-                "chaos_kill_shard_after_s": (
-                    spec.chaos_kill_shard_after_s if pid == pids[0] else None),
+                "chaos_kill_shard": spec.chaos_kill_shard and pid == pids[0],
             }
             worker_fds = ()
             if peer_doorbells:
@@ -436,10 +435,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                         action="store_false",
                         help="disable the host-local shm fast path: all "
                              "sharded traffic traverses the UDP shards")
-    parser.add_argument("--chaos-kill-shard-after", type=float, default=None,
-                        metavar="SECONDS",
-                        help="SIGKILL one of worker 1's I/O shards this "
-                             "many seconds into the run (failover demo)")
+    parser.add_argument("--chaos-kill-shard", action="store_true",
+                        help="SIGKILL one of worker 1's I/O shards a "
+                             "quarter of the way into its run (failover demo)")
     parser.add_argument("--json", dest="json_path", default=None,
                         help="write the machine-readable report here")
     args = parser.parse_args(argv)
@@ -453,7 +451,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         run_timeout=args.run_timeout,
         io_shards=args.io_shards,
         peer_rings=args.peer_rings,
-        chaos_kill_shard_after_s=args.chaos_kill_shard_after,
+        chaos_kill_shard=args.chaos_kill_shard,
     )
     result = run_cluster(spec)
 

@@ -25,7 +25,7 @@ import struct
 import sys
 import time
 import traceback
-from typing import Dict, List
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core import FTMPConfig, FTMPStack, Listener
 from ..core.datapath import FlowControlSaturated
@@ -64,6 +64,9 @@ class _DeliveryLog(Listener):
         self.latencies_ms: List[float] = []
         self.first_delivery: float = 0.0
         self.last_delivery: float = 0.0
+        #: (delivery count, callback) fired once from inside the delivery
+        #: that reaches the count — run progress, not the clock
+        self.milestone: Optional[Tuple[int, Callable[[], None]]] = None
 
     def on_deliver(self, d) -> None:
         if d.group != self.group_id:
@@ -80,6 +83,10 @@ class _DeliveryLog(Listener):
             t0 = self.send_times.pop(d.request_num, None)
             if t0 is not None:
                 self.latencies_ms.append((now - t0) * 1e3)
+        if self.milestone is not None and len(self.deliveries) >= self.milestone[0]:
+            fire = self.milestone[1]
+            self.milestone = None
+            fire()
 
 
 async def _send_json(writer: asyncio.StreamWriter, obj: dict) -> None:
@@ -119,7 +126,6 @@ async def run_worker(spec: dict) -> int:
             ring_run_id=str(spec["ring_run_id"]),
             peer_rings=bool(spec.get("peer_rings", True)),
             ring_capacity=int(spec.get("ring_capacity", 1 << 20)),
-            chaos_kill_shard_after_s=spec.get("chaos_kill_shard_after_s"),
             peer_doorbell_rx={int(k): int(v) for k, v in
                               spec.get("peer_doorbell_rx", {}).items()},
             peer_doorbell_tx={int(k): int(v) for k, v in
@@ -165,6 +171,12 @@ async def run_worker(spec: dict) -> int:
 
         t_start = time.monotonic()
         expected = messages * len(peers)
+        chaos_kill_shard = io_shards > 0 and bool(spec.get("chaos_kill_shard"))
+        if chaos_kill_shard:
+            # keyed on deliveries, not on the clock: on a fast machine a
+            # timer lands after the last delivery and kills nothing that
+            # mattered
+            log.milestone = (max(1, expected // 4), fabric.chaos_kill_one_shard)
 
         async def produce() -> None:
             for i in range(1, messages + 1):
@@ -187,6 +199,11 @@ async def run_worker(spec: dict) -> int:
         while len(log.deliveries) < expected and time.monotonic() < run_deadline:
             await asyncio.sleep(0.01)
         await producer
+        # the failover is asynchronous (shard EOF, then the in-core bind):
+        # report only once the snapshot below can show it
+        while (chaos_kill_shard and not fabric.stat_shard_failovers
+               and time.monotonic() < run_deadline):
+            await asyncio.sleep(0.01)
         elapsed = time.monotonic() - t_start
 
         await _send_json(writer, {

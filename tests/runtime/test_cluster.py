@@ -60,10 +60,11 @@ def test_sharded_cluster_totally_ordered_over_rings():
 
 
 def test_sharded_cluster_survives_shard_kill():
-    """Chaos: SIGKILL one worker's only I/O shard mid-run.  The core
-    binds the data port itself (failover) and the run still completes
-    with clean oracles.  ``peer_rings=False`` keeps the data traffic on
-    the shard sockets so the killed shard actually mattered."""
+    """Chaos: SIGKILL one worker's only I/O shard mid-run — once that
+    worker has delivered a quarter of the run, however fast the machine.
+    The core binds the data port itself (failover) and the run still
+    completes with clean oracles.  ``peer_rings=False`` keeps the data
+    traffic on the shard sockets so the killed shard actually mattered."""
     spec = ClusterSpec(
         processes=3,
         messages_per_process=40,
@@ -72,7 +73,7 @@ def test_sharded_cluster_survives_shard_kill():
         seed=3,
         io_shards=1,
         peer_rings=False,
-        chaos_kill_shard_after_s=0.5,
+        chaos_kill_shard=True,
         run_timeout=90.0,
     )
     result = run_cluster(spec)
