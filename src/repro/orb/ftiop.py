@@ -168,20 +168,6 @@ class FTMPAdapter(Listener):
     def serves(self, cid: ConnectionId) -> bool:
         return (cid.server_domain, cid.server_group) in self._served
 
-    def ordering_leader(self, group: int) -> Optional[int]:
-        """The processor currently ordering ``group``'s traffic, or None.
-
-        Meaningful only with ``llft_mode`` on (LLFT leader-follower
-        replication): a client that co-locates with — or routes its
-        invocations through — the leader sees fast-path latency, one
-        leader hop below everyone else.  None in legacy active mode,
-        where ordering is symmetric and no processor is special.
-        """
-        g = self.stack.group(group)
-        if g is None or g.romp.llft is None:
-            return None
-        return g.romp.llft.leader()
-
     # ==================================================================
     # client side
     # ==================================================================

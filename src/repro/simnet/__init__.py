@@ -11,7 +11,8 @@ Public surface:
 * :class:`UdpFabric` / :class:`UdpEndpoint` — real sockets over loopback.
 """
 
-from .scheduler import Event, NamedTimerSet, Scheduler, SimTimeError
+from ..transport import Endpoint, TimerHandle
+from .scheduler import Event, Scheduler, SimTimeError
 from .schedules import (
     FifoPolicy,
     PCTPolicy,
@@ -22,13 +23,11 @@ from .schedules import (
 )
 from .topology import LinkModel, Topology, lan, lossy_lan, two_site_wan, wan
 from .trace import NetworkTrace, PacketRecord
-from .transport import Endpoint, TimerHandle
 from .network import Network, SimEndpoint
 from .udp import UdpEndpoint, UdpFabric
 
 __all__ = [
     "Event",
-    "NamedTimerSet",
     "Scheduler",
     "SimTimeError",
     "SchedulePolicy",

@@ -21,10 +21,10 @@ from __future__ import annotations
 import random
 from typing import Callable, Dict, Optional, Set, Tuple
 
+from ..transport import Endpoint
 from .scheduler import Event, Scheduler
 from .topology import Topology
 from .trace import NetworkTrace
-from .transport import Endpoint
 
 __all__ = ["Network", "SimEndpoint"]
 
@@ -47,7 +47,7 @@ class SimEndpoint(Endpoint):
     """A processor's handle onto the simulated network.
 
     Protocol stacks are written against the abstract
-    :class:`~repro.simnet.transport.Endpoint` interface, so the same stack
+    :class:`~repro.transport.Endpoint` interface, so the same stack
     runs unmodified over the UDP transport (``repro.simnet.udp``).
     """
 

@@ -23,10 +23,10 @@ import heapq
 import itertools
 from typing import Any, Callable, List, Optional
 
-from ..transport import NamedTimerSet  # noqa: F401  (re-export; moved to repro.transport)
+from ..transport import NamedTimerSet
 from .schedules import SchedulePolicy
 
-__all__ = ["Event", "Scheduler", "SimTimeError", "NamedTimerSet"]
+__all__ = ["Event", "Scheduler", "SimTimeError"]
 
 
 class SimTimeError(Exception):

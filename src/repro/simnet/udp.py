@@ -6,7 +6,7 @@ multicast group with unicast fan-out over the loopback interface: every
 processor binds its own UDP socket on 127.0.0.1, an in-process
 :class:`UdpFabric` keeps the group→members registry, and ``multicast``
 sends one datagram per subscribed member.  The FTMP stack runs unmodified
-on top — it sees the same :class:`~repro.simnet.transport.Endpoint`
+on top — it sees the same :class:`~repro.transport.Endpoint`
 interface as the simulator.
 
 A single fabric-wide lock serializes all protocol callbacks (receive and
