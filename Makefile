@@ -44,8 +44,11 @@ lint: layering
 # layering guard: the protocol layers (core, baselines) must only import
 # the neutral repro.transport seam — never a concrete runtime — and the
 # two runtimes must not import each other (same rules as
-# tests/core/test_layering.py, greppable without pytest)
+# tests/core/test_layering.py, greppable without pytest); then the
+# engine-seam rule — romp/rmp/pgmp/fault_detector name no engine, datapath
+# only where it chooses one — by the same tokenizer the test uses
 layering:
+	@$(PYTHON) tests/core/test_layering.py
 	@! grep -rnE '^\s*(from (repro\.|\.\.)(simnet|runtime)|import repro\.(simnet|runtime))' \
 	    src/repro/core src/repro/baselines \
 	    || { echo "layering violation: core/baselines must not import a runtime"; exit 1; }

@@ -20,6 +20,23 @@ class ClockMode:
     SYNCHRONIZED = "synchronized"
 
 
+#: ordering disciplines that replace the symmetric rule -> why each needs
+#: (flat dissemination, agreed delivery)
+_DISCIPLINE_NEEDS = {
+    "llft_mode": (
+        "the leader fast path assumes flat dissemination of the leader stream",
+        "the leader releases ahead of stability, so nothing ever reaches "
+        "the safe hold",
+    ),
+    "multigroup_mode": (
+        "over the tree a side group delivered 0 of 110 multi-group messages "
+        "that the other addressed group delivered (non-atomic)",
+        "the commit wait already spans groups and safe delivery would "
+        "deadlock against it",
+    ),
+}
+
+
 @dataclass(frozen=True)
 class FTMPConfig:
     """Immutable configuration shared by all groups of one stack."""
@@ -142,8 +159,8 @@ class FTMPConfig:
     #: acks — it keeps driving buffer GC and flow-control credits, it just
     #: leaves the delivery critical path.  At a view change the §7.2 drain
     #: machinery reconciles the leader's suffix so virtual synchrony
-    #: holds.  LLFT implies agreed delivery (``delivery_mode`` "safe" is
-    #: ignored).  False = the legacy symmetric ordering, bit-identical.
+    #: holds.  LLFT requires agreed delivery (``delivery_mode`` "safe" is
+    #: rejected).  False = the legacy symmetric ordering, bit-identical.
     llft_mode: bool = False
     #: Preferred leader pid for LLFT mode.  0 (default) auto-selects the
     #: smallest pid of the current membership; a configured pid leads
@@ -211,24 +228,29 @@ class FTMPConfig:
     little_endian: bool = True
 
     def __post_init__(self) -> None:
-        if self.llft_mode and self.overlay_mode:
+        if self.delivery_mode not in ("agreed", "safe"):
             raise ValueError(
-                "llft_mode and overlay_mode are mutually exclusive: the "
-                "leader fast path assumes flat dissemination of the "
-                "leader stream"
+                f"delivery_mode must be 'agreed' or 'safe', not {self.delivery_mode!r}"
             )
-        if self.multigroup_mode and (self.llft_mode or self.overlay_mode):
+        # Which combinations are legal, by axis (DESIGN.md, "Two seams"):
+        # the symmetric §6 rule composes with everything; a discipline
+        # that replaces it states what it needs of the other two axes.
+        chosen = [knob for knob in _DISCIPLINE_NEEDS if getattr(self, knob)]
+        if len(chosen) > 1:
             raise ValueError(
-                "multigroup_mode is mutually exclusive with llft_mode and "
-                "overlay_mode: multi-group commit positions are defined in "
-                "terms of the symmetric Lamport order"
+                f"{' and '.join(chosen)} are mutually exclusive: at most one "
+                "ordering discipline replaces the symmetric rule"
             )
-        if self.multigroup_mode and self.delivery_mode == "safe":
-            raise ValueError(
-                "multigroup_mode requires delivery_mode='agreed': the "
-                "commit wait already spans groups and safe delivery would "
-                "deadlock against it"
-            )
+        for knob in chosen:
+            flat_because, agreed_because = _DISCIPLINE_NEEDS[knob]
+            if self.overlay_mode:
+                raise ValueError(
+                    f"{knob} and overlay_mode are mutually exclusive: {flat_because}"
+                )
+            if self.delivery_mode == "safe":
+                raise ValueError(
+                    f"{knob} requires delivery_mode='agreed': {agreed_because}"
+                )
 
     def with_(self, **kwargs) -> "FTMPConfig":
         """Return a copy with some fields replaced."""

@@ -16,7 +16,11 @@ This module is the seam between the protocol machines and the wire:
   above the receive path is batch-oblivious.
 * :class:`ProcessorGroup` — the composition root wiring one group's
   machines through the two pipelines; it implements ``GroupContext`` and
-  keeps the membership/view state that *is* the group.
+  keeps the membership/view state that *is* the group.  Its constructor
+  is the one place that chooses the group's ordering discipline (a
+  :class:`~repro.core.romp.ROMP`) and its
+  :class:`~repro.core.dissemination.Dissemination`; everything else calls
+  their hooks unconditionally (DESIGN.md, "Two seams").
 
 Batching (``FTMPConfig.batch_window``) is off by default, in which case
 the send path is bit-identical to the historical unbatched stack: every
@@ -43,8 +47,10 @@ from ..transport import NamedTimerSet
 from .buffers import RetransmissionBuffer
 from .config import FTMPConfig
 from .constants import RELIABLE_TYPES, MessageType
+from .dissemination import Dissemination
 from .events import Delivery, FaultReport, ViewChange
 from .fault_detector import FaultDetector
+from .llft import LeaderOrdering
 from .messages import (
     AddProcessorMessage,
     BatchMessage,
@@ -55,13 +61,13 @@ from .messages import (
     FTMPMessage,
     HeartbeatMessage,
     MembershipMessage,
-    MultiGroupCommitMessage,
-    MultiGroupProposeMessage,
     RegularMessage,
     RemoveProcessorMessage,
     RetransmitRequestMessage,
     SuspectMessage,
 )
+from .multigroup import SkeenOrdering
+from .overlay import OverlayDissemination
 from .pgmp import PGMP
 from .rmp import RMP
 from .romp import ROMP
@@ -116,6 +122,7 @@ class GroupContext(Protocol):
     buffer: RetransmissionBuffer
     rmp: RMP
     romp: ROMP
+    dissemination: Dissemination
 
     # -- identity / environment ----------------------------------------
     @property
@@ -381,6 +388,8 @@ class SendPath:
         self._stats = stats
         self._batch = batch_stats
         self._timers = NamedTimerSet(ctx.schedule)
+        #: periodic dissemination traffic stands in for §5 heartbeats
+        self._heartbeats_replaced = ctx.dissemination.replaces_heartbeats
         self._seq = 0
         self._last_send_time = -1e9
         self._pending: List[bytes] = []
@@ -561,14 +570,13 @@ class SendPath:
     def _heartbeat_tick(self) -> None:
         if self._stopped:
             return
-        if self._ctx.config.overlay_mode and not self._ctx.joining:
-            # Overlay mode: the periodic per-edge AckSummaries are the
-            # keepalive (their headers carry the same live seq/ts/ack a
-            # Heartbeat would), so all-member heartbeat fan-out stops.
-            # A *joining* member keeps heartbeating: it is not in the
-            # tree yet, and only its own loopbacked heartbeats advance
-            # its stream in the ordering gate so the AddProcessor can
-            # reach its position (§7.1).
+        if self._heartbeats_replaced and not self._ctx.joining:
+            # The dissemination's own periodic traffic is the keepalive,
+            # so all-member heartbeat fan-out stops.  A *joining* member
+            # keeps heartbeating: the dissemination does not reach it
+            # yet, and only its own loopbacked heartbeats advance its
+            # stream in the ordering gate so the AddProcessor can reach
+            # its position (§7.1).
             return  # deliberately without re-arming: the loop ends here
         if self._pending and not self._ctx.credit_blocked():
             # Piggyback suppression: the window flushes within
@@ -698,18 +706,28 @@ class ProcessorGroup:
         self.batch_stats = BatchStats()
         self.flow = FlowController(self, FlowControlStats())
         self.rmp = RMP(self)
-        self.romp = ROMP(self)
+        # The two seams, chosen here and nowhere else (the legal
+        # combinations are FTMPConfig.__post_init__'s): how bytes and
+        # acks travel, and who decides the order.  The defaults are the
+        # paper's — flat fan-out, the symmetric §6 rule.
+        cfg = stack.config
+        self.dissemination: Dissemination = (
+            OverlayDissemination(self) if cfg.overlay_mode else Dissemination())
+        discipline = (LeaderOrdering if cfg.llft_mode
+                      else SkeenOrdering if cfg.multigroup_mode else ROMP)
+        self.romp: ROMP = discipline(self, self.dissemination.stability_floor)
         self.pgmp = PGMP(self)
         self.fault_detector = FaultDetector(self)
         self.send_path = SendPath(
             self,
-            transmit=self._transmit_routed,
+            transmit=self.dissemination.egress(stack.transmit),
             ack_supplier=lambda: self.romp.ack_timestamp,
             address_supplier=lambda: self.address,
             stats=self.stats,
             batch_stats=self.batch_stats,
         )
         self.receive_path = ReceivePath(self, self.batch_stats)
+        self._ingress = self.dissemination.ingress(self.receive_path.on_datagram)
 
         self._pending_ordered: List[Tuple[bytes, ConnectionId, int]] = []
         self._heard: Set[int] = set()
@@ -721,19 +739,18 @@ class ProcessorGroup:
     def _register_stats(self) -> None:
         reg = self._stack.registry
         prefix = f"group.{self.group_id}"
-        reg.register(f"{prefix}.send", self.stats)
-        reg.register(f"{prefix}.batch", self.batch_stats)
-        reg.register(f"{prefix}.flow", self.flow.stats)
-        reg.register(f"{prefix}.rmp", self.rmp.stats)
-        reg.register(f"{prefix}.romp", self.romp.stats)
-        reg.register(f"{prefix}.pgmp", self.pgmp.stats)
-        reg.register(f"{prefix}.fault_detector", self.fault_detector.stats)
-        if self.romp.llft is not None:
-            reg.register(f"{prefix}.llft", self.romp.llft.stats)
-        if self.romp.overlay is not None:
-            reg.register(f"{prefix}.overlay", self.romp.overlay.stats)
-        if self.romp.multigroup is not None:
-            reg.register(f"{prefix}.multigroup", self.romp.multigroup.stats)
+        for section, stats in (
+            ("send", self.stats),
+            ("batch", self.batch_stats),
+            ("flow", self.flow.stats),
+            ("rmp", self.rmp.stats),
+            ("romp", self.romp.stats),
+            ("pgmp", self.pgmp.stats),
+            ("fault_detector", self.fault_detector.stats),
+            *self.romp.extra_stats,
+            *self.dissemination.extra_stats,
+        ):
+            reg.register(f"{prefix}.{section}", stats)
         reg.register(
             f"{prefix}.gauges",
             lambda: {
@@ -791,34 +808,22 @@ class ProcessorGroup:
         self.fault_detector.forget(pid)
         self.rmp.drop_source(pid)
         self.romp.purge_queue_of(pid)
-        self.romp.purge_source(pid, clean=True)
+        # Only a graceful (§7.1 ordered) departure hands the member's
+        # final clock to the dissemination for re-emission: a laggard
+        # that has not ordered the RemoveProcessor yet still gates its
+        # cover on that clock, and delivering the removal here required
+        # our cover — hence this order timestamp — to reach the removal's
+        # timestamp, so the snapshot is exactly the evidence the laggard
+        # is missing.  A *convicted* (crashed) member's clock must NOT be
+        # re-emitted: the entries would keep refreshing the dead member's
+        # liveness at laggards, suppressing the very suspicion that lets
+        # them join the §7.2 fault round — their only path to the new view.
+        self.dissemination.note_departure(pid, self.romp.order_ts(pid))
+        self.romp.purge_source(pid)
         self._heard.discard(pid)
 
     def suspected_members(self) -> Set[int]:
         return self.fault_detector.suspected
-
-    # ------------------------------------------------------------------
-    # wire egress (overlay tree routing sits in front of the stack)
-    # ------------------------------------------------------------------
-    def _transmit_routed(self, address: int, raw: bytes) -> None:
-        """SendPath egress: group-addressed first transmissions may be
-        tree-routed by the overlay engine; everything else — unicasts,
-        retransmissions, control traffic — goes out flat."""
-        overlay = self.romp.overlay
-        if (overlay is not None and address == self.address
-                and overlay.route_egress(raw)):
-            return
-        self._stack.transmit(address, raw)
-
-    def transmit_raw(self, address: int, raw: bytes) -> None:
-        """Raw stack egress for the overlay engine (relay forwarding)."""
-        self._stack.transmit(address, raw)
-
-    def join_wire_address(self, address: int) -> None:
-        self._endpoint.join(address)
-
-    def leave_wire_address(self, address: int) -> None:
-        self._endpoint.leave(address)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -831,16 +836,14 @@ class ProcessorGroup:
             if p != self.pid:
                 self.fault_detector.watch(p, grace=self.config.join_grace)
         self.send_path.start_heartbeats()
-        if self.romp.overlay is not None:
-            self.romp.overlay.activate()
+        self.dissemination.activate()
 
     def stop(self) -> None:
         if self.stopped:
             return
         self.stopped = True
         self.send_path.stop()
-        if self.romp.overlay is not None:
-            self.romp.overlay.stop()
+        self.dissemination.stop()
         self.fault_detector.stop()
         self.rmp.stop()
         self.pgmp.stop()
@@ -851,11 +854,7 @@ class ProcessorGroup:
     # datagram input (from the stack router)
     # ------------------------------------------------------------------
     def on_datagram(self, msg: FTMPMessage, raw: bytes) -> None:
-        if self.romp.overlay is not None:
-            # relay hook sees the *outer* datagram only (a Batch relays
-            # whole; its parts recurse inside ReceivePath untouched)
-            self.romp.overlay.on_datagram(msg, raw)
-        self.receive_path.on_datagram(msg, raw)
+        self._ingress(msg, raw)
 
     def retain(self, msg: FTMPMessage) -> None:
         """Keep a reliable message for answering RetransmitRequests (§5)."""
@@ -876,13 +875,11 @@ class ProcessorGroup:
 
     def pgmp_raise_suspicion(self, pid: int) -> None:
         self.pgmp.raise_suspicion(pid)
-        if self.romp.overlay is not None:
-            self.romp.overlay.on_suspicion_changed()
+        self.dissemination.on_suspicion_changed()
 
     def pgmp_withdraw_suspicion(self, pid: int) -> None:
         self.pgmp.withdraw_suspicion(pid)
-        if self.romp.overlay is not None:
-            self.romp.overlay.on_suspicion_changed()
+        self.dissemination.on_suspicion_changed()
 
     def pgmp_receive_unreliable(self, msg: FTMPMessage) -> None:
         if isinstance(msg, ConnectRequestMessage):
@@ -959,17 +956,7 @@ class ProcessorGroup:
         self.stats.regulars_sent += 1
         self.flow.note_sent(msg.header.timestamp)
         self.send_path.send(msg)
-        self._note_own_ordered(msg)
-
-    def _note_own_ordered(self, msg: FTMPMessage) -> None:
-        """LLFT hook: one of our totally-ordered messages just hit the wire.
-
-        The engine delivers it on the spot (the leader fast path) or parks
-        it until the leader's stream orders it; our RMP loopback copy is
-        discarded on arrival.  No-op in legacy mode.
-        """
-        if self.romp.llft is not None:
-            self.romp.llft.on_own_send(msg)
+        self.romp.on_own_send(msg)
 
     def on_send_barrier_cleared(self) -> None:
         # Sends credit-queued before the Connect predate anything the
@@ -1015,7 +1002,7 @@ class ProcessorGroup:
             new_member=new_member,
         )
         raw = self.send_path.send(msg)
-        self._note_own_ordered(msg)
+        self.romp.on_own_send(msg)
         return raw
 
     def send_remove_processor(self, member: int) -> None:
@@ -1024,38 +1011,7 @@ class ProcessorGroup:
             member_to_remove=member,
         )
         self.send_path.send(msg)
-        self._note_own_ordered(msg)
-
-    def send_multigroup_propose(self, mg_seq: int, conflict_class: int,
-                                group_ids: Tuple[int, ...], payload: bytes) -> int:
-        """Multicast one multi-group proposal copy into this group's
-        totally-ordered stream; returns the copy's header timestamp —
-        this group's proposal in the timestamp-collection protocol."""
-        msg = MultiGroupProposeMessage(
-            header=self._header(MessageType.MULTI_GROUP_PROPOSE, reliable=True),
-            mg_seq=mg_seq,
-            conflict_class=conflict_class,
-            groups=group_ids,
-            payload=payload,
-        )
-        mg = self.romp.multigroup
-        if mg is not None:
-            mg.stats.proposes_sent += 1
-        self.send_path.send(msg)
-        return msg.header.timestamp
-
-    def send_multigroup_commit(self, origin: int, mg_seq: int, commit_ts: int) -> None:
-        """Announce the committed (max) timestamp into this group's stream."""
-        msg = MultiGroupCommitMessage(
-            header=self._header(MessageType.MULTI_GROUP_COMMIT, reliable=True),
-            origin=origin,
-            mg_seq=mg_seq,
-            commit_ts=commit_ts,
-        )
-        mg = self.romp.multigroup
-        if mg is not None:
-            mg.stats.commits_sent += 1
-        self.send_path.send(msg)
+        self.romp.on_own_send(msg)
 
     def send_suspect(self, membership_timestamp: int, suspects: Tuple[int, ...]) -> None:
         msg = SuspectMessage(
@@ -1089,7 +1045,7 @@ class ProcessorGroup:
             membership=membership,
         )
         raw = self.send_path.send(msg, address=address)
-        self._note_own_ordered(msg)
+        self.romp.on_own_send(msg)
         return raw
 
     # ------------------------------------------------------------------
@@ -1098,17 +1054,14 @@ class ProcessorGroup:
     def install_view(self, membership: Tuple[int, ...], view_timestamp: int,
                      added: Tuple[int, ...], removed: Tuple[int, ...], reason: str) -> None:
         prev_membership = self.membership
-        llft = self.romp.llft
-        if llft is not None:
-            # hold the fast path until on_view_installed below has flushed
-            # the parked backlog — a send from the view-change listener
-            # must not overtake the takeover batch in the delivery order
-            llft.begin_install()
+        # lets a discipline hold its decisions until on_view_installed
+        # below — a send from the view-change listener must not overtake
+        # what the discipline does at the install in the delivery order
+        self.romp.begin_install()
         self.membership = tuple(sorted(membership))
         self.view_timestamp = view_timestamp
         self.pgmp.reset_after_view()
-        if self.romp.overlay is not None:
-            self.romp.overlay.on_view_installed()
+        self.dissemination.on_view_installed()
         for p in added:
             self.romp.flush_staging(p)
         self.trace("view", reason=reason, membership=self.membership,
@@ -1124,8 +1077,7 @@ class ProcessorGroup:
                 installed_at=self.now(),
             )
         )
-        if llft is not None:
-            llft.on_view_installed(prev_membership, reason)
+        self.romp.on_view_installed(prev_membership, reason)
         self.romp.evaluate()
 
     def install_fault_view(self, membership: Tuple[int, ...], view_timestamp: int,
@@ -1145,13 +1097,8 @@ class ProcessorGroup:
             self.rmp.drop_source(r)
             self.romp.purge_source(r)
             self._heard.discard(r)
-        if self.romp.multigroup is not None:
-            # The §7.2 sync equalised the release prefix across survivors,
-            # so "still uncommitted" is the same fact everywhere: abort the
-            # convicted origins' dangling proposals consistently (their
-            # commits, if ever sent, did not reach any survivor).
-            for r in removed:
-                self.romp.multigroup.abort_origin(r)
+        for r in removed:
+            self.romp.abort_origin(r)
         self.install_view(membership, view_timestamp, added=(), removed=removed,
                           reason="fault")
         self.trace("fault", convicted=tuple(removed))
@@ -1196,12 +1143,7 @@ class ProcessorGroup:
             self.forget_member(gone)
         if starting:
             self.send_path.start_heartbeats()
-        if self.romp.overlay is not None:
-            # established members tree-route toward us the moment they
-            # install the add view — bind our unicast address *now* or
-            # their Regulars (and the AddProcessor's ordering traffic)
-            # never reach us and the join deadlocks
-            self.romp.overlay.prepare_join()
+        self.dissemination.prepare_join()
         self.romp.evaluate()
 
     def complete_join(self, membership: Tuple[int, ...], view_timestamp: int,
@@ -1229,8 +1171,7 @@ class ProcessorGroup:
                 installed_at=self.now(),
             )
         )
-        if self.romp.llft is not None:
-            self.romp.llft.on_join_completed()
+        self.romp.on_join_completed()
 
     # ------------------------------------------------------------------
     # connection migration (ordered Connect, §7)
@@ -1247,8 +1188,7 @@ class ProcessorGroup:
             self._endpoint.leave(self.address)
             self.address = new_addr
             self._endpoint.join(new_addr)
-            if self.romp.overlay is not None:
-                self.romp.overlay.on_address_changed()
+            self.dissemination.on_address_changed()
         self.view_timestamp = max(self.view_timestamp, msg.header.timestamp)
         # §7 quiescence: no ordered transmissions until every member is
         # heard past the Connect's timestamp (their heartbeats get us there).

@@ -33,8 +33,11 @@ delivery critical path.  The Low Latency Fault Tolerance line of work
   takeover announcement onward — so virtual synchrony holds and the
   oracle battery runs unchanged.
 
-Everything here is instantiated only when ``llft_mode`` is on; with the
-knob off the engine does not exist and the stack is bit-identical legacy.
+:class:`LeaderOrdering` is an ordering discipline: a :class:`~.romp.ROMP`
+subclass that keeps the shared clock / cover / ack / stability / GC
+bookkeeping and replaces the delivery decision through ROMP's discipline
+hooks (DESIGN.md, "Two seams").  It is constructed only when
+``llft_mode`` is on; with the knob off the stack runs plain ROMP.
 
 Wire format: an announcement is an ordinary Regular message (it rides
 RMP's reliability, retention and batching unchanged) whose connection id
@@ -47,13 +50,15 @@ advancing.
 
 from __future__ import annotations
 
+import heapq
 import struct
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Deque, Dict, FrozenSet, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Deque, Dict, FrozenSet, List, Optional, Tuple
 
 from .constants import MessageType
 from .messages import ConnectionId, FTMPMessage, RegularMessage
+from .romp import ROMP
 
 if TYPE_CHECKING:  # pragma: no cover
     from .datapath import ProcessorGroup
@@ -99,26 +104,25 @@ class LLFTStats:
     stale_discards: int = 0  #: duplicate arrivals below the consumed top
 
 
-class LeaderOrdering:
-    """Per-group LLFT ordering state (one instance, leader or follower).
+class LeaderOrdering(ROMP):
+    """The leader-follower ordering discipline (one instance per group,
+    leader or follower).
 
-    Every processor runs the same engine; the asymmetry is the ``leader()``
+    Every processor runs the same code; the asymmetry is the ``leader()``
     computation.  All ordered traffic flows through ``_pending`` — one
     arrival-order deque per source — and is consumed strictly head-first
     per source (RMP delivers each source exactly once, gap-free, in
     sequence order), so announcement resolution is always a head pop.
+    ROMP's own ordering queue stays empty.
     """
-
-    #: cap on parked messages from a source that is not (yet) a member —
-    #: mirrors ROMP's staging cap so a rogue source cannot grow unbounded
-    _STAGING_CAP = 4096
 
     #: entries per coalesced backlog OrderInfo (keeps one announcement
     #: datagram comfortably under the batcher's size limits)
     _ANNOUNCE_CAP = 64
 
-    def __init__(self, group: "ProcessorGroup"):
-        self._g = group
+    def __init__(self, group: "ProcessorGroup",
+                 stability_floor: Optional[Callable[[], int]] = None):
+        super().__init__(group, stability_floor)
         #: per-source backlog in arrival (= sequence) order; includes our
         #: own parked sends and non-member staging
         self._pending: Dict[int, Deque[FTMPMessage]] = {}
@@ -129,16 +133,15 @@ class LeaderOrdering:
         #: announcement: the old pending prefix of the new leader's stream
         #: is only deliverable through the takeover entries
         self._adopting = False
-        #: §7.2 drain state: (survivors, cut_ts, sync targets, old leader)
-        self._transition: Optional[
-            Tuple[FrozenSet[int], int, Dict[int, int], int]
-        ] = None
+        #: §7.2 drain state: (survivors, sync targets, old leader)
+        self._drain: Optional[Tuple[FrozenSet[int], Dict[int, int], int]] = None
         #: True from the start of install_view until on_view_installed has
         #: flushed the backlog: a send from the view-change listener must
         #: park rather than fast-path ahead of the takeover batch
         self._installing = False
         self._processing = False
-        self.stats = LLFTStats()
+        self.llft_stats = LLFTStats()
+        self.extra_stats = (("llft", self.llft_stats),)
 
     # ------------------------------------------------------------------
     # leadership
@@ -157,7 +160,7 @@ class LeaderOrdering:
     def _quiescent(self) -> bool:
         """True while ordering decisions must be parked: an unresolved
         fault round, or the §7.2 drain before a fault view installs."""
-        return self._transition is not None or self._g.pgmp.in_fault_round
+        return self._drain is not None or self._g.pgmp.in_fault_round
 
     def _live_leader(self) -> bool:
         return (
@@ -197,40 +200,39 @@ class LeaderOrdering:
         """
         pid = self._g.pid
         if self._live_leader() and not self._pending.get(pid):
-            self.stats.fast_path_deliveries += 1
+            self.llft_stats.fast_path_deliveries += 1
             self._deliver(msg)
             return
-        self.stats.parked += 1
+        self.llft_stats.parked += 1
         self._pending.setdefault(pid, deque()).append(msg)
 
-    def on_reliable(self, msg: FTMPMessage) -> None:
-        """Hook for every totally-ordered message RMP hands up.
+    def _take_ordered(self, msg: FTMPMessage) -> bool:
+        """Every totally-ordered message RMP hands up, after ROMP's shared
+        clock/cover bookkeeping (so stability keeps advancing underneath).
 
-        Called by ROMP after the clock/cover bookkeeping.  Our own
-        loopbacks were already consumed at send time; everything else is
-        either announced on the spot (live leader) or parked until the
-        leader's stream orders it.
+        Our own loopbacks were already consumed at send time; everything
+        else is either announced on the spot (live leader) or parked
+        until the leader's stream orders it.  Always evaluates.
         """
         h = msg.header
         src = h.source
         if src == self._g.pid:
-            return  # own loopback: consumed by on_own_send
-        if h.sequence_number <= self._announced_top.get(src, 0):
-            self.stats.stale_discards += 1
-            return
-        if (
+            pass  # own loopback: consumed by on_own_send
+        elif h.sequence_number <= self._announced_top.get(src, 0):
+            self.llft_stats.stale_discards += 1
+        elif (
             self._live_leader()
             and src in self._g.membership
             and not self._pending.get(src)
             and not self._congested()
         ):
             self._announce_batch([msg])
-            return
-        q = self._pending.setdefault(src, deque())
-        if src not in self._g.membership and len(q) >= self._STAGING_CAP:
-            return
-        self.stats.parked += 1
-        q.append(msg)
+        else:
+            q = self._pending.setdefault(src, deque())
+            if src in self._g.membership or len(q) < self._STAGING_CAP:
+                self.llft_stats.parked += 1
+                q.append(msg)
+        return True
 
     # ------------------------------------------------------------------
     # the leader side: assigning positions
@@ -248,12 +250,10 @@ class LeaderOrdering:
             h = m.header
             ts = self._g.clock.tick()
             entries.append((h.source, h.sequence_number, ts))
-            self._announced_top[h.source] = max(
-                self._announced_top.get(h.source, 0), h.sequence_number
-            )
+            self._consumed(h.source, h.sequence_number)
             h.timestamp = ts  # the message's position in the total order
         self._send_order_info(entries)
-        self.stats.announced += len(entries)
+        self.llft_stats.announced += len(entries)
         for m in msgs:
             self._deliver(m)
 
@@ -273,7 +273,7 @@ class LeaderOrdering:
             request_num=0,
             payload=encode_order_info(entries),
         )
-        self.stats.orderinfos_sent += 1
+        self.llft_stats.orderinfos_sent += 1
         g.send_path.send(msg)
 
     # ------------------------------------------------------------------
@@ -285,6 +285,25 @@ class LeaderOrdering:
             isinstance(msg, RegularMessage)
             and msg.connection_id == ORDER_INFO_CID
         )
+
+    def evaluate(self) -> None:
+        """Replay the leader's stream, then advance the shared bookkeeping.
+
+        The positive acknowledgement is the *cover* timestamp — the
+        stream heard contiguously from every member — which is exactly
+        the symmetric ack's meaning ("everything at or below was received
+        from all members") without coupling it to deliveries, so
+        stability / GC / flow credits advance in the background while
+        deliveries run ahead of them.
+        """
+        self.process()
+        cover = self._cover_ts()
+        if cover is not None and cover > self._ack:
+            self._ack = cover
+            if self._pid in self._gate_set:
+                heapq.heappush(self._ack_heap, (cover, self._pid))
+        self._maybe_collect()
+        self._check_send_barrier()
 
     def process(self) -> None:
         """Consume everything currently deliverable (idempotent).
@@ -305,8 +324,9 @@ class LeaderOrdering:
 
     def _step(self) -> bool:
         g = self._g
-        if self._transition is not None:
-            return self._transition_step()
+        if self._drain is not None:
+            survivors, targets, old = self._drain
+            return self._replay_step(old, targets.get(old, 0), survivors, targets)
         if g.pgmp.in_fault_round:
             return False  # park everything until the round resolves
         me = g.pid
@@ -321,22 +341,53 @@ class LeaderOrdering:
             lead = self.leader()
         if lead == me:
             return self._leader_drain()
+        return self._replay_step(lead)
+
+    def _next_in_stream(self, lead: int, cut_seq: float = float("inf")
+                        ) -> Optional[FTMPMessage]:
+        """The item of ``lead``'s stream to consume next — at or below
+        ``cut_seq`` during a §7.2 drain — or None.
+
+        While adopting, only the new leader's takeover announcement
+        qualifies: it sits *behind* the leader's pre-takeover stream items
+        in the deque (they were sent first) and its entries name exactly
+        those items, so resolving it consumes everything ahead of it.  No
+        in-cut takeover announcement during a drain means nothing of the
+        stream is deliverable — the next leader re-announces the backlog
+        after the install.
+        """
         q = self._pending.get(lead)
-        if self._adopting:
-            return self._adopt_step(lead, q)
         if not q:
+            return None
+        if self._adopting:
+            return next((m for m in q if self._is_order_info(m)
+                         and m.header.sequence_number <= cut_seq), None)
+        return q[0] if q[0].header.sequence_number <= cut_seq else None
+
+    def _replay_step(
+        self,
+        lead: int,
+        cut_seq: float = float("inf"),
+        survivors: Optional[FrozenSet[int]] = None,
+        targets: Optional[Dict[int, int]] = None,
+    ) -> bool:
+        """Consume the next item of ``lead``'s stream; False when there is
+        none or it is blocked on a missing target (NACK pending)."""
+        item = self._next_in_stream(lead, cut_seq)
+        if item is None:
             return False
-        head = q[0]
-        if self._is_order_info(head):
-            if not self._resolve_order_info(head):
-                return False  # blocked on a missing target (NACK pending)
-            q.popleft()
-            self._consumed(lead, head.header.sequence_number)
+        q = self._pending[lead]
+        if self._is_order_info(item):
+            if not self._resolve_order_info(item, survivors, targets):
+                return False
+            q.remove(item)
+            self._consumed(lead, item.header.sequence_number)
+            self._adopting = False  # normal stream replay resumes
         else:
             q.popleft()
-            self._consumed(lead, head.header.sequence_number)
-            self.stats.stream_deliveries += 1
-            self._deliver(head)  # the leader's own message, original ts
+            self._consumed(lead, item.header.sequence_number)
+            self.llft_stats.stream_deliveries += 1
+            self._deliver(item)  # the leader's own message, original ts
         return True
 
     def _leader_drain(self) -> bool:
@@ -349,7 +400,7 @@ class LeaderOrdering:
         me = self._g.pid
         own = self._pending.get(me)
         if own:
-            self.stats.fast_path_deliveries += 1
+            self.llft_stats.fast_path_deliveries += 1
             self._deliver(own.popleft())
             return True
         backlog = sum(
@@ -379,26 +430,6 @@ class LeaderOrdering:
         self._announce_batch(batch)
         return True
 
-    def _adopt_step(self, lead: int, q: Optional[Deque[FTMPMessage]]) -> bool:
-        """Waiting for a new leader's takeover announcement.
-
-        The takeover OrderInfo sits *behind* the new leader's pre-takeover
-        stream items in its deque (they were sent first) and its entries
-        name exactly those items, so resolving it consumes everything
-        ahead of it; afterwards normal stream replay resumes.
-        """
-        if not q:
-            return False
-        info = next((m for m in q if self._is_order_info(m)), None)
-        if info is None:
-            return False
-        if not self._resolve_order_info(info):
-            return False
-        q.remove(info)
-        self._consumed(lead, info.header.sequence_number)
-        self._adopting = False
-        return True
-
     def _resolve_order_info(
         self,
         info: RegularMessage,
@@ -422,14 +453,14 @@ class LeaderOrdering:
                 and seq > (targets or {}).get(src, 0)
             ):
                 self._consumed(src, seq)
-                self.stats.entries_skipped += 1
+                self.llft_stats.entries_skipped += 1
                 continue
             q = self._pending.get(src)
             if q and q[0].header.sequence_number == seq:
                 m = q.popleft()
                 self._consumed(src, seq)
                 m.header.timestamp = ts  # adopt the leader's position
-                self.stats.adopted_deliveries += 1
+                self.llft_stats.adopted_deliveries += 1
                 self._deliver(m)
                 continue
             if self._g.rmp.contiguous_top(src) >= seq:
@@ -437,7 +468,7 @@ class LeaderOrdering:
                 # message: it predates our join baseline (the snapshot
                 # skipped it for us) — skip it here too.
                 self._consumed(src, seq)
-                self.stats.entries_skipped_prebaseline += 1
+                self.llft_stats.entries_skipped_prebaseline += 1
                 continue
             return False  # not yet received; RMP's NACKs will fetch it
         return True
@@ -449,11 +480,8 @@ class LeaderOrdering:
 
     def _deliver(self, msg: FTMPMessage) -> None:
         """Hand one ordered message upward at its decided position."""
-        self._g.romp.stats.ordered_deliveries += 1
-        if msg.header.message_type == MessageType.REGULAR:
-            self._g.deliver_regular(msg)  # type: ignore[arg-type]
-        else:
-            self._g.pgmp_receive_ordered(msg)
+        self.stats.ordered_deliveries += 1
+        self._release(self._g, msg)
 
     # ------------------------------------------------------------------
     # §7.2 fault-view transition drain
@@ -467,79 +495,24 @@ class LeaderOrdering:
         """Start reconciling the (old) leader's stream suffix.
 
         ``targets`` is the §7.2 synchronized per-source sequence vector;
-        the old leader's entry is the *cut*: every survivor — the old
-        leader included, from its own parked sends — processes the old
-        leader's stream through it before the fault view installs, and
-        nothing beyond it, so all delivery histories cut identically.
+        the old leader's entry is the *cut* (a sequence number — the
+        timestamp cut is unused here): every survivor — the old leader
+        included, from its own parked sends — processes the old leader's
+        stream through it before the fault view installs, and nothing
+        beyond it, so all delivery histories cut identically.
         """
-        self._transition = (
-            frozenset(survivors),
-            cut_ts,
-            dict(targets or {}),
-            self.leader(),
-        )
-        self.process()
+        self._drain = (frozenset(survivors), dict(targets or {}), self.leader())
+        self.evaluate()
 
     def end_transition(self) -> None:
-        self._transition = None
+        self._drain = None
 
-    def _transition_step(self) -> bool:
-        assert self._transition is not None
-        survivors, _cut_ts, targets, old = self._transition
-        cut_seq = targets.get(old, 0)
-        q = self._pending.get(old)
-        if not q:
-            return False
-        if self._adopting:
-            # Mid-handoff when the fault hit: only the takeover entries
-            # can deliver the old pending prefix.  No in-cut takeover
-            # announcement means nothing of this stream is deliverable —
-            # the next leader re-announces the backlog after the install.
-            info = next(
-                (m for m in q
-                 if self._is_order_info(m)
-                 and m.header.sequence_number <= cut_seq),
-                None,
-            )
-            if info is None:
-                return False
-            if not self._resolve_order_info(info, survivors, targets):
-                return False
-            q.remove(info)
-            self._consumed(old, info.header.sequence_number)
-            self._adopting = False
-            return True
-        head = q[0]
-        if head.header.sequence_number > cut_seq:
-            return False
-        if self._is_order_info(head):
-            if not self._resolve_order_info(head, survivors, targets):
-                return False
-            q.popleft()
-            self._consumed(old, head.header.sequence_number)
-        else:
-            q.popleft()
-            self._consumed(old, head.header.sequence_number)
-            self.stats.stream_deliveries += 1
-            self._deliver(head)
-        return True
-
-    def transition_drained(self) -> bool:
+    def transition_drained(self, cut_ts: int) -> bool:
         """True when the old leader's in-cut stream suffix is consumed."""
-        if self._transition is None:
+        if self._drain is None:
             return True
-        _survivors, _cut_ts, targets, old = self._transition
-        cut_seq = targets.get(old, 0)
-        q = self._pending.get(old)
-        if not q:
-            return True
-        if self._adopting:
-            return not any(
-                self._is_order_info(m)
-                and m.header.sequence_number <= cut_seq
-                for m in q
-            )
-        return q[0].header.sequence_number > cut_seq
+        _survivors, targets, old = self._drain
+        return self._next_in_stream(old, targets.get(old, 0)) is None
 
     # ------------------------------------------------------------------
     # view installation
@@ -591,7 +564,7 @@ class LeaderOrdering:
             # their original timestamps, ahead of the batch
             own = self._pending.get(g.pid)
             while own:
-                self.stats.fast_path_deliveries += 1
+                self.llft_stats.fast_path_deliveries += 1
                 self._deliver(own.popleft())
         self._flush_backlog(
             include_own=changed, force=changed or reason == "fault"
@@ -619,7 +592,7 @@ class LeaderOrdering:
                 batch.append(q.popleft())
         batch.sort(key=lambda m: (m.header.timestamp, m.header.source))
         if batch or force:
-            self.stats.takeover_batches += 1
+            self.llft_stats.takeover_batches += 1
             self._announce_batch(batch)
 
     def on_join_completed(self) -> None:
@@ -636,9 +609,9 @@ class LeaderOrdering:
         self.process()
 
     # ------------------------------------------------------------------
-    # purges & bookkeeping (delegated from ROMP)
+    # purges & bookkeeping
     # ------------------------------------------------------------------
-    def drop_after(self, src: int, seq_cutoff: int) -> int:
+    def purge_queue_after(self, src: int, seq_cutoff: int) -> int:
         """Drop ``src``'s parked messages with seq > ``seq_cutoff`` (§7.2:
         beyond the synchronized prefix, received by no quorum)."""
         q = self._pending.get(src)
@@ -650,18 +623,15 @@ class LeaderOrdering:
             self._pending[src] = kept
         return dropped
 
-    def drop_all(self, src: int) -> int:
+    def purge_queue_of(self, src: int) -> int:
         """Drop every parked message from a departed source."""
         q = self._pending.pop(src, None)
         return len(q) if q else 0
 
-    def backlog(self) -> int:
+    def queued(self) -> int:
         """Parked messages from current members (the ordering queue depth
-        analogue; non-member staging excluded, as in legacy ROMP)."""
+        analogue; non-member staging excluded, as under the §6 rule)."""
         return sum(
             len(q) for src, q in self._pending.items()
             if src in self._g.membership
         )
-
-    def backlog_of(self, src: int) -> int:
-        return len(self._pending.get(src, ()))

@@ -40,10 +40,12 @@ released, everything with an ordering key below the commit's header key
 released.  A committed entry is therefore deliverable the moment its key
 is minimal among the stage's backlog, with no additional cover check.
 
-**The delivery stage.**  The engine interposes on ROMP's dispatch: every
-released totally-ordered message enters a FIFO ``held`` stage (ordinary
-Regulars and the ordered membership messages) or the ``pending`` table
-(multi-group proposals awaiting their commit).  The stage drains in
+**The delivery stage.**  :class:`SkeenOrdering` — the ordering discipline
+``multigroup_mode`` selects (DESIGN.md, "Two seams") — replaces ROMP's
+release-at-decided-position hook: every released totally-ordered
+message enters a FIFO ``held`` stage (ordinary Regulars and the ordered
+membership messages) or the ``pending`` table (multi-group proposals
+awaiting their commit).  The stage drains in
 extended-key order — ordinary messages at ``(ts, src, -1)``, pending
 entries at ``(commit_ts, origin, mg_seq)`` once committed, and an
 uncommitted entry holds everything behind its lower bound ``(propose_ts,
@@ -78,7 +80,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Deque, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Deque, Dict, Optional, Tuple
 
 from .constants import MessageType
 from .messages import (
@@ -90,12 +92,14 @@ from .messages import (
     RegularMessage,
     RemoveProcessorMessage,
 )
+from .romp import ROMP
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .datapath import GroupContext
+    from .datapath import GroupContext, ProcessorGroup
 
 __all__ = [
     "MultiGroupEngine",
+    "SkeenOrdering",
     "MultiGroupStats",
     "MULTI_GROUP_CID",
     "MULTI_GROUP_COMMUTATIVE_CID",
@@ -177,10 +181,9 @@ class _Pending:
 class MultiGroupEngine:
     """Per-group delivery stage for multi-group atomic multicast.
 
-    Constructed by ROMP only when ``multigroup_mode`` is on; the knob-off
-    path never instantiates it and stays bit-identical to the legacy
-    dispatch.  Fed exclusively by :meth:`on_ordered` with the group's
-    release sequence, which makes it deterministic across members.
+    Held by :class:`SkeenOrdering`.  Fed exclusively by :meth:`on_ordered`
+    with the group's release sequence, which makes it deterministic
+    across members.
     """
 
     def __init__(self, group: "GroupContext"):
@@ -281,21 +284,18 @@ class MultiGroupEngine:
             return
 
     def _dispatch(self, msg: FTMPMessage) -> None:
-        """Legacy dispatch of a drained held-stage message."""
+        """Release one drained held-stage message."""
         if isinstance(msg, MultiGroupProposeMessage):
             self._deliver(msg, msg.header.timestamp, commutative=True)
-            return
-        if msg.header.message_type == MessageType.REGULAR:
-            self._g.deliver_regular(msg)  # type: ignore[arg-type]
             return
         if isinstance(msg, RemoveProcessorMessage):
             # The removed member's commit, if not yet released here, is
             # released after this position at *every* member (release
-            # sequences are identical), where the legacy purge drops it:
-            # abort its uncommitted entries at this same position so the
-            # decision is deterministic too.
+            # sequences are identical), where the ordinary purge drops
+            # it: abort its uncommitted entries at this same position so
+            # the decision is deterministic too.
             self.abort_origin(msg.member_to_remove)
-        self._g.pgmp_receive_ordered(msg)
+        ROMP._release(self._g, msg)
 
     def _deliver(self, propose: MultiGroupProposeMessage, ts: int,
                  commutative: bool) -> None:
@@ -347,3 +347,57 @@ class MultiGroupEngine:
     def backlog(self) -> int:
         """Messages staged but not yet dispatched (quiescence gauge)."""
         return len(self._held) + len(self._pending)
+
+
+class SkeenOrdering(ROMP):
+    """The Skeen-commit ordering discipline: the symmetric §6 rule decides
+    each group's release sequence, and a :class:`MultiGroupEngine` stage
+    decides where in it a multi-group message is delivered."""
+
+    def __init__(self, group: "ProcessorGroup",
+                 stability_floor: Optional[Callable[[], int]] = None):
+        super().__init__(group, stability_floor)
+        self.stage = MultiGroupEngine(group)
+        self.extra_stats = (("multigroup", self.stage.stats),)
+
+    def _release(self, g: "GroupContext", msg: FTMPMessage) -> None:
+        self.stage.on_ordered(msg)
+
+    def queued(self) -> int:
+        return super().queued() + self.stage.backlog()
+
+    def abort_origin(self, origin: int) -> None:
+        # The §7.2 sync equalised the release prefix across survivors, so
+        # "still uncommitted" is the same fact everywhere: the convicted
+        # origin's dangling proposals abort consistently (their commits,
+        # if ever sent, did not reach any survivor).
+        self.stage.abort_origin(origin)
+
+    def send_propose(self, mg_seq: int, conflict_class: int,
+                     group_ids: Tuple[int, ...], payload: bytes) -> int:
+        """Multicast one multi-group proposal copy into this group's
+        totally-ordered stream; returns the copy's header timestamp —
+        this group's proposal in the timestamp-collection protocol."""
+        g = self._g
+        msg = MultiGroupProposeMessage(
+            header=g._header(MessageType.MULTI_GROUP_PROPOSE, reliable=True),
+            mg_seq=mg_seq,
+            conflict_class=conflict_class,
+            groups=group_ids,
+            payload=payload,
+        )
+        self.stage.stats.proposes_sent += 1
+        g.send_path.send(msg)
+        return msg.header.timestamp
+
+    def send_commit(self, origin: int, mg_seq: int, commit_ts: int) -> None:
+        """Announce the committed (max) timestamp into this group's stream."""
+        g = self._g
+        msg = MultiGroupCommitMessage(
+            header=g._header(MessageType.MULTI_GROUP_COMMIT, reliable=True),
+            origin=origin,
+            mg_seq=mg_seq,
+            commit_ts=commit_ts,
+        )
+        self.stage.stats.commits_sent += 1
+        g.send_path.send(msg)

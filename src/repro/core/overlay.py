@@ -55,9 +55,9 @@ group size.  Overlay-based atomic multicast (cf. FlexCast, arXiv
   Transitively heard members get an extra grace of one suspect timeout
   on top (evidence crosses up to ``depth`` hops of summary intervals).
 
-Everything here is instantiated only when ``overlay_mode`` is on; with
-the knob off the engine does not exist and the stack is bit-identical
-legacy.
+:class:`OverlayDissemination` is a :class:`~.dissemination.Dissemination`
+(DESIGN.md, "Two seams"), constructed only when ``overlay_mode`` is on;
+with the knob off the group holds the flat base class.
 """
 
 from __future__ import annotations
@@ -67,6 +67,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Deque, Dict, Optional, Set, Tuple
 
 from .constants import MessageType
+from .dissemination import Dissemination, Receive, Transmit
 from .messages import AckSummaryMessage, FTMPMessage
 from .wire import decode, encode
 
@@ -150,18 +151,23 @@ class OverlayStats:
     floor_advances: int = 0  #: aggregated stability floor advances
 
 
-class OverlayDissemination:
+class OverlayDissemination(Dissemination):
     """Per-group overlay engine: tree routing + aggregated stability.
 
-    Constructed by :class:`~.romp.ROMP` (mirroring the LLFT engine) only
-    when ``overlay_mode`` is on; holds the tree, the per-edge aggregation
-    scope state, the per-source progress vector and the transitive
-    liveness evidence clock.
+    Holds the tree, the per-edge aggregation scope state, the per-source
+    progress vector and the transitive liveness evidence clock.
     """
+
+    #: the periodic per-edge AckSummaries are the keepalive — their
+    #: headers carry the same live seq/ts/ack a Heartbeat would
+    replaces_heartbeats = True
 
     def __init__(self, group: "ProcessorGroup"):
         self._g = group
         self.stats = OverlayStats()
+        self.extra_stats = (("overlay", self.stats),)
+        #: the flat (stack) transmit function, bound by :meth:`egress`
+        self._flat: Transmit
         self._active = False
         self._joined_addr: Optional[int] = None
         #: sorted tree membership (current view minus local suspects)
@@ -201,7 +207,7 @@ class OverlayDissemination:
         g = self._g
         if self._joined_addr is None:
             self._joined_addr = unicast_address(g.address, g.pid)
-            g.join_wire_address(self._joined_addr)
+            g._endpoint.join(self._joined_addr)
 
     def activate(self) -> None:
         """Join our unicast address, build the tree, start summaries."""
@@ -216,7 +222,7 @@ class OverlayDissemination:
             self._timer.cancel()
             self._timer = None
         if self._joined_addr is not None:
-            self._g.leave_wire_address(self._joined_addr)
+            self._g._endpoint.leave(self._joined_addr)
             self._joined_addr = None
 
     def on_view_installed(self) -> None:
@@ -239,9 +245,9 @@ class OverlayDissemination:
             return
         g = self._g
         if self._joined_addr is not None:
-            g.leave_wire_address(self._joined_addr)
+            g._endpoint.leave(self._joined_addr)
         self._joined_addr = unicast_address(g.address, g.pid)
-        g.join_wire_address(self._joined_addr)
+        g._endpoint.join(self._joined_addr)
 
     def _recompute_tree(self) -> None:
         g = self._g
@@ -278,8 +284,8 @@ class OverlayDissemination:
                 members=len(members))
 
     def note_departure(self, pid: int, final_ts: int) -> None:
-        """Snapshot a departing member's final order timestamp (called by
-        ROMP just before it forgets the source at view installation).
+        """Snapshot a gracefully departing member's final order timestamp
+        (just before ROMP forgets the source at view installation).
 
         The removal's delivery required our cover — and hence this
         timestamp — to reach the removal's own timestamp, so re-emitting
@@ -302,23 +308,24 @@ class OverlayDissemination:
     # ------------------------------------------------------------------
     # egress: route own first-transmission Regulars over the tree
     # ------------------------------------------------------------------
-    def route_egress(self, raw: bytes) -> bool:
-        """Tree-route one group-addressed egress datagram.
+    def egress(self, flat_transmit: Transmit) -> Transmit:
+        self._flat = flat_transmit
+        return self._transmit
 
-        Returns True when handled (unicast to self + every tree
-        neighbour); False tells the caller to fall back to the flat
-        group multicast (control traffic, retransmissions, or this
-        member currently outside its own tree).
-        """
-        if not self._active or self._g.pid not in self._member_set:
-            return False
-        if raw[_TYPE_OFFSET] not in (_REGULAR, _BATCH):
-            return False
-        if raw[_FLAGS_OFFSET] & _FLAG_RETRANSMISSION:
-            return False
+    def _transmit(self, address: int, raw: bytes) -> None:
+        """Send-path egress: a group-addressed first-transmission Regular
+        or Batch goes to ourselves and every tree neighbour as unicasts;
+        everything else — unicasts, control traffic, retransmissions, or
+        this member currently outside its own tree — goes out flat."""
         g = self._g
         addr = g.address
-        transmit = g.transmit_raw
+        transmit = self._flat
+        if (address != addr or not self._active
+                or g.pid not in self._member_set
+                or raw[_TYPE_OFFSET] not in (_REGULAR, _BATCH)
+                or raw[_FLAGS_OFFSET] & _FLAG_RETRANSMISSION):
+            transmit(address, raw)
+            return
         # the self-copy preserves the flat path's loopback delivery but
         # never touches the NIC (see _loopback)
         self._loopback(raw)
@@ -330,7 +337,6 @@ class OverlayDissemination:
             transmit(unicast_address(addr, c), raw)
             copies += 1
         self.stats.regulars_tree_routed += copies
-        return True
 
     def _loopback(self, raw: bytes) -> None:
         """Deliver one of our own datagrams through the local receive path.
@@ -350,8 +356,18 @@ class OverlayDissemination:
     # ------------------------------------------------------------------
     # ingress: relay + direct liveness evidence
     # ------------------------------------------------------------------
-    def on_datagram(self, msg: FTMPMessage, raw: bytes) -> None:
-        """Observe one arriving datagram; relay Regulars down the tree."""
+    def ingress(self, receive: Receive) -> Receive:
+        def on_datagram(msg: FTMPMessage, raw: bytes) -> None:
+            self._relay(msg, raw)
+            receive(msg, raw)
+
+        return on_datagram
+
+    def _relay(self, msg: FTMPMessage, raw: bytes) -> None:
+        """Observe one arriving datagram; relay Regulars down the tree.
+
+        Sees the *outer* datagram only: a Batch relays whole, its parts
+        recurse inside the receive path untouched."""
         h = msg.header
         src = h.source
         g = self._g
@@ -374,7 +390,7 @@ class OverlayDissemination:
         if len(self._relay_order) > _RELAY_SEEN_CAP:
             self._relay_seen.discard(self._relay_order.popleft())
         addr = g.address
-        transmit = g.transmit_raw
+        transmit = self._flat
         relayed = 0
         if self._parent is not None and self._parent != arrival:
             transmit(unicast_address(addr, self._parent), raw)
@@ -543,10 +559,10 @@ class OverlayDissemination:
         if adopted:
             romp.evaluate()
         else:
-            romp.overlay_stability_pulse()
+            romp.recheck_stability()
 
     # ------------------------------------------------------------------
-    # aggregated stability floor (read by ROMP.stability_timestamp)
+    # aggregated stability floor (ROMP's out-of-band ``stability_floor``)
     # ------------------------------------------------------------------
     def stability_floor(self) -> int:
         """Group-wide stability lower bound from the edge aggregation.

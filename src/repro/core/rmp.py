@@ -64,7 +64,7 @@ class SourceState:
     nack_timer: Optional[object] = None
     nack_retries: int = 0  #: consecutive NACK retries without progress
     nack_progress: int = 0  #: ``next_seq`` when the last NACK was sent
-    #: a Heartbeat (or overlay AckSummary — same seq/timestamp contract)
+    #: a Heartbeat (or an AckSummary — same seq/timestamp contract)
     #: that arrived ahead of a gap, replayed once the gap fills
     deferred_heartbeat: Optional[FTMPMessage] = None
 
@@ -203,11 +203,11 @@ class RMP:
             self._g.romp_heartbeat(msg)
 
     def _on_ack_summary(self, msg: AckSummaryMessage) -> None:
-        """An overlay stability summary: heartbeat semantics + aggregation.
+        """A stability summary: heartbeat semantics + aggregation.
 
         The header carries the sender's live seq/timestamp/ack exactly
         like a Heartbeat, so the same gap-exposure and deferral rules
-        apply; the aggregation payload is handed to the overlay engine
+        apply; the aggregation payload is handed to the dissemination
         unconditionally — its per-source entries are global facts, valid
         whether or not the sender's own stream is currently contiguous
         here.
@@ -222,13 +222,11 @@ class RMP:
             self._note_gap(src, st)
         else:
             self._g.romp_heartbeat(msg)  # type: ignore[arg-type]
-        overlay = self._g.romp.overlay
-        if overlay is not None:
-            overlay.on_summary(msg)
+        self._g.dissemination.on_summary(msg)
 
     def disclose(self, src: int, seq: int) -> None:
         """Expose that reliable messages from ``src`` through ``seq``
-        exist (overlay progress entries): raise ``highest_heard`` and arm
+        exist (relayed progress entries): raise ``highest_heard`` and arm
         NACK recovery for the gap, exactly as a heartbeat would."""
         st = self._state(src)
         if seq > st.highest_heard:

@@ -43,6 +43,11 @@ token that :meth:`receive` / :meth:`receive_heartbeat` consume instead
 of observing again), the gate peeks the cover heap in line, and the
 stability timestamp is computed once per acknowledgement advance and
 handed to its three consumers (DESIGN.md, "Receive fast path").
+
+This class is the default ordering discipline.  One that decides the
+order differently subclasses it and replaces the methods marked
+"discipline hook"; the clock / cover / ack / stability / GC / §7-barrier
+bookkeeping is shared (DESIGN.md, "Two seams").
 """
 
 from __future__ import annotations
@@ -50,13 +55,10 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Deque, Dict, FrozenSet, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Deque, Dict, FrozenSet, List, Optional, Tuple
 
 from .constants import TOTALLY_ORDERED_TYPES, MessageType
-from .llft import LeaderOrdering
 from .messages import FTMPHeader, FTMPMessage, HeartbeatMessage
-from .multigroup import MultiGroupEngine
-from .overlay import OverlayDissemination
 
 if TYPE_CHECKING:  # pragma: no cover
     from .datapath import GroupContext
@@ -78,7 +80,25 @@ class ROMPStats:
 class ROMP:
     """One ROMP instance per (processor, group) pair."""
 
-    def __init__(self, group: "GroupContext"):
+    #: discipline hook — ``(registry section, stats)`` pairs registered
+    #: next to ``romp`` for a discipline's own counters
+    extra_stats: Tuple[Tuple[str, object], ...] = ()
+
+    @staticmethod
+    def _release(g: "GroupContext", msg: FTMPMessage) -> None:
+        """Discipline hook — hand one message upward at its decided
+        position.  The one copy of this dispatch: a discipline that
+        decides positions itself still releases through it."""
+        if msg.header.message_type == MessageType.REGULAR:
+            g.deliver_regular(msg)  # type: ignore[arg-type]
+        else:
+            # Connect / AddProcessor / RemoveProcessor reach PGMP at their
+            # position in the total order, so every member applies the
+            # membership change at the same point in the message stream.
+            g.pgmp_receive_ordered(msg)
+
+    def __init__(self, group: "GroupContext",
+                 stability_floor: Optional[Callable[[], int]] = None):
         self._g = group
         self._pid = group.pid
         #: max timestamp of the contiguous message stream per source
@@ -123,26 +143,13 @@ class ROMP:
         #: the min trackers were rebuilt since stability was last reported
         #: upward: it may have jumped without any acknowledgement moving
         self._stability_stale = False
+        #: out-of-band lower bound on stability supplied by the
+        #: dissemination (a sound underestimate over the same membership),
+        #: folded into :meth:`stability_timestamp`; None = acks only
+        self._floor = stability_floor
+        #: safe delivery: ordered Regulars wait in ``_unsafe`` until stable
+        self._safe = group.config.delivery_mode == "safe"
         self.stats = ROMPStats()
-        #: LLFT leader-follower ordering engine; replaces the symmetric
-        #: delivery rule when ``llft_mode`` is on.  None = legacy (the
-        #: engine is never even constructed, so the knob-off path is
-        #: bit-identical).
-        self.llft: Optional[LeaderOrdering] = (
-            LeaderOrdering(group) if group.config.llft_mode else None  # type: ignore[arg-type]
-        )
-        #: overlay dissemination engine; adds tree routing and the
-        #: aggregated stability floor when ``overlay_mode`` is on.  None
-        #: = legacy flat dissemination (never constructed, bit-identical).
-        self.overlay: Optional[OverlayDissemination] = (
-            OverlayDissemination(group) if group.config.overlay_mode else None  # type: ignore[arg-type]
-        )
-        #: multi-group atomic-multicast delivery stage; interposes on the
-        #: ordered dispatch when ``multigroup_mode`` is on.  None = legacy
-        #: (never constructed, bit-identical).
-        self.multigroup: Optional[MultiGroupEngine] = (
-            MultiGroupEngine(group) if group.config.multigroup_mode else None  # type: ignore[arg-type]
-        )
 
     # ------------------------------------------------------------------
     # incremental gate/stability min tracking
@@ -226,30 +233,9 @@ class ROMP:
                 heapq.heappush(self._cover_heap, (ts, src))
         if self._g.membership is not self._gate_members:
             self._sync_gate()
-        if self.llft is not None:
-            # LLFT mode: ordered messages go to the leader-follower
-            # engine (announce / park / replay); the clock, cover and ack
-            # bookkeeping above is shared with the legacy path, so
-            # stability keeps advancing asynchronously underneath.
-            if h.message_type in TOTALLY_ORDERED_TYPES:
-                self.llft.on_reliable(msg)
-            else:
-                if src not in self._gate_set:
-                    return  # stale control traffic from an evicted processor
-                self.stats.bypass_deliveries += 1
-                self._g.pgmp_receive_source_ordered(msg)
-            self.evaluate()
-            return
         if h.message_type in TOTALLY_ORDERED_TYPES:
-            if src not in self._gate_set:
-                # A source that is not (yet) a member: stage its ordered
-                # messages until an AddProcessor admits it — never let a
-                # non-member block the head of the ordering queue.
-                stage = self._staging.setdefault(src, [])
-                if len(stage) < self._STAGING_CAP:
-                    stage.append(msg)
+            if not self._take_ordered(msg):
                 return
-            self._enqueue(msg)
         else:
             # Suspect / Membership: reliable, source-ordered, NOT total order
             if src not in self._gate_set:
@@ -258,13 +244,23 @@ class ROMP:
             self._g.pgmp_receive_source_ordered(msg)
         self.evaluate()
 
-    def _enqueue(self, msg: FTMPMessage) -> None:
+    def _take_ordered(self, msg: FTMPMessage) -> bool:
+        """Discipline hook — take one totally-ordered message from RMP;
+        False when that left nothing to evaluate."""
         h = msg.header
         ts = h.timestamp
         src = h.source
+        if src not in self._gate_set:
+            # A source that is not (yet) a member: stage its ordered
+            # messages until an AddProcessor admits it — never let a
+            # non-member block the head of the ordering queue.
+            stage = self._staging.setdefault(src, [])
+            if len(stage) < self._STAGING_CAP:
+                stage.append(msg)
+            return False
         key = (ts, src)
         if key in self._queue_keys:
-            return
+            return True
         self._queue_keys.add(key)
         index = self._by_src.get(src)
         if index is None:
@@ -276,6 +272,7 @@ class ROMP:
         depth = len(queue)
         if depth > self.stats.max_queue_depth:
             self.stats.max_queue_depth = depth
+        return True
 
     def receive_heartbeat(self, msg: HeartbeatMessage) -> None:
         """A heartbeat whose seq is contiguous with its source's stream."""
@@ -291,30 +288,15 @@ class ROMP:
     # the total-order delivery rule
     # ------------------------------------------------------------------
     def evaluate(self) -> None:
-        """Deliver every queue message whose timestamp is covered by all members."""
-        if self.llft is not None:
-            # LLFT mode: delivery is the engine's replay of the leader's
-            # stream.  The positive acknowledgement is the *cover*
-            # timestamp — the stream heard contiguously from every member
-            # — which is exactly the legacy ack's meaning ("everything at
-            # or below was received from all members") without coupling
-            # it to deliveries, so stability/GC/flow-credits advance in
-            # the background while the engine delivers ahead of them.
-            self.llft.process()
-            cover = self._cover_ts()
-            if cover is not None and cover > self._ack:
-                self._ack = cover
-                if self._pid in self._gate_set:
-                    heapq.heappush(self._ack_heap, (cover, self._pid))
-            self._maybe_collect()
-            self._check_send_barrier()
-            return
+        """Discipline hook — the §6 rule: deliver every queue message
+        whose timestamp is covered by all members."""
         g = self._g
         if self._unsafe:
             # membership/ack changes may unblock safe holds
             self._release_safe(self.stability_timestamp())
         queue = self._queue
         order = self._order_ts
+        safe = self._safe
         delivered_any = False
         while True:
             # a dispatched view change replaces the membership tuple
@@ -370,38 +352,22 @@ class ROMP:
                     heapq.heappush(self._ack_heap, (ts, self._pid))
             self.stats.ordered_deliveries += 1
             delivered_any = True
-            self._dispatch(msg)
-        if delivered_any:
-            self._maybe_collect()
-        elif self._stability_stale or self.overlay is not None:
-            # Stability can jump without an acknowledgement moving — a
-            # fault view removing the slowest member, the overlay floor —
-            # and every acknowledgement advance reports it on the spot.
-            self._notify_stability(self.stability_timestamp())
-        if self._send_barrier is not None:
-            self._check_send_barrier()
-
-    def _dispatch(self, msg: FTMPMessage) -> None:
-        if self.multigroup is not None:
-            # Multi-group mode: every released message enters the
-            # extended-key delivery stage (uncommitted multi-group
-            # proposals hold back larger keys until their commit).  The
-            # config layer forbids combining this with safe delivery.
-            self.multigroup.on_ordered(msg)
-            return
-        t = msg.header.message_type
-        if t == MessageType.REGULAR:
-            if self._g.config.delivery_mode == "safe":
+            if safe and msg.header.message_type == MessageType.REGULAR:
                 # hold until the ack timestamps prove every member has it
                 self._unsafe.append(msg)
                 self._release_safe(self.stability_timestamp())
-                return
-            self._g.deliver_regular(msg)  # type: ignore[arg-type]
-        else:
-            # Connect / AddProcessor / RemoveProcessor reach PGMP at their
-            # position in the total order, so every member applies the
-            # membership change at the same point in the message stream.
-            self._g.pgmp_receive_ordered(msg)
+            else:
+                self._release(g, msg)
+        if delivered_any:
+            self._maybe_collect()
+        elif self._stability_stale or self._floor is not None:
+            # Stability can jump without an acknowledgement moving — a
+            # fault view removing the slowest member, an out-of-band
+            # floor — and every acknowledgement advance reports it on the
+            # spot.
+            self._notify_stability(self.stability_timestamp())
+        if self._send_barrier is not None:
+            self._check_send_barrier()
 
     # ------------------------------------------------------------------
     # acknowledgements & buffer management
@@ -415,10 +381,10 @@ class ROMP:
         """Everything at/below this timestamp is stable (§6).
 
         The min over members of their directly heard acks — amortized
-        O(1) via the lazy ack min-heap (acks only increase).  In overlay
-        mode the tree-aggregated floor — a sound lower bound over the
-        same membership — is folded in, so stability keeps advancing even
-        though most members never hear each other's acks directly.
+        O(1) via the lazy ack min-heap (acks only increase) — raised to
+        the dissemination's out-of-band floor where one exists, so
+        stability keeps advancing even when most members never hear each
+        other's acks directly.
         """
         if self._g.membership is not self._gate_members:
             self._sync_gate()
@@ -433,16 +399,14 @@ class ROMP:
                     stable = ack
                     break
                 heapq.heappop(heap)
-        ov = self.overlay
-        if ov is not None:
-            floor = ov.stability_floor()
-            if floor > stable:
-                stable = floor
+        floor = self._floor
+        if floor is not None:
+            stable = max(stable, floor())
         return stable
 
     def cover_timestamp(self) -> int:
         """Public cover accessor: the stream heard contiguously from every
-        member (the overlay aggregation's per-member input)."""
+        member (a dissemination's per-member aggregation input)."""
         cover = self._cover_ts()
         return 0 if cover is None else cover
 
@@ -450,7 +414,7 @@ class ROMP:
         """Advance ``src``'s contiguous-stream timestamp to ``ts``.
 
         Sound only when nothing below ``ts`` can still arrive from
-        ``src``: a heartbeat contiguous with the stream, or an overlay §6
+        ``src``: a heartbeat contiguous with the stream, or a relayed §6
         progress entry whose sequence number the caller has verified
         local contiguity through (the entry claims every message from
         ``src`` with timestamp <= ``ts`` has seq <= that number).
@@ -460,8 +424,8 @@ class ROMP:
             if src in self._gate_set:
                 heapq.heappush(self._cover_heap, (ts, src))
 
-    def overlay_stability_pulse(self) -> None:
-        """The aggregated floor may have advanced without new deliveries:
+    def recheck_stability(self) -> None:
+        """The out-of-band floor may have advanced without new deliveries:
         re-run GC / safe-release / credit notification."""
         self._maybe_collect()
 
@@ -524,12 +488,8 @@ class ROMP:
     # ------------------------------------------------------------------
     # fault-view transition drain (§7.2)
     # ------------------------------------------------------------------
-    def begin_transition(
-        self,
-        survivors: FrozenSet[int],
-        cut_ts: int,
-        targets: Optional[Dict[int, int]] = None,
-    ) -> None:
+    def begin_transition(self, survivors: FrozenSet[int], cut_ts: int,
+                         targets: Optional[Dict[int, int]] = None) -> None:
         """Start draining the old view's messages before a fault view.
 
         Until :meth:`end_transition`, queued messages with timestamp <=
@@ -541,47 +501,28 @@ class ROMP:
         synchrony guarantee the oracles check.
 
         ``targets`` is the synchronized per-source sequence vector of the
-        round; LLFT mode needs it (the leader's stream cut is a sequence
-        number, not a timestamp) and the legacy rule ignores it.
+        round, for a discipline whose cut is a sequence number rather
+        than a timestamp; the symmetric rule ignores it.  (Discipline
+        hook, with :meth:`end_transition` and :meth:`transition_drained`.)
         """
         self._transition = (frozenset(survivors), cut_ts)
-        if self.llft is not None:
-            self.llft.begin_transition(frozenset(survivors), cut_ts, targets)
         self.evaluate()
 
     def end_transition(self) -> None:
         self._transition = None
-        if self.llft is not None:
-            self.llft.end_transition()
 
     def transition_drained(self, cut_ts: int) -> bool:
         """True when every old-view message has been delivered — i.e. the
         head of the queue (if any) already belongs to the new view."""
-        if self.llft is not None:
-            return self.llft.transition_drained()
         return not self._queue or self._queue[0][0] > cut_ts
 
     # ------------------------------------------------------------------
     # membership-change support
     # ------------------------------------------------------------------
-    def purge_source(self, src: int, clean: bool = False) -> None:
+    def purge_source(self, src: int) -> None:
         """Forget a departed member (keep its already-queued messages only
         if it was removed by RemoveProcessor/Membership *after* syncing —
-        the caller decides by calling purge_queue too).
-
-        ``clean`` marks a graceful (§7.1 ordered) departure.  Only then is
-        the member's final clock handed to the overlay for re-emission: a
-        laggard that has not ordered the RemoveProcessor yet still gates
-        its cover on that clock, and delivering the removal here required
-        our cover — hence this order timestamp — to reach the removal's
-        timestamp, so the snapshot is exactly the evidence the laggard is
-        missing.  A *convicted* (crashed) member's clock must NOT be
-        re-emitted: the entries would keep refreshing the dead member's
-        liveness at laggards, suppressing the very suspicion that lets
-        them join the §7.2 fault round — their only path to the new view.
-        """
-        if clean and self.overlay is not None:
-            self.overlay.note_departure(src, self._order_ts.get(src, 0))
+        the caller decides by calling purge_queue too)."""
         self._order_ts.pop(src, None)
         self._peer_ack.pop(src, None)
         self._staging.pop(src, None)
@@ -597,8 +538,10 @@ class ROMP:
         captured "at the view change" really precedes the first delivery
         of the new view.
         """
+        if self._g.membership is not self._gate_members:
+            self._sync_gate()  # the admitted source must queue, not re-stage
         for msg in self._staging.pop(src, ()):  # preserves arrival (seq) order
-            self._enqueue(msg)
+            self._take_ordered(msg)
 
     def _drop_keys(self, src: int, timestamps) -> int:
         """Remove the given (timestamp, ``src``) keys from the queue."""
@@ -620,43 +563,29 @@ class ROMP:
         return len(doomed)
 
     def purge_queue_after(self, src: int, seq_cutoff: int) -> int:
-        """Drop queued messages from ``src`` with seq > ``seq_cutoff``.
+        """Discipline hook — drop queued messages from ``src`` with seq >
+        ``seq_cutoff``.
 
         Used at fault-view installation: messages beyond the synchronized
         prefix were not received by every survivor and must not be
         delivered anywhere (virtual synchrony)."""
-        dropped = 0
-        if self.llft is not None:
-            dropped += self.llft.drop_after(src, seq_cutoff)
-        index = self._by_src.get(src)
-        if not index:
-            return dropped
-        return dropped + self._drop_keys(
+        index = self._by_src.get(src, {})
+        return self._drop_keys(
             src, [ts for ts, seq in index.items() if seq > seq_cutoff]
         )
 
     def purge_queue_of(self, src: int) -> int:
-        """Drop queued (undeliverable) messages from a departed source."""
-        dropped = 0
-        if self.llft is not None:
-            dropped += self.llft.drop_all(src)
-        index = self._by_src.get(src)
-        if not index:
-            return dropped
-        return dropped + self._drop_keys(src, list(index))
+        """Discipline hook — drop queued (undeliverable) messages from a
+        departed source."""
+        return self._drop_keys(src, list(self._by_src.get(src, ())))
 
     def order_ts(self, src: int) -> int:
         """Timestamp up to which ``src``'s stream has been heard contiguously."""
         return self._order_ts.get(src, 0)
 
     def queued(self) -> int:
-        """Current ordering-queue depth (LLFT: the parked backlog)."""
-        depth = len(self._queue)
-        if self.llft is not None:
-            depth += self.llft.backlog()
-        if self.multigroup is not None:
-            depth += self.multigroup.backlog()
-        return depth
+        """Discipline hook — messages taken from RMP but not yet released."""
+        return len(self._queue)
 
     def queued_from(self, src: int) -> int:
         """Queued messages originated by ``src`` (O(1) via the index)."""
@@ -665,3 +594,25 @@ class ROMP:
     def keys_from(self, src: int) -> List[Tuple[int, int]]:
         """(timestamp, source) keys of queued messages from ``src``."""
         return [(ts, src) for ts in sorted(self._by_src.get(src, ()))]
+
+    # ------------------------------------------------------------------
+    # discipline hooks: lifecycle notifications, no-ops under the §6 rule
+    # ------------------------------------------------------------------
+    def leader(self) -> Optional[int]:
+        """The processor deciding the order, if the discipline has one."""
+        return None
+
+    def on_own_send(self, msg: FTMPMessage) -> None:
+        """One of our totally-ordered messages just went to the wire."""
+
+    def begin_install(self) -> None:
+        """A view installation started (before the membership changes)."""
+
+    def on_view_installed(self, prev_membership: Tuple[int, ...], reason: str) -> None:
+        """A view was installed; the view-change listener has already run."""
+
+    def on_join_completed(self) -> None:
+        """Our own ordered join just completed."""
+
+    def abort_origin(self, origin: int) -> None:
+        """A fault view convicted ``origin``: what it left undecided stays so."""

@@ -196,12 +196,12 @@ class FTMPStack:
         # treat the commit's own ordered position as the stability proof.
         commit_ts = 0
         for g in groups:
-            ts = g.send_multigroup_propose(mg_seq, conflict_class, gids, payload)
+            ts = g.romp.send_propose(mg_seq, conflict_class, gids, payload)
             if ts > commit_ts:
                 commit_ts = ts
         if conflict_class == 0:
             for g in groups:
-                g.send_multigroup_commit(self.pid, mg_seq, commit_ts)
+                g.romp.send_commit(self.pid, mg_seq, commit_ts)
         return mg_seq
 
     def add_processor(self, group_id: int, new_pid: int) -> None:

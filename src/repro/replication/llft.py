@@ -54,6 +54,4 @@ def current_leader(stack: FTMPStack, group_id: int) -> Optional[int]:
     its current membership; every member converges on it with the view.
     """
     g = stack.group(group_id)
-    if g is None or g.romp.llft is None:
-        return None
-    return g.romp.llft.leader()
+    return None if g is None else g.romp.leader()

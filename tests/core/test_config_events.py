@@ -29,6 +29,34 @@ def test_with_creates_modified_copy():
     assert cfg2.nack_delay == cfg.nack_delay
 
 
+@pytest.mark.parametrize("knobs, reason", [
+    (dict(delivery_mode="Safe"), "must be 'agreed' or 'safe'"),
+    (dict(delivery_mode="uniform"), "must be 'agreed' or 'safe'"),
+    (dict(llft_mode=True, delivery_mode="safe"), "requires delivery_mode='agreed'"),
+    (dict(multigroup_mode=True, delivery_mode="safe"), "requires delivery_mode='agreed'"),
+    (dict(llft_mode=True, multigroup_mode=True), "at most one ordering discipline"),
+    (dict(llft_mode=True, overlay_mode=True), "flat dissemination"),
+    (dict(multigroup_mode=True, overlay_mode=True), "non-atomic"),
+])
+def test_config_rejects_what_it_would_otherwise_ignore(knobs, reason):
+    with pytest.raises(ValueError, match=reason):
+        FTMPConfig(**knobs)
+
+
+@pytest.mark.parametrize("knobs", [
+    dict(), dict(delivery_mode="safe"), dict(llft_mode=True),
+    dict(overlay_mode=True), dict(overlay_mode=True, delivery_mode="safe"),
+    dict(multigroup_mode=True),
+])
+def test_config_accepts_every_per_axis_legal_combination(knobs):
+    FTMPConfig(**knobs)
+
+
+def test_config_field_count_is_pinned():
+    # a seam is not a knob: simplifying PRs add no field (ISSUE 17)
+    assert len(dataclasses.fields(FTMPConfig)) == 35
+
+
 def test_default_listener_is_noop():
     listener = Listener()
     d = Delivery(group=1, source=1, sequence_number=1, timestamp=1,

@@ -7,11 +7,22 @@ dependency this guard exists to catch (`make lint` greps for the same
 patterns).  The runtimes themselves must not import each other either:
 ``simnet`` is the semantic truth, ``runtime`` the wall-clock truth, and
 nothing forces one to load to use the other.
+
+Second rule (DESIGN.md, "Two seams"): the files every datagram crosses
+name no engine.  ``core/romp.py``, ``rmp.py``, ``pgmp.py`` and
+``fault_detector.py`` carry no ``llft`` / ``overlay`` / ``multigroup``
+identifier at all — an import of an engine module included — and
+``core/datapath.py`` only where the choice is made: its engine import
+lines and ``ProcessorGroup.__init__``.  Run as a script (``make
+layering``) it prints the violations and exits 1.
 """
 
+import ast
+import io
 import pathlib
 import re
 import sys
+import tokenize
 
 SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
 
@@ -36,6 +47,47 @@ def _violations(package: str, forbidden: tuple) -> list:
             line = m.group(0).strip()
             found.append(f"{path.relative_to(SRC.parent)}: {line}")
     return found
+
+
+ENGINE_NAME = re.compile(r"llft|overlay|multigroup", re.IGNORECASE)
+ENGINE_MODULES = ("llft", "overlay", "multigroup")
+#: file -> may name an engine on its engine import lines and inside these
+#: (class, function) bodies
+ENGINE_FREE = {
+    "core/romp.py": (),
+    "core/rmp.py": (),
+    "core/pgmp.py": (),
+    "core/fault_detector.py": (),
+    "core/datapath.py": (("ProcessorGroup", "__init__"),),
+}
+
+
+def _engine_name_violations() -> list:
+    """NAME tokens matching an engine outside the allowed lines (comments
+    and strings are exempt: they are not NAME tokens)."""
+    found = []
+    for rel, allowed_functions in ENGINE_FREE.items():
+        text = (SRC / rel).read_text()
+        allowed = set()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ClassDef):
+                for fn in node.body:
+                    if (isinstance(fn, ast.FunctionDef)
+                            and (node.name, fn.name) in allowed_functions):
+                        allowed.update(range(fn.lineno, fn.end_lineno + 1))
+            elif (isinstance(node, ast.ImportFrom) and allowed_functions
+                    and node.module in ENGINE_MODULES):
+                allowed.update(range(node.lineno, node.end_lineno + 1))
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if (tok.type == tokenize.NAME and ENGINE_NAME.search(tok.string)
+                    and tok.start[0] not in allowed):
+                found.append(f"{rel}:{tok.start[0]}: {tok.string}")
+    return found
+
+
+def test_datagram_path_names_no_engine():
+    problems = _engine_name_violations()
+    assert not problems, "engine named outside the seam:\n" + "\n".join(problems)
 
 
 def test_protocol_layers_never_import_a_runtime():
@@ -63,3 +115,9 @@ def test_core_loads_without_either_runtime():
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+if __name__ == "__main__":
+    bad = _engine_name_violations()
+    print("\n".join(bad) if bad else "engine seam OK")
+    sys.exit(1 if bad else 0)

@@ -11,6 +11,7 @@ congestion-gated announcement coalescing.
 from repro.analysis.harness import TimedWorkload, make_cluster
 from repro.core import FTMPConfig
 from repro.core.llft import decode_order_info, encode_order_info
+from repro.core.romp import ROMP
 from repro.replication import ORDER_INFO_CID, current_leader, llft_config
 from repro.replication.oracles import run_history_oracles
 
@@ -47,7 +48,7 @@ def test_knob_off_is_legacy():
     cluster = make_cluster((1, 2, 3))
     try:
         for pid in (1, 2, 3):
-            assert cluster.stacks[pid].group(1).romp.llft is None
+            assert type(cluster.stacks[pid].group(1).romp) is ROMP
             assert current_leader(cluster.stacks[pid], 1) is None
         cluster.multicast(1, 1, b"legacy")
         cluster.run_for(0.3)

@@ -264,7 +264,7 @@ def test_cross_group_agreement_and_genuineness():
     # genuineness: the uninvolved group moved no ordering machinery
     for pid in (1, 2, 3, 4):
         assert order(pid, 9) == []
-        mg = c.stacks[pid].group(9).romp.multigroup
+        mg = c.stacks[pid].group(9).romp.stage
         assert mg.stats.proposes_ordered == 0
         assert mg.stats.delivered_total == 0
 
@@ -279,4 +279,4 @@ def test_commutative_stack_level_no_commit_traffic():
                 if d.group == gid and is_multigroup_delivery(d.connection_id)]
         assert cids == [MULTI_GROUP_COMMUTATIVE_CID]
     for gid in (1, 2):
-        assert c.stacks[1].group(gid).romp.multigroup.stats.commits_sent == 0
+        assert c.stacks[1].group(gid).romp.stage.stats.commits_sent == 0

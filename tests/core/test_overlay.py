@@ -12,7 +12,13 @@ import pytest
 
 from repro.analysis import make_cluster
 from repro.core import FTMPConfig
-from repro.core.overlay import OVERLAY_UNICAST_BASE, tree_links, unicast_address
+from repro.core.dissemination import Dissemination
+from repro.core.overlay import (
+    OVERLAY_UNICAST_BASE,
+    OverlayDissemination,
+    tree_links,
+    unicast_address,
+)
 
 
 def _overlay_cfg(**overrides) -> FTMPConfig:
@@ -81,7 +87,7 @@ def test_knob_off_is_legacy():
     cluster = make_cluster((1, 2, 3))
     try:
         for pid in (1, 2, 3):
-            assert cluster.stacks[pid].group(1).romp.overlay is None
+            assert type(cluster.stacks[pid].group(1).dissemination) is Dissemination
         cluster.multicast(1, 1, b"legacy")
         cluster.run_for(0.3)
         cluster.assert_agreement()
@@ -105,13 +111,13 @@ def test_overlay_total_order_and_stability():
         cluster.assert_agreement()
         for pid in pids:
             g = cluster.stacks[pid].group(1)
-            assert g.romp.overlay is not None
+            assert isinstance(g.dissemination, OverlayDissemination)
             assert len(cluster.listeners[pid].deliveries) == 30
         # the tree actually carried the load: the root unicast k copies
         # per send and interior members relayed
-        root = cluster.stacks[1].group(1).romp.overlay
+        root = cluster.stacks[1].group(1).dissemination
         assert root.stats.regulars_tree_routed > 0
-        interior = cluster.stacks[2].group(1).romp.overlay
+        interior = cluster.stacks[2].group(1).dissemination
         assert interior.stats.relayed_copies > 0
         # aggregated stability advanced past zero on every member
         for pid in pids:
@@ -129,7 +135,7 @@ def test_stability_floor_zero_until_scope_complete():
         # before any summary exchange no neighbour has reported: the
         # floor must refuse to guess and the legacy minimum rules
         for pid in pids:
-            overlay = cluster.stacks[pid].group(1).romp.overlay
+            overlay = cluster.stacks[pid].group(1).dissemination
             assert overlay.stability_floor() == 0
         cluster.multicast(1, 1, b"payload")
         cluster.run_for(0.5)
@@ -137,7 +143,7 @@ def test_stability_floor_zero_until_scope_complete():
         # aggregated floor covers the delivered message
         for pid in pids:
             g = cluster.stacks[pid].group(1)
-            ts = g.romp.overlay.stability_floor()
+            ts = g.dissemination.stability_floor()
             assert ts > 0
             assert ts <= g.romp.ack_timestamp
     finally:
@@ -151,7 +157,7 @@ def test_stability_floor_is_monotone_within_view():
         for _ in range(20):
             cluster.multicast(1, 1, b"x")
             cluster.run_for(0.05)
-            seen.append(cluster.stacks[1].group(1).romp.overlay
+            seen.append(cluster.stacks[1].group(1).dissemination
                         .stability_floor())
         assert seen == sorted(seen)
         assert seen[-1] > 0
@@ -171,7 +177,7 @@ def test_progress_entries_merge_max_max():
     cluster = make_cluster((1, 2, 3, 4, 5), config=_overlay_cfg(), seed=11)
     try:
         cluster.run_for(0.05)
-        overlay = cluster.stacks[1].group(1).romp.overlay
+        overlay = cluster.stacks[1].group(1).dissemination
 
         def summary(src, entries):
             h = FTMPHeader(MessageType.ACK_SUMMARY, source=src, group=1,
