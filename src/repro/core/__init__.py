@@ -30,6 +30,7 @@ from .datapath import (
     ReceivePath,
     SendPath,
 )
+from .dissemination import Dissemination
 from .events import (
     ConnectionEvent,
     Delivery,
@@ -64,6 +65,7 @@ from .multigroup import (
     MULTI_GROUP_COMMUTATIVE_CID,
     MultiGroupEngine,
     MultiGroupStats,
+    SkeenOrdering,
     is_multigroup_delivery,
     is_total_multigroup_delivery,
     mg_request_num,
@@ -113,6 +115,7 @@ __all__ = [
     "MultiGroupCommitMessage",
     "MultiGroupEngine",
     "MultiGroupStats",
+    "SkeenOrdering",
     "MULTI_GROUP_CID",
     "MULTI_GROUP_COMMUTATIVE_CID",
     "mg_request_num",
@@ -136,6 +139,7 @@ __all__ = [
     "ORDER_INFO_CID",
     "LeaderOrdering",
     "LLFTStats",
+    "Dissemination",
     "OverlayDissemination",
     "OverlayStats",
     "unicast_address",

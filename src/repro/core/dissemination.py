@@ -14,7 +14,7 @@ from typing import Callable, Optional, Tuple
 
 from .messages import AckSummaryMessage, FTMPMessage
 
-__all__ = ["Dissemination"]
+__all__ = ["Dissemination", "Transmit", "Receive"]
 
 Transmit = Callable[[int, bytes], None]
 Receive = Callable[[FTMPMessage, bytes], None]

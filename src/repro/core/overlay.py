@@ -166,8 +166,10 @@ class OverlayDissemination(Dissemination):
         self._g = group
         self.stats = OverlayStats()
         self.extra_stats = (("overlay", self.stats),)
-        #: the flat (stack) transmit function, bound by :meth:`egress`
+        #: the flat transmit function and the receive path's entry, bound
+        #: once by :meth:`egress` / :meth:`ingress`
         self._flat: Transmit
+        self._receive: Receive
         self._active = False
         self._joined_addr: Optional[int] = None
         #: sorted tree membership (current view minus local suspects)
@@ -357,11 +359,12 @@ class OverlayDissemination(Dissemination):
     # ingress: relay + direct liveness evidence
     # ------------------------------------------------------------------
     def ingress(self, receive: Receive) -> Receive:
-        def on_datagram(msg: FTMPMessage, raw: bytes) -> None:
-            self._relay(msg, raw)
-            receive(msg, raw)
+        self._receive = receive
+        return self._on_datagram
 
-        return on_datagram
+    def _on_datagram(self, msg: FTMPMessage, raw: bytes) -> None:
+        self._relay(msg, raw)
+        self._receive(msg, raw)
 
     def _relay(self, msg: FTMPMessage, raw: bytes) -> None:
         """Observe one arriving datagram; relay Regulars down the tree.

@@ -49,8 +49,8 @@ def _violations(package: str, forbidden: tuple) -> list:
     return found
 
 
-ENGINE_NAME = re.compile(r"llft|overlay|multigroup", re.IGNORECASE)
 ENGINE_MODULES = ("llft", "overlay", "multigroup")
+ENGINE_NAME = re.compile("|".join(ENGINE_MODULES), re.IGNORECASE)
 #: file -> may name an engine on its engine import lines and inside these
 #: (class, function) bodies
 ENGINE_FREE = {
