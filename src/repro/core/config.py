@@ -25,14 +25,11 @@ class ClockMode:
 _DISCIPLINE_NEEDS = {
     "llft_mode": (
         "the leader fast path assumes flat dissemination of the leader stream",
-        "the leader releases ahead of stability, so nothing ever reaches "
-        "the safe hold",
+        "the leader releases ahead of stability: nothing reaches the safe hold",
     ),
     "multigroup_mode": (
-        "over the tree a side group delivered 0 of 110 multi-group messages "
-        "that the other addressed group delivered (non-atomic)",
-        "the commit wait already spans groups and safe delivery would "
-        "deadlock against it",
+        "over the tree a side group delivered 0 of 110 multi-group messages (non-atomic)",
+        "the commit wait spans groups; safe delivery would deadlock against it",
     ),
 }
 

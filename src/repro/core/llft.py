@@ -364,13 +364,9 @@ class LeaderOrdering(ROMP):
                          and m.header.sequence_number <= cut_seq), None)
         return q[0] if q[0].header.sequence_number <= cut_seq else None
 
-    def _replay_step(
-        self,
-        lead: int,
-        cut_seq: float = float("inf"),
-        survivors: Optional[FrozenSet[int]] = None,
-        targets: Optional[Dict[int, int]] = None,
-    ) -> bool:
+    def _replay_step(self, lead: int, cut_seq: float = float("inf"),
+                     survivors: Optional[FrozenSet[int]] = None,
+                     targets: Optional[Dict[int, int]] = None) -> bool:
         """Consume the next item of ``lead``'s stream; False when there is
         none or it is blocked on a missing target (NACK pending)."""
         item = self._next_in_stream(lead, cut_seq)

@@ -166,10 +166,6 @@ class OverlayDissemination(Dissemination):
         self._g = group
         self.stats = OverlayStats()
         self.extra_stats = (("overlay", self.stats),)
-        #: the flat transmit function and the receive path's entry, bound
-        #: once by :meth:`egress` / :meth:`ingress`
-        self._flat: Transmit
-        self._receive: Receive
         self._active = False
         self._joined_addr: Optional[int] = None
         #: sorted tree membership (current view minus local suspects)

@@ -292,6 +292,10 @@ class AioFabric:
         transport, _ = await self._loop.create_datagram_endpoint(
             lambda: _EndpointProtocol(ep), sock=sock
         )
+        # asyncio allocates max_size (256 KiB) per recvfrom; whether glibc
+        # trims the heap after each one depends on heap layout, which made
+        # CPU per delivery bimodal (2x the page faults) for identical code
+        transport.max_size = 65535  # no UDP datagram is larger
         ep._transport = transport
         ep._sock = sock
         self._local[pid] = ep

@@ -198,7 +198,13 @@ async def run_worker(spec: dict) -> int:
         run_deadline = t_start + run_timeout
         while len(log.deliveries) < expected and time.monotonic() < run_deadline:
             await asyncio.sleep(0.01)
-        await producer
+        # done unless the deadline passed mid-send: the shortfall is then
+        # the result, not something to finish sending first
+        producer.cancel()
+        try:
+            await producer
+        except asyncio.CancelledError:
+            pass
         # the failover is asynchronous (shard EOF, then the in-core bind):
         # report only once the snapshot below can show it
         while (chaos_kill_shard and not fabric.stat_shard_failovers

@@ -87,9 +87,9 @@ def test_cluster_result_surfaces_worker_shortfall():
     """A run that cannot finish reports not-ok instead of hanging."""
     spec = ClusterSpec(
         processes=2,
-        messages_per_process=10_000,
+        messages_per_process=100_000,
         mode="loopback",
-        run_timeout=0.5,  # far too short: workers must report a shortfall
+        run_timeout=0.5,  # far too short on any host: 400k deliveries/s
         warmup_timeout=30.0,
     )
     result = run_cluster(spec)
