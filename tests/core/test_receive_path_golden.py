@@ -1,5 +1,5 @@
 """Golden equivalence gate for the receive path (decode → RMP → ROMP →
-delivery): twelve seeded scenarios must reproduce, bit for bit, the
+delivery): twenty seeded scenarios must reproduce, bit for bit, the
 delivery orders, layer counters and wire totals recorded on the reference
 commit.  ``receive_path_golden.py`` defines the scenarios and records
 ``tests/data/golden/receive_path.json``; re-record only with a change
@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from receive_path_golden import CASES, GOLDEN, observe
+from receive_path_golden import BATCHED, CASES, GOLDEN, MODES, observe
 
 
 @pytest.fixture(scope="module")
@@ -27,3 +27,23 @@ def test_receive_path_matches_golden(golden, mode, scenario):
              if want["counters"].get(k) != v}
     assert not moved, f"layer counters moved (golden, now): {moved}"
     assert got == want  # deliveries, counter key set, datagram and byte totals
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("scenario", BATCHED)
+def test_batched_scenarios_pin_batch_reception(golden, mode, scenario):
+    """What the file pins about BATCH reception is only as good as the
+    share of messages that arrive that way: at least 70 % of what RMP
+    handed up came out of BATCH datagrams, of four or more parts on
+    average, and (``saturate``) loss left gaps between them."""
+    counters = golden[f"{mode}/{scenario}"]["counters"]
+
+    def total(name):
+        return sum(v for k, v in counters.items() if k.endswith("." + name))
+
+    assert total("batch.messages_unbatched") >= 0.7 * total("rmp.delivered")
+    assert total("batch.messages_unbatched") >= 4 * total("batch.batches_received")
+    assert total("flow.sends_released") > 0
+    assert total("batch.batch_decode_errors") == 0
+    if scenario == "saturate":
+        assert total("rmp.nacks_sent") > 0
