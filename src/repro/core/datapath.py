@@ -634,6 +634,13 @@ class ReceivePath:
                 except CodecError:
                     self._batch.batch_decode_errors += 1
                     continue
+                if inner.__class__ is BatchMessage:
+                    # The send path never nests (``_batchable`` admits
+                    # Regular only), and thousands of nested envelopes
+                    # fit one datagram: recursing into them is a stack
+                    # depth the sender chooses.
+                    self._batch.batch_decode_errors += 1
+                    continue
                 self._batch.messages_unbatched += 1
                 self.on_datagram(inner, part)
             return
