@@ -114,6 +114,9 @@ class GroupContext(Protocol):
     membership: Tuple[int, ...]
     view_timestamp: int
     joining: bool
+    #: the group has been shut down (we left, were evicted, or the stack
+    #: stopped): nothing further may be delivered into it
+    stopped: bool
     #: (timestamp, source) of the AddProcessor admitting this processor
     join_barrier: Optional[Tuple[int, int]]
     #: (timestamp, source) keys grandfathered by a fault view — queued
@@ -627,22 +630,7 @@ class ReceivePath:
         if g.stopped:
             return
         if msg.__class__ is BatchMessage:
-            self._batch.batches_received += 1
-            for part in msg.parts:
-                try:
-                    inner = decode(part)
-                except CodecError:
-                    self._batch.batch_decode_errors += 1
-                    continue
-                if inner.__class__ is BatchMessage:
-                    # The send path never nests (``_batchable`` admits
-                    # Regular only), and thousands of nested envelopes
-                    # fit one datagram: recursing into them is a stack
-                    # depth the sender chooses.
-                    self._batch.batch_decode_errors += 1
-                    continue
-                self._batch.messages_unbatched += 1
-                self.on_datagram(inner, part)
+            self._on_batch(msg)
             return
         if g.joining:
             # A new member seeds provisional state from the AddProcessor
@@ -669,6 +657,43 @@ class ReceivePath:
             g.rmp.on_message(msg)
         finally:
             self.current_raw = None
+
+    def _on_batch(self, msg: BatchMessage) -> None:
+        """Unpack one envelope.  Its parts are one sender's messages in
+        the order it sent them; where the codec decoded them in the
+        envelope's pass they are a run of Regulars, which RMP takes as
+        one (:meth:`RMP.on_run`) as far as it is the in-order stream —
+        the rest, and every batch of anything else, goes part by part
+        through :meth:`on_datagram`, the general path."""
+        g = self._g
+        batch = self._batch
+        batch.batches_received += 1
+        parts = msg.parts
+        run = msg.decoded
+        if run is not None:
+            batch.messages_unbatched += len(run)
+            taken = 0
+            # the ``recv`` trace events and the join gate are per part
+            if run and not g.joining and g._stack.tracer is None:
+                taken = g.rmp.on_run(run, parts)
+            for i in range(taken, len(run)):
+                self.on_datagram(run[i], parts[i])
+            return
+        for part in parts:
+            try:
+                inner = decode(part)
+            except CodecError:
+                batch.batch_decode_errors += 1
+                continue
+            if inner.__class__ is BatchMessage:
+                # The send path never nests (``_batchable`` admits
+                # Regular only), and thousands of nested envelopes
+                # fit one datagram: recursing into them is a stack
+                # depth the sender chooses.
+                batch.batch_decode_errors += 1
+                continue
+            batch.messages_unbatched += 1
+            self.on_datagram(inner, part)
 
 
 class ProcessorGroup:

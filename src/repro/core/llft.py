@@ -234,6 +234,12 @@ class LeaderOrdering(ROMP):
                 q.append(msg)
         return True
 
+    def receive_run(self, run, raws, start, stop) -> Tuple[int, bool]:
+        """Declined: taking a message can announce and deliver it on the
+        spot (:meth:`_take_ordered`), so RMP has to be at that message
+        first — the run goes message by message."""
+        return 0, False
+
     # ------------------------------------------------------------------
     # the leader side: assigning positions
     # ------------------------------------------------------------------

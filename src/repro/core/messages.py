@@ -13,7 +13,7 @@ and start at 1; sequence number 0 means "no reliable message sent yet".
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from .constants import MAGIC, VERSION_MAJOR, VERSION_MINOR, MessageType
 
@@ -204,6 +204,12 @@ class BatchMessage:
 
     header: FTMPHeader
     parts: Tuple[bytes, ...]
+    #: decode side only: ``decode(part)`` of every part, in order, when the
+    #: codec built them in the envelope's pass (all parts compact,
+    #: well-formed Regulars) — a cache of ``parts``, so it takes no part
+    #: in equality and :func:`~repro.core.wire.encode` ignores it
+    decoded: Optional[Tuple[RegularMessage, ...]] = field(
+        default=None, compare=False, repr=False)
 
 
 @dataclass(slots=True)

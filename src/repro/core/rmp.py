@@ -22,7 +22,7 @@ has been ordered locally.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional, Set
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Set
 
 from .constants import RELIABLE_TYPES, MessageType
 from .messages import (
@@ -163,6 +163,54 @@ class RMP:
             st.pending[seq] = msg
             self.stats.out_of_order += 1
             self._note_gap(src, st)
+
+    def on_run(self, run: Sequence[FTMPMessage], raws: Sequence[bytes]) -> int:
+        """The Regulars of one BATCH datagram, ``raws`` their wire bytes:
+        take as many leading ones as are this source's in-order stream
+        with nothing outstanding — :meth:`_on_reliable`'s shortcut, for
+        the run — and return how many; the caller routes the rest one by
+        one.  0 has touched nothing.
+
+        The ordering layer folds the messages in up to the first one
+        after which its gate has to be entered (``receive_run``); this
+        layer's own state is then advanced over exactly those before the
+        gate is, so a delivery — an ordered membership change, a
+        listener reading sequence vectors — finds RMP where the
+        one-by-one path would have it.  After every gate entry the
+        preconditions are tested again: the gate may have dropped or
+        re-based this source, or stopped the group.
+        """
+        src = run[0].header.source
+        st = self._sources.get(src)
+        if st is None:
+            return 0
+        # the in-order prefix: consecutive from the next expected number,
+        # none a retransmitted copy (that one may cancel an answer of ours)
+        first = seq = st.next_seq
+        stop = 0
+        for msg in run:
+            h = msg.header
+            if h.sequence_number != seq or h.retransmission:
+                break
+            seq += 1
+            stop += 1
+        g = self._g
+        romp = g.romp
+        taken = 0
+        while (taken < stop and st.next_seq == first + taken and not st.pending
+               and st.nack_timer is None and st.deferred_heartbeat is None
+               and st.highest_heard <= st.next_seq
+               and self._sources.get(src) is st and not g.stopped):
+            n, gate_due = romp.receive_run(run, raws, taken, stop)
+            if not n:
+                break
+            taken += n
+            st.next_seq = first + taken
+            st.highest_heard = st.next_seq - 1
+            self.stats.delivered += n
+            if gate_due:
+                romp.evaluate()
+        return taken
 
     def _advance(self, src: int, st: SourceState, first: Optional[FTMPMessage]) -> None:
         """Deliver ``first`` plus any now-contiguous pending messages upward."""

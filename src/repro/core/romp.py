@@ -55,7 +55,17 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Deque, Dict, FrozenSet, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Deque,
+    Dict,
+    FrozenSet,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from .constants import TOTALLY_ORDERED_TYPES, MessageType
 from .messages import FTMPHeader, FTMPMessage, HeartbeatMessage
@@ -273,6 +283,95 @@ class ROMP:
         if depth > self.stats.max_queue_depth:
             self.stats.max_queue_depth = depth
         return True
+
+    def receive_run(self, run: Sequence[FTMPMessage], raws: Sequence[bytes],
+                    start: int, stop: int) -> Tuple[int, bool]:
+        """Discipline hook — take ``run[start:stop]``, consecutive in-order
+        Regulars of one source out of one datagram, up to the first one
+        after which the gate has to be entered.
+
+        Per message exactly what :meth:`observe_header`, RMP's retention
+        (of ``raws[i]``, the message's wire bytes) and :meth:`receive`
+        do, in that order, except :meth:`evaluate`: returns ``(taken,
+        due)`` with the gate *not* entered, ``due`` telling the caller to
+        enter it once its own state covers the ``taken`` messages — so
+        whatever the gate delivers into sees every layer at the same
+        message.  The gate is due when it could do more than look at the
+        head and leave: a safe hold, a fault-view drain, stale stability,
+        an out-of-band floor or a send barrier exists, or the live cover
+        minimum has reached the head's timestamp.  ``note_alive`` once
+        per datagram (``start == 0``): its second call at the same
+        instant rewrites what the first wrote.  A discipline that
+        replaces :meth:`_take_ordered` or :meth:`evaluate` replaces this
+        too; ``(0, False)`` has the caller feed the run message by
+        message.
+        """
+        g = self._g
+        observe = g.clock.observe
+        retain = g.buffer.add
+        peer_ack = self._peer_ack
+        order = self._order_ts
+        queue = self._queue
+        queue_keys = self._queue_keys
+        src = run[start].header.source
+        self._observed = None
+        forced = bool(self._unsafe or self._transition is not None
+                      or self._stability_stale or self._floor is not None
+                      or self._send_barrier is not None)
+        for i in range(start, stop):
+            msg = run[i]
+            h = msg.header
+            ts = h.timestamp
+            observe(ts)
+            ack = h.ack_timestamp
+            if ack > peer_ack.get(src, 0):
+                peer_ack[src] = ack
+                if src in self._gate_set:
+                    heapq.heappush(self._ack_heap, (ack, src))
+                self._maybe_collect()
+            if i == 0:
+                g.note_alive(src)
+            retain(src, h.sequence_number, ts, raws[i])
+            if ts > order.get(src, 0):
+                order[src] = ts
+                if src in self._gate_set:
+                    heapq.heappush(self._cover_heap, (ts, src))
+            if g.membership is not self._gate_members:
+                self._sync_gate()
+                forced = True  # the rebuild left stability stale
+            if src not in self._gate_set:
+                # as _take_ordered: staged, and nothing to evaluate
+                stage = self._staging.setdefault(src, [])
+                if len(stage) < self._STAGING_CAP:
+                    stage.append(msg)
+                continue
+            key = (ts, src)
+            if key not in queue_keys:
+                queue_keys.add(key)
+                index = self._by_src.get(src)
+                if index is None:
+                    index = self._by_src[src] = {}
+                index[ts] = h.sequence_number
+                heapq.heappush(queue, (ts, src, self._insertion, msg))
+                self._insertion += 1
+                depth = len(queue)
+                if depth > self.stats.max_queue_depth:
+                    self.stats.max_queue_depth = depth
+            if forced:
+                return i + 1 - start, True
+            # evaluate()'s own first look: the live cover minimum against
+            # the head
+            heap = self._cover_heap
+            while heap:
+                cover, p = heap[0]
+                if order.get(p, 0) == cover:
+                    break
+                heapq.heappop(heap)
+            else:
+                cover = 0
+            if cover >= queue[0][0]:
+                return i + 1 - start, True
+        return stop - start, False
 
     def receive_heartbeat(self, msg: HeartbeatMessage) -> None:
         """A heartbeat whose seq is contiguous with its source's stream."""

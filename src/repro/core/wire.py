@@ -56,7 +56,11 @@ body stores one compact record per part instead of each part's full
 The receiver reconstructs each part's full wire encoding byte-for-byte
 (the elided fields come from the envelope header), so retention and
 retransmission identity are untouched: a reconstructed part is
-indistinguishable from the sender's original encoding.
+indistinguishable from the sender's original encoding.  When every
+record is a compact, well-formed Regular — what the send path coalesces —
+the same pass also builds each part's message
+(:attr:`~repro.core.messages.BatchMessage.decoded`), so the receive
+path does not decode what was just packed.
 """
 
 from __future__ import annotations
@@ -167,6 +171,12 @@ _BATCH_REC = {
     True: struct.Struct("<BBIQQH"),
     False: struct.Struct(">BBIQQH"),
 }
+#: a compact record and the fixed Regular body prefix behind it
+#: (connection id x4, request num, payload len), read in one unpack
+_BATCH_REC_REGULAR = {
+    True: struct.Struct("<BBIQQHIIIIQI"),
+    False: struct.Struct(">BBIQQHIIIIQI"),
+}
 #: verbatim BATCH part record: 0x80 marker, full part length
 _BATCH_VERBATIM = {
     True: struct.Struct("<BI"),
@@ -188,6 +198,8 @@ _REGULAR = int(MessageType.REGULAR)
 _HEARTBEAT = int(MessageType.HEARTBEAT)
 #: header + fixed Regular body prefix: where a Regular's payload starts
 _REGULAR_FIXED = _HDR_REGULAR[True].size
+_REGULAR_BODY_FIXED = _REGULAR_FIXED - HEADER_SIZE
+_VERSION = (VERSION_MAJOR, VERSION_MINOR)
 
 _Buffer = Union[bytes, bytearray, memoryview]
 
@@ -601,6 +613,52 @@ def peek_header(data: _Buffer) -> FTMPHeader:
     )
 
 
+def _decode_regular_run(h: FTMPHeader, data: _Buffer, little: bool, count: int,
+                        pos: int) -> Optional[BatchMessage]:
+    """A Batch whose ``count`` records are all compact Regulars, with each
+    part's message built in the pass that reconstructs its bytes.
+
+    Makes exactly the checks :func:`decode` makes on the reconstructed
+    part — type, endianness bit equal to the envelope's (the elided
+    fields were packed with it), body at least the fixed Regular prefix,
+    payload inside the body; magic and size field hold by construction —
+    so ``decoded[i] == decode(parts[i])`` field for field.  None as soon
+    as one record is anything else (verbatim, another type, malformed,
+    truncated): :func:`_decode_batch` then takes the batch from the top,
+    and names the failure or leaves the part to the receive path.
+    """
+    n = len(data)
+    fused = _BATCH_REC_REGULAR[little]
+    pack_header = _HDR[little].pack
+    endian_bit = _FLAG_LITTLE_ENDIAN if little else 0
+    source, group = h.source, h.group
+    parts = []
+    decoded = []
+    for _ in range(count):
+        if pos + fused.size > n:
+            return None
+        (pflags, ptype, pseq, pts, pack_ts, blen,
+         cd, cg, sd, sg, req, plen) = fused.unpack_from(data, pos)
+        body = pos + _BATCH_REC_SIZE
+        pos = body + blen
+        if (ptype != _REGULAR
+                or pflags & (_REC_VERBATIM | _FLAG_LITTLE_ENDIAN) != endian_bit
+                or _REGULAR_BODY_FIXED + plen > blen or pos > n):
+            return None
+        size = HEADER_SIZE + blen
+        part = pack_header(MAGIC, VERSION_MAJOR, VERSION_MINOR, pflags, ptype,
+                           size, source, group, pseq, pts, pack_ts
+                           ) + bytes(data[body:pos])
+        parts.append(part)
+        decoded.append(RegularMessage(
+            FTMPHeader(MessageType.REGULAR, source, group, pseq, pts, pack_ts,
+                       bool(pflags & _FLAG_RETRANSMISSION), little, size,
+                       MAGIC, _VERSION),
+            ConnectionId(cd, cg, sd, sg), req,
+            part[_REGULAR_FIXED:_REGULAR_FIXED + plen]))
+    return BatchMessage(h, tuple(parts), tuple(decoded))
+
+
 def _decode_batch(h: FTMPHeader, data: _Buffer, little: bool) -> BatchMessage:
     """Unpack a Batch envelope, reconstructing each part's full encoding.
 
@@ -618,6 +676,9 @@ def _decode_batch(h: FTMPHeader, data: _Buffer, little: bool) -> BatchMessage:
         raise CodecError("truncated FTMP message body")
     (count,) = u16.unpack_from(data, pos)
     pos += 2
+    run = _decode_regular_run(h, data, little, count, pos)
+    if run is not None:
+        return run
     parts = []
     for _ in range(count):
         if pos >= n:
