@@ -314,7 +314,6 @@ class ROMP:
         queue = self._queue
         queue_keys = self._queue_keys
         src = run[start].header.source
-        self._observed = None
         forced = bool(self._unsafe or self._transition is not None
                       or self._stability_stale or self._floor is not None
                       or self._send_barrier is not None)

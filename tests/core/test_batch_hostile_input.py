@@ -1,78 +1,360 @@
-"""Hostile BATCH input at the receive path.
+"""Hostile BATCH input, at the codec and at the receive path.
 
 A BATCH datagram is the one FTMP message whose body is other messages, so
 it is where a sender chooses how much work one datagram costs its
-receivers.  Whatever arrives: ``CodecError`` (counted by the stack as a
-decode error) or a counted per-part drop, nothing else escapes
-``FTMPStack._on_datagram``, and one bad part costs that part only.
+receivers — and since the codec decodes well-formed compact Regular
+records in the envelope's pass (``BatchMessage.decoded``) and RMP / ROMP
+take them as a run, it is also where a second way through the receiver
+begins.  Records are laid out by hand here so that every fault can be
+planted in a *compact* record (``encode`` would store the damaged part
+verbatim).  Whatever arrives:
+
+* ``CodecError`` (counted by the stack as a decode error) or a counted
+  per-part drop — nothing else escapes ``FTMPStack._on_datagram``, and
+  one bad part costs that part only;
+* the in-pass decode accepts and rejects exactly what the record-by-record
+  loop does, with the same parts, and wherever it yields a message that
+  message equals ``decode(part)`` of the reconstructed part field for
+  field, ``bytes`` payload included when the datagram was a ``memoryview``;
+* a receiver fed the datagrams ends in the same state, counters and
+  deliveries as one that was denied the in-pass decode and so took every
+  part one by one.
 """
 
-from repro.core import FTMPConfig, FTMPStack, MessageType, RecordingListener
-from repro.core.messages import BatchMessage, ConnectionId, FTMPHeader, RegularMessage
-from repro.core.wire import encode
+import struct
+from unittest import mock
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.core import FTMPConfig, FTMPStack, MessageType, RecordingListener, wire
+from repro.core.constants import MAGIC, VERSION_MAJOR, VERSION_MINOR
+from repro.core.messages import (
+    BatchMessage,
+    ConnectionId,
+    FTMPHeader,
+    HeartbeatMessage,
+    RegularMessage,
+)
+from repro.core.wire import CodecError, decode, decode_view, encode
 from repro.simnet import Network, lan
 
 GROUP, ADDRESS = 1, 5001
+SENDER = 2  #: the source every hand-built BATCH claims
+PEER = 3  #: a third member, heard only through hand-built heartbeats
+LITTLE, RETRANSMISSION, VERBATIM = 0x01, 0x02, 0x80
 
 
-def envelope(parts, source=2, little=True):
-    return encode(BatchMessage(
-        FTMPHeader(MessageType.BATCH, source=source, group=GROUP, sequence_number=0,
-                   timestamp=0, ack_timestamp=0, little_endian=little),
-        tuple(parts)))
+# ----------------------------------------------------------------------
+# hand-laid records (wire.py's module docstring has the format)
+# ----------------------------------------------------------------------
+def heartbeat(source, ts, ack=0, seq=0):
+    return encode(HeartbeatMessage(FTMPHeader(
+        MessageType.HEARTBEAT, source=source, group=GROUP, sequence_number=seq,
+        timestamp=ts, ack_timestamp=ack)))
 
 
-def regular(seq, ts, source=2, payload=b"x", little=True, retransmission=False):
+def regular_body(payload, e, *, plen=None, request_num=0):
+    return struct.pack(e + "IIIIQI", 0, 0, 0, 0, request_num,
+                       len(payload) if plen is None else plen) + payload
+
+
+def compact(body, e, *, seq, ts, ack=0, flags=0, mtype=MessageType.REGULAR, blen=None):
+    endian = LITTLE if e == "<" else 0
+    return struct.pack(e + "BBIQQH", flags ^ endian, int(mtype), seq, ts, ack,
+                       len(body) if blen is None else blen) + body
+
+
+def verbatim(part, e, *, plen=None):
+    return struct.pack(e + "BI", VERBATIM, len(part) if plen is None else plen) + part
+
+
+def full_regular(seq, ts, e, *, source=SENDER, payload=b"x", retransmission=False):
     return encode(RegularMessage(
         FTMPHeader(MessageType.REGULAR, source=source, group=GROUP, sequence_number=seq,
-                   timestamp=ts, ack_timestamp=0, little_endian=little,
+                   timestamp=ts, ack_timestamp=0, little_endian=e == "<",
                    retransmission=retransmission),
         ConnectionId.none(), seq, payload))
 
 
-def live_pair(seed=1):
-    """Two founding members with heartbeats flowing; returns member 1's
-    stack, its listener and the network."""
+def envelope(records, e="<", *, count=None, source=SENDER):
+    body = struct.pack(e + "H", len(records) if count is None else count) + b"".join(records)
+    return struct.pack(e + "4sBBBBIIIIQQ", MAGIC, VERSION_MAJOR, VERSION_MINOR,
+                       LITTLE if e == "<" else 0, int(MessageType.BATCH),
+                       40 + len(body), source, GROUP, 0, 0, 0) + body
+
+
+#: record kind -> builder(e, seq, ts, payload); the first row is what the
+#: send path coalesces, every other one a way for a record to be different
+RECORDS = {
+    "regular": lambda e, seq, ts, p: compact(regular_body(p, e), e, seq=seq, ts=ts,
+                                             ack=max(0, ts - len(p))),
+    "retransmitted": lambda e, seq, ts, p: compact(
+        regular_body(p, e), e, seq=seq, ts=ts, flags=RETRANSMISSION),
+    "spare_flag_bits": lambda e, seq, ts, p: compact(
+        regular_body(p, e), e, seq=seq, ts=ts, flags=0x44),
+    "trailing_body_bytes": lambda e, seq, ts, p: compact(
+        regular_body(p, e) + b"\0\0\0", e, seq=seq, ts=ts),
+    "verbatim": lambda e, seq, ts, p: verbatim(full_regular(seq, ts, e, payload=p), e),
+    "verbatim_foreign_source": lambda e, seq, ts, p: verbatim(
+        full_regular(seq, ts, e, source=9, payload=p), e),
+    "heartbeat": lambda e, seq, ts, p: compact(
+        b"", e, seq=seq, ts=ts, mtype=MessageType.HEARTBEAT),
+    "unknown_type": lambda e, seq, ts, p: compact(
+        regular_body(p, e), e, seq=seq, ts=ts, mtype=0xEE),
+    "endianness_flipped": lambda e, seq, ts, p: compact(
+        regular_body(p, e), e, seq=seq, ts=ts, flags=LITTLE),
+    "payload_past_body": lambda e, seq, ts, p: compact(
+        regular_body(p, e, plen=len(p) + 1), e, seq=seq, ts=ts),
+    "payload_length_huge": lambda e, seq, ts, p: compact(
+        regular_body(p, e, plen=0xFFFFFFFF), e, seq=seq, ts=ts),
+    "body_short_of_regular_prefix": lambda e, seq, ts, p: compact(
+        regular_body(p, e)[:27], e, seq=seq, ts=ts),
+    "body_length_past_end": lambda e, seq, ts, p: compact(
+        regular_body(p, e), e, seq=seq, ts=ts, blen=0xFFFF),
+    "verbatim_length_past_end": lambda e, seq, ts, p: verbatim(
+        full_regular(seq, ts, e, payload=p), e, plen=0xFFFFFF),
+    "nested_batch": lambda e, seq, ts, p: compact(
+        struct.pack(e + "H", 1) + compact(regular_body(p, e), e, seq=seq, ts=ts),
+        e, seq=0, ts=0, mtype=MessageType.BATCH),
+}
+#: kinds the in-pass decode takes: a datagram of these alone has a run
+RUN_KINDS = ("regular", "retransmitted", "spare_flag_bits", "trailing_body_bytes")
+
+endianness = st.sampled_from("<>")
+clean_kinds = st.sampled_from(RUN_KINDS + ("regular",) * 4)
+hostile_kinds = st.sampled_from(sorted(RECORDS)) | clean_kinds
+#: a record's sequence number and timestamp relative to what an in-order
+#: stream would carry next: mostly exactly that, so runs do form
+steps = st.sampled_from([0, 0, 0, 0, 0, 1, 2, -1])
+ENVELOPE_DAMAGE = ["none", "none", "none", "prefix", "count_over", "count_under"]
+
+
+@st.composite
+def sessions(draw, max_datagrams=1, peer=False):
+    """BATCH datagrams one sender might emit in turn, each a ``(raw,
+    record kinds, envelope intact)`` triple; sequence numbers start at 2
+    and timestamps at 10.  With ``peer``, PEER's heartbeats come in
+    between: how far it has been heard is what lets the ordering gate
+    deliver — and its acknowledgements, stability move — part of the way
+    into a batch."""
+    seq, ts = 2, 10
+    out = []
+    for _ in range(draw(st.integers(1, max_datagrams))):
+        if peer and draw(st.booleans()):
+            heard = draw(st.integers(ts - 2, ts + 8))
+            out.append((heartbeat(PEER, heard, ack=draw(st.integers(0, heard))), [], True))
+        e = draw(endianness)
+        # half the datagrams are what a sender would emit, so that the
+        # faults in the other half meet a receiver in mid-stream
+        hostile = draw(st.booleans())
+        records, record_kinds = [], []
+        for _ in range(draw(st.integers(0, 6) if hostile else st.integers(1, 8))):
+            kind = draw(hostile_kinds if hostile else clean_kinds)
+            step = draw(steps) if hostile else 0
+            records.append(RECORDS[kind](e, seq + step, ts + step, draw(st.binary(max_size=12))))
+            record_kinds.append(kind)
+            if step == 0:
+                seq, ts = seq + 1, ts + 1
+        damage = draw(st.sampled_from(ENVELOPE_DAMAGE)) if hostile else "none"
+        count = None
+        if damage == "count_over":
+            count = len(records) + draw(st.integers(1, 3))
+        elif damage == "count_under" and records:
+            count = len(records) - 1
+        raw = envelope(records, e, count=count)
+        if damage == "prefix":
+            # the size field goes on announcing the whole datagram, as if
+            # the tail were lost; a second variant repairs it so that
+            # the cut is found inside the records
+            cut = draw(st.integers(0, len(raw)))
+            raw = raw[:cut]
+            if cut >= 12 and draw(st.booleans()):
+                raw = raw[:8] + struct.pack(e + "I", cut) + raw[12:]
+        out.append((raw, record_kinds, damage in ("none", "count_under")))
+    return out
+
+
+def decoded_or_error(data):
+    try:
+        return decode(data)
+    except CodecError as exc:
+        return str(exc)
+
+
+def without_in_pass_decode():
+    """The codec as it was: every batch through the record-by-record loop."""
+    return mock.patch.object(wire, "_decode_regular_run", lambda *args: None)
+
+
+# ----------------------------------------------------------------------
+# the codec
+# ----------------------------------------------------------------------
+@settings(max_examples=400, deadline=None)
+@given(sessions(), st.sampled_from([bytes, memoryview]))
+@example([(envelope([], "<"), [], True)], bytes)
+@example([(envelope([], ">", count=2), [], False)], memoryview)
+def test_in_pass_decode_is_the_record_loop_and_decode_of_each_part(session, buffer):
+    (raw, kinds, intact), = session
+    got = decoded_or_error(buffer(raw))
+    with without_in_pass_decode():
+        want = decoded_or_error(buffer(raw))
+    # same verdict, named the same; same parts, byte for byte
+    assert got == want
+    if isinstance(got, str):
+        return
+    assert all(type(p) is bytes for p in got.parts)
+    assert want.decoded is None
+    if got.decoded is None:
+        # declined: some record is not a well-formed compact Regular
+        assert not intact or not all(k in RUN_KINDS for k in kinds)
+        return
+    if intact and kinds:
+        assert all(k in RUN_KINDS for k in kinds[:len(got.parts)])
+    assert len(got.decoded) == len(got.parts)
+    for message, part in zip(got.decoded, got.parts):
+        assert message == decode(part)
+        assert type(message) is RegularMessage and type(message.payload) is bytes
+    # a cache of ``parts``: no part in equality, nothing on the wire
+    assert got == BatchMessage(got.header, got.parts)
+    assert encode(got) == encode(BatchMessage(got.header, got.parts))
+
+
+@pytest.mark.parametrize("e", "<>")
+def test_what_the_send_path_coalesces_decodes_in_the_envelope_pass(e):
+    parts = tuple(full_regular(seq, 10 + seq, e, payload=b"p" * seq) for seq in range(1, 9))
+    sent = encode(BatchMessage(
+        FTMPHeader(MessageType.BATCH, source=SENDER, group=GROUP, sequence_number=0,
+                   timestamp=0, ack_timestamp=0, little_endian=e == "<"), parts))
+    for data in (sent, memoryview(sent)):
+        for got in (decode(data), decode_view(data)):
+            assert got.parts == parts
+            assert got.decoded == tuple(decode(p) for p in parts)
+            assert all(type(m.payload) is bytes for m in got.decoded)
+
+
+# ----------------------------------------------------------------------
+# the receive path
+# ----------------------------------------------------------------------
+def receiver(seed=1):
+    """Member 1 of the group (1, SENDER, PEER), alone on its network:
+    the other two exist only as the datagrams it is handed.  It has had
+    SENDER's message 1 (RMP expects 2 next) and has heard itself far
+    past every timestamp used here, so what it can deliver is set by
+    how far the other two have been heard."""
     net = Network(lan(), seed=seed)
-    stacks, listeners = {}, {}
-    for p in (1, 2):
-        listeners[p] = RecordingListener()
-        stacks[p] = FTMPStack(net.endpoint(p), FTMPConfig(), listeners[p])
-        stacks[p].create_group(GROUP, ADDRESS, (1, 2))
-    net.run_for(0.05)
-    return stacks, listeners, net
+    listener = RecordingListener()
+    stack = FTMPStack(net.endpoint(1), FTMPConfig(), listener)
+    stack.create_group(GROUP, ADDRESS, (1, SENDER, PEER))
+    stack.clock.observe(500)
+    net.run_for(0.05)  # its own heartbeats, looped back
+    assert stack._groups[GROUP].romp.order_ts(1) > 500
+    stack._on_datagram(full_regular(1, 5, "<"))
+    return stack, listener, net
+
+
+def state_of(stack, listener):
+    g = stack._groups[GROUP]
+    return {
+        "counters": stack.snapshot(),
+        "deliveries": [(d.source, d.sequence_number, d.timestamp, d.payload)
+                       for d in listener.deliveries],
+        "rmp": {src: (s.next_seq, s.highest_heard, sorted(s.pending),
+                      s.nack_timer is not None, s.deferred_heartbeat is not None)
+                for src, s in g.rmp.sources().items()},
+        "retained": sorted(k for k in g.buffer._store),
+        "queued": g.romp.queued(),
+        "order_ts": dict(g.romp._order_ts),
+        "peer_ack": dict(g.romp._peer_ack),
+        "clock": stack.clock.time,
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(sessions(max_datagrams=3, peer=True), st.sampled_from([bytes, memoryview]))
+def test_nothing_escapes_and_the_run_path_ends_where_part_by_part_does(session, buffer):
+    (fast, fast_l, fast_net), (slow, slow_l, slow_net) = receiver(), receiver()
+    for raw, _kinds, _intact in session:
+        fast._on_datagram(buffer(raw))  # must not raise, whatever ``raw`` is
+        with without_in_pass_decode():
+            slow._on_datagram(buffer(raw))
+        assert state_of(fast, fast_l) == state_of(slow, slow_l)
+    # and after the NACK / heartbeat timers the datagrams armed have run
+    fast_net.run_for(0.05)
+    slow_net.run_for(0.05)
+    assert state_of(fast, fast_l) == state_of(slow, slow_l)
 
 
 def counter(stack, name):
     return stack.snapshot()[f"group.{GROUP}.{name}"]
 
 
+#: kind -> what the receiver counts for one such record between two good
+#: ones: (batch_decode_errors, messages_unbatched beyond the two)
+ONE_BAD_PART = {
+    "unknown_type": (1, 0),
+    "endianness_flipped": (1, 0),
+    "payload_past_body": (1, 0),
+    "payload_length_huge": (1, 0),
+    "body_short_of_regular_prefix": (1, 0),
+    "nested_batch": (1, 0),
+    "heartbeat": (0, 1),  # not an error: a heartbeat, handled as one
+}
+
+
+@pytest.mark.parametrize("e", "<>")
+@pytest.mark.parametrize("kind", sorted(ONE_BAD_PART))
+def test_one_bad_part_costs_that_part_only(kind, e):
+    errors, extra = ONE_BAD_PART[kind]
+    stack, listener, net = receiver()
+    good = RECORDS["regular"]
+    raw = envelope([good(e, 2, 11, b"a"), RECORDS[kind](e, 3, 12, b"b"),
+                    good(e, 3, 13, b"c")], e)
+    stack._on_datagram(raw)
+    assert counter(stack, "batch.batches_received") == 1
+    assert counter(stack, "batch.batch_decode_errors") == errors
+    assert counter(stack, "batch.messages_unbatched") == 2 + extra
+    assert counter(stack, "rmp.delivered") == 1 + 2
+    assert stack.snapshot()["stack.decode_errors"] == 0
+    assert stack._groups[GROUP].rmp.sources()[SENDER].next_seq == 4
+
+
+@pytest.mark.parametrize("kind", ["body_length_past_end", "verbatim_length_past_end"])
+def test_a_record_running_past_the_datagram_is_a_decode_error(kind):
+    stack, listener, net = receiver()
+    raw = envelope([RECORDS["regular"]("<", 2, 11, b"a"), RECORDS[kind]("<", 3, 12, b"b")])
+    stack._on_datagram(raw)
+    assert stack.snapshot()["stack.decode_errors"] == 1
+    assert counter(stack, "batch.batches_received") == 0
+    assert counter(stack, "rmp.delivered") == 1
+
+
 def test_nested_batch_is_dropped_and_counted_not_recursed_into():
     # 2,307 envelopes, each the single part of the next, fit one 59,998
     # byte datagram; following them was a RecursionError out of
     # FTMPStack._on_datagram
-    raw, depth = envelope([]), 1
-    while len(bigger := envelope([raw])) <= 59_999:
+    def wrap(parts):
+        return encode(BatchMessage(
+            FTMPHeader(MessageType.BATCH, source=SENDER, group=GROUP, sequence_number=0,
+                       timestamp=0, ack_timestamp=0), tuple(parts)))
+
+    raw, depth = wrap([]), 1
+    while len(bigger := wrap([raw])) <= 59_999:
         raw, depth = bigger, depth + 1
     assert depth > 2000
-    stacks, listeners, net = live_pair()
+    net = Network(lan(), seed=1)
+    stacks, listeners = {}, {}
+    for p in (1, SENDER):
+        listeners[p] = RecordingListener()
+        stacks[p] = FTMPStack(net.endpoint(p), FTMPConfig(), listeners[p])
+        stacks[p].create_group(GROUP, ADDRESS, (1, SENDER))
+    net.run_for(0.05)
     stacks[1]._on_datagram(raw)
     assert counter(stacks[1], "batch.batches_received") == 1
     assert counter(stacks[1], "batch.batch_decode_errors") == 1
     assert counter(stacks[1], "batch.messages_unbatched") == 0
     # the receiver is still a working member
-    stacks[2].multicast(GROUP, b"after")
+    stacks[SENDER].multicast(GROUP, b"after")
     net.run_for(0.05)
     assert [d.payload for d in listeners[1].deliveries] == [b"after"]
-
-
-def test_nested_batch_costs_that_part_only():
-    stacks, listeners, net = live_pair()
-    seq = stacks[2]._groups[GROUP].last_sent_seq
-    ts = stacks[2].clock.time
-    parts = [regular(seq + 1, ts + 1), envelope([regular(seq + 2, ts + 2)]),
-             regular(seq + 2, ts + 3)]
-    stacks[1]._on_datagram(envelope(parts))
-    assert counter(stacks[1], "batch.batch_decode_errors") == 1
-    assert counter(stacks[1], "batch.messages_unbatched") == 2
-    assert counter(stacks[1], "rmp.delivered") == 2

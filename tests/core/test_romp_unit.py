@@ -2,6 +2,9 @@
 
 from typing import List
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.core import FTMPConfig, LamportClock, MessageType, RetransmissionBuffer
 from repro.core.messages import FTMPHeader, HeartbeatMessage, RegularMessage, ConnectionId
 from repro.core.romp import ROMP
@@ -276,3 +279,302 @@ def test_send_barrier_clears_once_members_are_heard_past_it():
     romp.receive_heartbeat(heartbeat(2, 7))
     assert romp.can_send_ordered()
     assert g.barrier_cleared == 1
+
+
+# ----------------------------------------------------------------------
+# a run (the Regulars of one BATCH datagram) == the same messages one by one
+# ----------------------------------------------------------------------
+class RunGroup(MockGroup):
+    """MockGroup that applies an ordered RemoveProcessor the way the group
+    does — queue and source purged, membership tuple replaced, gate
+    re-entered — and keeps one log of everything delivered or reported."""
+
+    def __init__(self, membership, safe=False):
+        super().__init__(pid=1, membership=membership)
+        if safe:
+            self.config = FTMPConfig(delivery_mode="safe")
+        self.romp = None
+        self.log = []
+
+    def deliver_regular(self, msg):
+        self.log.append(("deliver", msg.header.timestamp, msg.header.source,
+                         self.clock.time, len(self.buffer)))
+
+    def pgmp_receive_ordered(self, msg):
+        gone = msg.member_to_remove
+        self.log.append(("remove", msg.header.timestamp, gone))
+        self.romp.purge_queue_of(gone)
+        self.romp.purge_source(gone)
+        self.membership = tuple(p for p in self.membership if p != gone)
+        self.romp.evaluate()
+
+    def on_stability_advance(self, stable):
+        self.log.append(("stable", stable, self.clock.time, self.romp.ack_timestamp))
+
+    def on_send_barrier_cleared(self):
+        self.log.append(("barrier cleared",))
+
+
+def remove_processor(src, ts, member, ack=0):
+    from repro.core.messages import RemoveProcessorMessage
+    return RemoveProcessorMessage(
+        FTMPHeader(MessageType.REMOVE_PROCESSOR, source=src, group=1,
+                   sequence_number=ts, timestamp=ts, ack_timestamp=ack),
+        member_to_remove=member)
+
+
+def romp_under(g):
+    """A ROMP on ``g`` whose every gate entry logs what it did."""
+    r = g.romp = ROMP(g)
+    inner = r.evaluate
+
+    def evaluate():
+        before = len(g.log)
+        inner()
+        if len(g.log) > before:
+            g.log.insert(before, ("gate", len(g.log) - before))
+
+    r.evaluate = evaluate
+    return r
+
+
+def one_by_one(r, g, msg):
+    """What the receive path and RMP do around ROMP for one message."""
+    h = msg.header
+    r.observe_header(h)
+    g.buffer.add(h.source, h.sequence_number, h.timestamp, b"raw")
+    if h.message_type == MessageType.HEARTBEAT:
+        r.receive_heartbeat(msg)
+    else:
+        r.receive(msg)
+
+
+def as_run(r, g, run):
+    """What ``RMP.on_run`` does with a run: ROMP folds in up to the
+    message after which the gate is due, the caller enters it."""
+    raws = [b"raw"] * len(run)
+    taken = 0
+    while taken < len(run):
+        n, gate_due = r.receive_run(run, raws, taken, len(run))
+        assert n > 0
+        taken += n
+        if gate_due:
+            r.evaluate()
+
+
+def observable(r, g):
+    alive = [p for i, p in enumerate(g.alive) if i == 0 or g.alive[i - 1] != p]
+    return {
+        "log": g.log,
+        "order_ts": dict(r._order_ts), "peer_ack": dict(r._peer_ack),
+        "queue": sorted(e[:2] for e in r._queue), "keys": sorted(r._queue_keys),
+        "by_src": {s: dict(i) for s, i in r._by_src.items()},
+        "staging": {s: [m.header.timestamp for m in ms] for s, ms in r._staging.items()},
+        "unsafe": [m.header.timestamp for m in r._unsafe],
+        # (not stability_timestamp(): asking re-syncs the min trackers)
+        "ack": r.ack_timestamp, "notified": r._stable_notified,
+        "barrier": r.can_send_ordered(), "stats": r.stats,
+        "clock": g.clock.time, "alive": alive, "membership": g.membership,
+        "retained": sorted(g.buffer._store),
+    }
+
+
+def check_run_equals_one_by_one(before, run, after, *, membership=(1, 2, 3),
+                                safe=False, barrier=None, then=None):
+    """Feed ``before`` and ``after`` one by one to two ROMPs and ``run``
+    as a run to one of them; both must stand the same after every stage.
+    ``then(romp, group)`` is applied to both just ahead of the run."""
+    groups = RunGroup(membership, safe), RunGroup(membership, safe)
+    romps = [romp_under(g) for g in groups]
+    for r, g in zip(romps, groups):
+        if barrier is not None:
+            r.set_send_barrier(barrier)
+        for msg in before():
+            one_by_one(r, g, msg)
+        if then is not None:
+            then(r, g)
+    assert observable(romps[0], groups[0]) == observable(romps[1], groups[1])
+    as_run(romps[0], groups[0], run())
+    for msg in run():
+        one_by_one(romps[1], groups[1], msg)
+    assert observable(romps[0], groups[0]) == observable(romps[1], groups[1])
+    for r, g in zip(romps, groups):
+        for msg in after():
+            one_by_one(r, g, msg)
+    assert observable(romps[0], groups[0]) == observable(romps[1], groups[1])
+    return groups[0].log
+
+
+def run_of(src, first_ts, count, ack_lag=2):
+    return lambda: [regular(src, ts=first_ts + i, ack=max(0, first_ts + i - ack_lag))
+                    for i in range(count)]
+
+
+def test_run_delivers_part_way_and_skips_the_gate_for_the_rest():
+    # members 1 and 3 have been heard to 12: the run's messages up to 12
+    # are deliverable as they arrive, the rest wait — no gate entry
+    def before():
+        return [heartbeat(1, ts=12, ack=3), heartbeat(3, ts=12, ack=3)]
+
+    g = RunGroup((1, 2, 3))
+    r = romp_under(g)
+    for msg in before():
+        one_by_one(r, g, msg)
+    entered = []
+    inner = r.evaluate
+    r.evaluate = lambda: (entered.append(len(g.log)), inner())
+    as_run(r, g, run_of(2, 10, 6)())
+    assert [e[1] for e in g.log if e[0] == "deliver"] == [10, 11, 12]
+    assert len(entered) == 3  # not six: 13, 14 and 15 only looked at the head
+    log = check_run_equals_one_by_one(
+        before, run_of(2, 10, 6),
+        lambda: [heartbeat(1, ts=40, ack=20), heartbeat(3, ts=40, ack=20)])
+    assert [e[1] for e in log if e[0] == "deliver"] == [10, 11, 12, 13, 14, 15]
+
+
+def test_run_reports_stability_where_one_by_one_does():
+    # the run's own acknowledgements lift the stability minimum in
+    # mid-run: each report must see the clock and our ack of that moment
+    def before():
+        return [regular(1, ts=4), regular(3, ts=5, ack=0), heartbeat(1, ts=30, ack=9),
+                heartbeat(3, ts=30, ack=9)]
+
+    log = check_run_equals_one_by_one(
+        before, lambda: [regular(2, ts=6 + i, ack=4 + i) for i in range(6)],
+        lambda: [heartbeat(3, ts=50, ack=40)])
+    assert [e for e in log if e[0] == "stable"]
+
+
+def test_run_under_safe_delivery_enters_the_gate_while_a_hold_exists():
+    def before():
+        return [heartbeat(1, ts=30, ack=0), heartbeat(3, ts=30, ack=0)]
+
+    log = check_run_equals_one_by_one(
+        before, run_of(2, 10, 5, ack_lag=1),
+        lambda: [heartbeat(1, ts=60, ack=50), heartbeat(3, ts=60, ack=50),
+                 heartbeat(2, ts=60, ack=50)],
+        safe=True)
+    assert [e[1] for e in log if e[0] == "deliver"] == [10, 11, 12, 13, 14]
+
+
+def test_run_behind_a_send_barrier_clears_it_at_the_same_message():
+    def before():
+        return [heartbeat(1, ts=30), heartbeat(3, ts=30)]
+
+    log = check_run_equals_one_by_one(before, run_of(2, 10, 6), lambda: [], barrier=12)
+    cleared = log.index(("barrier cleared",))
+    assert [e[1] for e in log[:cleared] if e[0] == "deliver"] == [10, 11, 12, 13]
+
+
+def test_run_clears_a_send_barrier_its_head_is_still_waiting_behind():
+    # member 2 was the least heard (8); its next message (13) hands that
+    # place to member 3 (11): the cover passes the barrier at 10 although
+    # the head, 13, stays put — the gate has to be entered for the barrier
+    def before():
+        return [heartbeat(1, ts=30), heartbeat(3, ts=11), heartbeat(2, ts=8)]
+
+    log = check_run_equals_one_by_one(
+        before, lambda: [regular(2, ts=13), regular(2, ts=14)], lambda: [], barrier=10)
+    assert log == [("gate", 1), ("barrier cleared",)]
+
+
+def test_run_after_a_membership_swap_reports_the_stability_jump_at_once():
+    # member 3, who never acknowledged, is gone from the membership tuple
+    # when the run arrives: stability jumps with no acknowledgement moving
+    def before():
+        return [regular(1, ts=5), heartbeat(2, ts=6), heartbeat(3, ts=6),
+                heartbeat(2, ts=7, ack=5), heartbeat(1, ts=30)]
+
+    def swap(r, g):
+        g.membership = (1, 2)
+
+    log = check_run_equals_one_by_one(
+        before, lambda: [regular(2, ts=40, ack=5), regular(2, ts=41, ack=5)],
+        lambda: [], then=swap)
+    assert [e[:2] for e in log if e[0] == "stable"] == [("stable", 5)]
+
+
+def test_run_repeating_a_timestamp_queues_its_key_once():
+    log = check_run_equals_one_by_one(
+        lambda: [heartbeat(1, ts=5)],
+        lambda: [regular(2, ts=10, seq=1), regular(2, ts=10, seq=2), regular(2, ts=9, seq=3)],
+        lambda: [heartbeat(1, ts=60), heartbeat(3, ts=60)])
+    assert [e[1] for e in log if e[0] == "deliver"] == [9, 10]
+
+
+def test_run_from_a_non_member_is_staged_not_queued():
+    log = check_run_equals_one_by_one(
+        lambda: [heartbeat(1, ts=30), heartbeat(3, ts=30)], run_of(9, 10, 5),
+        lambda: [heartbeat(1, ts=60), heartbeat(3, ts=60)])
+    assert not [e for e in log if e[0] == "deliver"]
+
+
+def test_remove_of_the_runs_own_source_delivered_from_inside_the_run():
+    # member 3's RemoveProcessor(2) at (12, 3) becomes deliverable when
+    # the run reaches 12, behind the run's own (12, 2): the rest of the
+    # run then comes from a processor that is no longer a member
+    def before():
+        return [heartbeat(1, ts=30), remove_processor(3, ts=12, member=2),
+                heartbeat(3, ts=30)]
+
+    log = check_run_equals_one_by_one(
+        before, run_of(2, 10, 6),
+        lambda: [heartbeat(1, ts=60), heartbeat(3, ts=60)])
+    assert [e[:2] for e in log if e[0] in ("deliver", "remove")] == [
+        ("deliver", 10), ("deliver", 11), ("deliver", 12), ("remove", 12)]
+
+
+@st.composite
+def run_cases(draw):
+    """(before, run, after, options): events from members 1 and 3 around
+    a run from member 2 (or from the non-member 9), timestamps rising per
+    source, acknowledgements trailing them by a drawn lag."""
+    clocks = {1: 0, 2: 0, 3: 0}
+
+    def events(limit, sources):
+        out = []
+        for _ in range(draw(st.integers(0, limit))):
+            src = draw(st.sampled_from(sources))
+            clocks[src] += draw(st.integers(1, 6))
+            ts = clocks[src]
+            ack = max(0, ts - draw(st.integers(0, 8)))
+            kind = draw(st.sampled_from(["regular", "heartbeat", "heartbeat", "remove"]))
+            out.append((kind, src, ts, ack))
+        return out
+
+    before = events(8, [1, 2, 3])
+    src = draw(st.sampled_from([2, 2, 2, 9]))
+    run, ts = [], clocks[2]
+    for _ in range(draw(st.integers(1, 8))):
+        ts += draw(st.integers(1, 6))
+        run.append((src, ts, max(0, ts - draw(st.integers(0, 6)))))
+    after = events(4, [1, 3]) + [("heartbeat", 1, 190, 180), ("heartbeat", 3, 190, 180)]
+    options = dict(safe=draw(st.booleans()),
+                   barrier=draw(st.none() | st.integers(1, 20)))
+    return before, run, after, options
+
+
+def build(events):
+    made = {"regular": lambda s, ts, ack: regular(s, ts=ts, ack=ack),
+            "heartbeat": lambda s, ts, ack: heartbeat(s, ts=ts, ack=ack),
+            "remove": lambda s, ts, ack: remove_processor(s, ts=ts, member=2, ack=ack)}
+    return lambda: [made[kind](src, ts, ack) for kind, src, ts, ack in events]
+
+
+@settings(max_examples=300, deadline=None)
+@given(run_cases())
+def test_any_run_equals_the_same_messages_one_by_one(case):
+    before, run, after, options = case
+    check_run_equals_one_by_one(
+        build(before), lambda: [regular(s, ts=ts, ack=ack) for s, ts, ack in run],
+        build(after), **options)
+
+
+def test_leader_ordering_declines_runs():
+    from repro.core.llft import LeaderOrdering
+
+    assert LeaderOrdering.receive_run is not ROMP.receive_run
+    # every discipline that decides differently must say what a run is to it
+    for cls in ROMP.__subclasses__():
+        if cls._take_ordered is not ROMP._take_ordered or cls.evaluate is not ROMP.evaluate:
+            assert cls.receive_run is not ROMP.receive_run, cls
