@@ -12,8 +12,10 @@ This module is the seam between the protocol machines and the wire:
   retention, the heartbeat generator, and the optional coalescing window
   that packs small Regular messages into one Batch datagram.
 * :class:`ReceivePath` — the upward pipeline: Batch unpacking, new-member
-  join gating, raw-byte retention bookkeeping, then RMP.  Everything
-  above the receive path is batch-oblivious.
+  join gating, raw-byte retention bookkeeping, then RMP.  The layers
+  above never see a Batch: at most its Regulars as one in-order run
+  (``RMP.on_run``), where today's per-message path would have taken
+  each of them through its shortcuts anyway.
 * :class:`ProcessorGroup` — the composition root wiring one group's
   machines through the two pipelines; it implements ``GroupContext`` and
   keeps the membership/view state that *is* the group.  Its constructor
@@ -615,7 +617,8 @@ class ReceivePath:
 
     Unpacks Batch envelopes, gates the new-member joining state, keeps
     the raw wire bytes of the in-flight message for retention, and feeds
-    RMP.  The protocol machines above never see a Batch.
+    RMP — message by message, or a batch's Regulars as one run.  The
+    protocol machines above never see a Batch.
     """
 
     def __init__(self, group: "ProcessorGroup", batch_stats: BatchStats):
