@@ -311,9 +311,11 @@ class ROMP:
         retain = g.buffer.add
         peer_ack = self._peer_ack
         order = self._order_ts
-        queue = self._queue
-        queue_keys = self._queue_keys
         src = run[start].header.source
+        # what has been heard of ``src``: nothing but this loop writes
+        # its two entries before the gate is entered
+        heard_ack = peer_ack.get(src, 0)
+        heard_ts = order.get(src, 0)
         forced = bool(self._unsafe or self._transition is not None
                       or self._stability_stale or self._floor is not None
                       or self._send_barrier is not None)
@@ -323,39 +325,23 @@ class ROMP:
             ts = h.timestamp
             observe(ts)
             ack = h.ack_timestamp
-            if ack > peer_ack.get(src, 0):
-                peer_ack[src] = ack
+            if ack > heard_ack:
+                heard_ack = peer_ack[src] = ack
                 if src in self._gate_set:
                     heapq.heappush(self._ack_heap, (ack, src))
                 self._maybe_collect()
             if i == 0:
                 g.note_alive(src)
             retain(src, h.sequence_number, ts, raws[i])
-            if ts > order.get(src, 0):
-                order[src] = ts
+            if ts > heard_ts:
+                heard_ts = order[src] = ts
                 if src in self._gate_set:
                     heapq.heappush(self._cover_heap, (ts, src))
             if g.membership is not self._gate_members:
                 self._sync_gate()
                 forced = True  # the rebuild left stability stale
-            if src not in self._gate_set:
-                # as _take_ordered: staged, and nothing to evaluate
-                stage = self._staging.setdefault(src, [])
-                if len(stage) < self._STAGING_CAP:
-                    stage.append(msg)
-                continue
-            key = (ts, src)
-            if key not in queue_keys:
-                queue_keys.add(key)
-                index = self._by_src.get(src)
-                if index is None:
-                    index = self._by_src[src] = {}
-                index[ts] = h.sequence_number
-                heapq.heappush(queue, (ts, src, self._insertion, msg))
-                self._insertion += 1
-                depth = len(queue)
-                if depth > self.stats.max_queue_depth:
-                    self.stats.max_queue_depth = depth
+            if not self._take_ordered(msg):
+                continue  # a non-member's: staged, nothing to evaluate
             if forced:
                 return i + 1 - start, True
             # evaluate()'s own first look: the live cover minimum against
@@ -368,7 +354,7 @@ class ROMP:
                 heapq.heappop(heap)
             else:
                 cover = 0
-            if cover >= queue[0][0]:
+            if cover >= self._queue[0][0]:
                 return i + 1 - start, True
         return stop - start, False
 

@@ -668,17 +668,16 @@ def _decode_batch(h: FTMPHeader, data: _Buffer, little: bool) -> BatchMessage:
     """
     n = len(data)
     pos = HEADER_SIZE
-    u16 = _U16[little]
-    rec = _BATCH_REC[little]
-    verbatim = _BATCH_VERBATIM[little]
-    hdr = _HDR[little]
     if pos + 2 > n:
         raise CodecError("truncated FTMP message body")
-    (count,) = u16.unpack_from(data, pos)
+    (count,) = _U16[little].unpack_from(data, pos)
     pos += 2
     run = _decode_regular_run(h, data, little, count, pos)
     if run is not None:
         return run
+    rec = _BATCH_REC[little]
+    verbatim = _BATCH_VERBATIM[little]
+    hdr = _HDR[little]
     parts = []
     for _ in range(count):
         if pos >= n:

@@ -59,6 +59,8 @@ MODES: Dict[str, dict] = {
 SCENARIOS = ("steady", "lossy", "churn", "saturate", "batchchurn")
 #: scenarios that exist to pin BATCH reception
 BATCHED = ("saturate", "batchchurn")
+#: scenarios with the crash and the ordered join
+CHURNED = ("churn", "batchchurn")
 CASES = [(m, s) for m in MODES for s in SCENARIOS]
 
 PIDS = (1, 2, 3, 4, 5)
@@ -102,7 +104,7 @@ def config(mode: str, scenario: str) -> FTMPConfig:
         knobs.update(batch_window=0.001, flow_control_window=48)
     if scenario == "batchchurn":
         knobs.update(batch_window=0.002, batch_adaptive=True, flow_control_window=48)
-    if scenario in ("churn", "batchchurn"):
+    if scenario in CHURNED:
         knobs.update(suspect_timeout=0.060)
     return FTMPConfig(**knobs)
 
@@ -122,7 +124,7 @@ def observe(mode: str, scenario: str) -> dict:
     seed = 9000 + 10 * list(MODES).index(mode) + SCENARIOS.index(scenario)
     net = Network(topology(scenario), seed=seed)
     rate, window, drain = LOAD[scenario]
-    churn = scenario in ("churn", "batchchurn")
+    churn = scenario in CHURNED
     # a propose and its commit are not batchable and flush the window
     side_every = 8 if scenario in BATCHED else 4
     cfg = config(mode, scenario)

@@ -20,8 +20,9 @@ from contextlib import nullcontext
 from unittest import mock
 
 import pytest
+from test_batch_hostile_input import without_in_pass_decode
 
-from repro.core import FTMPConfig, FTMPStack, RecordingListener, wire
+from repro.core import FTMPConfig, FTMPStack, RecordingListener
 from repro.core.rmp import RMP
 from repro.simnet import Network, lan
 
@@ -80,10 +81,9 @@ def run_once(seed, in_pass_decode):
         if sending(pid):
             stacks[pid].multicast(GROUP, b"%d:%d" % (pid, index))
 
-    off = nullcontext() if in_pass_decode else mock.patch.object(
-        wire, "_decode_regular_run", lambda *args: None)
     with mock.patch.object(FTMPStack, "transmit", logging_transmit), \
-            mock.patch.object(RMP, "on_run", counting_on_run), off:
+            mock.patch.object(RMP, "on_run", counting_on_run), \
+            nullcontext() if in_pass_decode else without_in_pass_decode():
         for p in FOUNDERS:
             listeners[p] = Reactive(p, act)
             stacks[p] = FTMPStack(net.endpoint(p), cfg, listeners[p])

@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import FTMPConfig, LamportClock, MessageType, RetransmissionBuffer
-from repro.core.messages import FTMPHeader, HeartbeatMessage, RegularMessage, ConnectionId
+from repro.core.messages import (
+    ConnectionId,
+    FTMPHeader,
+    HeartbeatMessage,
+    RegularMessage,
+    RemoveProcessorMessage,
+)
 from repro.core.romp import ROMP
 
 
@@ -316,7 +322,6 @@ class RunGroup(MockGroup):
 
 
 def remove_processor(src, ts, member, ack=0):
-    from repro.core.messages import RemoveProcessorMessage
     return RemoveProcessorMessage(
         FTMPHeader(MessageType.REMOVE_PROCESSOR, source=src, group=1,
                    sequence_number=ts, timestamp=ts, ack_timestamp=ack),
