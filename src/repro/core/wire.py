@@ -200,6 +200,10 @@ _HEARTBEAT = int(MessageType.HEARTBEAT)
 _REGULAR_FIXED = _HDR_REGULAR[True].size
 _REGULAR_BODY_FIXED = _REGULAR_FIXED - HEADER_SIZE
 _VERSION = (VERSION_MAJOR, VERSION_MINOR)
+#: the all-zero connection id of a Regular below the ORB, shared (the
+#: class is frozen) where building it anew would cost more than the
+#: rest of the record's decode
+_NO_CONNECTION = ConnectionId.none()
 
 _Buffer = Union[bytes, bytearray, memoryview]
 
@@ -654,8 +658,8 @@ def _decode_regular_run(h: FTMPHeader, data: _Buffer, little: bool, count: int,
             FTMPHeader(MessageType.REGULAR, source, group, pseq, pts, pack_ts,
                        bool(pflags & _FLAG_RETRANSMISSION), little, size,
                        MAGIC, _VERSION),
-            ConnectionId(cd, cg, sd, sg), req,
-            part[_REGULAR_FIXED:_REGULAR_FIXED + plen]))
+            ConnectionId(cd, cg, sd, sg) if cd or cg or sd or sg else _NO_CONNECTION,
+            req, part[_REGULAR_FIXED:_REGULAR_FIXED + plen]))
     return BatchMessage(h, tuple(parts), tuple(decoded))
 
 

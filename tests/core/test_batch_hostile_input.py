@@ -56,7 +56,9 @@ def heartbeat(source, ts, ack=0, seq=0):
 
 
 def regular_body(payload, e, *, plen=None, request_num=0):
-    return struct.pack(e + "IIIIQI", 0, 0, 0, 0, request_num,
+    # below the ORB (all-zero connection id) or on a connection, by length
+    cid = (7, 100, 7, len(payload)) if len(payload) % 3 == 0 else (0, 0, 0, 0)
+    return struct.pack(e + "IIIIQI", *cid, request_num,
                        len(payload) if plen is None else plen) + payload
 
 
