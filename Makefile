@@ -46,7 +46,9 @@ lint: layering
 # two runtimes must not import each other (same rules as
 # tests/core/test_layering.py, greppable without pytest); then the
 # engine-seam rule — romp/rmp/pgmp/fault_detector name no engine, datapath
-# only where it chooses one — by the same tokenizer the test uses
+# only where it chooses one — and the send-service rule — machines and
+# engines stamp and send through ProcessorGroup.send only, its one
+# on_own_send call included — by the same tokenizer the test uses
 layering:
 	@$(PYTHON) tests/core/test_layering.py
 	@! grep -rnE '^\s*(from (repro\.|\.\.)(simnet|runtime)|import repro\.(simnet|runtime))' \

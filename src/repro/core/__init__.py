@@ -58,7 +58,6 @@ from .messages import (
     MultiGroupCommitMessage,
     MultiGroupProposeMessage,
     SuspectMessage,
-    order_key,
 )
 from .multigroup import (
     MULTI_GROUP_CID,
@@ -121,7 +120,6 @@ __all__ = [
     "mg_request_num",
     "is_multigroup_delivery",
     "is_total_multigroup_delivery",
-    "order_key",
     "encode",
     "decode",
     "peek_header",

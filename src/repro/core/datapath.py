@@ -5,20 +5,22 @@ This module is the seam between the protocol machines and the wire:
 * :class:`GroupContext` — the narrow protocol the RMP / ROMP / PGMP /
   fault-detector machines are written against.  The machines never import
   a concrete group class; they receive "some GroupContext" and use only
-  this surface (timers, tracing, retention, upward delivery, the send
-  services and clock access).
+  this surface (timers, tracing, upward delivery, the one stamped-send
+  service and clock access).
 * :class:`SendPath` — the downward pipeline: header stamping (sequence
   number, clock tick, piggybacked ack timestamp), retransmission
   retention, the heartbeat generator, and the optional coalescing window
   that packs small Regular messages into one Batch datagram.
 * :class:`ReceivePath` — the upward pipeline: Batch unpacking, new-member
-  join gating, raw-byte retention bookkeeping, then RMP.  The layers
+  join gating, then RMP with the message and its wire bytes.  The layers
   above never see a Batch: at most its Regulars as one in-order run
   (``RMP.on_run``), where today's per-message path would have taken
   each of them through its shortcuts anyway.
 * :class:`ProcessorGroup` — the composition root wiring one group's
   machines through the two pipelines; it implements ``GroupContext`` and
-  keeps the membership/view state that *is* the group.  Its constructor
+  keeps the membership/view state that *is* the group.  Its
+  :meth:`~ProcessorGroup.send` is the one way a stamped message leaves:
+  Figure 3's two tables decide there what its type entails.  Its constructor
   is the one place that chooses the group's ordering discipline (a
   :class:`~repro.core.romp.ROMP`) and its
   :class:`~repro.core.dissemination.Dissemination`; everything else calls
@@ -43,13 +45,14 @@ from typing import (
     Protocol,
     Set,
     Tuple,
+    Type,
 )
 
 from ..transport import NamedTimerSet
 from .buffers import RetransmissionBuffer
 from .config import FTMPConfig
-from .constants import RELIABLE_TYPES, MessageType
-from .dissemination import Dissemination
+from .constants import RELIABLE_TYPES, TOTALLY_ORDERED_TYPES, MessageType
+from .dissemination import LOOPBACK, Dissemination
 from .events import Delivery, FaultReport, ViewChange
 from .fault_detector import FaultDetector
 from .llft import LeaderOrdering
@@ -62,11 +65,7 @@ from .messages import (
     FTMPHeader,
     FTMPMessage,
     HeartbeatMessage,
-    MembershipMessage,
     RegularMessage,
-    RemoveProcessorMessage,
-    RetransmitRequestMessage,
-    SuspectMessage,
 )
 from .multigroup import SkeenOrdering
 from .overlay import OverlayDissemination
@@ -162,13 +161,7 @@ class GroupContext(Protocol):
 
     def suspected_members(self) -> Set[int]: ...
 
-    # -- retention & upward delivery -----------------------------------
-    def retain(self, msg: FTMPMessage) -> None: ...
-
-    def romp_receive(self, msg: FTMPMessage) -> None: ...
-
-    def romp_heartbeat(self, msg: HeartbeatMessage) -> None: ...
-
+    # -- upward delivery ------------------------------------------------
     def pgmp_raise_suspicion(self, pid: int) -> None: ...
 
     def pgmp_withdraw_suspicion(self, pid: int) -> None: ...
@@ -182,24 +175,10 @@ class GroupContext(Protocol):
     def deliver_regular(self, msg: RegularMessage) -> None: ...
 
     # -- send services --------------------------------------------------
-    def send_retransmit_request(self, source: int, start: int, stop: int) -> None: ...
+    def send(self, cls: Type[FTMPMessage], *body,
+             address: Optional[int] = None) -> bytes: ...
 
     def retransmit_raw(self, raw: bytes, address: Optional[int] = None) -> None: ...
-
-    def send_add_processor(self, membership_timestamp: int,
-                           membership: Tuple[int, ...],
-                           sequence_numbers: Dict[int, int],
-                           new_member: int) -> bytes: ...
-
-    def send_remove_processor(self, member: int) -> None: ...
-
-    def send_suspect(self, membership_timestamp: int,
-                     suspects: Tuple[int, ...]) -> None: ...
-
-    def send_membership(self, membership_timestamp: int,
-                        current_membership: Tuple[int, ...],
-                        sequence_numbers: Dict[int, int],
-                        new_membership: Tuple[int, ...]) -> None: ...
 
     # -- membership transitions -----------------------------------------
     def install_view(self, membership: Tuple[int, ...], view_timestamp: int,
@@ -224,8 +203,6 @@ class GroupContext(Protocol):
 
     # -- flow control (stability-driven credit window) -------------------
     def on_stability_advance(self, stable: int) -> None: ...
-
-    def credit_blocked(self) -> bool: ...
 
 
 @dataclass
@@ -363,7 +340,7 @@ class FlowController:
         while self._queue and len(self._inflight) < window:
             payload, cid, request_num = self._queue.popleft()
             self.stats.sends_released += 1
-            # _send_regular calls note_sent, growing _inflight again
+            # the send takes its credit, growing _inflight again
             self._g._send_regular(payload, cid, request_num)
 
 
@@ -373,8 +350,8 @@ class SendPath:
     Owns the reliable sequence counter, header stamping (clock tick plus
     the piggybacked ack timestamp), retention of reliable messages for
     NACK answering, the §5 heartbeat generator, and the batching window.
-    Protocol machines never build headers or touch the wire; the group
-    stamps and transmits everything here.
+    Protocol machines never build headers or touch the wire; the group's
+    :meth:`ProcessorGroup.send` stamps and transmits everything here.
     """
 
     def __init__(
@@ -412,8 +389,8 @@ class SendPath:
     def last_sent_seq(self) -> int:
         return self._seq
 
-    def next_header(self, mtype: MessageType, reliable: bool) -> FTMPHeader:
-        if reliable:
+    def next_header(self, mtype: MessageType) -> FTMPHeader:
+        if mtype in RELIABLE_TYPES:
             self._seq += 1
         return FTMPHeader(
             message_type=mtype,
@@ -450,6 +427,10 @@ class SendPath:
                 self._transmit(self._address(), raw)
             else:
                 self._append(raw)
+        elif address == LOOPBACK:
+            # nothing reaches the wire, so the window's order on it is
+            # not at stake: it stays closed
+            self._ctx.loop_back(raw)
         else:
             self._flush_pending_first()
             self._transmit(self._address() if address is None else address, raw)
@@ -583,7 +564,7 @@ class SendPath:
             # stream in the ordering gate so the AddProcessor can reach
             # its position (§7.1).
             return  # deliberately without re-arming: the loop ends here
-        if self._pending and not self._ctx.credit_blocked():
+        if self._pending and not self._ctx.flow.blocked:
             # Piggyback suppression: the window flushes within
             # batch_window anyway, carrying fresher timestamps and a
             # fresher ack than a Heartbeat would.  Never while the sender
@@ -596,11 +577,8 @@ class SendPath:
         else:
             idle = self._ctx.now() - self._last_send_time
             if idle >= self._ctx.config.heartbeat_interval * 0.999:
-                msg = HeartbeatMessage(
-                    header=self.next_header(MessageType.HEARTBEAT, reliable=False)
-                )
                 self._stats.heartbeats_sent += 1
-                self.send(msg)
+                self._ctx.send(HeartbeatMessage)
         self._arm_heartbeat()
 
     # ------------------------------------------------------------------
@@ -615,18 +593,14 @@ class SendPath:
 class ReceivePath:
     """Upward pipeline of one processor group.
 
-    Unpacks Batch envelopes, gates the new-member joining state, keeps
-    the raw wire bytes of the in-flight message for retention, and feeds
-    RMP — message by message, or a batch's Regulars as one run.  The
-    protocol machines above never see a Batch.
+    Unpacks Batch envelopes, gates the new-member joining state, and
+    feeds RMP — message by message with its wire bytes, or a batch's
+    Regulars as one run.  The protocol machines above never see a Batch.
     """
 
     def __init__(self, group: "ProcessorGroup", batch_stats: BatchStats):
         self._g = group
         self._batch = batch_stats
-        #: wire bytes of the message RMP is processing right now, if any
-        #: (what :meth:`ProcessorGroup.retain` keeps for NACK answering)
-        self.current_raw: Optional[bytes] = None
 
     def on_datagram(self, msg: FTMPMessage, raw: bytes) -> None:
         g = self._g
@@ -655,11 +629,7 @@ class ReceivePath:
         # observation: ROMP recognises the header again when RMP hands
         # the message up and does not fold it in twice.
         g.romp.observe_header(msg.header)
-        self.current_raw = raw
-        try:
-            g.rmp.on_message(msg)
-        finally:
-            self.current_raw = None
+        g.rmp.on_message(msg, raw)
 
     def _on_batch(self, msg: BatchMessage) -> None:
         """Unpack one envelope.  Its parts are one sender's messages in
@@ -682,17 +652,23 @@ class ReceivePath:
             for i in range(taken, len(run)):
                 self.on_datagram(run[i], parts[i])
             return
+        envelope = msg.header
         for part in parts:
             try:
                 inner = decode(part)
             except CodecError:
                 batch.batch_decode_errors += 1
                 continue
-            if inner.__class__ is BatchMessage:
+            h = inner.header
+            if (inner.__class__ is BatchMessage or h.group != envelope.group
+                    or h.source != envelope.source):
                 # The send path never nests (``_batchable`` admits
                 # Regular only), and thousands of nested envelopes
                 # fit one datagram: recursing into them is a stack
-                # depth the sender chooses.
+                # depth the sender chooses.  Nor does it pack anyone
+                # else's message: a verbatim part naming another group or
+                # source would be fed to this group, or move another
+                # source's sequence numbers, on the envelope's say-so.
                 batch.batch_decode_errors += 1
                 continue
             batch.messages_unbatched += 1
@@ -891,23 +867,15 @@ class ProcessorGroup:
     def on_datagram(self, msg: FTMPMessage, raw: bytes) -> None:
         self._ingress(msg, raw)
 
-    def retain(self, msg: FTMPMessage) -> None:
-        """Keep a reliable message for answering RetransmitRequests (§5)."""
-        h = msg.header
-        raw = self.receive_path.current_raw
-        if raw is None:
-            raw = encode(msg)
-        self.buffer.add(h.source, h.sequence_number, h.timestamp, raw)
+    def loop_back(self, raw: bytes) -> None:
+        """Deliver one of our own datagrams through the local receive
+        path only — deferred one scheduler turn to keep a loopback's
+        event boundary (no re-entrant delivery inside the send call)."""
+        self.schedule(0.0, lambda: self.on_datagram(decode(raw), raw))
 
     # ------------------------------------------------------------------
     # upward delivery plumbing (called by RMP / ROMP)
     # ------------------------------------------------------------------
-    def romp_receive(self, msg: FTMPMessage) -> None:
-        self.romp.receive(msg)
-
-    def romp_heartbeat(self, msg: HeartbeatMessage) -> None:
-        self.romp.receive_heartbeat(msg)
-
     def pgmp_raise_suspicion(self, pid: int) -> None:
         self.pgmp.raise_suspicion(pid)
         self.dissemination.on_suspicion_changed()
@@ -946,10 +914,34 @@ class ProcessorGroup:
         )
 
     # ------------------------------------------------------------------
-    # send paths (stamping delegated to SendPath)
+    # send paths
     # ------------------------------------------------------------------
-    def _header(self, mtype: MessageType, reliable: bool) -> FTMPHeader:
-        return self.send_path.next_header(mtype, reliable)
+    def send(self, cls: Type[FTMPMessage], *body, address: Optional[int] = None,
+             credit: bool = False) -> bytes:
+        """The stamped-send service: build a ``cls`` message from ``body``
+        (its fields after the header, in order), send it to the group —
+        or to ``address``, :data:`~repro.core.dissemination.LOOPBACK`
+        included — and return its wire bytes.
+
+        Everything the message's type entails is decided here, from the
+        two tables of Figure 3: a reliable type takes the next sequence
+        number and is retained for NACK answering, a reliable type or a
+        Heartbeat restarts the §5 idle clock (both in :class:`SendPath`),
+        and the ordering discipline hears of a totally-ordered one once
+        it is on the wire.  Every header carries a fresh clock tick and
+        the piggybacked ack.  ``credit`` is the one thing the type does
+        not decide: an application Regular occupies a flow-control
+        credit from the moment it is stamped — before the discipline,
+        which may deliver it on the spot, can run a listener that sends.
+        """
+        mtype = cls.TYPE
+        msg = cls(self.send_path.next_header(mtype), *body)
+        if credit:
+            self.flow.note_sent(msg.header.timestamp)
+        raw = self.send_path.send(msg, address)
+        if mtype in TOTALLY_ORDERED_TYPES:
+            self.romp.on_own_send(msg)
+        return raw
 
     def multicast(self, payload: bytes, connection_id: Optional[ConnectionId] = None,
                   request_num: int = 0) -> bool:
@@ -982,16 +974,8 @@ class ProcessorGroup:
         return True
 
     def _send_regular(self, payload: bytes, cid: ConnectionId, request_num: int) -> None:
-        msg = RegularMessage(
-            header=self._header(MessageType.REGULAR, reliable=True),
-            connection_id=cid,
-            request_num=request_num,
-            payload=payload,
-        )
         self.stats.regulars_sent += 1
-        self.flow.note_sent(msg.header.timestamp)
-        self.send_path.send(msg)
-        self.romp.on_own_send(msg)
+        self.send(RegularMessage, cid, request_num, payload, credit=True)
 
     def on_send_barrier_cleared(self) -> None:
         # Sends credit-queued before the Connect predate anything the
@@ -1009,79 +993,10 @@ class ProcessorGroup:
     def on_stability_advance(self, stable: int) -> None:
         self.flow.on_stability(stable)
 
-    def credit_blocked(self) -> bool:
-        return self.flow.blocked
-
-    def send_retransmit_request(self, source: int, start: int, stop: int) -> None:
-        self.trace("nack", missing_from=source, start=start, stop=stop)
-        msg = RetransmitRequestMessage(
-            header=self._header(MessageType.RETRANSMIT_REQUEST, reliable=False),
-            processor_id=source,
-            start_seq=start,
-            stop_seq=stop,
-        )
-        self.send_path.send(msg)
-
     def retransmit_raw(self, raw: bytes, address: Optional[int] = None) -> None:
         """Re-send a retained message unchanged except the retrans flag (§3.2)."""
         self.trace("resend", bytes=len(raw))
         self.send_path.send_raw(raw, address)
-
-    def send_add_processor(self, membership_timestamp: int, membership: Tuple[int, ...],
-                           sequence_numbers: Dict[int, int], new_member: int) -> bytes:
-        msg = AddProcessorMessage(
-            header=self._header(MessageType.ADD_PROCESSOR, reliable=True),
-            membership_timestamp=membership_timestamp,
-            membership=membership,
-            sequence_numbers=sequence_numbers,
-            new_member=new_member,
-        )
-        raw = self.send_path.send(msg)
-        self.romp.on_own_send(msg)
-        return raw
-
-    def send_remove_processor(self, member: int) -> None:
-        msg = RemoveProcessorMessage(
-            header=self._header(MessageType.REMOVE_PROCESSOR, reliable=True),
-            member_to_remove=member,
-        )
-        self.send_path.send(msg)
-        self.romp.on_own_send(msg)
-
-    def send_suspect(self, membership_timestamp: int, suspects: Tuple[int, ...]) -> None:
-        msg = SuspectMessage(
-            header=self._header(MessageType.SUSPECT, reliable=True),
-            membership_timestamp=membership_timestamp,
-            suspects=suspects,
-        )
-        self.send_path.send(msg)
-
-    def send_membership(self, membership_timestamp: int, current_membership: Tuple[int, ...],
-                        sequence_numbers: Dict[int, int],
-                        new_membership: Tuple[int, ...]) -> None:
-        msg = MembershipMessage(
-            header=self._header(MessageType.MEMBERSHIP, reliable=True),
-            membership_timestamp=membership_timestamp,
-            current_membership=current_membership,
-            sequence_numbers=sequence_numbers,
-            new_membership=new_membership,
-        )
-        self.send_path.send(msg)
-
-    def send_connect(self, connection_id: ConnectionId, processor_group_id: int,
-                     ip_multicast_address: int, membership_timestamp: int,
-                     membership: Tuple[int, ...], address: Optional[int] = None) -> bytes:
-        msg = ConnectMessage(
-            header=self._header(MessageType.CONNECT, reliable=True),
-            connection_id=connection_id,
-            processor_group_id=processor_group_id,
-            ip_multicast_address=ip_multicast_address,
-            membership_timestamp=membership_timestamp,
-            membership=membership,
-        )
-        raw = self.send_path.send(msg, address=address)
-        self.romp.on_own_send(msg)
-        return raw
 
     # ------------------------------------------------------------------
     # membership state changes (called by PGMP)
@@ -1193,8 +1108,7 @@ class ProcessorGroup:
         self._activate()
         # Announce ourselves at once so the initiator stops retransmitting
         # the AddProcessor and the others' ordering includes us promptly.
-        msg = HeartbeatMessage(header=self._header(MessageType.HEARTBEAT, reliable=False))
-        self.send_path.send(msg)
+        self.send(HeartbeatMessage)
         self._stack.listener.on_view_change(
             ViewChange(
                 group=self.group_id,

@@ -14,10 +14,14 @@ from typing import Callable, Optional, Tuple
 
 from .messages import AckSummaryMessage, FTMPMessage
 
-__all__ = ["Dissemination", "Transmit", "Receive"]
+__all__ = ["Dissemination", "Transmit", "Receive", "LOOPBACK"]
 
 Transmit = Callable[[int, bytes], None]
 Receive = Callable[[FTMPMessage, bytes], None]
+#: a send's ``address`` meaning "this processor only, in memory": the
+#: message is stamped like any other and handed to the local receive
+#: path without touching the NIC
+LOOPBACK = -1
 
 
 class Dissemination:

@@ -56,7 +56,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Deque, Dict, FrozenSet, List, Optional, Tuple
 
-from .constants import MessageType
 from .messages import ConnectionId, FTMPMessage, RegularMessage
 from .romp import ROMP
 
@@ -196,8 +195,13 @@ class LeaderOrdering(ROMP):
         local delivery at the message's position in our own stream, no
         all-member wait.  Everyone else (and a quiescent leader) parks;
         our loopback copy is discarded on arrival, so the parked object
-        is the single local representative of the send.
+        is the single local representative of the send.  An announcement
+        is the exception: it *is* a position in our stream, not a message
+        to be given one, and every member — we too — resolves it from the
+        stream.
         """
+        if self._is_order_info(msg):
+            return
         pid = self._g.pid
         if self._live_leader() and not self._pending.get(pid):
             self.llft_stats.fast_path_deliveries += 1
@@ -266,21 +270,14 @@ class LeaderOrdering(ROMP):
     def _send_order_info(self, entries: List[Tuple[int, int, int]]) -> None:
         """Multicast an announcement inside our own reliable stream.
 
-        Goes straight to the send path: announcements are control traffic
-        — exempt from flow-control credits and the §7 barrier, like the
+        Not through ``multicast``: announcements are control traffic —
+        exempt from flow-control credits and the §7 barrier, like the
         heartbeats and NACKs that keep stability advancing.  The header is
         stamped *after* the entry timestamps, so its own timestamp (and
         every later stream position) exceeds them.
         """
-        g = self._g
-        msg = RegularMessage(
-            header=g._header(MessageType.REGULAR, reliable=True),
-            connection_id=ORDER_INFO_CID,
-            request_num=0,
-            payload=encode_order_info(entries),
-        )
         self.llft_stats.orderinfos_sent += 1
-        g.send_path.send(msg)
+        self._g.send(RegularMessage, ORDER_INFO_CID, 0, encode_order_info(entries))
 
     # ------------------------------------------------------------------
     # the follower side: replaying the leader's stream

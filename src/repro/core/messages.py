@@ -2,8 +2,8 @@
 
 Every FTMP message is a fixed 40-byte header (:class:`FTMPHeader`) followed
 by a type-specific body.  The dataclasses here mirror the paper's message
-format tables field-for-field; the binary encoding lives in
-:mod:`repro.core.wire`.
+format tables field-for-field and name their Figure 3 type as ``TYPE``;
+the binary encoding lives in :mod:`repro.core.wire`.
 
 Timestamps are integers (Lamport-clock ticks, or microsecond ticks in
 synchronized mode); sequence numbers are per-(source, destination group)
@@ -12,7 +12,7 @@ and start at 1; sequence number 0 means "no reliable message sent yet".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple, Union
 
 from .constants import MAGIC, VERSION_MAJOR, VERSION_MINOR, MessageType
@@ -34,7 +34,6 @@ __all__ = [
     "MultiGroupProposeMessage",
     "MultiGroupCommitMessage",
     "FTMPMessage",
-    "order_key",
 ]
 
 
@@ -57,10 +56,6 @@ class FTMPHeader:
     message_size: int = 0
     magic: bytes = MAGIC
     version: Tuple[int, int] = (VERSION_MAJOR, VERSION_MINOR)
-
-    def as_retransmission(self) -> "FTMPHeader":
-        """Copy of this header with the retransmission flag set (§3.2)."""
-        return replace(self, retransmission=True)
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,6 +96,7 @@ class RegularMessage:
     GIOP message bytes (or arbitrary application bytes below the ORB).
     """
 
+    TYPE = MessageType.REGULAR
     header: FTMPHeader
     connection_id: ConnectionId
     request_num: int
@@ -111,6 +107,7 @@ class RegularMessage:
 class RetransmitRequestMessage:
     """Negative acknowledgement for a block of missing messages (§5)."""
 
+    TYPE = MessageType.RETRANSMIT_REQUEST
     header: FTMPHeader
     processor_id: int  #: source whose messages are missing
     start_seq: int
@@ -121,6 +118,7 @@ class RetransmitRequestMessage:
 class HeartbeatMessage:
     """Null message carrying current seq / timestamp / ack values (§5)."""
 
+    TYPE = MessageType.HEARTBEAT
     header: FTMPHeader
 
 
@@ -128,6 +126,7 @@ class HeartbeatMessage:
 class ConnectRequestMessage:
     """Client's request for a new logical connection (§7)."""
 
+    TYPE = MessageType.CONNECT_REQUEST
     header: FTMPHeader
     connection_id: ConnectionId
     processor_ids: Tuple[int, ...]  #: processors supporting the client group
@@ -137,6 +136,7 @@ class ConnectRequestMessage:
 class ConnectMessage:
     """Server's response establishing (or migrating) a connection (§7)."""
 
+    TYPE = MessageType.CONNECT
     header: FTMPHeader
     connection_id: ConnectionId
     processor_group_id: int
@@ -149,6 +149,7 @@ class ConnectMessage:
 class AddProcessorMessage:
     """Adds a non-faulty processor to a processor group (§7.1)."""
 
+    TYPE = MessageType.ADD_PROCESSOR
     header: FTMPHeader
     membership_timestamp: int
     membership: Tuple[int, ...]
@@ -162,6 +163,7 @@ class AddProcessorMessage:
 class RemoveProcessorMessage:
     """Removes a non-faulty processor from a processor group (§7.1)."""
 
+    TYPE = MessageType.REMOVE_PROCESSOR
     header: FTMPHeader
     member_to_remove: int
 
@@ -170,6 +172,7 @@ class RemoveProcessorMessage:
 class SuspectMessage:
     """Declares processors suspected of being faulty (§7.2)."""
 
+    TYPE = MessageType.SUSPECT
     header: FTMPHeader
     membership_timestamp: int
     suspects: Tuple[int, ...]
@@ -184,6 +187,7 @@ class MembershipMessage:
     the virtual-synchrony message exchange.
     """
 
+    TYPE = MessageType.MEMBERSHIP
     header: FTMPHeader
     membership_timestamp: int
     current_membership: Tuple[int, ...]
@@ -202,6 +206,7 @@ class BatchMessage:
     carries no ordering information (sequence number and timestamps 0).
     """
 
+    TYPE = MessageType.BATCH
     header: FTMPHeader
     parts: Tuple[bytes, ...]
     #: decode side only: ``decode(part)`` of every part, in order, when the
@@ -246,6 +251,7 @@ class AckSummaryMessage:
     KIND_UP = 1
     KIND_DOWN = 2
 
+    TYPE = MessageType.ACK_SUMMARY
     header: FTMPHeader
     kind: int
     cover_ts: int
@@ -269,6 +275,7 @@ class MultiGroupProposeMessage:
     against different classes (Generic Multicast relaxation).
     """
 
+    TYPE = MessageType.MULTI_GROUP_PROPOSE
     header: FTMPHeader
     mg_seq: int
     conflict_class: int
@@ -290,6 +297,7 @@ class MultiGroupCommitMessage:
     ordering key below ``commit_ts`` can still arrive.
     """
 
+    TYPE = MessageType.MULTI_GROUP_COMMIT
     header: FTMPHeader
     origin: int
     mg_seq: int
@@ -311,8 +319,3 @@ FTMPMessage = Union[
     MultiGroupProposeMessage,
     MultiGroupCommitMessage,
 ]
-
-
-def order_key(msg: FTMPMessage) -> Tuple[int, int]:
-    """Total-order sort key: (timestamp, source id), ties by source (§6)."""
-    return (msg.header.timestamp, msg.header.source)

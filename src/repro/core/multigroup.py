@@ -93,6 +93,7 @@ from .messages import (
     RemoveProcessorMessage,
 )
 from .romp import ROMP
+from .wire import peek_header
 
 if TYPE_CHECKING:  # pragma: no cover
     from .datapath import GroupContext, ProcessorGroup
@@ -378,26 +379,12 @@ class SkeenOrdering(ROMP):
         """Multicast one multi-group proposal copy into this group's
         totally-ordered stream; returns the copy's header timestamp —
         this group's proposal in the timestamp-collection protocol."""
-        g = self._g
-        msg = MultiGroupProposeMessage(
-            header=g._header(MessageType.MULTI_GROUP_PROPOSE, reliable=True),
-            mg_seq=mg_seq,
-            conflict_class=conflict_class,
-            groups=group_ids,
-            payload=payload,
-        )
         self.stage.stats.proposes_sent += 1
-        g.send_path.send(msg)
-        return msg.header.timestamp
+        raw = self._g.send(MultiGroupProposeMessage, mg_seq, conflict_class,
+                           group_ids, payload)
+        return peek_header(raw).timestamp
 
     def send_commit(self, origin: int, mg_seq: int, commit_ts: int) -> None:
         """Announce the committed (max) timestamp into this group's stream."""
-        g = self._g
-        msg = MultiGroupCommitMessage(
-            header=g._header(MessageType.MULTI_GROUP_COMMIT, reliable=True),
-            origin=origin,
-            mg_seq=mg_seq,
-            commit_ts=commit_ts,
-        )
         self.stage.stats.commits_sent += 1
-        g.send_path.send(msg)
+        self._g.send(MultiGroupCommitMessage, origin, mg_seq, commit_ts)

@@ -67,9 +67,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Deque, Dict, Optional, Set, Tuple
 
 from .constants import MessageType
-from .dissemination import Dissemination, Receive, Transmit
+from .dissemination import LOOPBACK, Dissemination, Receive, Transmit
 from .messages import AckSummaryMessage, FTMPMessage
-from .wire import decode, encode
 
 if TYPE_CHECKING:  # pragma: no cover
     from .datapath import ProcessorGroup
@@ -324,9 +323,14 @@ class OverlayDissemination(Dissemination):
                 or raw[_FLAGS_OFFSET] & _FLAG_RETRANSMISSION):
             transmit(address, raw)
             return
-        # the self-copy preserves the flat path's loopback delivery but
-        # never touches the NIC (see _loopback)
-        self._loopback(raw)
+        # The self-copy preserves the flat path's loopback delivery but
+        # never touches the NIC.  The flat path's self-copy rides the
+        # single group serialization for free (IP-multicast loopback); a
+        # real unicast deployment hands its own copy to the receive path
+        # in memory and never serializes it through the NIC, and charging
+        # the simulated egress a full serialization per self-copy would
+        # overstate overlay cost.
+        g.loop_back(raw)
         copies = 0
         if self._parent is not None:
             transmit(unicast_address(addr, self._parent), raw)
@@ -335,21 +339,6 @@ class OverlayDissemination(Dissemination):
             transmit(unicast_address(addr, c), raw)
             copies += 1
         self.stats.regulars_tree_routed += copies
-
-    def _loopback(self, raw: bytes) -> None:
-        """Deliver one of our own datagrams through the local receive path.
-
-        The flat path's self-copy rides the single group serialization
-        for free (IP-multicast loopback); a real unicast deployment hands
-        its own copy to the receive path in memory and never serializes
-        it through the NIC.  Charging the simulated egress a full
-        serialization per self-copy would overstate overlay cost, so the
-        self-copy skips the wire — deferred one scheduler turn to keep
-        the loopback's event boundary (no re-entrant delivery inside the
-        send call).
-        """
-        g = self._g
-        g.schedule(0.0, lambda: g.on_datagram(decode(raw), raw))
 
     # ------------------------------------------------------------------
     # ingress: relay + direct liveness evidence
@@ -441,12 +430,8 @@ class OverlayDissemination(Dissemination):
         # the self-summary replaces the heartbeat loopback: it advances
         # our own stream's order timestamp in our own cover gate.  Pure
         # local bookkeeping, so it never touches the NIC.
-        keepalive = AckSummaryMessage(
-            header=g.send_path.next_header(MessageType.ACK_SUMMARY,
-                                           reliable=False),
-            kind=AckSummaryMessage.KIND_DOWN, cover_ts=0, ack_ts=0,
-        )
-        self._loopback(encode(keepalive))
+        g.send(AckSummaryMessage, AckSummaryMessage.KIND_DOWN, 0, 0,
+               address=LOOPBACK)
         if me not in self._member_set:
             return
         now = g.now()
@@ -479,22 +464,9 @@ class OverlayDissemination(Dissemination):
                     entries.append((p, s, t))
             kind = (AckSummaryMessage.KIND_UP if nbr == self._parent
                     else AckSummaryMessage.KIND_DOWN)
-            self._send_summary(unicast_address(addr, nbr), kind,
-                               cover_out, ack_out, tuple(entries))
-
-    def _send_summary(self, address: int, kind: int, cover: int, ack: int,
-                      entries: Tuple[Tuple[int, int, int], ...]) -> None:
-        g = self._g
-        msg = AckSummaryMessage(
-            header=g.send_path.next_header(MessageType.ACK_SUMMARY,
-                                           reliable=False),
-            kind=kind,
-            cover_ts=cover,
-            ack_ts=ack,
-            entries=entries,
-        )
-        self.stats.summaries_sent += 1
-        g.send_path.send(msg, address=address)
+            self.stats.summaries_sent += 1
+            g.send(AckSummaryMessage, kind, cover_out, ack_out, tuple(entries),
+                   address=unicast_address(addr, nbr))
 
     # ------------------------------------------------------------------
     # summary ingestion (called by RMP after its heartbeat-style checks)

@@ -39,6 +39,7 @@ from .messages import (
     FTMPMessage,
     MembershipMessage,
     RemoveProcessorMessage,
+    RetransmitRequestMessage,
     SuspectMessage,
 )
 
@@ -102,12 +103,8 @@ class PGMP:
             if p != self._g.pid
         }
         seq_vector[self._g.pid] = self._g.last_sent_seq
-        raw = self._g.send_add_processor(
-            membership_timestamp=self._g.view_timestamp,
-            membership=tuple(sorted(self._g.membership)),
-            sequence_numbers=seq_vector,
-            new_member=new_member,
-        )
+        raw = self._g.send(AddProcessorMessage, self._g.view_timestamp,
+                           tuple(sorted(self._g.membership)), seq_vector, new_member)
         timer = self._g.schedule(
             self._g.config.add_resend_interval, self._resend_add, new_member
         )
@@ -131,7 +128,7 @@ class PGMP:
         """Multicast a RemoveProcessor (takes effect when ordered)."""
         if member not in self._g.membership:
             raise ValueError(f"processor {member} is not a member")
-        self._g.send_remove_processor(member)
+        self._g.send(RemoveProcessorMessage, member)
 
     # ------------------------------------------------------------------
     # ordered deliveries from ROMP
@@ -258,10 +255,8 @@ class PGMP:
 
     def _broadcast_suspects(self) -> None:
         self.stats.suspects_sent += 1
-        self._g.send_suspect(
-            membership_timestamp=self._g.view_timestamp,
-            suspects=tuple(sorted(self._my_suspects)),
-        )
+        self._g.send(SuspectMessage, self._g.view_timestamp,
+                     tuple(sorted(self._my_suspects)))
         # record my own accusation locally (my Suspect loops back too, but
         # conviction must not depend on self-delivery timing)
         self._accusations[self._g.pid] = frozenset(self._my_suspects)
@@ -335,12 +330,9 @@ class PGMP:
             self._sent_proposals.add(proposal)
             vector = self._seq_vector()
             self.stats.membership_msgs_sent += 1
-            self._g.send_membership(
-                membership_timestamp=self._g.view_timestamp,
-                current_membership=tuple(sorted(self._g.membership)),
-                sequence_numbers=vector,
-                new_membership=tuple(sorted(proposal)),
-            )
+            self._g.send(MembershipMessage, self._g.view_timestamp,
+                         tuple(sorted(self._g.membership)), vector,
+                         tuple(sorted(proposal)))
         self._check_round()
 
     def _seq_vector(self) -> Dict[int, int]:
@@ -410,7 +402,8 @@ class PGMP:
             if top < target:
                 missing = True
                 self.stats.sync_nacks += 1
-                self._g.send_retransmit_request(pid, top + 1, target)
+                self._g.trace("nack", missing_from=pid, start=top + 1, stop=target)
+                self._g.send(RetransmitRequestMessage, pid, top + 1, target)
         if missing:
             rnd.sync_timer = self._g.schedule(
                 self._g.config.nack_retry_interval, self._sync_step

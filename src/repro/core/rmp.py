@@ -104,11 +104,12 @@ class RMP:
     # ------------------------------------------------------------------
     # datagram entry point (called by the stack after decode + group filter)
     # ------------------------------------------------------------------
-    def on_message(self, msg: FTMPMessage) -> None:
-        """Route one received FTMP message for this group."""
+    def on_message(self, msg: FTMPMessage, raw: bytes) -> None:
+        """Route one received FTMP message for this group, ``raw`` its
+        wire bytes."""
         mtype = msg.header.message_type
         if mtype in RELIABLE_TYPES:
-            self._on_reliable(msg)
+            self._on_reliable(msg, raw)
         elif mtype == MessageType.HEARTBEAT:
             self._on_heartbeat(msg)  # type: ignore[arg-type]
         elif mtype == MessageType.RETRANSMIT_REQUEST:
@@ -123,7 +124,7 @@ class RMP:
     # ------------------------------------------------------------------
     # reliable source-ordered path
     # ------------------------------------------------------------------
-    def _on_reliable(self, msg: FTMPMessage) -> None:
+    def _on_reliable(self, msg: FTMPMessage, raw: bytes) -> None:
         h = msg.header
         src = h.source
         # A retransmitted copy we were about to send ourselves: suppress.
@@ -143,7 +144,7 @@ class RMP:
 
         # Retain for answering future NACKs ("any processor that has
         # received [the] message ... may retransmit", §5).
-        self._g.retain(msg)
+        self._g.buffer.add(src, seq, h.timestamp, raw)
 
         if seq == st.next_seq:
             if (not st.pending and st.nack_timer is None
@@ -156,7 +157,7 @@ class RMP:
                 # is the hand-off itself.
                 st.next_seq = seq + 1
                 self.stats.delivered += 1
-                self._g.romp_receive(msg)
+                self._g.romp.receive(msg)
             else:
                 self._advance(src, st, first=msg)
         else:
@@ -217,12 +218,12 @@ class RMP:
         if first is not None:
             st.next_seq += 1
             self.stats.delivered += 1
-            self._g.romp_receive(first)
+            self._g.romp.receive(first)
         while st.next_seq in st.pending:
             msg = st.pending.pop(st.next_seq)
             st.next_seq += 1
             self.stats.delivered += 1
-            self._g.romp_receive(msg)
+            self._g.romp.receive(msg)
         if not self._missing_range(st):
             self._cancel_nack(st)
         # A heartbeat that arrived ahead of a gap becomes usable once the
@@ -230,7 +231,7 @@ class RMP:
         hb = st.deferred_heartbeat
         if hb is not None and hb.header.sequence_number <= st.contiguous_top:
             st.deferred_heartbeat = None
-            self._g.romp_heartbeat(hb)
+            self._g.romp.receive_heartbeat(hb)
 
     # ------------------------------------------------------------------
     # heartbeats (unreliable, but they expose gaps)
@@ -248,7 +249,7 @@ class RMP:
             st.deferred_heartbeat = msg
             self._note_gap(src, st)
         else:
-            self._g.romp_heartbeat(msg)
+            self._g.romp.receive_heartbeat(msg)
 
     def _on_ack_summary(self, msg: AckSummaryMessage) -> None:
         """A stability summary: heartbeat semantics + aggregation.
@@ -269,7 +270,7 @@ class RMP:
             st.deferred_heartbeat = msg
             self._note_gap(src, st)
         else:
-            self._g.romp_heartbeat(msg)  # type: ignore[arg-type]
+            self._g.romp.receive_heartbeat(msg)  # type: ignore[arg-type]
         self._g.dissemination.on_summary(msg)
 
     def disclose(self, src: int, seq: int) -> None:
@@ -323,7 +324,8 @@ class RMP:
             st.nack_retries = 0  # partial repair arrived: back off resets
         st.nack_progress = st.next_seq
         self.stats.nacks_sent += 1
-        self._g.send_retransmit_request(src, start, stop)
+        self._g.trace("nack", missing_from=src, start=start, stop=stop)
+        self._g.send(RetransmitRequestMessage, src, start, stop)
         cfg = self._g.config
         interval = cfg.nack_retry_interval
         if cfg.nack_backoff_factor > 1.0 and st.nack_retries:
@@ -536,10 +538,6 @@ class RMP:
     def sources(self) -> Dict[int, SourceState]:
         """Read-only view of per-source state (used by PGMP seq vectors)."""
         return self._sources
-
-    def has_gaps(self) -> bool:
-        """True if any source currently has outstanding missing messages."""
-        return any(self._missing_range(st) is not None for st in self._sources.values())
 
     def stop(self) -> None:
         """Cancel all timers (stack shutdown)."""

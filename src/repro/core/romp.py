@@ -671,10 +671,6 @@ class ROMP:
         """Discipline hook — messages taken from RMP but not yet released."""
         return len(self._queue)
 
-    def queued_from(self, src: int) -> int:
-        """Queued messages originated by ``src`` (O(1) via the index)."""
-        return len(self._by_src.get(src, ()))
-
     def keys_from(self, src: int) -> List[Tuple[int, int]]:
         """(timestamp, source) keys of queued messages from ``src``."""
         return [(ts, src) for ts in sorted(self._by_src.get(src, ()))]

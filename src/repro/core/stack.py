@@ -44,7 +44,7 @@ from .constants import MessageType
 from .datapath import ProcessorGroup
 from .events import ConnectionEvent, Listener, ViewChange
 from .lamport import make_clock
-from .messages import ConnectionId, ConnectRequestMessage, FTMPHeader
+from .messages import ConnectionId, ConnectMessage, ConnectRequestMessage, FTMPHeader
 from .stats import StackStats, StatsRegistry
 from .tracing import Tracer
 from .wire import CodecError, decode, decode_view, encode, peek_header
@@ -253,13 +253,8 @@ class FTMPStack:
         if binding is None:
             raise RuntimeError(f"connection {cid} is not established")
         g = self._require_group(binding.group_id)
-        g.send_connect(
-            connection_id=cid,
-            processor_group_id=binding.group_id,
-            ip_multicast_address=new_address,
-            membership_timestamp=g.view_timestamp,
-            membership=g.membership,
-        )
+        g.send(ConnectMessage, cid, binding.group_id, new_address,
+               g.view_timestamp, g.membership)
 
     # ------------------------------------------------------------------
     # services used by the connection manager
@@ -300,14 +295,8 @@ class FTMPStack:
                                   group_id: int, address: int,
                                   membership: Tuple[int, ...]) -> bytes:
         g = self._require_group(group_id)
-        raw = g.send_connect(
-            connection_id=connection_id,
-            processor_group_id=group_id,
-            ip_multicast_address=address,
-            membership_timestamp=g.view_timestamp,
-            membership=membership,
-            address=domain_address,
-        )
+        raw = g.send(ConnectMessage, connection_id, group_id, address,
+                     g.view_timestamp, membership, address=domain_address)
         # The responder adopts the Connect's timestamp as its view
         # timestamp immediately (the other members adopt it on receipt),
         # so Suspect/Membership view matching works during the handshake

@@ -94,7 +94,6 @@ __all__ = [
     "decode",
     "decode_view",
     "CodecError",
-    "header_of",
     "peek_header",
     "mark_retransmission",
 ]
@@ -831,11 +830,6 @@ def decode_view(data: _Buffer) -> FTMPMessage:
         return RegularMessage(h, ConnectionId(cd, cg, sd, sg), req,
                               mv[start:start + plen])
     return decode(mv)
-
-
-def header_of(data: _Buffer) -> FTMPHeader:
-    """Alias of :func:`peek_header` for readability at call sites."""
-    return peek_header(data)
 
 
 def mark_retransmission(raw: _Buffer) -> bytes:

@@ -78,9 +78,6 @@ class CDREncoder:
     def ulonglong(self, v: int) -> None:
         self._pack("Q", v, 8)
 
-    def float_(self, v: float) -> None:
-        self._pack("f", v, 4)
-
     def double(self, v: float) -> None:
         self._pack("d", v, 8)
 
@@ -176,9 +173,6 @@ class CDRDecoder:
 
     def ulonglong(self) -> int:
         return self._unpack("Q", 8)
-
-    def float_(self) -> float:
-        return self._unpack("f", 4)
 
     def double(self) -> float:
         return self._unpack("d", 8)

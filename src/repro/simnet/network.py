@@ -212,13 +212,6 @@ class Network:
         """Remove any partition."""
         self._partition = None
 
-    def _partitioned(self, src: int, dst: int) -> bool:
-        if self._partition is None:
-            return False
-        a = self._partition.get(src, -1)
-        b = self._partition.get(dst, -1)
-        return a != b
-
     # ------------------------------------------------------------------
     # datagram delivery
     # ------------------------------------------------------------------
@@ -349,17 +342,6 @@ class Network:
             self.wire_copies[src] = self.wire_copies.get(src, 0) + copies
         self.trace.record_send(now, src, group_addr, len(data), delivered, dropped)
 
-    def egress_backlog(self, pid: int) -> float:
-        """Seconds until ``pid``'s NIC egress drains (0 when idle).
-
-        The flow-control experiments use this as the ground-truth queueing
-        signal: without backpressure, offered load beyond the bandwidth
-        accumulates here and every later packet inherits the backlog as
-        latency.
-        """
-        if not self.topology.egress_bandwidth:
-            return 0.0
-        return max(0.0, self._egress_free.get(pid, 0.0) - self.scheduler.now)
 
     def _deliver(self, pid: int, data: bytes) -> None:
         node = self._nodes.get(pid)

@@ -23,7 +23,6 @@ import heapq
 import itertools
 from typing import Any, Callable, List, Optional
 
-from ..transport import NamedTimerSet
 from .schedules import SchedulePolicy
 
 __all__ = ["Event", "Scheduler", "SimTimeError"]
@@ -92,7 +91,6 @@ class Scheduler:
         self._counter = itertools.count()
         self._events_processed = 0
         self._live = 0  #: uncancelled events currently on the heap
-        self._named: Optional["NamedTimerSet"] = None
         self._policy: Optional[SchedulePolicy] = None
         self._decisions: List[int] = []
         if policy is not None:
@@ -284,20 +282,3 @@ class Scheduler:
             self._now = time
         return ran
 
-    def run_until_idle_or(self, time: float) -> int:
-        """Alias of :meth:`run_until`; kept for readability at call sites."""
-        return self.run_until(time)
-
-    # ------------------------------------------------------------------
-    # named timers
-    # ------------------------------------------------------------------
-    def schedule_named(self, name: str, delay: float, fn: Callable[..., Any],
-                       *args: Any) -> Event:
-        """Schedule under ``name``, replacing any pending event of that name."""
-        if self._named is None:
-            self._named = NamedTimerSet(self.schedule)
-        return self._named.arm(name, delay, fn, *args)
-
-    def cancel_named(self, name: str) -> bool:
-        """Cancel the pending named event, if any.  True if one was armed."""
-        return self._named is not None and self._named.cancel(name)

@@ -72,9 +72,10 @@ def verbatim(part, e, *, plen=None):
     return struct.pack(e + "BI", VERBATIM, len(part) if plen is None else plen) + part
 
 
-def full_regular(seq, ts, e, *, source=SENDER, payload=b"x", retransmission=False):
+def full_regular(seq, ts, e, *, source=SENDER, group=GROUP, payload=b"x",
+                 retransmission=False):
     return encode(RegularMessage(
-        FTMPHeader(MessageType.REGULAR, source=source, group=GROUP, sequence_number=seq,
+        FTMPHeader(MessageType.REGULAR, source=source, group=group, sequence_number=seq,
                    timestamp=ts, ack_timestamp=0, little_endian=e == "<",
                    retransmission=retransmission),
         ConnectionId.none(), seq, payload))
@@ -101,6 +102,8 @@ RECORDS = {
     "verbatim": lambda e, seq, ts, p: verbatim(full_regular(seq, ts, e, payload=p), e),
     "verbatim_foreign_source": lambda e, seq, ts, p: verbatim(
         full_regular(seq, ts, e, source=9, payload=p), e),
+    "verbatim_foreign_group": lambda e, seq, ts, p: verbatim(
+        full_regular(seq, ts, e, group=GROUP + 1, payload=p), e),
     "heartbeat": lambda e, seq, ts, p: compact(
         b"", e, seq=seq, ts=ts, mtype=MessageType.HEARTBEAT),
     "unknown_type": lambda e, seq, ts, p: compact(
@@ -301,6 +304,9 @@ ONE_BAD_PART = {
     "payload_length_huge": (1, 0),
     "body_short_of_regular_prefix": (1, 0),
     "nested_batch": (1, 0),
+    # a part is the envelope's sender's message to the envelope's group
+    "verbatim_foreign_source": (1, 0),
+    "verbatim_foreign_group": (1, 0),
     "heartbeat": (0, 1),  # not an error: a heartbeat, handled as one
 }
 
@@ -330,6 +336,32 @@ def test_a_record_running_past_the_datagram_is_a_decode_error(kind):
     assert stack.snapshot()["stack.decode_errors"] == 1
     assert counter(stack, "batch.batches_received") == 0
     assert counter(stack, "rmp.delivered") == 1
+
+
+def test_parts_naming_another_group_do_not_move_the_senders_stream():
+    # two verbatim Regulars headed for another group, numbered 1 and 2,
+    # inside an envelope for this one: fed to this group they were
+    # delivered here and took SENDER's numbers 1 and 2, so its real first
+    # two messages were discarded as duplicates and never asked for again
+    net = Network(lan(), seed=1)
+    stacks, listeners = {}, {}
+    for p in (1, SENDER, PEER):
+        listeners[p] = RecordingListener()
+        stacks[p] = FTMPStack(net.endpoint(p), FTMPConfig(), listeners[p])
+        stacks[p].create_group(GROUP, ADDRESS, (1, SENDER, PEER))
+    net.run_for(0.05)
+    stacks[1]._on_datagram(envelope([
+        verbatim(full_regular(seq, 100 + seq, "<", group=GROUP + 1,
+                              payload=b"foreign-%d" % seq), "<") for seq in (1, 2)]))
+    for payload in (b"real-1", b"real-2"):
+        stacks[SENDER].multicast(GROUP, payload)
+    net.run_for(0.2)
+    for p in (1, SENDER, PEER):
+        assert [d.payload for d in listeners[p].deliveries] == [b"real-1", b"real-2"], p
+    assert counter(stacks[1], "batch.batch_decode_errors") == 2
+    assert counter(stacks[1], "batch.messages_unbatched") == 0
+    assert counter(stacks[1], "rmp.duplicates") == 0
+    assert stacks[1]._groups[GROUP].rmp.sources()[SENDER].next_seq == 3
 
 
 def test_nested_batch_is_dropped_and_counted_not_recursed_into():

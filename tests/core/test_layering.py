@@ -13,8 +13,17 @@ name no engine.  ``core/romp.py``, ``rmp.py``, ``pgmp.py`` and
 ``fault_detector.py`` carry no ``llft`` / ``overlay`` / ``multigroup``
 identifier at all — an import of an engine module included — and
 ``core/datapath.py`` only where the choice is made: its engine import
-lines and ``ProcessorGroup.__init__``.  Run as a script (``make
-layering``) it prints the violations and exits 1.
+lines and ``ProcessorGroup.__init__``.
+
+Third rule (DESIGN.md, "Layered datapath"): Figure 3 is stated once on
+the way down.  The machines and the engines send through
+``ProcessorGroup.send`` only — none of them reaches for a header
+(``._header``, ``.next_header``), for the send path (``.send_path``) or
+restates a row of the table (``reliable=``) — and the service is the
+one caller of the discipline's ``on_own_send``.
+
+Run as a script (``make layering``) it prints the violations of the
+last two rules and exits 1.
 """
 
 import ast
@@ -85,9 +94,43 @@ def _engine_name_violations() -> list:
     return found
 
 
+#: the machines and the engines: everything that sends through the group
+SENDERS = ("rmp", "romp", "pgmp", "fault_detector", "llft", "overlay", "multigroup")
+PRIVATE_ROUTES = ("_header", "send_path", "next_header")
+
+
+def _tokens(path: pathlib.Path) -> list:
+    return [t for t in tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
+            if t.type in (tokenize.NAME, tokenize.OP)]
+
+
+def _send_route_violations() -> list:
+    """Attribute and keyword tokens that stamp or send past the service,
+    and every ``.on_own_send(`` call but the service's one."""
+    found, notifiers = [], []
+    for path in sorted((SRC / "core").glob("*.py")):
+        rel = f"core/{path.name}"
+        toks = _tokens(path)
+        for prev, tok, nxt in zip(toks, toks[1:], toks[2:]):
+            if path.stem in SENDERS and (
+                    (prev.string == "." and tok.string in PRIVATE_ROUTES)
+                    or (tok.string == "reliable" and nxt.string == "=")):
+                found.append(f"{rel}:{tok.start[0]}: {tok.string}")
+            if prev.string == "." and tok.string == "on_own_send" and nxt.string == "(":
+                notifiers.append(f"{rel}:{tok.start[0]}")
+    if len(notifiers) != 1:
+        found.append(f".on_own_send( called from {notifiers}, not the service alone")
+    return found
+
+
 def test_datagram_path_names_no_engine():
     problems = _engine_name_violations()
     assert not problems, "engine named outside the seam:\n" + "\n".join(problems)
+
+
+def test_everything_stamped_goes_through_the_send_service():
+    problems = _send_route_violations()
+    assert not problems, "a send past ProcessorGroup.send:\n" + "\n".join(problems)
 
 
 def test_protocol_layers_never_import_a_runtime():
@@ -118,6 +161,6 @@ def test_core_loads_without_either_runtime():
 
 
 if __name__ == "__main__":
-    bad = _engine_name_violations()
-    print("\n".join(bad) if bad else "engine seam OK")
+    bad = _engine_name_violations() + _send_route_violations()
+    print("\n".join(bad) if bad else "engine seam and send service OK")
     sys.exit(1 if bad else 0)

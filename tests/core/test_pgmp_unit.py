@@ -3,7 +3,12 @@
 from typing import Dict, List, Tuple
 
 from repro.core import FTMPConfig
-from repro.core.messages import FTMPHeader, MembershipMessage, SuspectMessage
+from repro.core.messages import (
+    FTMPHeader,
+    MembershipMessage,
+    RetransmitRequestMessage,
+    SuspectMessage,
+)
 from repro.core.constants import MessageType
 from repro.core.pgmp import PGMP
 from repro.core.rmp import RMP
@@ -74,18 +79,10 @@ class MockGroup:
     def schedule(self, delay, fn, *args):
         return MockTimer()
 
-    def send_suspect(self, membership_timestamp, suspects):
-        self.sent_suspects.append((membership_timestamp, suspects))
-
-    def send_membership(self, membership_timestamp, current_membership,
-                        sequence_numbers, new_membership):
-        self.sent_memberships.append(
-            (membership_timestamp, current_membership, sequence_numbers,
-             new_membership)
-        )
-
-    def send_retransmit_request(self, src, start, stop):
-        self.nacks.append((src, start, stop))
+    def send(self, cls, *body, address=None):
+        """The stamped-send service: each message's body, by class."""
+        {SuspectMessage: self.sent_suspects, MembershipMessage: self.sent_memberships,
+         RetransmitRequestMessage: self.nacks}[cls].append(body)
 
     def install_fault_view(self, membership, view_timestamp, removed,
                            sync_targets=None):

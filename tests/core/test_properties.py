@@ -127,22 +127,6 @@ def test_duplicate_detector_exactly_once(events):
         first_seen.add((num, kind))
 
 
-@given(st.lists(st.tuples(u64, u32), min_size=1, max_size=50))
-def test_order_key_is_total(keys):
-    from repro.core import order_key
-
-    msgs = [
-        RegularMessage(
-            FTMPHeader(MessageType.REGULAR, source=src, group=1,
-                       sequence_number=1, timestamp=ts, ack_timestamp=0),
-            ConnectionId.none(), 0, b"",
-        )
-        for ts, src in keys
-    ]
-    sorted_keys = sorted(order_key(m) for m in msgs)
-    assert sorted_keys == sorted((ts, src) for ts, src in keys)
-
-
 @given(h=headers(MessageType.CONNECT), cid=connection_ids(), gid=u32,
        addr=u32, ts=u64, members=pid_list)
 def test_connect_round_trip(h, cid, gid, addr, ts, members):

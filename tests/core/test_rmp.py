@@ -1,6 +1,6 @@
 """RMP behaviour: reliable source-ordered delivery, NACKs, retransmission."""
 
-from repro.core import FTMPConfig
+from repro.core import FTMPConfig, RetransmitRequestMessage
 from repro.simnet import LinkModel, lan, lossy_lan
 
 from repro.analysis.harness import make_cluster
@@ -113,7 +113,7 @@ def test_retransmit_request_not_answered_for_unknown_messages():
     before = g1.rmp.stats.retransmissions_sent
     # ask for messages that never existed
     g2 = c.stacks[2].group(1)
-    g2.send_retransmit_request(source=1, start=100, stop=105)
+    g2.send(RetransmitRequestMessage, 1, 100, 105)
     c.run_for(0.1)
     assert g1.rmp.stats.retransmissions_sent == before
 

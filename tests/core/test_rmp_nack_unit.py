@@ -1,8 +1,9 @@
 """Direct unit tests of RMP's NACK / retransmission timer lifecycle.
 
 The cluster tests exercise these paths statistically; here we drive an
-isolated RMP against a mock :class:`~repro.core.datapath.GroupContext`
-with a real scheduler, so the cancellation edges are deterministic:
+isolated RMP against :class:`rmp_fake.FakeContext`, a
+:class:`~repro.core.datapath.GroupContext` double with a real scheduler,
+so the cancellation edges are deterministic:
 
 * the pending NACK timer is cancelled when the gap fills before the
   randomized delay fires (no spurious RetransmitRequest);
@@ -10,84 +11,17 @@ with a real scheduler, so the cancellation edges are deterministic:
   holder's copy arrives first (paper §5 implosion avoidance).
 """
 
-import random
-from typing import List, Tuple
+from rmp_fake import FakeContext, feed, nack, regular
 
-from repro.core import FTMPConfig, MessageType, RetransmissionBuffer, encode
-from repro.core.messages import (
-    ConnectionId,
-    FTMPHeader,
-    HeartbeatMessage,
-    RegularMessage,
-    RetransmitRequestMessage,
-)
+from repro.core import FTMPConfig
 from repro.core.rmp import RMP
-from repro.simnet import Scheduler
-
-
-class MockContext:
-    """Just enough GroupContext for an isolated RMP."""
-
-    def __init__(self, pid: int = 2, config: FTMPConfig = None):
-        self._pid = pid
-        self.config = config if config is not None else FTMPConfig()
-        self.scheduler = Scheduler()
-        self.buffer = RetransmissionBuffer()
-        self.rng = random.Random(7)
-        self.delivered: List[RegularMessage] = []
-        self.heartbeats: List[HeartbeatMessage] = []
-        self.nacks: List[Tuple[int, int, int]] = []
-        self.retransmitted: List[bytes] = []
-
-    @property
-    def pid(self):
-        return self._pid
-
-    def trace(self, *a, **k):
-        pass
-
-    def schedule(self, delay, fn, *args):
-        return self.scheduler.schedule(delay, fn, *args)
-
-    def retain(self, msg):
-        h = msg.header
-        self.buffer.add(h.source, h.sequence_number, h.timestamp, encode(msg))
-
-    def romp_receive(self, msg):
-        self.delivered.append(msg)
-
-    def romp_heartbeat(self, msg):
-        self.heartbeats.append(msg)
-
-    def pgmp_receive_unreliable(self, msg):
-        pass
-
-    def send_retransmit_request(self, src, start, stop):
-        self.nacks.append((src, start, stop))
-
-    def retransmit_raw(self, raw, address=None):
-        self.retransmitted.append(raw)
-
-
-def regular(src: int, seq: int, ts: int = 0, retransmission: bool = False):
-    h = FTMPHeader(MessageType.REGULAR, source=src, group=1,
-                   sequence_number=seq, timestamp=ts or seq, ack_timestamp=0)
-    h.retransmission = retransmission
-    return RegularMessage(h, ConnectionId.none(), 0, b"m%d" % seq)
-
-
-def nack(src: int, wanted: int, start: int, stop: int):
-    h = FTMPHeader(MessageType.RETRANSMIT_REQUEST, source=src, group=1,
-                   sequence_number=0, timestamp=0, ack_timestamp=0)
-    return RetransmitRequestMessage(h, processor_id=wanted,
-                                    start_seq=start, stop_seq=stop)
 
 
 def test_gap_arms_nack_timer_and_fires():
-    ctx = MockContext()
+    ctx = FakeContext()
     rmp = RMP(ctx)
-    rmp.on_message(regular(1, 1))
-    rmp.on_message(regular(1, 3))  # gap at seq 2
+    feed(rmp, regular(1, 1))
+    feed(rmp, regular(1, 3))  # gap at seq 2
     assert rmp.stats.gaps_detected == 1
     assert ctx.nacks == []  # not yet: randomized delay pending
     ctx.scheduler.run_until(ctx.config.nack_delay * 2)
@@ -96,13 +30,13 @@ def test_gap_arms_nack_timer_and_fires():
 
 
 def test_nack_cancelled_when_gap_fills_before_delay():
-    ctx = MockContext()
+    ctx = FakeContext()
     rmp = RMP(ctx)
-    rmp.on_message(regular(1, 1))
-    rmp.on_message(regular(1, 3))  # gap at seq 2 -> timer armed
+    feed(rmp, regular(1, 1))
+    feed(rmp, regular(1, 3))  # gap at seq 2 -> timer armed
     st = rmp.sources()[1]
     assert st.nack_timer is not None
-    rmp.on_message(regular(1, 2))  # gap fills before nack_delay elapses
+    feed(rmp, regular(1, 2))  # gap fills before nack_delay elapses
     assert st.nack_timer is None  # _cancel_nack ran
     ctx.scheduler.run_until(ctx.config.nack_retry_interval * 3)
     assert ctx.nacks == []  # the armed NACK never fired
@@ -111,17 +45,17 @@ def test_nack_cancelled_when_gap_fills_before_delay():
 
 
 def test_nack_retries_until_gap_fills():
-    ctx = MockContext()
+    ctx = FakeContext()
     rmp = RMP(ctx)
-    rmp.on_message(regular(1, 1))
-    rmp.on_message(regular(1, 4))
+    feed(rmp, regular(1, 1))
+    feed(rmp, regular(1, 4))
     ctx.scheduler.run_until(
         ctx.config.nack_delay + ctx.config.nack_retry_interval * 2.5
     )
     assert len(ctx.nacks) == 3  # initial + two retries
     assert all(n == (1, 2, 3) for n in ctx.nacks)
-    rmp.on_message(regular(1, 2))
-    rmp.on_message(regular(1, 3))
+    feed(rmp, regular(1, 2))
+    feed(rmp, regular(1, 3))
     before = len(ctx.nacks)
     ctx.scheduler.run_until(ctx.scheduler.now + ctx.config.nack_retry_interval * 3)
     assert len(ctx.nacks) == before  # retry timer cancelled on fill
@@ -130,13 +64,13 @@ def test_nack_retries_until_gap_fills():
 def test_holder_retransmission_suppressed_by_anothers_copy():
     # pid 2 is a *holder* (not the source), so its answer to a NACK gets a
     # randomized backoff; the source's copy arriving first must cancel it.
-    ctx = MockContext(pid=2)
+    ctx = FakeContext(pid=2)
     rmp = RMP(ctx)
-    rmp.on_message(regular(1, 1))  # retained in ctx.buffer
-    rmp.on_message(nack(3, 1, 1, 1))  # pid 3 asks for (src 1, seq 1)
+    feed(rmp, regular(1, 1))  # retained in ctx.buffer
+    feed(rmp, nack(3, 1, 1, 1))  # pid 3 asks for (src 1, seq 1)
     assert ctx.retransmitted == []  # backoff pending
     # the source's retransmitted copy arrives before our backoff expires
-    rmp.on_message(regular(1, 1, retransmission=True))
+    feed(rmp, regular(1, 1, retransmission=True))
     assert rmp.stats.retransmissions_suppressed == 1
     ctx.scheduler.run_until(ctx.config.retransmit_backoff * 2)
     assert ctx.retransmitted == []  # our scheduled answer was cancelled
@@ -145,10 +79,10 @@ def test_holder_retransmission_suppressed_by_anothers_copy():
 
 
 def test_holder_answers_when_no_other_copy_arrives():
-    ctx = MockContext(pid=2)
+    ctx = FakeContext(pid=2)
     rmp = RMP(ctx)
-    rmp.on_message(regular(1, 1))
-    rmp.on_message(nack(3, 1, 1, 1))
+    feed(rmp, regular(1, 1))
+    feed(rmp, nack(3, 1, 1, 1))
     ctx.scheduler.run_until(ctx.config.retransmit_backoff * 2)
     assert len(ctx.retransmitted) == 1
     assert rmp.stats.retransmissions_sent == 1
@@ -156,41 +90,43 @@ def test_holder_answers_when_no_other_copy_arrives():
 
 
 def test_source_answers_nack_immediately():
-    ctx = MockContext(pid=1)
+    ctx = FakeContext(pid=1)
     rmp = RMP(ctx)
-    rmp.on_message(regular(1, 1))  # our own message looped back, retained
-    rmp.on_message(nack(3, 1, 1, 1))
+    feed(rmp, regular(1, 1))  # our own message looped back, retained
+    feed(rmp, nack(3, 1, 1, 1))
     # the source schedules with zero delay: fires at the next step
     ctx.scheduler.run_until(0.0)
     assert len(ctx.retransmitted) == 1
+    # pacing and the dedupe window are off by default: nothing read the clock
+    assert ctx.clock_reads == 0
 
 
 # ----------------------------------------------------------------------
 # multi-hole gap recovery (first-hole NACKs walk the stream hole by hole)
 # ----------------------------------------------------------------------
 def test_missing_range_reports_first_hole_only():
-    ctx = MockContext()
+    ctx = FakeContext()
     rmp = RMP(ctx)
     for seq in (1, 3, 6, 7):  # holes at 2 and at 4-5
-        rmp.on_message(regular(1, seq))
+        feed(rmp, regular(1, seq))
     st = rmp.sources()[1]
     assert rmp._missing_range(st) == (2, 2)
-    rmp.on_message(regular(1, 2))  # fills the first hole, delivers 2-3
+    feed(rmp, regular(1, 2))  # fills the first hole, delivers 2-3
     assert rmp._missing_range(st) == (4, 5)
 
 
 def test_multi_hole_recovery_walks_hole_by_hole():
-    ctx = MockContext()
+    ctx = FakeContext()
     rmp = RMP(ctx)
     for seq in (1, 3, 5):  # two single-message holes: 2 and 4
-        rmp.on_message(regular(1, seq))
+        feed(rmp, regular(1, seq))
     ctx.scheduler.run_until(ctx.config.nack_delay * 2)
     assert ctx.nacks == [(1, 2, 2)]  # only the first hole is requested
-    rmp.on_message(regular(1, 2))  # retransmission arrives: 2-3 deliver
+    feed(rmp, regular(1, 2))  # retransmission arrives: 2-3 deliver
     # the still-armed retry timer must now target the *second* hole
     ctx.scheduler.run_until(ctx.scheduler.now + ctx.config.nack_retry_interval * 2)
     assert (1, 4, 4) in ctx.nacks
-    rmp.on_message(regular(1, 4))
+    feed(rmp, regular(1, 4))
     assert [m.header.sequence_number for m in ctx.delivered] == [1, 2, 3, 4, 5]
     # fully contiguous: the retry timer is gone
     n = len(ctx.nacks)
@@ -203,14 +139,14 @@ def test_multi_hole_recovery_walks_hole_by_hole():
 # ----------------------------------------------------------------------
 def _nack_round(ctx, rmp, src, seq):
     """One full NACK round: request arrives, backoff elapses, answer sent."""
-    rmp.on_message(nack(3, src, seq, seq))
+    feed(rmp, nack(3, src, seq, seq))
     ctx.scheduler.run_until(ctx.scheduler.now + ctx.config.retransmit_backoff * 2)
 
 
 def test_drop_source_purges_escalation_counts():
-    ctx = MockContext(pid=2)
+    ctx = FakeContext(pid=2)
     rmp = RMP(ctx)
-    rmp.on_message(regular(1, 1))
+    feed(rmp, regular(1, 1))
     _nack_round(ctx, rmp, 1, 1)
     _nack_round(ctx, rmp, 1, 1)
     assert rmp._nack_counts == {(1, 1): 2}
@@ -219,9 +155,9 @@ def test_drop_source_purges_escalation_counts():
 
 
 def test_set_baseline_purges_escalation_counts():
-    ctx = MockContext(pid=2)
+    ctx = FakeContext(pid=2)
     rmp = RMP(ctx)
-    rmp.on_message(regular(1, 1))
+    feed(rmp, regular(1, 1))
     _nack_round(ctx, rmp, 1, 1)
     assert rmp._nack_counts == {(1, 1): 1}
     rmp.set_baseline(1, 5)  # rejoin: the source restarts its numbering
@@ -233,27 +169,27 @@ def test_rejoined_source_first_nack_is_suppressible_again():
     # sequence numbers inherits its old incarnation's >= 3 escalation
     # count, and the very first NACK for a reused (src, seq) triggers an
     # unsuppressed retransmit storm.
-    ctx = MockContext(pid=2)
+    ctx = FakeContext(pid=2)
     rmp = RMP(ctx)
-    rmp.on_message(regular(1, 1))
+    feed(rmp, regular(1, 1))
     for _ in range(3):  # escalate (1, 1) to count 3
         _nack_round(ctx, rmp, 1, 1)
     assert rmp._nack_counts[(1, 1)] >= 3
     rmp.drop_source(1)
-    rmp.on_message(regular(1, 1))  # new incarnation reuses seq 1
+    feed(rmp, regular(1, 1))  # new incarnation reuses seq 1
     before = len(ctx.retransmitted)
-    rmp.on_message(nack(3, 1, 1, 1))
+    feed(rmp, nack(3, 1, 1, 1))
     # first request for the new incarnation: randomized backoff, NOT an
     # immediate unsuppressible answer
     assert len(ctx.retransmitted) == before
 
 
 def test_nack_count_cap_evicts_cold_keys_first():
-    ctx = MockContext(pid=2)
+    ctx = FakeContext(pid=2)
     rmp = RMP(ctx)
     rmp._NACK_COUNT_CAP = 3  # shrink the cap so the test stays small
     for seq in range(1, 6):
-        rmp.on_message(regular(1, seq))
+        feed(rmp, regular(1, seq))
     _nack_round(ctx, rmp, 1, 1)
     _nack_round(ctx, rmp, 1, 1)  # (1, 1) is escalating: count 2
     for seq in (2, 3, 4, 5):
@@ -264,11 +200,11 @@ def test_nack_count_cap_evicts_cold_keys_first():
 
 
 def test_nack_count_cap_bounds_even_when_all_keys_escalate():
-    ctx = MockContext(pid=2)
+    ctx = FakeContext(pid=2)
     rmp = RMP(ctx)
     rmp._NACK_COUNT_CAP = 2
     for seq in range(1, 5):
-        rmp.on_message(regular(1, seq))
+        feed(rmp, regular(1, seq))
     for seq in range(1, 5):
         _nack_round(ctx, rmp, 1, seq)
         _nack_round(ctx, rmp, 1, seq)  # every key reaches count 2
@@ -278,10 +214,10 @@ def test_nack_count_cap_bounds_even_when_all_keys_escalate():
 # -- SRM-style retry backoff (nack_backoff_factor) ---------------------
 
 def test_nack_backoff_widens_retry_interval():
-    ctx = MockContext(config=FTMPConfig(nack_backoff_factor=2.0))
+    ctx = FakeContext(config=FTMPConfig(nack_backoff_factor=2.0))
     rmp = RMP(ctx)
-    rmp.on_message(regular(1, 1))
-    rmp.on_message(regular(1, 4))  # hole 2..3
+    feed(rmp, regular(1, 1))
+    feed(rmp, regular(1, 4))  # hole 2..3
     # initial NACK after nack_delay (2 ms), then retries at 10, 20,
     # 40 ms spacing: fires at 2, 12, 32, 72 ms
     ctx.scheduler.run_until(0.075)
@@ -293,13 +229,13 @@ def test_nack_backoff_widens_retry_interval():
 
 
 def test_nack_backoff_resets_on_partial_repair():
-    ctx = MockContext(config=FTMPConfig(nack_backoff_factor=2.0))
+    ctx = FakeContext(config=FTMPConfig(nack_backoff_factor=2.0))
     rmp = RMP(ctx)
-    rmp.on_message(regular(1, 1))
-    rmp.on_message(regular(1, 4))  # hole 2..3
+    feed(rmp, regular(1, 1))
+    feed(rmp, regular(1, 4))  # hole 2..3
     ctx.scheduler.run_until(0.040)  # fires at 2, 12, 32 ms; next at 72
     assert len(ctx.nacks) == 3
-    rmp.on_message(regular(1, 2))  # partial repair: hole is now just 3
+    feed(rmp, regular(1, 2))  # partial repair: hole is now just 3
     # at the 72 ms fire the progress is noticed, the backoff resets and
     # the next retry comes at the base 10 ms again (82 ms), not 80 later
     ctx.scheduler.run_until(0.085)
@@ -308,10 +244,10 @@ def test_nack_backoff_resets_on_partial_repair():
 
 
 def test_default_backoff_factor_keeps_fixed_interval():
-    ctx = MockContext()  # nack_backoff_factor = 1.0 (legacy)
+    ctx = FakeContext()  # nack_backoff_factor = 1.0 (legacy)
     rmp = RMP(ctx)
-    rmp.on_message(regular(1, 1))
-    rmp.on_message(regular(1, 4))
+    feed(rmp, regular(1, 1))
+    feed(rmp, regular(1, 4))
     ctx.scheduler.run_until(0.075)
     # 2 ms initial + every 10 ms: 2, 12, 22, ..., 72
     assert len(ctx.nacks) == 8

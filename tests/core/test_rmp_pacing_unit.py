@@ -1,103 +1,30 @@
 """Direct unit tests of RMP retransmission pacing and duplicate-request
 suppression (the flow-control PR's recovery-path half).
 
-Driven against the same mock-context pattern as ``test_rmp_nack_unit``,
-extended with ``now()`` — the pacing token bucket and the dedupe window
+Driven against the same :class:`rmp_fake.FakeContext` as
+``test_rmp_nack_unit`` — the pacing token bucket and the dedupe window
 are the first RMP features that read the clock.  Both default off
 (``retransmit_rate_limit=0``, ``nack_dedupe_window=0``), in which case
 ``now()`` is never called and behaviour is bit-identical to the legacy
-stack — the legacy unit tests assert that side.
+stack — ``test_rmp_nack_unit`` asserts that side.
 """
 
-import random
-from typing import List, Tuple
+from rmp_fake import FakeContext, feed, nack, regular
 
-from repro.core import FTMPConfig, MessageType, RetransmissionBuffer, encode
-from repro.core.messages import (
-    ConnectionId,
-    FTMPHeader,
-    HeartbeatMessage,
-    RegularMessage,
-    RetransmitRequestMessage,
-)
+from repro.core import FTMPConfig
 from repro.core.rmp import RMP
-from repro.simnet import Scheduler
-
-
-class MockContext:
-    """Just enough GroupContext for an isolated RMP, clock included."""
-
-    def __init__(self, pid: int = 2, config: FTMPConfig = None):
-        self._pid = pid
-        self.config = config if config is not None else FTMPConfig()
-        self.scheduler = Scheduler()
-        self.buffer = RetransmissionBuffer()
-        self.rng = random.Random(7)
-        self.delivered: List[RegularMessage] = []
-        self.heartbeats: List[HeartbeatMessage] = []
-        self.nacks: List[Tuple[int, int, int]] = []
-        self.retransmitted: List[bytes] = []
-        #: (time, raw) of every retransmission, for pacing assertions
-        self.retransmit_times: List[float] = []
-
-    @property
-    def pid(self):
-        return self._pid
-
-    def now(self):
-        return self.scheduler.now
-
-    def trace(self, *a, **k):
-        pass
-
-    def schedule(self, delay, fn, *args):
-        return self.scheduler.schedule(delay, fn, *args)
-
-    def retain(self, msg):
-        h = msg.header
-        self.buffer.add(h.source, h.sequence_number, h.timestamp, encode(msg))
-
-    def romp_receive(self, msg):
-        self.delivered.append(msg)
-
-    def romp_heartbeat(self, msg):
-        self.heartbeats.append(msg)
-
-    def pgmp_receive_unreliable(self, msg):
-        pass
-
-    def send_retransmit_request(self, src, start, stop):
-        self.nacks.append((src, start, stop))
-
-    def retransmit_raw(self, raw, address=None):
-        self.retransmitted.append(raw)
-        self.retransmit_times.append(self.scheduler.now)
-
-
-def regular(src: int, seq: int, ts: int = 0, retransmission: bool = False):
-    h = FTMPHeader(MessageType.REGULAR, source=src, group=1,
-                   sequence_number=seq, timestamp=ts or seq, ack_timestamp=0)
-    h.retransmission = retransmission
-    return RegularMessage(h, ConnectionId.none(), 0, b"m%d" % seq)
-
-
-def nack(src: int, wanted: int, start: int, stop: int):
-    h = FTMPHeader(MessageType.RETRANSMIT_REQUEST, source=src, group=1,
-                   sequence_number=0, timestamp=0, ack_timestamp=0)
-    return RetransmitRequestMessage(h, processor_id=wanted,
-                                    start_seq=start, stop_seq=stop)
 
 
 def paced_source(n_msgs: int = 20, rate: float = 100.0, burst: int = 2,
                  dedupe: float = 0.0):
     """pid 1 *is* the source: answers are immediate, only pacing defers."""
-    ctx = MockContext(pid=1, config=FTMPConfig(
+    ctx = FakeContext(pid=1, config=FTMPConfig(
         retransmit_rate_limit=rate, retransmit_burst=burst,
         nack_dedupe_window=dedupe,
     ))
     rmp = RMP(ctx)
     for seq in range(1, n_msgs + 1):
-        rmp.on_message(regular(1, seq))
+        feed(rmp, regular(1, seq))
     return ctx, rmp
 
 
@@ -106,7 +33,7 @@ def paced_source(n_msgs: int = 20, rate: float = 100.0, burst: int = 2,
 # ----------------------------------------------------------------------
 def test_pacing_defers_beyond_burst():
     ctx, rmp = paced_source(n_msgs=10, rate=100.0, burst=2)
-    rmp.on_message(nack(3, 1, 1, 10))  # one NACK asks for all 10 at once
+    feed(rmp, nack(3, 1, 1, 10))  # one NACK asks for all 10 at once
     ctx.scheduler.run_until(0.0)
     # the burst allowance answers immediately; the rest are deferred
     assert len(ctx.retransmitted) <= 3
@@ -122,7 +49,7 @@ def test_pacing_defers_beyond_burst():
 
 def test_pacing_off_by_default_all_immediate():
     ctx, rmp = paced_source(n_msgs=10, rate=0.0)
-    rmp.on_message(nack(3, 1, 1, 10))
+    feed(rmp, nack(3, 1, 1, 10))
     ctx.scheduler.run_until(0.0)
     assert len(ctx.retransmitted) == 10
     assert rmp.stats.retransmissions_paced == 0
@@ -130,11 +57,11 @@ def test_pacing_off_by_default_all_immediate():
 
 def test_bucket_refills_after_idle():
     ctx, rmp = paced_source(n_msgs=8, rate=100.0, burst=4)
-    rmp.on_message(nack(3, 1, 1, 4))
+    feed(rmp, nack(3, 1, 1, 4))
     ctx.scheduler.run_until(0.0)
     assert len(ctx.retransmitted) == 4  # within the burst: all immediate
     ctx.scheduler.run_until(1.0)  # a second of idle refills the bucket
-    rmp.on_message(nack(3, 1, 5, 8))
+    feed(rmp, nack(3, 1, 5, 8))
     ctx.scheduler.run_until(1.0)
     assert len(ctx.retransmitted) == 8
     assert rmp.stats.retransmissions_paced == 0
@@ -144,16 +71,16 @@ def test_paced_holder_answer_stays_suppressible():
     # pid 2 is a holder; its backoff answer lands in a dry bucket and is
     # deferred — the deferred answer must still be cancelled by another
     # holder's copy arriving first (pacing must not break §5 suppression).
-    ctx = MockContext(pid=2, config=FTMPConfig(
+    ctx = FakeContext(pid=2, config=FTMPConfig(
         retransmit_rate_limit=100.0, retransmit_burst=0,
     ))
     rmp = RMP(ctx)
-    rmp.on_message(regular(1, 1))
-    rmp.on_message(nack(3, 1, 1, 1))
+    feed(rmp, regular(1, 1))
+    feed(rmp, nack(3, 1, 1, 1))
     ctx.scheduler.run_until(ctx.config.retransmit_backoff * 2)
     assert ctx.retransmitted == []  # paced past the backoff
     assert rmp.stats.retransmissions_paced == 1
-    rmp.on_message(regular(1, 1, retransmission=True))  # copy arrives
+    feed(rmp, regular(1, 1, retransmission=True))  # copy arrives
     ctx.scheduler.run_until(1.0)
     assert ctx.retransmitted == []  # the paced answer was suppressed
     assert rmp.stats.retransmissions_suppressed == 1
@@ -163,18 +90,18 @@ def test_escalated_answer_survives_pacing_unsuppressed():
     # An escalated (count >= 3) answer must go out even when deferred by
     # the bucket, and a copy from elsewhere must NOT cancel it — the whole
     # point of escalation is that the usual copies are not arriving.
-    ctx = MockContext(pid=2, config=FTMPConfig(
+    ctx = FakeContext(pid=2, config=FTMPConfig(
         retransmit_rate_limit=100.0, retransmit_burst=0,
     ))
     rmp = RMP(ctx)
-    rmp.on_message(regular(1, 1))
+    feed(rmp, regular(1, 1))
     for _ in range(2):
-        rmp.on_message(nack(3, 1, 1, 1))
+        feed(rmp, nack(3, 1, 1, 1))
         ctx.scheduler.run_until(ctx.scheduler.now + 1.0)
     sent_before = len(ctx.retransmitted)
-    rmp.on_message(nack(3, 1, 1, 1))  # third request: escalates
+    feed(rmp, nack(3, 1, 1, 1))  # third request: escalates
     assert len(ctx.retransmitted) == sent_before  # bucket dry: deferred
-    rmp.on_message(regular(1, 1, retransmission=True))  # copy arrives
+    feed(rmp, regular(1, 1, retransmission=True))  # copy arrives
     ctx.scheduler.run_until(ctx.scheduler.now + 1.0)
     assert len(ctx.retransmitted) == sent_before + 1  # still answered
 
@@ -186,20 +113,20 @@ def test_repeated_request_for_escalated_answer_not_amplified():
     # paced copy — amplifying the recovery traffic the pacer bounds.
     # The answer now pends under its real (source, seq) key and repeats
     # hit the pending-job check.
-    ctx = MockContext(pid=2, config=FTMPConfig(
+    ctx = FakeContext(pid=2, config=FTMPConfig(
         retransmit_rate_limit=100.0, retransmit_burst=0,
         nack_dedupe_window=0.0,
     ))
     rmp = RMP(ctx)
-    rmp.on_message(regular(1, 1))
+    feed(rmp, regular(1, 1))
     for _ in range(2):
-        rmp.on_message(nack(3, 1, 1, 1))
+        feed(rmp, nack(3, 1, 1, 1))
         ctx.scheduler.run_until(ctx.scheduler.now + 1.0)
     sent_before = len(ctx.retransmitted)
-    rmp.on_message(nack(3, 1, 1, 1))  # third request: escalates, deferred
+    feed(rmp, nack(3, 1, 1, 1))  # third request: escalates, deferred
     assert len(rmp._retransmit_jobs) == 1
     for _ in range(3):  # repeats while the paced answer is still pending
-        rmp.on_message(nack(3, 1, 1, 1))
+        feed(rmp, nack(3, 1, 1, 1))
     assert len(rmp._retransmit_jobs) == 1  # deduped, no second copy
     ctx.scheduler.run_until(ctx.scheduler.now + 1.0)
     assert len(ctx.retransmitted) == sent_before + 1  # answered exactly once
@@ -210,30 +137,30 @@ def test_unsuppressible_mark_cleared_after_answer_and_on_drop():
     # The unsuppressible mark must not outlive the paced answer (or the
     # source): a stale mark would shield future ordinary backoff answers
     # for the same key from §5 suppression forever.
-    ctx = MockContext(pid=2, config=FTMPConfig(
+    ctx = FakeContext(pid=2, config=FTMPConfig(
         retransmit_rate_limit=100.0, retransmit_burst=0,
     ))
     rmp = RMP(ctx)
-    rmp.on_message(regular(1, 1))
+    feed(rmp, regular(1, 1))
     for _ in range(3):  # third request escalates; let each answer drain
-        rmp.on_message(nack(3, 1, 1, 1))
+        feed(rmp, nack(3, 1, 1, 1))
         ctx.scheduler.run_until(ctx.scheduler.now + 1.0)
     assert not rmp._unsuppressible
-    rmp.on_message(nack(3, 1, 1, 1))  # escalated again: pending + marked
+    feed(rmp, nack(3, 1, 1, 1))  # escalated again: pending + marked
     assert rmp._unsuppressible == {(1, 1)}
     rmp.drop_source(1)  # source left: pending answer and mark both go
     assert not rmp._unsuppressible and not rmp._retransmit_jobs
 
 
 def test_ablation_no_suppression_still_paced():
-    ctx = MockContext(pid=2, config=FTMPConfig(
+    ctx = FakeContext(pid=2, config=FTMPConfig(
         retransmit_suppression=False,
         retransmit_rate_limit=100.0, retransmit_burst=1,
     ))
     rmp = RMP(ctx)
     for seq in range(1, 6):
-        rmp.on_message(regular(1, seq))
-    rmp.on_message(nack(3, 1, 1, 5))
+        feed(rmp, regular(1, seq))
+    feed(rmp, nack(3, 1, 1, 5))
     assert len(ctx.retransmitted) == 1  # burst of 1, rest deferred
     assert rmp.stats.retransmissions_paced == 4
     ctx.scheduler.run_until(1.0)
@@ -242,7 +169,7 @@ def test_ablation_no_suppression_still_paced():
 
 def test_stop_cancels_paced_emissions():
     ctx, rmp = paced_source(n_msgs=10, rate=100.0, burst=0)
-    rmp.on_message(nack(3, 1, 1, 10))
+    feed(rmp, nack(3, 1, 1, 10))
     assert rmp._retransmit_jobs  # deferred answers pending
     rmp.stop()
     ctx.scheduler.run_until(1.0)
@@ -255,13 +182,13 @@ def test_stop_cancels_paced_emissions():
 # ----------------------------------------------------------------------
 def test_duplicate_request_suppressed_inside_window():
     ctx, rmp = paced_source(n_msgs=1, rate=0.0, dedupe=0.050)
-    rmp.on_message(nack(3, 1, 1, 1))
+    feed(rmp, nack(3, 1, 1, 1))
     ctx.scheduler.run_until(0.0)
     assert len(ctx.retransmitted) == 1
     # pid 4's request for the same message lands 10 ms later — the answer
     # is already in flight; answering again would double the repair traffic
     ctx.scheduler.run_until(0.010)
-    rmp.on_message(nack(4, 1, 1, 1))
+    feed(rmp, nack(4, 1, 1, 1))
     ctx.scheduler.run_until(ctx.scheduler.now + 0.010)
     assert len(ctx.retransmitted) == 1
     assert rmp.stats.duplicate_requests_suppressed == 1
@@ -269,10 +196,10 @@ def test_duplicate_request_suppressed_inside_window():
 
 def test_duplicate_request_answered_after_window_expires():
     ctx, rmp = paced_source(n_msgs=1, rate=0.0, dedupe=0.050)
-    rmp.on_message(nack(3, 1, 1, 1))
+    feed(rmp, nack(3, 1, 1, 1))
     ctx.scheduler.run_until(0.0)
     ctx.scheduler.run_until(0.100)  # well past the window
-    rmp.on_message(nack(3, 1, 1, 1))
+    feed(rmp, nack(3, 1, 1, 1))
     ctx.scheduler.run_until(ctx.scheduler.now)
     assert len(ctx.retransmitted) == 2
     assert rmp.stats.duplicate_requests_suppressed == 0
@@ -281,7 +208,7 @@ def test_duplicate_request_answered_after_window_expires():
 def test_dedupe_off_by_default_every_request_answered():
     ctx, rmp = paced_source(n_msgs=1, rate=0.0, dedupe=0.0)
     for _ in range(3):
-        rmp.on_message(nack(3, 1, 1, 1))
+        feed(rmp, nack(3, 1, 1, 1))
         ctx.scheduler.run_until(ctx.scheduler.now)
     assert len(ctx.retransmitted) == 3
     assert rmp.stats.duplicate_requests_suppressed == 0
@@ -289,22 +216,22 @@ def test_dedupe_off_by_default_every_request_answered():
 
 def test_dedupe_is_per_message_not_per_requester():
     ctx, rmp = paced_source(n_msgs=2, rate=0.0, dedupe=0.050)
-    rmp.on_message(nack(3, 1, 1, 1))
-    rmp.on_message(nack(3, 1, 2, 2))  # different message: answered
+    feed(rmp, nack(3, 1, 1, 1))
+    feed(rmp, nack(3, 1, 2, 2))  # different message: answered
     ctx.scheduler.run_until(0.0)
     assert len(ctx.retransmitted) == 2
 
 
 def test_drop_source_purges_answered_records():
     ctx, rmp = paced_source(n_msgs=1, rate=0.0, dedupe=10.0)
-    rmp.on_message(nack(3, 1, 1, 1))
+    feed(rmp, nack(3, 1, 1, 1))
     ctx.scheduler.run_until(0.0)
     assert rmp._answered
     rmp.drop_source(1)
     assert rmp._answered == {}
     # the rejoined incarnation's first NACK for a reused seq is answered
-    rmp.on_message(regular(1, 1))
-    rmp.on_message(nack(3, 1, 1, 1))
+    feed(rmp, regular(1, 1))
+    feed(rmp, nack(3, 1, 1, 1))
     ctx.scheduler.run_until(ctx.scheduler.now)
     assert len(ctx.retransmitted) == 2
     assert rmp.stats.duplicate_requests_suppressed == 0
@@ -314,7 +241,7 @@ def test_answered_map_bounded_by_cap():
     ctx, rmp = paced_source(n_msgs=40, rate=0.0, dedupe=0.001)
     rmp._ANSWERED_CAP = 16
     for seq in range(1, 41):
-        rmp.on_message(nack(3, 1, seq, seq))
+        feed(rmp, nack(3, 1, seq, seq))
         ctx.scheduler.run_until(ctx.scheduler.now + 0.002)  # windows expire
     assert len(rmp._answered) <= 17  # cap + the entry that triggered purge
 
@@ -323,24 +250,24 @@ def test_answered_map_bounded_by_cap():
 # any-holder selection under pacing (ablation A2 interaction)
 # ----------------------------------------------------------------------
 def test_any_holder_off_source_only_still_paced():
-    ctx = MockContext(pid=2, config=FTMPConfig(
+    ctx = FakeContext(pid=2, config=FTMPConfig(
         retransmit_any_holder=False,
         retransmit_rate_limit=100.0, retransmit_burst=8,
     ))
     rmp = RMP(ctx)
-    rmp.on_message(regular(1, 1))
-    rmp.on_message(nack(3, 1, 1, 1))  # we hold it but are not the source
+    feed(rmp, regular(1, 1))
+    feed(rmp, nack(3, 1, 1, 1))  # we hold it but are not the source
     ctx.scheduler.run_until(1.0)
     assert ctx.retransmitted == []  # A2: only the source answers
 
 
 def test_any_holder_on_holder_answers_under_pacing():
-    ctx = MockContext(pid=2, config=FTMPConfig(
+    ctx = FakeContext(pid=2, config=FTMPConfig(
         retransmit_rate_limit=100.0, retransmit_burst=8,
     ))
     rmp = RMP(ctx)
-    rmp.on_message(regular(1, 1))
-    rmp.on_message(nack(3, 1, 1, 1))
+    feed(rmp, regular(1, 1))
+    feed(rmp, nack(3, 1, 1, 1))
     ctx.scheduler.run_until(ctx.config.retransmit_backoff * 2)
     assert len(ctx.retransmitted) == 1
     assert rmp.stats.retransmissions_sent == 1

@@ -29,22 +29,22 @@ from dataclasses import asdict
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_rmp_nack_unit import MockContext, nack, regular
+from rmp_fake import FakeContext, feed, nack, regular
 
 from repro.core import MessageType, encode
 from repro.core.messages import FTMPHeader, HeartbeatMessage
 from repro.core.rmp import RMP
 
 
-class RecordingContext(MockContext):
+class RecordingContext(FakeContext):
     """GroupContext double keeping one ordered log of the upward calls.
 
-    It is its own ordering layer (``romp``): :meth:`receive_run` takes a
+    As its own ordering layer (``romp``), :meth:`receive_run` takes a
     run as ``ROMP.receive_run`` does — retaining each message, handing
     back before the gate — and the gate, entered after the messages
     named in :attr:`gates`, logs where RMP stands at that moment and
     runs the action planned for it.  One by one, the same gate is what
-    ``romp_receive`` ends in.
+    :meth:`receive` ends in.
     """
 
     stopped = False
@@ -52,17 +52,13 @@ class RecordingContext(MockContext):
     def __init__(self):
         super().__init__()
         self.upward = []
-        self.romp = self
         self.rmp = None
         #: (source, seq) -> action(rmp, ctx) or None: enter the gate
         #: after this message is handed up
         self.gates = {}
         self._gate_at = None
 
-    def now(self):
-        return self.scheduler.now
-
-    def romp_receive(self, msg):
+    def receive(self, msg):
         h = msg.header
         self.upward.append(("receive", h.source, h.sequence_number, h.retransmission))
         self._gate((h.source, h.sequence_number))
@@ -90,7 +86,7 @@ class RecordingContext(MockContext):
         if action is not None:
             action(self.rmp, self)
 
-    def romp_heartbeat(self, msg):
+    def receive_heartbeat(self, msg):
         h = msg.header
         self.upward.append(("heartbeat", h.source, h.sequence_number, h.timestamp))
 
@@ -98,7 +94,7 @@ class RecordingContext(MockContext):
 class ReferenceRMP(RMP):
     """RMP with every in-order message taking the general ``_advance``."""
 
-    def _on_reliable(self, msg):
+    def _on_reliable(self, msg, raw):
         h = msg.header
         src, seq = h.source, h.sequence_number
         if h.retransmission:
@@ -108,7 +104,7 @@ class ReferenceRMP(RMP):
         if seq < st_.next_seq or seq in st_.pending:
             self.stats.duplicates += 1
             return
-        self._g.retain(msg)
+        self._g.buffer.add(src, seq, h.timestamp, raw)
         if seq == st_.next_seq:
             self._advance(src, st_, first=msg)
         else:
@@ -219,7 +215,7 @@ def test_in_order_shortcut_matches_reference_model(steps):
         elif step[0] == "request":
             latest = sent[step[1]]
             for rmp in (fast, ref):
-                rmp.on_message(nack(9, step[1], max(1, latest - step[2]), latest + step[3]))
+                feed(rmp, nack(9, step[1], max(1, latest - step[2]), latest + step[3]))
         elif step[0] in ("batch", "rebatch"):
             src = step[1]
             if step[0] == "batch":
@@ -248,8 +244,8 @@ def test_in_order_shortcut_matches_reference_model(steps):
                 build = lambda: regular(src, seq, retransmission=step[3])  # noqa: E731
             else:
                 build = lambda: heartbeat(src, sent[src] + step[2], 1000 + sent[src])  # noqa: E731
-            fast.on_message(build())
-            ref.on_message(build())
+            feed(fast, build())
+            feed(ref, build())
         assert state_of(fast, fast_ctx) == state_of(ref, ref_ctx), step
         for s in fast.sources().values():
             # what lets the shortcut skip ``_cancel_nack``'s reset
@@ -282,4 +278,4 @@ def deliver_batch(rmp, ctx, src, shape, as_run):
     for msg in run[taken:]:
         if ctx.stopped:
             return
-        rmp.on_message(msg)
+        feed(rmp, msg)

@@ -7,8 +7,9 @@ from repro.core import (
     ConnectionId,
     FTMPConfig,
     FTMPStack,
-    MessageType,
+    HeartbeatMessage,
     RecordingListener,
+    peek_header,
 )
 from repro.simnet import Network, lan
 
@@ -33,8 +34,8 @@ def test_heartbeat_carries_latest_seq_and_ack():
     c.stacks[1].multicast(1, b"two")
     c.run_for(0.2)
     g1 = c.stacks[1].group(1)
-    # the header builder reuses the last reliable seq for heartbeats
-    h = g1._header(MessageType.HEARTBEAT, reliable=False)
+    # a heartbeat's header reuses the last reliable seq
+    h = peek_header(g1.send(HeartbeatMessage))
     assert h.sequence_number == 2
     assert h.ack_timestamp == g1.romp.ack_timestamp > 0
 

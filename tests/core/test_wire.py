@@ -107,13 +107,6 @@ def test_retransmission_flag_round_trip():
     assert decode(raw).header.retransmission is True
 
 
-def test_as_retransmission_copies_header():
-    h = header(MessageType.REGULAR)
-    h2 = h.as_retransmission()
-    assert h2.retransmission and not h.retransmission
-    assert h2.sequence_number == h.sequence_number
-
-
 @pytest.mark.parametrize("little", [True, False], ids=["little-endian", "big-endian"])
 def test_mark_retransmission_round_trip(little):
     msg = RegularMessage(header(MessageType.REGULAR, little), CID, 17, b"payload!")
