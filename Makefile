@@ -64,7 +64,7 @@ experiments:
 	$(PYTHON) -m repro.analysis.cli run all
 
 examples:
-	@for ex in examples/*.py; do echo "== $$ex"; $(PYTHON) $$ex > /dev/null && echo OK; done
+	@for ex in examples/*.py; do echo "== $$ex"; $(PYTHON) $$ex > /dev/null && echo OK || exit 1; done
 
 soak:
 	$(PYTHON) -m pytest tests/integration/test_soak.py -v

@@ -9,6 +9,7 @@ any traffic.
 
 from repro.analysis import Table, make_cluster
 from repro.core import ConnectionId, FTMPConfig
+from repro.core.constants import HANDSHAKE_RESEND_INTERVAL
 from repro.simnet import lossy_lan
 
 from _report import emit
@@ -84,7 +85,6 @@ def test_e10_connection_establishment(benchmark):
         sweep, rounds=1, iterations=1
     )
 
-    cfg = FTMPConfig()
     table = Table(
         ["scenario", "result"],
         title="E10 — connection establishment and migration",
@@ -98,9 +98,9 @@ def test_e10_connection_establishment(benchmark):
     emit("E10_connection_establishment", table.render())
 
     # lossless handshake completes within one retry interval + RTTs
-    assert handshakes[0.0] < cfg.connect_retry_interval + 0.010
+    assert handshakes[0.0] < HANDSHAKE_RESEND_INTERVAL + 0.010
     # lossy handshakes converge within a handful of retry intervals
-    assert handshakes[0.3] < 20 * cfg.connect_retry_interval
+    assert handshakes[0.3] < 20 * HANDSHAKE_RESEND_INTERVAL
     assert handshakes[0.0] <= handshakes[0.3]
     # migration preserved completeness, order and moved every member
     assert complete and moved

@@ -71,8 +71,7 @@ def config(mode: str) -> FTMPConfig:
     return FTMPConfig(heartbeat_interval=0.002, suspect_timeout=30.0,
                       batch_window=BATCH_WINDOW, batch_adaptive=True,
                       flow_control_window=FC_WINDOW,
-                      retransmit_rate_limit=2000.0, retransmit_burst=8,
-                      nack_dedupe_window=0.005)
+                      retransmit_rate_limit=2000.0, nack_dedupe_window=0.005)
 
 
 def run_point(mode: str, rate: int, drain: float = 0.6):

@@ -124,8 +124,7 @@ def run_overload(mode: str):
         egress_bandwidth=BANDWIDTH, packet_overhead=PACKET_OVERHEAD,
     )
     cfg = _config(mode, flow_control_window=48,
-                  retransmit_rate_limit=2000.0, retransmit_burst=8,
-                  nack_dedupe_window=0.005)
+                  retransmit_rate_limit=2000.0, nack_dedupe_window=0.005)
     cluster = make_cluster(PIDS, topology=topo, config=cfg, seed=5)
     try:
         window = 0.20

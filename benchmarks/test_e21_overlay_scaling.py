@@ -51,7 +51,6 @@ def _config(n: int, overlay: bool) -> FTMPConfig:
         # liveness is not under test: generous timeout so queueing delay
         # behind the burst can never convict anyone
         suspect_timeout=1.0,
-        suspect_resend_interval=0.250,
         overlay_mode=overlay,
         overlay_fanout=FANOUT,
         overlay_summary_interval=interval,

@@ -17,11 +17,7 @@ from repro.core import (
     decode,
     encode,
 )
-from repro.core.messages import (
-    BatchMessage,
-    RemoveProcessorMessage,
-    RetransmitRequestMessage,
-)
+from repro.core.messages import BatchMessage
 from repro.core.wire import encode_reference
 
 from _report import emit, emit_json
@@ -163,17 +159,6 @@ def test_codec_fast_vs_reference():
     field-at-a-time reference writer, and measurably faster."""
     cases = {
         "regular_256b": _regular(b"x" * 256),
-        "retransmit_request": RetransmitRequestMessage(
-            header=FTMPHeader(MessageType.RETRANSMIT_REQUEST, source=2, group=9,
-                              sequence_number=0, timestamp=0, ack_timestamp=0),
-            processor_id=1, start_seq=5, stop_seq=12,
-        ),
-        "remove_processor": RemoveProcessorMessage(
-            header=FTMPHeader(MessageType.REMOVE_PROCESSOR, source=3, group=9,
-                              sequence_number=0, timestamp=100,
-                              ack_timestamp=0),
-            member_to_remove=2,
-        ),
         "batch_8x64b": BatchMessage(
             header=FTMPHeader(MessageType.BATCH, source=1, group=9,
                               sequence_number=0, timestamp=0, ack_timestamp=0),

@@ -1,56 +1,85 @@
 #!/usr/bin/env python3
 """The identical FTMP stack over real UDP sockets.
 
-Everything else in this repository drives the protocol through the
-deterministic simulator; this demo runs the same ``FTMPStack`` over real
-datagrams — UDP unicast fan-out on the loopback interface standing in for
-IP Multicast group delivery (see DESIGN.md §4).  Three stacks in one
-process, real wall-clock heartbeats, real NACK recovery under injected
-socket-level loss.
+Everything else in this directory drives the protocol through the
+deterministic simulator; this demo runs the same ``FTMPStack`` on the
+asyncio runtime's ``AioFabric`` — UDP unicast fan-out on the loopback
+interface standing in for IP Multicast group delivery (see DESIGN.md §4).
+Three stacks on one event loop, one fabric each so every datagram
+crosses a kernel socket, real wall-clock heartbeats, real NACK recovery
+under injected loss.
 
 Run:  python examples/udp_multicast_demo.py
 """
 
-import time
+import asyncio
+import random
+import socket
 
 from repro.core import FTMPConfig, FTMPStack, RecordingListener
-from repro.simnet import UdpFabric
+from repro.runtime.aio import AioFabric
+
+PIDS = (1, 2, 3)
 
 
-def main() -> None:
-    fabric = UdpFabric(loss_rate=0.10, seed=1)  # drop 10% of datagrams
+def free_udp_ports(n):
+    socks = [socket.socket(socket.AF_INET, socket.SOCK_DGRAM) for _ in range(n)]
+    try:
+        for s in socks:
+            s.bind(("127.0.0.1", 0))
+        return [s.getsockname()[1] for s in socks]
+    finally:
+        for s in socks:
+            s.close()
+
+
+def lossy(endpoint, loss_rate, rng):
+    """Shadow the endpoint's ``multicast`` with one that loses datagrams."""
+    send = endpoint.multicast
+
+    def multicast(group_addr, data):
+        if rng.random() >= loss_rate:
+            send(group_addr, data)
+
+    endpoint.multicast = multicast
+    return endpoint
+
+
+async def run() -> None:
+    ports = dict(zip(PIDS, free_udp_ports(len(PIDS))))
+    rng = random.Random(1)
     cfg = FTMPConfig(heartbeat_interval=0.02, suspect_timeout=5.0)
 
-    stacks, listeners = {}, {}
-    for pid in (1, 2, 3):
+    fabrics, stacks, listeners = [], {}, {}
+    for pid in PIDS:
+        fabric = AioFabric(peers=ports, mode="loopback", seed=1)
+        fabrics.append(fabric)
+        endpoint = lossy(await fabric.start(pid), 0.10, rng)  # drop 10%
         listener = RecordingListener()
-        stack = FTMPStack(fabric.endpoint(pid), cfg, listener)
-        stack.create_group(group_id=1, address=5001, membership=(1, 2, 3))
+        stack = FTMPStack(endpoint, cfg, listener)
+        stack.create_group(group_id=1, address=5001, membership=PIDS)
         stacks[pid], listeners[pid] = stack, listener
 
     print("three FTMP stacks on real UDP sockets, 10% injected loss")
-    with fabric.lock:
-        for pid in (1, 2, 3):
-            for i in range(5):
-                stacks[pid].multicast(1, f"{pid}:{i}".encode())
+    # protocol callbacks run on the loop thread, as this coroutine does:
+    # the stacks need no lock
+    for pid in PIDS:
+        for i in range(5):
+            stacks[pid].multicast(1, f"{pid}:{i}".encode())
 
-    deadline = time.monotonic() + 10.0
-    while time.monotonic() < deadline:
-        with fabric.lock:
-            if all(len(listeners[p].deliveries) == 15 for p in (1, 2, 3)):
-                break
-        time.sleep(0.02)
+    for _ in range(500):  # up to 10 s
+        if all(len(listeners[p].deliveries) == 15 for p in PIDS):
+            break
+        await asyncio.sleep(0.02)
 
-    with fabric.lock:
-        counts = {p: len(listeners[p].deliveries) for p in (1, 2, 3)}
-        orders = {p: listeners[p].delivery_order(1) for p in (1, 2, 3)}
-        nacks = sum(stacks[p].group(1).rmp.stats.nacks_sent for p in (1, 2, 3))
-        retrans = sum(
-            stacks[p].group(1).rmp.stats.retransmissions_sent for p in (1, 2, 3)
-        )
-        for pid in (1, 2, 3):
-            stacks[pid].stop()
-    fabric.close()
+    counts = {p: len(listeners[p].deliveries) for p in PIDS}
+    orders = {p: listeners[p].delivery_order(1) for p in PIDS}
+    nacks = sum(stacks[p].group(1).rmp.stats.nacks_sent for p in PIDS)
+    retrans = sum(stacks[p].group(1).rmp.stats.retransmissions_sent for p in PIDS)
+    for pid in PIDS:
+        stacks[pid].stop()
+    for fabric in fabrics:
+        fabric.stop()
 
     print(f"delivered: {counts}")
     print(f"loss recovery: {nacks} RetransmitRequests, {retrans} retransmissions")
@@ -58,6 +87,10 @@ def main() -> None:
         print("identical total order at all three stacks over real sockets")
     else:  # pragma: no cover - timing-dependent environments
         print("warning: run did not converge in time (slow machine?)")
+
+
+def main() -> None:
+    asyncio.run(run())
 
 
 if __name__ == "__main__":

@@ -119,8 +119,7 @@ def default_chaos_config() -> FTMPConfig:
     return FTMPConfig(heartbeat_interval=0.010, suspect_timeout=0.150,
                       batch_window=0.001, batch_adaptive=True,
                       flow_control_window=24,
-                      retransmit_rate_limit=150.0, retransmit_burst=8,
-                      nack_dedupe_window=0.020)
+                      retransmit_rate_limit=150.0, nack_dedupe_window=0.020)
 
 
 def chaos_config_for(mode: str, scenario: str) -> FTMPConfig:

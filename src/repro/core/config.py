@@ -8,7 +8,7 @@ latency and network traffic").  All times are seconds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 __all__ = ["FTMPConfig", "ClockMode"]
 
@@ -33,6 +33,12 @@ _DISCIPLINE_NEEDS = {
     ),
 }
 
+#: the periods whose timer re-arms itself from its own callback: at zero
+#: the tick fires again at the same instant and time never advances
+_SELF_REARMING_PERIODS = (
+    "heartbeat_interval", "nack_retry_interval", "overlay_summary_interval",
+)
+
 
 @dataclass(frozen=True)
 class FTMPConfig:
@@ -44,8 +50,6 @@ class FTMPConfig:
     #: Suspect a member after this much silence (must exceed several
     #: heartbeat intervals to tolerate loss).
     suspect_timeout: float = 0.060
-    #: Re-announce an unresolved suspicion at this period.
-    suspect_resend_interval: float = 0.020
 
     # --- negative acknowledgements (paper §5) --------------------------
     #: Delay between detecting a sequence gap and multicasting the
@@ -55,18 +59,12 @@ class FTMPConfig:
     nack_retry_interval: float = 0.010
     #: Multiply the retry period by this factor on every consecutive
     #: retry that makes no progress (SRM-style repair-request backoff,
-    #: capped at ``nack_retry_max``); progress resets to the base
+    #: capped at ``RMP.NACK_RETRY_MAX``); progress resets to the base
     #: period.  1.0 keeps the paper's fixed retry period.  Persistent
     #: holes otherwise re-request at the full retry rate forever, and on
     #: a congested network that repair traffic can itself sustain the
     #: congestion that keeps the holes open.
     nack_backoff_factor: float = 1.0
-    #: Upper bound of the backed-off NACK retry period.
-    nack_retry_max: float = 0.160
-    #: Base for the randomized retransmission backoff: a non-source holder
-    #: of a requested message waits U(0,1) * base before retransmitting and
-    #: suppresses if it sees another copy first (NACK-implosion avoidance).
-    retransmit_backoff: float = 0.002
     #: Ablation A1: disable the backoff/suppression scheme (every holder
     #: answers every RetransmitRequest immediately).
     retransmit_suppression: bool = True
@@ -80,31 +78,14 @@ class FTMPConfig:
     #: rate is deferred, not dropped, so loss bursts cannot starve fresh
     #: sends of the egress.  0 disables pacing (legacy behaviour).
     retransmit_rate_limit: float = 0.0
-    #: Bucket depth for the pacing token bucket: a burst of up to this
-    #: many retransmissions may go out back-to-back.
-    retransmit_burst: int = 8
     #: Suppress duplicate RetransmitRequests: a request for a (source,
     #: seq) this processor answered less than this many seconds ago is
     #: ignored (the answer is still in flight).  0 disables (legacy).
     nack_dedupe_window: float = 0.0
 
-    # --- connections (paper §7) ----------------------------------------
-    #: Client retries ConnectRequest at this period until Connect arrives.
-    connect_retry_interval: float = 0.020
-    #: Server retransmits Connect at this period until it sees traffic
-    #: from the client over the new connection.
-    connect_resend_interval: float = 0.020
-    #: AddProcessor is retransmitted to the (unreliable) new member at
-    #: this period until the new member is heard from.
-    add_resend_interval: float = 0.020
-
     # --- ordering clock (paper §6) --------------------------------------
     #: ClockMode.LAMPORT or ClockMode.SYNCHRONIZED.
     clock_mode: str = ClockMode.LAMPORT
-    #: Resolution of the synchronized clock in seconds per tick.
-    sync_clock_resolution: float = 1e-6
-    #: Bounded skew applied to this processor's synchronized clock.
-    sync_clock_skew: float = 0.0
 
     # --- batching / piggybacking (extension) -----------------------------
     #: Coalescing window for small Regular messages (seconds).  Within a
@@ -118,15 +99,12 @@ class FTMPConfig:
     #: sent unbatched).
     batch_max_bytes: int = 1200
     #: Adapt the coalescing window to the offered load: when the recent
-    #: send rate would not fill a window with at least ``batch_min_fill``
+    #: send rate would not fill a window with the break-even number of
     #: messages, eligible sends bypass the window entirely (near-unbatched
     #: low-load latency); under load the window grows back toward
     #: ``batch_window`` / ``batch_max_bytes`` coalescing.  Only meaningful
     #: with ``batch_window > 0``.
     batch_adaptive: bool = False
-    #: Minimum expected messages per window for the adaptive window to
-    #: engage coalescing (the break-even batch size).
-    batch_min_fill: int = 4
 
     # --- flow control (extension) ----------------------------------------
     #: Per-sender credit window: the maximum number of this processor's
@@ -216,15 +194,19 @@ class FTMPConfig:
     #: If False, ack-timestamp garbage collection is disabled (experiment
     #: E4 measures the resulting unbounded buffer growth).
     buffer_gc_enabled: bool = True
-    #: Grace period granted to a freshly added member before the fault
-    #: detector may suspect it.
-    join_grace: float = 0.100
 
     # --- wire ------------------------------------------------------------
     #: Encode little-endian (the header's byte-order flag, paper §3.2).
     little_endian: bool = True
 
     def __post_init__(self) -> None:
+        # a config also arrives from outside the program: a worker's JSON
+        # spec on stdin, a chaos / explorer artifact file
+        for knob in _SELF_REARMING_PERIODS:
+            if not getattr(self, knob) > 0:
+                raise ValueError(
+                    f"{knob} must be positive, not {getattr(self, knob)!r}"
+                )
         if self.delivery_mode not in ("agreed", "safe"):
             raise ValueError(
                 f"delivery_mode must be 'agreed' or 'safe', not {self.delivery_mode!r}"
@@ -248,7 +230,3 @@ class FTMPConfig:
                 raise ValueError(
                     f"{knob} requires delivery_mode='agreed': {agreed_because}"
                 )
-
-    def with_(self, **kwargs) -> "FTMPConfig":
-        """Return a copy with some fields replaced."""
-        return replace(self, **kwargs)

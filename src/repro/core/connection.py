@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional, Set, Tuple
 
+from .constants import HANDSHAKE_RESEND_INTERVAL
 from .messages import ConnectionId, ConnectMessage, ConnectRequestMessage
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -153,7 +154,7 @@ class ConnectionManager:
             if key in self._resend_timers or cid in self._bindings:
                 return
             self._resend_timers[key] = self._stack.schedule(
-                rank * 3 * self._stack.config.connect_retry_interval,
+                rank * 3 * HANDSHAKE_RESEND_INTERVAL,
                 self._standby_respond, cid, msg,
             )
             return
@@ -224,7 +225,7 @@ class ConnectionManager:
             if group is not None:
                 group.retransmit_raw(binding.connect_raw, address=domain_addr)
         self._resend_timers[cid] = self._stack.schedule(
-            self._stack.config.connect_resend_interval, self._resend_connect, cid
+            HANDSHAKE_RESEND_INTERVAL, self._resend_connect, cid
         )
 
     def _resend_connect(self, cid: ConnectionId) -> None:
@@ -276,7 +277,7 @@ class ConnectionManager:
             processor_ids=pending.client_pids,
         )
         pending.timer = self._stack.schedule(
-            self._stack.config.connect_retry_interval, self._send_request, pending
+            HANDSHAKE_RESEND_INTERVAL, self._send_request, pending
         )
 
     # ==================================================================

@@ -87,3 +87,14 @@ TOTALLY_ORDERED_TYPES = frozenset(
         MessageType.MULTI_GROUP_COMMIT,
     }
 )
+
+#: Resend a §7 handshake message at this period (seconds) until the peer
+#: is heard: the client its ConnectRequest until Connect arrives, the
+#: server its Connect until it sees traffic from the client over the new
+#: connection, a member its AddProcessor to the (unreliable) new member
+#: until the new member is heard from.
+HANDSHAKE_RESEND_INTERVAL = 0.020
+
+#: Grace period (seconds) granted to a freshly added member before the
+#: fault detector may suspect it.
+JOIN_GRACE = 0.100

@@ -51,7 +51,7 @@ from typing import (
 from ..transport import NamedTimerSet
 from .buffers import RetransmissionBuffer
 from .config import FTMPConfig
-from .constants import RELIABLE_TYPES, TOTALLY_ORDERED_TYPES, MessageType
+from .constants import JOIN_GRACE, RELIABLE_TYPES, TOTALLY_ORDERED_TYPES, MessageType
 from .dissemination import LOOPBACK, Dissemination
 from .events import Delivery, FaultReport, ViewChange
 from .fault_detector import FaultDetector
@@ -91,6 +91,10 @@ __all__ = [
     "FlowControlSaturated",
     "ProcessorGroup",
 ]
+
+#: Minimum expected messages per window for the adaptive window
+#: (``batch_adaptive``) to engage coalescing: the break-even batch size.
+BATCH_MIN_FILL = 4
 
 
 class FlowControlSaturated(RuntimeError):
@@ -470,7 +474,7 @@ class SendPath:
         latency for nothing: the window closes with one message in it.
         With ``batch_adaptive`` on, an EWMA of the gap between eligible
         sends estimates how many messages the *next* window would
-        coalesce; below ``batch_min_fill`` the send bypasses the window
+        coalesce; below ``BATCH_MIN_FILL`` the send bypasses the window
         (latency returns to unbatched), above it the window engages and
         saturation goodput keeps the full coalescing win.  A send never
         bypasses a non-empty window — that would reorder the sender's
@@ -482,19 +486,19 @@ class SendPath:
         now = self._ctx.now()
         gap = now - self._last_batchable
         self._last_batchable = now
-        if gap >= cfg.batch_window * cfg.batch_min_fill:
+        if gap >= cfg.batch_window * BATCH_MIN_FILL:
             # idle long enough that no plausible rate fills a window:
             # hard-reset the estimate so one stale burst cannot tax the
             # first messages of a quiet period.  Clamped at the engage
             # threshold — an unbounded idle gap would otherwise take ~100
             # EWMA steps to decay, taxing the front of the next burst.
-            self._gap_ewma = cfg.batch_window * cfg.batch_min_fill
+            self._gap_ewma = cfg.batch_window * BATCH_MIN_FILL
         else:
             ewma = self._gap_ewma
             self._gap_ewma = gap if ewma == float("inf") else 0.75 * ewma + 0.25 * gap
         if self._pending:
             return False
-        return self._gap_ewma * cfg.batch_min_fill > cfg.batch_window
+        return self._gap_ewma * BATCH_MIN_FILL > cfg.batch_window
 
     def _append(self, raw: bytes) -> None:
         self._pending.append(raw)
@@ -845,7 +849,7 @@ class ProcessorGroup:
         self.fault_detector.start()
         for p in self.membership:
             if p != self.pid:
-                self.fault_detector.watch(p, grace=self.config.join_grace)
+                self.fault_detector.watch(p, grace=JOIN_GRACE)
         self.send_path.start_heartbeats()
         self.dissemination.activate()
 

@@ -110,12 +110,12 @@ class SynchronizedClock(OrderingClock):
         return f"SynchronizedClock({self._time})"
 
 
-def make_clock(mode: str, now_fn: Callable[[], float], resolution: float, skew: float) -> OrderingClock:
+def make_clock(mode: str, now_fn: Callable[[], float]) -> OrderingClock:
     """Factory selecting the clock implementation from an FTMPConfig."""
     from .config import ClockMode
 
     if mode == ClockMode.LAMPORT:
         return LamportClock()
     if mode == ClockMode.SYNCHRONIZED:
-        return SynchronizedClock(now_fn, resolution=resolution, skew=skew)
+        return SynchronizedClock(now_fn)
     raise ValueError(f"unknown clock mode {mode!r}")

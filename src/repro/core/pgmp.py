@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, FrozenSet, Optional, Set, Tuple
 
+from .constants import HANDSHAKE_RESEND_INTERVAL, JOIN_GRACE
 from .messages import (
     AddProcessorMessage,
     ConnectMessage,
@@ -106,7 +107,7 @@ class PGMP:
         raw = self._g.send(AddProcessorMessage, self._g.view_timestamp,
                            tuple(sorted(self._g.membership)), seq_vector, new_member)
         timer = self._g.schedule(
-            self._g.config.add_resend_interval, self._resend_add, new_member
+            HANDSHAKE_RESEND_INTERVAL, self._resend_add, new_member
         )
         self._add_resends[new_member] = (raw, timer)
 
@@ -120,7 +121,7 @@ class PGMP:
             return
         self._g.retransmit_raw(raw)
         timer = self._g.schedule(
-            self._g.config.add_resend_interval, self._resend_add, new_member
+            HANDSHAKE_RESEND_INTERVAL, self._resend_add, new_member
         )
         self._add_resends[new_member] = (raw, timer)
 
@@ -183,7 +184,7 @@ class PGMP:
         )
         # the new member's reliable stream starts at sequence number 1
         self._g.rmp.set_baseline(new, 0)
-        self._g.watch_member(new, grace=self._g.config.join_grace)
+        self._g.watch_member(new, grace=JOIN_GRACE)
 
     def _ordered_remove(self, msg: RemoveProcessorMessage) -> None:
         gone = msg.member_to_remove

@@ -77,6 +77,20 @@ class SourceState:
 class RMP:
     """One RMP instance per (processor, group) pair."""
 
+    #: upper bound (seconds) of the backed-off NACK retry period
+    #: (``nack_backoff_factor``)
+    NACK_RETRY_MAX = 0.160
+
+    #: base (seconds) of the randomized retransmission backoff: a
+    #: non-source holder of a requested message waits U(0,1) * base
+    #: before retransmitting and suppresses if it sees another copy first
+    #: (NACK-implosion avoidance)
+    RETRANSMIT_BACKOFF = 0.002
+
+    #: depth of the pacing token bucket (``retransmit_rate_limit``): a
+    #: burst of up to this many retransmissions may go out back-to-back
+    RETRANSMIT_BURST = 8
+
     #: bound on the NACK-escalation count map; oldest keys are evicted
     #: individually so in-flight escalations keep their counts
     _NACK_COUNT_CAP = 4096
@@ -330,7 +344,7 @@ class RMP:
         interval = cfg.nack_retry_interval
         if cfg.nack_backoff_factor > 1.0 and st.nack_retries:
             interval = min(interval * cfg.nack_backoff_factor ** st.nack_retries,
-                           cfg.nack_retry_max)
+                           self.NACK_RETRY_MAX)
         st.nack_retries += 1
         st.nack_timer = self._g.schedule(interval, self._send_nack, src)
 
@@ -387,7 +401,7 @@ class RMP:
             else:
                 # Other holders back off randomly and suppress if a copy
                 # shows up first — avoids a retransmission implosion.
-                delay = self._g.rng.random() * self._g.config.retransmit_backoff
+                delay = self._g.rng.random() * self.RETRANSMIT_BACKOFF
             self._note_answered(key)
             self._retransmit_jobs[key] = self._g.schedule(
                 delay, self._do_retransmit, key, buffered.data
@@ -417,7 +431,7 @@ class RMP:
         """Reserve the next token-bucket slot; 0 when tokens are available.
 
         Each call reserves exactly one emission: recovery traffic beyond
-        ``retransmit_rate_limit`` per second (with ``retransmit_burst``
+        ``retransmit_rate_limit`` per second (with ``RETRANSMIT_BURST``
         of slack) is deferred, never dropped, so a loss burst's repair
         cannot monopolize the sender's egress against fresh sends.
         """
@@ -426,9 +440,9 @@ class RMP:
             return 0.0
         now = self._g.now()
         interval = 1.0 / rate
-        # a full bucket admits exactly ``retransmit_burst`` back-to-back
+        # a full bucket admits exactly ``RETRANSMIT_BURST`` back-to-back
         earliest = max(self._pace_next,
-                       now - (self._g.config.retransmit_burst - 1) * interval)
+                       now - (self.RETRANSMIT_BURST - 1) * interval)
         self._pace_next = earliest + interval
         delay = earliest - now
         # float residue from repeated interval sums must not read as a

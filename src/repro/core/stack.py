@@ -65,12 +65,7 @@ class FTMPStack:
         self.endpoint = endpoint
         self.config = config if config is not None else FTMPConfig()
         self.listener = listener if listener is not None else Listener()
-        self.clock = make_clock(
-            self.config.clock_mode,
-            lambda: self.endpoint.now,
-            self.config.sync_clock_resolution,
-            self.config.sync_clock_skew,
-        )
+        self.clock = make_clock(self.config.clock_mode, lambda: self.endpoint.now)
         self.registry = StatsRegistry()
         self.stats = StackStats()
         self.registry.register("stack", self.stats)

@@ -58,7 +58,6 @@ def default_cluster_config() -> Dict[str, object]:
     return {
         "heartbeat_interval": 0.02,
         "suspect_timeout": 30.0,
-        "suspect_resend_interval": 0.5,
         "nack_delay": 0.003,
         "nack_retry_interval": 0.03,
         "nack_dedupe_window": 0.02,

@@ -1,4 +1,4 @@
-"""Simulated (and real-UDP) IP-Multicast substrate for FTMP.
+"""Simulated IP-Multicast substrate for FTMP.
 
 Public surface:
 
@@ -7,8 +7,8 @@ Public surface:
   with loss, jitter, partitions and crash faults;
 * :class:`Topology` / :class:`LinkModel` and the :func:`lan`, :func:`wan`,
   :func:`lossy_lan`, :func:`two_site_wan` presets;
-* :class:`Endpoint` — the abstract transport the protocol stacks target;
-* :class:`UdpFabric` / :class:`UdpEndpoint` — real sockets over loopback.
+* :class:`Endpoint` — the abstract transport the protocol stacks target
+  (its real-socket implementation is :mod:`repro.runtime.aio`).
 """
 
 from ..transport import Endpoint, TimerHandle
@@ -24,7 +24,6 @@ from .schedules import (
 from .topology import LinkModel, Topology, lan, lossy_lan, two_site_wan, wan
 from .trace import NetworkTrace, PacketRecord
 from .network import Network, SimEndpoint
-from .udp import UdpEndpoint, UdpFabric
 
 __all__ = [
     "Event",
@@ -48,6 +47,4 @@ __all__ = [
     "TimerHandle",
     "Network",
     "SimEndpoint",
-    "UdpFabric",
-    "UdpEndpoint",
 ]

@@ -48,7 +48,7 @@ class SimEndpoint(Endpoint):
 
     Protocol stacks are written against the abstract
     :class:`~repro.transport.Endpoint` interface, so the same stack
-    runs unmodified over the UDP transport (``repro.simnet.udp``).
+    runs unmodified over real sockets (``repro.runtime.aio``).
     """
 
     def __init__(self, network: "Network", pid: int):

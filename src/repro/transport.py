@@ -2,12 +2,10 @@
 
 FTMP (and every baseline protocol) is written against :class:`Endpoint`:
 a processor-local handle that can join multicast groups, send datagrams,
-read a clock and arm timers.  Three implementations exist:
+read a clock and arm timers.  Two implementations exist:
 
 * :class:`repro.simnet.network.SimEndpoint` — deterministic discrete-event
   simulation (the semantic truth: tests, chaos, schedule exploration);
-* :class:`repro.simnet.udp.UdpEndpoint` — real UDP sockets with threaded
-  loopback fan-out emulating multicast groups (single-process live demo);
 * :class:`repro.runtime.aio.AioEndpoint` — asyncio event loop per
   processor process, real UDP multicast or loopback fan-out across OS
   processes (the wall-clock truth: cluster runtime and benchmarks).
@@ -15,7 +13,7 @@ read a clock and arm timers.  Three implementations exist:
 This module sits *below* every runtime: ``repro.core`` and
 ``repro.baselines`` import only this seam, never ``repro.simnet`` or
 ``repro.runtime`` (the layering is guard-tested), so the identical
-protocol stack runs unmodified on all three substrates.
+protocol stack runs unmodified on both substrates.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Adaptive batching window (FTMPConfig.batch_adaptive).
 
 An EWMA of the gap between eligible sends estimates how many messages
-the next window would coalesce.  Below ``batch_min_fill`` the send
+the next window would coalesce.  Below ``BATCH_MIN_FILL`` the send
 bypasses the window (low-load latency returns to unbatched); above it
 the fixed-window coalescing engages unchanged.  Off by default, and only
 meaningful with ``batch_window > 0``.
@@ -134,8 +134,7 @@ def test_bypass_never_reorders_past_pending_window():
         (1, 2),
         seed=2,
         config=FTMPConfig(heartbeat_interval=0.002, suspect_timeout=10.0,
-                          batch_window=0.050, batch_adaptive=True,
-                          batch_min_fill=4),
+                          batch_window=0.050, batch_adaptive=True),
     )
     g = c.stacks[1].group(1)
     # prime the EWMA into "bypass" territory with slow sends

@@ -1,0 +1,89 @@
+"""Knob audit: every ``FTMPConfig`` field is turned by someone.
+
+An independently settable value is a configuration the tests and the
+benchmarks have to cover, so a field has to earn its place (ROADMAP
+item 4d).  The rule, held here by a plain scan of the source text in the
+manner of ``test_layering.py``:
+
+* the field is *read* somewhere in ``src/repro`` outside
+  ``core/config.py`` — an attribute access ``.field`` — and
+* some caller in ``src/ perf/ benchmarks/ examples/`` — tests do not
+  count — *names* it, as a keyword ``field=value`` or a dict key
+  ``"field": value``, with a value that is not the default written out
+  again: two values exist in the repository's own traffic.
+
+Anything else is a constant beside the code that reads it, or nothing.
+The one listed exception carries its reason.
+"""
+
+import ast
+import dataclasses
+import pathlib
+import re
+
+from repro.core import FTMPConfig
+
+ROOT = pathlib.Path(__file__).resolve().parents[2]
+CONFIG = ROOT / "src" / "repro" / "core" / "config.py"
+CALLER_TREES = ("src", "perf", "benchmarks", "examples")
+
+#: field -> why it stays although no caller outside tests/ sets it
+EXEMPT = {
+    "little_endian": "§3.2's byte-order flag is a property of the host, not "
+                     "a tuning choice; the mixed-endian interop case in "
+                     "tests/core/test_stack_unit.py sets the other value",
+}
+
+
+def _sources(*trees: str) -> dict:
+    return {
+        path: path.read_text()
+        for tree in trees
+        for path in sorted((ROOT / tree).rglob("*.py"))
+        if path != CONFIG
+    }
+
+
+def _is_default_restated(value: str, default: object) -> bool:
+    """``value`` is source text up to the next ``,`` / ``)`` / ``}``: a
+    literal equal to the default does not count as turning the knob."""
+    try:
+        return ast.literal_eval(value.strip()) == default
+    except (ValueError, SyntaxError):
+        return False  # a name or an expression: somebody computes it
+
+
+def _audit() -> list:
+    readers = _sources("src/repro")
+    callers = _sources(*CALLER_TREES)
+    found = []
+    for field in dataclasses.fields(FTMPConfig):
+        name = field.name
+        read = re.compile(rf"\.{name}\b(?!\s*=[^=])")
+        if not any(read.search(text) for text in readers.values()):
+            found.append(f"{name}: read by nothing in src/repro")
+        if name in EXEMPT:
+            continue
+        named = re.compile(rf"""(?:\b{name}\s*=(?!=)|["']{name}["']\s*:)([^,)}}\n]*)""")
+        values = [m.group(1) for text in callers.values()
+                  for m in named.finditer(text)]
+        if not values:
+            found.append(f"{name}: set by no caller in {' '.join(CALLER_TREES)}")
+        elif all(_is_default_restated(v, field.default) for v in values):
+            found.append(f"{name}: only ever restated at its default "
+                         f"{field.default!r}")
+    return found
+
+
+def test_every_field_is_read_and_turned_by_a_caller():
+    assert _audit() == []
+
+
+def test_exemptions_name_real_fields():
+    assert set(EXEMPT) <= {f.name for f in dataclasses.fields(FTMPConfig)}
+
+
+def test_field_budget():
+    # 35 until PR 20; a new field is a visible diff here and has to pass
+    # the audit above
+    assert len(dataclasses.fields(FTMPConfig)) <= 24

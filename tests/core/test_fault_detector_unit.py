@@ -30,7 +30,7 @@ def test_silence_raises_suspicion_within_bounds():
 
 
 def test_grace_period_defers_suspicion_of_new_members():
-    cfg = FTMPConfig(suspect_timeout=0.030, join_grace=0.200)
+    cfg = FTMPConfig(suspect_timeout=0.030)
     c = make_cluster((1, 2), config=cfg)
     g = c.stacks[1].group(1)
     # partition 2 away and grant it a long grace window

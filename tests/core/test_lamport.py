@@ -68,9 +68,9 @@ class TestSynchronizedClock:
 
 
 def test_make_clock_factory():
-    lam = make_clock(ClockMode.LAMPORT, lambda: 0.0, 1e-6, 0.0)
-    syn = make_clock(ClockMode.SYNCHRONIZED, lambda: 1.0, 1e-6, 0.0)
+    lam = make_clock(ClockMode.LAMPORT, lambda: 0.0)
+    syn = make_clock(ClockMode.SYNCHRONIZED, lambda: 1.0)
     assert isinstance(lam, LamportClock)
     assert isinstance(syn, SynchronizedClock)
     with pytest.raises(ValueError):
-        make_clock("bogus", lambda: 0.0, 1e-6, 0.0)
+        make_clock("bogus", lambda: 0.0)

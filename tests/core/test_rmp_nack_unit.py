@@ -72,7 +72,7 @@ def test_holder_retransmission_suppressed_by_anothers_copy():
     # the source's retransmitted copy arrives before our backoff expires
     feed(rmp, regular(1, 1, retransmission=True))
     assert rmp.stats.retransmissions_suppressed == 1
-    ctx.scheduler.run_until(ctx.config.retransmit_backoff * 2)
+    ctx.scheduler.run_until(rmp.RETRANSMIT_BACKOFF * 2)
     assert ctx.retransmitted == []  # our scheduled answer was cancelled
     assert rmp.stats.retransmissions_sent == 0
     assert rmp.stats.duplicates == 1  # the copy itself counted as duplicate
@@ -83,7 +83,7 @@ def test_holder_answers_when_no_other_copy_arrives():
     rmp = RMP(ctx)
     feed(rmp, regular(1, 1))
     feed(rmp, nack(3, 1, 1, 1))
-    ctx.scheduler.run_until(ctx.config.retransmit_backoff * 2)
+    ctx.scheduler.run_until(rmp.RETRANSMIT_BACKOFF * 2)
     assert len(ctx.retransmitted) == 1
     assert rmp.stats.retransmissions_sent == 1
     assert rmp.stats.retransmissions_suppressed == 0
@@ -140,7 +140,7 @@ def test_multi_hole_recovery_walks_hole_by_hole():
 def _nack_round(ctx, rmp, src, seq):
     """One full NACK round: request arrives, backoff elapses, answer sent."""
     feed(rmp, nack(3, src, seq, seq))
-    ctx.scheduler.run_until(ctx.scheduler.now + ctx.config.retransmit_backoff * 2)
+    ctx.scheduler.run_until(ctx.scheduler.now + rmp.RETRANSMIT_BACKOFF * 2)
 
 
 def test_drop_source_purges_escalation_counts():
@@ -222,7 +222,7 @@ def test_nack_backoff_widens_retry_interval():
     # 40 ms spacing: fires at 2, 12, 32, 72 ms
     ctx.scheduler.run_until(0.075)
     assert len(ctx.nacks) == 4  # fixed-interval would be 8 by now
-    # the interval is capped at nack_retry_max (160 ms): after the
+    # the interval is capped at NACK_RETRY_MAX (160 ms): after the
     # 80 ms step the spacing stops doubling
     ctx.scheduler.run_until(0.500)
     assert len(ctx.nacks) == 7  # 152, 312, 472 ms — capped at 160 apart

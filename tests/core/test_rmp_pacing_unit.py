@@ -19,10 +19,10 @@ def paced_source(n_msgs: int = 20, rate: float = 100.0, burst: int = 2,
                  dedupe: float = 0.0):
     """pid 1 *is* the source: answers are immediate, only pacing defers."""
     ctx = FakeContext(pid=1, config=FTMPConfig(
-        retransmit_rate_limit=rate, retransmit_burst=burst,
-        nack_dedupe_window=dedupe,
+        retransmit_rate_limit=rate, nack_dedupe_window=dedupe,
     ))
     rmp = RMP(ctx)
+    rmp.RETRANSMIT_BURST = burst
     for seq in range(1, n_msgs + 1):
         feed(rmp, regular(1, seq))
     return ctx, rmp
@@ -71,13 +71,12 @@ def test_paced_holder_answer_stays_suppressible():
     # pid 2 is a holder; its backoff answer lands in a dry bucket and is
     # deferred — the deferred answer must still be cancelled by another
     # holder's copy arriving first (pacing must not break §5 suppression).
-    ctx = FakeContext(pid=2, config=FTMPConfig(
-        retransmit_rate_limit=100.0, retransmit_burst=0,
-    ))
+    ctx = FakeContext(pid=2, config=FTMPConfig(retransmit_rate_limit=100.0))
     rmp = RMP(ctx)
+    rmp.RETRANSMIT_BURST = 0
     feed(rmp, regular(1, 1))
     feed(rmp, nack(3, 1, 1, 1))
-    ctx.scheduler.run_until(ctx.config.retransmit_backoff * 2)
+    ctx.scheduler.run_until(rmp.RETRANSMIT_BACKOFF * 2)
     assert ctx.retransmitted == []  # paced past the backoff
     assert rmp.stats.retransmissions_paced == 1
     feed(rmp, regular(1, 1, retransmission=True))  # copy arrives
@@ -90,10 +89,9 @@ def test_escalated_answer_survives_pacing_unsuppressed():
     # An escalated (count >= 3) answer must go out even when deferred by
     # the bucket, and a copy from elsewhere must NOT cancel it — the whole
     # point of escalation is that the usual copies are not arriving.
-    ctx = FakeContext(pid=2, config=FTMPConfig(
-        retransmit_rate_limit=100.0, retransmit_burst=0,
-    ))
+    ctx = FakeContext(pid=2, config=FTMPConfig(retransmit_rate_limit=100.0))
     rmp = RMP(ctx)
+    rmp.RETRANSMIT_BURST = 0
     feed(rmp, regular(1, 1))
     for _ in range(2):
         feed(rmp, nack(3, 1, 1, 1))
@@ -114,10 +112,10 @@ def test_repeated_request_for_escalated_answer_not_amplified():
     # The answer now pends under its real (source, seq) key and repeats
     # hit the pending-job check.
     ctx = FakeContext(pid=2, config=FTMPConfig(
-        retransmit_rate_limit=100.0, retransmit_burst=0,
-        nack_dedupe_window=0.0,
+        retransmit_rate_limit=100.0, nack_dedupe_window=0.0,
     ))
     rmp = RMP(ctx)
+    rmp.RETRANSMIT_BURST = 0
     feed(rmp, regular(1, 1))
     for _ in range(2):
         feed(rmp, nack(3, 1, 1, 1))
@@ -137,10 +135,9 @@ def test_unsuppressible_mark_cleared_after_answer_and_on_drop():
     # The unsuppressible mark must not outlive the paced answer (or the
     # source): a stale mark would shield future ordinary backoff answers
     # for the same key from §5 suppression forever.
-    ctx = FakeContext(pid=2, config=FTMPConfig(
-        retransmit_rate_limit=100.0, retransmit_burst=0,
-    ))
+    ctx = FakeContext(pid=2, config=FTMPConfig(retransmit_rate_limit=100.0))
     rmp = RMP(ctx)
+    rmp.RETRANSMIT_BURST = 0
     feed(rmp, regular(1, 1))
     for _ in range(3):  # third request escalates; let each answer drain
         feed(rmp, nack(3, 1, 1, 1))
@@ -154,10 +151,10 @@ def test_unsuppressible_mark_cleared_after_answer_and_on_drop():
 
 def test_ablation_no_suppression_still_paced():
     ctx = FakeContext(pid=2, config=FTMPConfig(
-        retransmit_suppression=False,
-        retransmit_rate_limit=100.0, retransmit_burst=1,
+        retransmit_suppression=False, retransmit_rate_limit=100.0,
     ))
     rmp = RMP(ctx)
+    rmp.RETRANSMIT_BURST = 1
     for seq in range(1, 6):
         feed(rmp, regular(1, seq))
     feed(rmp, nack(3, 1, 1, 5))
@@ -251,8 +248,7 @@ def test_answered_map_bounded_by_cap():
 # ----------------------------------------------------------------------
 def test_any_holder_off_source_only_still_paced():
     ctx = FakeContext(pid=2, config=FTMPConfig(
-        retransmit_any_holder=False,
-        retransmit_rate_limit=100.0, retransmit_burst=8,
+        retransmit_any_holder=False, retransmit_rate_limit=100.0,
     ))
     rmp = RMP(ctx)
     feed(rmp, regular(1, 1))
@@ -262,12 +258,10 @@ def test_any_holder_off_source_only_still_paced():
 
 
 def test_any_holder_on_holder_answers_under_pacing():
-    ctx = FakeContext(pid=2, config=FTMPConfig(
-        retransmit_rate_limit=100.0, retransmit_burst=8,
-    ))
+    ctx = FakeContext(pid=2, config=FTMPConfig(retransmit_rate_limit=100.0))
     rmp = RMP(ctx)
     feed(rmp, regular(1, 1))
     feed(rmp, nack(3, 1, 1, 1))
-    ctx.scheduler.run_until(ctx.config.retransmit_backoff * 2)
+    ctx.scheduler.run_until(rmp.RETRANSMIT_BACKOFF * 2)
     assert len(ctx.retransmitted) == 1
     assert rmp.stats.retransmissions_sent == 1

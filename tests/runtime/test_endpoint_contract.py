@@ -216,6 +216,25 @@ def test_no_callbacks_after_close(harness):
     assert hits == []
 
 
+def test_timer_armed_after_close_never_fires(harness):
+    ep = harness.endpoint(1)
+    ep.close()
+    hits = []
+    handle = ep.schedule(0.01, hits.append, "x")
+    harness.run(0.1)
+    handle.cancel()  # the handle stays cancellable
+    assert hits == []
+
+
+@pytest.mark.parametrize("harness", [AioHarness, ShardedAioHarness],
+                         ids=["aio", "sharded"], indirect=True)
+def test_oversized_datagram_rejected(harness):
+    # the two socket runtimes only: the simulator has no datagram limit
+    ep = harness.endpoint(1)
+    with pytest.raises(ValueError, match="datagram too large"):
+        ep.multicast(100, b"x" * 70_000)
+
+
 def test_close_is_idempotent(harness):
     ep = harness.endpoint(1)
     ep.close()
