@@ -203,10 +203,9 @@ class FTMPConfig:
         # a config also arrives from outside the program: a worker's JSON
         # spec on stdin, a chaos / explorer artifact file
         for knob in _SELF_REARMING_PERIODS:
-            if not getattr(self, knob) > 0:
-                raise ValueError(
-                    f"{knob} must be positive, not {getattr(self, knob)!r}"
-                )
+            period = getattr(self, knob)
+            if not period > 0:
+                raise ValueError(f"{knob} must be positive, not {period!r}")
         if self.delivery_mode not in ("agreed", "safe"):
             raise ValueError(
                 f"delivery_mode must be 'agreed' or 'safe', not {self.delivery_mode!r}"

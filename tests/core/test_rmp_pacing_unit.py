@@ -28,6 +28,15 @@ def paced_source(n_msgs: int = 20, rate: float = 100.0, burst: int = 2,
     return ctx, rmp
 
 
+def paced_holder(burst: int, **knobs):
+    """pid 2 *holds* pid 1's messages: its answers back off first, then
+    meet a bucket ``burst`` deep refilled at 100 retransmissions/s."""
+    ctx = FakeContext(pid=2, config=FTMPConfig(retransmit_rate_limit=100.0, **knobs))
+    rmp = RMP(ctx)
+    rmp.RETRANSMIT_BURST = burst
+    return ctx, rmp
+
+
 # ----------------------------------------------------------------------
 # pacing token bucket
 # ----------------------------------------------------------------------
@@ -71,9 +80,7 @@ def test_paced_holder_answer_stays_suppressible():
     # pid 2 is a holder; its backoff answer lands in a dry bucket and is
     # deferred — the deferred answer must still be cancelled by another
     # holder's copy arriving first (pacing must not break §5 suppression).
-    ctx = FakeContext(pid=2, config=FTMPConfig(retransmit_rate_limit=100.0))
-    rmp = RMP(ctx)
-    rmp.RETRANSMIT_BURST = 0
+    ctx, rmp = paced_holder(burst=0)
     feed(rmp, regular(1, 1))
     feed(rmp, nack(3, 1, 1, 1))
     ctx.scheduler.run_until(rmp.RETRANSMIT_BACKOFF * 2)
@@ -89,9 +96,7 @@ def test_escalated_answer_survives_pacing_unsuppressed():
     # An escalated (count >= 3) answer must go out even when deferred by
     # the bucket, and a copy from elsewhere must NOT cancel it — the whole
     # point of escalation is that the usual copies are not arriving.
-    ctx = FakeContext(pid=2, config=FTMPConfig(retransmit_rate_limit=100.0))
-    rmp = RMP(ctx)
-    rmp.RETRANSMIT_BURST = 0
+    ctx, rmp = paced_holder(burst=0)
     feed(rmp, regular(1, 1))
     for _ in range(2):
         feed(rmp, nack(3, 1, 1, 1))
@@ -111,11 +116,7 @@ def test_repeated_request_for_escalated_answer_not_amplified():
     # paced copy — amplifying the recovery traffic the pacer bounds.
     # The answer now pends under its real (source, seq) key and repeats
     # hit the pending-job check.
-    ctx = FakeContext(pid=2, config=FTMPConfig(
-        retransmit_rate_limit=100.0, nack_dedupe_window=0.0,
-    ))
-    rmp = RMP(ctx)
-    rmp.RETRANSMIT_BURST = 0
+    ctx, rmp = paced_holder(burst=0, nack_dedupe_window=0.0)
     feed(rmp, regular(1, 1))
     for _ in range(2):
         feed(rmp, nack(3, 1, 1, 1))
@@ -135,9 +136,7 @@ def test_unsuppressible_mark_cleared_after_answer_and_on_drop():
     # The unsuppressible mark must not outlive the paced answer (or the
     # source): a stale mark would shield future ordinary backoff answers
     # for the same key from §5 suppression forever.
-    ctx = FakeContext(pid=2, config=FTMPConfig(retransmit_rate_limit=100.0))
-    rmp = RMP(ctx)
-    rmp.RETRANSMIT_BURST = 0
+    ctx, rmp = paced_holder(burst=0)
     feed(rmp, regular(1, 1))
     for _ in range(3):  # third request escalates; let each answer drain
         feed(rmp, nack(3, 1, 1, 1))
@@ -150,11 +149,7 @@ def test_unsuppressible_mark_cleared_after_answer_and_on_drop():
 
 
 def test_ablation_no_suppression_still_paced():
-    ctx = FakeContext(pid=2, config=FTMPConfig(
-        retransmit_suppression=False, retransmit_rate_limit=100.0,
-    ))
-    rmp = RMP(ctx)
-    rmp.RETRANSMIT_BURST = 1
+    ctx, rmp = paced_holder(burst=1, retransmit_suppression=False)
     for seq in range(1, 6):
         feed(rmp, regular(1, seq))
     feed(rmp, nack(3, 1, 1, 5))
