@@ -4,7 +4,7 @@ PYTHON ?= python
 
 .PHONY: install test bench bench-diff perf perf-ab lint layering experiments \
         examples soak chaos chaos-overlay chaos-multigroup explore \
-        cluster-demo cluster-shard-demo cluster-smoke clean
+        cluster-demo cluster-smoke clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -48,7 +48,9 @@ lint: layering
 # engine-seam rule — romp/rmp/pgmp/fault_detector name no engine, datapath
 # only where it chooses one — and the send-service rule — machines and
 # engines stamp and send through ProcessorGroup.send only, its one
-# on_own_send call included — by the same tokenizer the test uses
+# on_own_send call included — by the same tokenizer the test uses; and
+# the one-datapath rule — no multiprocessing under runtime/, subprocess
+# in cluster.py only
 layering:
 	@$(PYTHON) tests/core/test_layering.py
 	@! grep -rnE '^\s*(from (repro\.|\.\.)(simnet|runtime)|import repro\.(simnet|runtime))' \
@@ -113,23 +115,14 @@ explore:
 cluster-demo:
 	PYTHONPATH=src $(PYTHON) -m repro.runtime --processes 3 --messages 3400
 
-# same demo over the sharded datapath (ISSUE 9): each worker's UDP
-# socket lives in an I/O-shard subprocess, co-hosted workers exchange
-# frames over shared-memory rings, ordering stays single-threaded
-cluster-shard-demo:
-	PYTHONPATH=src $(PYTHON) -m repro.runtime --processes 3 --messages 3400 \
-	    --io-shards 1
-
 # smaller cluster run for CI (writes the machine-readable report used as
-# the workflow artifact; wall-clock numbers are informational only);
-# runs both the single-loop and sharded datapaths
+# the workflow artifact; wall-clock numbers are informational only)
 cluster-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.runtime --processes 3 --messages 1200 \
 	    --json cluster-smoke-report.json
-	PYTHONPATH=src $(PYTHON) -m repro.runtime --processes 3 --messages 1200 \
-	    --io-shards 1 --json cluster-smoke-sharded-report.json
 
 clean:
 	rm -rf .pytest_cache .hypothesis benchmarks/results/*.txt \
-	       BENCH_report.json test_output.txt bench_output.txt perf/out
+	       BENCH_report.json test_output.txt bench_output.txt perf/out \
+	       cluster-smoke-report.json
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -180,18 +180,6 @@ def _derived_leaves(tree: Dict[str, Any]) -> Iterator[Tuple[str, float]]:
             and flat:
         yield ("derived.goodput_ratio_overlay_over_flat_at_100",
                over / flat)
-    # E22: sharded datapath vs single-loop goodput — both sides of the
-    # ratio are wall-clock numbers from the same interleaved run, so it
-    # survives a change of runner better than either absolute figure,
-    # but it still scales with the host's core count (shards share one
-    # core on single-CPU runners) — soft-warn only, never gated
-    e22 = tree.get("e22_sharded_wallclock", {}).get("wallclock", {})
-    sharded = e22.get("sharded_msgs_s")
-    single = e22.get("single_loop_msgs_s")
-    if isinstance(sharded, (int, float)) and isinstance(single, (int, float)) \
-            and single:
-        yield ("derived.goodput_ratio_sharded_over_single_loop",
-               sharded / single)
 
 
 def _is_gated(path: str) -> bool:

@@ -14,23 +14,11 @@ Run:  python examples/udp_multicast_demo.py
 
 import asyncio
 import random
-import socket
 
 from repro.core import FTMPConfig, FTMPStack, RecordingListener
-from repro.runtime.aio import AioFabric
+from repro.runtime.aio import AioFabric, free_udp_ports
 
 PIDS = (1, 2, 3)
-
-
-def free_udp_ports(n):
-    socks = [socket.socket(socket.AF_INET, socket.SOCK_DGRAM) for _ in range(n)]
-    try:
-        for s in socks:
-            s.bind(("127.0.0.1", 0))
-        return [s.getsockname()[1] for s in socks]
-    finally:
-        for s in socks:
-            s.close()
 
 
 def lossy(endpoint, loss_rate, rng):

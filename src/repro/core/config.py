@@ -33,10 +33,20 @@ _DISCIPLINE_NEEDS = {
     ),
 }
 
-#: the periods whose timer re-arms itself from its own callback: at zero
-#: the tick fires again at the same instant and time never advances
-_SELF_REARMING_PERIODS = (
+#: nothing works at zero.  The first three are periods whose timer re-arms
+#: itself from its own callback: the tick fires again at the same instant
+#: and time never advances.  For the rest, a member is suspected at once,
+#: no message is eligible for a batch, the tree has no children.
+_POSITIVE = (
     "heartbeat_interval", "nack_retry_interval", "overlay_summary_interval",
+    "suspect_timeout", "batch_max_bytes", "overlay_fanout",
+)
+#: delays, rates, windows and a pid: zero means "off" / "auto"; a negative
+#: delay is a SimTimeError out of the simulator and a silent clamp on the
+#: asyncio runtime
+_NON_NEGATIVE = (
+    "nack_delay", "batch_window", "retransmit_rate_limit", "nack_dedupe_window",
+    "flow_control_window", "flow_queue_limit", "llft_leader_pid",
 )
 
 
@@ -202,10 +212,18 @@ class FTMPConfig:
     def __post_init__(self) -> None:
         # a config also arrives from outside the program: a worker's JSON
         # spec on stdin, a chaos / explorer artifact file
-        for knob in _SELF_REARMING_PERIODS:
-            period = getattr(self, knob)
-            if not period > 0:
-                raise ValueError(f"{knob} must be positive, not {period!r}")
+        for knob in _POSITIVE:
+            if not getattr(self, knob) > 0:
+                raise ValueError(
+                    f"{knob} must be positive, not {getattr(self, knob)!r}")
+        for knob in _NON_NEGATIVE:
+            if not getattr(self, knob) >= 0:
+                raise ValueError(
+                    f"{knob} must not be negative, not {getattr(self, knob)!r}")
+        if not self.nack_backoff_factor >= 1.0:
+            raise ValueError(
+                "nack_backoff_factor must be at least 1.0, not "
+                f"{self.nack_backoff_factor!r}")
         if self.delivery_mode not in ("agreed", "safe"):
             raise ValueError(
                 f"delivery_mode must be 'agreed' or 'safe', not {self.delivery_mode!r}"

@@ -253,6 +253,10 @@ class _Writer:
         return b"".join(self._parts)
 
 
+#: the reader's fixed-width fields, compiled once: byte order + format code
+_FIELDS = {e + f: struct.Struct(e + f) for e in "<>" for f in "BHIQ"}
+
+
 class _Reader:
     """Endianness-aware sequential byte reader with bounds checking."""
 
@@ -264,7 +268,7 @@ class _Reader:
         self._e = "<" if little_endian else ">"
 
     def _take(self, fmt: str):
-        s = struct.Struct(self._e + fmt)
+        s = _FIELDS[self._e + fmt]
         end = self._pos + s.size
         if end > len(self._data):
             raise CodecError("truncated FTMP message body")

@@ -39,12 +39,20 @@ from ..replication.oracles import (
     check_no_duplicates,
     check_total_order,
 )
-from . import ioshard
-from .aio import multicast_available
-from .shm import SpscRing
+from .aio import free_udp_ports, multicast_available
 
 __all__ = ["ClusterSpec", "ClusterResult", "run_cluster", "default_cluster_config",
            "main"]
+
+
+#: the one processor group every worker runs, and its abstract address
+GROUP_ID = 1
+GROUP_ADDR = 5001
+
+#: a worker waits this long to hear every peer before it starts sending
+WARMUP_TIMEOUT = 15.0
+#: extra seconds allowed for spawn + socket binding + handshakes
+SPAWN_TIMEOUT = 30.0
 
 
 def default_cluster_config() -> Dict[str, object]:
@@ -77,24 +85,8 @@ class ClusterSpec:
     payload_size: int = 64
     #: "loopback", "multicast", or "auto" (probe, fall back to loopback)
     mode: str = "auto"
-    group_id: int = 1
-    group_addr: int = 5001
     seed: int = 0
-    config: Dict[str, object] = field(default_factory=default_cluster_config)
-    warmup_timeout: float = 15.0
     run_timeout: float = 120.0
-    #: extra seconds allowed for spawn + socket binding + handshakes
-    spawn_timeout: float = 30.0
-    record_digests: bool = True
-    #: sharded wall-clock datapath (ISSUE 9): I/O-shard subprocesses per
-    #: worker; 0 keeps the single-loop runtime byte-identical
-    io_shards: int = 0
-    #: host-local shm fast path between co-located workers (sharded mode)
-    peer_rings: bool = True
-    ring_capacity: int = 1 << 20
-    #: chaos hook (sharded mode): SIGKILL one of worker 1's I/O shards
-    #: once that worker has delivered a quarter of its expected messages
-    chaos_kill_shard: bool = False
 
 
 @dataclass
@@ -113,8 +105,7 @@ class ClusterResult:
     violations: List[Dict[str, object]]
     snapshots: Dict[int, Dict[str, float]]
     worker_errors: List[str]
-    io_shards: int = 0
-    #: summed net.* transport counters across workers (sharded + baseline)
+    #: summed net.* transport counters across workers
     net: Dict[str, float] = field(default_factory=dict)
 
     @property
@@ -138,7 +129,6 @@ class ClusterResult:
             "latency_p99_ms": round(self.latency_p99_ms, 3),
             "violations": self.violations,
             "worker_errors": self.worker_errors,
-            "io_shards": self.io_shards,
             "net": {k: v for k, v in sorted(self.net.items())},
             "ok": self.ok,
         }
@@ -151,35 +141,20 @@ def _percentile(samples: List[float], q: float) -> float:
     return ordered[min(len(ordered) - 1, int(q * (len(ordered) - 1) + 0.5))]
 
 
-def _allocate_udp_ports(n: int) -> List[int]:
-    """Reserve n distinct loopback UDP ports (bound until read, then freed)."""
-    socks = []
-    try:
-        for _ in range(n):
-            s = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-            s.bind(("127.0.0.1", 0))
-            socks.append(s)
-        return [s.getsockname()[1] for s in socks]
-    finally:
-        for s in socks:
-            s.close()
-
-
-def _listener_from_log(records: List[List[object]], group_id: int) -> RecordingListener:
+def _listener_from_log(records: List[List[object]]) -> RecordingListener:
     """Rebuild a RecordingListener the oracles can consume from a worker's
-    serialized delivery log ([source, seq, ts, digest?] per delivery)."""
+    serialized delivery log ([source, seq, ts, digest] per delivery)."""
     lst = RecordingListener()
     none_cid = ConnectionId.none()
     for rec in records:
-        digest = rec[3] if len(rec) > 3 else ""
         lst.on_deliver(Delivery(
-            group=group_id,
+            group=GROUP_ID,
             source=int(rec[0]),
             sequence_number=int(rec[1]),
             timestamp=int(rec[2]),
             connection_id=none_cid,
             request_num=0,
-            payload=bytes.fromhex(digest) if digest else b"",
+            payload=bytes.fromhex(rec[3]),
             delivered_at=0.0,
         ))
     return lst
@@ -205,7 +180,7 @@ def run_cluster(spec: ClusterSpec) -> ClusterResult:
         mode = "multicast" if multicast_available() else "loopback"
 
     pids = list(range(1, spec.processes + 1))
-    ports = _allocate_udp_ports(len(pids))
+    ports = free_udp_ports(len(pids))
     peers = dict(zip(pids, ports))
 
     control = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -215,34 +190,6 @@ def run_cluster(spec: ClusterSpec) -> ClusterResult:
     # one UDP port number per cluster keeps concurrent multicast clusters
     # from cross-talking: reuse the (TCP) control port number
     multicast_port = control_port
-
-    io_shards = spec.io_shards
-    if io_shards > 1 and mode == "multicast":
-        # several shards on one multicast socket pair would each receive
-        # every group datagram (duplicate ingest); one shard per worker
-        # still takes all socket syscalls off the ordering core
-        io_shards = 1
-
-    # the supervisor owns every shm segment's lifetime: create all rings
-    # up front, workers and shards only attach (a killed shard can then
-    # never take a segment down with it)
-    ring_run_id = f"ftmp{control_port}-{os.getpid()}"
-    owned_rings: List[SpscRing] = []
-    if io_shards > 0:
-        for name in ioshard.cluster_ring_names(
-                ring_run_id, pids, io_shards, spec.peer_rings):
-            owned_rings.append(SpscRing.create(name, spec.ring_capacity))
-
-    # eventfd doorbells make the peer-ring fast path event-driven: one
-    # counter per ordered worker pair, created here and inherited by
-    # both ends (sender writes after a ring push, receiver add_reader's
-    # it) — without them receivers fall back to 1 ms ring polling
-    peer_doorbells: Dict[Tuple[int, int], int] = {}
-    if io_shards > 0 and spec.peer_rings and hasattr(os, "eventfd"):
-        for a in pids:
-            for b in pids:
-                if a != b:
-                    peer_doorbells[(a, b)] = os.eventfd(0, os.EFD_NONBLOCK)
 
     procs: List[subprocess.Popen] = []
     stderr_files = []
@@ -258,34 +205,15 @@ def run_cluster(spec: ClusterSpec) -> ClusterResult:
                 "mode": mode,
                 "seed": spec.seed,
                 "multicast_port": multicast_port,
-                "group_id": spec.group_id,
-                "group_addr": spec.group_addr,
+                "group_id": GROUP_ID,
+                "group_addr": GROUP_ADDR,
                 "messages": spec.messages_per_process,
                 "payload_size": spec.payload_size,
                 "control_port": control_port,
-                "config": spec.config,
-                "warmup_timeout": spec.warmup_timeout,
+                "config": default_cluster_config(),
+                "warmup_timeout": WARMUP_TIMEOUT,
                 "run_timeout": spec.run_timeout,
-                "record_digests": spec.record_digests,
-                "io_shards": io_shards,
-                "ring_run_id": ring_run_id,
-                "peer_rings": spec.peer_rings,
-                "ring_capacity": spec.ring_capacity,
-                # chaos: only the first worker loses a shard
-                "chaos_kill_shard": spec.chaos_kill_shard and pid == pids[0],
             }
-            worker_fds = ()
-            if peer_doorbells:
-                db_tx = {str(b): fd for (a, b), fd in peer_doorbells.items()
-                         if a == pid}
-                db_rx = {str(a): fd for (a, b), fd in peer_doorbells.items()
-                         if b == pid}
-                wspec["peer_doorbell_tx"] = db_tx
-                wspec["peer_doorbell_rx"] = db_rx
-                # pass_fds keeps the fd numbers identical in the child,
-                # so the spec can name them directly
-                worker_fds = tuple(sorted(
-                    set(db_tx.values()) | set(db_rx.values())))
             errf = tempfile.TemporaryFile()
             stderr_files.append(errf)
             p = subprocess.Popen(
@@ -293,7 +221,6 @@ def run_cluster(spec: ClusterSpec) -> ClusterResult:
                 stdin=subprocess.PIPE,
                 stdout=subprocess.DEVNULL,
                 stderr=errf,
-                pass_fds=worker_fds,
                 env=env,
             )
             p.stdin.write(json.dumps(wspec).encode())
@@ -301,10 +228,10 @@ def run_cluster(spec: ClusterSpec) -> ClusterResult:
             procs.append(p)
 
         # -- handshake barrier ------------------------------------------
-        control.settimeout(spec.spawn_timeout)
+        control.settimeout(SPAWN_TIMEOUT)
         for _ in pids:
             s, _addr = control.accept()
-            s.settimeout(spec.run_timeout + spec.spawn_timeout)
+            s.settimeout(spec.run_timeout + SPAWN_TIMEOUT)
             f = s.makefile("rwb")
             ready = json.loads(f.readline())
             if ready.get("type") != "ready":
@@ -359,25 +286,17 @@ def run_cluster(spec: ClusterSpec) -> ClusterResult:
                     f"worker exited {p.returncode}" + (f": {tail}" if tail else "")
                 )
             errf.close()
-        for fd in peer_doorbells.values():
-            try:
-                os.close(fd)  # workers hold their inherited copies
-            except OSError:
-                pass
-        for ring in owned_rings:
-            ring.close()
-            ring.unlink()
 
     # -- oracle cross-check over the per-process delivery logs ----------
     listeners = {
-        pid: _listener_from_log(msg.get("deliveries", []), spec.group_id)
+        pid: _listener_from_log(msg.get("deliveries", []))
         for pid, msg in results.items()
     }
     violations: List[Violation] = []
     if listeners:
-        violations += check_total_order(listeners, spec.group_id)
-        violations += check_fifo(listeners, spec.group_id)
-        violations += check_no_duplicates(listeners, spec.group_id)
+        violations += check_total_order(listeners, GROUP_ID)
+        violations += check_fifo(listeners, GROUP_ID)
+        violations += check_no_duplicates(listeners, GROUP_ID)
 
     delivered = {pid: int(msg.get("delivered", 0)) for pid, msg in results.items()}
     for pid in pids:
@@ -411,7 +330,6 @@ def run_cluster(spec: ClusterSpec) -> ClusterResult:
         violations=[v.as_dict() for v in violations],
         snapshots={pid: msg.get("snapshot", {}) for pid, msg in results.items()},
         worker_errors=worker_errors,
-        io_shards=io_shards,
         net=net,
     )
 
@@ -427,16 +345,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         default="auto")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--run-timeout", type=float, default=120.0)
-    parser.add_argument("--io-shards", type=int, default=0,
-                        help="I/O-shard subprocesses per worker "
-                             "(0 = single-loop runtime, the default)")
-    parser.add_argument("--no-peer-rings", dest="peer_rings",
-                        action="store_false",
-                        help="disable the host-local shm fast path: all "
-                             "sharded traffic traverses the UDP shards")
-    parser.add_argument("--chaos-kill-shard", action="store_true",
-                        help="SIGKILL one of worker 1's I/O shards a "
-                             "quarter of the way into its run (failover demo)")
     parser.add_argument("--json", dest="json_path", default=None,
                         help="write the machine-readable report here")
     args = parser.parse_args(argv)
@@ -448,16 +356,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         mode=args.mode,
         seed=args.seed,
         run_timeout=args.run_timeout,
-        io_shards=args.io_shards,
-        peer_rings=args.peer_rings,
-        chaos_kill_shard=args.chaos_kill_shard,
     )
     result = run_cluster(spec)
 
-    shard_note = (f", io_shards={result.io_shards}" if result.io_shards
-                  else "")
-    print(f"cluster: {result.processes} processes, mode={result.mode}"
-          f"{shard_note}")
+    print(f"cluster: {result.processes} processes, mode={result.mode}")
     print(f"  ordered deliveries: {result.total_delivered} "
           f"(expected {result.expected_per_process} x {result.processes})")
     for pid in sorted(result.delivered):
@@ -467,12 +369,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(f"  send-to-own-delivery latency: "
           f"p50 {result.latency_p50_ms:.2f} ms, p99 {result.latency_p99_ms:.2f} ms")
     if result.net:
-        drops = {k: int(v) for k, v in result.net.items()
-                 if k in ("rx_ring_full", "rx_decode_errors",
-                          "tx_send_errors", "shard_failovers") and v}
+        send_errors = int(result.net.get("tx_send_errors", 0))
         rcvbuf = int(result.net.get("rx_rcvbuf_max_bytes", 0))
         print(f"  net: rcvbuf high-water {rcvbuf} B"
-              + (f", {drops}" if drops else ", no drops"))
+              + (f", {send_errors} send errors" if send_errors else ", no drops"))
     if result.violations:
         print(f"  ORACLE VIOLATIONS ({len(result.violations)}):")
         for v in result.violations[:10]:

@@ -25,11 +25,11 @@ import struct
 import sys
 import time
 import traceback
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List
 
 from ..core import FTMPConfig, FTMPStack, Listener
 from ..core.datapath import FlowControlSaturated
-from .aio import AioFabric, ShardedAioFabric
+from .aio import AioFabric
 
 __all__ = ["run_worker", "make_payload", "payload_digest"]
 
@@ -54,19 +54,15 @@ def payload_digest(payload: bytes) -> str:
 class _DeliveryLog(Listener):
     """Records ordered deliveries + latency of this processor's own sends."""
 
-    def __init__(self, pid: int, group_id: int, record_digests: bool):
+    def __init__(self, pid: int, group_id: int):
         self.pid = pid
         self.group_id = group_id
-        self.record_digests = record_digests
-        #: [source, seq, ordering timestamp, digest?] per ordered delivery
+        #: [source, seq, ordering timestamp, digest] per ordered delivery
         self.deliveries: List[List[object]] = []
         self.send_times: Dict[int, float] = {}  # request_num -> monotonic
         self.latencies_ms: List[float] = []
         self.first_delivery: float = 0.0
         self.last_delivery: float = 0.0
-        #: (delivery count, callback) fired once from inside the delivery
-        #: that reaches the count — run progress, not the clock
-        self.milestone: Optional[Tuple[int, Callable[[], None]]] = None
 
     def on_deliver(self, d) -> None:
         if d.group != self.group_id:
@@ -75,18 +71,12 @@ class _DeliveryLog(Listener):
         if not self.deliveries:
             self.first_delivery = now
         self.last_delivery = now
-        rec: List[object] = [d.source, d.sequence_number, d.timestamp]
-        if self.record_digests:
-            rec.append(payload_digest(d.payload))
-        self.deliveries.append(rec)
+        self.deliveries.append([d.source, d.sequence_number, d.timestamp,
+                                payload_digest(d.payload)])
         if d.source == self.pid:
             t0 = self.send_times.pop(d.request_num, None)
             if t0 is not None:
                 self.latencies_ms.append((now - t0) * 1e3)
-        if self.milestone is not None and len(self.deliveries) >= self.milestone[0]:
-            fire = self.milestone[1]
-            self.milestone = None
-            fire()
 
 
 async def _send_json(writer: asyncio.StreamWriter, obj: dict) -> None:
@@ -104,55 +94,31 @@ async def _read_json(reader: asyncio.StreamReader) -> dict:
 async def run_worker(spec: dict) -> int:
     pid = int(spec["pid"])
     peers = {int(k): int(v) for k, v in spec["peers"].items()}
-    group_id = int(spec.get("group_id", 1))
-    group_addr = int(spec.get("group_addr", 5001))
-    messages = int(spec.get("messages", 100))
-    payload_size = int(spec.get("payload_size", 64))
-    warmup_timeout = float(spec.get("warmup_timeout", 10.0))
-    run_timeout = float(spec.get("run_timeout", 60.0))
-    record_digests = bool(spec.get("record_digests", True))
+    group_id = int(spec["group_id"])
+    group_addr = int(spec["group_addr"])
+    messages = int(spec["messages"])
+    payload_size = int(spec["payload_size"])
+    warmup_timeout = float(spec["warmup_timeout"])
+    run_timeout = float(spec["run_timeout"])
 
-    io_shards = int(spec.get("io_shards", 0))
-    if io_shards > 0:
-        # sharded wall-clock datapath (ISSUE 9): UDP lives in shard
-        # subprocesses, datagrams reach this core over shm rings
-        fabric: AioFabric = ShardedAioFabric(
-            peers=peers,
-            mode=spec.get("mode", "loopback"),
-            host=spec.get("host", "127.0.0.1"),
-            seed=int(spec.get("seed", 0)),
-            multicast_port=int(spec.get("multicast_port", 29513)),
-            io_shards=io_shards,
-            ring_run_id=str(spec["ring_run_id"]),
-            peer_rings=bool(spec.get("peer_rings", True)),
-            ring_capacity=int(spec.get("ring_capacity", 1 << 20)),
-            peer_doorbell_rx={int(k): int(v) for k, v in
-                              spec.get("peer_doorbell_rx", {}).items()},
-            peer_doorbell_tx={int(k): int(v) for k, v in
-                              spec.get("peer_doorbell_tx", {}).items()},
-        )
-    else:
-        fabric = AioFabric(
-            peers=peers,
-            mode=spec.get("mode", "loopback"),
-            host=spec.get("host", "127.0.0.1"),
-            seed=int(spec.get("seed", 0)),
-            multicast_port=int(spec.get("multicast_port", 29513)),
-        )
+    fabric = AioFabric(
+        peers=peers,
+        mode=spec["mode"],
+        seed=int(spec["seed"]),
+        multicast_port=int(spec["multicast_port"]),
+    )
     endpoint = await fabric.start(pid)
-    if io_shards > 0:
-        await fabric.wait_ready(timeout=float(spec.get("warmup_timeout", 10.0)))
-    config = FTMPConfig(**spec.get("config", {}))
-    log = _DeliveryLog(pid, group_id, record_digests)
+    config = FTMPConfig(**spec["config"])
+    log = _DeliveryLog(pid, group_id)
     stack = FTMPStack(endpoint, config, log)
     # transport drop visibility rides the stats registry: snapshot()
-    # reports net.rx_ring_full, net.rx_decode_errors, net.shard_failovers…
+    # reports net.rx_filtered, net.rx_rcvbuf_max_bytes, net.tx_send_errors
     stack.registry.register("net", fabric.net_stats)
     stack.create_group(group_id, group_addr, tuple(sorted(peers)))
     group = stack.group(group_id)
 
     reader, writer = await asyncio.open_connection(
-        spec.get("control_host", "127.0.0.1"), int(spec["control_port"])
+        "127.0.0.1", int(spec["control_port"])
     )
     try:
         await _send_json(writer, {"type": "ready", "pid": pid})
@@ -171,12 +137,6 @@ async def run_worker(spec: dict) -> int:
 
         t_start = time.monotonic()
         expected = messages * len(peers)
-        chaos_kill_shard = io_shards > 0 and bool(spec.get("chaos_kill_shard"))
-        if chaos_kill_shard:
-            # keyed on deliveries, not on the clock: on a fast machine a
-            # timer lands after the last delivery and kills nothing that
-            # mattered
-            log.milestone = (max(1, expected // 4), fabric.chaos_kill_one_shard)
 
         async def produce() -> None:
             for i in range(1, messages + 1):
@@ -205,11 +165,6 @@ async def run_worker(spec: dict) -> int:
             await producer
         except asyncio.CancelledError:
             pass
-        # the failover is asynchronous (shard EOF, then the in-core bind):
-        # report only once the snapshot below can show it
-        while (chaos_kill_shard and not fabric.stat_shard_failovers
-               and time.monotonic() < run_deadline):
-            await asyncio.sleep(0.01)
         elapsed = time.monotonic() - t_start
 
         await _send_json(writer, {

@@ -47,6 +47,27 @@ def test_config_rejects_a_self_rearming_period_that_would_spin(knobs, period, va
         FTMPConfig(**knobs, **{period: value})
 
 
+@pytest.mark.parametrize("knob, value, reason", [
+    # a negative delay was a SimTimeError eight frames below the first gap
+    # on simnet and a silent clamp on the asyncio runtime
+    ("nack_delay", -0.001, "must not be negative"),
+    ("batch_window", -0.001, "must not be negative"),
+    ("retransmit_rate_limit", -1.0, "must not be negative"),
+    ("nack_dedupe_window", -0.02, "must not be negative"),
+    ("flow_control_window", -1, "must not be negative"),
+    ("flow_queue_limit", -1, "must not be negative"),
+    ("llft_leader_pid", -1, "must not be negative"),
+    ("suspect_timeout", 0, "must be positive"),
+    ("suspect_timeout", -0.06, "must be positive"),
+    ("batch_max_bytes", 0, "must be positive"),
+    ("overlay_fanout", 0, "must be positive"),
+    ("nack_backoff_factor", 0.5, "must be at least 1.0"),
+])
+def test_config_rejects_an_out_of_range_value(knob, value, reason):
+    with pytest.raises(ValueError, match=f"{knob} {reason}"):
+        FTMPConfig(**{knob: value})
+
+
 @pytest.mark.parametrize("knobs", [
     dict(), dict(delivery_mode="safe"), dict(llft_mode=True),
     dict(overlay_mode=True), dict(overlay_mode=True, delivery_mode="safe"),

@@ -22,8 +22,14 @@ the way down.  The machines and the engines send through
 restates a row of the table (``reliable=``) — and the service is the
 one caller of the discipline's ``on_own_send``.
 
+Fourth rule (DESIGN.md, "Runtime layering"): one wall-clock datapath.
+A datagram reaches the stack from the asyncio loop's own UDP socket and
+nowhere else, so nothing under ``runtime/`` imports ``multiprocessing``
+(shared memory included) and only ``cluster.py`` — which spawns the
+worker processes — imports ``subprocess``.
+
 Run as a script (``make layering``) it prints the violations of the
-last two rules and exits 1.
+last three rules and exits 1.
 """
 
 import ast
@@ -123,6 +129,22 @@ def _send_route_violations() -> list:
     return found
 
 
+def _runtime_process_violations() -> list:
+    """``multiprocessing`` anywhere under runtime/, ``subprocess``
+    anywhere but the supervisor."""
+    pattern = re.compile(r"^\s*(?:from|import)\s+(multiprocessing|subprocess)\b.*",
+                         re.MULTILINE)
+    return [f"runtime/{path.name}: {m.group(0).strip()}"
+            for path in sorted((SRC / "runtime").glob("*.py"))
+            for m in pattern.finditer(path.read_text())
+            if (m.group(1), path.name) != ("subprocess", "cluster.py")]
+
+
+def test_runtime_spawns_only_cluster_workers():
+    problems = _runtime_process_violations()
+    assert not problems, "a second wall-clock datapath:\n" + "\n".join(problems)
+
+
 def test_datagram_path_names_no_engine():
     problems = _engine_name_violations()
     assert not problems, "engine named outside the seam:\n" + "\n".join(problems)
@@ -161,6 +183,7 @@ def test_core_loads_without_either_runtime():
 
 
 if __name__ == "__main__":
-    bad = _engine_name_violations() + _send_route_violations()
-    print("\n".join(bad) if bad else "engine seam and send service OK")
+    bad = (_engine_name_violations() + _send_route_violations()
+           + _runtime_process_violations())
+    print("\n".join(bad) if bad else "engine seam, send service and runtime OK")
     sys.exit(1 if bad else 0)

@@ -37,52 +37,6 @@ def test_three_process_cluster_totally_ordered():
     assert blob["processes"] == 3
 
 
-def test_sharded_cluster_totally_ordered_over_rings():
-    """Same smoke over the sharded datapath: I/O-shard subprocesses own
-    the sockets, peer traffic rides the shm rings — the oracles must
-    hold and the ring path must have actually carried frames."""
-    spec = ClusterSpec(
-        processes=3,
-        messages_per_process=40,
-        payload_size=48,
-        mode="loopback",
-        seed=3,
-        io_shards=1,
-        run_timeout=90.0,
-    )
-    result = run_cluster(spec)
-    assert result.worker_errors == [], result.worker_errors
-    assert result.violations == [], result.violations
-    assert result.ok
-    assert result.io_shards == 1
-    assert result.net.get("ring_ingest", 0) > 0, result.net
-    assert result.net.get("shard_failovers", 0) == 0, result.net
-
-
-def test_sharded_cluster_survives_shard_kill():
-    """Chaos: SIGKILL one worker's only I/O shard mid-run — once that
-    worker has delivered a quarter of the run, however fast the machine.
-    The core binds the data port itself (failover) and the run still
-    completes with clean oracles.  ``peer_rings=False`` keeps the data
-    traffic on the shard sockets so the killed shard actually mattered."""
-    spec = ClusterSpec(
-        processes=3,
-        messages_per_process=40,
-        payload_size=48,
-        mode="loopback",
-        seed=3,
-        io_shards=1,
-        peer_rings=False,
-        chaos_kill_shard=True,
-        run_timeout=90.0,
-    )
-    result = run_cluster(spec)
-    assert result.worker_errors == [], result.worker_errors
-    assert result.violations == [], result.violations
-    assert result.ok
-    assert result.net.get("shard_failovers", 0) >= 1, result.net
-
-
 def test_cluster_result_surfaces_worker_shortfall():
     """A run that cannot finish reports not-ok instead of hanging."""
     spec = ClusterSpec(
@@ -90,7 +44,6 @@ def test_cluster_result_surfaces_worker_shortfall():
         messages_per_process=100_000,
         mode="loopback",
         run_timeout=0.5,  # far too short on any host: 400k deliveries/s
-        warmup_timeout=30.0,
     )
     result = run_cluster(spec)
     assert not result.ok

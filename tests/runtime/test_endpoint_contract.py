@@ -11,15 +11,11 @@ here before it can diverge from the simulator's semantics.
 """
 
 import asyncio
-import os
 import random
-import socket
 
 import pytest
 
-from repro.runtime import ioshard
-from repro.runtime.aio import AioFabric, ShardedAioFabric
-from repro.runtime.shm import SpscRing
+from repro.runtime.aio import AioFabric, free_udp_ports
 from repro.simnet import Network
 
 
@@ -51,16 +47,7 @@ class AioHarness:
     def __init__(self, pids):
         self.loop = asyncio.new_event_loop()
         asyncio.set_event_loop(self.loop)
-        ports = {}
-        socks = []
-        for pid in pids:
-            s = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-            s.bind(("127.0.0.1", 0))
-            socks.append(s)
-            ports[pid] = s.getsockname()[1]
-        for s in socks:
-            s.close()
-        self._ports = ports
+        self._ports = dict(zip(pids, free_udp_ports(len(pids))))
         self._fabrics = []
 
     def endpoint(self, pid):
@@ -79,45 +66,7 @@ class AioHarness:
         asyncio.set_event_loop(None)
 
 
-class ShardedAioHarness(AioHarness):
-    """AioHarness over the sharded datapath: one ShardedAioFabric per
-    endpoint, each with an I/O-shard subprocess, peer traffic over the
-    shm rings (the cluster's default sharded configuration).  The
-    harness plays the supervisor: it pre-creates every ring segment and
-    the fabrics attach."""
-
-    name = "sharded"
-
-    def __init__(self, pids):
-        super().__init__(pids)
-        self._run_id = f"contract{os.getpid()}"
-        self._rings = [
-            SpscRing.create(name, 1 << 16)
-            for name in ioshard.cluster_ring_names(
-                self._run_id, sorted(self._ports), io_shards=1,
-                peer_rings=True)
-        ]
-
-    def endpoint(self, pid):
-        fabric = ShardedAioFabric(
-            peers=self._ports, mode="loopback", seed=7,
-            io_shards=1, ring_run_id=self._run_id, peer_rings=True,
-            ring_capacity=1 << 16,
-        )
-        self._fabrics.append(fabric)
-        ep = self.loop.run_until_complete(fabric.start(pid))
-        self.loop.run_until_complete(fabric.wait_ready())
-        return ep
-
-    def close(self):
-        super().close()
-        for ring in self._rings:
-            ring.close()
-            ring.unlink()
-
-
-@pytest.fixture(params=[SimHarness, AioHarness, ShardedAioHarness],
-                ids=["sim", "aio", "sharded"])
+@pytest.fixture(params=[SimHarness, AioHarness], ids=["sim", "aio"])
 def harness(request):
     h = request.param(pids=(1, 2, 3))
     yield h
@@ -226,10 +175,9 @@ def test_timer_armed_after_close_never_fires(harness):
     assert hits == []
 
 
-@pytest.mark.parametrize("harness", [AioHarness, ShardedAioHarness],
-                         ids=["aio", "sharded"], indirect=True)
+@pytest.mark.parametrize("harness", [AioHarness], ids=["aio"], indirect=True)
 def test_oversized_datagram_rejected(harness):
-    # the two socket runtimes only: the simulator has no datagram limit
+    # the socket runtime only: the simulator has no datagram limit
     ep = harness.endpoint(1)
     with pytest.raises(ValueError, match="datagram too large"):
         ep.multicast(100, b"x" * 70_000)
