@@ -12,17 +12,16 @@ install:
 test:
 	$(PYTHON) -m pytest tests/
 
-# plain pytest: the experiment files are ordinary tests that emit their
+# plain pytest: the experiment files are ordinary tests that run their
+# sweeps in simulated time (E19 alone on the wall clock), emit their
 # tables into benchmarks/results/ and merge machine-readable metrics
-# into BENCH_report.json at the repo root (a fallback `benchmark`
-# fixture covers environments without pytest-benchmark, so no plugin
-# flags here)
+# into BENCH_report.json at the repo root
 bench:
 	$(PYTHON) -m pytest benchmarks/ -q
 
 # regenerate the report, then diff it against the committed copy; fails
-# only on a >25% regression of a gated metric (saturation goodput, codec
-# speedups) — everything else soft-warns
+# only on a >25% regression of a gated metric (the two simulated-time
+# saturation-goodput ratios) — everything else soft-warns
 bench-diff: bench
 	$(PYTHON) benchmarks/_report.py diff
 
@@ -48,9 +47,11 @@ lint: layering
 # engine-seam rule — romp/rmp/pgmp/fault_detector name no engine, datapath
 # only where it chooses one — and the send-service rule — machines and
 # engines stamp and send through ProcessorGroup.send only, its one
-# on_own_send call included — by the same tokenizer the test uses; and
-# the one-datapath rule — no multiprocessing under runtime/, subprocess
-# in cluster.py only
+# on_own_send call included — by the same tokenizer the test uses; the
+# one-datapath rule — no multiprocessing under runtime/, subprocess in
+# cluster.py only; and the one-harness rule — no benchmark fixture or
+# wall clock under benchmarks/ outside E19, no reference encoder under
+# src/, no runtime import under analysis/
 layering:
 	@$(PYTHON) tests/core/test_layering.py
 	@! grep -rnE '^\s*(from (repro\.|\.\.)(simnet|runtime)|import repro\.(simnet|runtime))' \
@@ -60,6 +61,8 @@ layering:
 	    || { echo "layering violation: simnet must not import repro.runtime"; exit 1; }
 	@! grep -rnE '^\s*(from (repro\.|\.\.)simnet|import repro\.simnet)' src/repro/runtime \
 	    || { echo "layering violation: runtime must not import repro.simnet"; exit 1; }
+	@! grep -rnE '^\s*(from (repro\.|\.\.)runtime|import repro\.runtime)' src/repro/analysis \
+	    || { echo "layering violation: analysis must not import repro.runtime"; exit 1; }
 	@echo "layering OK"
 
 experiments:

@@ -18,19 +18,17 @@ Gated metrics are deliberately machine-independent (the baseline may
 have been committed from a different machine than the runner diffing
 against it): the batched/unbatched and flow-controlled/batched
 saturation-goodput ratios derived from each report, both computed from
-*simulated* time and therefore deterministic for a given seed.  Every
-wall-clock figure only soft-warns — including the codec ``speedup``
-ratios, which measurement shows swing well past 25% between machines
-on unchanged code (the fast and reference codecs stress different CPU
-paths, so their ratio does not transfer across hardware).
+*simulated* time and therefore deterministic for a given seed.  CPU and
+codec cost are not measured here at all: that is ``perf/`` (see
+``perf/README.md``).
 
-The ``wallclock`` section (:func:`wallclock_section`, filled by the E19
-multi-process cluster bench) is the third tier: real OS processes, real
-sockets, real clocks.  Its msgs/s and latency percentiles are the most
-machine-dependent numbers in the report, so they are soft-warn by
-construction — nothing under ``*.wallclock.*`` may ever be added to
-``GATED_METRICS``; the correctness side of those runs (total order
-across processes) is asserted by the cluster oracles, not by the diff.
+The one wall-clock section (:func:`wallclock_section`, filled by the E19
+multi-process cluster bench: real OS processes, real sockets, real
+clocks) holds the only machine-dependent numbers in the report, so they
+are soft-warn by construction — nothing under ``*.wallclock.*`` may ever
+be added to ``GATED_METRICS``; the correctness side of those runs (total
+order across processes) is asserted by the cluster oracles, not by the
+diff.
 """
 
 from __future__ import annotations
@@ -103,17 +101,14 @@ def wallclock_section(results: Dict[int, Any]) -> Dict[str, Any]:
 #: dotted paths whose regression FAILS the diff (higher is better for
 #: every gated metric); everything else only soft-warns.  Both gated
 #: metrics are ratios of simulated-time measurements — deterministic
-#: for a given seed, so the gate is immune to runner speed.  Codec
-#: speedups are same-run ratios but of *wall-clock* numbers, and the
-#: fast/reference ratio itself varies >25% across machines on unchanged
-#: code — they soft-warn like every other wall-clock figure.
+#: for a given seed, so the gate is immune to runner speed.
 GATED_METRICS = (
     "derived.goodput_ratio_batched_over_unbatched",
     "derived.goodput_ratio_fc_over_batched",
 )
 
 #: metrics where *lower* is better — sign of "regression" flips
-LOWER_IS_BETTER_TOKENS = ("latency", "ns_op", "datagrams_per_delivery",
+LOWER_IS_BETTER_TOKENS = ("latency", "datagrams_per_delivery",
                           "wire_bytes", "queue", "violations")
 
 

@@ -35,11 +35,8 @@ def run_point(suppression: bool):
     return complete, retrans, suppressed, packets
 
 
-def test_a1_nack_suppression(benchmark):
-    def run():
-        return run_point(True), run_point(False)
-
-    with_s, without_s = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_a1_nack_suppression():
+    with_s, without_s = run_point(True), run_point(False)
 
     table = Table(
         ["suppression", "complete", "retransmissions sent",

@@ -39,11 +39,8 @@ def run_point(any_holder: bool, seed: int = 3):
     return complete, summarize(lats), helper_retrans
 
 
-def test_a2_any_holder_retransmit(benchmark):
-    def run():
-        return run_point(True), run_point(False)
-
-    with_any, source_only = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_a2_any_holder_retransmit():
+    with_any, source_only = run_point(True), run_point(False)
 
     table = Table(
         ["retransmission policy", "complete", "mean recovery latency (ms)",

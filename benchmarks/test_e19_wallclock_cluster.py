@@ -2,12 +2,13 @@
 
 Every other experiment in this suite measures *simulated* time: the
 discrete-event scheduler is the semantic truth, and its numbers are
-machine-independent.  E19 is the third tier — the identical FTMP stack
-(same ``repro.core`` bytes, selected purely by swapping the ``Endpoint``
-implementation) runs across real OS processes over the asyncio UDP
-fabric, and we measure what the wall clock actually says: ordered
-msgs/s and send→own-ordered-delivery latency percentiles per process
-count.
+machine-independent.  E19 is the one exception, kept here until
+``perf/`` has a multi-process workload (ROADMAP item 5) — the identical
+FTMP stack (same ``repro.core`` bytes, selected purely by swapping the
+``Endpoint`` implementation) runs across real OS processes over the
+asyncio UDP fabric, and we measure what the wall clock actually says:
+ordered msgs/s and send→own-ordered-delivery latency percentiles per
+process count.
 
 Correctness is not inferred from the numbers: each run cross-checks
 every process's delivery log with the chaos-campaign oracles (total
@@ -19,7 +20,7 @@ most machine-dependent in the whole report, so they land in the
 """
 
 from repro.analysis import Table
-from repro.analysis.harness import run_wallclock_sweep
+from repro.runtime.cluster import ClusterSpec, run_cluster
 
 from _report import emit, emit_json, wallclock_section
 
@@ -28,17 +29,16 @@ MESSAGES_PER_PROCESS = 1500
 PAYLOAD_SIZE = 64
 
 
-def test_e19_wallclock_cluster(benchmark):
-    results = benchmark.pedantic(
-        run_wallclock_sweep,
-        kwargs={
-            "process_counts": PROCESS_COUNTS,
-            "messages_per_process": MESSAGES_PER_PROCESS,
-            "payload_size": PAYLOAD_SIZE,
-        },
-        rounds=1,
-        iterations=1,
-    )
+def test_e19_wallclock_cluster():
+    results = {
+        n: run_cluster(ClusterSpec(
+            processes=n,
+            messages_per_process=MESSAGES_PER_PROCESS,
+            payload_size=PAYLOAD_SIZE,
+            run_timeout=180.0,
+        ))
+        for n in PROCESS_COUNTS
+    }
 
     table = Table(
         ["processes", "mode", "ordered deliveries", "msgs/s",

@@ -107,13 +107,9 @@ def run_leg(n: int, overlay: bool):
     return result
 
 
-def test_e21_overlay_scaling(benchmark):
-    def sweep():
-        flat = {n: run_leg(n, overlay=False) for n in FLAT_SIZES}
-        over = {n: run_leg(n, overlay=True) for n in OVERLAY_SIZES}
-        return flat, over
-
-    flat, over = benchmark.pedantic(sweep, rounds=1, iterations=1)
+def test_e21_overlay_scaling():
+    flat = {n: run_leg(n, overlay=False) for n in FLAT_SIZES}
+    over = {n: run_leg(n, overlay=True) for n in OVERLAY_SIZES}
 
     table = Table(
         ["n", "mode", "goodput (msg/s)", "root dgrams/delivery",

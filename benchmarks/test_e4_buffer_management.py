@@ -56,12 +56,9 @@ def run_slow_member_safety():
     return counts
 
 
-def test_e4_buffer_management(benchmark):
-    def sweep():
-        return run_point(True), run_point(False), run_slow_member_safety()
-
-    with_gc, without_gc, slow_counts = benchmark.pedantic(sweep, rounds=1,
-                                                          iterations=1)
+def test_e4_buffer_management():
+    with_gc, without_gc = run_point(True), run_point(False)
+    slow_counts = run_slow_member_safety()
 
     table = Table(
         ["ack-timestamp GC", "buffer high-water (msgs)", "final occupancy",

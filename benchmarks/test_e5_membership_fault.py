@@ -39,11 +39,8 @@ def run_point(suspect_timeout_s: float):
     return report_at - CRASH_AT, stall, agree, resumed, len(times)
 
 
-def test_e5_membership_fault(benchmark):
-    def sweep():
-        return {ms: run_point(ms / 1e3) for ms in TIMEOUTS_MS}
-
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
+def test_e5_membership_fault():
+    results = {ms: run_point(ms / 1e3) for ms in TIMEOUTS_MS}
 
     table = Table(
         ["suspect timeout (ms)", "crash→fault report (ms)",

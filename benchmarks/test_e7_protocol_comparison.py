@@ -1,6 +1,8 @@
-"""E7 — §1/§8 positioning: FTMP's symmetric Lamport ordering vs the
-related-work ordering disciplines (fixed sequencer / rotating token), and
-the unordered point-to-point mesh, across group sizes.
+"""E7 — §1/§8 positioning: FTMP vs sequencer vs token ring vs mesh.
+
+FTMP's symmetric Lamport ordering against the related-work ordering
+disciplines (fixed sequencer / rotating token), and the unordered
+point-to-point mesh, across group sizes.
 
 Expected shapes (classical results the paper's related work discusses):
 
@@ -75,15 +77,12 @@ def run_point(cls, n: int, msgs_per_sender: int = 15):
     return summarize(lats), complete, data_packets, control_packets
 
 
-def test_e7_protocol_comparison(benchmark):
-    def sweep():
-        return {
-            (cls.name, n): run_point(cls, n)
-            for cls in PROTOCOLS
-            for n in GROUP_SIZES
-        }
-
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
+def test_e7_protocol_comparison():
+    results = {
+        (cls.name, n): run_point(cls, n)
+        for cls in PROTOCOLS
+        for n in GROUP_SIZES
+    }
 
     table = Table(
         ["protocol", "group size", "mean latency (ms)", "p99 (ms)",

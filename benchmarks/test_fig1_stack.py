@@ -2,8 +2,7 @@
 
 Reproduces the layering diagram as an executable artifact: one GIOP
 request/reply traverses ORB -> (ROMP | PGMP) -> RMP -> IP Multicast, and
-the per-layer counters prove each layer did its job.  The timed portion
-benchmarks the full per-message stack traversal cost.
+the per-layer counters prove each layer did its job.
 """
 
 from repro.analysis import Table
@@ -27,8 +26,8 @@ def traverse_stack(n_messages: int = 200):
     return net, stacks, listeners
 
 
-def test_fig1_stack_layering(benchmark):
-    net, stacks, listeners = benchmark.pedantic(traverse_stack, rounds=1, iterations=1)
+def test_fig1_stack_layering():
+    net, stacks, listeners = traverse_stack()
 
     g = stacks[2].group(1)
     table = Table(["layer (Figure 1)", "evidence", "count"],

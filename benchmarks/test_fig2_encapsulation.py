@@ -3,7 +3,7 @@
 "[IP Multicast Header][FTMP Header][GIOP Header][Data]" — every one of
 the eight GIOP message types is encapsulated in an FTMP Regular message
 and recovered byte-identically after a trip through the simulated
-network.  The timed portion benchmarks the encode+decode path.
+network.
 """
 
 from repro.analysis import Table
@@ -76,8 +76,8 @@ def encapsulate_all(repeats: int = 200):
     return rows
 
 
-def test_fig2_encapsulation(benchmark):
-    rows = benchmark.pedantic(encapsulate_all, rounds=1, iterations=1)
+def test_fig2_encapsulation():
+    rows = encapsulate_all()
 
     table = Table(
         ["GIOP message", "GIOP bytes", "FTMP datagram bytes",

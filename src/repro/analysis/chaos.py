@@ -45,14 +45,14 @@ from ..replication.oracles import (
     check_quiescence,
     run_history_oracles,
 )
-from ..simnet import LinkModel, Topology
+from ..simnet import LinkModel, Schedule, Scheduler, Topology
 from .harness import Cluster, make_cluster, make_multigroup_cluster
 
 __all__ = ["ChaosResult", "default_chaos_config", "chaos_config_for",
            "execute_plan", "build_artifact", "write_artifact",
            "adjust_plan_for", "plan_topology", "run_chaos_scenario",
            "run_campaign", "default_scenarios_for",
-           "replay_artifact", "main", "MODES", "LLFT_SCENARIOS",
+           "load_artifact", "replay_artifact", "main", "MODES", "LLFT_SCENARIOS",
            "OVERLAY_SCENARIOS", "MULTIGROUP_SCENARIOS",
            "LLFT_LEADER_PID", "OVERLAY_FANOUT"]
 
@@ -617,8 +617,18 @@ def run_chaos_scenario(
     plan = ChaosPlan.generate(seed, scenario, pids)
     cfg = config if config is not None else chaos_config_for(mode, scenario)
     adjust_plan_for(plan, cfg)
+    return _run_recording(plan, cfg, artifact_dir, inject_ordering_bug,
+                          gc_check_interval=gc_check_interval)
+
+
+def _run_recording(plan: ChaosPlan, cfg: FTMPConfig,
+                   artifact_dir: Optional[str], inject_ordering_bug: bool,
+                   scheduler: Optional[Scheduler] = None,
+                   gc_check_interval: float = 0.05) -> ChaosResult:
+    """Execute ``plan`` and, on a violation, write its artifact."""
     result, cluster, injector = execute_plan(
-        plan, cfg, inject_ordering_bug=inject_ordering_bug,
+        plan, cfg, scheduler=scheduler,
+        inject_ordering_bug=inject_ordering_bug,
         gc_check_interval=gc_check_interval,
     )
     if result.violations and artifact_dir:
@@ -670,19 +680,29 @@ def run_campaign(
     return results
 
 
-def replay_artifact(path: str, artifact_dir: Optional[str] = None) -> ChaosResult:
-    """Re-run the exact scenario recorded in a violation artifact."""
+def load_artifact(path: str) -> Tuple[ChaosPlan, FTMPConfig, Schedule, bool]:
+    """The ``(plan, config, schedule, inject_ordering_bug)`` an artifact
+    recorded — the one loader of the campaign's and the explorer's replay.
+
+    The plan is the recorded one, never regenerated from ``(seed,
+    scenario)``: an artifact must keep replaying what it recorded when
+    :meth:`ChaosPlan.generate` changes.  A campaign artifact has no
+    ``schedule`` section, which reads as the empty decision list: FIFO,
+    the order the campaign ran under.
+    """
     with open(path, encoding="utf-8") as fh:
         artifact = json.load(fh)
-    cfg = FTMPConfig(**artifact["config"])
-    return run_chaos_scenario(
-        artifact["seed"],
-        artifact["scenario"],
-        pids=tuple(artifact["plan"]["initial_members"]),
-        config=cfg,
-        artifact_dir=artifact_dir,
-        inject_ordering_bug=artifact.get("inject_ordering_bug", False),
-    )
+    return (ChaosPlan.from_dict(artifact["plan"]),
+            FTMPConfig(**artifact["config"]),
+            Schedule.from_dict(artifact.get("schedule", {})),
+            artifact.get("inject_ordering_bug", False))
+
+
+def replay_artifact(path: str, artifact_dir: Optional[str] = None) -> ChaosResult:
+    """Re-run the exact plan recorded in a violation artifact."""
+    plan, cfg, schedule, inject = load_artifact(path)
+    return _run_recording(plan, cfg, artifact_dir, inject,
+                          scheduler=Scheduler(schedule.replay_policy()))
 
 
 def main(argv: Optional[List[str]] = None) -> int:

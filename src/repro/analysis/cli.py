@@ -4,40 +4,27 @@
 ``python -m repro.analysis.cli run E1 E3`` regenerates specific ones;
 ``python -m repro.analysis.cli run all`` regenerates everything.
 
-Each experiment is a pytest-benchmark target under ``benchmarks/``; the
-runner shells out to pytest so the artifacts land in
-``benchmarks/results/`` exactly as CI produces them.
+Each experiment is an ordinary pytest file under ``benchmarks/`` that
+runs its sweep in simulated time (E19 alone uses the wall clock) and
+emits its table; the runner shells out to pytest so the artifacts land
+in ``benchmarks/results/`` exactly as CI produces them.  The table of
+experiments is the directory listing: ``test_{fig,e,a}<n>_*.py`` is
+experiment ``F<n>`` / ``E<n>`` / ``A<n>``, described by the first line of
+its module docstring.  CPU and codec cost are ``perf/``'s
+(``perf/README.md``), not measured here.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import pathlib
+import re
 import subprocess
 import sys
+from typing import Dict, Tuple
 
-EXPERIMENTS = {
-    "F1": ("test_fig1_stack.py", "Figure 1 — the FTMP protocol stack layering"),
-    "F2": ("test_fig2_encapsulation.py", "Figure 2 — GIOP-in-FTMP encapsulation"),
-    "F3": ("test_fig3_delivery_matrix.py", "Figure 3 — delivery-service matrix"),
-    "E1": ("test_e1_heartbeat_tradeoff.py", "heartbeat interval: latency vs traffic"),
-    "E2": ("test_e2_clock_modes.py", "Lamport vs synchronized clocks (WAN)"),
-    "E3": ("test_e3_loss_recovery.py", "NACK recovery under loss"),
-    "E4": ("test_e4_buffer_management.py", "ack-timestamp buffer management"),
-    "E5": ("test_e5_membership_fault.py", "fault detection & reconfiguration"),
-    "E6": ("test_e6_duplicate_suppression.py", "duplicate suppression R x S"),
-    "E7": ("test_e7_protocol_comparison.py", "FTMP vs sequencer vs token ring"),
-    "E8": ("test_e8_giop_end_to_end.py", "GIOP over FTMP vs IIOP"),
-    "E9": ("test_e9_dynamic_membership.py", "non-faulty membership churn"),
-    "E10": ("test_e10_connection_establishment.py", "connection handshake & migration"),
-    "E11": ("test_e11_ordering_ladder.py", "extension: the ordering-guarantee ladder"),
-    "E12": ("test_e12_throughput_saturation.py", "extension: throughput saturation, batching off vs on"),
-    "E13": ("test_e13_active_vs_passive.py", "extension: active vs warm-passive replication"),
-    "E14": ("test_e14_membership_scaling.py", "extension: membership latency vs group size"),
-    "A1": ("test_a1_nack_suppression.py", "ablation: NACK-implosion avoidance"),
-    "A2": ("test_a2_any_holder_retransmit.py", "ablation: any-holder retransmission"),
-    "A3": ("test_a3_agreed_vs_safe.py", "extension: agreed vs safe delivery"),
-}
+_EXPERIMENT_FILE = re.compile(r"test_(fig|e|a)(\d+)_\w+\.py")
 
 
 def find_benchmarks_dir() -> pathlib.Path:
@@ -48,31 +35,47 @@ def find_benchmarks_dir() -> pathlib.Path:
     raise SystemExit("cannot find the benchmarks/ directory; run from the repo root")
 
 
+def discover(bench_dir: pathlib.Path) -> Dict[str, Tuple[pathlib.Path, str]]:
+    """``{id: (file, description)}`` for every experiment file on disk,
+    figures first, then experiments and ablations by number."""
+    found = {}
+    for path in bench_dir.iterdir():
+        m = _EXPERIMENT_FILE.fullmatch(path.name)
+        if m is None:
+            continue
+        kind, number = m.groups()
+        key = ("F" if kind == "fig" else kind.upper()) + number
+        doc = ast.get_docstring(ast.parse(path.read_text())) or ""
+        first = doc.split("\n", 1)[0]
+        found[key] = (path, first.removeprefix(key).lstrip(" —"))
+    return dict(sorted(found.items(),
+                       key=lambda kv: ("FEA".index(kv[0][0]), int(kv[0][1:]))))
+
+
 def cmd_list() -> int:
-    width = max(len(k) for k in EXPERIMENTS)
-    for key, (_file, desc) in EXPERIMENTS.items():
+    experiments = discover(find_benchmarks_dir())
+    width = max(len(k) for k in experiments)
+    for key, (_file, desc) in experiments.items():
         print(f"  {key:<{width}}  {desc}")
     return 0
 
 
 def cmd_run(ids: list) -> int:
     bench_dir = find_benchmarks_dir()
+    experiments = discover(bench_dir)
     if ids == ["all"]:
-        ids = list(EXPERIMENTS)
+        ids = list(experiments)
     files = []
     for key in ids:
-        if key not in EXPERIMENTS:
+        if key not in experiments:
             print(f"unknown experiment {key!r}; try 'list'", file=sys.stderr)
             return 2
-        files.append(str(bench_dir / EXPERIMENTS[key][0]))
-    code = subprocess.call(
-        [sys.executable, "-m", "pytest", *files, "--benchmark-only", "-q", "-s"]
-    )
+        files.append(str(experiments[key][0]))
+    code = subprocess.call([sys.executable, "-m", "pytest", *files, "-q", "-s"])
     results = bench_dir / "results"
     if results.is_dir():
         print(f"\nartifacts under {results}/:")
         for key in ids:
-            stem = EXPERIMENTS[key][0].replace("test_", "").replace(".py", "")
             for p in sorted(results.glob(f"{key}_*.txt")):
                 print(f"  {p.name}")
     return code

@@ -35,7 +35,6 @@ explorer, the oracles and the artifact pipeline all fire.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -50,6 +49,7 @@ from .chaos import (
     build_artifact,
     chaos_config_for,
     execute_plan,
+    load_artifact,
     write_artifact,
 )
 
@@ -474,12 +474,7 @@ def replay_explore_artifact(
     ``inject_override`` replays a self-test artifact as if against fixed
     code (``False``) or forces the corruption back on (``True``).
     """
-    with open(path, encoding="utf-8") as fh:
-        artifact = json.load(fh)
-    plan = ChaosPlan.from_dict(artifact["plan"])
-    cfg = FTMPConfig(**artifact["config"])
-    schedule = Schedule.from_dict(artifact.get("schedule", {}))
-    inject = artifact.get("inject_ordering_bug", False)
+    plan, cfg, schedule, inject = load_artifact(path)
     if inject_override is not None:
         inject = inject_override
     result, decisions, _cl, _inj = run_schedule(

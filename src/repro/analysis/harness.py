@@ -14,7 +14,7 @@ from ..core import FTMPConfig, FTMPStack, RecordingListener
 from ..simnet import Network, Topology, lan
 
 __all__ = ["Cluster", "make_cluster", "make_multigroup_cluster", "SendRecord",
-           "TimedWorkload", "run_wallclock_sweep"]
+           "TimedWorkload"]
 
 
 @dataclass
@@ -228,40 +228,3 @@ class TimedWorkload:
             if d.group == self.group
         )
         return got / expected
-
-
-def run_wallclock_sweep(
-    process_counts: Tuple[int, ...] = (3, 5),
-    messages_per_process: int = 1500,
-    payload_size: int = 64,
-    mode: str = "auto",
-    seed: int = 0,
-    run_timeout: float = 180.0,
-):
-    """Wall-clock bench tier: one real multi-process cluster per point.
-
-    Complements the simulated-time experiments above: the same stack runs
-    over :mod:`repro.runtime`'s asyncio fabric across real OS processes,
-    and each point reports measured msgs/s and send→own-ordered-delivery
-    latency percentiles.  Wall-clock numbers are machine-dependent by
-    nature, so reports built from this sweep must only ever soft-warn in
-    the bench diff — the gated metrics stay simulated-time ratios.
-
-    Returns ``{processes: ClusterResult}`` in sweep order.  Imported
-    lazily so the sim-only callers of this module never load the runtime
-    package (mirrors the layering guard in tests/core/test_layering.py).
-    """
-    from ..runtime.cluster import ClusterSpec, run_cluster
-
-    results = {}
-    for n in process_counts:
-        spec = ClusterSpec(
-            processes=n,
-            messages_per_process=messages_per_process,
-            payload_size=payload_size,
-            mode=mode,
-            seed=seed,
-            run_timeout=run_timeout,
-        )
-        results[n] = run_cluster(spec)
-    return results

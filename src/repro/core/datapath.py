@@ -61,7 +61,6 @@ from .messages import (
     BatchMessage,
     ConnectionId,
     ConnectMessage,
-    ConnectRequestMessage,
     FTMPHeader,
     FTMPMessage,
     HeartbeatMessage,
@@ -130,6 +129,10 @@ class GroupContext(Protocol):
     buffer: RetransmissionBuffer
     rmp: RMP
     romp: ROMP
+    pgmp: PGMP
+    fault_detector: FaultDetector
+    #: stability-driven credit window; ROMP reports stability advances to it
+    flow: FlowController
     dissemination: Dissemination
 
     # -- identity / environment ----------------------------------------
@@ -159,20 +162,12 @@ class GroupContext(Protocol):
 
     def has_heard_from(self, src: int) -> bool: ...
 
-    def watch_member(self, pid: int, grace: float = 0.0) -> None: ...
-
     def forget_member(self, pid: int) -> None: ...
-
-    def suspected_members(self) -> Set[int]: ...
 
     # -- upward delivery ------------------------------------------------
     def pgmp_raise_suspicion(self, pid: int) -> None: ...
 
     def pgmp_withdraw_suspicion(self, pid: int) -> None: ...
-
-    def pgmp_receive_unreliable(self, msg: FTMPMessage) -> None: ...
-
-    def pgmp_receive_source_ordered(self, msg: FTMPMessage) -> None: ...
 
     def pgmp_receive_ordered(self, msg: FTMPMessage) -> None: ...
 
@@ -204,9 +199,6 @@ class GroupContext(Protocol):
     def apply_connect_migration(self, msg: ConnectMessage) -> None: ...
 
     def on_send_barrier_cleared(self) -> None: ...
-
-    # -- flow control (stability-driven credit window) -------------------
-    def on_stability_advance(self, stable: int) -> None: ...
 
 
 @dataclass
@@ -814,9 +806,6 @@ class ProcessorGroup:
     def has_heard_from(self, src: int) -> bool:
         return src in self._heard
 
-    def watch_member(self, pid: int, grace: float = 0.0) -> None:
-        self.fault_detector.watch(pid, grace)
-
     def forget_member(self, pid: int) -> None:
         # only graceful (ordered) departures route through here — the
         # fault-view path below purges convicted members inline
@@ -836,9 +825,6 @@ class ProcessorGroup:
         self.dissemination.note_departure(pid, self.romp.order_ts(pid))
         self.romp.purge_source(pid)
         self._heard.discard(pid)
-
-    def suspected_members(self) -> Set[int]:
-        return self.fault_detector.suspected
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -887,13 +873,6 @@ class ProcessorGroup:
     def pgmp_withdraw_suspicion(self, pid: int) -> None:
         self.pgmp.withdraw_suspicion(pid)
         self.dissemination.on_suspicion_changed()
-
-    def pgmp_receive_unreliable(self, msg: FTMPMessage) -> None:
-        if isinstance(msg, ConnectRequestMessage):
-            self._stack.connections.on_connect_request(msg)
-
-    def pgmp_receive_source_ordered(self, msg: FTMPMessage) -> None:
-        self.pgmp.on_source_ordered(msg)
 
     def pgmp_receive_ordered(self, msg: FTMPMessage) -> None:
         if self.join_barrier is not None:
@@ -993,9 +972,6 @@ class ProcessorGroup:
         for payload, cid, request_num in pending:
             if self.flow.submit(payload, cid, request_num, enforce_limit=False):
                 self._send_regular(payload, cid, request_num)
-
-    def on_stability_advance(self, stable: int) -> None:
-        self.flow.on_stability(stable)
 
     def retransmit_raw(self, raw: bytes, address: Optional[int] = None) -> None:
         """Re-send a retained message unchanged except the retrans flag (§3.2)."""
@@ -1112,6 +1088,7 @@ class ProcessorGroup:
         self._activate()
         # Announce ourselves at once so the initiator stops retransmitting
         # the AddProcessor and the others' ordering includes us promptly.
+        self.stats.heartbeats_sent += 1
         self.send(HeartbeatMessage)
         self._stack.listener.on_view_change(
             ViewChange(

@@ -71,28 +71,24 @@ class LamportClock(OrderingClock):
 
 
 class SynchronizedClock(OrderingClock):
-    """Hybrid clock: physical time (with bounded skew) merged Lamport-style.
+    """Hybrid clock: physical time merged Lamport-style.
 
-    ``now_fn`` returns seconds; ``resolution`` converts to integer ticks.
-    ``skew`` models imperfect synchronization between processors.
+    ``now_fn`` returns this processor's seconds — imperfect
+    synchronization between processors is whatever offset its ``now_fn``
+    carries — counted in ticks of :attr:`RESOLUTION`.
     """
 
-    __slots__ = ("_time", "_now_fn", "_resolution", "_skew")
+    __slots__ = ("_time", "_now_fn")
 
-    def __init__(
-        self,
-        now_fn: Callable[[], float],
-        resolution: float = 1e-6,
-        skew: float = 0.0,
-        initial: int = 0,
-    ):
+    #: seconds per tick
+    RESOLUTION = 1e-6
+
+    def __init__(self, now_fn: Callable[[], float], initial: int = 0):
         self._now_fn = now_fn
-        self._resolution = resolution
-        self._skew = skew
         self._time = initial
 
     def _physical(self) -> int:
-        return int((self._now_fn() + self._skew) / self._resolution)
+        return int(self._now_fn() / self.RESOLUTION)
 
     def tick(self) -> int:
         self._time = max(self._time + 1, self._physical())

@@ -248,7 +248,7 @@ class OverlayDissemination(Dissemination):
 
     def _recompute_tree(self) -> None:
         g = self._g
-        suspects = g.suspected_members()
+        suspects = g.fault_detector.suspected
         members = tuple(p for p in g.membership
                         if p == g.pid or p not in suspects)
         self._members = members
@@ -508,7 +508,7 @@ class OverlayDissemination(Dissemination):
             # heard pid recently; grant transit slack of one timeout
             self._alive_at[pid] = now
             g.note_alive(pid)
-            g.watch_member(pid, grace=grace)
+            g.fault_detector.watch(pid, grace)
             self.stats.liveness_refreshes += 1
             b = self._best.get(pid)
             if b is None:

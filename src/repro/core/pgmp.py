@@ -184,7 +184,7 @@ class PGMP:
         )
         # the new member's reliable stream starts at sequence number 1
         self._g.rmp.set_baseline(new, 0)
-        self._g.watch_member(new, grace=JOIN_GRACE)
+        self._g.fault_detector.watch(new, JOIN_GRACE)
 
     def _ordered_remove(self, msg: RemoveProcessorMessage) -> None:
         gone = msg.member_to_remove
@@ -481,7 +481,7 @@ class PGMP:
             self._round.sync_timer.cancel()
         self._round = None
         self._g.romp.end_transition()
-        still = set(self._g.suspected_members()) & set(self._g.membership)
+        still = self._g.fault_detector.suspected & set(self._g.membership)
         if still:
             self._my_suspects |= still
             self._broadcast_suspects()

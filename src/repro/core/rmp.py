@@ -130,9 +130,6 @@ class RMP:
             self._on_retransmit_request(msg)  # type: ignore[arg-type]
         elif mtype == MessageType.ACK_SUMMARY:
             self._on_ack_summary(msg)  # type: ignore[arg-type]
-        elif mtype == MessageType.CONNECT_REQUEST:
-            # unreliable, straight to PGMP (Figure 3)
-            self._g.pgmp_receive_unreliable(msg)
         # unknown types were already rejected by the codec
 
     # ------------------------------------------------------------------

@@ -251,7 +251,7 @@ class ROMP:
             if src not in self._gate_set:
                 return  # stale control traffic from an evicted processor
             self.stats.bypass_deliveries += 1
-            self._g.pgmp_receive_source_ordered(msg)
+            self._g.pgmp.on_source_ordered(msg)
         self.evaluate()
 
     def _take_ordered(self, msg: FTMPMessage) -> bool:
@@ -531,7 +531,7 @@ class ROMP:
         self._stability_stale = False
         if stable > self._stable_notified:
             self._stable_notified = stable
-            self._g.on_stability_advance(stable)
+            self._g.flow.on_stability(stable)
 
     def _release_safe(self, stable: int) -> None:
         while self._unsafe and self._unsafe[0].header.timestamp <= stable:

@@ -27,13 +27,14 @@ encode in a single precompiled :class:`struct.Struct` ``pack`` call per
 message and decode with ``unpack_from`` at fixed offsets — no
 intermediate slices, no per-field ``struct.pack`` allocations.  Regular
 and Heartbeat — all but a few datagrams of a running group — decode
-header and body in one ``unpack_from`` (:func:`decode`).  The
-field-at-a-time :class:`_Writer` / :class:`_Reader` pair survives for the
-membership/control messages (the fixed-layout RetransmitRequest and
-RemoveProcessor among them: 25 NACKs per thousand deliveries at 3 % loss
-and one RemoveProcessor per leave do not pay for a layout each) and as
-the :func:`encode_reference` regression oracle, which must stay
-byte-identical to the fast path for every message type.
+header and body in one ``unpack_from`` (:func:`decode`).  The nine
+membership/control bodies are stated once, in ``_CONTROL_LAYOUTS``, and
+both directions read that table field by field (25 NACKs per thousand
+deliveries at 3 % loss and one RemoveProcessor per leave do not pay for
+a precompiled layout each).  This is the only encoder in ``src/``: the
+field-at-a-time specification every type must stay byte-identical to is
+``tests/reference/wire_reference.py``; codec cost is measured by
+``perf/`` (``wire.*_norm_ns``, see ``perf/README.md``).
 
 BATCH framing (compact part records): all parts of a Batch share the
 sender's source/group/magic/version with the envelope, so the envelope
@@ -68,7 +69,7 @@ path does not decode what was just packed.
 from __future__ import annotations
 
 import struct
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from .constants import HEADER_SIZE, MAGIC, VERSION_MAJOR, VERSION_MINOR, MessageType
 from .messages import (
@@ -92,7 +93,6 @@ from .messages import (
 
 __all__ = [
     "encode",
-    "encode_reference",
     "decode",
     "decode_view",
     "CodecError",
@@ -112,8 +112,6 @@ _REC_VERBATIM = 0x80
 #: (magic ``4s`` + version ``BB`` precede it).  Kept next to the codec so a
 #: header-layout change updates the raw-byte helpers in the same place.
 _FLAGS_OFFSET = 6
-
-_PREFIX = struct.Struct("4sBBBB")  # magic, ver_major, ver_minor, flags, type
 
 # ----------------------------------------------------------------------
 # precompiled fixed layouts, both endiannesses ("<" and ">" suppress
@@ -204,55 +202,6 @@ def _flags_of(h: FTMPHeader) -> int:
     return flags
 
 
-class _Writer:
-    """Endianness-aware append-only byte writer (reference/slow path)."""
-
-    __slots__ = ("_parts", "_e")
-
-    def __init__(self, little_endian: bool):
-        self._parts: list = []
-        self._e = "<" if little_endian else ">"
-
-    def u8(self, v: int) -> None:
-        self._parts.append(struct.pack(self._e + "B", v))
-
-    def u16(self, v: int) -> None:
-        self._parts.append(struct.pack(self._e + "H", v))
-
-    def u32(self, v: int) -> None:
-        self._parts.append(struct.pack(self._e + "I", v))
-
-    def u64(self, v: int) -> None:
-        self._parts.append(struct.pack(self._e + "Q", v))
-
-    def raw(self, b: _Buffer) -> None:
-        self._parts.append(b)
-
-    def blob(self, b: bytes) -> None:
-        self.u32(len(b))
-        self.raw(b)
-
-    def pid_list(self, pids: Tuple[int, ...]) -> None:
-        self.u16(len(pids))
-        for p in pids:
-            self.u32(p)
-
-    def seq_vector(self, vec: Dict[int, int]) -> None:
-        self.u16(len(vec))
-        for pid in sorted(vec):
-            self.u32(pid)
-            self.u32(vec[pid])
-
-    def connection_id(self, cid: ConnectionId) -> None:
-        self.u32(cid.client_domain)
-        self.u32(cid.client_group)
-        self.u32(cid.server_domain)
-        self.u32(cid.server_group)
-
-    def getvalue(self) -> bytes:
-        return b"".join(self._parts)
-
-
 #: the reader's fixed-width fields, compiled once: byte order + format code
 _FIELDS = {e + f: struct.Struct(e + f) for e in "<>" for f in "BHIQ"}
 
@@ -314,51 +263,59 @@ class _Reader:
 
 
 # ----------------------------------------------------------------------
-# BATCH part records (shared by the fast and reference encoders)
+# control-message bodies — one layout table, read by encode and decode
 # ----------------------------------------------------------------------
-def _part_record(part: _Buffer, envelope: FTMPHeader,
-                 little: bool) -> Optional[Tuple[int, int, int, int, int]]:
-    """(flags, type, seq, ts, ack) when ``part`` can be stored compactly.
-
-    A part is compactable when its magic/version/source/group/endianness
-    match the envelope (always true for parts the send path coalesces) and
-    its body fits the u16 length field; anything else falls back to a
-    verbatim record so arbitrary hand-built Batches still round-trip.
-    """
-    if len(part) < HEADER_SIZE or len(part) - HEADER_SIZE > 0xFFFF:
-        return None
-    # single unpack: the prefix fields (magic/version/flags/type) are all
-    # byte-width and therefore endianness-independent, so the flags check
-    # below guards the multi-byte fields before they are trusted
-    magic, vmaj, vmin, pflags, ptype, psize, psrc, pgrp, pseq, pts, pack_ts = \
-        _HDR[little].unpack_from(part, 0)
-    if (
-        magic != MAGIC
-        or (vmaj, vmin) != (VERSION_MAJOR, VERSION_MINOR)
-        or bool(pflags & _FLAG_LITTLE_ENDIAN) != little
-        or psize != len(part)
-        or psrc != envelope.source
-        or pgrp != envelope.group
-    ):
-        return None
-    return (pflags, ptype, pseq, pts, pack_ts)
+def _pack_pid_list(e: str, pids: Tuple[int, ...]) -> bytes:
+    return struct.pack(f"{e}H{len(pids)}I", len(pids), *pids)
 
 
-def _encode_batch_body(msg: BatchMessage, little: bool) -> List[bytes]:
-    """Encoded-body chunks of a Batch (count + one record per part)."""
-    chunks: List[bytes] = [_U16[little].pack(len(msg.parts))]
-    rec = _BATCH_REC[little]
-    verbatim = _BATCH_VERBATIM[little]
-    h = msg.header
-    for part in msg.parts:
-        fields = _part_record(part, h, little)
-        if fields is not None:
-            chunks.append(rec.pack(*fields, len(part) - HEADER_SIZE))
-            chunks.append(bytes(part[HEADER_SIZE:]))
-        else:
-            chunks.append(verbatim.pack(_REC_VERBATIM, len(part)))
-            chunks.append(bytes(part))
-    return chunks
+def _pack_seq_vector(e: str, vec: Dict[int, int]) -> bytes:
+    pairs = [v for pid in sorted(vec) for v in (pid, vec[pid])]
+    return struct.pack(f"{e}H{len(pairs)}I", len(vec), *pairs)
+
+
+#: field kind -> its encoding under byte order ``e``; the decoding of kind
+#: ``k`` is the :class:`_Reader` method of the same name
+_PACK = {
+    "u32": lambda e, v: _FIELDS[e + "I"].pack(v),
+    "u64": lambda e, v: _FIELDS[e + "Q"].pack(v),
+    "pid_list": _pack_pid_list,
+    "seq_vector": _pack_seq_vector,
+    "connection_id": lambda e, cid: struct.pack(
+        e + "4I", cid.client_domain, cid.client_group,
+        cid.server_domain, cid.server_group),
+    "blob": lambda e, b: _FIELDS[e + "I"].pack(len(b)) + b,
+}
+
+#: The body of each control message, said once: its fields in wire order
+#: (also the order of the class's own fields after ``header``, so decode
+#: builds ``cls(header, *values)``), each with its kind.  Regular,
+#: Heartbeat, AckSummary and BATCH are not here: they have fused layouts.
+_CONTROL_LAYOUTS = {
+    RetransmitRequestMessage: (
+        ("processor_id", "u32"), ("start_seq", "u32"), ("stop_seq", "u32")),
+    ConnectRequestMessage: (
+        ("connection_id", "connection_id"), ("processor_ids", "pid_list")),
+    ConnectMessage: (
+        ("connection_id", "connection_id"), ("processor_group_id", "u32"),
+        ("ip_multicast_address", "u32"), ("membership_timestamp", "u64"),
+        ("membership", "pid_list")),
+    AddProcessorMessage: (
+        ("membership_timestamp", "u64"), ("membership", "pid_list"),
+        ("sequence_numbers", "seq_vector"), ("new_member", "u32")),
+    RemoveProcessorMessage: (("member_to_remove", "u32"),),
+    SuspectMessage: (
+        ("membership_timestamp", "u64"), ("suspects", "pid_list")),
+    MembershipMessage: (
+        ("membership_timestamp", "u64"), ("current_membership", "pid_list"),
+        ("sequence_numbers", "seq_vector"), ("new_membership", "pid_list")),
+    MultiGroupProposeMessage: (
+        ("mg_seq", "u64"), ("conflict_class", "u32"), ("groups", "pid_list"),
+        ("payload", "blob")),
+    MultiGroupCommitMessage: (
+        ("origin", "u32"), ("mg_seq", "u64"), ("commit_ts", "u64")),
+}
+_CONTROL_BY_TYPE = {cls.TYPE: cls for cls in _CONTROL_LAYOUTS}
 
 
 # ----------------------------------------------------------------------
@@ -413,9 +370,9 @@ def encode(msg: FTMPMessage) -> bytes:
         # measured ~2x slower than this slice/join form: bytearray slice
         # assignment costs more than small-slice appends + one C-level
         # join.)  The eligibility test below is exactly equivalent to
-        # ``_part_record(part, h, little) is not None`` (the reference
-        # encoder's decision), which the codec property tests hold the
-        # two encoders to.
+        # ``_part_record(part, h, little) is not None``, the decision of
+        # the reference encoder (tests/reference/wire_reference.py), which
+        # the codec property tests hold this one to.
         parts = msg.parts
         u16 = _U16[little]
         u32 = _U32[little]
@@ -451,10 +408,11 @@ def encode(msg: FTMPMessage) -> bytes:
         )
         chunks[1] = u16.pack(len(parts))
         return b"".join(chunks)
-    # variable-layout membership/control messages: writer path
-    w = _Writer(little)
-    _encode_body(msg, w)
-    body = w.getvalue()
+    layout = _CONTROL_LAYOUTS.get(cls)
+    if layout is None:
+        raise CodecError(f"unknown message class {cls.__name__}")
+    e = "<" if little else ">"
+    body = b"".join(_PACK[kind](e, getattr(msg, name)) for name, kind in layout)
     size = HEADER_SIZE + len(body)
     h.message_size = size
     return _HDR[little].pack(
@@ -462,96 +420,6 @@ def encode(msg: FTMPMessage) -> bytes:
         size, h.source, h.group, h.sequence_number, h.timestamp,
         h.ack_timestamp,
     ) + body
-
-
-def encode_reference(msg: FTMPMessage) -> bytes:
-    """Field-at-a-time reference encoder (regression oracle).
-
-    Byte-identical to :func:`encode` for every message type; kept so the
-    codec property tests can prove the precompiled fast path never drifts
-    from the straightforward per-field encoding.
-    """
-    h = msg.header
-    w = _Writer(h.little_endian)
-    _encode_body(msg, w)
-    body = w.getvalue()
-
-    size = HEADER_SIZE + len(body)
-    h.message_size = size
-
-    prefix = _PREFIX.pack(h.magic, h.version[0], h.version[1], _flags_of(h),
-                          int(h.message_type))
-    e = "<" if h.little_endian else ">"
-    rest = struct.pack(
-        e + "IIIIQQ",
-        size,
-        h.source,
-        h.group,
-        h.sequence_number,
-        h.timestamp,
-        h.ack_timestamp,
-    )
-    return prefix + rest + body
-
-
-def _encode_body(msg: FTMPMessage, w: _Writer) -> None:
-    if isinstance(msg, RegularMessage):
-        w.connection_id(msg.connection_id)
-        w.u64(msg.request_num)
-        w.blob(msg.payload)
-    elif isinstance(msg, RetransmitRequestMessage):
-        w.u32(msg.processor_id)
-        w.u32(msg.start_seq)
-        w.u32(msg.stop_seq)
-    elif isinstance(msg, HeartbeatMessage):
-        pass
-    elif isinstance(msg, AckSummaryMessage):
-        w.u8(msg.kind)
-        w.u64(msg.cover_ts)
-        w.u64(msg.ack_ts)
-        w.u16(len(msg.entries))
-        for pid, seq, ts in msg.entries:
-            w.u32(pid)
-            w.u32(seq)
-            w.u64(ts)
-    elif isinstance(msg, ConnectRequestMessage):
-        w.connection_id(msg.connection_id)
-        w.pid_list(msg.processor_ids)
-    elif isinstance(msg, ConnectMessage):
-        w.connection_id(msg.connection_id)
-        w.u32(msg.processor_group_id)
-        w.u32(msg.ip_multicast_address)
-        w.u64(msg.membership_timestamp)
-        w.pid_list(msg.membership)
-    elif isinstance(msg, AddProcessorMessage):
-        w.u64(msg.membership_timestamp)
-        w.pid_list(msg.membership)
-        w.seq_vector(msg.sequence_numbers)
-        w.u32(msg.new_member)
-    elif isinstance(msg, RemoveProcessorMessage):
-        w.u32(msg.member_to_remove)
-    elif isinstance(msg, SuspectMessage):
-        w.u64(msg.membership_timestamp)
-        w.pid_list(msg.suspects)
-    elif isinstance(msg, MembershipMessage):
-        w.u64(msg.membership_timestamp)
-        w.pid_list(msg.current_membership)
-        w.seq_vector(msg.sequence_numbers)
-        w.pid_list(msg.new_membership)
-    elif isinstance(msg, MultiGroupProposeMessage):
-        w.u64(msg.mg_seq)
-        w.u32(msg.conflict_class)
-        w.pid_list(msg.groups)
-        w.blob(msg.payload)
-    elif isinstance(msg, MultiGroupCommitMessage):
-        w.u32(msg.origin)
-        w.u64(msg.mg_seq)
-        w.u64(msg.commit_ts)
-    elif isinstance(msg, BatchMessage):
-        for chunk in _encode_batch_body(msg, msg.header.little_endian):
-            w.raw(chunk)
-    else:  # pragma: no cover - exhaustive over FTMPMessage
-        raise CodecError(f"unknown message class {type(msg).__name__}")
 
 
 # ----------------------------------------------------------------------
@@ -704,8 +572,8 @@ def decode(data: _Buffer) -> FTMPMessage:
                 FTMPHeader(MessageType.REGULAR, source, group, seq, ts, ack,
                            bool(flags & _FLAG_RETRANSMISSION), little, size,
                            magic, (vmaj, vmin)),
-                ConnectionId(cd, cg, sd, sg), req,
-                bytes(data[_REGULAR_FIXED:_REGULAR_FIXED + plen]))
+                ConnectionId(cd, cg, sd, sg) if cd or cg or sd or sg else _NO_CONNECTION,
+                req, bytes(data[_REGULAR_FIXED:_REGULAR_FIXED + plen]))
     elif wire_type == _HEARTBEAT and n == HEADER_SIZE:
         little = bool(data[_FLAGS_OFFSET] & _FLAG_LITTLE_ENDIAN)
         magic, vmaj, vmin, flags, _t, size, source, group, seq, ts, ack = (
@@ -742,26 +610,11 @@ def decode(data: _Buffer) -> FTMPMessage:
         return AckSummaryMessage(h, kind, cover_ts, ack_ts, entries)
     if t == MessageType.BATCH:
         return _decode_batch(h, data, little)
+    cls = _CONTROL_BY_TYPE.get(t)
+    if cls is None:  # pragma: no cover - the branches above cover the rest
+        raise CodecError(f"unhandled message type {t}")
     r = _Reader(data, HEADER_SIZE, little)
-    if t == MessageType.RETRANSMIT_REQUEST:
-        return RetransmitRequestMessage(h, r.u32(), r.u32(), r.u32())
-    if t == MessageType.REMOVE_PROCESSOR:
-        return RemoveProcessorMessage(h, r.u32())
-    if t == MessageType.CONNECT_REQUEST:
-        return ConnectRequestMessage(h, r.connection_id(), r.pid_list())
-    if t == MessageType.CONNECT:
-        return ConnectMessage(h, r.connection_id(), r.u32(), r.u32(), r.u64(), r.pid_list())
-    if t == MessageType.ADD_PROCESSOR:
-        return AddProcessorMessage(h, r.u64(), r.pid_list(), r.seq_vector(), r.u32())
-    if t == MessageType.SUSPECT:
-        return SuspectMessage(h, r.u64(), r.pid_list())
-    if t == MessageType.MEMBERSHIP:
-        return MembershipMessage(h, r.u64(), r.pid_list(), r.seq_vector(), r.pid_list())
-    if t == MessageType.MULTI_GROUP_PROPOSE:
-        return MultiGroupProposeMessage(h, r.u64(), r.u32(), r.pid_list(), r.blob())
-    if t == MessageType.MULTI_GROUP_COMMIT:
-        return MultiGroupCommitMessage(h, r.u32(), r.u64(), r.u64())
-    raise CodecError(f"unhandled message type {t}")  # pragma: no cover
+    return cls(h, *[getattr(r, kind)() for _name, kind in _CONTROL_LAYOUTS[cls]])
 
 
 def decode_view(data: _Buffer) -> FTMPMessage:
@@ -790,8 +643,9 @@ def decode_view(data: _Buffer) -> FTMPMessage:
         start = HEADER_SIZE + s.size
         if start + plen > len(mv):
             raise CodecError("truncated payload")
-        return RegularMessage(h, ConnectionId(cd, cg, sd, sg), req,
-                              mv[start:start + plen])
+        return RegularMessage(
+            h, ConnectionId(cd, cg, sd, sg) if cd or cg or sd or sg else _NO_CONNECTION,
+            req, mv[start:start + plen])
     return decode(mv)
 
 

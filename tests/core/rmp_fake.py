@@ -53,9 +53,6 @@ class FakeContext:
     def receive_heartbeat(self, msg):
         self.heartbeats.append(msg)
 
-    def pgmp_receive_unreliable(self, msg):
-        pass
-
     def send(self, cls, *body, address=None):
         assert cls is RetransmitRequestMessage and address is None
         self.nacks.append(body)

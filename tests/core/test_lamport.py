@@ -38,29 +38,30 @@ class TestLamportClock:
 class TestSynchronizedClock:
     def test_tracks_physical_time(self):
         now = [0.0]
-        c = SynchronizedClock(lambda: now[0], resolution=1e-3)
+        c = SynchronizedClock(lambda: now[0])
         now[0] = 0.5
-        assert c.tick() == 500
+        assert c.tick() == 500_000
 
     def test_strictly_monotonic_even_if_time_stalls(self):
         now = [1.0]
-        c = SynchronizedClock(lambda: now[0], resolution=1e-3)
+        c = SynchronizedClock(lambda: now[0])
         a = c.tick()
         b = c.tick()  # physical time unchanged
         assert b == a + 1
 
     def test_skew_shifts_timestamps(self):
+        # a processor's skew is the offset of its own time source
         now = [1.0]
-        a = SynchronizedClock(lambda: now[0], resolution=1e-3, skew=0.0)
-        b = SynchronizedClock(lambda: now[0], resolution=1e-3, skew=0.010)
-        assert b.tick() - a.tick() == 10
+        a = SynchronizedClock(lambda: now[0])
+        b = SynchronizedClock(lambda: now[0] + 0.010)
+        assert b.tick() - a.tick() == 10_000
 
     def test_hybrid_preserves_causality_under_skew(self):
         # A message from a fast clock must not be ordered before a later
         # causally-dependent message from a slow clock.
         now = [1.0]
-        fast = SynchronizedClock(lambda: now[0], resolution=1e-3, skew=0.100)
-        slow = SynchronizedClock(lambda: now[0], resolution=1e-3, skew=-0.100)
+        fast = SynchronizedClock(lambda: now[0] + 0.100)
+        slow = SynchronizedClock(lambda: now[0] - 0.100)
         t_send = fast.tick()
         slow.observe(t_send)  # slow clock receives the message
         t_reply = slow.tick()

@@ -28,8 +28,17 @@ nowhere else, so nothing under ``runtime/`` imports ``multiprocessing``
 (shared memory included) and only ``cluster.py`` — which spawns the
 worker processes — imports ``subprocess``.
 
+Fifth rule (ROADMAP items 6, 8a): one encoder in ``src/``, simulated
+time only in ``benchmarks/``.  No experiment takes a ``benchmark``
+fixture or reads a wall clock (``time.perf_counter`` / ``time.time`` /
+``time.monotonic``) — E19, the multi-process cluster run, is the one
+allow-listed file until ``perf/`` has such a workload — nothing under
+``src/`` names ``encode_reference`` or ``_Writer`` (the field-at-a-time
+specification lives in ``tests/reference/``), and ``repro.analysis``
+does not import the wall-clock runtime, lazily or otherwise.
+
 Run as a script (``make layering``) it prints the violations of the
-last three rules and exits 1.
+last four rules and exits 1.
 """
 
 import ast
@@ -40,6 +49,7 @@ import sys
 import tokenize
 
 SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
+BENCHMARKS = SRC.parents[1] / "benchmarks"
 
 #: package -> forbidden sibling packages
 RULES = {
@@ -47,6 +57,7 @@ RULES = {
     "baselines": ("simnet", "runtime"),
     "runtime": ("simnet",),
     "simnet": ("runtime",),
+    "analysis": ("runtime",),
 }
 
 
@@ -140,6 +151,37 @@ def _runtime_process_violations() -> list:
             if (m.group(1), path.name) != ("subprocess", "cluster.py")]
 
 
+WALL_CLOCK_EXPERIMENT = "test_e19_wallclock_cluster.py"
+WALL_CLOCKS = ("perf_counter", "perf_counter_ns", "monotonic", "monotonic_ns")
+REFERENCE_CODEC = ("encode_reference", "_Writer")
+
+
+def _one_harness_violations() -> list:
+    """NAME tokens only, so prose about either may stay: a ``benchmark``
+    fixture or a wall-clock read in an experiment, the reference codec's
+    names under ``src/``."""
+    found = []
+    for path in sorted(BENCHMARKS.glob("*.py")):
+        if path.name == WALL_CLOCK_EXPERIMENT:
+            continue
+        toks = _tokens(path)
+        for before, dot, tok in zip(toks, toks[1:], toks[2:]):
+            clock = tok.string in WALL_CLOCKS or (
+                tok.string == "time" and dot.string == "."
+                and before.string == "time")
+            if tok.type == tokenize.NAME and (tok.string == "benchmark" or clock):
+                found.append(f"benchmarks/{path.name}:{tok.start[0]}: {tok.string}")
+    for path in sorted(SRC.rglob("*.py")):
+        found += [f"{path.relative_to(SRC.parent)}:{tok.start[0]}: {tok.string}"
+                  for tok in _tokens(path) if tok.string in REFERENCE_CODEC]
+    return found
+
+
+def test_one_encoder_in_src_and_simulated_time_in_benchmarks():
+    problems = _one_harness_violations()
+    assert not problems, "a second encoder or harness:\n" + "\n".join(problems)
+
+
 def test_runtime_spawns_only_cluster_workers():
     problems = _runtime_process_violations()
     assert not problems, "a second wall-clock datapath:\n" + "\n".join(problems)
@@ -184,6 +226,7 @@ def test_core_loads_without_either_runtime():
 
 if __name__ == "__main__":
     bad = (_engine_name_violations() + _send_route_violations()
-           + _runtime_process_violations())
-    print("\n".join(bad) if bad else "engine seam, send service and runtime OK")
+           + _runtime_process_violations() + _one_harness_violations())
+    print("\n".join(bad) if bad else
+          "engine seam, send service, runtime and one-harness rules OK")
     sys.exit(1 if bad else 0)

@@ -1,5 +1,6 @@
 """Direct unit tests of PGMP's conviction rule and round bookkeeping."""
 
+from types import SimpleNamespace
 from typing import Dict, List, Tuple
 
 from repro.core import FTMPConfig
@@ -62,6 +63,7 @@ class MockGroup:
         self.config = FTMPConfig()
         self.rmp = MockRMP()
         self.romp = MockROMP()
+        self.fault_detector = SimpleNamespace(suspected=set())
         self.last_sent_seq = 0
         self.sent_suspects: List[Tuple[int, Tuple[int, ...]]] = []
         self.sent_memberships: List[Tuple] = []
@@ -92,9 +94,6 @@ class MockGroup:
 
     def evict_self(self, reason, view_timestamp):
         self.evicted.append((reason, view_timestamp))
-
-    def suspected_members(self):
-        return set()
 
 
 def suspect_msg(src, view_ts, suspects, seq=1, ts=10):

@@ -32,6 +32,8 @@ class MockGroup:
         self.alive: List[int] = []
         self.barrier_cleared = 0
         self.stability_advances: List[int] = []
+        #: its own neighbours: what ROMP hands PGMP and the credit window
+        self.pgmp = self.flow = self
 
     @property
     def pid(self):
@@ -43,7 +45,7 @@ class MockGroup:
     def pgmp_receive_ordered(self, msg):
         self.ordered_control.append(msg)
 
-    def pgmp_receive_source_ordered(self, msg):
+    def on_source_ordered(self, msg):
         self.source_ordered.append(msg)
 
     def note_alive(self, src):
@@ -52,7 +54,7 @@ class MockGroup:
     def on_send_barrier_cleared(self):
         self.barrier_cleared += 1
 
-    def on_stability_advance(self, stable):
+    def on_stability(self, stable):
         self.stability_advances.append(stable)
 
 
@@ -314,7 +316,7 @@ class RunGroup(MockGroup):
         self.membership = tuple(p for p in self.membership if p != gone)
         self.romp.evaluate()
 
-    def on_stability_advance(self, stable):
+    def on_stability(self, stable):
         self.log.append(("stable", stable, self.clock.time, self.romp.ack_timestamp))
 
     def on_send_barrier_cleared(self):

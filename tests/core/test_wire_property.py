@@ -6,7 +6,7 @@ for performance:
 * **round-trip identity** — ``decode(encode(msg)) == msg`` for randomized
   instances of every message type, in both byte orders;
 * **fast path == reference** — ``encode`` (one-pack fast paths) produces
-  exactly the bytes of :func:`repro.core.wire.encode_reference` (the
+  exactly the bytes of ``tests/reference/wire_reference.py`` (the
   field-at-a-time writer), so the wire format cannot drift between the
   two implementations;
 * **fused decode == general path** — the single-``unpack_from`` decode of
@@ -41,7 +41,8 @@ from repro.core import (
     decode,
     encode,
 )
-from repro.core.wire import CodecError, encode_reference, peek_header
+from repro.core.wire import CodecError, peek_header
+from tests.reference.wire_reference import encode_reference
 
 U16 = st.integers(0, 0xFFFF)
 U32 = st.integers(0, 0xFFFFFFFF)

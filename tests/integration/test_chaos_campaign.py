@@ -97,6 +97,31 @@ def test_forced_violation_writes_replayable_artifact(tmp_path):
     assert any(v.oracle == "total-order" for v in replayed.violations)
 
 
+def test_replay_runs_the_recorded_plan_not_a_regenerated_one(tmp_path):
+    # an artifact must keep replaying what it recorded when
+    # ChaosPlan.generate changes: stand in for such a change by editing
+    # the recorded plan so it differs from generate(seed, scenario)
+    result = run_chaos_scenario(0, "crash", artifact_dir=str(tmp_path),
+                                inject_ordering_bug=True)
+    assert len(result.final_members) < 5  # the generated plan crashes members
+    with open(result.artifact_path, encoding="utf-8") as fh:
+        artifact = json.load(fh)
+    assert any(ev["kind"] == "crash" for ev in artifact["plan"]["events"])
+    artifact["plan"]["events"] = [ev for ev in artifact["plan"]["events"]
+                                  if not ev["kind"].startswith("crash")]
+    assert artifact["plan"] != ChaosPlan.generate(0, "crash").as_dict()
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(artifact))
+    replayed = replay_artifact(str(edited))
+    assert replayed.final_members == (1, 2, 3, 4, 5)  # nobody crashed
+    assert not replayed.ok  # the recorded injection still fires
+    # and an unedited campaign artifact (no schedule section: FIFO)
+    # replays to the run that wrote it
+    same = replay_artifact(result.artifact_path)
+    assert (same.final_members, same.deliveries) == (
+        result.final_members, result.deliveries)
+
+
 def test_chaos_config_for_selects_mode_and_leader():
     active = chaos_config_for("active", "crash")
     assert not active.llft_mode
