@@ -40,30 +40,10 @@ perf-ab:
 lint: layering
 	$(PYTHON) -m ruff check src/ tests/ benchmarks/
 
-# layering guard: the protocol layers (core, baselines) must only import
-# the neutral repro.transport seam — never a concrete runtime — and the
-# two runtimes must not import each other (same rules as
-# tests/core/test_layering.py, greppable without pytest); then the
-# engine-seam rule — romp/rmp/pgmp/fault_detector name no engine, datapath
-# only where it chooses one — and the send-service rule — machines and
-# engines stamp and send through ProcessorGroup.send only, its one
-# on_own_send call included — by the same tokenizer the test uses; the
-# one-datapath rule — no multiprocessing under runtime/, subprocess in
-# cluster.py only; and the one-harness rule — no benchmark fixture or
-# wall clock under benchmarks/ outside E19, no reference encoder under
-# src/, no runtime import under analysis/
+# layering guard: the five rule families of tests/core/test_layering.py
+# (its docstring states them), greppable without pytest
 layering:
 	@$(PYTHON) tests/core/test_layering.py
-	@! grep -rnE '^\s*(from (repro\.|\.\.)(simnet|runtime)|import repro\.(simnet|runtime))' \
-	    src/repro/core src/repro/baselines \
-	    || { echo "layering violation: core/baselines must not import a runtime"; exit 1; }
-	@! grep -rnE '^\s*(from (repro\.|\.\.)runtime|import repro\.runtime)' src/repro/simnet \
-	    || { echo "layering violation: simnet must not import repro.runtime"; exit 1; }
-	@! grep -rnE '^\s*(from (repro\.|\.\.)simnet|import repro\.simnet)' src/repro/runtime \
-	    || { echo "layering violation: runtime must not import repro.simnet"; exit 1; }
-	@! grep -rnE '^\s*(from (repro\.|\.\.)runtime|import repro\.runtime)' src/repro/analysis \
-	    || { echo "layering violation: analysis must not import repro.runtime"; exit 1; }
-	@echo "layering OK"
 
 experiments:
 	$(PYTHON) -m repro.analysis.cli run all
@@ -74,44 +54,34 @@ examples:
 soak:
 	$(PYTHON) -m pytest tests/integration/test_soak.py -v
 
-# seeded chaos campaign: 20 seeds x all scenario classes (incl.
-# leader_crash and relay_crash) in active mode, then 10 seeds each of
-# the llft and overlay scenario mixes with their modes on, and 20 seeds
-# of the multigroup mix (incl. the overlapping-membership class);
-# violation artifacts (replayable JSON) written to chaos-artifacts/
+# the one verification runner (python -m repro.analysis.chaos
+# {run,replay,matrix}; `matrix` prints which classes a mode sweeps,
+# explores or leaves out, and why).  Seeded chaos campaign: 20 seeds x
+# every class active sweeps, 10 seeds each of the llft and overlay rows,
+# 20 of the multigroup row, FIFO, one schedule; a violation is shrunk to
+# a minimized replayable JSON artifact in chaos-artifacts/
+CHAOS = PYTHONPATH=src $(PYTHON) -m repro.analysis.chaos run
 chaos:
-	PYTHONPATH=src $(PYTHON) -m repro.analysis.chaos run --seeds 20 \
-	    --artifact-dir chaos-artifacts
-	PYTHONPATH=src $(PYTHON) -m repro.analysis.chaos run --mode llft \
-	    --seeds 10 --artifact-dir chaos-artifacts
-	PYTHONPATH=src $(PYTHON) -m repro.analysis.chaos run --mode overlay \
-	    --seeds 10 --artifact-dir chaos-artifacts
-	PYTHONPATH=src $(PYTHON) -m repro.analysis.chaos run --mode multigroup \
-	    --seeds 20 --artifact-dir chaos-artifacts
+	$(CHAOS) --seeds 20
+	$(CHAOS) --mode llft --seeds 10
+	$(CHAOS) --mode overlay --seeds 10
+	$(CHAOS) --mode multigroup --seeds 20
 
 # just the overlay leg (tree dissemination + relay_crash class)
 chaos-overlay:
-	PYTHONPATH=src $(PYTHON) -m repro.analysis.chaos run --mode overlay \
-	    --seeds 10 --artifact-dir chaos-artifacts
+	$(CHAOS) --mode overlay --seeds 10
 
-# just the multi-group leg (genuine multicast over overlapping groups:
-# loss/reorder/partition/crash/churn plus the overlap class, every run
-# checked by the cross-group acyclicity oracle)
+# just the multi-group leg (genuine multicast over overlapping groups,
+# every run checked by the cross-group acyclicity oracle)
 chaos-multigroup:
-	PYTHONPATH=src $(PYTHON) -m repro.analysis.chaos run --mode multigroup \
-	    --seeds 20 --artifact-dir chaos-artifacts
+	$(CHAOS) --mode multigroup --seeds 20
 
-# schedule exploration: the chaos scenarios again, but with every
-# contested same-time scheduler choice permuted by a PCT policy; on a
-# violation the failing schedule is delta-debugged down to a minimized
-# replayable artifact in explore-artifacts/
+# schedule exploration: the mode's explored classes again, with every
+# contested same-time scheduler choice permuted by a PCT policy
 explore:
-	PYTHONPATH=src $(PYTHON) -m repro.analysis.explore run \
-	    --plan-seeds 3 --schedules 10 --artifact-dir explore-artifacts
-	PYTHONPATH=src $(PYTHON) -m repro.analysis.explore run --mode overlay \
-	    --plan-seeds 2 --schedules 6 --artifact-dir explore-artifacts
-	PYTHONPATH=src $(PYTHON) -m repro.analysis.explore run --mode multigroup \
-	    --plan-seeds 2 --schedules 6 --artifact-dir explore-artifacts
+	$(CHAOS) --policy pct --seeds 3 --schedules 10 --artifact-dir explore-artifacts
+	$(CHAOS) --policy pct --mode overlay --seeds 2 --schedules 6 --artifact-dir explore-artifacts
+	$(CHAOS) --policy pct --mode multigroup --seeds 2 --schedules 6 --artifact-dir explore-artifacts
 
 # wall-clock demo: 3 real OS processes, one FTMP group, ≥10k ordered
 # multicasts cross-checked by the total-order/FIFO/no-duplicate oracles

@@ -53,7 +53,7 @@ def test_e19_wallclock_cluster():
             r.latency_p50_ms, r.latency_p99_ms,
             "clean" if not r.violations else f"{len(r.violations)} VIOLATIONS",
         )
-    emit("e19_wallclock_cluster", table.render())
+    emit("E19_wallclock_cluster", table.render())
     emit_json("e19_wallclock_cluster", {
         "messages_per_process": MESSAGES_PER_PROCESS,
         "payload_size": PAYLOAD_SIZE,

@@ -1,21 +1,38 @@
-"""Chaos campaign runner: seeded fault scenarios × protocol oracles.
+"""The verification runner: seeded chaos plans × explored schedules ×
+protocol oracles, in every replication mode.
 
-Executes :class:`~repro.replication.chaos.ChaosPlan` scenarios against
-simulated FTMP clusters and checks every protocol invariant in
-:mod:`repro.replication.oracles` — the history oracles after the run and
-the buffer-GC safety oracle periodically *during* it.  On a violation it
-writes a self-contained JSON artifact (seed, scenario, config, injection
-log, plan timeline, divergent transcripts) that replays with::
+One sweep over (mode, scenario class, plan seed, schedule).  Each run
+executes a :class:`~repro.replication.chaos.ChaosPlan` against a
+simulated FTMP cluster and checks every invariant in
+:mod:`repro.replication.oracles` — the history oracles after the run,
+buffer-GC safety periodically *during* it.  The defaults are the seeded
+*campaign*: policy ``fifo``, one schedule, no policy object installed,
+so the scheduler's plain heap path runs::
+
+    python -m repro.analysis.chaos run --seeds 5
+
+``--policy pct|random --schedules N`` is the *schedule explorer*: the
+same plans under N resolutions of every contested same-time choice (a
+:class:`~repro.simnet.SchedulePolicy` installed in the scheduler), which
+is what reaches interleaving bugs that need one particular timer /
+delivery order::
+
+    python -m repro.analysis.chaos run --policy pct --schedules 10
+
+Either way a violation is delta-debugged (:mod:`.explore`: decisions,
+then plan events, then the traffic timeline, each step re-validated
+against the violation's machine-readable key) into one self-contained
+minimized JSON artifact — config, plan, schedule, shrink provenance,
+injection log, the involved transcripts — that replays byte-exactly::
 
     python -m repro.analysis.chaos replay ARTIFACT.json
 
-Campaigns sweep N seeds across the scenario classes::
-
-    python -m repro.analysis.chaos run --seeds 5 --artifact-dir artifacts/
-
-``--inject-ordering-bug`` flips a test-only corruption that swaps two
-adjacent deliveries at one member, proving the oracles (and the artifact
-pipeline) actually fire.
+and doubles as a one-file regression test under ``tests/data/explore/``.
+Which classes a mode sweeps, explores by default or leaves out, and why,
+is :data:`MODE_TABLE`; ``python -m repro.analysis.chaos matrix`` prints
+it (EXPERIMENTS.md E15 embeds that output).  ``--inject-ordering-bug``
+is the end-to-end self-test: a forced transcript corruption must be
+caught, shrunk, written and replayed.
 """
 
 from __future__ import annotations
@@ -34,7 +51,6 @@ from ..replication.chaos import (
     PROTECTED_PID,
     SCENARIOS,
     ChaosPlan,
-    default_overlap_groups,
     survivor_aware_overlap_groups,
 )
 from ..replication.fault_injection import FaultInjector
@@ -45,58 +61,144 @@ from ..replication.oracles import (
     check_quiescence,
     run_history_oracles,
 )
-from ..simnet import LinkModel, Schedule, Scheduler, Topology
-from .harness import Cluster, make_cluster, make_multigroup_cluster
+from ..simnet import (
+    LinkModel,
+    ReplayPolicy,
+    Schedule,
+    SchedulePolicy,
+    Scheduler,
+    Topology,
+)
+from .explore import ShrinkStats, shrink_failure
+from .harness import Cluster, make_multigroup_cluster
 
-__all__ = ["ChaosResult", "default_chaos_config", "chaos_config_for",
-           "execute_plan", "build_artifact", "write_artifact",
-           "adjust_plan_for", "plan_topology", "run_chaos_scenario",
-           "run_campaign", "default_scenarios_for",
-           "load_artifact", "replay_artifact", "main", "MODES", "LLFT_SCENARIOS",
-           "OVERLAY_SCENARIOS", "MULTIGROUP_SCENARIOS",
-           "LLFT_LEADER_PID", "OVERLAY_FANOUT"]
+__all__ = ["MODE_TABLE", "Cell", "ModeSpec", "ChaosResult",
+           "default_chaos_config", "chaos_config_for", "chaos_plan_for",
+           "execute_plan", "run_plan", "sweep", "load_artifact", "replay",
+           "render_matrix", "main", "LLFT_LEADER_PID", "OVERLAY_FANOUT"]
 
-#: replication modes the campaign can drive the stack in
-MODES = ("active", "llft", "overlay", "multigroup")
-
-#: the processor ``--mode llft`` designates as leader for the
-#: ``leader_crash`` class (must not be the protected sponsor, or the
-#: plan could never crash it)
+#: the processor ``llft`` designates as leader for the ``leader_crash``
+#: class (must not be the protected sponsor, or the plan could never
+#: crash it)
 LLFT_LEADER_PID = 2
 
-#: ``combo`` joins a member *during* an active fault round — a corner
-#: the LLFT takeover protocol documents as out of scope (the joiner's
-#: sponsor-stream replay races the §7.2 drain), so the llft sweep runs
-#: every other class.  ``overlap`` (several groups per stack) stays in
-#: the active and multigroup sweeps only: per-group leader streams and
-#: per-group overlay trees are not what those modes' classes target.
-LLFT_SCENARIOS = tuple(s for s in SCENARIOS if s not in ("combo", "overlap"))
-
-#: the overlay sweep: every class but the multi-group one (see above)
-OVERLAY_SCENARIOS = tuple(s for s in SCENARIOS if s != "overlap")
-
-#: the ``--mode multigroup`` sweep: the overlapping-membership class
-#: plus the environment classes, each run with multi-group multicasts
-#: mixed into the traffic.  ``overload`` is out — multi-group sends
-#: bypass the flow controller (they are control-like), which breaks that
-#: scenario's premise that the credit loop absorbs all offered load.
-MULTIGROUP_SCENARIOS = ("loss", "reorder", "partition", "crash", "churn",
-                        "overlap")
-
-
-def default_scenarios_for(mode: str) -> Tuple[str, ...]:
-    """The scenario sweep a mode runs when none is given explicitly."""
-    return {
-        "llft": LLFT_SCENARIOS,
-        "overlay": OVERLAY_SCENARIOS,
-        "multigroup": MULTIGROUP_SCENARIOS,
-    }.get(mode, SCENARIOS)
-
-#: ``--mode overlay`` tree fan-out.  k=2 over the default 5-member
-#: roster yields ``1 -> (2, 3)``, ``2 -> (4, 5)``: pid 2 — the
-#: ``relay_crash`` victim — is an *interior* relay with a real subtree,
-#: and the protected sponsor is the root (never harmed).
+#: ``overlay`` tree fan-out.  k=2 over the default 5-member roster yields
+#: ``1 -> (2, 3)``, ``2 -> (4, 5)``: pid 2 — the ``relay_crash`` victim —
+#: is an *interior* relay with a real subtree, and the protected sponsor
+#: is the root (never harmed).
 OVERLAY_FANOUT = 2
+
+#: buffer-GC safety is checked this often (simulated s) during a run
+GC_CHECK_INTERVAL = 0.05
+
+
+@dataclass(frozen=True)
+class Cell:
+    """What one (mode, class) run changes against the mode's row, and why."""
+
+    why: str
+    config: Dict[str, object] = field(default_factory=dict)
+    cooldown: float = 0.0  #: extra fault-free tail (simulated s)
+
+
+@dataclass(frozen=True)
+class ModeSpec:
+    """One row of the mode × scenario table."""
+
+    about: str
+    config: Dict[str, object]  #: FTMPConfig overrides, every class
+    explored: Tuple[str, ...]  #: default classes under --policy pct|random
+    cells: Dict[str, Cell] = field(default_factory=dict)
+    excluded: Dict[str, str] = field(default_factory=dict)  #: class -> why
+
+    @property
+    def swept(self) -> Tuple[str, ...]:
+        """The classes ``run`` sweeps when none is named."""
+        return tuple(s for s in SCENARIOS if s not in self.excluded)
+
+
+_OTHER_MODES = ("several groups per stack: per-group leader streams / overlay "
+                "trees are not what this mode targets (active and multigroup "
+                "sweep it)")
+_CRASH_AGAIN = ("the designated victim means nothing to Skeen ordering: the "
+                "crash class again")
+
+#: mode -> what it configures, sweeps, explores and leaves out.  The
+#: explored mix is the classes whose timer / recovery races §6 stability
+#: and §7 virtual synchrony must survive — membership churn, transient
+#: partitions, crash faults, overload backpressure — plus the mode's own
+#: handoff class, exactly the same-time orders a policy exists to permute.
+MODE_TABLE: Dict[str, ModeSpec] = {
+    "active": ModeSpec(
+        about="symmetric §6 Lamport order, all-member stability",
+        config={},
+        explored=("churn", "partition", "crash", "overload"),
+    ),
+    "llft": ModeSpec(
+        about="leader-follower fast path, leader = the protected sponsor; "
+              "history oracles bind over the final members only (virtual "
+              "synchrony excuses a crashed member's speculative suffix)",
+        config={"llft_mode": True, "llft_leader_pid": 0},  # 0: smallest member
+        explored=("churn", "partition", "crash", "overload", "leader_crash"),
+        cells={"leader_crash": Cell(
+            "the leader is pinned to the crash victim: a takeover with "
+            "parked messages and OrderInfo gaps in flight",
+            config={"llft_leader_pid": LLFT_LEADER_PID})},
+        excluded={
+            "combo": "a join during an active fault round: the joiner's "
+                     "sponsor-stream replay races the §7.2 drain, outside "
+                     "the takeover protocol's documented scope",
+            "overlap": _OTHER_MODES,
+        },
+    ),
+    "overlay": ModeSpec(
+        about="tree dissemination with aggregated stability",
+        # 40 ms summaries: still inside the campaign's liveness horizon
+        # (half the 150 ms suspect timeout), while an interior relay's
+        # summary egress stays a small fraction of the overload class's
+        # capped NIC drain — at the 5 ms default the summary stream alone
+        # saturates the NIC and starves Regular/NACK traffic.  NACK
+        # backoff matters here: dropped tree copies are repaired by flat
+        # NACK recovery, and fixed-interval re-requests for holes a
+        # congested relay cannot answer yet would sustain the congestion
+        config={"overlay_mode": True, "overlay_fanout": OVERLAY_FANOUT,
+                "overlay_summary_interval": 0.040, "nack_backoff_factor": 2.0},
+        explored=("churn", "partition", "crash", "overload", "relay_crash"),
+        cells={
+            "relay_crash": Cell(
+                "the victim is an interior relay of the tree 1->(2,3), "
+                "2->(4,5): its subtree loses dissemination and aggregated "
+                "stability at once"),
+            # an unbounded send queue would keep releasing fresh first
+            # transmissions far past traffic stop and the tail never
+            # converge by run end; the class's own premise is that the
+            # credit loop, not a queue, absorbs the excess.  The repair of
+            # tail-dropped copies is rate-limited and backed off, and
+            # that detour needs more time than flat dissemination
+            "overload": Cell(
+                "an interior relay serializes ~2x the offered load: a "
+                "bounded send queue sheds synchronously, and tail-dropped "
+                "tree copies need a longer cool-down for backed-off NACK "
+                "repair",
+                config={"flow_queue_limit": 32}, cooldown=0.8),
+        },
+        excluded={"overlap": _OTHER_MODES},
+    ),
+    "multigroup": ModeSpec(
+        about="Skeen multi-group multicast over three overlapping groups, "
+              "plus the cross-group acyclicity oracle",
+        config={"multigroup_mode": True},
+        explored=("churn", "partition", "crash", "overlap"),
+        excluded={
+            "combo": "outside the mix as drawn (environment classes + "
+                     "overlap); nothing known against it",
+            "overload": "multi-group sends bypass the flow controller: the "
+                        "credit loop cannot absorb the offered load",
+            "leader_crash": _CRASH_AGAIN,
+            "relay_crash": _CRASH_AGAIN,
+        },
+    ),
+}
 
 
 def default_chaos_config() -> FTMPConfig:
@@ -122,64 +224,68 @@ def default_chaos_config() -> FTMPConfig:
                       retransmit_rate_limit=150.0, nack_dedupe_window=0.020)
 
 
-def chaos_config_for(mode: str, scenario: str) -> FTMPConfig:
-    """The campaign config for one (mode, scenario) run.
+def _mode(mode: str) -> ModeSpec:
+    if mode not in MODE_TABLE:
+        raise ValueError(f"unknown mode {mode!r} (choose from {tuple(MODE_TABLE)})")
+    return MODE_TABLE[mode]
 
-    ``active`` is the legacy all-member-stability stack.  ``llft`` turns
-    on the leader-follower fast path; the designated leader is the
-    protected sponsor (``llft_leader_pid=0`` → smallest member) for every
-    class except ``leader_crash``, which pins the leader to the crash
-    victim (:data:`LLFT_LEADER_PID`) so the takeover path is exercised.
-    ``overlay`` turns on tree dissemination with aggregated stability
-    (:data:`OVERLAY_FANOUT` makes the ``relay_crash`` victim an interior
-    relay); every class then also exercises summary-driven recovery.
-    """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r} (choose from {MODES})")
-    cfg = default_chaos_config()
-    if mode == "llft":
-        leader = LLFT_LEADER_PID if scenario == "leader_crash" else 0
-        cfg = dataclasses.replace(cfg, llft_mode=True, llft_leader_pid=leader)
-    elif mode == "overlay":
-        # 40 ms summaries: still inside the campaign's liveness horizon
-        # (half the 150 ms suspect timeout), while an interior relay's
-        # summary egress stays a small fraction of the overload
-        # scenario's capped NIC drain — at the 5 ms default the summary
-        # stream alone saturates the NIC and starves Regular/NACK traffic
-        # NACK backoff matters here: dropped tree copies are repaired by
-        # flat NACK recovery, and fixed-interval re-requests for holes a
-        # congested relay cannot answer yet would sustain the congestion
-        cfg = dataclasses.replace(cfg, overlay_mode=True,
-                                  overlay_fanout=OVERLAY_FANOUT,
-                                  overlay_summary_interval=0.040,
-                                  nack_backoff_factor=2.0)
-        if scenario == "overload":
-            # an interior relay serializes ~2x the aggregate offered load,
-            # so an unbounded send queue keeps releasing fresh first
-            # transmissions far past traffic stop and the tail never
-            # converges by run end.  Shed load synchronously instead —
-            # the scenario's own premise is that the credit loop, not a
-            # queue, absorbs the excess.
-            cfg = dataclasses.replace(cfg, flow_queue_limit=32)
-    elif mode == "multigroup":
-        cfg = dataclasses.replace(cfg, multigroup_mode=True)
-    return cfg
+
+def chaos_config_for(mode: str, scenario: str) -> FTMPConfig:
+    """The stack configuration of one (mode, class) cell."""
+    spec = _mode(mode)
+    cell = spec.cells.get(scenario)
+    return dataclasses.replace(
+        default_chaos_config(),
+        **{**spec.config, **(cell.config if cell else {})})
+
+
+def chaos_plan_for(mode: str, scenario: str, seed: int) -> ChaosPlan:
+    """The plan of one (mode, class, seed) run: the generated one plus
+    what the cell's row asks for."""
+    spec = _mode(mode)
+    plan = ChaosPlan.generate(seed, scenario)
+    cell = spec.cells.get(scenario)
+    if cell:
+        plan.duration += cell.cooldown
+    if spec.config.get("multigroup_mode") and not plan.groups:
+        # every class hosts an overlapping three-group layout (overlap
+        # carries its own) so multi-group multicasts mix into the
+        # traffic.  Generic classes budget crashes/leaves against the
+        # *full* roster only, so the subset groups are drawn around the
+        # plan's permanent losses — each must keep two live members or
+        # it wedges (the membership protocol cannot form a singleton view)
+        lost = {p for ev in plan.events if ev.kind in ("crash", "leave")
+                for p in ev.pids}
+        plan.groups = survivor_aware_overlap_groups(
+            plan.initial_members, lost)
+    return plan
 
 
 @dataclass
 class ChaosResult:
-    """Outcome of one seeded scenario run."""
+    """Outcome of one (scenario, plan seed) of the sweep: its last
+    schedule, or the first that violated."""
 
     seed: int
     scenario: str
     violations: List[Violation] = field(default_factory=list)
     final_members: Tuple[int, ...] = ()
     deliveries: int = 0  #: total ordered deliveries across all members
+    #: index log of every contested same-time choice (empty with no
+    #: policy installed); replays byte-exactly through ReplayPolicy
+    decisions: List[int] = field(default_factory=list)
+    schedule_seed: int = 0
+    schedules_run: int = 1
     artifact_path: Optional[str] = None
+    shrink: Optional[ShrinkStats] = None
 
     @property
     def ok(self) -> bool:
         return not self.violations
+
+    @property
+    def contested_choices(self) -> int:
+        return len(self.decisions)
 
 
 def _mg_target_sets(plan: ChaosPlan) -> Dict[int, List[Tuple[int, ...]]]:
@@ -398,7 +504,8 @@ def _swap_mg_pair(cluster: Cluster, plan: ChaosPlan, gid: int,
         lst.events[ea], lst.events[eb] = nb, na
 
 
-def _transcript(cluster: Cluster, pid: int) -> List[dict]:
+
+def _transcript(cluster: Cluster, pid: int, gid: int) -> List[dict]:
     return [
         {
             "source": d.source,
@@ -407,24 +514,40 @@ def _transcript(cluster: Cluster, pid: int) -> List[dict]:
             "payload": d.payload.decode("latin-1"),
         }
         for d in cluster.listeners[pid].deliveries
-        if d.group == cluster.group
+        if d.group == gid
     ]
 
 
 def build_artifact(result: ChaosResult, plan: ChaosPlan,
                    config: FTMPConfig, injector: FaultInjector,
                    cluster: Cluster, inject_ordering_bug: bool,
-                   extra: Optional[dict] = None) -> dict:
-    """The shared self-contained violation-artifact dict.
+                   extra: dict) -> dict:
+    """The self-contained violation-artifact dict.
 
-    Both the chaos campaign and the schedule explorer emit this format;
-    the explorer adds a ``schedule`` section (decision log) and shrink
-    provenance through ``extra``.
+    Transcripts and memberships cover the members the violations name
+    plus a reference copy (the anchor's; in a subset group, its smallest
+    live member's).  A plan with ``groups`` records them per group
+    (``{group: {member: ...}}``): a cross-group violation is about
+    deliveries outside the cluster's default group.
     """
-    involved = sorted({m for v in result.violations for m in v.members})
-    if PROTECTED_PID not in involved:
-        involved.append(PROTECTED_PID)  # reference transcript
-    artifact = {
+    involved = {m for v in result.violations for m in v.members}
+    scopes = plan.groups or {cluster.group: tuple(cluster.listeners)}
+
+    def recorded(members) -> List[int]:
+        present = sorted(p for p in members if p in cluster.listeners)
+        live = [p for p in present if not cluster.net.is_crashed(p)]
+        return sorted(involved.intersection(present).union(live[:1]))
+
+    transcripts = {
+        str(gid): {str(p): _transcript(cluster, p, gid) for p in recorded(m)}
+        for gid, m in sorted(scopes.items())}
+    memberships = {
+        str(gid): {str(p): list(cluster.listeners[p].current_membership(gid) or ())
+                   for p in recorded(m)}
+        for gid, m in sorted(scopes.items())}
+    if not plan.groups:  # one group: the flat form, as always
+        (transcripts,), (memberships,) = transcripts.values(), memberships.values()
+    return {
         "seed": plan.seed,
         "scenario": plan.scenario,
         "inject_ordering_bug": inject_ordering_bug,
@@ -433,48 +556,10 @@ def build_artifact(result: ChaosResult, plan: ChaosPlan,
         "injections": [dataclasses.asdict(i) for i in injector.injected],
         "violations": [v.as_dict() for v in result.violations],
         "final_members": list(result.final_members),
-        "transcripts": {str(p): _transcript(cluster, p) for p in sorted(involved)},
-        "memberships": {
-            str(p): list(cluster.listeners[p].current_membership(cluster.group) or ())
-            for p in sorted(involved)
-        },
+        "transcripts": transcripts,
+        "memberships": memberships,
+        **extra,
     }
-    if extra:
-        artifact.update(extra)
-    return artifact
-
-
-def write_artifact(directory: str, filename: str, artifact: dict) -> str:
-    os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory, filename)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(artifact, fh, indent=2)
-    return path
-
-
-def adjust_plan_for(plan: ChaosPlan, cfg: FTMPConfig) -> ChaosPlan:
-    """Mode-aware plan tweaks (shared by the campaign and the explorer).
-
-    Overlay overload runs get a longer cool-down: tree copies
-    tail-dropped at the saturated interior relay are repaired through
-    rate-limited, backed-off NACK recovery rather than the first
-    serialization, and that repair detour needs more time than flat
-    dissemination to converge.
-    """
-    if cfg.overlay_mode and plan.scenario == "overload":
-        plan.duration += 0.8
-    if cfg.multigroup_mode and not plan.groups:
-        # any scenario class run in --mode multigroup hosts an
-        # overlapping layout (the "overlap" class carries its own).
-        # Generic scenarios budget crashes/leaves against the *full*
-        # roster only, so the subset groups are drawn around the plan's
-        # permanent losses — each must keep two live members or it
-        # wedges (the membership protocol cannot form a singleton view)
-        lost = {p for ev in plan.events if ev.kind in ("crash", "leave")
-                for p in ev.pids}
-        plan.groups = survivor_aware_overlap_groups(
-            plan.initial_members, lost)
-    return plan
 
 
 def plan_topology(plan: ChaosPlan) -> Optional[Topology]:
@@ -500,32 +585,27 @@ def plan_topology(plan: ChaosPlan) -> Optional[Topology]:
 def execute_plan(
     plan: ChaosPlan,
     config: Optional[FTMPConfig] = None,
-    scheduler=None,
+    scheduler: Optional[Scheduler] = None,
     inject_ordering_bug: bool = False,
-    gc_check_interval: float = 0.05,
 ) -> Tuple[ChaosResult, Cluster, FaultInjector]:
     """Run one :class:`ChaosPlan` to completion and check every oracle.
 
-    The execution core shared by the chaos campaign and the schedule
-    explorer (which passes a ``scheduler`` carrying a
-    :class:`~repro.simnet.SchedulePolicy` to permute same-time event
-    orders).  The cluster is returned *running* so the caller can write
-    artifacts from it; callers own ``cluster.stop()``.
+    A ``scheduler`` carrying a :class:`~repro.simnet.SchedulePolicy`
+    permutes same-time event orders and records them into
+    ``result.decisions``.  The cluster is returned *running* so the
+    caller can read it; callers own ``cluster.stop()``
+    (:func:`run_plan` is the wrapper that does).
     """
     cfg = config if config is not None else default_chaos_config()
-    if plan.groups:
-        cluster = make_multigroup_cluster(
-            plan.initial_members, plan.groups, config=cfg, seed=plan.seed,
-            topology=plan_topology(plan), scheduler=scheduler,
-        )
-    else:
-        cluster = make_cluster(plan.initial_members, config=cfg,
-                               seed=plan.seed, topology=plan_topology(plan),
-                               scheduler=scheduler)
+    cluster = make_multigroup_cluster(
+        plan.initial_members, plan.groups or {1: plan.initial_members},
+        config=cfg, seed=plan.seed, topology=plan_topology(plan),
+        scheduler=scheduler,
+    )
     injector = FaultInjector(cluster.net)
     plan.apply(cluster, injector, cfg)
     _schedule_traffic(cluster, plan, cfg)
-    group_ids = sorted(plan.groups) if plan.groups else [cluster.group]
+    group_ids = sorted(cluster.addresses)
 
     # buffer-GC safety is a *live* invariant: check it while faults and
     # traffic are still in flight, not just at the end
@@ -541,7 +621,7 @@ def execute_plan(
     t = plan.traffic_start
     while t < plan.duration:
         cluster.net.scheduler.at(t, gc_check)
-        t += gc_check_interval
+        t += GC_CHECK_INTERVAL
 
     cluster.run_for(plan.duration)
 
@@ -556,6 +636,8 @@ def execute_plan(
             _inject_ordering_bug(cluster, final)
     result = ChaosResult(seed=plan.seed, scenario=plan.scenario,
                          final_members=final)
+    if scheduler is not None:
+        result.decisions = list(scheduler.decision_log)
     result.deliveries = sum(
         len(lst.payloads(gid))
         for lst in cluster.listeners.values() for gid in group_ids
@@ -599,96 +681,140 @@ def _final_members_of(cluster: Cluster, plan: ChaosPlan,
     return cluster.listeners[min(live)].current_membership(gid) or ()
 
 
-def run_chaos_scenario(
-    seed: int,
-    scenario: str,
-    pids: Tuple[int, ...] = (1, 2, 3, 4, 5),
-    config: Optional[FTMPConfig] = None,
-    artifact_dir: Optional[str] = None,
-    inject_ordering_bug: bool = False,
-    gc_check_interval: float = 0.05,
-    mode: str = "active",
-) -> ChaosResult:
-    """Run one seeded scenario and check every oracle against it.
-
-    An explicit ``config`` wins over ``mode`` (artifact replays pass the
-    recorded config, which already carries ``llft_mode``).
-    """
-    plan = ChaosPlan.generate(seed, scenario, pids)
-    cfg = config if config is not None else chaos_config_for(mode, scenario)
-    adjust_plan_for(plan, cfg)
-    return _run_recording(plan, cfg, artifact_dir, inject_ordering_bug,
-                          gc_check_interval=gc_check_interval)
-
-
-def _run_recording(plan: ChaosPlan, cfg: FTMPConfig,
-                   artifact_dir: Optional[str], inject_ordering_bug: bool,
-                   scheduler: Optional[Scheduler] = None,
-                   gc_check_interval: float = 0.05) -> ChaosResult:
-    """Execute ``plan`` and, on a violation, write its artifact."""
+def run_plan(plan: ChaosPlan, cfg: FTMPConfig,
+             policy: Optional[SchedulePolicy] = None,
+             inject_ordering_bug: bool = False,
+             artifact_path: Optional[str] = None,
+             extra: Optional[dict] = None) -> ChaosResult:
+    """Execute ``plan`` under ``policy`` (None: none installed, the
+    scheduler's plain heap path — FIFO) and stop the cluster; on a
+    violation write the artifact, ``extra`` sections included, to
+    ``artifact_path`` if one is given."""
     result, cluster, injector = execute_plan(
-        plan, cfg, scheduler=scheduler,
-        inject_ordering_bug=inject_ordering_bug,
-        gc_check_interval=gc_check_interval,
-    )
-    if result.violations and artifact_dir:
-        filename = f"{plan.scenario}-{plan.seed}.json"
-        artifact = build_artifact(
-            result, plan, cfg, injector, cluster, inject_ordering_bug,
-            extra={"replay": f"python -m repro.analysis.chaos replay {filename}"},
-        )
-        result.artifact_path = write_artifact(artifact_dir, filename, artifact)
+        plan, cfg, Scheduler(policy) if policy is not None else None,
+        inject_ordering_bug)
+    if result.violations and artifact_path:
+        os.makedirs(os.path.dirname(artifact_path) or ".", exist_ok=True)
+        with open(artifact_path, "w", encoding="utf-8") as fh:
+            json.dump(build_artifact(result, plan, cfg, injector, cluster,
+                                     inject_ordering_bug, extra or {}),
+                      fh, indent=2)
+        result.artifact_path = artifact_path
     cluster.stop()
     return result
 
 
-def run_campaign(
-    seeds: Sequence[int],
+def _minimize(result: ChaosResult, plan: ChaosPlan, cfg: FTMPConfig,
+              schedule: Schedule, inject_ordering_bug: bool,
+              shrink_budget: int, artifact_path: Optional[str]) -> None:
+    """Shrink the catch and write the minimized replayable artifact."""
+    target = {v.signature for v in result.violations}
+
+    def still_fails(d: Sequence[int], p: ChaosPlan) -> bool:
+        r = run_plan(p, cfg, ReplayPolicy(d), inject_ordering_bug)
+        return any(v.signature in target for v in r.violations)
+
+    min_plan, schedule.decisions, result.shrink = shrink_failure(
+        plan, result.decisions, still_fails, budget=shrink_budget)
+    if artifact_path is None:
+        return
+    # one final run of the minimized schedule, so the artifact's
+    # transcripts and injections describe exactly what it replays
+    final = run_plan(
+        min_plan, cfg, schedule.replay_policy(), inject_ordering_bug,
+        artifact_path, extra={
+            "schedule": schedule.as_dict(),
+            "shrink": dataclasses.asdict(result.shrink),
+            "replay": "python -m repro.analysis.chaos replay "
+                      + os.path.basename(artifact_path),
+        })
+    result.artifact_path = final.artifact_path
+    # the minimized run must still show the target violation — if the
+    # final re-run went green the shrink result is unsound, say so loudly
+    if not target & {v.signature for v in final.violations}:
+        raise RuntimeError(f"shrunk schedule no longer reproduces the "
+                           f"violation (artifact {artifact_path})")
+
+
+def sweep(
+    mode: str = "active",
     scenarios: Optional[Sequence[str]] = None,
-    pids: Tuple[int, ...] = (1, 2, 3, 4, 5),
-    config: Optional[FTMPConfig] = None,
+    seeds: Sequence[int] = (0,),
+    policy: str = "fifo",
+    schedules: int = 1,
+    depth: int = 3,
     artifact_dir: Optional[str] = None,
     inject_ordering_bug: bool = False,
+    shrink_budget: int = 80,
     verbose: bool = True,
-    mode: str = "active",
 ) -> List[ChaosResult]:
-    """Sweep seeds × scenario classes; return one result per run.
+    """Sweep scenario classes × plan seeds × ``schedules`` explored
+    schedules of one mode; one result per (class, plan seed).
 
-    ``scenarios=None`` selects the mode's full sweep
-    (:func:`default_scenarios_for`).
+    ``scenarios=None`` takes the mode's row of :data:`MODE_TABLE`: every
+    swept class under ``fifo``, the explored mix under ``pct`` /
+    ``random``.  The schedule seed advances with every schedule of a
+    (class, plan seed); its exploration stops at the first violation,
+    which is shrunk to a minimized replayable artifact.
     """
+    spec = _mode(mode)
     if scenarios is None:
-        scenarios = default_scenarios_for(mode)
+        scenarios = spec.swept if policy == "fifo" else spec.explored
+    if verbose:
+        print(f"chaos sweep: mode={mode} scenarios={list(scenarios)} "
+              f"seeds={list(seeds)} policy={policy} schedules={schedules} "
+              f"depth={depth}")
     results: List[ChaosResult] = []
     for scenario in scenarios:
+        cfg = chaos_config_for(mode, scenario)
         for seed in seeds:
-            r = run_chaos_scenario(
-                seed, scenario, pids=pids, config=config,
-                artifact_dir=artifact_dir,
-                inject_ordering_bug=inject_ordering_bug,
-                mode=mode,
-            )
-            results.append(r)
+            plan = chaos_plan_for(mode, scenario, seed)
+            for k in range(schedules):
+                sseed = seed * 1000 + k
+                result = run_plan(
+                    plan, cfg,
+                    None if policy == "fifo"
+                    else Schedule.make_policy(policy, sseed, depth),
+                    inject_ordering_bug)
+                result.schedule_seed, result.schedules_run = sseed, k + 1
+                if result.violations:
+                    _minimize(
+                        result, plan, cfg, Schedule(policy, sseed, depth),
+                        inject_ordering_bug, shrink_budget,
+                        artifact_dir and os.path.join(
+                            artifact_dir,
+                            f"{mode}-{scenario}-{seed}-s{sseed}.json"))
+                    break
+            results.append(result)
             if verbose:
-                status = "ok" if r.ok else f"{len(r.violations)} VIOLATION(S)"
-                line = (f"  {scenario:<10} seed={seed:<4} "
-                        f"deliveries={r.deliveries:<6} "
-                        f"members={len(r.final_members)}  {status}")
-                if r.artifact_path:
-                    line += f"  -> {r.artifact_path}"
-                print(line)
+                print(_report_line(result))
     return results
+
+
+def _report_line(r: ChaosResult) -> str:
+    status = "ok" if r.ok else f"{len(r.violations)} VIOLATION(S)"
+    line = (f"  {r.scenario:<12} seed={r.seed:<3} "
+            f"schedules={r.schedules_run:<3} "
+            f"contested={r.contested_choices:<5} "
+            f"deliveries={r.deliveries:<6} "
+            f"members={len(r.final_members)}  {status}")
+    if r.artifact_path:
+        s = r.shrink
+        line += (f"  -> {r.artifact_path} (shrunk {s.original_decisions}->"
+                 f"{s.final_decisions} decisions, {s.original_events}->"
+                 f"{s.final_events} events in {s.runs} runs)")
+    return line
 
 
 def load_artifact(path: str) -> Tuple[ChaosPlan, FTMPConfig, Schedule, bool]:
     """The ``(plan, config, schedule, inject_ordering_bug)`` an artifact
-    recorded — the one loader of the campaign's and the explorer's replay.
+    recorded.
 
     The plan is the recorded one, never regenerated from ``(seed,
-    scenario)``: an artifact must keep replaying what it recorded when
-    :meth:`ChaosPlan.generate` changes.  A campaign artifact has no
-    ``schedule`` section, which reads as the empty decision list: FIFO,
-    the order the campaign ran under.
+    scenario)``: the shrinker edits it, and an artifact must keep
+    replaying what it recorded when :meth:`ChaosPlan.generate` changes.
+    An artifact without a ``schedule`` section (campaign artifacts
+    before the runners merged) reads as the empty decision list: FIFO.
     """
     with open(path, encoding="utf-8") as fh:
         artifact = json.load(fh)
@@ -698,70 +824,131 @@ def load_artifact(path: str) -> Tuple[ChaosPlan, FTMPConfig, Schedule, bool]:
             artifact.get("inject_ordering_bug", False))
 
 
-def replay_artifact(path: str, artifact_dir: Optional[str] = None) -> ChaosResult:
-    """Re-run the exact plan recorded in a violation artifact."""
+def replay(path: str, without_injection: bool = False) -> ChaosResult:
+    """Re-run the exact (plan, schedule) an artifact recorded.
+
+    ``result.decisions`` is the re-recorded log: the artifact's, extended
+    by FIFO choices only.  ``without_injection`` replays a self-test
+    artifact as if against fixed code.
+    """
     plan, cfg, schedule, inject = load_artifact(path)
-    return _run_recording(plan, cfg, artifact_dir, inject,
-                          scheduler=Scheduler(schedule.replay_policy()))
+    return run_plan(plan, cfg, schedule.replay_policy(),
+                    inject and not without_injection)
+
+
+def render_matrix() -> str:
+    """The mode × scenario table as text (``matrix``; EXPERIMENTS.md E15)."""
+    notes: List[str] = []
+
+    def mark(spec: ModeSpec, scenario: str) -> str:
+        cell = spec.cells.get(scenario)
+        if scenario in spec.excluded:
+            sign, note = "-", spec.excluded[scenario]
+        else:
+            sign = "E" if scenario in spec.explored else "s"
+            if cell is None:
+                return sign
+            changes = [f"{k}={v}" for k, v in cell.config.items()]
+            if cell.cooldown:
+                changes.append(f"cool-down +{cell.cooldown} s")
+            note = cell.why + (f" [{', '.join(changes)}]" if changes else "")
+        if note not in notes:
+            notes.append(note)
+        return f"{sign}{notes.index(note) + 1}"
+
+    rows = [["mode", *SCENARIOS, "swept", "explored"]] + [
+        [mode, *(mark(spec, s) for s in SCENARIOS),
+         str(len(spec.swept)), str(len(spec.explored))]
+        for mode, spec in MODE_TABLE.items()]
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    lines = ["  ".join(f"{c:<{w}}" for c, w in zip(row, widths)).rstrip()
+             for row in rows]
+    lines += ["", "s = swept by `run`; E = swept, and explored by default "
+                  "under --policy pct|random;", "- = not swept; N = note N"]
+    lines += [f"[{i}] {note}" for i, note in enumerate(notes, 1)]
+    lines += [f"{mode}: {spec.about}" for mode, spec in MODE_TABLE.items()]
+    return "\n".join(lines)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis.chaos",
-        description="Seeded chaos campaign with protocol-invariant oracles.",
+        description="Seeded chaos plans x explored schedules x protocol "
+                    "oracles, with minimized replayable violation artifacts.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run a seed × scenario campaign")
+    run_p = sub.add_parser(
+        "run", help="sweep scenario classes x plan seeds x schedules")
+    run_p.add_argument("--mode", choices=list(MODE_TABLE), default="active",
+                       help="replication mode, see `matrix` (default: %(default)s)")
+    run_p.add_argument("--scenarios", nargs="+", choices=list(SCENARIOS),
+                       metavar="SCENARIO",
+                       help="scenario classes; default: the mode's row of "
+                            "`matrix` (swept under fifo, else explored)")
     run_p.add_argument("--seeds", type=int, default=5,
-                       help="number of seeds per scenario (0..N-1)")
-    run_p.add_argument("--seed", type=int, action="append", default=None,
-                       help="explicit seed (repeatable; overrides --seeds)")
-    run_p.add_argument("--scenarios", nargs="+", default=None,
-                       choices=list(SCENARIOS), metavar="SCENARIO",
-                       help=f"scenario classes (default: all of "
-                            f"{', '.join(SCENARIOS)}; in --mode llft the "
-                            f"default drops 'combo')")
-    run_p.add_argument("--mode", choices=list(MODES), default="active",
-                       help="replication mode: legacy active stability "
-                            "(default), the LLFT leader-follower fast "
-                            "path, overlay tree dissemination with "
-                            "aggregated stability, or genuine multi-group "
-                            "atomic multicast over overlapping groups")
+                       help="plan seeds per scenario, 0..N-1 (default: %(default)s)")
+    run_p.add_argument("--seed", type=int, action="append",
+                       help="explicit plan seed (repeatable; overrides --seeds)")
+    run_p.add_argument("--policy", default="fifo",
+                       choices=("fifo", "pct", "random"),
+                       help="schedule policy; fifo installs none (default: %(default)s)")
+    run_p.add_argument("--schedules", type=int, default=1,
+                       help="explored schedules per (scenario, plan seed) "
+                            "(default: %(default)s)")
+    run_p.add_argument("--depth", type=int, default=3,
+                       help="PCT depth: max against-priority steps per schedule "
+                            "(default: %(default)s)")
+    run_p.add_argument("--shrink-budget", type=int, default=80,
+                       help="max re-runs the shrinker may spend per violation "
+                            "(default: %(default)s)")
     run_p.add_argument("--artifact-dir", default="chaos-artifacts",
-                       help="where violation artifacts are written")
+                       help="where minimized violation artifacts are written "
+                            "(default: %(default)s)")
     run_p.add_argument("--inject-ordering-bug", action="store_true",
-                       help="test-only: corrupt one transcript to prove the "
-                            "oracles and artifact pipeline fire")
+                       help="self-test: the forced transcript corruption must "
+                            "be caught, shrunk and replayed (exit 0 on catch)")
 
     replay_p = sub.add_parser("replay", help="re-run a violation artifact")
     replay_p.add_argument("artifact", help="path to a JSON artifact")
-    replay_p.add_argument("--artifact-dir", default=None,
-                          help="write a fresh artifact if it violates again")
+    replay_p.add_argument("--without-injection", action="store_true",
+                          help="replay a self-test artifact with the injected "
+                               "corruption disabled (as against fixed code)")
+
+    sub.add_parser("matrix", help="print the mode x scenario table")
 
     args = parser.parse_args(argv)
-    if args.command == "run":
-        seeds = args.seed if args.seed else list(range(args.seeds))
-        scenarios = args.scenarios or default_scenarios_for(args.mode)
-        print(f"chaos campaign: mode={args.mode} seeds={seeds} "
-              f"scenarios={list(scenarios)}")
-        results = run_campaign(
-            seeds, scenarios=scenarios, artifact_dir=args.artifact_dir,
-            inject_ordering_bug=args.inject_ordering_bug, mode=args.mode,
-        )
-        bad = [r for r in results if not r.ok]
-        print(f"{len(results)} runs, {len(results) - len(bad)} clean, "
-              f"{len(bad)} with violations")
-        return 1 if bad else 0
-
-    result = replay_artifact(args.artifact, artifact_dir=args.artifact_dir)
-    if result.ok:
-        print(f"replay of {args.artifact}: no violations reproduced")
+    if args.command == "matrix":
+        print(render_matrix())
         return 0
-    print(f"replay of {args.artifact}: {len(result.violations)} violation(s)")
-    for v in result.violations:
-        print(f"  [{v.oracle}] {v.detail}")
-    return 1
+    if args.command == "replay":
+        result = replay(args.artifact, args.without_injection)
+        print(f"replay of {args.artifact}: "
+              f"{len(result.violations) or 'no'} violation(s) "
+              f"({result.contested_choices} contested choices)")
+        for v in result.violations:
+            print(f"  [{v.oracle}] key={list(v.signature)} {v.detail}")
+        return 1 if result.violations else 0
+
+    results = sweep(
+        args.mode, args.scenarios, args.seed or list(range(args.seeds)),
+        args.policy, args.schedules, args.depth, args.artifact_dir,
+        args.inject_ordering_bug, args.shrink_budget)
+    bad = [r for r in results if not r.ok]
+    print(f"{len(results)} runs, {sum(r.schedules_run for r in results)} "
+          f"schedules, {len(results) - len(bad)} clean, "
+          f"{len(bad)} with violations")
+    if args.inject_ordering_bug:
+        # self-test: every (scenario, plan seed) must catch the
+        # corruption and write a minimized artifact
+        missed = [r for r in results if not r.artifact_path]
+        if missed:
+            print("SELF-TEST FAILED: injected ordering bug not caught for "
+                  + ", ".join(f"{r.scenario}/{r.seed}" for r in missed))
+            return 2
+        print("self-test ok: injected bug caught, shrunk and replayed")
+        return 0
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via CLI

@@ -25,6 +25,8 @@ class Cluster:
     stacks: Dict[int, FTMPStack]
     listeners: Dict[int, RecordingListener]
     group: int = 1
+    #: group id -> the address it listens on (a late joiner needs it)
+    addresses: Dict[int, int] = field(default_factory=dict)
 
     def run_for(self, duration: float) -> None:
         """Advance simulated time."""
@@ -103,26 +105,15 @@ def make_cluster(
     create_group: bool = True,
     scheduler=None,
 ) -> Cluster:
-    """Build a cluster of FTMP stacks over a fresh simulated network.
-
-    ``scheduler`` lets a caller supply a pre-built
-    :class:`~repro.simnet.Scheduler` — the schedule explorer passes one
-    carrying a :class:`~repro.simnet.SchedulePolicy` so same-time event
-    orders can be systematically permuted and recorded.
-    """
-    net = Network(topology if topology is not None else lan(), seed=seed,
-                  scheduler=scheduler)
-    cfg = config if config is not None else FTMPConfig()
-    stacks: Dict[int, FTMPStack] = {}
-    listeners: Dict[int, RecordingListener] = {}
-    for pid in pids:
-        lst = RecordingListener()
-        st = FTMPStack(net.endpoint(pid), cfg, lst)
-        if create_group:
-            st.create_group(group, address, pids)
-        stacks[pid] = st
-        listeners[pid] = lst
-    return Cluster(net=net, stacks=stacks, listeners=listeners, group=group)
+    """Build a cluster of FTMP stacks sharing one group:
+    :func:`make_multigroup_cluster` with that one group, or with none
+    (``create_group=False``: stacks only)."""
+    cluster = make_multigroup_cluster(
+        pids, {group: pids} if create_group else {}, topology,
+        config if config is not None else FTMPConfig(), seed, scheduler,
+        base_address=address - group)
+    cluster.group = group
+    return cluster
 
 
 def make_multigroup_cluster(
@@ -139,8 +130,11 @@ def make_multigroup_cluster(
     ``groups`` maps group id -> membership; every member bootstraps its
     groups statically (same membership everywhere, as the FT
     infrastructure would).  Group ``gid`` listens on ``base_address +
-    gid``.  The returned cluster's default ``group`` is the smallest
-    group id.  Used by the multi-group chaos/explore modes and E23.
+    gid`` (:attr:`Cluster.addresses`).  The returned cluster's default
+    ``group`` is the smallest group id.  ``scheduler`` lets a caller
+    supply a pre-built :class:`~repro.simnet.Scheduler` — the chaos
+    runner passes one carrying a :class:`~repro.simnet.SchedulePolicy`
+    so same-time event orders can be permuted and recorded.
     """
     net = Network(topology if topology is not None else lan(), seed=seed,
                   scheduler=scheduler)
@@ -153,10 +147,12 @@ def make_multigroup_cluster(
         listeners[pid] = lst
     for gid in sorted(groups):
         members = tuple(sorted(groups[gid]))
-        for pid in members:
-            stacks[pid].create_group(gid, base_address + gid, members)
+        for pid in pids:
+            if pid in members:
+                stacks[pid].create_group(gid, base_address + gid, members)
     return Cluster(net=net, stacks=stacks, listeners=listeners,
-                   group=min(groups))
+                   group=min(groups, default=1),
+                   addresses={gid: base_address + gid for gid in groups})
 
 
 @dataclass

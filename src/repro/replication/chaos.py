@@ -176,10 +176,8 @@ class ChaosPlan:
             budget = plan._gen_churn(rng, others, budget)
         elif scenario == "overload":
             plan._gen_overload(rng, pids)
-        elif scenario == "leader_crash":
-            budget = plan._gen_leader_crash(rng, others, budget)
-        elif scenario == "relay_crash":
-            budget = plan._gen_relay_crash(rng, others, budget)
+        elif scenario in ("leader_crash", "relay_crash"):
+            budget = plan._gen_designated_crash(rng, others, budget)
         elif scenario == "overlap":
             budget = plan._gen_overlap(rng, others, budget, pids)
         else:  # combo: one helping of each ingredient the budget allows
@@ -281,79 +279,39 @@ class ChaosPlan:
                 ChaosEvent("burst", start, start + length,
                            value=rng.uniform(0.0008, 0.0015)))
 
-    def _gen_leader_crash(self, rng: random.Random, others: List[int],
-                          budget: int) -> int:
-        """Permanently crash the designated ordering leader mid-traffic.
+    def _gen_designated_crash(self, rng: random.Random, others: List[int],
+                              budget: int) -> int:
+        """``leader_crash`` / ``relay_crash``: permanently crash the
+        smallest non-protected pid mid-traffic.
 
-        The victim is the smallest non-protected pid — the processor the
-        campaign's ``--mode llft`` configuration designates as the LLFT
-        leader (``llft_leader_pid``), so the crash forces a leader
-        takeover with parked messages in flight.  Under the legacy active
-        stack the same plan is just another permanent-crash scenario, so
-        the class also runs (and must stay clean) in ``--mode active``.
-        The victim always sends: a leader crash with no leader traffic to
-        reconcile would not exercise the §7.2 drain of its suffix.
+        One generator, two class names (the plans differ through the
+        scenario-keyed RNG): what the victim *is* — the LLFT leader, an
+        interior overlay relay — is the campaign configuration's doing,
+        stated per cell in ``repro.analysis.chaos.MODE_TABLE``.  In any
+        other mode the plan is one more permanent crash and must stay
+        clean.  The victim always sends, so the survivors have its own
+        suffix to reconcile in the §7.2 drain.
         """
         if budget <= 0:
             raise ValueError(
-                "leader_crash needs a removal budget: start with at least "
-                f"{_MIN_SURVIVORS + 1} members"
+                f"{self.scenario} needs a removal budget: start with at "
+                f"least {_MIN_SURVIVORS + 1} members"
             )
         victim = min(others)
         self.senders = tuple(sorted(set(self.senders) | {victim}))
-        # crash well before _FAULT_STOP so the takeover completes and the
-        # survivors' cool-down window is fault-free
+        # crash well before _FAULT_STOP so conviction, takeover and the
+        # drain finish inside a fault-free cool-down
         at = rng.uniform(_FAULT_START, _FAULT_STOP - 0.30)
         self.events.append(ChaosEvent("crash", at, pids=(victim,)))
-        budget -= 1
         if rng.random() < 0.5:
-            # a loss burst around the crash forces OrderInfo gaps: some
-            # followers adopt the dead leader's last announcements only
-            # via NACK recovery, others never see them and rely on the
-            # takeover batch
+            # loss around the crash: some members learn the victim's last
+            # messages only through NACK recovery, others never do and
+            # rely on the fault view
             start, stop = self._window(rng, lo=0.05, hi=0.15)
             self.events.append(
                 ChaosEvent("loss", start, stop, value=rng.uniform(0.05, 0.20))
             )
-        return budget
-
-    def _gen_relay_crash(self, rng: random.Random, others: List[int],
-                         budget: int) -> int:
-        """Permanently crash an interior overlay-tree relay mid-traffic.
-
-        The victim is the smallest non-protected pid: with the overlay
-        sweep's ``overlay_fanout=2`` and the default 5-member roster, the
-        sorted k-ary tree is ``1 -> (2, 3)``, ``2 -> (4, 5)`` — pid 2 is
-        an interior relay whose whole subtree loses its dissemination
-        *and* its aggregated-stability path at once.  The survivors must
-        provisionally reroute around the suspect, convict only the
-        victim (no false suspicion of its healthy subtree), and the §7.2
-        drain must preserve virtual synchrony.  Under the flat modes the
-        same plan is just another permanent-crash scenario and must stay
-        clean there too.  The victim always sends, so the subtree also
-        has the dead relay's own suffix to reconcile.
-        """
-        if budget <= 0:
-            raise ValueError(
-                "relay_crash needs a removal budget: start with at least "
-                f"{_MIN_SURVIVORS + 1} members"
-            )
-        victim = min(others)
-        self.senders = tuple(sorted(set(self.senders) | {victim}))
-        # crash well before _FAULT_STOP so conviction (slowed by the
-        # transitive-liveness grace) and the drain finish in cool-down
-        at = rng.uniform(_FAULT_START, _FAULT_STOP - 0.30)
-        self.events.append(ChaosEvent("crash", at, pids=(victim,)))
-        budget -= 1
-        if rng.random() < 0.5:
-            # loss around the crash: some subtree members learn of the
-            # missing outside traffic only via progress-entry disclosure
-            # followed by flat NACK recovery
-            start, stop = self._window(rng, lo=0.05, hi=0.15)
-            self.events.append(
-                ChaosEvent("loss", start, stop, value=rng.uniform(0.05, 0.20))
-            )
-        return budget
+        return budget - 1
 
     def _gen_overlap(self, rng: random.Random, others: List[int],
                      budget: int, pids: Tuple[int, ...]) -> int:
@@ -392,8 +350,7 @@ class ChaosPlan:
     # execution
     # ------------------------------------------------------------------
     def apply(self, cluster, injector: FaultInjector,
-              config: Optional[FTMPConfig] = None,
-              address: int = 5001) -> None:
+              config: Optional[FTMPConfig] = None) -> None:
         """Arm every planned event against a live cluster.
 
         Joins create fresh stacks/listeners and register them in the
@@ -417,8 +374,7 @@ class ChaosPlan:
                 injector.crash_restart(ev.at, ev.pids[0], ev.value)
             elif ev.kind == "join":
                 cluster.net.scheduler.at(
-                    ev.at, self._do_join, cluster, ev.pids[0], cfg, address
-                )
+                    ev.at, self._do_join, cluster, ev.pids[0], cfg)
             elif ev.kind == "leave":
                 cluster.net.scheduler.at(ev.at, self._do_leave, cluster, ev.pids[0])
             elif ev.kind == "burst":
@@ -426,10 +382,11 @@ class ChaosPlan:
             else:  # pragma: no cover - generate() only emits the kinds above
                 raise ValueError(f"unknown chaos event kind {ev.kind!r}")
 
-    def _do_join(self, cluster, pid: int, cfg: FTMPConfig, address: int) -> None:
+    def _do_join(self, cluster, pid: int, cfg: FTMPConfig) -> None:
         listener = RecordingListener()
         stack = FTMPStack(cluster.net.endpoint(pid), cfg, listener)
-        stack.join_as_new_member(cluster.group, address)
+        stack.join_as_new_member(cluster.group,
+                                 cluster.addresses[cluster.group])
         cluster.stacks[pid] = stack
         cluster.listeners[pid] = listener
         try:

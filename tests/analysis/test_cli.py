@@ -37,6 +37,16 @@ def test_every_registered_file_exists():
     assert experiments["E17"][0].name == "test_e17_overload_flow_control.py"
 
 
+def test_every_experiment_has_a_result_file_run_can_list():
+    # `run <ID>` lists results/<ID>_*.txt: an experiment that emits under
+    # any other spelling (E19 wrote e19_... until PR 23) lists nothing
+    results = _ROOT / "benchmarks" / "results"
+    for key, (path, _desc) in discover(_ROOT / "benchmarks").items():
+        assert list(results.glob(f"{key}_*.txt")), (
+            f"{path.name} has no benchmarks/results/{key}_*.txt")
+        assert f'emit("{key}_' in path.read_text(), path.name
+
+
 def test_run_one_experiment_subprocess():
     # F2 is the fastest experiment; run it through the real CLI.  The
     # child needs repro importable regardless of how pytest itself found

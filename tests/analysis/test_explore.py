@@ -1,4 +1,4 @@
-"""The schedule explorer end to end: record→replay, shrinking, self-test.
+"""Explored schedules end to end: record→replay, shrinking, self-test.
 
 Cluster-level guarantees of the DST subsystem:
 
@@ -22,16 +22,15 @@ import os
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.chaos import default_chaos_config, execute_plan
-from repro.analysis.explore import (
-    _with_timeline,
-    explore,
-    replay_explore_artifact,
-    run_schedule,
-    shrink_failure,
+from repro.analysis.chaos import (
+    default_chaos_config,
+    execute_plan,
+    replay,
+    sweep,
 )
+from repro.analysis.explore import _with_timeline, shrink_failure
 from repro.replication.chaos import ChaosPlan
-from repro.simnet import FifoPolicy, PCTPolicy, ReplayPolicy
+from repro.simnet import FifoPolicy, PCTPolicy, ReplayPolicy, Scheduler
 
 
 def _small_plan(scenario="churn", seed=0):
@@ -41,15 +40,15 @@ def _small_plan(scenario="churn", seed=0):
 
 def _fingerprint(plan, policy):
     """Everything the oracles can see, plus the stats counters."""
-    result, decisions, cluster, _inj = run_schedule(
-        plan, default_chaos_config(), policy, keep_cluster=True)
+    result, cluster, _inj = execute_plan(
+        plan, default_chaos_config(), Scheduler(policy))
     orders = {pid: tuple(lst.delivery_order(cluster.group))
               for pid, lst in cluster.listeners.items()}
     snapshots = {pid: cluster.stacks[pid].snapshot() for pid in cluster.stacks}
     trace = (cluster.net.trace.sends, cluster.net.trace.deliveries,
              cluster.net.trace.drops)
     cluster.stop()
-    return result.ok, orders, snapshots, trace, decisions
+    return result.ok, orders, snapshots, trace, result.decisions
 
 
 # ----------------------------------------------------------------------
@@ -199,12 +198,11 @@ def test_timeline_shrink_preserves_cooldown():
 # explorer self-test: catch, shrink, write, replay
 # ----------------------------------------------------------------------
 def test_injected_bug_is_caught_shrunk_and_replayable(tmp_path):
-    outcomes = explore(
-        scenarios=("churn",), plan_seeds=(0,), n_schedules=1,
-        policy_kind="pct", depth=3, artifact_dir=str(tmp_path),
-        inject_ordering_bug=True, shrink_budget=30, verbose=False,
+    (outcome,) = sweep(
+        "active", ("churn",), seeds=(0,), policy="pct", schedules=1, depth=3,
+        artifact_dir=str(tmp_path), inject_ordering_bug=True,
+        shrink_budget=30, verbose=False,
     )
-    (outcome,) = outcomes
     assert not outcome.ok
     assert any(v.oracle == "total-order" for v in outcome.violations)
     assert outcome.artifact_path and os.path.exists(outcome.artifact_path)
@@ -217,26 +215,22 @@ def test_injected_bug_is_caught_shrunk_and_replayable(tmp_path):
 
     with open(outcome.artifact_path, encoding="utf-8") as fh:
         artifact = json.load(fh)
-    assert artifact["kind"] == "explore"
-    assert artifact["schedule"]["decisions"] == []
+    assert artifact["schedule"] == {"policy": "pct", "seed": 0, "depth": 3,
+                                    "decisions": []}
     assert artifact["inject_ordering_bug"] is True
     assert any(v["key"][0] == "total-order" for v in artifact["violations"])
 
     # red with the corruption, green against "fixed" code
-    red, _ = replay_explore_artifact(outcome.artifact_path)
+    red = replay(outcome.artifact_path)
     assert any(v.oracle == "total-order" for v in red.violations)
-    green, _ = replay_explore_artifact(outcome.artifact_path,
-                                       inject_override=False)
-    assert green.ok
+    assert replay(outcome.artifact_path, without_injection=True).ok
 
 
 def test_clean_exploration_smoke(tmp_path):
-    outcomes = explore(
-        scenarios=("churn",), plan_seeds=(0,), n_schedules=2,
-        policy_kind="random", depth=3, artifact_dir=str(tmp_path),
-        verbose=False,
+    (outcome,) = sweep(
+        "active", ("churn",), seeds=(0,), policy="random", schedules=2,
+        artifact_dir=str(tmp_path), verbose=False,
     )
-    (outcome,) = outcomes
     assert outcome.ok, outcome.violations
     assert outcome.schedules_run == 2
     assert outcome.contested_choices > 0

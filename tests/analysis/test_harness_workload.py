@@ -1,8 +1,15 @@
 """Harness and workload generator tests."""
 
-from repro.analysis import PoissonWorkload, TimedWorkload, make_cluster
+from repro.analysis import (
+    PoissonWorkload,
+    TimedWorkload,
+    make_cluster,
+    make_multigroup_cluster,
+)
 from repro.analysis.workload import RequestReplyDriver
 from repro.orb import ORB, IIOPNetwork
+from repro.replication.chaos import ChaosEvent, ChaosPlan
+from repro.replication.fault_injection import FaultInjector
 from repro.simnet import Scheduler
 
 
@@ -11,6 +18,30 @@ def test_make_cluster_builds_group_everywhere():
     for pid in (1, 2, 3):
         assert c.stacks[pid].group(1) is not None
         assert c.stacks[pid].group(1).membership == (1, 2, 3)
+
+
+def test_one_builder_records_each_groups_address():
+    assert make_cluster((1, 2)).addresses == {1: 5001}
+    assert make_cluster((4, 2, 7), group=3, address=6100).addresses == {3: 6100}
+    bare = make_cluster((1, 2), create_group=False)
+    assert bare.addresses == {} and bare.stacks[1].group(1) is None
+    mg = make_multigroup_cluster((1, 2, 3), {2: (2, 3), 1: (1, 2)},
+                                 base_address=7000)
+    assert (mg.group, mg.addresses) == (1, {1: 7001, 2: 7002})
+    assert mg.stacks[2].group(2).membership == (2, 3)
+    assert mg.stacks[1].group(2) is None
+
+
+def test_chaos_join_uses_the_clusters_address_not_a_default():
+    # a plan's joiner listens where the group does: on a cluster built
+    # away from 5001 it used to join a silent address and never get in
+    c = make_cluster((1, 2, 3), address=6100)
+    plan = ChaosPlan(seed=0, scenario="churn", initial_members=(1, 2, 3),
+                     events=[ChaosEvent("join", 0.1, pids=(4,))])
+    plan.apply(c, FaultInjector(c.net))
+    c.run_for(1.0)
+    assert c.stacks[1].group(1).membership == (1, 2, 3, 4)
+    assert c.listeners[4].current_membership(1) == (1, 2, 3, 4)
 
 
 def test_timed_workload_latency_measurement():

@@ -3,8 +3,7 @@
 ``repro.core`` and ``repro.baselines`` are written against the neutral
 :mod:`repro.transport` seam only; importing a concrete runtime
 (``repro.simnet`` or ``repro.runtime``) from them is the inverted
-dependency this guard exists to catch (`make lint` greps for the same
-patterns).  The runtimes themselves must not import each other either:
+dependency this guard exists to catch.  The runtimes themselves must not import each other either:
 ``simnet`` is the semantic truth, ``runtime`` the wall-clock truth, and
 nothing forces one to load to use the other.
 
@@ -37,8 +36,8 @@ allow-listed file until ``perf/`` has such a workload — nothing under
 specification lives in ``tests/reference/``), and ``repro.analysis``
 does not import the wall-clock runtime, lazily or otherwise.
 
-Run as a script (``make layering``) it prints the violations of the
-last four rules and exits 1.
+Run as a script — all ``make layering`` is — it prints the violations of
+the five rules and exits 1.
 """
 
 import ast
@@ -197,10 +196,13 @@ def test_everything_stamped_goes_through_the_send_service():
     assert not problems, "a send past ProcessorGroup.send:\n" + "\n".join(problems)
 
 
+def _import_violations() -> list:
+    return [v for package, forbidden in RULES.items()
+            for v in _violations(package, forbidden)]
+
+
 def test_protocol_layers_never_import_a_runtime():
-    problems = []
-    for package, forbidden in RULES.items():
-        problems += _violations(package, forbidden)
+    problems = _import_violations()
     assert not problems, "layering violations:\n" + "\n".join(problems)
 
 
@@ -225,8 +227,9 @@ def test_core_loads_without_either_runtime():
 
 
 if __name__ == "__main__":
-    bad = (_engine_name_violations() + _send_route_violations()
-           + _runtime_process_violations() + _one_harness_violations())
-    print("\n".join(bad) if bad else
-          "engine seam, send service, runtime and one-harness rules OK")
+    bad = (_import_violations() + _engine_name_violations()
+           + _send_route_violations() + _runtime_process_violations()
+           + _one_harness_violations())
+    print("\n".join(bad) if bad else "layering OK: runtime imports, engine "
+          "seam, send service, one datapath, one harness")
     sys.exit(1 if bad else 0)

@@ -1,8 +1,8 @@
 """Checked-in minimized explore artifacts replay as regression tests.
 
 ``tests/data/explore/`` holds minimized violation artifacts produced by
-the schedule explorer's shrinker (``make explore`` /
-``python -m repro.analysis.explore``).  Each one is a complete
+the chaos runner's shrinker (``make explore`` /
+``python -m repro.analysis.chaos run --policy pct``).  Each one is a complete
 (plan, schedule, config) triple:
 
 * replayed as recorded — with its ``inject_ordering_bug`` self-test
@@ -24,12 +24,7 @@ import os
 
 import pytest
 
-from repro.analysis.explore import (
-    DEFAULT_LLFT_SCENARIOS,
-    DEFAULT_MULTIGROUP_SCENARIOS,
-    explore,
-    replay_explore_artifact,
-)
+from repro.analysis.chaos import MODE_TABLE, replay, sweep
 from repro.simnet import Schedule
 
 _DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "data", "explore")
@@ -44,7 +39,6 @@ def test_at_least_one_minimized_artifact_is_checked_in():
 def test_artifact_is_minimized_and_well_formed(path):
     with open(path, encoding="utf-8") as fh:
         artifact = json.load(fh)
-    assert artifact["kind"] == "explore"
     assert artifact["violations"], "artifact with no recorded violations"
     assert all(v.get("key") for v in artifact["violations"])
     shrink = artifact["shrink"]
@@ -61,7 +55,8 @@ def test_artifact_replays_red_as_recorded(path):
     with open(path, encoding="utf-8") as fh:
         artifact = json.load(fh)
     recorded = {tuple(v["key"]) for v in artifact["violations"]}
-    result, decisions = replay_explore_artifact(path)
+    result = replay(path)
+    decisions = result.decisions
     replayed = {tuple(v.signature) for v in result.violations}
     assert replayed & recorded, (
         f"{os.path.basename(path)} no longer reproduces its violation "
@@ -78,7 +73,7 @@ def test_artifact_replays_red_as_recorded(path):
 def test_artifact_replays_green_against_fixed_code(path):
     # the self-test corruption off: the same minimized (plan, schedule)
     # must satisfy the full oracle battery on the current protocol code
-    result, _decisions = replay_explore_artifact(path, inject_override=False)
+    result = replay(path, without_injection=True)
     assert result.ok, [v.as_dict() for v in result.violations]
 
 
@@ -86,9 +81,9 @@ def test_llft_mode_explore_smoke():
     # the explorer drives the leader-follower stack too: leader-handoff
     # interleavings on the leader_crash class stay clean under a couple
     # of adversarial PCT schedules
-    assert "leader_crash" in DEFAULT_LLFT_SCENARIOS
-    outcomes = explore(scenarios=("leader_crash",), plan_seeds=(0,),
-                       n_schedules=2, mode="llft", verbose=False)
+    assert "leader_crash" in MODE_TABLE["llft"].explored
+    outcomes = sweep("llft", ("leader_crash",), seeds=(0,), policy="pct",
+                     schedules=2, verbose=False)
     assert outcomes
     for out in outcomes:
         assert out.ok, [v.as_dict() for v in out.violations]
@@ -100,9 +95,9 @@ def test_multigroup_mode_explore_smoke():
     # the explorer drives the multi-group stack on the overlapping-
     # membership class: propose/commit interleavings across three
     # overlapping groups stay clean under adversarial PCT schedules
-    assert "overlap" in DEFAULT_MULTIGROUP_SCENARIOS
-    outcomes = explore(scenarios=("overlap",), plan_seeds=(0,),
-                       n_schedules=2, mode="multigroup", verbose=False)
+    assert "overlap" in MODE_TABLE["multigroup"].explored
+    outcomes = sweep("multigroup", ("overlap",), seeds=(0,), policy="pct",
+                     schedules=2, verbose=False)
     assert outcomes
     for out in outcomes:
         assert out.ok, [v.as_dict() for v in out.violations]
