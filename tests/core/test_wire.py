@@ -150,6 +150,25 @@ def test_batch_round_trip(little):
         assert inner.payload == b"p%d" % i
 
 
+@pytest.mark.parametrize("little", [True, False], ids=["little-endian", "big-endian"])
+def test_follow_on_regular_below_the_orb_costs_at_most_12_bytes_plus_payload(little):
+    # what the send path coalesces: one sender's consecutive Regulars
+    # with one ack, no connection id and request number 0
+    def batch(n):
+        parts = tuple(encode(RegularMessage(
+            FTMPHeader(MessageType.REGULAR, source=7, group=42, sequence_number=100 + i,
+                       timestamp=500 + 3 * i, ack_timestamp=480, little_endian=little),
+            ConnectionId.none(), 0, b"x" * 64)) for i in range(n))
+        return parts, encode(BatchMessage(header(MessageType.BATCH, little), parts))
+
+    _, one = batch(1)
+    parts, two = batch(2)
+    assert len(two) - len(one) - 64 <= 12
+    assert len(two) - len(one) - 64 == 11  # flags, timestamp, payload length
+    assert len(one) == HEADER_SIZE + 2 + 23 + 64  # + seq and ack
+    assert decode(two).parts == parts
+
+
 def test_empty_batch_round_trip():
     out = decode(encode(BatchMessage(header(MessageType.BATCH), ())))
     assert isinstance(out, BatchMessage)

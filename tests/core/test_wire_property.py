@@ -18,7 +18,7 @@ for performance:
 import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
@@ -100,9 +100,10 @@ MESSAGES = st.one_of(
               _header(MessageType.MULTI_GROUP_COMMIT), U32, U64, U64),
 )
 
-# Batch parts are complete encodings of other messages; randomized parts
-# exercise both the compact per-part record (part shares the envelope's
-# source/group/endianness) and the verbatim fallback (it does not).
+# Batch parts are complete encodings of other messages.  Parts of random
+# messages exercise the verbatim record (a part that is not a Regular of
+# the envelope's source, group and endianness) and almost never anything
+# else; COALESCED draws what the send path packs instead.
 BATCHES = st.builds(
     BatchMessage,
     _header(MessageType.BATCH),
@@ -110,11 +111,86 @@ BATCHES = st.builds(
         lambda msgs: tuple(encode(m) for m in msgs)),
 )
 
-ALL_MESSAGES = st.one_of(MESSAGES, BATCHES)
+
+def _batch(source, group, little, parts):
+    return BatchMessage(FTMPHeader(MessageType.BATCH, source, group, 0, 0, 0,
+                                   little_endian=little), tuple(parts))
+
+
+def _coalesced_part(source, group, little, seq, ts, ack, cid=ConnectionId.none(),
+                    request_num=0, retransmission=False, payload=b"p"):
+    return encode(RegularMessage(
+        FTMPHeader(MessageType.REGULAR, source, group, seq, ts, ack,
+                   retransmission=retransmission, little_endian=little),
+        cid, request_num, payload))
+
+
+@st.composite
+def coalesced(draw):
+    """One sender's Regulars to one group, in one byte order, as the send
+    path packs them: sequence numbers mostly consecutive (sometimes
+    broken, or wrapping past 0xFFFFFFFF), acks mostly shared, connection
+    ids and request numbers zero or not, the odd retransmission — and
+    now and then a part of another source between them, stored verbatim."""
+    source, group, little = draw(U32), draw(U32), draw(st.booleans())
+    seq = draw(st.sampled_from([0, 1, 0xFFFFFFFE]) | U32)
+    ack = draw(U64)
+    parts = []
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.integers(0, 9)) == 0:
+            parts.append(_coalesced_part(source ^ 1, group, little, seq, 0, ack))
+            continue
+        seq = (seq + draw(st.sampled_from([1, 1, 1, 1, 0, 2]))) % 2**32
+        if draw(st.integers(0, 3)) == 0:
+            ack = draw(U64)
+        cid = draw(st.sampled_from([ConnectionId.none()]) | CID_S)
+        parts.append(_coalesced_part(
+            source, group, little, seq, draw(U64), ack, cid,
+            draw(st.sampled_from([0]) | U64), draw(st.integers(0, 7)) == 0,
+            draw(st.binary(max_size=80))))
+    return _batch(source, group, little, parts)
+
+
+COALESCED = coalesced()
+#: follow-on records below the ORB, on a connection, retransmitted and
+#: after a changed ack; a broken sequence and a changed ack; a verbatim
+#: part and a Regular after it, which must not follow; a wrap past
+#: 0xFFFFFFFF, which must not either
+FOLLOW_ONS = _batch(5, 9, True, [
+    _coalesced_part(5, 9, True, 7, 100, 50),
+    _coalesced_part(5, 9, True, 8, 101, 50),
+    _coalesced_part(5, 9, True, 9, 102, 50, ConnectionId(1, 2, 3, 4), 17),
+    _coalesced_part(5, 9, True, 10, 103, 50, retransmission=True),
+    _coalesced_part(5, 9, True, 12, 104, 50),
+    _coalesced_part(5, 9, True, 13, 105, 51),
+    _coalesced_part(5, 9, True, 14, 106, 51),
+    _coalesced_part(6, 9, True, 15, 107, 51),
+    _coalesced_part(5, 9, True, 15, 108, 51),
+    _coalesced_part(5, 9, True, 0xFFFFFFFF, 109, 51),
+    _coalesced_part(5, 9, True, 0, 110, 51),
+])
+
+ALL_MESSAGES = st.one_of(MESSAGES, BATCHES, COALESCED)
+
+
+def follow_ons(batch):
+    """How many parts of ``batch`` get a follows record."""
+    count, prev = 0, None
+    for part in batch.parts:
+        h = peek_header(part)
+        if (h.message_type != MessageType.REGULAR or h.source != batch.header.source
+                or h.group != batch.header.group
+                or h.little_endian != batch.header.little_endian):
+            prev = None
+            continue
+        count += prev == (h.sequence_number - 1, h.ack_timestamp)
+        prev = (h.sequence_number, h.ack_timestamp)
+    return count
 
 
 @settings(max_examples=300, deadline=None)
 @given(ALL_MESSAGES)
+@example(FOLLOW_ONS)
 def test_roundtrip_identity(msg):
     raw = encode(msg)  # back-fills header.message_size on msg
     out = decode(raw)
@@ -124,17 +200,34 @@ def test_roundtrip_identity(msg):
 
 @settings(max_examples=300, deadline=None)
 @given(ALL_MESSAGES)
+@example(FOLLOW_ONS)
 def test_fast_path_matches_reference(msg):
     assert encode(msg) == encode_reference(msg)
 
 
 @settings(max_examples=200, deadline=None)
-@given(BATCHES)
+@given(BATCHES | COALESCED)
+@example(FOLLOW_ONS)
 def test_batch_parts_reconstructed_byte_exact(batch):
     """Unpacked parts must be byte-for-byte the original encodings —
     retention buffers and retransmission identity depend on it."""
     out = decode(encode(batch))
     assert out.parts == batch.parts
+
+
+def test_the_coalesced_strategy_reaches_follow_on_records():
+    assert follow_ons(FOLLOW_ONS) == 4
+    drawn = []
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(COALESCED)
+    def draw(batch):
+        drawn.append(follow_ons(batch))
+
+    draw()
+    # about half the draws hold one, about 0.9 per draw (seen: 0.81-1.09)
+    assert sum(1 for n in drawn if n) > len(drawn) // 4
+    assert sum(drawn) > len(drawn) // 2
 
 
 # ----------------------------------------------------------------------

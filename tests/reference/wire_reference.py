@@ -7,17 +7,18 @@ them.  ``src/repro/core/wire.py`` holds the one production encoder
 table for the nine control bodies); this file shares no code with it
 beyond the message classes, the constants and :class:`CodecError`, so
 ``encode(m) == encode_reference(m)`` (``tests/core/test_wire_property.py``)
-is an independent check for all 13 types.  The writer, the body chain
-and the BATCH record functions moved here unedited from ``core/wire.py``;
-the layouts below restate that module's header and BATCH record formats.
+is an independent check for all 13 types.  The writer and the body
+chain moved here unedited from ``core/wire.py``; the BATCH Regular record
+is written field by field below, where the fast encoder assembles it from
+slices of each part.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
-from repro.core.constants import HEADER_SIZE, MAGIC, VERSION_MAJOR, VERSION_MINOR
+from repro.core.constants import HEADER_SIZE, MAGIC, VERSION_MAJOR, VERSION_MINOR, MessageType
 from repro.core.messages import (
     AckSummaryMessage,
     AddProcessorMessage,
@@ -40,8 +41,16 @@ from repro.core.wire import CodecError
 
 _FLAG_LITTLE_ENDIAN = 0x01
 _FLAG_RETRANSMISSION = 0x02
-#: BATCH record marker: the part is stored verbatim, not as a compact record
+#: BATCH record flags beside the part's own two (above): seq and ack are
+#: elided (the previous record's + 1 and unchanged), and the connection
+#: id and request number are present.  0x80 alone opens a verbatim record.
+_REC_FOLLOWS = 0x04
+_REC_CONNECTION = 0x08
 _REC_VERBATIM = 0x80
+#: the largest payload a Regular record's u16 length can state
+_RECORD_PAYLOAD_MAX = 0xFFFF
+#: a Regular body's fixed prefix: connection id, request number, payload length
+_REGULAR_PREFIX = 28
 
 _PREFIX = struct.Struct("4sBBBB")  # magic, ver_major, ver_minor, flags, type
 #: whole header: prefix + size/source/group/seq/ts/ack
@@ -49,17 +58,11 @@ _HDR = {
     True: struct.Struct("<4sBBBBIIIIQQ"),
     False: struct.Struct(">4sBBBBIIIIQQ"),
 }
-#: compact BATCH part record: flags, type, seq, timestamp, ack, body len
-_BATCH_REC = {
-    True: struct.Struct("<BBIQQH"),
-    False: struct.Struct(">BBIQQH"),
+#: Regular body prefix: connection id x4, request number, payload length
+_REGULAR_BODY = {
+    True: struct.Struct("<IIIIQI"),
+    False: struct.Struct(">IIIIQI"),
 }
-#: verbatim BATCH part record: 0x80 marker, full part length
-_BATCH_VERBATIM = {
-    True: struct.Struct("<BI"),
-    False: struct.Struct(">BI"),
-}
-_U16 = {True: struct.Struct("<H"), False: struct.Struct(">H")}
 
 _Buffer = Union[bytes, bytearray, memoryview]
 
@@ -123,52 +126,72 @@ class _Writer:
 
 
 # ----------------------------------------------------------------------
-# BATCH part records (the fast encoder's inline eligibility test must
-# make exactly this decision)
+# BATCH records (the fast encoder's inline tests must make exactly these
+# decisions)
 # ----------------------------------------------------------------------
-def _part_record(part: _Buffer, envelope: FTMPHeader,
-                 little: bool) -> Optional[Tuple[int, int, int, int, int]]:
-    """(flags, type, seq, ts, ack) when ``part`` can be stored compactly.
+def _regular_record(part: _Buffer, envelope: FTMPHeader, little: bool) -> Optional[tuple]:
+    """(flags, seq, ts, ack, connection id, request number, payload) when
+    ``part`` gets a Regular record, None when it goes verbatim.
 
-    A part is compactable when its magic/version/source/group/endianness
-    match the envelope (always true for parts the send path coalesces) and
-    its body fits the u16 length field; anything else falls back to a
-    verbatim record so arbitrary hand-built Batches still round-trip.
+    A part gets a Regular record when it is a Regular with the envelope's
+    magic, version, source, group and endianness, no flag but those two
+    (endianness, retransmission), a size field equal to its length, and
+    a body of exactly the fixed prefix and a payload the record's u16
+    length can state: then the record rebuilds it byte for byte.
     """
-    if len(part) < HEADER_SIZE or len(part) - HEADER_SIZE > 0xFFFF:
+    if len(part) < HEADER_SIZE + _REGULAR_PREFIX:
         return None
-    # single unpack: the prefix fields (magic/version/flags/type) are all
-    # byte-width and therefore endianness-independent, so the flags check
-    # below guards the multi-byte fields before they are trusted
     magic, vmaj, vmin, pflags, ptype, psize, psrc, pgrp, pseq, pts, pack_ts = \
         _HDR[little].unpack_from(part, 0)
+    cd, cg, sd, sg, req, plen = _REGULAR_BODY[little].unpack_from(part, HEADER_SIZE)
     if (
         magic != MAGIC
         or (vmaj, vmin) != (VERSION_MAJOR, VERSION_MINOR)
+        or pflags & ~(_FLAG_LITTLE_ENDIAN | _FLAG_RETRANSMISSION)
         or bool(pflags & _FLAG_LITTLE_ENDIAN) != little
+        or ptype != MessageType.REGULAR
         or psize != len(part)
         or psrc != envelope.source
         or pgrp != envelope.group
+        or plen != len(part) - HEADER_SIZE - _REGULAR_PREFIX
+        or plen > _RECORD_PAYLOAD_MAX
     ):
         return None
-    return (pflags, ptype, pseq, pts, pack_ts)
+    return (pflags, pseq, pts, pack_ts, ConnectionId(cd, cg, sd, sg), req,
+            bytes(part[HEADER_SIZE + _REGULAR_PREFIX:]))
 
 
-def _encode_batch_body(msg: BatchMessage, little: bool) -> List[bytes]:
-    """Encoded-body chunks of a Batch (count + one record per part)."""
-    chunks: List[bytes] = [_U16[little].pack(len(msg.parts))]
-    rec = _BATCH_REC[little]
-    verbatim = _BATCH_VERBATIM[little]
-    h = msg.header
+def _encode_batch_body(msg: BatchMessage, w: "_Writer") -> None:
+    """Part count, then one record per part.  A Regular record *follows*
+    when the record before it is a Regular record whose seq is one less
+    and whose ack is the same; it has a *connection* when the connection
+    id or the request number is not zero."""
+    w.u16(len(msg.parts))
+    prev: Optional[Tuple[int, int]] = None  # (seq, ack) of the previous Regular record
     for part in msg.parts:
-        fields = _part_record(part, h, little)
-        if fields is not None:
-            chunks.append(rec.pack(*fields, len(part) - HEADER_SIZE))
-            chunks.append(bytes(part[HEADER_SIZE:]))
-        else:
-            chunks.append(verbatim.pack(_REC_VERBATIM, len(part)))
-            chunks.append(bytes(part))
-    return chunks
+        record = _regular_record(part, msg.header, msg.header.little_endian)
+        if record is None:
+            w.u8(_REC_VERBATIM)
+            w.u32(len(part))
+            w.raw(bytes(part))
+            prev = None
+            continue
+        pflags, seq, ts, ack, cid, req, payload = record
+        follows = prev == (seq - 1, ack)
+        connection = cid != ConnectionId.none() or req != 0
+        w.u8(pflags | (_REC_FOLLOWS if follows else 0)
+             | (_REC_CONNECTION if connection else 0))
+        if not follows:
+            w.u32(seq)
+        w.u64(ts)
+        if not follows:
+            w.u64(ack)
+        if connection:
+            w.connection_id(cid)
+            w.u64(req)
+        w.u16(len(payload))
+        w.raw(payload)
+        prev = (seq, ack)
 
 
 def encode_reference(msg: FTMPMessage) -> bytes:
@@ -255,7 +278,6 @@ def _encode_body(msg: FTMPMessage, w: _Writer) -> None:
         w.u64(msg.mg_seq)
         w.u64(msg.commit_ts)
     elif isinstance(msg, BatchMessage):
-        for chunk in _encode_batch_body(msg, msg.header.little_endian):
-            w.raw(chunk)
+        _encode_batch_body(msg, w)
     else:  # pragma: no cover - exhaustive over FTMPMessage
         raise CodecError(f"unknown message class {type(msg).__name__}")
