@@ -254,6 +254,8 @@ class FlowController:
         #: timestamps are per-source monotonic, so this deque is sorted
         self._inflight: Deque[int] = deque()
         self._queue: Deque[Tuple[bytes, ConnectionId, int]] = deque()
+        #: true while :meth:`drain` hands a queued send to the send path
+        self.releasing = False
 
     @property
     def enabled(self) -> bool:
@@ -337,7 +339,11 @@ class FlowController:
             payload, cid, request_num = self._queue.popleft()
             self.stats.sends_released += 1
             # the send takes its credit, growing _inflight again
-            self._g._send_regular(payload, cid, request_num)
+            self.releasing = True
+            try:
+                self._g._send_regular(payload, cid, request_num)
+            finally:
+                self.releasing = False
 
 
 class SendPath:
@@ -470,7 +476,11 @@ class SendPath:
         (latency returns to unbatched), above it the window engages and
         saturation goodput keeps the full coalescing win.  A send never
         bypasses a non-empty window — that would reorder the sender's
-        reliable stream on the wire.
+        reliable stream on the wire — and a send released by
+        :meth:`FlowController.drain` never bypasses at all: a backlog of
+        credit-queued sends is observed load that fills the window, while
+        the EWMA, fed by the release bursts and reset by the lull before
+        each, would send the first ~10 of every burst alone.
         """
         cfg = self._ctx.config
         if not cfg.batch_adaptive:
@@ -488,7 +498,7 @@ class SendPath:
         else:
             ewma = self._gap_ewma
             self._gap_ewma = gap if ewma == float("inf") else 0.75 * ewma + 0.25 * gap
-        if self._pending:
+        if self._pending or self._ctx.flow.releasing:
             return False
         return self._gap_ewma * BATCH_MIN_FILL > cfg.batch_window
 
@@ -659,7 +669,7 @@ class ReceivePath:
             if (inner.__class__ is BatchMessage or h.group != envelope.group
                     or h.source != envelope.source):
                 # The send path never nests (``_batchable`` admits
-                # Regular only), and thousands of nested envelopes
+                # Regular only), and over a thousand nested envelopes
                 # fit one datagram: recursing into them is a stack
                 # depth the sender chooses.  Nor does it pack anyone
                 # else's message: a verbatim part naming another group or

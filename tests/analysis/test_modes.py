@@ -109,14 +109,18 @@ def test_generated_plans_are_the_parents(scenario):
 
 
 #: (deliveries, final members, clean) of `chaos run --mode M --scenarios S
-#: --seed 0` at the parent commit, when the campaign was its own runner
+#: --seed 0` at the parent commit, when the campaign was its own runner.
+#: One cell was re-pinned since: overlay / overload 1975 -> 2050, when
+#: sends released by the flow controller stopped bypassing the adaptive
+#: batch window — the same NIC carries more of the offered load, and
+#: the bounded send queue sheds less of it
 PARENT_CAMPAIGN = {
     ("active", "loss"): (585, (1, 2, 3, 4, 5), True),
     ("active", "crash"): (594, (1, 2, 3), True),
     ("active", "overload"): (9950, (1, 2, 3, 4, 5), True),
     ("llft", "churn"): (741, (1, 2, 3, 4, 5, 6, 7), True),
     ("llft", "leader_crash"): (708, (1, 3, 4, 5), True),
-    ("overlay", "overload"): (1975, (1, 2, 3, 4, 5), True),
+    ("overlay", "overload"): (2050, (1, 2, 3, 4, 5), True),
     ("overlay", "relay_crash"): (696, (1, 3, 4, 5), True),
     ("multigroup", "crash"): (688, (1, 2, 3), True),
     ("multigroup", "overlap"): (1278, (1, 2, 3, 4), True),

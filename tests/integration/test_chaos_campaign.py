@@ -21,6 +21,8 @@ from repro.analysis.chaos import (
     LLFT_LEADER_PID,
     MODE_TABLE,
     chaos_config_for,
+    chaos_plan_for,
+    execute_plan,
     replay,
     sweep,
 )
@@ -68,6 +70,26 @@ def test_smoke_matrix_runs_clean():
         assert r.ok, f"{r.scenario} seed={r.seed}: {r.violations}"
         assert r.deliveries > 0
         assert PROTECTED_PID in r.final_members
+
+
+def test_the_overload_class_receives_batch_datagrams():
+    # Its credit queues drain in bursts after lulls, and each burst used
+    # to open with ~10 sends the adaptive window let bypass it: in seeds
+    # 0-9 no receiver saw a single BATCH datagram (12,465 bypasses).  A
+    # send released by the flow controller now always takes the window
+    batches = bypasses = 0
+    for seed in range(10):
+        result, cluster, _ = execute_plan(chaos_plan_for("active", "overload", seed),
+                                          chaos_config_for("active", "overload"))
+        snap = cluster.aggregate_snapshot()
+        cluster.stop()
+        assert result.ok, (seed, result.violations)
+        assert snap["group.1.batch.batches_received"] > 0, seed
+        assert snap["group.1.flow.sends_released"] > 0, seed
+        batches += snap["group.1.batch.batches_sent"]
+        bypasses += snap["group.1.batch.adaptive_bypasses"]
+    assert batches > 2000  # 2,415
+    assert bypasses < 4000  # 3,170
 
 
 def test_same_seed_reruns_identically():
