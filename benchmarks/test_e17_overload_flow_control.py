@@ -1,14 +1,14 @@
 """E17 (extension) — overload behaviour with stability-driven flow control.
 
-E12 showed the batched datapath saturating around 35 k msg/s (5 senders,
-64 B messages, 1 MB/s egress each): goodput pins at the knee while mean
-delivery latency collapses from ~0.3 ms to ~48 ms, because every message
+E12 finds the batched datapath's knee (5 senders, 64 B messages, 1 MB/s
+egress each) at :data:`BATCHED_KNEE_RATE` per sender: past it goodput
+pins while delivery latency grows without bound, because every message
 admitted beyond the egress bandwidth just waits in the NIC queue.  The
-fixed 1 ms batch window also taxes low-load latency ~3× (0.956 ms vs
-0.314 ms unbatched).
+fixed 1 ms batch window also taxes low-load latency ~3× against the
+unbatched path.
 
-This experiment extends the E12 sweep past the knee — 1.5×, 2× and 3×
-the saturation offered load — and measures the closed-loop datapath:
+This experiment offers 1.5×, 2× and 3× the knee's load and measures the
+closed-loop datapath:
 
 * ``flow_control_window`` bounds each sender's in-flight (sent but not
   yet stable) Regulars; offered load beyond it queues at the *sender*
@@ -34,12 +34,13 @@ from repro.core import FTMPConfig
 from repro.simnet import LinkModel, Network, Topology
 
 from _report import emit, emit_json
+from test_e12_throughput_saturation import BATCHED_KNEE_RATE
 
 PIDS = (1, 2, 3, 4, 5)
 MSG_SIZE = 64
 BANDWIDTH = 1_000_000  # 1 MB/s egress per processor
 PACKET_OVERHEAD = 66  # UDP + IP + Ethernet framing per datagram
-SATURATION_RATE = 7000  # per-sender msgs/s at the E12 knee (35 k total)
+SATURATION_RATE = BATCHED_KNEE_RATE  # per-sender msgs/s at the E12 knee
 WINDOW = 0.25
 BATCH_WINDOW = 0.001
 FC_WINDOW = 48  # in-flight Regulars per sender before backpressure

@@ -32,13 +32,14 @@ from repro.replication import llft_config
 from repro.simnet import LinkModel, Topology
 
 from _report import emit, emit_json
+from test_e12_throughput_saturation import BATCHED_KNEE_RATE
 
 PIDS = (1, 2, 3, 4, 5)
 LOW_LOAD_PIDS = (1, 2, 3)
 MSG_SIZE = 64
 BANDWIDTH = 1_000_000
 PACKET_OVERHEAD = 66
-OVERLOAD_RATE = 10_500  # per-sender msg/s ≈ 1.5× the E12 knee
+OVERLOAD_RATE = BATCHED_KNEE_RATE * 3 // 2  # per-sender msg/s: 1.5× the E12 knee
 SUSPECT_TIMEOUT = 0.150
 
 
