@@ -3,7 +3,7 @@
 PYTHON ?= python
 
 .PHONY: install test bench bench-diff perf perf-ab lint layering experiments \
-        examples soak chaos chaos-overlay chaos-multigroup explore \
+        examples soak chaos explore \
         cluster-demo cluster-smoke clean
 
 install:
@@ -65,15 +65,6 @@ chaos:
 	$(CHAOS) --seeds 20
 	$(CHAOS) --mode llft --seeds 10
 	$(CHAOS) --mode overlay --seeds 10
-	$(CHAOS) --mode multigroup --seeds 20
-
-# just the overlay leg (tree dissemination + relay_crash class)
-chaos-overlay:
-	$(CHAOS) --mode overlay --seeds 10
-
-# just the multi-group leg (genuine multicast over overlapping groups,
-# every run checked by the cross-group acyclicity oracle)
-chaos-multigroup:
 	$(CHAOS) --mode multigroup --seeds 20
 
 # schedule exploration: the mode's explored classes again, with every

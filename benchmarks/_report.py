@@ -164,7 +164,7 @@ def _derived_leaves(tree: Dict[str, Any]) -> Iterator[Tuple[str, float]]:
         yield ("derived.latency_ratio_llft_leader_over_active_p50",
                leader / active)
     # E21: overlay vs flat goodput at 100 members — sim-time ratio, so
-    # machine-independent, but soft-warn only while overlay_mode is
+    # machine-independent, but soft-warn only while tree dissemination is
     # young (deliberately NOT in GATED_METRICS)
     e21 = tree.get("e21_overlay_scaling", {})
     by_mode = {row.get("mode"): row for row in e21.get("series", [])

@@ -28,7 +28,6 @@ Head-to-head on the E17 harness, three axes:
 from repro.analysis import Table, summarize
 from repro.analysis.harness import TimedWorkload, make_cluster
 from repro.core import FTMPConfig
-from repro.replication import llft_config
 from repro.simnet import LinkModel, Topology
 
 from _report import emit, emit_json
@@ -51,8 +50,8 @@ def _base_config(**overrides) -> FTMPConfig:
 
 
 def _config(mode: str, **overrides) -> FTMPConfig:
-    cfg = _base_config(**overrides)
-    return llft_config(cfg) if mode == "llft" else cfg
+    ordering = "leader" if mode == "llft" else "symmetric"
+    return _base_config(ordering=ordering, **overrides)
 
 
 def _latencies(wl: TimedWorkload, receivers, senders=None):
@@ -90,10 +89,9 @@ def run_low_load(mode: str):
 
 
 def run_failover(mode: str):
+    # under llft the leader is pinned to the victim
     cfg = _config(mode, heartbeat_interval=0.010,
-                  suspect_timeout=SUSPECT_TIMEOUT)
-    if mode == "llft":
-        cfg = llft_config(cfg, leader=2)  # pin the leader to the victim
+                  suspect_timeout=SUSPECT_TIMEOUT, llft_leader_pid=2)
     cluster = make_cluster(PIDS, config=cfg, seed=9)
     try:
         survivors = (1, 3, 4, 5)

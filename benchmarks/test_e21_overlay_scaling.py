@@ -4,7 +4,7 @@ Flat dissemination in the no-IP-multicast regime (``unicast_fanout``)
 serializes every Regular once *per remote receiver* through the sender's
 bandwidth-limited egress, so a source's goodput collapses as O(1/n) and
 the §6 stability exchange needs O(n) heartbeat streams crossing every
-member.  The overlay (``overlay_mode``) routes Regulars over a
+member.  The overlay (``dissemination="tree"``) routes Regulars over a
 deterministic k-ary tree — every node, root included, pays at most
 ``overlay_fanout`` egress copies per message — and folds ack timestamps
 into per-edge AckSummaries, so stability converges in O(depth) hops.
@@ -51,7 +51,7 @@ def _config(n: int, overlay: bool) -> FTMPConfig:
         # liveness is not under test: generous timeout so queueing delay
         # behind the burst can never convict anyone
         suspect_timeout=1.0,
-        overlay_mode=overlay,
+        dissemination="tree" if overlay else "flat",
         overlay_fanout=FANOUT,
         overlay_summary_interval=interval,
     )

@@ -46,6 +46,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core import FlowControlSaturated, FTMPConfig
+from ..core.config import REJECTED_CELLS
 from ..core.multigroup import is_total_multigroup_delivery
 from ..replication.chaos import (
     PROTECTED_PID,
@@ -106,7 +107,9 @@ class ModeSpec:
     """One row of the mode × scenario table."""
 
     about: str
-    config: Dict[str, object]  #: FTMPConfig overrides, every class
+    #: FTMPConfig overrides, every class; names the row's ordering and
+    #: dissemination, the two axes ``matrix`` crosses
+    config: Dict[str, object]
     explored: Tuple[str, ...]  #: default classes under --policy pct|random
     cells: Dict[str, Cell] = field(default_factory=dict)
     excluded: Dict[str, str] = field(default_factory=dict)  #: class -> why
@@ -131,14 +134,15 @@ _CRASH_AGAIN = ("the designated victim means nothing to Skeen ordering: the "
 MODE_TABLE: Dict[str, ModeSpec] = {
     "active": ModeSpec(
         about="symmetric §6 Lamport order, all-member stability",
-        config={},
+        config={"ordering": "symmetric", "dissemination": "flat"},
         explored=("churn", "partition", "crash", "overload"),
     ),
     "llft": ModeSpec(
         about="leader-follower fast path, leader = the protected sponsor; "
               "history oracles bind over the final members only (virtual "
               "synchrony excuses a crashed member's speculative suffix)",
-        config={"llft_mode": True, "llft_leader_pid": 0},  # 0: smallest member
+        config={"ordering": "leader", "dissemination": "flat",
+                "llft_leader_pid": 0},  # 0: smallest member
         explored=("churn", "partition", "crash", "overload", "leader_crash"),
         cells={"leader_crash": Cell(
             "the leader is pinned to the crash victim: a takeover with "
@@ -161,7 +165,8 @@ MODE_TABLE: Dict[str, ModeSpec] = {
         # backoff matters here: dropped tree copies are repaired by flat
         # NACK recovery, and fixed-interval re-requests for holes a
         # congested relay cannot answer yet would sustain the congestion
-        config={"overlay_mode": True, "overlay_fanout": OVERLAY_FANOUT,
+        config={"ordering": "symmetric", "dissemination": "tree",
+                "overlay_fanout": OVERLAY_FANOUT,
                 "overlay_summary_interval": 0.040, "nack_backoff_factor": 2.0},
         explored=("churn", "partition", "crash", "overload", "relay_crash"),
         cells={
@@ -187,7 +192,7 @@ MODE_TABLE: Dict[str, ModeSpec] = {
     "multigroup": ModeSpec(
         about="Skeen multi-group multicast over three overlapping groups, "
               "plus the cross-group acyclicity oracle",
-        config={"multigroup_mode": True},
+        config={"ordering": "skeen", "dissemination": "flat"},
         explored=("churn", "partition", "crash", "overlap"),
         excluded={
             "combo": "outside the mix as drawn (environment classes + "
@@ -247,7 +252,7 @@ def chaos_plan_for(mode: str, scenario: str, seed: int) -> ChaosPlan:
     cell = spec.cells.get(scenario)
     if cell:
         plan.duration += cell.cooldown
-    if spec.config.get("multigroup_mode") and not plan.groups:
+    if spec.config["ordering"] == "skeen" and not plan.groups:
         # every class hosts an overlapping three-group layout (overlap
         # carries its own) so multi-group multicasts mix into the
         # traffic.  Generic classes budget crashes/leaves against the
@@ -310,7 +315,7 @@ def _schedule_traffic(cluster: Cluster, plan: ChaosPlan,
     # multi-group multicast, cycling through its addressable group-sets;
     # one in three of those is commutative (non-zero conflict class)
     mg_targets = (_mg_target_sets(plan)
-                  if plan.groups and cfg is not None and cfg.multigroup_mode
+                  if plan.groups and cfg is not None and cfg.ordering == "skeen"
                   else {})
 
     def send(pid: int) -> None:
@@ -644,14 +649,14 @@ def execute_plan(
     )
     result.violations += live_violations
     history = cluster.listeners
-    if cfg.llft_mode:
+    if cfg.ordering == "leader":
         # a crashed LLFT member's transcript can end in a speculative
         # suffix the survivors legitimately reorder: a dead leader
         # fast-path-delivered sends whose OrderInfos reached nobody, and
         # a dead follower may have adopted announcements every survivor
         # lost (the takeover batch re-sorts that parked set).  Virtual
         # synchrony excuses failed processors, so the history battery
-        # binds over the final membership only in llft mode.
+        # binds over the final membership only under leader ordering.
         history = {p: lst for p, lst in cluster.listeners.items()
                    if p in final}
     for gid in group_ids:
@@ -815,9 +820,16 @@ def load_artifact(path: str) -> Tuple[ChaosPlan, FTMPConfig, Schedule, bool]:
     replaying what it recorded when :meth:`ChaosPlan.generate` changes.
     An artifact without a ``schedule`` section (campaign artifacts
     before the runners merged) reads as the empty decision list: FIFO.
+    A config field :class:`FTMPConfig` no longer has is a ValueError
+    naming it.
     """
     with open(path, encoding="utf-8") as fh:
         artifact = json.load(fh)
+    known = {f.name for f in dataclasses.fields(FTMPConfig)}
+    for name in artifact["config"]:
+        if name not in known:
+            raise ValueError(f"config field {name!r} is not an FTMPConfig "
+                             "field (recorded by another version)")
     return (ChaosPlan.from_dict(artifact["plan"]),
             FTMPConfig(**artifact["config"]),
             Schedule.from_dict(artifact.get("schedule", {})),
@@ -856,15 +868,22 @@ def render_matrix() -> str:
             notes.append(note)
         return f"{sign}{notes.index(note) + 1}"
 
-    rows = [["mode", *SCENARIOS, "swept", "explored"]] + [
-        [mode, *(mark(spec, s) for s in SCENARIOS),
+    axes = ("ordering", "dissemination")
+    rows = [["mode", *axes, *SCENARIOS, "swept", "explored"]] + [
+        [mode, *(spec.config[axis] for axis in axes),
+         *(mark(spec, s) for s in SCENARIOS),
          str(len(spec.swept)), str(len(spec.explored))]
         for mode, spec in MODE_TABLE.items()]
     widths = [max(map(len, column)) for column in zip(*rows)]
+    # the rest of the cross product: pairs FTMPConfig refuses, and why
+    rows += [["", *(dict(cell)[axis] for axis in axes), f"rejected: {reason}"]
+             for cell, reason in REJECTED_CELLS.items()
+             if {knob for knob, _ in cell} == set(axes)]
     lines = ["  ".join(f"{c:<{w}}" for c, w in zip(row, widths)).rstrip()
              for row in rows]
     lines += ["", "s = swept by `run`; E = swept, and explored by default "
-                  "under --policy pct|random;", "- = not swept; N = note N"]
+                  "under --policy pct|random;", "- = not swept; N = note N; "
+                  "rejected = FTMPConfig refuses the pair"]
     lines += [f"[{i}] {note}" for i, note in enumerate(notes, 1)]
     lines += [f"{mode}: {spec.about}" for mode, spec in MODE_TABLE.items()]
     return "\n".join(lines)
@@ -922,7 +941,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(render_matrix())
         return 0
     if args.command == "replay":
-        result = replay(args.artifact, args.without_injection)
+        try:
+            plan, cfg, schedule, inject = load_artifact(args.artifact)
+        except ValueError as exc:  # an artifact this version cannot load
+            print(f"cannot replay {args.artifact}: {exc}")
+            return 2
+        result = run_plan(plan, cfg, schedule.replay_policy(),
+                          inject and not args.without_injection)
         print(f"replay of {args.artifact}: "
               f"{len(result.violations) or 'no'} violation(s) "
               f"({result.contested_choices} contested choices)")

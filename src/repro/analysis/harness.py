@@ -138,7 +138,7 @@ def make_multigroup_cluster(
     """
     net = Network(topology if topology is not None else lan(), seed=seed,
                   scheduler=scheduler)
-    cfg = config if config is not None else FTMPConfig(multigroup_mode=True)
+    cfg = config if config is not None else FTMPConfig(ordering="skeen")
     stacks: Dict[int, FTMPStack] = {}
     listeners: Dict[int, RecordingListener] = {}
     for pid in pids:

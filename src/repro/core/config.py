@@ -9,8 +9,9 @@ latency and network traffic").  All times are seconds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Dict, Tuple
 
-__all__ = ["FTMPConfig", "ClockMode"]
+__all__ = ["FTMPConfig", "ClockMode", "CHOICES", "REJECTED_CELLS"]
 
 
 class ClockMode:
@@ -20,17 +21,27 @@ class ClockMode:
     SYNCHRONIZED = "synchronized"
 
 
-#: ordering disciplines that replace the symmetric rule -> why each needs
-#: (flat dissemination, agreed delivery)
-_DISCIPLINE_NEEDS = {
-    "llft_mode": (
+#: every string field -> the values it may take
+CHOICES: Dict[str, Tuple[str, ...]] = {
+    "clock_mode": (ClockMode.LAMPORT, ClockMode.SYNCHRONIZED),
+    "delivery_mode": ("agreed", "safe"),
+    "ordering": ("symmetric", "leader", "skeen"),
+    "dissemination": ("flat", "tree"),
+}
+
+#: two settings no group runs together -> why.  Every other combination
+#: of CHOICES is legal (DESIGN.md, "Two seams"): the symmetric §6 rule
+#: composes with everything; an ordering that replaces it needs flat
+#: dissemination and agreed delivery.
+REJECTED_CELLS: Dict[Tuple[Tuple[str, str], Tuple[str, str]], str] = {
+    (("ordering", "leader"), ("dissemination", "tree")):
         "the leader fast path assumes flat dissemination of the leader stream",
+    (("ordering", "leader"), ("delivery_mode", "safe")):
         "the leader releases ahead of stability: nothing reaches the safe hold",
-    ),
-    "multigroup_mode": (
+    (("ordering", "skeen"), ("dissemination", "tree")):
         "over the tree a side group delivered 0 of 110 multi-group messages (non-atomic)",
+    (("ordering", "skeen"), ("delivery_mode", "safe")):
         "the commit wait spans groups; safe delivery would deadlock against it",
-    ),
 }
 
 #: nothing works at zero.  The first three are periods whose timer re-arms
@@ -132,41 +143,37 @@ class FTMPConfig:
     #: (legacy behaviour; queue depth still visible via fc_queue_depth).
     flow_queue_limit: int = 0
 
-    # --- LLFT leader-follower fast path (extension, arXiv 1004.1864) -----
-    #: Replace the symmetric Lamport total order with a leader-follower
-    #: ordering discipline: the leader's own reliable FIFO stream *is* the
-    #: total order.  The leader delivers its own Regulars immediately after
-    #: the local send (no all-member ack-stability wait on the critical
-    #: path) and assigns every other member's ordered messages a position
-    #: by multicasting small OrderInfo announcements inside its stream;
-    #: followers deliver by adopting the leader's order.  Stability (§6)
-    #: still advances asynchronously in the background off the piggybacked
-    #: acks — it keeps driving buffer GC and flow-control credits, it just
-    #: leaves the delivery critical path.  At a view change the §7.2 drain
-    #: machinery reconciles the leader's suffix so virtual synchrony
-    #: holds.  LLFT requires agreed delivery (``delivery_mode`` "safe" is
-    #: rejected).  False = the legacy symmetric ordering, bit-identical.
-    llft_mode: bool = False
-    #: Preferred leader pid for LLFT mode.  0 (default) auto-selects the
-    #: smallest pid of the current membership; a configured pid leads
-    #: whenever it is a member and the auto rule applies otherwise (so a
-    #: leader crash deterministically falls back to min(membership)).
+    # --- who decides the order, and how bytes travel (DESIGN.md, "Two seams")
+    #: "symmetric": the paper's §6 rule — deliver once every member's
+    #: stream is heard past a message's Lamport timestamp.
+    #: "leader": the LLFT leader-follower fast path (arXiv 1004.1864,
+    #: :mod:`repro.core.llft`) — the leader's reliable FIFO stream *is*
+    #: the total order; the leader delivers its own sends at send time and
+    #: announces everyone else's in OrderInfo Regulars, and stability
+    #: leaves the delivery critical path (it still drives buffer GC and
+    #: flow-control credits).
+    #: "skeen": genuine multi-group atomic multicast (arXiv 1904.07171,
+    #: :mod:`repro.core.multigroup`) — a message addressed to a set of
+    #: groups collects one Lamport position from each, commits at the max
+    #: and is delivered everywhere at that timestamp; only the addressed
+    #: groups take ordering steps, and a non-zero conflict class skips the
+    #: commit wait (Generic Multicast, arXiv 2410.01901).
+    #: All three run on the timestamps of ``clock_mode``.
+    ordering: str = "symmetric"
+    #: Preferred leader pid for ``ordering="leader"``.  0 (default)
+    #: auto-selects the smallest pid of the current membership; a
+    #: configured pid leads whenever it is a member and the auto rule
+    #: applies otherwise (so a leader crash deterministically falls back
+    #: to min(membership)).
     llft_leader_pid: int = 0
-
-    # --- overlay dissemination (extension, cf. arXiv 2309.14074) ---------
-    #: Route Regular messages and §6 stability over a deterministic k-ary
-    #: tree derived from the sorted current membership instead of the flat
-    #: IP-multicast fan-out.  Interior relays forward each Regular once
-    #: per subtree, and each relay folds its subtree's minimum
-    #: cover/ack timestamps into one compact AckSummary message up the
-    #: tree, so the root observes stability in O(depth) messages instead
-    #: of O(n); the resulting frontier is re-broadcast down the tree and
-    #: keeps driving buffer GC and flow-control credits unchanged.  The
-    #: tree is recomputed at every view install, so PGMP membership stays
-    #: the single source of truth.  NACK recovery, membership/control
-    #: traffic and the §7.2 drain stay flat multicast.  False = the
-    #: legacy flat dissemination, bit-identical.
-    overlay_mode: bool = False
+    #: "flat": the paper's IP-multicast fan-out to the group address.
+    #: "tree" (cf. FlexCast, arXiv 2309.14074, :mod:`repro.core.overlay`):
+    #: Regulars travel a deterministic k-ary tree over the sorted current
+    #: membership, recomputed at every view install, and each relay folds
+    #: its subtree's ack timestamps into one AckSummary up the tree, so the
+    #: root observes stability in O(depth) messages instead of O(n).  NACK
+    #: recovery, membership/control traffic and the §7.2 drain stay flat.
+    dissemination: str = "flat"
     #: Fan-out k of the dissemination tree (children per interior node).
     overlay_fanout: int = 4
     #: Period of the per-member AckSummary exchange along tree edges
@@ -174,22 +181,6 @@ class FTMPConfig:
     #: Also the liveness keepalive cadence between tree neighbours; the
     #: end-to-end stability latency is about 2 * depth * interval.
     overlay_summary_interval: float = 0.005
-
-    # --- multi-group atomic multicast (extension, arXiv 1904.07171) ------
-    #: Enable genuine multi-group atomic multicast: a message addressed
-    #: to a *set* of groups collects one Lamport position from each
-    #: addressed group's ordering core (a MultiGroupPropose riding that
-    #: group's totally-ordered stream), commits at the max over the
-    #: groups, and is delivered in every addressed group at the committed
-    #: timestamp — so any two multi-group messages are delivered in the
-    #: same relative order everywhere they are both delivered.  Only the
-    #: addressed groups exchange messages (genuineness): uninvolved
-    #: groups take zero ordering steps, preserving per-group sharding.
-    #: Messages declaring a non-zero conflict class commute with
-    #: different classes and skip the commit wait (Generic Multicast,
-    #: arXiv 2410.01901).  False = legacy single-group ordering,
-    #: bit-identical.
-    multigroup_mode: bool = False
 
     # --- delivery guarantee ----------------------------------------------
     #: "agreed" (default): deliver as soon as the total order is decided.
@@ -224,26 +215,12 @@ class FTMPConfig:
             raise ValueError(
                 "nack_backoff_factor must be at least 1.0, not "
                 f"{self.nack_backoff_factor!r}")
-        if self.delivery_mode not in ("agreed", "safe"):
-            raise ValueError(
-                f"delivery_mode must be 'agreed' or 'safe', not {self.delivery_mode!r}"
-            )
-        # Which combinations are legal, by axis (DESIGN.md, "Two seams"):
-        # the symmetric §6 rule composes with everything; a discipline
-        # that replaces it states what it needs of the other two axes.
-        chosen = [knob for knob in _DISCIPLINE_NEEDS if getattr(self, knob)]
-        if len(chosen) > 1:
-            raise ValueError(
-                f"{' and '.join(chosen)} are mutually exclusive: at most one "
-                "ordering discipline replaces the symmetric rule"
-            )
-        for knob in chosen:
-            flat_because, agreed_because = _DISCIPLINE_NEEDS[knob]
-            if self.overlay_mode:
-                raise ValueError(
-                    f"{knob} and overlay_mode are mutually exclusive: {flat_because}"
-                )
-            if self.delivery_mode == "safe":
-                raise ValueError(
-                    f"{knob} requires delivery_mode='agreed': {agreed_because}"
-                )
+        for knob, allowed in CHOICES.items():
+            if getattr(self, knob) not in allowed:
+                *head, last = map(repr, allowed)
+                raise ValueError(f"{knob} must be {', '.join(head)} or {last}, "
+                                 f"not {getattr(self, knob)!r}")
+        for cell, reason in REJECTED_CELLS.items():
+            if all(getattr(self, knob) == value for knob, value in cell):
+                (a, x), (b, y) = cell
+                raise ValueError(f"{a}={x!r} rules out {b}={y!r}: {reason}")

@@ -723,16 +723,17 @@ class ProcessorGroup:
         self.batch_stats = BatchStats()
         self.flow = FlowController(self, FlowControlStats())
         self.rmp = RMP(self)
-        # The two seams, chosen here and nowhere else (the legal
-        # combinations are FTMPConfig.__post_init__'s): how bytes and
-        # acks travel, and who decides the order.  The defaults are the
-        # paper's — flat fan-out, the symmetric §6 rule.
+        # The two seams, chosen here and nowhere else (which pairs are
+        # legal is config.REJECTED_CELLS's): how bytes and acks travel,
+        # and who decides the order.  The defaults are the paper's — flat
+        # fan-out, the symmetric §6 rule.
         cfg = stack.config
-        self.dissemination: Dissemination = (
-            OverlayDissemination(self) if cfg.overlay_mode else Dissemination())
-        discipline = (LeaderOrdering if cfg.llft_mode
-                      else SkeenOrdering if cfg.multigroup_mode else ROMP)
-        self.romp: ROMP = discipline(self, self.dissemination.stability_floor)
+        disseminations = {"flat": Dissemination, "tree": OverlayDissemination}
+        orderings = {"symmetric": ROMP, "leader": LeaderOrdering,
+                     "skeen": SkeenOrdering}
+        self.dissemination: Dissemination = disseminations[cfg.dissemination](self)
+        self.romp: ROMP = orderings[cfg.ordering](
+            self, self.dissemination.stability_floor)
         self.pgmp = PGMP(self)
         self.fault_detector = FaultDetector(self)
         self.send_path = SendPath(

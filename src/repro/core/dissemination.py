@@ -36,6 +36,9 @@ class Dissemination:
     #: ``(registry section, stats)`` pairs for the dissemination's counters
     extra_stats: Tuple[Tuple[str, object], ...] = ()
 
+    def __init__(self, group: object = None) -> None:
+        """Flat fan-out keeps no per-group state; a subclass may."""
+
     def egress(self, flat_transmit: Transmit) -> Transmit:
         """The send path's transmit function, given the flat one."""
         return flat_transmit

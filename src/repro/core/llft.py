@@ -5,7 +5,7 @@ delivered once *every* member's stream has been heard past its timestamp,
 which puts an all-member wait — heartbeat-bound at low load — on the
 delivery critical path.  The Low Latency Fault Tolerance line of work
 (arXiv 1004.1864) removes that wait with an asymmetric discipline, which
-``FTMPConfig.llft_mode`` enables:
+``FTMPConfig.ordering = "leader"`` selects:
 
 * **the total order is the leader's reliable FIFO stream.**  The leader's
   own ordered messages deliver at their position in its stream, carrying
@@ -36,8 +36,8 @@ delivery critical path.  The Low Latency Fault Tolerance line of work
 :class:`LeaderOrdering` is an ordering discipline: a :class:`~.romp.ROMP`
 subclass that keeps the shared clock / cover / ack / stability / GC
 bookkeeping and replaces the delivery decision through ROMP's discipline
-hooks (DESIGN.md, "Two seams").  It is constructed only when
-``llft_mode`` is on; with the knob off the stack runs plain ROMP.
+hooks (DESIGN.md, "Two seams").  It is constructed only under
+``ordering="leader"``; the default ``"symmetric"`` runs plain ROMP.
 
 Wire format: an announcement is an ordinary Regular message (it rides
 RMP's reliability, retention and batching unchanged) whose connection id

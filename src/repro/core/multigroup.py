@@ -41,7 +41,7 @@ released.  A committed entry is therefore deliverable the moment its key
 is minimal among the stage's backlog, with no additional cover check.
 
 **The delivery stage.**  :class:`SkeenOrdering` — the ordering discipline
-``multigroup_mode`` selects (DESIGN.md, "Two seams") — replaces ROMP's
+``ordering="skeen"`` selects (DESIGN.md, "Two seams") — replaces ROMP's
 release-at-decided-position hook: every released totally-ordered
 message enters a FIFO ``held`` stage (ordinary Regulars and the ordered
 membership messages) or the ``pending`` table (multi-group proposals

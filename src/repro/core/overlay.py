@@ -5,7 +5,7 @@ all members, and §6 stability waits for an ack timestamp from *every*
 member, so both datagram cost and the stability path grow linearly with
 group size.  Overlay-based atomic multicast (cf. FlexCast, arXiv
 2309.14074) keeps dissemination genuine while routing through a tree;
-``FTMPConfig.overlay_mode`` enables that discipline here:
+``FTMPConfig.dissemination = "tree"`` selects that discipline here:
 
 * **tree derivation.**  The members are arranged into a deterministic
   k-ary tree over the *sorted* current membership: the member at sorted
@@ -56,8 +56,8 @@ group size.  Overlay-based atomic multicast (cf. FlexCast, arXiv
   on top (evidence crosses up to ``depth`` hops of summary intervals).
 
 :class:`OverlayDissemination` is a :class:`~.dissemination.Dissemination`
-(DESIGN.md, "Two seams"), constructed only when ``overlay_mode`` is on;
-with the knob off the group holds the flat base class.
+(DESIGN.md, "Two seams"), constructed only under ``dissemination="tree"``;
+under the default ``"flat"`` the group holds the base class.
 """
 
 from __future__ import annotations

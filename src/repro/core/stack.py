@@ -155,7 +155,7 @@ class FTMPStack:
 
     def multicast_groups(self, group_ids: Tuple[int, ...], payload: bytes,
                          conflict_class: int = 0) -> int:
-        """Genuine multi-group atomic multicast (``multigroup_mode``).
+        """Genuine multi-group atomic multicast (``ordering="skeen"``).
 
         Delivers ``payload`` in every group of ``group_ids`` such that any
         two multi-group multicasts are delivered in the same relative
@@ -172,8 +172,8 @@ class FTMPStack:
         across groups.  Returns the multicast's ``mg_seq`` —
         ``(pid, mg_seq)`` identifies it across all its groups.
         """
-        if not self.config.multigroup_mode:
-            raise RuntimeError("multicast_groups requires multigroup_mode")
+        if self.config.ordering != "skeen":
+            raise RuntimeError("multicast_groups requires ordering='skeen'")
         gids = tuple(sorted(set(group_ids)))
         if not gids:
             raise ValueError("empty group set")
@@ -327,9 +327,6 @@ class FTMPStack:
             return
         self.stats.datagrams_received += 1
         try:
-            # ring-ingest path hands a memoryview over an immutable popped
-            # record: decode zero-copy; plain bytes (socket path) copy as
-            # before, so the default runtime is byte-identical
             msg = decode_view(raw) if raw.__class__ is memoryview else decode(raw)
         except CodecError:
             self.stats.decode_errors += 1

@@ -14,7 +14,6 @@ from .llft import (
     LeaderOrdering,
     LLFTStats,
     current_leader,
-    llft_config,
 )
 from .oracles import (
     Violation,
@@ -58,7 +57,6 @@ __all__ = [
     "LogReplayer",
     "ReplayReport",
     "PassiveReplicaController",
-    "llft_config",
     "current_leader",
     "ORDER_INFO_CID",
     "LeaderOrdering",

@@ -1,10 +1,10 @@
 """LLFT replication mode — the public face of the leader-follower path.
 
 The ordering engine itself lives in :mod:`repro.core.llft` (it is a
-datapath concern, wired under ROMP when ``FTMPConfig.llft_mode`` is on).
-This module is the replication-layer entry point: helpers to build an
-LLFT configuration, to ask a running stack who leads a group, and the
-re-exported engine types for tests and tooling.
+datapath concern, wired under ROMP when ``FTMPConfig.ordering`` is
+``"leader"``).  This module is the replication-layer entry point: a
+helper to ask a running stack who leads a group, and the re-exported
+engine types for tests and tooling.
 
 Semantics in one paragraph: the leader's reliable FIFO stream *is* the
 total order.  The leader delivers its own sends at send time and
@@ -18,31 +18,17 @@ chaos-oracle battery runs against the mode unchanged.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Optional
 
-from ..core import FTMPConfig, FTMPStack
+from ..core import FTMPStack
 from ..core.llft import ORDER_INFO_CID, LeaderOrdering, LLFTStats
 
 __all__ = [
-    "llft_config",
     "current_leader",
     "ORDER_INFO_CID",
     "LeaderOrdering",
     "LLFTStats",
 ]
-
-
-def llft_config(base: Optional[FTMPConfig] = None,
-                leader: int = 0) -> FTMPConfig:
-    """An :class:`FTMPConfig` with the LLFT fast path enabled.
-
-    ``base`` carries every other knob (defaults when omitted); ``leader``
-    pins the preferred leader pid — 0 keeps the deterministic fallback,
-    the smallest member pid.
-    """
-    cfg = base if base is not None else FTMPConfig()
-    return dataclasses.replace(cfg, llft_mode=True, llft_leader_pid=leader)
 
 
 def current_leader(stack: FTMPStack, group_id: int) -> Optional[int]:

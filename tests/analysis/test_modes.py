@@ -24,10 +24,14 @@ from repro.analysis.chaos import (
     render_matrix,
     sweep,
 )
+from repro.core.config import REJECTED_CELLS
 from repro.replication.chaos import SCENARIOS, ChaosPlan
 
 _ROOT = pathlib.Path(__file__).resolve().parents[2]
 CELLS = [(mode, s) for mode in MODE_TABLE for s in SCENARIOS]
+#: mode -> its (ordering, dissemination) pair
+PAIRS = {"active": ("symmetric", "flat"), "llft": ("leader", "flat"),
+         "overlay": ("symmetric", "tree"), "multigroup": ("skeen", "flat")}
 
 
 def test_every_cell_is_swept_or_excluded_with_a_reason():
@@ -51,8 +55,7 @@ def test_every_cell_builds_a_valid_config_and_plan(mode, scenario):
     # excluded cells too: leaving a class out of the sweep is not a
     # rejection, `--scenarios` still runs it
     cfg = chaos_config_for(mode, scenario)  # range-checked at construction
-    assert (cfg.llft_mode, cfg.overlay_mode, cfg.multigroup_mode) == (
-        mode == "llft", mode == "overlay", mode == "multigroup")
+    assert (cfg.ordering, cfg.dissemination) == PAIRS[mode]
     plan = chaos_plan_for(mode, scenario, 3)
     generated = ChaosPlan.generate(3, scenario)
     assert plan.events == generated.events
@@ -74,14 +77,22 @@ def test_matrix_is_what_experiments_md_embeds():
     assert block, "EXPERIMENTS.md E15 lost its `chaos matrix` block"
     assert block.group(1) == render_matrix(), (
         "regenerate: PYTHONPATH=src python -m repro.analysis.chaos matrix")
-    header, *rows = render_matrix().splitlines()[:5]
-    assert header.split() == ["mode", *SCENARIOS, "swept", "explored"]
-    assert [r.split()[0] for r in rows] == list(MODE_TABLE)
+    header, *rows = render_matrix().splitlines()[:7]
+    assert header.split() == ["mode", "ordering", "dissemination", *SCENARIOS,
+                              "swept", "explored"]
+    # the four runnable pairs, then the rest of ordering x dissemination
+    assert [r.split()[:3] for r in rows] == [
+        [mode, *PAIRS[mode]] for mode in MODE_TABLE] + [
+        ["leader", "tree", "rejected:"], ["skeen", "tree", "rejected:"]]
     for row, spec in zip(rows, MODE_TABLE.values()):
-        marks = dict(zip(SCENARIOS, row.split()[1:]))
+        marks = dict(zip(SCENARIOS, row.split()[3:]))
         # every excluded cell points at a note, i.e. prints its reason
         assert {s for s, m in marks.items() if m[0] == "-"} == set(spec.excluded)
         assert all(re.fullmatch(r"-\d+", marks[s]) for s in spec.excluded)
+    # a rejected pair prints the reason FTMPConfig raises with
+    for row, ordering in zip(rows[4:], ("leader", "skeen")):
+        reason = REJECTED_CELLS[("ordering", ordering), ("dissemination", "tree")]
+        assert row.endswith(f"rejected: {reason}")
 
 
 #: ChaosPlan.generate(seed, class).as_dict() for seeds 0-19, digested at

@@ -52,9 +52,9 @@ GOLDEN = Path(__file__).resolve().parents[1] / "data" / "golden" / "receive_path
 
 MODES: Dict[str, dict] = {
     "active": {},
-    "llft": dict(llft_mode=True),
-    "overlay": dict(overlay_mode=True, overlay_fanout=2),
-    "multigroup": dict(multigroup_mode=True),
+    "llft": dict(ordering="leader"),
+    "overlay": dict(dissemination="tree", overlay_fanout=2),
+    "multigroup": dict(ordering="skeen"),
 }
 SCENARIOS = ("steady", "lossy", "churn", "saturate", "batchchurn")
 #: scenarios that exist to pin BATCH reception

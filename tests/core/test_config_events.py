@@ -1,6 +1,7 @@
 """FTMPConfig and listener-utility tests."""
 
 import dataclasses
+import itertools
 
 import pytest
 
@@ -8,10 +9,13 @@ from repro.core import (
     ConnectionId,
     Delivery,
     FTMPConfig,
+    FTMPStack,
     Listener,
     RecordingListener,
     ViewChange,
 )
+from repro.core.config import CHOICES, REJECTED_CELLS
+from repro.simnet import Network, lan
 
 
 def test_config_is_frozen():
@@ -23,11 +27,10 @@ def test_config_is_frozen():
 @pytest.mark.parametrize("knobs, reason", [
     (dict(delivery_mode="Safe"), "must be 'agreed' or 'safe'"),
     (dict(delivery_mode="uniform"), "must be 'agreed' or 'safe'"),
-    (dict(llft_mode=True, delivery_mode="safe"), "requires delivery_mode='agreed'"),
-    (dict(multigroup_mode=True, delivery_mode="safe"), "requires delivery_mode='agreed'"),
-    (dict(llft_mode=True, multigroup_mode=True), "at most one ordering discipline"),
-    (dict(llft_mode=True, overlay_mode=True), "flat dissemination"),
-    (dict(multigroup_mode=True, overlay_mode=True), "non-atomic"),
+    # checked at construction, not first when a stack builds its clock
+    (dict(clock_mode="lamprot"), "must be 'lamport' or 'synchronized'"),
+    (dict(ordering="lamport"), "must be 'symmetric', 'leader' or 'skeen'"),
+    (dict(dissemination="overlay"), "must be 'flat' or 'tree'"),
 ])
 def test_config_rejects_what_it_would_otherwise_ignore(knobs, reason):
     with pytest.raises(ValueError, match=reason):
@@ -38,7 +41,7 @@ def test_config_rejects_what_it_would_otherwise_ignore(knobs, reason):
 @pytest.mark.parametrize("knobs, period", [
     (dict(), "heartbeat_interval"),
     (dict(), "nack_retry_interval"),
-    (dict(overlay_mode=True), "overlay_summary_interval"),
+    (dict(dissemination="tree"), "overlay_summary_interval"),
 ])
 def test_config_rejects_a_self_rearming_period_that_would_spin(knobs, period, value):
     # at zero the tick re-arms at the same instant: run_until() never
@@ -68,18 +71,33 @@ def test_config_rejects_an_out_of_range_value(knob, value, reason):
         FTMPConfig(**{knob: value})
 
 
-@pytest.mark.parametrize("knobs", [
-    dict(), dict(delivery_mode="safe"), dict(llft_mode=True),
-    dict(overlay_mode=True), dict(overlay_mode=True, delivery_mode="safe"),
-    dict(multigroup_mode=True),
-])
-def test_config_accepts_every_per_axis_legal_combination(knobs):
-    FTMPConfig(**knobs)
+AXES = ("ordering", "dissemination", "delivery_mode")
+CELLS = list(itertools.product(*(CHOICES[axis] for axis in AXES)))
+
+
+def _rejections(knobs):
+    return [reason for cell, reason in REJECTED_CELLS.items()
+            if all(knobs[knob] == value for knob, value in cell)]
+
+
+@pytest.mark.parametrize("cell", CELLS, ids="-".join)
+def test_config_legality_is_the_rejected_cells_table(cell):
+    knobs = dict(zip(AXES, cell))
+    reasons = _rejections(knobs)
+    if reasons:
+        with pytest.raises(ValueError) as info:
+            FTMPConfig(**knobs)
+        assert any(str(info.value).endswith(r) for r in reasons)
+    else:
+        # a legal cell names a class on both seams of ProcessorGroup
+        stack = FTMPStack(Network(lan()).endpoint(1), FTMPConfig(**knobs))
+        stack.create_group(1, 5001, (1,))
 
 
 def test_config_field_count_is_pinned():
     # a seam is not a knob: simplifying PRs add no field (ISSUE 17)
-    assert len(dataclasses.fields(FTMPConfig)) == 24
+    assert len(dataclasses.fields(FTMPConfig)) == 23
+    assert (len(CELLS), sum(not _rejections(dict(zip(AXES, c))) for c in CELLS)) == (12, 6)
 
 
 def test_default_listener_is_noop():

