@@ -51,8 +51,10 @@ experiments:
 examples:
 	@for ex in examples/*.py; do echo "== $$ex"; $(PYTHON) $$ex > /dev/null && echo OK || exit 1; done
 
+# the soak scenario — oracle battery and check_quiescence — over seeds
+# 0-39 (~20 s; tier-1 runs seed 99 only)
 soak:
-	$(PYTHON) -m pytest tests/integration/test_soak.py -v
+	PYTHONPATH=src $(PYTHON) tests/integration/test_soak.py
 
 # the one verification runner (python -m repro.analysis.chaos
 # {run,replay,matrix}; `matrix` prints which classes a mode sweeps,

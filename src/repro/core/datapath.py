@@ -72,7 +72,7 @@ from .pgmp import PGMP
 from .rmp import RMP
 from .romp import ROMP
 from .stats import GroupStats
-from .wire import CodecError, decode, encode, mark_retransmission
+from .wire import CodecError, decode, encode, mark_retransmission, peek_header
 
 if TYPE_CHECKING:  # pragma: no cover
     from random import Random
@@ -749,6 +749,13 @@ class ProcessorGroup:
 
         self._pending_ordered: List[Tuple[bytes, ConnectionId, int]] = []
         self._heard: Set[int] = set()
+        #: members that left in order -> when we last heard them since
+        #: (:meth:`_from_departed`)
+        self._departed: Dict[int, float] = {}
+        #: after our own ordered removal: (its timestamp, when we stop
+        #: anyway, members not yet heard acknowledging past it)
+        self._lingering: Optional[Tuple[int, float, Set[int]]] = None
+        self._linger_timer = None
         self._register_stats()
 
         if not joining:
@@ -836,6 +843,37 @@ class ProcessorGroup:
         self.dissemination.note_departure(pid, self.romp.order_ts(pid))
         self.romp.purge_source(pid)
         self._heard.discard(pid)
+        self._departed[pid] = self.now()
+        self.schedule(self.config.suspect_timeout, self._expire_departed, pid)
+
+    def _from_departed(self, msg: FTMPMessage) -> bool:
+        """True for a datagram from a member that left in order.
+
+        It keeps heartbeating after its removal until every member has
+        ordered that (:meth:`linger`), and copies of its messages answer
+        the laggards' NACKs: here, where the removal is ordered and the
+        member forgotten, either would re-create per-source state and
+        NACK the departed stream from 1.  Dropped until it has been
+        silent for ``suspect_timeout``, or an AddProcessor names it.
+        """
+        src = msg.header.source
+        if src in self._departed:
+            self._departed[src] = self.now()
+            return True
+        if msg.__class__ is AddProcessorMessage:
+            self._departed.pop(msg.new_member, None)
+        return False
+
+    def _expire_departed(self, pid: int) -> None:
+        heard = self._departed.get(pid)
+        if heard is None:
+            return
+        quiet = self.now() - heard
+        timeout = self.config.suspect_timeout
+        if quiet >= timeout * 0.999:  # float residue must not re-arm at +0
+            del self._departed[pid]
+        else:
+            self.schedule(timeout - quiet, self._expire_departed, pid)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -851,8 +889,17 @@ class ProcessorGroup:
         self.dissemination.activate()
 
     def stop(self) -> None:
+        if self._linger_timer is not None:
+            self._linger_timer.cancel()
+            self._linger_timer = None
+            self._endpoint.leave(self.address)
         if self.stopped:
             return
+        self._halt()
+        self._endpoint.leave(self.address)
+
+    def _halt(self) -> None:
+        """Stop every machine and timer; the address stays joined."""
         self.stopped = True
         self.send_path.stop()
         self.dissemination.stop()
@@ -860,12 +907,55 @@ class ProcessorGroup:
         self.rmp.stop()
         self.pgmp.stop()
         self._stack.registry.unregister_prefix(f"group.{self.group_id}")
-        self._endpoint.leave(self.address)
+
+    def linger(self, removal_ts: int) -> None:
+        """Our ordered removal (at ``removal_ts``) was delivered here.
+
+        A member that has not ordered it yet needs our stream heard past
+        ``removal_ts``, and the heartbeat that showed it may have been
+        lost; everyone who has ordered it has forgotten us, so nobody
+        could repeat it or convict us.  Halt, then keep heartbeating —
+        delivering nothing — until every member acknowledges past
+        ``removal_ts`` or ``suspect_timeout`` elapses; the stack then
+        stops the group.
+        """
+        self._halt()
+        waiting = set()
+        if self.romp.stability_timestamp() < removal_ts:
+            waiting = {p for p in self.membership if p != self.pid}
+        self._lingering = (removal_ts, self.now() + self.config.suspect_timeout,
+                           waiting)
+        self._linger_timer = self.schedule(self.config.heartbeat_interval,
+                                           self._linger_tick)
+
+    def _linger_tick(self) -> None:
+        _, deadline, waiting = self._lingering
+        if not waiting or self.now() >= deadline:
+            self._stack.end_leaving(self.group_id)
+            return
+        self.send(HeartbeatMessage)
+        self._linger_timer = self.schedule(self.config.heartbeat_interval,
+                                           self._linger_tick)
+
+    def hear_while_lingering(self, msg: FTMPMessage) -> None:
+        """A datagram for the group we were removed from: note whose
+        acknowledgement has passed our removal (a BATCH's parts carry it)."""
+        removal_ts, _, waiting = self._lingering
+        h = msg.header
+        if msg.__class__ is BatchMessage:
+            try:
+                h = peek_header(msg.parts[-1])
+            except (CodecError, IndexError):
+                return
+        if h.ack_timestamp >= removal_ts:
+            waiting.discard(h.source)
 
     # ------------------------------------------------------------------
     # datagram input (from the stack router)
     # ------------------------------------------------------------------
     def on_datagram(self, msg: FTMPMessage, raw: bytes) -> None:
+        if self._departed and self._from_departed(msg):
+            return
         self._ingress(msg, raw)
 
     def loop_back(self, raw: bytes) -> None:
@@ -886,6 +976,8 @@ class ProcessorGroup:
         self.dissemination.on_suspicion_changed()
 
     def pgmp_receive_ordered(self, msg: FTMPMessage) -> None:
+        if self.stopped:
+            return  # the ordering loop runs on past our own removal
         if self.join_barrier is not None:
             key = (msg.header.timestamp, msg.header.source)
             if key < self.join_barrier:
@@ -894,7 +986,8 @@ class ProcessorGroup:
 
     def deliver_regular(self, msg: RegularMessage) -> None:
         h = msg.header
-        if self.join_barrier is not None and (h.timestamp, h.source) < self.join_barrier:
+        if self.stopped or (self.join_barrier is not None
+                            and (h.timestamp, h.source) < self.join_barrier):
             return
         if self.legacy_keys:  # non-empty only after a fault view
             self.legacy_keys.discard((h.timestamp, h.source))
@@ -1049,7 +1142,9 @@ class ProcessorGroup:
         )
 
     def evict_self(self, reason: str, view_timestamp: int) -> None:
-        """We were removed (RemoveProcessor or exclusion by survivors)."""
+        """We were removed (RemoveProcessor or exclusion by survivors).
+        An ordered removal lingers (:meth:`linger`): the survivors of an
+        exclusion have synchronized without us, nobody waits for us."""
         self._stack.listener.on_view_change(
             ViewChange(
                 group=self.group_id,
@@ -1061,7 +1156,10 @@ class ProcessorGroup:
                 installed_at=self.now(),
             )
         )
-        self._stack.remove_group(self.group_id)
+        if reason == "remove":
+            self._stack.retire_group(self.group_id, view_timestamp)
+        else:
+            self._stack.remove_group(self.group_id)
 
     def seed_provisional_join(self, membership: Tuple[int, ...], view_timestamp: int,
                               join_barrier: Tuple[int, int]) -> None:

@@ -429,9 +429,13 @@ class OverlayDissemination(Dissemination):
                 self._best[p] = (max(seq, b[0]), max(ts, b[1]))
         # the self-summary replaces the heartbeat loopback: it advances
         # our own stream's order timestamp in our own cover gate.  Pure
-        # local bookkeeping, so it never touches the NIC.
-        g.send(AckSummaryMessage, AckSummaryMessage.KIND_DOWN, 0, 0,
-               address=LOOPBACK)
+        # local bookkeeping, so it never touches the NIC — and it waits
+        # while our own messages are still on their way back to us (in
+        # the batch window, or a flat send's self-copy): its sequence
+        # number ahead of them would be a gap in our own stream
+        if rmp.contiguous_top(me) == g.last_sent_seq:
+            g.send(AckSummaryMessage, AckSummaryMessage.KIND_DOWN, 0, 0,
+                   address=LOOPBACK)
         if me not in self._member_set:
             return
         now = g.now()

@@ -135,9 +135,10 @@ class ROMP:
         #: highest stability timestamp already reported upward (the
         #: flow-control credit window recycles on this signal)
         self._stable_notified = 0
-        #: fault-view drain (§7.2): (survivor set, cut timestamp) while a
-        #: synced fault view waits to be installed
-        self._transition: Optional[Tuple[FrozenSet[int], int]] = None
+        #: fault-view drain (§7.2): (survivor set, cut timestamp, synced
+        #: per-source sequence vector) while a synced fault view waits to
+        #: be installed
+        self._transition: Optional[Tuple[FrozenSet[int], int, Dict[int, int]]] = None
         #: membership tuple the incremental min trackers were built for;
         #: compared by identity (membership tuples are replaced, never
         #: mutated), so the steady-state staleness check is one ``is``
@@ -392,13 +393,21 @@ class ROMP:
             if self._transition is not None:
                 # Fault-view drain (§7.2): the old view's messages are
                 # delivered gated only on the survivors — the convicted
-                # member's stream is synced and can no longer grow — and
-                # nothing of the *new* view is delivered until the view
-                # is installed, so every survivor cuts its delivery
+                # member's stream counts up to its synced prefix only —
+                # and nothing of the *new* view is delivered until the
+                # view is installed, so every survivor cuts its delivery
                 # history at exactly the same timestamp.
-                survivors, cut = self._transition
+                survivors, cut, synced = self._transition
                 if ts > cut:
                     break
+                if (src not in survivors and src in synced
+                        and self._by_src[src][ts] > synced[src]):
+                    # past the synced prefix (a convicted member back from
+                    # a crash sends on): not every survivor holds it, and
+                    # the install purges it
+                    self._drop_keys(src, (ts,))
+                    queue = self._queue
+                    continue
                 if src not in self._gate_set and (ts, src) not in g.legacy_keys:
                     break
                 if not all(order.get(p, 0) >= ts for p in survivors):
@@ -577,19 +586,20 @@ class ROMP:
         """Start draining the old view's messages before a fault view.
 
         Until :meth:`end_transition`, queued messages with timestamp <=
-        ``cut_ts`` are delivered gated only on ``survivors`` (the convicted
-        member's synced stream cannot grow, so waiting on it would stall
-        forever), and messages of the new view (timestamp > ``cut_ts``)
-        are held back.  All survivors agree on ``cut_ts``, so their
+        ``cut_ts`` are delivered gated only on ``survivors`` (waiting on
+        the convicted member would stall forever), and messages of the new
+        view (timestamp > ``cut_ts``) are held back.  All survivors agree
+        on ``cut_ts``, so their
         delivery histories cut at exactly the same point — the virtual
         synchrony guarantee the oracles check.
 
         ``targets`` is the synchronized per-source sequence vector of the
-        round, for a discipline whose cut is a sequence number rather
-        than a timestamp; the symmetric rule ignores it.  (Discipline
-        hook, with :meth:`end_transition` and :meth:`transition_drained`.)
+        round: a convicted member's messages past it are dropped, not
+        drained — it can come back from a crash and send on.  (Discipline
+        hook, with :meth:`end_transition` and :meth:`transition_drained`;
+        a discipline whose cut is a sequence number cuts at ``targets``.)
         """
-        self._transition = (frozenset(survivors), cut_ts)
+        self._transition = (frozenset(survivors), cut_ts, dict(targets or {}))
         self.evaluate()
 
     def end_transition(self) -> None:

@@ -79,6 +79,9 @@ class FTMPStack:
         self.tracer: Optional[Tracer] = None
         self._allocator = allocator
         self._groups: Dict[int, ProcessorGroup] = {}
+        #: groups whose ordered removal of us was delivered, heartbeating
+        #: until every member has ordered it (``ProcessorGroup.linger``)
+        self._leaving: Dict[int, ProcessorGroup] = {}
         self._mg_seq = 0  #: multi-group multicast sequence, per origin stack
         self._stopped = False
         endpoint.set_receiver(self._on_datagram)
@@ -113,6 +116,7 @@ class FTMPStack:
             raise ValueError(f"group {group_id} already exists")
         if self.pid not in membership:
             raise ValueError("this processor must be part of the membership")
+        self.end_leaving(group_id)
         g = ProcessorGroup(self, group_id, address, membership)
         self._groups[group_id] = g
         self.listener.on_view_change(
@@ -135,6 +139,7 @@ class FTMPStack:
         """
         if group_id in self._groups:
             raise ValueError(f"group {group_id} already exists")
+        self.end_leaving(group_id)
         g = ProcessorGroup(self, group_id, address, membership=(), joining=True)
         self._groups[group_id] = g
         self.endpoint.join(address)
@@ -262,6 +267,7 @@ class FTMPStack:
                                    barrier_timestamp: Optional[int] = None) -> None:
         if group_id in self._groups:
             return
+        self.end_leaving(group_id)
         g = ProcessorGroup(self, group_id, address, membership)
         self._groups[group_id] = g
         if barrier_timestamp is not None:
@@ -345,13 +351,31 @@ class FTMPStack:
                 group.on_datagram(msg, raw)  # feed RMP so seq accounting holds
             return
         if group is None:
-            self.stats.unknown_group_drops += 1
+            leaving = self._leaving.get(h.group)
+            if leaving is not None:
+                leaving.hear_while_lingering(msg)
+            else:
+                self.stats.unknown_group_drops += 1
             return
         group.on_datagram(msg, raw)
 
     # ------------------------------------------------------------------
     def remove_group(self, group_id: int) -> None:
         g = self._groups.pop(group_id, None)
+        if g is not None:
+            g.stop()
+
+    def retire_group(self, group_id: int, removal_ts: int) -> None:
+        """Our ordered removal from the group was delivered: the group is
+        gone for the application at once, but it lingers on the wire."""
+        g = self._groups.pop(group_id, None)
+        if g is not None:
+            self._leaving[group_id] = g
+            g.linger(removal_ts)
+
+    def end_leaving(self, group_id: int) -> None:
+        """Stop a lingering group (it is done, or the id is reused)."""
+        g = self._leaving.pop(group_id, None)
         if g is not None:
             g.stop()
 
@@ -364,9 +388,10 @@ class FTMPStack:
         if self._stopped:
             return
         self._stopped = True
-        for g in list(self._groups.values()):
+        for g in list(self._groups.values()) + list(self._leaving.values()):
             g.stop()
         self._groups.clear()
+        self._leaving.clear()
         self.connections.stop()
         self.endpoint.close()
 

@@ -101,7 +101,13 @@ def run_once(seed, in_pass_decode):
     return wire_log, upcalls, counters, runs
 
 
-@pytest.mark.parametrize("seed", [3, 18])
+# The run cut short from inside is the leaver's: its own RemoveProcessor
+# delivered out of a gate entry in mid-batch stops its group with the rest
+# of the batch in hand.  Whether the datagram that completes the removal's
+# cover there is a batch or a single message is up to the loss stream, on
+# about 60 % of seeds; these two have it (a run of 5 cut at 2, one of 4
+# cut at 2).  Re-pick when NACK timing moves the stream.
+@pytest.mark.parametrize("seed", [4, 7])
 def test_runs_leave_the_wire_and_the_upcalls_as_part_by_part_does(seed):
     wire_log, upcalls, counters, runs = run_once(seed, in_pass_decode=True)
     ref_wire, ref_upcalls, ref_counters, ref_runs = run_once(seed, in_pass_decode=False)

@@ -8,13 +8,21 @@ so the cancellation edges are deterministic:
 * the pending NACK timer is cancelled when the gap fills before the
   randomized delay fires (no spurious RetransmitRequest);
 * a holder's scheduled retransmission is suppressed when another
-  holder's copy arrives first (paper §5 implosion avoidance).
+  holder's copy arrives first (paper §5 implosion avoidance);
+* the loss-detection window (``RMP.nack_window``) starts at and never
+  exceeds ``nack_delay``, shrinks only on a Karn-clean NACK round trip,
+  and widens past the reordering a spurious NACK revealed — and on real
+  groups it stays at ``nack_delay`` where nothing is lost or the round
+  trip is long.
 """
 
+import pytest
 from rmp_fake import FakeContext, feed, nack, regular
 
+from repro.analysis import make_cluster
 from repro.core import FTMPConfig
 from repro.core.rmp import RMP
+from repro.simnet import lan, wan
 
 
 def test_gap_arms_nack_timer_and_fires():
@@ -251,3 +259,130 @@ def test_default_backoff_factor_keeps_fixed_interval():
     ctx.scheduler.run_until(0.075)
     # 2 ms initial + every 10 ms: 2, 12, 22, ..., 72
     assert len(ctx.nacks) == 8
+
+
+# -- the loss-detection window (RMP.nack_window) ------------------------
+
+def _wait(ctx, dt):
+    ctx.scheduler.run_until(ctx.scheduler.now + dt)
+
+
+def _gap(ctx, rmp, seq):
+    """Source 1's ``seq`` arrives ahead of ``seq - 1``: returns when the
+    gap was detected."""
+    feed(rmp, regular(1, seq))
+    return ctx.scheduler.now
+
+
+def _round_trip(ctx, rmp, rtt):
+    """Source 1's message 2 is lost: NACK it and answer after ``rtt``."""
+    feed(rmp, regular(1, 1))
+    t0 = _gap(ctx, rmp, 3)
+    ctx.scheduler.run_until(t0 + rmp.nack_window)
+    assert ctx.nacks == [(1, 2, 2)]
+    _wait(ctx, rtt)
+    feed(rmp, regular(1, 2, retransmission=True))
+
+
+def test_the_first_nack_waits_exactly_nack_delay_until_a_round_trip():
+    ctx = FakeContext()
+    rmp = RMP(ctx)
+    delay = ctx.config.nack_delay
+    # reordering alone — a gap an original copy fills — does not shrink it
+    feed(rmp, regular(1, 1))
+    _gap(ctx, rmp, 3)
+    _wait(ctx, 0.0001)
+    feed(rmp, regular(1, 2))
+    assert rmp.nack_window == delay and rmp.stats.nack_window_us == 2000
+    t0 = _gap(ctx, rmp, 5)
+    ctx.scheduler.run_until(t0 + delay - 1e-9)
+    assert ctx.nacks == []
+    ctx.scheduler.run_until(t0 + delay)
+    assert ctx.nacks == [(1, 4, 4)]
+
+
+@pytest.mark.parametrize("rtt, window", [(0.0004, 0.0001), (0.009, 0.002)])
+def test_a_round_trip_sets_the_next_gaps_window_never_above_nack_delay(rtt, window):
+    ctx = FakeContext()
+    rmp = RMP(ctx)
+    _round_trip(ctx, rmp, rtt)
+    # rtt / 4 with no reordering seen, capped at nack_delay
+    assert rmp.nack_window == pytest.approx(window)
+    assert rmp.stats.nack_window_us == round(window * 1e6)
+    t0 = _gap(ctx, rmp, 5)
+    ctx.scheduler.run_until(t0 + rmp.nack_window * 0.999)
+    assert len(ctx.nacks) == 1
+    ctx.scheduler.run_until(t0 + rmp.nack_window)
+    assert ctx.nacks[1:] == [(1, 4, 4)]
+
+
+def test_a_spurious_nack_widens_the_window_past_the_reordering_it_revealed():
+    ctx = FakeContext()
+    rmp = RMP(ctx)
+    _round_trip(ctx, rmp, 0.0004)  # window 100 us
+    t0 = _gap(ctx, rmp, 5)
+    ctx.scheduler.run_until(t0 + rmp.nack_window)
+    assert ctx.nacks[-1] == (1, 4, 4)
+    _wait(ctx, 0.0002)
+    feed(rmp, regular(1, 4))  # the original copy, 300 us behind 5
+    assert rmp.stats.spurious_nacks == 1
+    assert rmp.nack_window == pytest.approx(2 * 0.0003)
+
+
+@pytest.mark.parametrize("ambiguity", ["another member asked too", "we retried"])
+def test_an_ambiguous_round_trip_is_not_sampled(ambiguity):
+    # Karn's rule: with two requests out for the message, the copy may
+    # answer the other one — a retransmission answering another member's
+    # earlier request can fill our gap microseconds after our NACK
+    ctx = FakeContext()
+    rmp = RMP(ctx)
+    feed(rmp, regular(1, 1))
+    t0 = _gap(ctx, rmp, 3)
+    ctx.scheduler.run_until(t0 + rmp.nack_window)
+    if ambiguity == "we retried":
+        _wait(ctx, ctx.config.nack_retry_interval)
+        assert len(ctx.nacks) == 2
+    else:
+        feed(rmp, nack(3, 1, 2, 2))
+    _wait(ctx, 0.000003)
+    feed(rmp, regular(1, 2, retransmission=True))
+    assert rmp.nack_window == ctx.config.nack_delay
+
+
+def _multicast_bursts(c, senders, bursts, spacing):
+    for i in range(bursts):
+        for k, s in enumerate(senders):
+            for j in range(4):  # four sends 10 us apart: jitter reorders them
+                c.net.scheduler.at(0.01 + i * spacing + k * 0.0001 + j * 0.00001,
+                                   c.stacks[s].multicast, 1, b"x")
+
+
+def _rmp_of(c, pids):
+    return [c.stacks[p].group(1).rmp for p in pids]
+
+
+def test_a_loss_free_group_with_jitter_sends_no_nack():
+    # learning from reordering alone is too tight early: without a round
+    # trip the window must not leave nack_delay, or jitter alone NACKs
+    pids = (1, 2, 3, 4, 5)
+    c = make_cluster(pids, topology=lan(), seed=5)
+    _multicast_bursts(c, pids, bursts=50, spacing=0.004)
+    c.run_for(0.5)
+    rmps = _rmp_of(c, pids)
+    assert sum(r.stats.out_of_order for r in rmps) > 50
+    assert sum(r.stats.nacks_sent for r in rmps) == 0
+    assert {r.nack_window for r in rmps} == {FTMPConfig().nack_delay}
+
+
+def test_on_a_wan_the_window_stays_at_nack_delay():
+    # 60-80 ms round trips: a quarter of one is far above nack_delay, so
+    # every NACK goes out as with the fixed wait (328 is what a fixed
+    # 2 ms wait sends on this run)
+    pids = (1, 2, 3)
+    c = make_cluster(pids, topology=wan(loss=0.05),
+                     config=FTMPConfig(suspect_timeout=30.0), seed=3)
+    _multicast_bursts(c, pids, bursts=40, spacing=0.01)
+    c.run_for(3.0)
+    rmps = _rmp_of(c, pids)
+    assert {r.nack_window for r in rmps} == {FTMPConfig().nack_delay}
+    assert sum(r.stats.nacks_sent for r in rmps) == 328

@@ -11,7 +11,9 @@ membership-change entry points (a join baseline, a departure).  After
 every step the two must agree on the upward call sequence, the NACKs
 sent, ``RMPStats``, and per source the expected sequence number, the
 highest one heard, the parked set, the armed NACK timer and its retry
-count — and the invariant the shortcut leans on must hold.
+count, the open gap's measurement, and the loss-detection window with
+what it learned from — and the invariant the shortcut leans on must
+hold.
 
 BATCH arrivals take the same test further: ``RMP.on_run`` is handed the
 batch's messages as the receive path hands them (what it does not take
@@ -165,9 +167,11 @@ def state_of(rmp, ctx):
         "sources": {
             src: (s.next_seq, s.highest_heard, sorted(s.pending),
                   s.nack_timer is not None, s.nack_retries,
-                  s.deferred_heartbeat is not None)
+                  s.deferred_heartbeat is not None,
+                  s.gap_seq, s.gap_at, s.nack_at, s.gap_requests)
             for src, s in rmp.sources().items()
         },
+        "window": (rmp.nack_window, list(rmp._rtts), rmp._reorder),
         "retained": sorted(ctx.buffer._store),
         "pending_events": ctx.scheduler.pending,
     }
@@ -248,8 +252,9 @@ def test_in_order_shortcut_matches_reference_model(steps):
             feed(ref, build())
         assert state_of(fast, fast_ctx) == state_of(ref, ref_ctx), step
         for s in fast.sources().values():
-            # what lets the shortcut skip ``_cancel_nack``'s reset
-            assert s.nack_timer is not None or s.nack_retries == 0
+            # what lets the shortcut skip ``_cancel_nack``'s reset and the
+            # gap measurement
+            assert s.nack_timer is not None or s.nack_retries == s.gap_seq == 0
 
 
 def batch_shape(sent, src, items):

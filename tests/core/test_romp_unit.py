@@ -206,6 +206,21 @@ def test_legacy_keys_allow_delivery_from_departed_member():
     assert [m.header.source for m in g.delivered] == [3]
 
 
+def test_the_fault_drain_drops_what_a_convicted_member_sends_past_its_synced_prefix():
+    # 3 is convicted with its stream synced through seq 1.  Back from a
+    # crash it sends on — seq 2, stamped by a clock that slept through the
+    # survivors' progress — and the drain must not deliver it behind (8, 2)
+    g = MockGroup(membership=(1, 2, 3))
+    r = ROMP(g)
+    r.receive(regular(3, ts=5, seq=1))
+    r.receive(regular(2, ts=8, seq=1))
+    r.receive_heartbeat(heartbeat(1, ts=9))
+    r.begin_transition(frozenset({1, 2}), cut_ts=20, targets={1: 0, 2: 1, 3: 1})
+    r.receive(regular(3, ts=6, seq=2))
+    assert [(m.header.timestamp, m.header.source) for m in g.delivered] == [(5, 3), (8, 2)]
+    assert r.queued() == 0 and r.transition_drained(20)
+
+
 def test_duplicate_keys_not_enqueued_twice():
     g = MockGroup(membership=(1, 2))
     r = ROMP(g)
