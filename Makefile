@@ -3,7 +3,7 @@
 PYTHON ?= python
 
 .PHONY: install test bench bench-diff perf perf-ab lint layering experiments \
-        examples soak chaos explore \
+        examples soak chaos chaos-diff explore \
         cluster-demo cluster-smoke clean
 
 install:
@@ -68,6 +68,12 @@ chaos:
 	$(CHAOS) --mode llft --seeds 10
 	$(CHAOS) --mode overlay --seeds 10
 	$(CHAOS) --mode multigroup --seeds 20
+
+# the legs above at BASE (git archive into a temp dir) and in this tree;
+# exits 1 on any differing output line (make chaos-diff BASE=<ref>)
+chaos-diff:
+	@test -n "$(BASE)" || { echo "usage: make chaos-diff BASE=<ref>"; exit 2; }
+	$(PYTHON) tools/chaos_diff.py $(BASE)
 
 # schedule exploration: the mode's explored classes again, with every
 # contested same-time scheduler choice permuted by a PCT policy

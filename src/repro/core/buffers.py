@@ -12,10 +12,10 @@ The buffer also tracks occupancy statistics for experiment E4.
 
 Hot-path engineering: :meth:`RetransmissionBuffer.collect` runs on every
 ack advance (per received datagram under load), so it must not rescan the
-store.  A lazy min-heap of ``(timestamp, key)`` entries makes it O(1) when
-nothing is reclaimable — the common case — and O(log n) per actually
-reclaimed message: entries whose key has already been removed by another
-path (``drop_source``, ``clear``) are simply popped on sight.
+store.  A min-heap of ``(timestamp, key)`` entries, one per retained
+message, makes it O(1) when nothing is reclaimable — the common case —
+and O(log n) per reclaimed message.  Nothing else removes a message: a
+departed member's copies stay to answer laggards until they are stable.
 """
 
 from __future__ import annotations
@@ -40,8 +40,7 @@ class RetransmissionBuffer:
 
     def __init__(self, gc_enabled: bool = True):
         self._store: Dict[Tuple[int, int], BufferedMessage] = {}
-        # lazy reclaim index: (timestamp, source, seq) pushed on add;
-        # entries for keys already removed elsewhere are skipped on pop
+        # reclaim index: (timestamp, source, seq) pushed on add
         self._ts_heap: List[Tuple[int, int, int]] = []
         self.gc_enabled = gc_enabled
         self.high_water_messages = 0
@@ -102,23 +101,7 @@ class RetransmissionBuffer:
         reclaimed = 0
         while heap and heap[0][0] <= stable_timestamp:
             _, source, seq = heapq.heappop(heap)
-            m = store.pop((source, seq), None)
-            if m is None:
-                continue  # already gone via drop_source/clear
-            self._bytes -= len(m.data)
+            self._bytes -= len(store.pop((source, seq)).data)
             reclaimed += 1
         self.total_reclaimed += reclaimed
         return reclaimed
-
-    def drop_source(self, source: int) -> int:
-        """Discard all messages from one source (after it leaves the group)."""
-        dead = [k for k in self._store if k[0] == source]
-        for k in dead:
-            self._bytes -= len(self._store[k].data)
-            del self._store[k]
-        return len(dead)
-
-    def clear(self) -> None:
-        self._store.clear()
-        self._ts_heap.clear()
-        self._bytes = 0

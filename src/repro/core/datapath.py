@@ -825,10 +825,8 @@ class ProcessorGroup:
         return src in self._heard
 
     def forget_member(self, pid: int) -> None:
-        # only graceful (ordered) departures route through here — the
-        # fault-view path below purges convicted members inline
-        self.fault_detector.forget(pid)
-        self.rmp.drop_source(pid)
+        # only graceful (ordered) departures route through here; the
+        # fault-view path below shares the purge (:meth:`_purge_member`)
         self.romp.purge_queue_of(pid)
         # Only a graceful (§7.1 ordered) departure hands the member's
         # final clock to the dissemination for re-emission: a laggard
@@ -841,10 +839,17 @@ class ProcessorGroup:
         # liveness at laggards, suppressing the very suspicion that lets
         # them join the §7.2 fault round — their only path to the new view.
         self.dissemination.note_departure(pid, self.romp.order_ts(pid))
-        self.romp.purge_source(pid)
-        self._heard.discard(pid)
+        self._purge_member(pid)
         self._departed[pid] = self.now()
         self.schedule(self.config.suspect_timeout, self._expire_departed, pid)
+
+    def _purge_member(self, pid: int) -> None:
+        """Drop the per-member state of every layer: the one purge of a
+        departure, ordered or convicted."""
+        self.fault_detector.forget(pid)
+        self.rmp.drop_source(pid)
+        self.romp.purge_source(pid)
+        self._heard.discard(pid)
 
     def _from_departed(self, msg: FTMPMessage) -> bool:
         """True for a datagram from a member that left in order.
@@ -1127,10 +1132,7 @@ class ProcessorGroup:
             self.romp.purge_queue_after(r, targets.get(r, 0))
             for key in self.romp.keys_from(r):
                 self.legacy_keys.add(key)
-            self.fault_detector.forget(r)
-            self.rmp.drop_source(r)
-            self.romp.purge_source(r)
-            self._heard.discard(r)
+            self._purge_member(r)
         for r in removed:
             self.romp.abort_origin(r)
         self.install_view(membership, view_timestamp, added=(), removed=removed,

@@ -7,7 +7,9 @@ RMP provides reliable *source-ordered* delivery to the ROMP/PGMP layers:
   and re-sends it periodically until the gap fills;
 * *any* processor holding a requested message may retransmit it; we add a
   randomized backoff with suppression so one copy usually answers a NACK
-  (the paper says only "may retransmit");
+  (the paper says only "may retransmit"), and keep what we know of each
+  message's repair in one :class:`Answer` that lives as long as the
+  retransmission buffer holds the message (§6 decides how long);
 * Heartbeats and ConnectRequests are passed through unreliably as they
   arrive (Figure 3); a heartbeat's sequence number also reveals gaps,
   because it repeats the sender's latest reliable sequence number;
@@ -29,15 +31,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Deque, Dict, Optional, Sequence, Set
+from typing import TYPE_CHECKING, Deque, Dict, Optional, Sequence
 
 from .constants import RELIABLE_TYPES, MessageType
-from .messages import (
-    AckSummaryMessage,
-    FTMPMessage,
-    HeartbeatMessage,
-    RetransmitRequestMessage,
-)
+from .messages import FTMPMessage, HeartbeatMessage, RetransmitRequestMessage
 
 if TYPE_CHECKING:  # pragma: no cover
     from .datapath import GroupContext
@@ -91,6 +88,19 @@ class SourceState:
         return self.next_seq - 1
 
 
+@dataclass(slots=True)
+class Answer:
+    """What we know of one retained message's repair.  Once the buffer no
+    longer holds the message and no answer of ours is pending, nothing
+    reads the record again: requests reach only buffered messages,
+    suppression only pending answers."""
+
+    requests: int = 0  #: RetransmitRequests that have named it
+    answered_at: float = float("-inf")  #: when we last committed to answering
+    timer: Optional[object] = None  #: our pending answer
+    pinned: bool = False  #: escalated or ablation answer: a copy must not cancel it
+
+
 class RMP:
     """One RMP instance per (processor, group) pair."""
 
@@ -108,13 +118,6 @@ class RMP:
     #: burst of up to this many retransmissions may go out back-to-back
     RETRANSMIT_BURST = 8
 
-    #: bound on the NACK-escalation count map; oldest keys are evicted
-    #: individually so in-flight escalations keep their counts
-    _NACK_COUNT_CAP = 4096
-
-    #: bound on the duplicate-request answer-time map; purged lazily
-    _ANSWERED_CAP = 4096
-
     #: the window's round trip is the least of this many latest ones: an
     #: ambiguous sample that slipped past Karn's rule ages out
     RTT_SAMPLES = 8
@@ -129,18 +132,13 @@ class RMP:
         self._rtts: Deque[float] = deque(maxlen=self.RTT_SAMPLES)
         #: the largest reordering an original copy filling a gap has shown
         self._reorder = 0.0
-        #: (source, seq) -> timer for our pending answer to someone's NACK
-        self._retransmit_jobs: Dict[tuple, object] = {}
-        #: (source, seq) -> how many RetransmitRequests we have seen for it
-        self._nack_counts: Dict[tuple, int] = {}
-        #: (source, seq) -> when we last committed to answering it
-        #: (duplicate-request suppression, ``nack_dedupe_window``)
-        self._answered: Dict[tuple, float] = {}
+        #: (source, seq) -> the repair record of a message someone NACKed
+        self._answers: Dict[tuple, Answer] = {}
+        #: prune the records nothing reads once the table is twice what
+        #: the last prune kept: amortized O(1) per record
+        self._prune_at = 0
         #: pacing token bucket, kept as the earliest next emission time
         self._pace_next = -1e9
-        #: keys in ``_retransmit_jobs`` whose pending answer must NOT be
-        #: cancelled by an arriving copy (escalated / ablation answers)
-        self._unsuppressible: Set[tuple] = set()
         self.stats = RMPStats(nack_window_us=round(self.nack_window * 1e6))
 
     # ------------------------------------------------------------------
@@ -157,7 +155,12 @@ class RMP:
         elif mtype == MessageType.RETRANSMIT_REQUEST:
             self._on_retransmit_request(msg)  # type: ignore[arg-type]
         elif mtype == MessageType.ACK_SUMMARY:
-            self._on_ack_summary(msg)  # type: ignore[arg-type]
+            # a stability summary's header is a Heartbeat's (same gap
+            # exposure and deferral); its per-source entries are global
+            # facts, taken whether or not the sender's stream is
+            # contiguous here
+            self._on_heartbeat(msg)  # type: ignore[arg-type]
+            self._g.dissemination.on_summary(msg)  # type: ignore[arg-type]
         # unknown types were already rejected by the codec
 
     # ------------------------------------------------------------------
@@ -279,50 +282,26 @@ class RMP:
     # ------------------------------------------------------------------
     def _on_heartbeat(self, msg: HeartbeatMessage) -> None:
         src = msg.header.source
-        st = self._state(src)
-        seq = msg.header.sequence_number
-        if seq > st.highest_heard:
-            st.highest_heard = seq
-        if seq > st.contiguous_top:
-            # The sender has reliable messages we lack: NACK them, and only
-            # hand the heartbeat to ROMP once we are contiguous (otherwise
-            # its timestamp would let ROMP order past a hole).
-            st.deferred_heartbeat = msg
-            self._note_gap(src, st)
+        if self.disclose(src, msg.header.sequence_number):
+            # The sender has reliable messages we lack: only hand the
+            # heartbeat to ROMP once we are contiguous (otherwise its
+            # timestamp would let ROMP order past a hole).
+            self._sources[src].deferred_heartbeat = msg
         else:
             self._g.romp.receive_heartbeat(msg)
 
-    def _on_ack_summary(self, msg: AckSummaryMessage) -> None:
-        """A stability summary: heartbeat semantics + aggregation.
-
-        The header carries the sender's live seq/timestamp/ack exactly
-        like a Heartbeat, so the same gap-exposure and deferral rules
-        apply; the aggregation payload is handed to the dissemination
-        unconditionally — its per-source entries are global facts, valid
-        whether or not the sender's own stream is currently contiguous
-        here.
-        """
-        src = msg.header.source
-        st = self._state(src)
-        seq = msg.header.sequence_number
-        if seq > st.highest_heard:
-            st.highest_heard = seq
-        if seq > st.contiguous_top:
-            st.deferred_heartbeat = msg
-            self._note_gap(src, st)
-        else:
-            self._g.romp.receive_heartbeat(msg)  # type: ignore[arg-type]
-        self._g.dissemination.on_summary(msg)
-
-    def disclose(self, src: int, seq: int) -> None:
+    def disclose(self, src: int, seq: int) -> bool:
         """Expose that reliable messages from ``src`` through ``seq``
-        exist (relayed progress entries): raise ``highest_heard`` and arm
-        NACK recovery for the gap, exactly as a heartbeat would."""
+        exist (a heartbeat's seq, a relayed progress entry): raise
+        ``highest_heard`` and arm NACK recovery for the gap.  True when
+        we lack some of them."""
         st = self._state(src)
         if seq > st.highest_heard:
             st.highest_heard = seq
         if seq > st.contiguous_top:
             self._note_gap(src, st)
+            return True
+        return False
 
     # ------------------------------------------------------------------
     # gap detection -> negative acknowledgements
@@ -428,67 +407,52 @@ class RMP:
             if st is not None and msg.start_seq <= st.gap_seq <= msg.stop_seq:
                 # a copy may now answer this request, not ours
                 st.gap_requests += 1
-        if not self._g.config.retransmit_any_holder and wanted_src != self._g.pid:
+        g = self._g
+        if not g.config.retransmit_any_holder and wanted_src != g.pid:
             return  # ablation A2: only the source answers
-        for buffered in self._g.buffer.range_for(wanted_src, msg.start_seq, msg.stop_seq):
+        answers = self._answers
+        for buffered in g.buffer.range_for(wanted_src, msg.start_seq, msg.stop_seq):
             key = (buffered.source, buffered.sequence_number)
-            if key in self._retransmit_jobs:
+            rec = answers.get(key)
+            if rec is None:
+                rec = answers[key] = Answer()
+                if len(answers) > self._prune_at:
+                    self._prune()
+            elif rec.timer is not None:
+                continue  # our answer is already pending
+            if self._is_duplicate_request(rec):
                 continue
-            if self._is_duplicate_request(key):
-                continue
-            if not self._g.config.retransmit_suppression:
-                # ablation A1: no backoff, no suppression (pacing still
-                # applies — the bucket is orthogonal to the ablation)
-                self._note_answered(key)
-                self._emit_unsuppressible(key, buffered.data)
-                continue
-            # pop + reinsert keeps the dict in recency order; the cap below
-            # evicts single keys — stalest first, never the key just
-            # touched, and never a key that is already escalating
-            # (count >= 2) while a colder victim exists
-            count = self._nack_counts[key] = self._nack_counts.pop(key, 0) + 1
-            while len(self._nack_counts) > self._NACK_COUNT_CAP:
-                victim = next(
-                    (k for k, c in self._nack_counts.items()
-                     if c < 2 and k != key), None
-                )
-                if victim is None:
-                    victim = next(k for k in self._nack_counts if k != key)
-                del self._nack_counts[victim]
-            if count >= 3 and wanted_src != self._g.pid:
+            if g.config.retransmit_suppression:
+                rec.requests += 1
+                if rec.requests < 3 or wanted_src == g.pid:
+                    # The original source answers at once; other holders
+                    # back off randomly and suppress if a copy shows up
+                    # first — avoids a retransmission implosion.
+                    delay = 0.0 if wanted_src == g.pid else g.rng.random() * self.RETRANSMIT_BACKOFF
+                    rec.timer = g.schedule(delay, self._answer, rec, buffered.data)
+                    continue
                 # The requester keeps asking: whatever copy it has been
                 # offered is not reaching it (e.g. the source's link to it
                 # is down).  Answer unsuppressibly so a different network
                 # path carries the message.
-                self._note_answered(key)
-                self._emit_unsuppressible(key, buffered.data)
-                continue
-            if wanted_src == self._g.pid:
-                # The original source answers immediately.
-                delay = 0.0
-            else:
-                # Other holders back off randomly and suppress if a copy
-                # shows up first — avoids a retransmission implosion.
-                delay = self._g.rng.random() * self.RETRANSMIT_BACKOFF
-            self._note_answered(key)
-            self._retransmit_jobs[key] = self._g.schedule(
-                delay, self._do_retransmit, key, buffered.data
-            )
+            # Ablation A1 answers every request so: no backoff, no
+            # suppression (pacing still applies; the bucket is orthogonal).
+            rec.pinned = True
+            self._answer(rec, buffered.data)
 
-    def _do_retransmit(self, key: tuple, raw: bytes, paced: bool = False) -> None:
-        if self._retransmit_jobs.pop(key, None) is None:
-            return
-        self._unsuppressible.discard(key)
+    def _answer(self, rec: Answer, raw: bytes, paced: bool = False) -> None:
+        """One answer step through the pacing bucket: send ``raw`` if it
+        has a token, else pend the answer on ``rec`` until its slot (a
+        repeated request then finds it pending, even with
+        ``nack_dedupe_window`` off; a copy cancels it unless pinned)."""
+        rec.timer = None
         if not paced:
             delay = self._pace_delay()
             if delay > 0.0:
-                # the bucket is dry: keep the answer pending (still
-                # suppressible by another holder's copy) until its slot
                 self.stats.retransmissions_paced += 1
-                self._retransmit_jobs[key] = self._g.schedule(
-                    delay, self._do_retransmit, key, raw, True
-                )
+                rec.timer = self._g.schedule(delay, self._answer, rec, raw, True)
                 return
+        rec.pinned = False
         self.stats.retransmissions_sent += 1
         self._g.retransmit_raw(raw)
 
@@ -517,58 +481,33 @@ class RMP:
         # positive delay (it would needlessly defer an in-burst emission)
         return delay if delay > 1e-9 else 0.0
 
-    def _emit_unsuppressible(self, key: tuple, raw: bytes) -> None:
-        """Send a retransmission that must not be cancelled by suppression,
-        deferring through the pacing bucket when it is dry.
-
-        A deferred answer stays under its real ``(source, seq)`` key so
-        a repeated RetransmitRequest for the same message hits the
-        pending-job check and cannot enqueue a second paced copy (even
-        with ``nack_dedupe_window`` disabled); the key is marked
-        unsuppressible so an arriving copy does not cancel it either.
-        """
-        delay = self._pace_delay()
-        if delay <= 0.0:
-            self.stats.retransmissions_sent += 1
-            self._g.retransmit_raw(raw)
-            return
-        self.stats.retransmissions_paced += 1
-        self._unsuppressible.add(key)
-        self._retransmit_jobs[key] = self._g.schedule(
-            delay, self._do_retransmit, key, raw, True
-        )
-
-    def _is_duplicate_request(self, key: tuple) -> bool:
-        """True when we committed to answering ``key`` inside the window."""
+    def _is_duplicate_request(self, rec: Answer) -> bool:
+        """True when we committed to answering ``rec``'s message inside
+        ``nack_dedupe_window``; otherwise we commit to it now."""
         window = self._g.config.nack_dedupe_window
         if window <= 0.0:
             return False
-        last = self._answered.get(key)
-        if last is not None and self._g.now() - last < window:
+        now = self._g.now()
+        if now - rec.answered_at < window:
             self.stats.duplicate_requests_suppressed += 1
             return True
+        rec.answered_at = now
         return False
 
-    def _note_answered(self, key: tuple) -> None:
-        window = self._g.config.nack_dedupe_window
-        if window <= 0.0:
-            return
-        now = self._g.now()
-        self._answered[key] = now
-        if len(self._answered) > self._ANSWERED_CAP:
-            cutoff = now - window
-            self._answered = {
-                k: t for k, t in self._answered.items() if t >= cutoff
-            }
-
     def _suppress_retransmission(self, src: int, seq: int) -> None:
-        key = (src, seq)
-        if key in self._unsuppressible:
-            return  # an escalated answer: a copy elsewhere must not cancel it
-        job = self._retransmit_jobs.pop(key, None)
-        if job is not None:
-            job.cancel()
+        rec = self._answers.get((src, seq))
+        if rec is not None and rec.timer is not None and not rec.pinned:
+            rec.timer.cancel()
+            rec.timer = None
             self.stats.retransmissions_suppressed += 1
+
+    def _prune(self) -> None:
+        """Drop the records nothing reads again: message reclaimed, no
+        answer of ours pending."""
+        buffer, answers = self._g.buffer, self._answers
+        for key in [k for k, r in answers.items() if r.timer is None and k not in buffer]:
+            del answers[key]
+        self._prune_at = 2 * len(answers)
 
     # ------------------------------------------------------------------
     # state management
@@ -592,30 +531,31 @@ class RMP:
             st.pending = {s: m for s, m in st.pending.items() if s > seq}
             if seq > st.highest_heard:
                 st.highest_heard = seq
-        # the source restarts its numbering at seq: escalation counts keyed
-        # to the old incarnation's sequence numbers are meaningless now
-        self._purge_nack_counts(src)
+        # the source restarts its numbering at seq: what we learnt of the
+        # old incarnation's messages is meaningless now
+        self._forget_answers(src, keep_pending=True)
 
     def drop_source(self, src: int) -> None:
         """Forget a source entirely (it left the membership)."""
         st = self._sources.pop(src, None)
         if st is not None:
             self._cancel_nack(st)
-        for key in [k for k in self._retransmit_jobs if k[0] == src]:
-            self._retransmit_jobs.pop(key).cancel()
-            self._unsuppressible.discard(key)
-        # Without this, a processor that leaves and rejoins with reset
-        # sequence numbers inherits stale >= 3 counts and every first NACK
-        # for a reused (src, seq) triggers an unsuppressed retransmit storm.
-        self._purge_nack_counts(src)
+        self._forget_answers(src, keep_pending=False)
 
-    def _purge_nack_counts(self, src: int) -> None:
-        for key in [k for k in self._nack_counts if k[0] == src]:
-            del self._nack_counts[key]
-        # the dedupe window must not suppress the first NACK for a reused
-        # (src, seq) from the source's next incarnation
-        for key in [k for k in self._answered if k[0] == src]:
-            del self._answered[key]
+    def _forget_answers(self, src: int, keep_pending: bool) -> None:
+        """Drop ``src``'s records: a source that rejoins with reset
+        sequence numbers must not inherit stale >= 3 counts (every first
+        NACK for a reused (src, seq) an unsuppressed retransmit) or answer
+        times.  A kept pending answer keeps its record, reset, because its
+        timer holds it."""
+        for key in [k for k in self._answers if k[0] == src]:
+            rec = self._answers[key]
+            if keep_pending and rec.timer is not None:
+                rec.requests, rec.answered_at = 0, float("-inf")
+                continue
+            if rec.timer is not None:
+                rec.timer.cancel()
+            del self._answers[key]
 
     def sources(self) -> Dict[int, SourceState]:
         """Read-only view of per-source state (used by PGMP seq vectors)."""
@@ -625,7 +565,7 @@ class RMP:
         """Cancel all timers (stack shutdown)."""
         for st in self._sources.values():
             self._cancel_nack(st)
-        for job in self._retransmit_jobs.values():
-            job.cancel()
-        self._retransmit_jobs.clear()
-        self._unsuppressible.clear()
+        for rec in self._answers.values():
+            if rec.timer is not None:
+                rec.timer.cancel()
+        self._answers.clear()

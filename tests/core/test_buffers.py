@@ -60,15 +60,6 @@ def test_range_for_yields_only_held():
     assert list(b.range_for(2, 1, 5)) == []
 
 
-def test_drop_source():
-    b = RetransmissionBuffer()
-    b.add(1, 1, 1, b"a")
-    b.add(2, 1, 1, b"bb")
-    assert b.drop_source(1) == 1
-    assert len(b) == 1
-    assert b.bytes == 2
-
-
 def test_counters():
     b = RetransmissionBuffer()
     b.add(1, 1, 1, b"a")
@@ -76,10 +67,3 @@ def test_counters():
     b.collect(2)
     assert b.total_added == 2
     assert b.total_reclaimed == 2
-
-
-def test_clear():
-    b = RetransmissionBuffer()
-    b.add(1, 1, 1, b"a")
-    b.clear()
-    assert len(b) == 0 and b.bytes == 0

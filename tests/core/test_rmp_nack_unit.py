@@ -9,6 +9,7 @@ so the cancellation edges are deterministic:
   randomized delay fires (no spurious RetransmitRequest);
 * a holder's scheduled retransmission is suppressed when another
   holder's copy arrives first (paper §5 implosion avoidance);
+* a message's answer record leaves with the buffer's copy of it;
 * the loss-detection window (``RMP.nack_window``) starts at and never
   exceeds ``nack_delay``, shrinks only on a Karn-clean NACK round trip,
   and widens past the reordering a spurious NACK revealed — and on real
@@ -143,12 +144,16 @@ def test_multi_hole_recovery_walks_hole_by_hole():
 
 
 # ----------------------------------------------------------------------
-# NACK escalation-count hygiene (purge on membership change, cap eviction)
+# answer-record hygiene (purge on membership change, prune on reclaim)
 # ----------------------------------------------------------------------
 def _nack_round(ctx, rmp, src, seq):
     """One full NACK round: request arrives, backoff elapses, answer sent."""
     feed(rmp, nack(3, src, seq, seq))
     ctx.scheduler.run_until(ctx.scheduler.now + rmp.RETRANSMIT_BACKOFF * 2)
+
+
+def _requests(rmp):
+    return {key: rec.requests for key, rec in rmp._answers.items()}
 
 
 def test_drop_source_purges_escalation_counts():
@@ -157,9 +162,9 @@ def test_drop_source_purges_escalation_counts():
     feed(rmp, regular(1, 1))
     _nack_round(ctx, rmp, 1, 1)
     _nack_round(ctx, rmp, 1, 1)
-    assert rmp._nack_counts == {(1, 1): 2}
+    assert _requests(rmp) == {(1, 1): 2}
     rmp.drop_source(1)
-    assert rmp._nack_counts == {}
+    assert rmp._answers == {}
 
 
 def test_set_baseline_purges_escalation_counts():
@@ -167,9 +172,9 @@ def test_set_baseline_purges_escalation_counts():
     rmp = RMP(ctx)
     feed(rmp, regular(1, 1))
     _nack_round(ctx, rmp, 1, 1)
-    assert rmp._nack_counts == {(1, 1): 1}
+    assert _requests(rmp) == {(1, 1): 1}
     rmp.set_baseline(1, 5)  # rejoin: the source restarts its numbering
-    assert rmp._nack_counts == {}
+    assert rmp._answers == {}
 
 
 def test_rejoined_source_first_nack_is_suppressible_again():
@@ -182,7 +187,7 @@ def test_rejoined_source_first_nack_is_suppressible_again():
     feed(rmp, regular(1, 1))
     for _ in range(3):  # escalate (1, 1) to count 3
         _nack_round(ctx, rmp, 1, 1)
-    assert rmp._nack_counts[(1, 1)] >= 3
+    assert rmp._answers[(1, 1)].requests >= 3
     rmp.drop_source(1)
     feed(rmp, regular(1, 1))  # new incarnation reuses seq 1
     before = len(ctx.retransmitted)
@@ -192,31 +197,38 @@ def test_rejoined_source_first_nack_is_suppressible_again():
     assert len(ctx.retransmitted) == before
 
 
-def test_nack_count_cap_evicts_cold_keys_first():
+def _keys_held(rmp):
+    """Every (source, seq) that any per-message table of ``rmp`` names."""
+    return {key for table in vars(rmp).values() if isinstance(table, (dict, set))
+            for key in table if isinstance(key, tuple)}
+
+
+def test_a_reclaimed_messages_record_is_pruned():
     ctx = FakeContext(pid=2)
     rmp = RMP(ctx)
-    rmp._NACK_COUNT_CAP = 3  # shrink the cap so the test stays small
-    for seq in range(1, 6):
-        feed(rmp, regular(1, seq))
+    for seq in (1, 2, 3):
+        feed(rmp, regular(1, seq))  # timestamp = seq
     _nack_round(ctx, rmp, 1, 1)
-    _nack_round(ctx, rmp, 1, 1)  # (1, 1) is escalating: count 2
-    for seq in (2, 3, 4, 5):
-        _nack_round(ctx, rmp, 1, seq)
-    assert len(rmp._nack_counts) <= 3  # bounded, not ever-growing
-    # per-key eviction spared the escalating key and dropped cold ones
-    assert rmp._nack_counts[(1, 1)] == 2
+    assert (1, 1) in _keys_held(rmp)
+    assert ctx.buffer.collect(1) == 1  # every member has message 1 now
+    _nack_round(ctx, rmp, 1, 2)
+    _nack_round(ctx, rmp, 1, 3)  # the table doubled: it prunes
+    assert (1, 1) not in _keys_held(rmp)
+    assert set(rmp._answers) == {(1, 2), (1, 3)}
 
 
-def test_nack_count_cap_bounds_even_when_all_keys_escalate():
+def test_the_table_stays_within_twice_its_live_records():
+    # a long lossy run: 10,000 messages NACKed once each, the ten newest
+    # still buffered; the table follows the buffer, with no cap
     ctx = FakeContext(pid=2)
     rmp = RMP(ctx)
-    rmp._NACK_COUNT_CAP = 2
-    for seq in range(1, 5):
+    for seq in range(1, 10_001):
         feed(rmp, regular(1, seq))
-    for seq in range(1, 5):
         _nack_round(ctx, rmp, 1, seq)
-        _nack_round(ctx, rmp, 1, seq)  # every key reaches count 2
-    assert len(rmp._nack_counts) <= 2
+        pending = sum(rec.timer is not None for rec in rmp._answers.values())
+        assert len(rmp._answers) <= 2 * (len(ctx.buffer) + pending)
+        ctx.buffer.collect(seq - 10)
+    assert rmp.stats.retransmissions_sent == 10_000
 
 
 # -- SRM-style retry backoff (nack_backoff_factor) ---------------------

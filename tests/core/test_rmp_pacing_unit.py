@@ -11,7 +11,7 @@ stack — ``test_rmp_nack_unit`` asserts that side.
 
 from rmp_fake import FakeContext, feed, nack, regular
 
-from repro.core import FTMPConfig
+from repro.core import FTMPConfig, encode
 from repro.core.rmp import RMP
 
 
@@ -35,6 +35,11 @@ def paced_holder(burst: int, **knobs):
     rmp = RMP(ctx)
     rmp.RETRANSMIT_BURST = burst
     return ctx, rmp
+
+
+def pending(rmp):
+    """Keys with an answer of ours pending."""
+    return [key for key, rec in rmp._answers.items() if rec.timer is not None]
 
 
 # ----------------------------------------------------------------------
@@ -114,8 +119,8 @@ def test_repeated_request_for_escalated_answer_not_amplified():
     # so with pacing on but the dedupe window off, every repeated
     # RetransmitRequest for the same escalated message enqueued another
     # paced copy — amplifying the recovery traffic the pacer bounds.
-    # The answer now pends under its real (source, seq) key and repeats
-    # hit the pending-job check.
+    # The answer now pends on its message's own record and repeats find
+    # it pending.
     ctx, rmp = paced_holder(burst=0, nack_dedupe_window=0.0)
     feed(rmp, regular(1, 1))
     for _ in range(2):
@@ -123,29 +128,29 @@ def test_repeated_request_for_escalated_answer_not_amplified():
         ctx.scheduler.run_until(ctx.scheduler.now + 1.0)
     sent_before = len(ctx.retransmitted)
     feed(rmp, nack(3, 1, 1, 1))  # third request: escalates, deferred
-    assert len(rmp._retransmit_jobs) == 1
+    assert pending(rmp) == [(1, 1)]
     for _ in range(3):  # repeats while the paced answer is still pending
         feed(rmp, nack(3, 1, 1, 1))
-    assert len(rmp._retransmit_jobs) == 1  # deduped, no second copy
+    assert pending(rmp) == [(1, 1)]  # deduped, no second copy
     ctx.scheduler.run_until(ctx.scheduler.now + 1.0)
     assert len(ctx.retransmitted) == sent_before + 1  # answered exactly once
-    assert rmp._retransmit_jobs == {}
+    assert pending(rmp) == []
 
 
 def test_unsuppressible_mark_cleared_after_answer_and_on_drop():
-    # The unsuppressible mark must not outlive the paced answer (or the
-    # source): a stale mark would shield future ordinary backoff answers
-    # for the same key from §5 suppression forever.
+    # The pin must not outlive the paced answer (or the source): a stale
+    # pin would shield future ordinary backoff answers for the same key
+    # from §5 suppression forever.
     ctx, rmp = paced_holder(burst=0)
     feed(rmp, regular(1, 1))
     for _ in range(3):  # third request escalates; let each answer drain
         feed(rmp, nack(3, 1, 1, 1))
         ctx.scheduler.run_until(ctx.scheduler.now + 1.0)
-    assert not rmp._unsuppressible
-    feed(rmp, nack(3, 1, 1, 1))  # escalated again: pending + marked
-    assert rmp._unsuppressible == {(1, 1)}
-    rmp.drop_source(1)  # source left: pending answer and mark both go
-    assert not rmp._unsuppressible and not rmp._retransmit_jobs
+    assert not rmp._answers[(1, 1)].pinned
+    feed(rmp, nack(3, 1, 1, 1))  # escalated again: pending + pinned
+    assert rmp._answers[(1, 1)].pinned and pending(rmp) == [(1, 1)]
+    rmp.drop_source(1)  # source left: pending answer and pin both go
+    assert rmp._answers == {}
 
 
 def test_ablation_no_suppression_still_paced():
@@ -162,11 +167,11 @@ def test_ablation_no_suppression_still_paced():
 def test_stop_cancels_paced_emissions():
     ctx, rmp = paced_source(n_msgs=10, rate=100.0, burst=0)
     feed(rmp, nack(3, 1, 1, 10))
-    assert rmp._retransmit_jobs  # deferred answers pending
+    assert pending(rmp)  # deferred answers pending
     rmp.stop()
     ctx.scheduler.run_until(1.0)
     assert ctx.retransmitted == []  # nothing fires after shutdown
-    assert rmp._retransmit_jobs == {}
+    assert rmp._answers == {}
 
 
 # ----------------------------------------------------------------------
@@ -218,9 +223,9 @@ def test_drop_source_purges_answered_records():
     ctx, rmp = paced_source(n_msgs=1, rate=0.0, dedupe=10.0)
     feed(rmp, nack(3, 1, 1, 1))
     ctx.scheduler.run_until(0.0)
-    assert rmp._answered
+    assert rmp._answers[(1, 1)].answered_at == 0.0
     rmp.drop_source(1)
-    assert rmp._answered == {}
+    assert rmp._answers == {}
     # the rejoined incarnation's first NACK for a reused seq is answered
     feed(rmp, regular(1, 1))
     feed(rmp, nack(3, 1, 1, 1))
@@ -229,13 +234,23 @@ def test_drop_source_purges_answered_records():
     assert rmp.stats.duplicate_requests_suppressed == 0
 
 
-def test_answered_map_bounded_by_cap():
-    ctx, rmp = paced_source(n_msgs=40, rate=0.0, dedupe=0.001)
-    rmp._ANSWERED_CAP = 16
-    for seq in range(1, 41):
-        feed(rmp, nack(3, 1, seq, seq))
-        ctx.scheduler.run_until(ctx.scheduler.now + 0.002)  # windows expire
-    assert len(rmp._answered) <= 17  # cap + the entry that triggered purge
+def test_a_pending_paced_answer_outlives_reclamation_and_goes_once():
+    # the buffer lets message 1 go while our paced answer to it pends:
+    # the answer carries its own copy and its record survives the prune
+    ctx, rmp = paced_holder(burst=0)
+    for seq in (1, 2, 3):
+        feed(rmp, regular(1, seq))  # timestamp = seq
+    feed(rmp, nack(3, 1, 1, 1))
+    ctx.scheduler.run_until(rmp.RETRANSMIT_BACKOFF * 2)
+    assert ctx.retransmitted == [] and pending(rmp) == [(1, 1)]  # paced
+    assert ctx.buffer.collect(1) == 1
+    feed(rmp, nack(3, 1, 2, 2))
+    feed(rmp, nack(3, 1, 3, 3))  # the table doubled: it prunes
+    feed(rmp, nack(4, 1, 1, 1))  # no copy here to answer with any more
+    assert (1, 1) in pending(rmp)
+    ctx.scheduler.run_until(1.0)
+    assert ctx.retransmitted.count(encode(regular(1, 1))) == 1
+    assert rmp.stats.retransmissions_sent == 3 and pending(rmp) == []
 
 
 # ----------------------------------------------------------------------
