@@ -20,6 +20,8 @@ from repro.simnet import Network, lan
 from _report import emit
 
 N_REQUESTS = 40
+#: the replicated runs' §5 heartbeat interval
+HEARTBEAT = 0.002
 
 
 class Echo:
@@ -58,7 +60,7 @@ def run_iiop():
 
 def run_ftmp(n_replicas: int):
     net = Network(lan(), seed=1)
-    mgr = ReplicaManager(net, config=FTMPConfig(heartbeat_interval=0.002))
+    mgr = ReplicaManager(net, config=FTMPConfig(heartbeat_interval=HEARTBEAT))
     ref = mgr.create_server_group(domain=7, object_group=100, object_key=b"echo",
                                   factory=Echo, pids=tuple(range(1, n_replicas + 1)))
     client = mgr.create_client(8, client_domain=3, client_group=200)
@@ -120,6 +122,9 @@ def test_e8_giop_end_to_end():
     assert ftmp3.mean < 50 * iiop.mean
     # replication degree barely moves the latency (multicast, not unicast)
     assert results["ftmp, 3 replicas"].mean < 3 * results["ftmp, 1 replica"].mean
+    # members heartbeat at once on connection traffic: an invocation does
+    # not wait for the periodic tick
+    assert ftmp3.p50 < HEARTBEAT
     # fault transparency: the crash cost no requests and raised no errors
     assert fault_driver.completed == N_REQUESTS
     assert not fault_driver.errors

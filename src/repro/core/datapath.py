@@ -95,6 +95,9 @@ __all__ = [
 #: (``batch_adaptive``) to engage coalescing: the break-even batch size.
 BATCH_MIN_FILL = 4
 
+#: the interned connection id of Regulars outside any logical connection
+_NO_CONNECTION = ConnectionId.none()
+
 
 class FlowControlSaturated(RuntimeError):
     """A multicast exceeded ``flow_queue_limit`` backpressured sends.
@@ -374,8 +377,15 @@ class SendPath:
         self._timers = NamedTimerSet(ctx.schedule)
         #: periodic dissemination traffic stands in for §5 heartbeats
         self._heartbeats_replaced = ctx.dissemination.replaces_heartbeats
+        #: connection Regulars are covered at once (:meth:`cover`)
+        self._covers = ctx.romp.covers_connections and not self._heartbeats_replaced
         self._seq = 0
         self._last_send_time = -1e9
+        #: timestamp of the last stamped reliable message or Heartbeat:
+        #: every member hears us past it
+        self._stamped = 0
+        #: the largest connection Regular timestamp a cover is armed for
+        self._cover_due = 0
         self._pending: List[bytes] = []
         self._pending_bytes = 0
         self._stopped = False
@@ -420,6 +430,7 @@ class SendPath:
             # RetransmitRequests must not starve the heartbeat, because
             # receivers need the stream's timestamps to keep ordering.
             self._last_send_time = self._ctx.now()
+            self._stamped = h.timestamp
         if self._ctx._stack.tracer is not None:
             self._ctx.trace("send", type=mtype.name, seq=h.sequence_number,
                             ts=h.timestamp)
@@ -587,6 +598,33 @@ class SendPath:
                 self._ctx.send(HeartbeatMessage)
         self._arm_heartbeat()
 
+    def cover(self, msg: RegularMessage) -> None:
+        """A Regular on a §4 logical connection arrived.
+
+        Connection traffic is request/reply: whoever receives a Request
+        or a Reply has nothing to send until it is delivered, and no
+        member delivers it until every member is heard past it — by the
+        periodic tick, two heartbeat intervals later.  Unless we have
+        stamped something since ``msg``'s timestamp, send the §5 null
+        message on the next scheduler turn instead: one for however many
+        Regulars arrive in the meantime, none if we send anything first.
+        """
+        ts = msg.header.timestamp
+        if (not self._covers or ts <= self._stamped
+                or self._ctx._stack.connection_binding(msg.connection_id) is None):
+            return
+        if ts > self._cover_due:
+            self._cover_due = ts
+        if not self._timers.is_armed("cover"):
+            self._timers.arm("cover", 0.0, self._cover_tick)
+
+    def _cover_tick(self) -> None:
+        if self._stopped or self._ctx.joining or self._stamped >= self._cover_due:
+            return
+        self._stats.heartbeats_sent += 1
+        self._stats.cover_heartbeats += 1
+        self._ctx.send(HeartbeatMessage)
+
     # ------------------------------------------------------------------
     def stop(self) -> None:
         if self._stopped:
@@ -612,7 +650,8 @@ class ReceivePath:
         g = self._g
         if g.stopped:
             return
-        if msg.__class__ is BatchMessage:
+        cls = msg.__class__
+        if cls is BatchMessage:
             self._on_batch(msg)
             return
         if g.joining:
@@ -636,6 +675,8 @@ class ReceivePath:
         # the message up and does not fold it in twice.
         g.romp.observe_header(msg.header)
         g.rmp.on_message(msg, raw)
+        if cls is RegularMessage and msg.connection_id is not _NO_CONNECTION:
+            g.send_path.cover(msg)
 
     def _on_batch(self, msg: BatchMessage) -> None:
         """Unpack one envelope.  Its parts are one sender's messages in
@@ -655,6 +696,9 @@ class ReceivePath:
             # the ``recv`` trace events and the join gate are per part
             if run and not g.joining and g._stack.tracer is None:
                 taken = g.rmp.on_run(run, parts)
+                for i in range(taken):
+                    if run[i].connection_id is not _NO_CONNECTION:
+                        g.send_path.cover(run[i])
             for i in range(taken, len(run)):
                 self.on_datagram(run[i], parts[i])
             return

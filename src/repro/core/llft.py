@@ -119,6 +119,9 @@ class LeaderOrdering(ROMP):
     #: datagram comfortably under the batcher's size limits)
     _ANNOUNCE_CAP = 64
 
+    #: the leader's stream is the order: a follower's cover gates nothing
+    covers_connections = False
+
     def __init__(self, group: "ProcessorGroup",
                  stability_floor: Optional[Callable[[], int]] = None):
         super().__init__(group, stability_floor)

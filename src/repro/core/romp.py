@@ -94,6 +94,11 @@ class ROMP:
     #: next to ``romp`` for a discipline's own counters
     extra_stats: Tuple[Tuple[str, object], ...] = ()
 
+    #: discipline hook — a member that receives a connection Regular
+    #: heartbeats at once (the datapath's cover heartbeat), because the
+    #: §6 gate waits until every member is heard past it
+    covers_connections = True
+
     @staticmethod
     def _release(g: "GroupContext", msg: FTMPMessage) -> None:
         """Discipline hook — hand one message upward at its decided

@@ -46,6 +46,9 @@ class GroupStats:
 
     regulars_sent: int = 0
     heartbeats_sent: int = 0
+    #: of ``heartbeats_sent``: sent at once for a received connection
+    #: Regular (``SendPath.cover``)
+    cover_heartbeats: int = 0
     ordered_sends_deferred: int = 0
 
 

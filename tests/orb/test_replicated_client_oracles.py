@@ -182,7 +182,7 @@ def test_copy_ordered_between_request_and_reply_is_suppressed_and_resolves():
     # replica 9 lags by less than the ordering hop: its copy is ordered
     # after replica 8's Request and ahead of every Reply
     net.scheduler.schedule(
-        0.0002, lambda: futs.__setitem__(9, orbs[9].proxy(REF).put("k", b"v")))
+        0.00005, lambda: futs.__setitem__(9, orbs[9].proxy(REF).put("k", b"v")))
     net.run_for(0.5)
     group = connection_group(stacks, adapters, 8)
     assert giop_trail(recorders[1], group, 2) == [

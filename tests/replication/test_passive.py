@@ -120,7 +120,7 @@ def test_failover_replays_unconfirmed_suffix():
     futs = [proxy.incr(1) for _ in range(5)]  # pipelined, no waiting
     # crash the primary just after the burst reaches it (before all of its
     # state updates are ordered at the backups)
-    net.scheduler.schedule(0.0004, net.crash, 1)
+    net.scheduler.schedule(0.0002, net.crash, 1)
     net.run_for(2.5)
     assert all(f.done for f in futs)
     assert sorted(f.result() for f in futs) == [2, 3, 4, 5, 6]
