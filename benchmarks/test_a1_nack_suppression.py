@@ -10,7 +10,7 @@ scheme exists to avoid); recovery remains correct either way.
 
 from repro.analysis import Table, make_cluster
 from repro.core import FTMPConfig
-from repro.simnet import lossy_lan
+from repro.simnet import lan
 
 from _report import emit
 
@@ -19,7 +19,7 @@ GROUP = tuple(range(1, 9))  # 8 processors: plenty of redundant holders
 
 def run_point(suppression: bool):
     cfg = FTMPConfig(suspect_timeout=30.0, retransmit_suppression=suppression)
-    c = make_cluster(GROUP, topology=lossy_lan(0.10), config=cfg, seed=17)
+    c = make_cluster(GROUP, topology=lan(loss=0.10), config=cfg, seed=17)
     for i in range(40):
         c.net.scheduler.at(0.002 * i, c.stacks[1].multicast, 1, f"m{i}".encode())
     c.run_for(4.0)

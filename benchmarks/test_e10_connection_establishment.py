@@ -10,7 +10,7 @@ any traffic.
 from repro.analysis import Table, make_cluster
 from repro.core import ConnectionId, FTMPConfig
 from repro.core.constants import HANDSHAKE_RESEND_INTERVAL
-from repro.simnet import lossy_lan
+from repro.simnet import lan
 
 from _report import emit
 
@@ -21,7 +21,7 @@ LOSS_RATES = (0.0, 0.1, 0.3)
 def run_handshake(loss: float, seed: int = 5):
     cfg = FTMPConfig(suspect_timeout=30.0)
     c = make_cluster((1, 2, 8, 9), create_group=False,
-                     topology=lossy_lan(loss), config=cfg, seed=seed)
+                     topology=lan(loss=loss), config=cfg, seed=seed)
     for pid in (1, 2):
         c.stacks[pid].serve(domain=7, object_group=100, server_pids=(1, 2))
     t0 = c.net.scheduler.now

@@ -7,7 +7,7 @@ delivery latency growing with the loss rate (the recovery cost curve).
 
 from repro.analysis import Table, TimedWorkload, make_cluster, summarize
 from repro.core import FTMPConfig
-from repro.simnet import lossy_lan
+from repro.simnet import lan
 
 from _report import emit
 
@@ -16,7 +16,7 @@ LENIENT = FTMPConfig(suspect_timeout=30.0)
 
 
 def run_point(loss: float):
-    cluster = make_cluster((1, 2, 3), topology=lossy_lan(loss),
+    cluster = make_cluster((1, 2, 3), topology=lan(loss=loss),
                            config=LENIENT, seed=13)
     w = TimedWorkload(cluster)
     for i in range(60):

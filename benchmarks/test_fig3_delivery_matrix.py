@@ -17,7 +17,7 @@ totally-ordered? with the Connect / AddProcessor exceptions) from
 
 from repro.analysis import Table, make_cluster
 from repro.core import FTMPConfig, FTMPStack, RecordingListener
-from repro.simnet import lossy_lan
+from repro.simnet import lan
 
 from _report import emit
 
@@ -26,7 +26,7 @@ LENIENT = FTMPConfig(suspect_timeout=30.0)
 
 def observe_regular_and_heartbeat():
     """Lossy run: Regulars all recovered; heartbeats are fire-and-forget."""
-    c = make_cluster((1, 2, 3), topology=lossy_lan(0.2), config=LENIENT, seed=4)
+    c = make_cluster((1, 2, 3), topology=lan(loss=0.2), config=LENIENT, seed=4)
     for i in range(30):
         c.net.scheduler.at(0.001 * i, c.stacks[1].multicast, 1, f"m{i}".encode())
     c.run_for(3.0)
@@ -85,7 +85,7 @@ def observe_connect_exception():
     """ConnectRequest is retried; Connect is retransmitted to the client."""
     from repro.core import ConnectionId
 
-    c = make_cluster((1, 2, 8), create_group=False, topology=lossy_lan(0.5),
+    c = make_cluster((1, 2, 8), create_group=False, topology=lan(loss=0.5),
                      config=LENIENT, seed=9)
     cid = ConnectionId(3, 200, 7, 100)
     for pid in (1, 2):

@@ -259,6 +259,8 @@ class FlowController:
         self._queue: Deque[Tuple[bytes, ConnectionId, int]] = deque()
         #: true while :meth:`drain` hands a queued send to the send path
         self.releasing = False
+        #: a :meth:`_release` is scheduled for the next scheduler turn
+        self._release_armed = False
 
     @property
     def enabled(self) -> bool:
@@ -319,11 +321,26 @@ class FlowController:
             self.stats.sends_admitted += 1
 
     def on_stability(self, stable: int) -> None:
-        """Stability advanced: recycle credits, drain queued sends."""
+        """Stability advanced: recycle credits now, release queued sends
+        on the next scheduler turn.
+
+        Most advances are read off a datagram's header, before that
+        datagram's messages are delivered.  A send released at once
+        would carry the acknowledgement from before the deliveries the
+        same datagram makes possible, and its peers' stability, and so
+        their credits, would wait for the next one.
+        """
         inflight = self._inflight
         while inflight and inflight[0] <= stable:
             inflight.popleft()
-        self.drain()
+        if self._queue and not self._release_armed:
+            self._release_armed = True
+            self._g.schedule(0.0, self._release)
+
+    def _release(self) -> None:
+        self._release_armed = False
+        if not self._g.stopped:
+            self.drain()
 
     def drain(self) -> None:
         """Release queued sends while credits last — never past a barrier.

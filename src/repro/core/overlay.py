@@ -323,13 +323,11 @@ class OverlayDissemination(Dissemination):
                 or raw[_FLAGS_OFFSET] & _FLAG_RETRANSMISSION):
             transmit(address, raw)
             return
-        # The self-copy preserves the flat path's loopback delivery but
-        # never touches the NIC.  The flat path's self-copy rides the
-        # single group serialization for free (IP-multicast loopback); a
-        # real unicast deployment hands its own copy to the receive path
-        # in memory and never serializes it through the NIC, and charging
-        # the simulated egress a full serialization per self-copy would
-        # overstate overlay cost.
+        # The self-copy never touches the NIC, as on the flat path, where
+        # the host clones multicast loopback before its device queue: a
+        # unicast deployment hands its own copy to the receive path in
+        # memory too, and charging the simulated egress a serialization
+        # per self-copy would overstate overlay cost.
         g.loop_back(raw)
         copies = 0
         if self._parent is not None:

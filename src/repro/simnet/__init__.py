@@ -5,8 +5,8 @@ Public surface:
 * :class:`Scheduler` — discrete-event engine (simulated seconds);
 * :class:`Network` / :class:`SimEndpoint` — deterministic multicast fabric
   with loss, jitter, partitions and crash faults;
-* :class:`Topology` / :class:`LinkModel` and the :func:`lan`, :func:`wan`,
-  :func:`lossy_lan`, :func:`two_site_wan` presets;
+* :class:`Topology` / :class:`LinkModel` and the :func:`lan`, :func:`wan` and
+  :func:`two_site_wan` presets;
 * :class:`Endpoint` — the abstract transport the protocol stacks target
   (its real-socket implementation is :mod:`repro.runtime.aio`).
 """
@@ -21,7 +21,7 @@ from .schedules import (
     Schedule,
     SchedulePolicy,
 )
-from .topology import LinkModel, Topology, lan, lossy_lan, two_site_wan, wan
+from .topology import LinkModel, Topology, lan, two_site_wan, wan
 from .trace import NetworkTrace, PacketRecord
 from .network import Network, SimEndpoint
 
@@ -38,7 +38,6 @@ __all__ = [
     "LinkModel",
     "Topology",
     "lan",
-    "lossy_lan",
     "wan",
     "two_site_wan",
     "NetworkTrace",

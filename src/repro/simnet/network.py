@@ -218,88 +218,27 @@ class Network:
     def multicast(self, src: int, group_addr: int, data: bytes) -> None:
         """Best-effort multicast of ``data`` to every member of ``group_addr``.
 
-        The fan-out shares one ``data`` buffer across every receiver (the
-        scheduler events reference it, they never copy it) and hoists the
-        per-packet attribute lookups out of the receiver loop — this is
-        the single hottest loop of the whole simulator.
+        One loop for both fan-out regimes; they differ only in how many
+        NIC copies a datagram costs (:meth:`_nic_copy`): one with hardware
+        multicast, one per remote receiver under
+        ``Topology.unicast_fanout``.  The sender's own copy is multicast
+        loopback, which the host clones before its device queue: it
+        arrives after ``self_delay`` and is never serialized or
+        tail-dropped.  The fan-out shares one ``data`` buffer across every
+        receiver (the scheduler events reference it, they never copy it)
+        and hoists the per-packet attribute lookups out of the receiver
+        loop — this is the single hottest loop of the whole simulator.
         """
-        sender = self._node(src)
-        if sender.crashed:
+        if self._node(src).crashed:
             return
         topology = self.topology
-        if topology.unicast_fanout:
-            self._multicast_unicast(src, group_addr, data)
-            return
-        # NIC serialization: the packet leaves the sender only when its
-        # egress is free; offered load beyond the bandwidth queues here
-        egress_delay = 0.0
-        bw = topology.egress_bandwidth
-        if bw:
-            now = self.scheduler.now
-            start = max(now, self._egress_free.get(src, 0.0))
-            limit = topology.egress_queue_limit
-            if limit is not None and start - now > limit:
-                # bounded NIC queue: tail-drop instead of queueing forever
-                self.egress_drops[src] = self.egress_drops.get(src, 0) + 1
-                self.trace.record_send(now, src, group_addr, len(data), 0, 0)
-                return
-            finish = start + (len(data) + topology.packet_overhead) / bw
-            self._egress_free[src] = finish
-            egress_delay = finish - now
-        self.wire_copies[src] = self.wire_copies.get(src, 0) + 1
-        delivered = 0
-        dropped = 0
-        nodes = self._nodes
-        rng = self.rng
-        schedule = self.scheduler.schedule
-        deliver = self._deliver
-        partition = self._partition
-        for pid in self._fanout.get(group_addr, ()):  # ascending pid order
-            node = nodes[pid]
-            if node.crashed or node.receiver is None:
-                continue
-            if partition is not None and partition.get(src, -1) != partition.get(pid, -1):
-                dropped += 1
-                continue
-            if pid == src:
-                delay = topology.self_delay
-            else:
-                link = topology.link(src, pid)
-                if link.drops(rng):
-                    dropped += 1
-                    continue
-                delay = link.sample_delay(rng)
-                if link.duplicates(rng):
-                    # second copy with its own delay: may arrive before or
-                    # after the first (duplication + reordering in one)
-                    schedule(
-                        egress_delay + link.sample_delay(rng),
-                        deliver, pid, data,
-                    )
-            delivered += 1
-            schedule(egress_delay + delay, deliver, pid, data)
-        self.trace.record_send(
-            self.scheduler.now, src, group_addr, len(data), delivered, dropped
-        )
-
-    def _multicast_unicast(self, src: int, group_addr: int, data: bytes) -> None:
-        """The no-hardware-multicast regime (``Topology.unicast_fanout``).
-
-        Every receiver costs the sender its own serialized NIC copy, so a
-        flat n-member fan-out pays O(n) egress per datagram — the regime
-        where the overlay's O(k) tree routing is the honest comparison.
-        Copies depart back-to-back (copy *i* waits *i* serialization
-        times); the loopback self-copy is free, as on a real host.
-        """
-        topology = self.topology
-        bw = topology.egress_bandwidth
-        per_copy = (len(data) + topology.packet_overhead) / bw if bw else 0.0
         now = self.scheduler.now
-        free = max(now, self._egress_free.get(src, 0.0))
-        limit = topology.egress_queue_limit if bw else None
+        size = len(data)
+        per_receiver = topology.unicast_fanout
+        # hardware fan-out: one copy on the wire reaches every remote receiver
+        egress_delay = None if per_receiver else self._nic_copy(src, now, size)
         delivered = 0
         dropped = 0
-        copies = 0
         nodes = self._nodes
         rng = self.rng
         schedule = self.scheduler.schedule
@@ -308,40 +247,56 @@ class Network:
         for pid in self._fanout.get(group_addr, ()):  # ascending pid order
             node = nodes[pid]
             if pid == src:
-                if node.crashed or node.receiver is None:
-                    continue
-                delivered += 1
-                schedule(topology.self_delay, deliver, pid, data)
+                if node.receiver is not None:
+                    delivered += 1
+                    schedule(topology.self_delay, deliver, pid, data)
                 continue
-            # a copy is serialized for every remote receiver — crashed or
-            # partitioned hosts still cost the sender's NIC
-            if limit is not None and free - now > limit:
-                # bounded NIC queue: this copy is tail-dropped
-                self.egress_drops[src] = self.egress_drops.get(src, 0) + 1
+            if per_receiver:
+                # crashed or partitioned hosts still cost the sender's NIC
+                egress_delay = self._nic_copy(src, now, size)
+            if egress_delay is None:  # tail-dropped at the sender's NIC
                 dropped += 1
                 continue
-            copies += 1
-            free += per_copy
             if node.crashed or node.receiver is None:
                 continue
             if partition is not None and partition.get(src, -1) != partition.get(pid, -1):
                 dropped += 1
                 continue
-            egress_delay = free - now
             link = topology.link(src, pid)
             if link.drops(rng):
                 dropped += 1
                 continue
             delay = link.sample_delay(rng)
             if link.duplicates(rng):
+                # second copy with its own delay: may arrive before or
+                # after the first (duplication + reordering in one)
                 schedule(egress_delay + link.sample_delay(rng), deliver, pid, data)
             delivered += 1
             schedule(egress_delay + delay, deliver, pid, data)
-        if copies:
-            self._egress_free[src] = free
-            self.wire_copies[src] = self.wire_copies.get(src, 0) + copies
-        self.trace.record_send(now, src, group_addr, len(data), delivered, dropped)
+        self.trace.record_send(now, src, group_addr, size, delivered, dropped)
 
+    def _nic_copy(self, src: int, now: float, size: int) -> Optional[float]:
+        """Serialize one datagram copy through ``src``'s NIC.
+
+        Returns the copy's egress delay, or None when the backlog already
+        exceeds ``Topology.egress_queue_limit`` and the copy is
+        tail-dropped.  Copies leave back-to-back: offered load beyond
+        ``egress_bandwidth`` queues here.
+        """
+        topology = self.topology
+        bw = topology.egress_bandwidth
+        egress_delay = 0.0
+        if bw:
+            start = max(now, self._egress_free.get(src, 0.0))
+            limit = topology.egress_queue_limit
+            if limit is not None and start - now > limit:
+                self.egress_drops[src] = self.egress_drops.get(src, 0) + 1
+                return None
+            finish = start + (size + topology.packet_overhead) / bw
+            self._egress_free[src] = finish
+            egress_delay = finish - now
+        self.wire_copies[src] = self.wire_copies.get(src, 0) + 1
+        return egress_delay
 
     def _deliver(self, pid: int, data: bytes) -> None:
         node = self._nodes.get(pid)

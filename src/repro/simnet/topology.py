@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
-__all__ = ["LinkModel", "Topology", "lan", "wan", "lossy_lan", "two_site_wan"]
+__all__ = ["LinkModel", "Topology", "lan", "wan", "two_site_wan"]
 
 
 @dataclass
@@ -64,6 +64,9 @@ class Topology:
     serialization: a sender's packets occupy its egress back-to-back, so
     offered load beyond the bandwidth queues at the sender.  One multicast
     is serialized once (that is multicast's point — it is not N unicasts).
+    The sender's own copy never enters that queue: the host clones
+    multicast loopback before the device, so it arrives after
+    ``self_delay`` however long the backlog.
 
     ``packet_overhead`` (bytes, default 0) is charged per datagram on top
     of the payload when serializing through the bandwidth-limited egress —
@@ -73,10 +76,11 @@ class Topology:
 
     ``unicast_fanout`` (default False) switches off the hardware-multicast
     assumption: a group send is serialized once *per remote receiver*
-    through the bandwidth-limited egress (loopback stays free), the
-    no-IP-multicast regime of a routed/WAN deployment.  Flat dissemination
-    then pays O(n) egress per datagram — the regime the overlay's O(k)
-    tree routing is measured against in E21.
+    (crashed and partitioned ones included) through the bandwidth-limited
+    egress, the no-IP-multicast regime of a routed/WAN deployment.  That
+    copy count is the only difference between the two regimes.  Flat
+    dissemination then pays O(n) egress per datagram — the regime the
+    overlay's O(k) tree routing is measured against in E21.
 
     ``egress_queue_limit`` (seconds, ``None`` = unbounded) bounds the NIC
     egress queue: a datagram offered while the sender's backlog already
@@ -127,11 +131,6 @@ class Topology:
 def lan(loss: float = 0.0) -> Topology:
     """A switched-Ethernet style LAN: ~100 us latency, light jitter."""
     return Topology(default=LinkModel(latency=0.0001, jitter=0.00005, loss=loss))
-
-
-def lossy_lan(loss: float) -> Topology:
-    """A LAN with an explicit uniform loss probability (E3 loss sweeps)."""
-    return lan(loss=loss)
 
 
 def wan(latency: float = 0.030, jitter: float = 0.010, loss: float = 0.0) -> Topology:

@@ -124,14 +124,16 @@ def test_generated_plans_are_the_parents(scenario):
 #: One cell was re-pinned since: overlay / overload 1975 -> 2050, when
 #: sends released by the flow controller stopped bypassing the adaptive
 #: batch window — the same NIC carries more of the offered load, and
-#: the bounded send queue sheds less of it
+#: the bounded send queue sheds less of it; 2050 -> 2065, when the
+#: sender's loopback copy stopped queueing behind its NIC backlog and
+#: credit-released sends started carrying the freshest acknowledgement
 PARENT_CAMPAIGN = {
     ("active", "loss"): (585, (1, 2, 3, 4, 5), True),
     ("active", "crash"): (594, (1, 2, 3), True),
     ("active", "overload"): (9950, (1, 2, 3, 4, 5), True),
     ("llft", "churn"): (741, (1, 2, 3, 4, 5, 6, 7), True),
     ("llft", "leader_crash"): (708, (1, 3, 4, 5), True),
-    ("overlay", "overload"): (2050, (1, 2, 3, 4, 5), True),
+    ("overlay", "overload"): (2065, (1, 2, 3, 4, 5), True),
     ("overlay", "relay_crash"): (696, (1, 3, 4, 5), True),
     ("multigroup", "crash"): (688, (1, 2, 3), True),
     ("multigroup", "overlap"): (1278, (1, 2, 3, 4), True),
@@ -144,6 +146,14 @@ def test_fifo_one_schedule_is_the_parent_campaign(mode, scenario):
                  verbose=False)
     assert (r.deliveries, r.final_members, r.ok) == PARENT_CAMPAIGN[mode, scenario]
     assert r.decisions == []  # no policy installed: nothing was contested
+
+
+def test_llft_overload_seed_15_is_clean():
+    # the leader's loopback copy used to queue behind its NIC backlog and
+    # be tail-dropped with the remote copies: the leader NACKed its own
+    # stream, and the repair never caught up before the run ended
+    (r,) = sweep("llft", ("overload",), seeds=(15,), verbose=False)
+    assert r.ok, [v.as_dict() for v in r.violations]
 
 
 def test_forced_campaign_violation_is_shrunk_and_replays_through_the_cli(

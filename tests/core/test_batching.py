@@ -10,13 +10,13 @@ must be unaffected, only the datagram count changes.
 
 from repro.analysis.harness import make_cluster
 from repro.core import FTMPConfig
-from repro.simnet import LinkModel, Topology, lossy_lan
+from repro.simnet import LinkModel, Topology, lan
 
 
 def loaded_cluster(batch_window: float, seed: int = 3, loss: float = 0.0,
                    n_msgs: int = 100, senders=(1,)):
     topo = (
-        lossy_lan(loss)
+        lan(loss=loss)
         if loss
         else Topology(default=LinkModel(latency=0.0001, jitter=0.00002))
     )

@@ -10,7 +10,7 @@ from repro.core import (
     RecordingListener,
     RequestNumbering,
 )
-from repro.simnet import Network, lan, lossy_lan
+from repro.simnet import Network, lan
 
 CID = ConnectionId(client_domain=3, client_group=200, server_domain=7, server_group=100)
 
@@ -59,7 +59,7 @@ def test_messages_on_connection_delivered_to_both_groups():
 
 
 def test_handshake_survives_loss():
-    net, stacks, listeners = build(topology=lossy_lan(0.3), seed=3,
+    net, stacks, listeners = build(topology=lan(loss=0.3), seed=3,
                                    config=FTMPConfig(suspect_timeout=10.0))
     establish(net, stacks, settle=2.0)
     assert stacks[8].connection_binding(CID).established

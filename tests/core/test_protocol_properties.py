@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.analysis import make_cluster
 from repro.core import FTMPConfig
-from repro.simnet import lossy_lan
+from repro.simnet import lan
 
 LENIENT = FTMPConfig(suspect_timeout=30.0)
 
@@ -36,7 +36,7 @@ def schedules(draw):
 def test_agreement_validity_integrity(schedule):
     n_nodes, sends, loss, seed = schedule
     pids = tuple(range(1, n_nodes + 1))
-    c = make_cluster(pids, topology=lossy_lan(loss), config=LENIENT, seed=seed)
+    c = make_cluster(pids, topology=lan(loss=loss), config=LENIENT, seed=seed)
     expected = {pid: [] for pid in pids}
     # FIFO expectation follows actual send order: time, then insertion
     for i, (sender, t) in sorted(enumerate(sends), key=lambda e: (e[1][1], e[0])):

@@ -1,13 +1,13 @@
 """RMP behaviour: reliable source-ordered delivery, NACKs, retransmission."""
 
 from repro.core import FTMPConfig, RetransmitRequestMessage
-from repro.simnet import LinkModel, lan, lossy_lan
+from repro.simnet import LinkModel, lan
 
 from repro.analysis.harness import make_cluster
 
 
 def test_all_messages_delivered_under_heavy_loss():
-    c = make_cluster((1, 2, 3), topology=lossy_lan(0.25), seed=11,
+    c = make_cluster((1, 2, 3), topology=lan(loss=0.25), seed=11,
                      config=FTMPConfig(suspect_timeout=10.0))
     for i in range(30):
         c.net.scheduler.at(0.001 * i, c.stacks[1].multicast, 1, f"m{i}".encode())
@@ -17,7 +17,7 @@ def test_all_messages_delivered_under_heavy_loss():
 
 
 def test_source_order_preserved_per_sender():
-    c = make_cluster((1, 2, 3), topology=lossy_lan(0.15), seed=5,
+    c = make_cluster((1, 2, 3), topology=lan(loss=0.15), seed=5,
                      config=FTMPConfig(suspect_timeout=10.0))
     for i in range(20):
         for pid in (1, 2, 3):
@@ -31,7 +31,7 @@ def test_source_order_preserved_per_sender():
 
 
 def test_nacks_are_sent_on_gaps():
-    c = make_cluster((1, 2), topology=lossy_lan(0.3), seed=9,
+    c = make_cluster((1, 2), topology=lan(loss=0.3), seed=9,
                      config=FTMPConfig(suspect_timeout=10.0))
     for i in range(20):
         c.net.scheduler.at(0.001 * i, c.stacks[1].multicast, 1, f"m{i}".encode())
@@ -68,7 +68,7 @@ def test_any_holder_may_retransmit():
 
 
 def test_retransmissions_carry_the_flag_and_are_deduplicated():
-    c = make_cluster((1, 2, 3), topology=lossy_lan(0.2), seed=21,
+    c = make_cluster((1, 2, 3), topology=lan(loss=0.2), seed=21,
                      config=FTMPConfig(suspect_timeout=10.0))
     for i in range(25):
         c.net.scheduler.at(0.001 * i, c.stacks[1].multicast, 1, f"m{i}".encode())
@@ -119,7 +119,7 @@ def test_retransmit_request_not_answered_for_unknown_messages():
 
 
 def test_stats_track_out_of_order_buffering():
-    c = make_cluster((1, 2), topology=lossy_lan(0.3), seed=17,
+    c = make_cluster((1, 2), topology=lan(loss=0.3), seed=17,
                      config=FTMPConfig(suspect_timeout=10.0))
     for i in range(30):
         c.net.scheduler.at(0.0005 * i, c.stacks[1].multicast, 1, b"z")

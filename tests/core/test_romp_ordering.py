@@ -1,7 +1,7 @@
 """ROMP behaviour: total order, causal order, acks, buffer management."""
 
 from repro.core import ClockMode, FTMPConfig
-from repro.simnet import lan, lossy_lan, two_site_wan
+from repro.simnet import lan, two_site_wan
 
 from repro.analysis.harness import make_cluster
 
@@ -21,7 +21,7 @@ def test_total_order_identical_across_members():
 
 
 def test_total_order_identical_under_loss_and_jitter():
-    c = make_cluster((1, 2, 3), topology=lossy_lan(0.15), seed=13,
+    c = make_cluster((1, 2, 3), topology=lan(loss=0.15), seed=13,
                      config=FTMPConfig(suspect_timeout=10.0))
     for i in range(30):
         for pid in (1, 2, 3):

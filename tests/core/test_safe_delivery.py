@@ -77,9 +77,7 @@ def test_safe_mode_releases_after_member_crash():
 
 def test_safe_mode_agreement_under_loss():
     cfg = FTMPConfig(delivery_mode="safe", suspect_timeout=10.0)
-    from repro.simnet import lossy_lan
-
-    c = make_cluster((1, 2, 3), topology=lossy_lan(0.1), config=cfg, seed=7)
+    c = make_cluster((1, 2, 3), topology=lan(loss=0.1), config=cfg, seed=7)
     for i in range(20):
         for pid in (1, 2, 3):
             c.net.scheduler.at(0.002 * i, c.stacks[pid].multicast, 1,

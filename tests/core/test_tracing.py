@@ -2,7 +2,7 @@
 
 from repro.analysis import make_cluster
 from repro.core import FTMPConfig, Tracer
-from repro.simnet import lossy_lan
+from repro.simnet import lan
 
 
 def traced_cluster(pids=(1, 2, 3), **kwargs):
@@ -32,7 +32,7 @@ def test_send_recv_deliver_events():
 
 
 def test_gap_nack_resend_events_under_loss():
-    c, tracers = traced_cluster(topology=lossy_lan(0.3), seed=9,
+    c, tracers = traced_cluster(topology=lan(loss=0.3), seed=9,
                                 config=FTMPConfig(suspect_timeout=10.0))
     for i in range(20):
         c.net.scheduler.at(0.001 * i, c.stacks[1].multicast, 1, b"x")

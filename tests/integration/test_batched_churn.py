@@ -17,7 +17,7 @@ from repro.core import FTMPConfig, FTMPStack, RecordingListener
 from repro.core.rmp import RMP
 from repro.replication import FaultInjector
 from repro.replication.oracles import check_quiescence, run_history_oracles
-from repro.simnet import lossy_lan
+from repro.simnet import lan
 
 GROUP, ADDRESS = 1, 5001
 CRASH_AT, JOIN_AT, SENDS_UNTIL = 0.20, 0.40, 0.60
@@ -27,7 +27,7 @@ def test_batched_cluster_with_loss_crash_and_join_satisfies_the_oracles():
     pids = (1, 2, 3, 4, 5)
     cfg = FTMPConfig(heartbeat_interval=0.002, suspect_timeout=0.060,
                      batch_window=0.002, flow_control_window=32)
-    c = make_cluster(pids, topology=lossy_lan(0.05), config=cfg, seed=18)
+    c = make_cluster(pids, topology=lan(loss=0.05), config=cfg, seed=18)
     inj = FaultInjector(c.net)
     sent = {p: 0 for p in pids}
 

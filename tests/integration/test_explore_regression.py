@@ -34,11 +34,7 @@ from repro.simnet import Schedule
 _DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "data", "explore")
 ARTIFACTS = sorted(glob.glob(os.path.join(_DATA_DIR, "*.json")))
 #: artifact -> the unfixed defect it pins (recorded without the injection)
-KNOWN_RED = {
-    "llft-overload-15-s15000.json":
-        "LLFT stall under overload: followers end with 18 messages stuck in "
-        "the ordering queue, on FIFO choices and no plan event",
-}
+KNOWN_RED: dict = {}
 
 
 def _green(path):
@@ -105,10 +101,9 @@ def test_an_artifact_naming_a_retired_config_field_exits_2(tmp_path, capsys):
     # (the name is spelled in two parts so it appears nowhere else in the
     # tree)
     retired = "llft" + "_mode"
-    with open(os.path.join(_DATA_DIR, "llft-overload-15-s15000.json"),
+    with open(os.path.join(_DATA_DIR, "explore-churn-0-s0.json"),
               encoding="utf-8") as fh:
         artifact = json.load(fh)
-    del artifact["config"]["ordering"]
     artifact["config"][retired] = True
     old = tmp_path / "old.json"
     old.write_text(json.dumps(artifact))

@@ -3,7 +3,7 @@
 from repro.core import FTMPConfig
 from repro.giop import UserException
 from repro.replication import FaultInjector, MessageLog, ReplicaManager
-from repro.simnet import Network, lan, lossy_lan
+from repro.simnet import Network, lan
 
 
 class Warehouse:
@@ -81,7 +81,7 @@ def test_sequential_crashes_down_to_one_replica():
 
 def test_lossy_network_end_to_end():
     net, mgr, ref, client, proxy = build(
-        topology=lossy_lan(0.10), seed=5,
+        topology=lan(loss=0.10), seed=5,
         config=FTMPConfig(suspect_timeout=10.0),
     )
     orb = client.orb

@@ -21,7 +21,7 @@ from repro.core import FTMPConfig, FTMPStack, MessageType, RecordingListener
 from repro.core.wire import peek_header
 from repro.replication import FaultInjector
 from repro.replication.oracles import check_quiescence, run_history_oracles
-from repro.simnet import Network, lossy_lan
+from repro.simnet import Network, lan
 
 FINAL = (1, 2, 3, 4, 5, 6, 9)
 LEAVER, VICTIM = 8, 7
@@ -30,7 +30,7 @@ LEAVER, VICTIM = 8, 7
 def soak(seed):
     """Run the scenario; return the cluster and every violation found."""
     cfg = FTMPConfig(heartbeat_interval=0.010, suspect_timeout=0.150)
-    c = make_cluster(tuple(range(1, 9)), topology=lossy_lan(0.03), config=cfg,
+    c = make_cluster(tuple(range(1, 9)), topology=lan(loss=0.03), config=cfg,
                      seed=seed)
     inj = FaultInjector(c.net)
 

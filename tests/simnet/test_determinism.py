@@ -2,11 +2,11 @@
 
 from repro.analysis import make_cluster
 from repro.core import FTMPConfig
-from repro.simnet import lossy_lan
+from repro.simnet import lan
 
 
 def run(seed):
-    c = make_cluster((1, 2, 3), topology=lossy_lan(0.15), seed=seed,
+    c = make_cluster((1, 2, 3), topology=lan(loss=0.15), seed=seed,
                      config=FTMPConfig(suspect_timeout=10.0))
     for i in range(25):
         for pid in (1, 2, 3):

@@ -1,5 +1,7 @@
 """Unit tests for the simulated multicast network."""
 
+import pytest
+
 from repro.simnet import LinkModel, Network, Topology, lan, two_site_wan
 
 
@@ -180,24 +182,29 @@ def test_noop_join_leave_do_not_rebuild_fanout():
     assert net._fanout[100] == (1, 2)
 
 
-def test_bounded_egress_queue_tail_drops():
+@pytest.mark.parametrize("unicast_fanout", [False, True], ids=["flat", "unicast"])
+def test_bounded_egress_queue_tail_drops(unicast_fanout):
     # with egress_queue_limit set, offered load beyond the backlog bound
     # is dropped at the sender instead of queueing without bound
     topo = Topology(default=LinkModel(latency=0.0001),
                     egress_bandwidth=10_000.0,   # 1 kB costs 100 ms
-                    egress_queue_limit=0.150)
+                    egress_queue_limit=0.150,
+                    unicast_fanout=unicast_fanout)
     net = Network(topo, seed=0)
     eps, boxes = {}, {}
     for pid in (1, 2):
         eps[pid], boxes[pid] = collect(net, pid)
         eps[pid].join(100)
+    own = []
+    eps[1].set_receiver(lambda data: own.append(net.scheduler.now))
     for _ in range(5):  # 500 ms of serialization against a 150 ms bound
         eps[1].multicast(100, b"x" * 1000)
     net.run_for(1.0)
-    assert net.egress_drops.get(1, 0) > 0
-    delivered = len(boxes[2])
-    assert 0 < delivered < 5
-    assert delivered + net.egress_drops[1] == 5
+    assert net.egress_drops == {1: 3}
+    assert len(boxes[2]) == 2
+    # multicast loopback is cloned before the NIC queue: the sender gets
+    # every one of its own datagrams at once, the tail-dropped ones too
+    assert own == [topo.self_delay] * 5
 
 
 def test_unbounded_egress_queue_is_legacy_default():
