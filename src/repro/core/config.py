@@ -135,9 +135,9 @@ class FTMPConfig:
     #: at the sender (backpressure) instead of flooding the network.
     #: 0 disables flow control (legacy behaviour).
     flow_control_window: int = 0
-    #: Optional cap on sends held back at the sender (the flow-control
-    #: backpressure queue plus sends deferred by a §7 quiescence
-    #: barrier).  A multicast beyond the cap raises
+    #: Optional cap on sends held back at the sender (the one hold
+    #: queue: credit backpressure and §7 quiescence-barrier holds
+    #: alike).  A multicast beyond the cap raises
     #: ``FlowControlSaturated`` instead of queueing, giving the
     #: application a synchronous load-shedding signal.  0 = unbounded
     #: (legacy behaviour; queue depth still visible via fc_queue_depth).

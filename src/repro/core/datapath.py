@@ -100,7 +100,7 @@ _NO_CONNECTION = ConnectionId.none()
 
 
 class FlowControlSaturated(RuntimeError):
-    """A multicast exceeded ``flow_queue_limit`` backpressured sends.
+    """A multicast exceeded ``flow_queue_limit`` held sends.
 
     Raised instead of queueing so the application gets a synchronous
     load-shedding signal; the send was *not* accepted and will not be
@@ -201,8 +201,6 @@ class GroupContext(Protocol):
 
     def apply_connect_migration(self, msg: ConnectMessage) -> None: ...
 
-    def on_send_barrier_cleared(self) -> None: ...
-
 
 @dataclass
 class BatchStats:
@@ -224,18 +222,18 @@ class BatchStats:
 
 @dataclass
 class FlowControlStats:
-    """Credit-window counters of one group's sender (flow control)."""
+    """Hold-queue counters of one group's sender (flow control and §7)."""
 
     sends_admitted: int = 0  #: Regulars that consumed a credit and went out
-    sends_queued: int = 0  #: application sends held back (no credits)
-    sends_released: int = 0  #: queued sends later admitted by stability
+    sends_queued: int = 0  #: sends held with no barrier up (credits spent)
+    sends_released: int = 0  #: held sends later released, barrier holds too
     sends_rejected: int = 0  #: multicasts refused at ``flow_queue_limit``
-    credit_stalls: int = 0  #: transitions into the fully blocked state
-    max_queue_depth: int = 0
+    credit_stalls: int = 0  #: credit holds that found the queue empty
+    max_queue_depth: int = 0  #: of the one hold queue, barrier holds too
 
 
 class FlowController:
-    """Per-sender credit window driven by the §6 stability signal.
+    """The sender's one admission gate: §7 quiescence and §6 credits.
 
     The ROMP layer already computes, from the piggybacked positive
     acknowledgement timestamps, the *stability timestamp* — the highest
@@ -248,6 +246,11 @@ class FlowController:
     run further ahead of the group than the window, no matter the offered
     load.  Control traffic (membership, NACKs, heartbeats) is never
     subject to credits: it is exactly what makes stability advance.
+
+    The same FIFO holds application sends while a §7 Connect quiescence
+    barrier is up (``romp.can_send_ordered()``), with or without a
+    window: one queue, so no send overtakes one accepted before it,
+    whichever of the two held it.
     """
 
     def __init__(self, group: "ProcessorGroup", stats: FlowControlStats):
@@ -284,34 +287,40 @@ class FlowController:
 
     @property
     def blocked(self) -> bool:
-        """True while application sends are queued on exhausted credits."""
+        """True while some send is held (credits spent or a §7 barrier up)."""
         return bool(self._queue)
 
-    def submit(self, payload: bytes, cid: ConnectionId, request_num: int,
-               enforce_limit: bool = True) -> bool:
-        """Admit a send now (True) or queue it on backpressure (False).
+    def _may_send(self) -> bool:
+        """No §7 barrier is up and a credit is free (or there is no window)."""
+        window = self._g.config.flow_control_window
+        return self._g.romp.can_send_ordered() and (
+            not window or len(self._inflight) < window)
 
-        With ``flow_queue_limit`` set, a send beyond the cap raises
-        :class:`FlowControlSaturated` instead of queueing.  Internal
-        re-submissions of already-accepted sends (the §7 barrier drain)
-        pass ``enforce_limit=False`` — they must never be dropped.
+    def submit(self, payload: bytes, cid: ConnectionId, request_num: int) -> bool:
+        """Admit a send now (True) or hold it (False).
+
+        A send is held behind any held send, while a §7 barrier is up,
+        and when the credits are spent.  With ``flow_queue_limit`` set, a
+        send beyond the cap raises :class:`FlowControlSaturated` instead.
         """
-        if not self.enabled:
-            return True
-        if not self._queue and len(self._inflight) < self._g.config.flow_control_window:
+        queue = self._queue
+        if not queue and self._may_send():
             return True
         limit = self._g.config.flow_queue_limit
-        if enforce_limit and limit > 0 and len(self._queue) >= limit:
+        if limit > 0 and len(queue) >= limit:
             self.stats.sends_rejected += 1
             raise FlowControlSaturated(
-                f"flow-control queue full ({limit} sends already backpressured)"
+                f"send queue full ({limit} sends already held)"
             )
-        if not self._queue:
-            self.stats.credit_stalls += 1
-        self._queue.append((payload, cid, request_num))
-        self.stats.sends_queued += 1
-        if len(self._queue) > self.stats.max_queue_depth:
-            self.stats.max_queue_depth = len(self._queue)
+        if not self._g.romp.can_send_ordered():
+            self._g.stats.ordered_sends_deferred += 1
+        else:
+            if not queue:
+                self.stats.credit_stalls += 1
+            self.stats.sends_queued += 1
+        queue.append((payload, cid, request_num))
+        if len(queue) > self.stats.max_queue_depth:
+            self.stats.max_queue_depth = len(queue)
         return False
 
     def note_sent(self, timestamp: int) -> None:
@@ -333,7 +342,7 @@ class FlowController:
         inflight = self._inflight
         while inflight and inflight[0] <= stable:
             inflight.popleft()
-        if self._queue and not self._release_armed:
+        if self._queue and self.enabled and not self._release_armed:
             self._release_armed = True
             self._g.schedule(0.0, self._release)
 
@@ -343,20 +352,17 @@ class FlowController:
             self.drain()
 
     def drain(self) -> None:
-        """Release queued sends while credits last — never past a barrier.
+        """Release held sends, oldest first, while no §7 barrier is up
+        and credits last.
 
-        A stability advance can arrive while a §7 Connect quiescence
-        barrier is pending (heartbeats keep flowing precisely so a
-        blocked sender's credits refill); releasing ordered Regulars
-        then would violate the join-quiescence invariant, so the queue
-        holds until :meth:`ProcessorGroup.on_send_barrier_cleared` kicks
-        this drain again.
+        ROMP calls this when a barrier clears, :meth:`_release` after a
+        stability advance.  A released send can run a listener that
+        sends (a discipline delivering its own send on the spot): that
+        send is held behind the rest, so the FIFO holds.
         """
-        if not self._queue or not self._g.romp.can_send_ordered():
-            return
-        window = self._g.config.flow_control_window
-        while self._queue and len(self._inflight) < window:
-            payload, cid, request_num = self._queue.popleft()
+        queue = self._queue
+        while queue and self._may_send():
+            payload, cid, request_num = queue.popleft()
             self.stats.sends_released += 1
             # the send takes its credit, growing _inflight again
             self.releasing = True
@@ -602,7 +608,7 @@ class SendPath:
             # Piggyback suppression: the window flushes within
             # batch_window anyway, carrying fresher timestamps and a
             # fresher ack than a Heartbeat would.  Never while the sender
-            # is blocked on credits: a fully backpressured sender cannot
+            # holds sends (spent credits, a §7 barrier): a held sender cannot
             # produce the Regular traffic this suppression counts on, yet
             # its heartbeats are exactly what advances the peers' view of
             # its clock/ack — and with it the stability timestamp that
@@ -808,7 +814,6 @@ class ProcessorGroup:
         self.receive_path = ReceivePath(self, self.batch_stats)
         self._ingress = self.dissemination.ingress(self.receive_path.on_datagram)
 
-        self._pending_ordered: List[Tuple[bytes, ConnectionId, int]] = []
         self._heard: Set[int] = set()
         #: members that left in order -> when we last heard them since
         #: (:meth:`_from_departed`)
@@ -1101,47 +1106,22 @@ class ProcessorGroup:
         """Multicast an application (GIOP) payload as a Regular message.
 
         Returns True when the send went to the wire immediately, False
-        when it was accepted but queued (§7 quiescence barrier or
-        exhausted flow-control credits) for later release.  With
+        when :class:`FlowController` held it (§7 quiescence barrier or
+        spent flow-control credits) for later release.  With
         ``flow_queue_limit`` set, a send beyond the cap raises
         :class:`FlowControlSaturated` instead of queueing.
         """
         if self.joining:
             raise RuntimeError("cannot multicast before the join completes")
         cid = connection_id if connection_id is not None else ConnectionId.none()
-        if not self.romp.can_send_ordered():
-            # §7 quiescence after a Connect: hold ordered application
-            # traffic until every member is heard past the barrier.
-            limit = self.config.flow_queue_limit
-            if limit > 0 and len(self._pending_ordered) + self.flow.queue_depth >= limit:
-                self.flow.stats.sends_rejected += 1
-                raise FlowControlSaturated(
-                    f"send queue full ({limit} sends held at the barrier)"
-                )
-            self.stats.ordered_sends_deferred += 1
-            self._pending_ordered.append((payload, cid, request_num))
-            return False
         if not self.flow.submit(payload, cid, request_num):
-            return False  # backpressured; a stability advance releases it
+            return False
         self._send_regular(payload, cid, request_num)
         return True
 
     def _send_regular(self, payload: bytes, cid: ConnectionId, request_num: int) -> None:
         self.stats.regulars_sent += 1
         self.send(RegularMessage, cid, request_num, payload, credit=True)
-
-    def on_send_barrier_cleared(self) -> None:
-        # Sends credit-queued before the Connect predate anything the
-        # barrier deferred (once a barrier is up, multicast queues there,
-        # not in the flow controller): drain them first to keep FIFO.
-        # This is also what releases a flow queue held by drain() while
-        # the barrier was pending — without it the queue would deadlock
-        # if stability never advances again.
-        self.flow.drain()
-        pending, self._pending_ordered = self._pending_ordered, []
-        for payload, cid, request_num in pending:
-            if self.flow.submit(payload, cid, request_num, enforce_limit=False):
-                self._send_regular(payload, cid, request_num)
 
     def retransmit_raw(self, raw: bytes, address: Optional[int] = None) -> None:
         """Re-send a retained message unchanged except the retrans flag (§3.2)."""
@@ -1166,19 +1146,18 @@ class ProcessorGroup:
             self.romp.flush_staging(p)
         self.trace("view", reason=reason, membership=self.membership,
                    view_ts=view_timestamp)
-        self._stack.listener.on_view_change(
-            ViewChange(
-                group=self.group_id,
-                membership=self.membership,
-                view_timestamp=view_timestamp,
-                added=tuple(added),
-                removed=tuple(removed),
-                reason=reason,
-                installed_at=self.now(),
-            )
-        )
+        self.announce_view(self.membership, view_timestamp, added, removed, reason)
         self.romp.on_view_installed(prev_membership, reason)
         self.romp.evaluate()
+
+    def announce_view(self, membership: Tuple[int, ...], view_timestamp: int,
+                      added: Tuple[int, ...], removed: Tuple[int, ...],
+                      reason: str) -> None:
+        """The view-change upcall to the application."""
+        self._stack.listener.on_view_change(ViewChange(
+            group=self.group_id, membership=membership,
+            view_timestamp=view_timestamp, added=tuple(added),
+            removed=tuple(removed), reason=reason, installed_at=self.now()))
 
     def install_fault_view(self, membership: Tuple[int, ...], view_timestamp: int,
                            removed: Tuple[int, ...],
@@ -1208,17 +1187,7 @@ class ProcessorGroup:
         """We were removed (RemoveProcessor or exclusion by survivors).
         An ordered removal lingers (:meth:`linger`): the survivors of an
         exclusion have synchronized without us, nobody waits for us."""
-        self._stack.listener.on_view_change(
-            ViewChange(
-                group=self.group_id,
-                membership=(),
-                view_timestamp=view_timestamp,
-                added=(),
-                removed=(self.pid,),
-                reason=reason,
-                installed_at=self.now(),
-            )
-        )
+        self.announce_view((), view_timestamp, (), (self.pid,), reason)
         if reason == "remove":
             self._stack.retire_group(self.group_id, view_timestamp)
         else:
@@ -1262,17 +1231,7 @@ class ProcessorGroup:
         # the AddProcessor and the others' ordering includes us promptly.
         self.stats.heartbeats_sent += 1
         self.send(HeartbeatMessage)
-        self._stack.listener.on_view_change(
-            ViewChange(
-                group=self.group_id,
-                membership=self.membership,
-                view_timestamp=view_timestamp,
-                added=(self.pid,),
-                removed=(),
-                reason="add",
-                installed_at=self.now(),
-            )
-        )
+        self.announce_view(self.membership, view_timestamp, (self.pid,), (), "add")
         self.romp.on_join_completed()
 
     # ------------------------------------------------------------------

@@ -173,7 +173,8 @@ class LeaderOrdering(ROMP):
         )
 
     def _congested(self) -> bool:
-        """True while our §6 credit window is exhausted.
+        """True, under a credit window, while it is exhausted or a send
+        of ours is held (behind spent credits or a §7 barrier).
 
         An uncongested leader announces each arrival on the spot (the
         low-latency path).  Once the stability feedback says the group

@@ -581,7 +581,7 @@ class ROMP:
             return
         if cover > barrier:
             self._send_barrier = None
-            self._g.on_send_barrier_cleared()
+            self._g.flow.drain()
 
     # ------------------------------------------------------------------
     # fault-view transition drain (§7.2)

@@ -42,7 +42,7 @@ from .connection import (
 )
 from .constants import MessageType
 from .datapath import ProcessorGroup
-from .events import ConnectionEvent, Listener, ViewChange
+from .events import ConnectionEvent, Listener
 from .lamport import make_clock
 from .messages import ConnectionId, ConnectMessage, ConnectRequestMessage, FTMPHeader
 from .stats import StackStats, StatsRegistry
@@ -119,17 +119,7 @@ class FTMPStack:
         self.end_leaving(group_id)
         g = ProcessorGroup(self, group_id, address, membership)
         self._groups[group_id] = g
-        self.listener.on_view_change(
-            ViewChange(
-                group=group_id,
-                membership=g.membership,
-                view_timestamp=0,
-                added=g.membership,
-                removed=(),
-                reason="bootstrap",
-                installed_at=self.endpoint.now,
-            )
-        )
+        g.announce_view(g.membership, 0, g.membership, (), "bootstrap")
         return g
 
     def join_as_new_member(self, group_id: int, address: int) -> ProcessorGroup:

@@ -9,12 +9,6 @@ from .chaos import SCENARIOS, ChaosEvent, ChaosPlan
 from .checkpointing import Checkpoint, CheckpointingLog, CheckpointStore
 from .failover import LogReplayer, ReplayReport
 from .fault_injection import FaultInjector, Injection
-from .llft import (
-    ORDER_INFO_CID,
-    LeaderOrdering,
-    LLFTStats,
-    current_leader,
-)
 from .oracles import (
     Violation,
     check_buffer_gc_safety,
@@ -57,10 +51,6 @@ __all__ = [
     "LogReplayer",
     "ReplayReport",
     "PassiveReplicaController",
-    "current_leader",
-    "ORDER_INFO_CID",
-    "LeaderOrdering",
-    "LLFTStats",
     "Checkpoint",
     "CheckpointStore",
     "CheckpointingLog",

@@ -3,9 +3,10 @@
 The credit window bounds how far a sender's own Regular stream may run
 ahead of the group-wide *stability timestamp* (ROMP's §6 positive-ack
 minimum).  Sends beyond the window queue at the sender — backpressure —
-and drain as stability advances.  Off by default; with the window at 0
-the controller is inert and the datapath is bit-identical to the legacy
-stack (the legacy suites assert that side).
+and drain as stability advances.  The same queue holds sends at a §7
+quiescence barrier.  Off by default; with the window at 0 no send waits
+on credits and the datapath is bit-identical to the legacy stack (the
+legacy suites assert that side).
 """
 
 import random
@@ -270,9 +271,9 @@ def test_stability_advance_does_not_breach_quiescence_barrier():
 
 
 def test_quiescence_barrier_and_credits_compose():
-    # Sends deferred by the §7 quiescence barrier re-enter through the
-    # flow controller when the barrier clears — the two queues compose
-    # without reordering or losing messages.
+    # Sends held at the §7 quiescence barrier stay in the one hold queue
+    # when it clears and leave as credits allow: a window's worth at a
+    # time, in order, each counted once.
     c = fc_cluster(window=4)
     c.run_for(0.1)  # let clocks advance so a low barrier can clear
     g = c.stacks[1].group(1)
@@ -282,16 +283,55 @@ def test_quiescence_barrier_and_credits_compose():
         c.stacks[1].multicast(1, f"1:{i}".encode())
     assert g.stats.ordered_sends_deferred == 12
     assert g.flow.inflight == 0  # nothing reached the wire
-    c.run_for(2.0)
+    note_sent = FlowController.note_sent
+    inflight = []
+
+    def watched(flow, timestamp):
+        note_sent(flow, timestamp)
+        inflight.append(flow.inflight)
+
+    with mock.patch.object(FlowController, "note_sent", watched):
+        c.run_for(2.0)
+    assert len(inflight) == 12 and max(inflight) <= 4
     snap = c.stacks[1].snapshot()
-    # the barrier released into the flow controller: only a window's
-    # worth was admitted at once, the rest queued and drained
-    assert snap["group.1.flow.sends_queued"] == 8
-    assert snap["group.1.flow.sends_released"] == 8
+    assert snap["group.1.send.ordered_sends_deferred"] == 12
+    assert snap["group.1.flow.sends_queued"] == 0
+    assert snap["group.1.flow.sends_released"] == 12
     assert snap["group.1.flow.sends_admitted"] == 12
     expected = [f"1:{i}".encode() for i in range(12)]
     for pid in (1, 2, 3):
         assert c.listeners[pid].payloads(1) == expected
+    c.stop()
+
+
+@pytest.mark.parametrize("window", [0, 4])
+def test_a_send_made_during_the_release_queues_behind_the_held_sends(window):
+    # The LLFT leader delivers its own send on the spot.  When the
+    # barrier clears, the release of A runs the listener, which sends D:
+    # D was accepted after B and C, so it must not overtake them.
+    c = fc_cluster(window=window, ordering="leader", llft_leader_pid=1)
+    c.run_for(0.1)  # let clocks advance so a low barrier can clear
+    g = c.stacks[1].group(1)
+    listener = c.listeners[1]
+    record = listener.on_deliver
+
+    def on_deliver(delivery):
+        record(delivery)
+        if delivery.source == 1 and delivery.payload == b"A":
+            c.stacks[1].multicast(1, b"D")
+
+    listener.on_deliver = on_deliver
+    g.romp.set_send_barrier(g.clock.time + 2)
+    assert [c.stacks[1].multicast(1, p) for p in (b"A", b"B", b"C")] == [False] * 3
+    c.run_for(2.0)
+    for pid in (1, 2, 3):
+        own = [d.payload for d in c.listeners[pid].deliveries if d.source == 1]
+        assert own == [b"A", b"B", b"C", b"D"]
+    snap = c.stacks[1].snapshot()
+    # every hold, at the barrier or behind it, released exactly once
+    assert snap["group.1.flow.sends_released"] == 4 == (
+        snap["group.1.flow.sends_queued"] + snap["group.1.send.ordered_sends_deferred"])
+    c.assert_agreement()
     c.stop()
 
 
@@ -326,11 +366,12 @@ def test_flow_queue_limit_rejects_with_explicit_error():
     c.stop()
 
 
-def test_flow_queue_limit_counts_barrier_deferrals():
+@pytest.mark.parametrize("window", [2, 0])
+def test_flow_queue_limit_counts_barrier_deferrals(window):
     # The cap bounds everything held at the sender, including sends
-    # deferred by a §7 quiescence barrier — otherwise the barrier queue
-    # would be the unbounded loophole.
-    c = fc_cluster(window=2, flow_queue_limit=3)
+    # deferred by a §7 quiescence barrier, with or without a credit
+    # window — otherwise the barrier would be the unbounded loophole.
+    c = fc_cluster(window=window, flow_queue_limit=3)
     c.run_for(0.05)
     g = c.stacks[1].group(1)
     g.romp.set_send_barrier(g.clock.time + 100000)

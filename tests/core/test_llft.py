@@ -9,10 +9,9 @@ congestion-gated announcement coalescing.
 """
 
 from repro.analysis.harness import TimedWorkload, make_cluster
-from repro.core import FTMPConfig
+from repro.core import ORDER_INFO_CID, FTMPConfig
 from repro.core.llft import decode_order_info, encode_order_info
 from repro.core.romp import ROMP
-from repro.replication import ORDER_INFO_CID, current_leader
 from repro.replication.oracles import run_history_oracles
 
 
@@ -49,7 +48,7 @@ def test_knob_off_is_legacy():
     try:
         for pid in (1, 2, 3):
             assert type(cluster.stacks[pid].group(1).romp) is ROMP
-            assert current_leader(cluster.stacks[pid], 1) is None
+            assert cluster.stacks[pid].group(1).romp.leader() is None
         cluster.multicast(1, 1, b"legacy")
         cluster.run_for(0.3)
         cluster.assert_agreement()
@@ -64,7 +63,7 @@ def test_leader_ordering_elects_deterministic_leader():
     try:
         for pid in (4, 2, 7):
             # llft_leader_pid=0 -> smallest member leads, everywhere
-            assert current_leader(cluster.stacks[pid], 1) == 2
+            assert cluster.stacks[pid].group(1).romp.leader() == 2
         assert any(".llft." in k for k in cluster.snapshot(2))
     finally:
         cluster.stop()
@@ -74,7 +73,7 @@ def test_llft_pinned_leader_preferred_while_member():
     cluster = make_cluster((1, 2, 3), config=_llft_cfg(leader=3))
     try:
         for pid in (1, 2, 3):
-            assert current_leader(cluster.stacks[pid], 1) == 3
+            assert cluster.stacks[pid].group(1).romp.leader() == 3
     finally:
         cluster.stop()
 
@@ -137,7 +136,7 @@ def test_leader_crash_failover_preserves_agreement():
 
         # survivors converged on the successor leader (smallest survivor)
         for pid in survivors:
-            assert current_leader(cluster.stacks[pid], 1) == 1
+            assert cluster.stacks[pid].group(1).romp.leader() == 1
         history = {p: cluster.listeners[p] for p in survivors}
         orders = [lst.delivery_order(1) for lst in history.values()]
         assert all(o == orders[0] for o in orders[1:])

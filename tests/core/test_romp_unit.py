@@ -51,7 +51,7 @@ class MockGroup:
     def note_alive(self, src):
         self.alive.append(src)
 
-    def on_send_barrier_cleared(self):
+    def drain(self):
         self.barrier_cleared += 1
 
     def on_stability(self, stable):
@@ -334,7 +334,7 @@ class RunGroup(MockGroup):
     def on_stability(self, stable):
         self.log.append(("stable", stable, self.clock.time, self.romp.ack_timestamp))
 
-    def on_send_barrier_cleared(self):
+    def drain(self):
         self.log.append(("barrier cleared",))
 
 

@@ -141,4 +141,4 @@ def test_processor_group_provides_the_whole_group_context():
                if not name.startswith("_") and (callable(member) or isinstance(member, property))]
     # the protocol the four machines and their test doubles are held to:
     # an addition shows up here
-    assert len(methods) <= 24, sorted(methods)
+    assert len(methods) <= 23, sorted(methods)
