@@ -36,7 +36,7 @@ RATES = (1000, 2500, 4000, 5500, 7000, 8500, 10000, 11500, 13000, 14500)
 KNEE_SHARE = 0.99
 #: per-sender rate of the batched knee this sweep finds (asserted below);
 #: the E17 overload points are multiples of it
-BATCHED_KNEE_RATE = 10000
+BATCHED_KNEE_RATE = 11500
 WINDOW = 0.25
 DRAIN = 0.3
 #: past the unbatched knee the backlog outlasts DRAIN: run on, in steps,

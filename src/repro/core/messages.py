@@ -203,7 +203,10 @@ class BatchMessage:
     are the complete wire encodings — header included — of the packed
     messages, so each part retains its own sequence number, timestamps
     and retransmission identity.  The envelope itself is unreliable and
-    carries no ordering information (sequence number and timestamps 0).
+    carries no ordering information: :func:`~repro.core.wire.encode`
+    sets its sequence number and timestamps to the first part's (seq - 1,
+    ts, ack), the base of that part's record, and the receive path never
+    reads them.
     """
 
     TYPE = MessageType.BATCH

@@ -39,16 +39,23 @@ field-at-a-time specification every type must stay byte-identical to is
 BATCH framing (Regular records): the send path coalesces only Regulars,
 one sender's consecutive messages to one group, so the envelope body
 stores each as a record that leaves out what the envelope header and
-the previous record already say::
+the previous record already say.  The envelope header's seq / ts / ack
+are the first part's (seq - 1, ts, ack) when that part takes a Regular
+record (zeros otherwise): the header counts as the record before the
+first part::
 
     u16  part count
     then per part, a Regular record (envelope endianness):
         u8   flags   bit0 little endian (the envelope's), bit1
-                     retransmission, bit2 follows, bit3 connection;
+                     retransmission, bit2 delta, bit3 connection;
                      bits 4-7 clear
-        u32  seq     } without follows; with it, seq is the previous
-        u64  ts      } record's + 1 and ack the previous record's
-        u64  ack     } (ts is always present)
+        full (without delta):
+            u32  seq
+            u64  ts
+            u64  ack
+        delta: seq is the previous record's + 1, and
+            u8   ts  - the previous record's ts
+            u8   ack - the previous record's ack
         16B  connection id, u64 request number   (with connection only;
                      without it they are the zero id and request 0)
         u16  payload length
@@ -61,9 +68,12 @@ the previous record already say::
 A part gets a Regular record when it is a Regular of the envelope's
 source, group and endianness whose only flags are those two bits and
 whose body is exactly the fixed prefix and a payload of at most 0xFFFF
-bytes; a follow-on Regular below the ORB costs 11 B + payload instead of
-its 68 B of header and body prefix.  *follows* needs a predecessor: a
-Regular record earlier in the same envelope with no verbatim record in
+bytes.  The record is a delta record when its seq is the previous
+record's + 1 and its ts and ack each exceed the previous record's by
+less than 256: a Regular below the ORB then costs 5 B + payload (29 B +
+payload on a connection) instead of its 68 B of header and body prefix,
+the first part of an envelope included.  A delta record needs a
+predecessor: the header or a Regular record, with no verbatim record in
 between.  The receiver rebuilds each part's full encoding byte for byte,
 so retention and retransmission identity are untouched.  When every
 record is a Regular record — what the send path coalesces — the same
@@ -108,10 +118,11 @@ __all__ = [
 
 _FLAG_LITTLE_ENDIAN = 0x01
 _FLAG_RETRANSMISSION = 0x02
-#: BATCH record flags beside the part's own two: seq / ack are the
-#: previous record's + 1 / unchanged, and the connection id and request
-#: number are present.  A verbatim record's first byte is 0x80 exactly.
-_REC_FOLLOWS = 0x04
+#: BATCH record flags beside the part's own two: seq is the previous
+#: record's + 1 and ts / ack are u8 steps from the previous record's, and
+#: the connection id and request number are present.  A verbatim
+#: record's first byte is 0x80 exactly.
+_REC_DELTA = 0x04
 _REC_CONNECTION = 0x08
 _REC_VERBATIM = 0x80
 
@@ -163,23 +174,28 @@ _BATCH_VERBATIM = {
 
 def _record_layouts(little: bool) -> Tuple[Optional[struct.Struct], ...]:
     """Flags byte -> the fixed fields of the Regular record it opens (the
-    flags byte itself, seq / ts / ack or ts alone, the connection id and
-    request number if present, the payload length); None for a byte that
-    opens no Regular record in an envelope of this endianness."""
+    flags byte itself, seq / ts / ack or the ts and ack steps, the
+    connection id and request number if present, the payload length);
+    None for a byte that opens no Regular record in an envelope of this
+    endianness."""
     e, endian_bit = ("<", _FLAG_LITTLE_ENDIAN) if little else (">", 0)
     table: list = [None] * 256
     for retrans in (0, _FLAG_RETRANSMISSION):
-        for follows in (0, _REC_FOLLOWS):
+        for delta in (0, _REC_DELTA):
             for conn in (0, _REC_CONNECTION):
-                table[endian_bit | retrans | follows | conn] = struct.Struct(
-                    e + "B" + ("Q" if follows else "IQQ") + ("IIIIQ" if conn else "") + "H")
+                table[endian_bit | retrans | delta | conn] = struct.Struct(
+                    e + "B" + ("BB" if delta else "IQQ") + ("IIIIQ" if conn else "") + "H")
     return tuple(table)
 
 
 _RECORD_LAYOUTS = {True: _record_layouts(True), False: _record_layouts(False)}
-#: a Regular part's size field, source, group, seq, ack and payload length
-_PART_FIELDS = {True: struct.Struct("<8xIIII8xQ24xI"),
-                False: struct.Struct(">8xIIII8xQ24xI")}
+#: a delta record's head, below the ORB and on a connection: flags, the
+#: ts and ack steps, [connection id and request number,] payload length
+_DELTA_HEAD = {True: struct.Struct("<BBBH"), False: struct.Struct(">BBBH")}
+_DELTA_HEAD_CONNECTION = {True: struct.Struct("<BBB24sH"), False: struct.Struct(">BBB24sH")}
+#: a Regular part's size field, source, group, seq, ts, ack and payload length
+_PART_FIELDS = {True: struct.Struct("<8xIIIIQQ24xI"),
+                False: struct.Struct(">8xIIIIQQ24xI")}
 #: one-byte record flags, prebuilt
 _BYTE = tuple(bytes((i,)) for i in range(256))
 _U16 = {True: struct.Struct("<H"), False: struct.Struct(">H")}
@@ -380,48 +396,61 @@ def encode(msg: FTMPMessage) -> bytes:
         pack = entry_struct.pack
         return prefix + b"".join(pack(pid, seq, ts) for pid, seq, ts in entries)
     if cls is BatchMessage:
-        # Records are slices of the parts' own encodings, assembled by one
-        # join: seq / ts / ack lie contiguously at header bytes 20:40 (ts
-        # alone at 24:32), the connection id and request number at 40:64,
-        # and the u16 payload length is the low half of the part's u32
-        # at 64 (bounded to 0xFFFF below).  (Unpacking each header and
-        # re-packing the record measured slower, and a pack_into
-        # bytearray ~2x slower.)  The eligibility and follows tests are
-        # exactly those of ``_regular_record`` in the reference encoder
+        # A full record is slices of its part's own encoding, assembled by
+        # one join: seq / ts / ack lie contiguously at header bytes 20:40,
+        # the connection id and request number at 40:64, and the u16
+        # payload length is the low half of the part's u32 at 64 (bounded
+        # to 0xFFFF below).  A delta record's head is one precompiled
+        # ``pack``.  The eligibility and delta tests are exactly those of
+        # ``_regular_fields`` / ``_regular_record`` in the reference encoder
         # (tests/reference/wire_reference.py), which the codec property
         # tests hold this one to.
         parts = msg.parts
         heads = _REGULAR_HEADS[little]
         source, group = h.source, h.group
         fields = _PART_FIELDS[little].unpack_from
+        delta_head = _DELTA_HEAD[little].pack
+        delta_head_connection = _DELTA_HEAD_CONNECTION[little].pack
         verbatim = _BATCH_VERBATIM[little]
         low = 64 if little else 66
         chunks = [b"", b""]  # back-filled below: header, part count
         append, extend = chunks.append, chunks.extend
-        prev_seq = prev_ack = -2  # the previous Regular record's
+        # the previous record's seq / ts / ack; None before the first
+        # part, which sets the header's (the record before it)
+        prev_seq = prev_ts = prev_ack = None
+        h.sequence_number = h.timestamp = h.ack_timestamp = 0
         for part in parts:
             if part[0:8] in heads and len(part) >= _REGULAR_FIXED:
-                size, src, grp, seq, ack, plen = fields(part)
+                size, src, grp, seq, ts, ack, plen = fields(part)
                 if (size == len(part) == _REGULAR_FIXED + plen and plen <= 0xFFFF
                         and src == source and grp == group):
-                    if seq == prev_seq + 1 and ack == prev_ack:
-                        rflags = part[6] | _REC_FOLLOWS
-                        stamp = part[24:32]
-                    else:
-                        rflags = part[6]
-                        stamp = part[20:40]
-                    prev_seq, prev_ack = seq, ack
+                    if prev_seq is None:
+                        if seq:
+                            prev_seq = h.sequence_number = seq - 1
+                            prev_ts = h.timestamp = ts
+                            prev_ack = h.ack_timestamp = ack
+                        else:
+                            prev_seq = prev_ts = prev_ack = 0
                     conn = part[40:64]
-                    if conn == _NO_CONNECTION_BYTES:
-                        extend((_BYTE[rflags], stamp, part[low:low + 2],
-                                part[_REGULAR_FIXED:]))
+                    payload = part[_REGULAR_FIXED:]
+                    if (seq == prev_seq + 1 and 0 <= (dts := ts - prev_ts) < 256
+                            and 0 <= (dack := ack - prev_ack) < 256):
+                        if conn == _NO_CONNECTION_BYTES:
+                            extend((delta_head(part[6] | _REC_DELTA, dts, dack, plen), payload))
+                        else:
+                            extend((delta_head_connection(
+                                part[6] | _REC_DELTA | _REC_CONNECTION, dts, dack, conn, plen),
+                                payload))
+                    elif conn == _NO_CONNECTION_BYTES:
+                        extend((_BYTE[part[6]], part[20:40], part[low:low + 2], payload))
                     else:
-                        extend((_BYTE[rflags | _REC_CONNECTION], stamp, conn,
-                                part[low:low + 2], part[_REGULAR_FIXED:]))
+                        extend((_BYTE[part[6] | _REC_CONNECTION], part[20:40], conn,
+                                part[low:low + 2], payload))
+                    prev_seq, prev_ts, prev_ack = seq, ts, ack
                     continue
             append(verbatim.pack(_REC_VERBATIM, len(part)))
             append(part if type(part) is bytes else bytes(part))
-            prev_seq = -2
+            prev_seq, prev_ts, prev_ack = -2, 0, 0  # a delta needs a Regular record
         size = HEADER_SIZE + 2 + sum(map(len, chunks))
         h.message_size = size
         chunks[0] = _HDR[little].pack(
@@ -484,14 +513,16 @@ def _decode_batch(h: FTMPHeader, data: _Buffer, little: bool) -> BatchMessage:
     for byte, and — when every record is a Regular record, what the send
     path coalesces — each part's message, built in the same pass.
 
-    One reader over one buffer.  A record that cannot be framed (flags
-    byte opening no record, *follows* with no predecessor, a sequence
-    number carried past 0xFFFFFFFF, a length past the end) raises
-    :class:`CodecError`; a verbatim part is copied as it came, left to
-    the receive path, and ends the in-pass decode.  A rebuilt Regular
-    passes every check :func:`decode` makes — magic, size field, payload
-    bound, endianness bit hold by construction — so ``decoded[i] ==
-    decode(parts[i])`` field for field.
+    One reader over one buffer; the header's seq / ts / ack are the
+    record before the first.  A record that cannot be framed (flags byte
+    opening no record, a delta record right after a verbatim one, a
+    sequence number carried past 0xFFFFFFFF or a timestamp past
+    2**64 - 1, a length past the end) raises :class:`CodecError`; a
+    verbatim part is copied as it came, left to the receive path, and
+    ends the in-pass decode.  A rebuilt Regular passes every check
+    :func:`decode` makes — magic, size field, payload bound, endianness
+    bit hold by construction — so ``decoded[i] == decode(parts[i])``
+    field for field.
     """
     n = len(data)
     pos = HEADER_SIZE
@@ -503,9 +534,12 @@ def _decode_batch(h: FTMPHeader, data: _Buffer, little: bool) -> BatchMessage:
     verbatim = _BATCH_VERBATIM[little]
     pack_part = _HDR_REGULAR[little].pack
     source, group = h.source, h.group
+    part_flags = _FLAG_LITTLE_ENDIAN | _FLAG_RETRANSMISSION
+    regular = MessageType.REGULAR
     parts = []
     decoded: Optional[list] = []
-    seq = ack = -1  # the previous Regular record's; -1: there is none
+    # the previous record's; seq -1: a verbatim record, no predecessor
+    seq, ts, ack = h.sequence_number, h.timestamp, h.ack_timestamp
     for _ in range(count):
         if pos >= n:
             raise CodecError("truncated batch record")
@@ -528,17 +562,17 @@ def _decode_batch(h: FTMPHeader, data: _Buffer, little: bool) -> BatchMessage:
         body = pos + layout.size
         if body > n:
             raise CodecError("truncated batch record")
-        if rflags & _REC_FOLLOWS:
+        if rflags & _REC_DELTA:
             if seq < 0:
-                raise CodecError("batch record follows no Regular record")
-            if seq == 0xFFFFFFFF:
-                raise CodecError("batch record sequence number past 0xFFFFFFFF")
+                raise CodecError("batch delta record follows no Regular record")
             seq += 1
             if rflags & _REC_CONNECTION:
-                _f, ts, cd, cg, sd, sg, req, plen = layout.unpack_from(data, pos)
+                _f, dts, dack, cd, cg, sd, sg, req, plen = layout.unpack_from(data, pos)
             else:
-                _f, ts, plen = layout.unpack_from(data, pos)
+                _f, dts, dack, plen = layout.unpack_from(data, pos)
                 cd = cg = sd = sg = req = 0
+            ts += dts
+            ack += dack
         elif rflags & _REC_CONNECTION:
             _f, seq, ts, ack, cd, cg, sd, sg, req, plen = layout.unpack_from(data, pos)
         else:
@@ -549,13 +583,19 @@ def _decode_batch(h: FTMPHeader, data: _Buffer, little: bool) -> BatchMessage:
             raise CodecError("truncated batch part")
         payload = bytes(data[body:pos])
         size = _REGULAR_FIXED + plen
-        pflags = rflags & (_FLAG_LITTLE_ENDIAN | _FLAG_RETRANSMISSION)
-        parts.append(pack_part(MAGIC, VERSION_MAJOR, VERSION_MINOR, pflags, _REGULAR,
-                               size, source, group, seq, ts, ack,
-                               cd, cg, sd, sg, req, plen) + payload)
+        pflags = rflags & part_flags
+        try:
+            parts.append(pack_part(MAGIC, VERSION_MAJOR, VERSION_MINOR, pflags, _REGULAR,
+                                   size, source, group, seq, ts, ack,
+                                   cd, cg, sd, sg, req, plen) + payload)
+        except struct.error:
+            # only a delta record's steps can carry a field past its width
+            raise CodecError("batch record sequence number past 0xFFFFFFFF"
+                             if seq > 0xFFFFFFFF else
+                             "batch record timestamp past 2**64 - 1") from None
         if decoded is not None:
             decoded.append(RegularMessage(
-                FTMPHeader(MessageType.REGULAR, source, group, seq, ts, ack,
+                FTMPHeader(regular, source, group, seq, ts, ack,
                            bool(pflags & _FLAG_RETRANSMISSION), little, size,
                            MAGIC, _VERSION),
                 ConnectionId(cd, cg, sd, sg) if cd or cg or sd or sg else _NO_CONNECTION,

@@ -6,10 +6,10 @@ receivers — and since the codec decodes Regular records in the
 envelope's pass (``BatchMessage.decoded``) and RMP / ROMP take them as a
 run, it is also where a second way through the receiver begins.  Records
 are laid out by hand here so that every fault can be planted where
-``encode`` would never put it: a *follows* record with nothing to follow,
-a sequence number carried past 0xFFFFFFFF, a length past the end, a
-flags byte opening no record, and verbatim parts the receive path must
-refuse.  Whatever arrives:
+``encode`` would never put it: a delta record right after a verbatim
+one, a sequence number carried past 0xFFFFFFFF or a timestamp past
+2**64 - 1, a length past the end, a flags byte opening no record, and
+verbatim parts the receive path must refuse.  Whatever arrives:
 
 * ``CodecError`` (counted by the stack as a decode error) or a counted
   per-part drop — nothing else escapes ``FTMPStack._on_datagram``, one bad
@@ -46,7 +46,8 @@ from repro.simnet import Network, lan
 GROUP, ADDRESS = 1, 5001
 SENDER = 2  #: the source every hand-built BATCH claims
 PEER = 3  #: a third member, heard only through hand-built heartbeats
-LITTLE, RETRANSMISSION, FOLLOWS, CONNECTION, VERBATIM = 0x01, 0x02, 0x04, 0x08, 0x80
+LITTLE, RETRANSMISSION, DELTA, CONNECTION, VERBATIM = 0x01, 0x02, 0x04, 0x08, 0x80
+U64_MAX = 2**64 - 1
 
 
 # ----------------------------------------------------------------------
@@ -65,14 +66,15 @@ def connection_of(payload):
     return cid, len(payload) if len(payload) % 2 else 0
 
 
-def record(e, *, seq, ts, ack=0, payload=b"", cid=(0, 0, 0, 0), req=0, flags=0,
-           follows=False, plen=None):
-    """One Regular record; ``flags`` is XORed into what the fields imply."""
+def record(e, *, seq=0, ts=0, ack=0, payload=b"", cid=(0, 0, 0, 0), req=0, flags=0,
+           delta=None, plen=None):
+    """One Regular record: a full one, or with ``delta=(ts step, ack
+    step)`` a delta record; ``flags`` is XORed into what the fields imply."""
     connection = any(cid) or req
-    first = ((LITTLE if e == "<" else 0) | (FOLLOWS if follows else 0)
+    first = ((LITTLE if e == "<" else 0) | (DELTA if delta else 0)
              | (CONNECTION if connection else 0)) ^ flags
     out = struct.pack(e + "B", first)
-    out += struct.pack(e + "Q", ts) if follows else struct.pack(e + "IQQ", seq, ts, ack)
+    out += struct.pack(e + "BB", *delta) if delta else struct.pack(e + "IQQ", seq, ts, ack)
     if connection:
         out += struct.pack(e + "IIIIQ", *cid, req)
     return out + struct.pack(e + "H", len(payload) if plen is None else plen) + payload
@@ -91,29 +93,39 @@ def full_regular(seq, ts, e, *, source=SENDER, group=GROUP, payload=b"x",
         ConnectionId.none(), seq, payload))
 
 
-def envelope(records, e="<", *, count=None, source=SENDER):
+def envelope(records, e="<", *, count=None, source=SENDER, head=(0, 0, 0)):
+    """A BATCH datagram; ``head`` is its header's (seq, ts, ack), the
+    record before the first."""
     body = struct.pack(e + "H", len(records) if count is None else count) + b"".join(records)
     return struct.pack(e + "4sBBBBIIIIQQ", MAGIC, VERSION_MAJOR, VERSION_MINOR,
                        LITTLE if e == "<" else 0, int(MessageType.BATCH),
-                       40 + len(body), source, GROUP, 0, 0, 0) + body
+                       40 + len(body), source, GROUP, *head) + body
 
 
-def _regular(flags=0, elide=True):
+def _regular(flags=0, delta=True):
     def build(e, seq, ts, p, prev):
         ack = ts - ts % 4  # shared by runs of records, as acks are
         cid, req = connection_of(p)
+        steps = None
+        if delta and prev is not None and seq == prev[0] + 1:
+            steps = (ts - prev[1], ack - prev[2])
+            if not all(0 <= step < 256 for step in steps):
+                steps = None
         return record(e, seq=seq, ts=ts, ack=ack, payload=p, cid=cid, req=req, flags=flags,
-                      follows=elide and prev == (seq - 1, ack)), (seq, ack)
+                      delta=steps), (seq, ts, ack)
     return build
 
 
-def _follows(e, seq, ts, p, prev):
-    # a follows record whatever came before: its seq and ack are the
-    # predecessor's + 1 and unchanged, and with no predecessor it is
-    # a framing fault
+def _delta(e, seq, ts, p, prev):
+    # a delta record whatever came before: its seq is the predecessor's
+    # + 1 and its steps are what they can be of the ts drawn, and with
+    # no predecessor it is a framing fault
     cid, req = connection_of(p)
-    after = None if prev is None else (prev[0] + 1, prev[1])
-    return record(e, seq=0, ts=ts, payload=p, cid=cid, req=req, follows=True), after
+    if prev is None:
+        return record(e, payload=p, cid=cid, req=req, delta=(1, 0)), None
+    steps = (min(max(ts - prev[1], 0), 255), len(p) % 3)
+    after = (prev[0] + 1, prev[1] + steps[0], prev[2] + steps[1])
+    return record(e, payload=p, cid=cid, req=req, delta=steps), after
 
 
 def _verbatim(**kw):
@@ -145,15 +157,15 @@ def _framing(build):
 
 
 #: record kind -> builder(e, seq, ts, payload, prev) -> (bytes, prev after),
-#: where ``prev`` is the (seq, ack) a follows record would extend, None
-#: at the start of a datagram and after a verbatim record.  The first row
-#: is what the send path coalesces; every other one a way for a record to
-#: be different
+#: where ``prev`` is the (seq, ts, ack) a delta record would extend: the
+#: envelope header's at the start of a datagram, None after a verbatim
+#: record.  The first row is what the send path coalesces; every other
+#: one a way for a record to be different
 RECORDS = {
     "regular": _regular(),
     "retransmitted": _regular(flags=RETRANSMISSION),
-    "unelided": _regular(elide=False),  # a full record that could follow
-    "follows": _follows,
+    "full": _regular(delta=False),  # a full record that could be a delta
+    "delta": _delta,
     # verbatim parts: the receive path decodes each, and drops and counts
     # what it must not take
     "verbatim": _verbatim(),
@@ -179,7 +191,7 @@ RECORDS = {
         lambda e, seq, ts, p: record(e, seq=seq, ts=ts, payload=p, flags=0x40)),
     "verbatim_and_new_bit": _framing(
         lambda e, seq, ts, p: verbatim(full_regular(seq, ts, e, payload=p), e,
-                                       marker=VERBATIM | FOLLOWS)),
+                                       marker=VERBATIM | DELTA)),
     "body_length_past_end": _framing(
         lambda e, seq, ts, p: record(e, seq=seq, ts=ts, payload=p, plen=0xFFFF)),
     "verbatim_length_past_end": _framing(
@@ -187,7 +199,7 @@ RECORDS = {
                                        plen=0xFFFFFF)),
 }
 #: kinds the in-pass decode takes: a datagram of these alone has a run
-RUN_KINDS = ("regular", "retransmitted", "unelided", "follows")
+RUN_KINDS = ("regular", "retransmitted", "full", "delta")
 #: kinds stored verbatim: the in-pass decode leaves the batch to the
 #: receive path part by part
 VERBATIM_KINDS = ("verbatim", "verbatim_retransmitted", "verbatim_foreign_source",
@@ -202,16 +214,28 @@ hostile_kinds = st.sampled_from(sorted(RECORDS)) | clean_kinds
 #: stream would carry next: mostly exactly that, so runs do form
 steps = st.sampled_from([0, 0, 0, 0, 0, 1, 2, -1])
 ENVELOPE_DAMAGE = ["none", "none", "none", "prefix", "count_over", "count_under"]
+#: the envelope header's (seq, ts, ack) against the first record's (seq,
+#: ts, ack): what ``encode`` writes, zeros, or a base a delta record
+#: carries past 0xFFFFFFFF or 2**64 - 1
+HEADS = ["encoded", "encoded", "encoded", "zeros", "seq_max", "ts_max", "ack_max"]
+
+
+def head_of(kind, seq, ts):
+    ack = ts - ts % 4
+    return {"encoded": (seq - 1, ts, ack), "zeros": (0, 0, 0),
+            "seq_max": (0xFFFFFFFF, ts, ack), "ts_max": (seq - 1, U64_MAX - 1, ack),
+            "ack_max": (seq - 1, ts, U64_MAX)}[kind]
 
 
 @st.composite
 def sessions(draw, max_datagrams=1, peer=False):
     """BATCH datagrams one sender might emit in turn, each a ``(raw,
     record kinds, envelope intact)`` triple; sequence numbers start at 2
-    and timestamps at 10.  With ``peer``, PEER's heartbeats come in
-    between: how far it has been heard is what lets the ordering gate
-    deliver — and its acknowledgements, stability move — part of the way
-    into a batch."""
+    and timestamps at 10.  Delta, full and verbatim records mix, on the
+    base ``encode`` puts in the envelope header or another.  With
+    ``peer``, PEER's heartbeats come in between: how far it has been
+    heard is what lets the ordering gate deliver — and its
+    acknowledgements, stability move — part of the way into a batch."""
     seq, ts = 2, 10
     out = []
     for _ in range(draw(st.integers(1, max_datagrams))):
@@ -222,7 +246,8 @@ def sessions(draw, max_datagrams=1, peer=False):
         # half the datagrams are what a sender would emit, so that the
         # faults in the other half meet a receiver in mid-stream
         hostile = draw(st.booleans())
-        records, record_kinds, prev = [], [], None
+        head = head_of(draw(st.sampled_from(HEADS)) if hostile else "encoded", seq, ts)
+        records, record_kinds, prev = [], [], head
         for _ in range(draw(st.integers(0, 6) if hostile else st.integers(1, 8))):
             kind = draw(hostile_kinds if hostile else clean_kinds)
             step = draw(steps) if hostile else 0
@@ -238,7 +263,7 @@ def sessions(draw, max_datagrams=1, peer=False):
             count = len(records) + draw(st.integers(1, 3))
         elif damage == "count_under" and records:
             count = len(records) - 1
-        raw = envelope(records, e, count=count)
+        raw = envelope(records, e, count=count, head=head)
         if damage == "prefix":
             # the size field goes on announcing the whole datagram, as if
             # the tail were lost; a second variant repairs it so that
@@ -423,22 +448,36 @@ def _good(e):
     return record(e, seq=2, ts=11, payload=b"a")
 
 
-#: a record the reader cannot frame, after what comes first -> the error
-#: (a length running past the end is the test above)
+#: a record the reader cannot frame, after what comes first -> the error,
+#: and the envelope header's (seq, ts, ack) where it is the fault (a
+#: length running past the end is the test above).  Every delta fault
+#: here is a part the rebuild could not pack: it must be the codec's
+#: error, not ``struct.error``
 FRAMING_FAULTS = {
-    "follows_first": (
-        lambda e: [record(e, seq=0, ts=11, payload=b"a", follows=True)],
-        "batch record follows no Regular record"),
     "follows_after_verbatim": (
         lambda e: [verbatim(full_regular(2, 11, e), e),
-                   record(e, seq=0, ts=12, payload=b"b", follows=True)],
-        "batch record follows no Regular record"),
+                   record(e, payload=b"b", delta=(1, 0))],
+        "batch delta record follows no Regular record"),
     "seq_past_u32": (
         lambda e: [record(e, seq=0xFFFFFFFF, ts=11, payload=b"a"),
-                   record(e, seq=0, ts=12, payload=b"b", follows=True)],
+                   record(e, payload=b"b", delta=(1, 0))],
         "batch record sequence number past 0xFFFFFFFF"),
+    "seq_past_u32_from_the_header": (
+        lambda e: [record(e, payload=b"a", delta=(0, 0))],
+        "batch record sequence number past 0xFFFFFFFF", (0xFFFFFFFF, 11, 0)),
+    "ts_past_u64": (
+        lambda e: [record(e, seq=2, ts=U64_MAX - 1, payload=b"a"),
+                   record(e, payload=b"b", delta=(2, 0))],
+        r"batch record timestamp past 2\*\*64 - 1"),
+    "ack_past_u64": (
+        lambda e: [record(e, seq=2, ts=11, ack=U64_MAX, payload=b"a"),
+                   record(e, payload=b"b", delta=(1, 1))],
+        r"batch record timestamp past 2\*\*64 - 1"),
+    "ts_past_u64_from_the_header": (
+        lambda e: [record(e, payload=b"a", delta=(255, 0))],
+        r"batch record timestamp past 2\*\*64 - 1", (1, U64_MAX - 254, 0)),
     "verbatim_and_new_bit": (
-        lambda e: [_good(e), verbatim(full_regular(3, 12, e), e, marker=VERBATIM | FOLLOWS)],
+        lambda e: [_good(e), verbatim(full_regular(3, 12, e), e, marker=VERBATIM | DELTA)],
         "bad batch record flags 0x84"),
     "verbatim_and_connection_bit": (
         lambda e: [_good(e), verbatim(full_regular(3, 12, e), e, marker=VERBATIM | CONNECTION)],
@@ -452,14 +491,17 @@ FRAMING_FAULTS = {
     "record_cut_short": (
         lambda e: [_good(e), record(e, seq=3, ts=12, payload=b"")[:10]],
         "truncated batch record"),
+    "delta_head_cut_short": (
+        lambda e: [_good(e), record(e, payload=b"", delta=(1, 0))[:4]],
+        "truncated batch record"),
 }
 
 
 @pytest.mark.parametrize("e", "<>")
 @pytest.mark.parametrize("fault", sorted(FRAMING_FAULTS))
 def test_a_record_that_cannot_be_framed_is_a_decode_error(fault, e):
-    records, message = FRAMING_FAULTS[fault]
-    raw = envelope(records(e), e)
+    records, message, *head = FRAMING_FAULTS[fault]
+    raw = envelope(records(e), e, head=head[0] if head else (0, 0, 0))
     for data in (raw, memoryview(raw)):
         with pytest.raises(CodecError, match=message):
             decode(data)
@@ -473,11 +515,11 @@ def test_a_record_that_cannot_be_framed_is_a_decode_error(fault, e):
 @pytest.mark.parametrize("e", "<>")
 def test_work_is_bounded_by_the_bytes_present(e):
     # every record the reader frames takes at least 5 bytes (a verbatim
-    # header) and a Regular record at least 11, or the datagram is an
-    # error: the part count cannot make it read past what arrived
+    # header or a delta record's head), or the datagram is an error: the
+    # part count cannot make it read past what arrived
     layouts = [layout for layout in wire._RECORD_LAYOUTS[e == "<"] if layout is not None]
-    assert min(layout.size for layout in layouts) == 11
-    assert len(layouts) == 8  # endianness fixed; retransmission x follows x connection
+    assert min(layout.size for layout in layouts) == 5
+    assert len(layouts) == 8  # endianness fixed; retransmission x delta x connection
     raw = envelope([_good(e)], e, count=0xFFFF)
     with pytest.raises(CodecError, match="truncated batch record"):
         decode(raw)

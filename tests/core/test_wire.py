@@ -150,23 +150,49 @@ def test_batch_round_trip(little):
         assert inner.payload == b"p%d" % i
 
 
-@pytest.mark.parametrize("little", [True, False], ids=["little-endian", "big-endian"])
-def test_follow_on_regular_below_the_orb_costs_at_most_12_bytes_plus_payload(little):
-    # what the send path coalesces: one sender's consecutive Regulars
-    # with one ack, no connection id and request number 0
-    def batch(n):
-        parts = tuple(encode(RegularMessage(
-            FTMPHeader(MessageType.REGULAR, source=7, group=42, sequence_number=100 + i,
-                       timestamp=500 + 3 * i, ack_timestamp=480, little_endian=little),
-            ConnectionId.none(), 0, b"x" * 64)) for i in range(n))
-        return parts, encode(BatchMessage(header(MessageType.BATCH, little), parts))
+def _coalesced(little, n, cid=ConnectionId.none(), request_num=0):
+    """What the send path coalesces: one sender's consecutive Regulars,
+    each a few ticks after the last, acks a step apart, 64 B payloads."""
+    parts = tuple(encode(RegularMessage(
+        FTMPHeader(MessageType.REGULAR, source=7, group=42, sequence_number=100 + i,
+                   timestamp=500 + 3 * i, ack_timestamp=480 + i // 2, little_endian=little),
+        cid, request_num, b"x" * 64)) for i in range(n))
+    return parts, encode(BatchMessage(header(MessageType.BATCH, little), parts))
 
-    _, one = batch(1)
-    parts, two = batch(2)
-    assert len(two) - len(one) - 64 <= 12
-    assert len(two) - len(one) - 64 == 11  # flags, timestamp, payload length
-    assert len(one) == HEADER_SIZE + 2 + 23 + 64  # + seq and ack
-    assert decode(two).parts == parts
+
+@pytest.mark.parametrize("little", [True, False], ids=["little-endian", "big-endian"])
+def test_delta_record_below_the_orb_costs_5_bytes_plus_payload(little):
+    # flags, ts step, ack step, payload length — the first record too,
+    # whose base is the envelope header's (seq - 1, ts, ack)
+    for n in (1, 2, 8):
+        parts, raw = _coalesced(little, n)
+        assert len(raw) == HEADER_SIZE + 2 + n * (5 + 64)
+        out = decode(raw)
+        assert out.parts == parts
+        first = decode(parts[0]).header
+        assert (out.header.sequence_number, out.header.timestamp, out.header.ack_timestamp) \
+            == (first.sequence_number - 1, first.timestamp, first.ack_timestamp)
+
+
+@pytest.mark.parametrize("little", [True, False], ids=["little-endian", "big-endian"])
+def test_delta_record_on_a_connection_costs_29_bytes_plus_payload(little):
+    # + the connection id and request number
+    for n in (1, 2, 8):
+        parts, raw = _coalesced(little, n, CID, 9)
+        assert len(raw) == HEADER_SIZE + 2 + n * (29 + 64)
+        assert decode(raw).parts == parts
+
+
+@pytest.mark.parametrize("little", [True, False], ids=["little-endian", "big-endian"])
+def test_a_step_of_256_takes_a_full_record(little):
+    # ts 256 past the previous record's: seq, ts and ack in full (23 B)
+    parts = tuple(encode(RegularMessage(
+        FTMPHeader(MessageType.REGULAR, source=7, group=42, sequence_number=1 + i,
+                   timestamp=10 + 256 * i, ack_timestamp=4, little_endian=little),
+        ConnectionId.none(), 0, b"x" * 64)) for i in range(2))
+    raw = encode(BatchMessage(header(MessageType.BATCH, little), parts))
+    assert len(raw) == HEADER_SIZE + 2 + (5 + 64) + (23 + 64)
+    assert decode(raw).parts == parts
 
 
 def test_empty_batch_round_trip():

@@ -125,15 +125,23 @@ def _coalesced_part(source, group, little, seq, ts, ack, cid=ConnectionId.none()
         cid, request_num, payload))
 
 
+#: how far a part's ts or ack lies past its predecessor's: mostly a
+#: delta record's u8 step (the edges included) or one too far
+SMALL_STEPS = st.sampled_from([0, 0, 1, 1, 3, 255, 256])
+
+
 @st.composite
 def coalesced(draw):
     """One sender's Regulars to one group, in one byte order, as the send
     path packs them: sequence numbers mostly consecutive (sometimes
-    broken, or wrapping past 0xFFFFFFFF), acks mostly shared, connection
-    ids and request numbers zero or not, the odd retransmission — and
-    now and then a part of another source between them, stored verbatim."""
+    broken, or wrapping past 0xFFFFFFFF), timestamps and acks mostly a
+    small step on (sometimes a long one, or wrapping past 2**64 - 1),
+    connection ids and request numbers zero or not, the odd
+    retransmission — and now and then a part of another source between
+    them, stored verbatim."""
     source, group, little = draw(U32), draw(U32), draw(st.booleans())
     seq = draw(st.sampled_from([0, 1, 0xFFFFFFFE]) | U32)
+    ts = draw(st.sampled_from([0, 2**64 - 256]) | U64)
     ack = draw(U64)
     parts = []
     for _ in range(draw(st.integers(0, 8))):
@@ -141,40 +149,47 @@ def coalesced(draw):
             parts.append(_coalesced_part(source ^ 1, group, little, seq, 0, ack))
             continue
         seq = (seq + draw(st.sampled_from([1, 1, 1, 1, 0, 2]))) % 2**32
-        if draw(st.integers(0, 3)) == 0:
-            ack = draw(U64)
+        # one step in eight lands anywhere: behind the predecessor, too
+        ts = (ts + draw(U64 if draw(st.integers(0, 7)) == 0 else SMALL_STEPS)) % 2**64
+        ack = (ack + draw(U64 if draw(st.integers(0, 7)) == 0 else SMALL_STEPS)) % 2**64
         cid = draw(st.sampled_from([ConnectionId.none()]) | CID_S)
         parts.append(_coalesced_part(
-            source, group, little, seq, draw(U64), ack, cid,
+            source, group, little, seq, ts, ack, cid,
             draw(st.sampled_from([0]) | U64), draw(st.integers(0, 7)) == 0,
             draw(st.binary(max_size=80))))
     return _batch(source, group, little, parts)
 
 
 COALESCED = coalesced()
-#: follow-on records below the ORB, on a connection, retransmitted and
-#: after a changed ack; a broken sequence and a changed ack; a verbatim
-#: part and a Regular after it, which must not follow; a wrap past
-#: 0xFFFFFFFF, which must not either
-FOLLOW_ONS = _batch(5, 9, True, [
+#: delta records below the ORB, on a connection, retransmitted, at both
+#: step edges (255) and just past them (256, a full record); a broken
+#: sequence and a timestamp that goes back; a verbatim part and a Regular
+#: after it, which must not be a delta; a wrap past 0xFFFFFFFF and one
+#: past 2**64 - 1, which must not either
+DELTAS = _batch(5, 9, True, [
     _coalesced_part(5, 9, True, 7, 100, 50),
     _coalesced_part(5, 9, True, 8, 101, 50),
-    _coalesced_part(5, 9, True, 9, 102, 50, ConnectionId(1, 2, 3, 4), 17),
-    _coalesced_part(5, 9, True, 10, 103, 50, retransmission=True),
-    _coalesced_part(5, 9, True, 12, 104, 50),
-    _coalesced_part(5, 9, True, 13, 105, 51),
-    _coalesced_part(5, 9, True, 14, 106, 51),
-    _coalesced_part(6, 9, True, 15, 107, 51),
-    _coalesced_part(5, 9, True, 15, 108, 51),
-    _coalesced_part(5, 9, True, 0xFFFFFFFF, 109, 51),
-    _coalesced_part(5, 9, True, 0, 110, 51),
+    _coalesced_part(5, 9, True, 9, 102, 51, ConnectionId(1, 2, 3, 4), 17),
+    _coalesced_part(5, 9, True, 10, 357, 51, retransmission=True),
+    _coalesced_part(5, 9, True, 11, 357, 306),
+    _coalesced_part(5, 9, True, 12, 613, 306),
+    _coalesced_part(5, 9, True, 13, 613, 562),
+    _coalesced_part(5, 9, True, 15, 614, 562),
+    _coalesced_part(5, 9, True, 16, 600, 562),
+    _coalesced_part(6, 9, True, 17, 615, 562),
+    _coalesced_part(5, 9, True, 17, 616, 562),
+    _coalesced_part(5, 9, True, 0xFFFFFFFF, 617, 562),
+    _coalesced_part(5, 9, True, 0, 618, 562),
+    _coalesced_part(5, 9, True, 1, 2**64 - 1, 562),
+    _coalesced_part(5, 9, True, 2, 3, 562),
 ])
 
 ALL_MESSAGES = st.one_of(MESSAGES, BATCHES, COALESCED)
 
 
-def follow_ons(batch):
-    """How many parts of ``batch`` get a follows record."""
+def delta_records(batch):
+    """How many parts of ``batch`` after its first get a delta record
+    (the first gets one whenever it is a Regular record with seq > 0)."""
     count, prev = 0, None
     for part in batch.parts:
         h = peek_header(part)
@@ -183,14 +198,16 @@ def follow_ons(batch):
                 or h.little_endian != batch.header.little_endian):
             prev = None
             continue
-        count += prev == (h.sequence_number - 1, h.ack_timestamp)
-        prev = (h.sequence_number, h.ack_timestamp)
+        cur = (h.sequence_number, h.timestamp, h.ack_timestamp)
+        count += (prev is not None and cur[0] == prev[0] + 1
+                  and 0 <= cur[1] - prev[1] < 256 and 0 <= cur[2] - prev[2] < 256)
+        prev = cur
     return count
 
 
 @settings(max_examples=300, deadline=None)
 @given(ALL_MESSAGES)
-@example(FOLLOW_ONS)
+@example(DELTAS)
 def test_roundtrip_identity(msg):
     raw = encode(msg)  # back-fills header.message_size on msg
     out = decode(raw)
@@ -200,14 +217,14 @@ def test_roundtrip_identity(msg):
 
 @settings(max_examples=300, deadline=None)
 @given(ALL_MESSAGES)
-@example(FOLLOW_ONS)
+@example(DELTAS)
 def test_fast_path_matches_reference(msg):
     assert encode(msg) == encode_reference(msg)
 
 
 @settings(max_examples=200, deadline=None)
 @given(BATCHES | COALESCED)
-@example(FOLLOW_ONS)
+@example(DELTAS)
 def test_batch_parts_reconstructed_byte_exact(batch):
     """Unpacked parts must be byte-for-byte the original encodings —
     retention buffers and retransmission identity depend on it."""
@@ -216,7 +233,7 @@ def test_batch_parts_reconstructed_byte_exact(batch):
 
 
 def test_the_coalesced_strategy_reaches_follow_on_records():
-    assert follow_ons(FOLLOW_ONS) == 4
+    assert delta_records(DELTAS) == 4
     drawn = []
 
     # derandomized: a threshold over a random draw fails now and then
@@ -224,10 +241,11 @@ def test_the_coalesced_strategy_reaches_follow_on_records():
     @settings(max_examples=100, deadline=None, database=None, derandomize=True)
     @given(COALESCED)
     def draw(batch):
-        drawn.append(follow_ons(batch))
+        drawn.append(delta_records(batch))
 
     draw()
-    # about half the draws hold one, about 0.9 per draw (seen: 0.81-1.09)
+    # about two draws in five hold one past the first part, about 0.8
+    # per draw (seen: 0.71-0.90 unseeded, 0.79 here)
     assert sum(1 for n in drawn if n) > len(drawn) // 4
     assert sum(drawn) > len(drawn) // 2
 

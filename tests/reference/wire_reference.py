@@ -10,7 +10,7 @@ beyond the message classes, the constants and :class:`CodecError`, so
 is an independent check for all 13 types.  The writer and the body
 chain moved here unedited from ``core/wire.py``; the BATCH Regular record
 is written field by field below, where the fast encoder assembles it from
-slices of each part.
+slices of each part and one precompiled delta head.
 """
 
 from __future__ import annotations
@@ -41,10 +41,11 @@ from repro.core.wire import CodecError
 
 _FLAG_LITTLE_ENDIAN = 0x01
 _FLAG_RETRANSMISSION = 0x02
-#: BATCH record flags beside the part's own two (above): seq and ack are
-#: elided (the previous record's + 1 and unchanged), and the connection
-#: id and request number are present.  0x80 alone opens a verbatim record.
-_REC_FOLLOWS = 0x04
+#: BATCH record flags beside the part's own two (above): a delta record
+#: (seq the previous record's + 1, ts and ack as u8 steps from the
+#: previous record's), and the connection id and request number are
+#: present.  0x80 alone opens a verbatim record.
+_REC_DELTA = 0x04
 _REC_CONNECTION = 0x08
 _REC_VERBATIM = 0x80
 #: the largest payload a Regular record's u16 length can state
@@ -129,7 +130,7 @@ class _Writer:
 # BATCH records (the fast encoder's inline tests must make exactly these
 # decisions)
 # ----------------------------------------------------------------------
-def _regular_record(part: _Buffer, envelope: FTMPHeader, little: bool) -> Optional[tuple]:
+def _regular_fields(part: _Buffer, envelope: FTMPHeader, little: bool) -> Optional[tuple]:
     """(flags, seq, ts, ack, connection id, request number, payload) when
     ``part`` gets a Regular record, None when it goes verbatim.
 
@@ -161,37 +162,56 @@ def _regular_record(part: _Buffer, envelope: FTMPHeader, little: bool) -> Option
             bytes(part[HEADER_SIZE + _REGULAR_PREFIX:]))
 
 
+def _regular_record(w: "_Writer", fields: tuple, prev: Optional[Tuple[int, int, int]]) -> None:
+    """One Regular record.  It is a *delta* record when ``prev``, the
+    (seq, ts, ack) of the record before it, is known, its seq is one more
+    and its ts and ack each exceed ``prev``'s by less than 256: then the
+    two steps take a byte each and seq is left out.  Otherwise it is a
+    full record, seq / ts / ack in full.  It has a *connection* when the
+    connection id or the request number is not zero."""
+    pflags, seq, ts, ack, cid, req, payload = fields
+    delta = (prev is not None and seq == prev[0] + 1
+             and 0 <= ts - prev[1] < 256 and 0 <= ack - prev[2] < 256)
+    connection = cid != ConnectionId.none() or req != 0
+    w.u8(pflags | (_REC_DELTA if delta else 0) | (_REC_CONNECTION if connection else 0))
+    if delta:
+        w.u8(ts - prev[1])
+        w.u8(ack - prev[2])
+    else:
+        w.u32(seq)
+        w.u64(ts)
+        w.u64(ack)
+    if connection:
+        w.connection_id(cid)
+        w.u64(req)
+    w.u16(len(payload))
+    w.raw(payload)
+
+
 def _encode_batch_body(msg: BatchMessage, w: "_Writer") -> None:
-    """Part count, then one record per part.  A Regular record *follows*
-    when the record before it is a Regular record whose seq is one less
-    and whose ack is the same; it has a *connection* when the connection
-    id or the request number is not zero."""
+    """Part count, then one record per part.  The envelope header counts
+    as the record before the first part: it is set to the first part's
+    (seq - 1, ts, ack) when that part gets a Regular record with a seq
+    above 0, to zeros otherwise.  A verbatim record has no successor a
+    delta record could follow."""
+    h = msg.header
+    records = [_regular_fields(part, h, h.little_endian) for part in msg.parts]
+    if records and records[0] is not None and records[0][1] > 0:
+        _pflags, seq, ts, ack = records[0][:4]
+        h.sequence_number, h.timestamp, h.ack_timestamp = seq - 1, ts, ack
+    else:
+        h.sequence_number = h.timestamp = h.ack_timestamp = 0
+    prev: Optional[Tuple[int, int, int]] = (h.sequence_number, h.timestamp, h.ack_timestamp)
     w.u16(len(msg.parts))
-    prev: Optional[Tuple[int, int]] = None  # (seq, ack) of the previous Regular record
-    for part in msg.parts:
-        record = _regular_record(part, msg.header, msg.header.little_endian)
-        if record is None:
+    for part, fields in zip(msg.parts, records):
+        if fields is None:
             w.u8(_REC_VERBATIM)
             w.u32(len(part))
             w.raw(bytes(part))
             prev = None
             continue
-        pflags, seq, ts, ack, cid, req, payload = record
-        follows = prev == (seq - 1, ack)
-        connection = cid != ConnectionId.none() or req != 0
-        w.u8(pflags | (_REC_FOLLOWS if follows else 0)
-             | (_REC_CONNECTION if connection else 0))
-        if not follows:
-            w.u32(seq)
-        w.u64(ts)
-        if not follows:
-            w.u64(ack)
-        if connection:
-            w.connection_id(cid)
-            w.u64(req)
-        w.u16(len(payload))
-        w.raw(payload)
-        prev = (seq, ack)
+        _regular_record(w, fields, prev)
+        prev = fields[1:4]
 
 
 def encode_reference(msg: FTMPMessage) -> bytes:
