@@ -7,7 +7,9 @@ Workload: one sparse sender in a 5-processor group (ordering latency is
 dominated by waiting for covering heartbeats from the quiet members).
 Sweep the interval; the reproduced figure is latency and packets/s per
 interval, and the asserted *shape* is: latency increases with the
-interval while traffic decreases.
+interval while traffic decreases.  A quiet member heartbeats one
+interval after its last send (§5), so no message waits longer than one
+interval plus a hop for the covering heartbeats.
 """
 
 from repro.analysis import Table, TimedWorkload, make_cluster, summarize
@@ -47,12 +49,13 @@ def test_e1_heartbeat_tradeoff():
 
     means = [results[ms][0].mean for ms in INTERVALS_MS]
     packets = [results[ms][1] for ms in INTERVALS_MS]
-    # shape: latency roughly bounded by the interval and clearly larger at
-    # the largest interval than the smallest
+    # shape: latency bounded by one interval and clearly larger at the
+    # largest interval than the smallest
     assert means[-1] > means[0]
     assert means[-1] > 5 * means[1]
-    for ms, lat_pair in results.items():
-        assert lat_pair[0].mean <= 2 * ms / 1e3 + 0.002
+    for ms, (lat, _pps) in results.items():
+        assert lat.mean <= ms / 1e3 + 0.002
+        assert lat.p99 <= ms / 1e3 + 0.0002
     # shape: traffic strictly decreases as the interval grows
     assert all(a > b for a, b in zip(packets, packets[1:]))
     # endpoints differ by roughly the interval ratio (50x) — allow slack

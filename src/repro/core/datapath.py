@@ -65,6 +65,7 @@ from .messages import (
     FTMPMessage,
     HeartbeatMessage,
     RegularMessage,
+    RetransmitRequestMessage,
 )
 from .multigroup import SkeenOrdering
 from .overlay import OverlayDissemination
@@ -72,7 +73,14 @@ from .pgmp import PGMP
 from .rmp import RMP
 from .romp import ROMP
 from .stats import GroupStats
-from .wire import CodecError, decode, encode, mark_retransmission, peek_header
+from .wire import (
+    CodecError,
+    decode,
+    encode,
+    mark_retransmission,
+    peek_header,
+    regular_full_size,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from random import Random
@@ -496,7 +504,7 @@ class SendPath:
         return (
             cfg.batch_window > 0.0
             and mtype == MessageType.REGULAR
-            and len(raw) <= cfg.batch_max_bytes
+            and regular_full_size(raw) <= cfg.batch_max_bytes
         )
 
     def _adaptive_bypass(self) -> bool:
@@ -538,7 +546,7 @@ class SendPath:
 
     def _append(self, raw: bytes) -> None:
         self._pending.append(raw)
-        self._pending_bytes += len(raw)
+        self._pending_bytes += regular_full_size(raw)
         if self._pending_bytes >= self._ctx.config.batch_max_bytes:
             self._batch.flushes_on_size += 1
             self.flush()
@@ -585,15 +593,19 @@ class SendPath:
     # heartbeats (paper §5)
     # ------------------------------------------------------------------
     def start_heartbeats(self) -> None:
-        self._arm_heartbeat()
+        self._arm_heartbeat(self._ctx.config.heartbeat_interval)
 
-    def _arm_heartbeat(self) -> None:
+    def _arm_heartbeat(self, delay: float) -> None:
         if self._stopped:
             return
-        self._timers.arm("heartbeat", self._ctx.config.heartbeat_interval,
-                         self._heartbeat_tick)
+        self._timers.arm("heartbeat", delay, self._heartbeat_tick)
 
     def _heartbeat_tick(self) -> None:
+        """The §5 idle clock: a Heartbeat goes out once nothing has been
+        stamped for one interval.  A tick that finds us idle for less
+        re-arms for the rest of the interval, so the Heartbeat follows
+        the last stamped send by exactly one interval; sends themselves
+        never touch the timer."""
         if self._stopped:
             return
         if self._heartbeats_replaced and not self._ctx.joining:
@@ -604,6 +616,7 @@ class SendPath:
             # stream in the ordering gate so the AddProcessor can reach
             # its position (§7.1).
             return  # deliberately without re-arming: the loop ends here
+        interval = self._ctx.config.heartbeat_interval
         if self._pending and not self._ctx.flow.blocked:
             # Piggyback suppression: the window flushes within
             # batch_window anyway, carrying fresher timestamps and a
@@ -616,10 +629,12 @@ class SendPath:
             self._batch.heartbeats_suppressed += 1
         else:
             idle = self._ctx.now() - self._last_send_time
-            if idle >= self._ctx.config.heartbeat_interval * 0.999:
-                self._stats.heartbeats_sent += 1
-                self._ctx.send(HeartbeatMessage)
-        self._arm_heartbeat()
+            if idle < interval * 0.999:
+                self._arm_heartbeat(interval - idle)
+                return
+            self._stats.heartbeats_sent += 1
+            self._ctx.send(HeartbeatMessage)
+        self._arm_heartbeat(interval)
 
     def cover(self, msg: RegularMessage) -> None:
         """A Regular on a §4 logical connection arrived.
@@ -627,7 +642,7 @@ class SendPath:
         Connection traffic is request/reply: whoever receives a Request
         or a Reply has nothing to send until it is delivered, and no
         member delivers it until every member is heard past it — by the
-        periodic tick, two heartbeat intervals later.  Unless we have
+        idle clock, up to one heartbeat interval later.  Unless we have
         stamped something since ``msg``'s timestamp, send the §5 null
         message on the next scheduler turn instead: one for however many
         Regulars arrive in the meantime, none if we send anything first.
@@ -917,7 +932,7 @@ class ProcessorGroup:
         self.romp.purge_source(pid)
         self._heard.discard(pid)
 
-    def _from_departed(self, msg: FTMPMessage) -> bool:
+    def _from_departed(self, msg: FTMPMessage, raw: bytes) -> bool:
         """True for a datagram from a member that left in order.
 
         It keeps heartbeating after its removal until every member has
@@ -925,11 +940,17 @@ class ProcessorGroup:
         the laggards' NACKs: here, where the removal is ordered and the
         member forgotten, either would re-create per-source state and
         NACK the departed stream from 1.  Dropped until it has been
-        silent for ``suspect_timeout``, or an AddProcessor names it.
+        silent for ``suspect_timeout``, or an AddProcessor names it —
+        but its acknowledgement is heard, and its NACKs answered: until
+        it acknowledges past its removal it has not ordered that, and
+        what it still misses is held for it (``ROMP.hold_for_leaver``).
         """
         src = msg.header.source
         if src in self._departed:
             self._departed[src] = self.now()
+            self.romp.hear_leaver(src, msg.header.ack_timestamp)
+            if msg.__class__ is RetransmitRequestMessage:
+                self.rmp.on_message(msg, raw)
             return True
         if msg.__class__ is AddProcessorMessage:
             self._departed.pop(msg.new_member, None)
@@ -943,6 +964,7 @@ class ProcessorGroup:
         timeout = self.config.suspect_timeout
         if quiet >= timeout * 0.999:  # float residue must not re-arm at +0
             del self._departed[pid]
+            self.romp.forget_leaver(pid)
         else:
             self.schedule(timeout - quiet, self._expire_departed, pid)
 
@@ -996,6 +1018,9 @@ class ProcessorGroup:
             waiting = {p for p in self.membership if p != self.pid}
         self._lingering = (removal_ts, self.now() + self.config.suspect_timeout,
                            waiting)
+        # our acknowledgement past the removal: whoever ordered it before
+        # us holds what we might still have needed until it hears this
+        self.send(HeartbeatMessage)
         self._linger_timer = self.schedule(self.config.heartbeat_interval,
                                            self._linger_tick)
 
@@ -1025,7 +1050,7 @@ class ProcessorGroup:
     # datagram input (from the stack router)
     # ------------------------------------------------------------------
     def on_datagram(self, msg: FTMPMessage, raw: bytes) -> None:
-        if self._departed and self._from_departed(msg):
+        if self._departed and self._from_departed(msg, raw):
             return
         self._ingress(msg, raw)
 
@@ -1098,6 +1123,8 @@ class ProcessorGroup:
             self.flow.note_sent(msg.header.timestamp)
         raw = self.send_path.send(msg, address)
         if mtype in TOTALLY_ORDERED_TYPES:
+            if mtype is MessageType.ADD_PROCESSOR:
+                self.romp.hold_for_joiner(msg)
             self.romp.on_own_send(msg)
         return raw
 

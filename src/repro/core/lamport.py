@@ -28,6 +28,12 @@ from typing import Callable
 
 __all__ = ["OrderingClock", "LamportClock", "SynchronizedClock", "make_clock"]
 
+#: the largest timestamp a clock adopts from a received message.  A
+#: timestamp is a u64 on the wire: one nearer 2**64 - 1 than this (from
+#: a corrupt or hostile datagram) would leave the clock no tick for our
+#: next message, so the clock stops here and keeps 2**32 ticks in hand
+CEILING = 2**64 - 2**32
+
 
 class OrderingClock(abc.ABC):
     """Interface shared by both timestamp sources."""
@@ -60,7 +66,7 @@ class LamportClock(OrderingClock):
 
     def observe(self, timestamp: int) -> None:
         if timestamp > self._time:
-            self._time = timestamp
+            self._time = timestamp if timestamp < CEILING else max(self._time, CEILING)
 
     @property
     def time(self) -> int:
@@ -96,7 +102,7 @@ class SynchronizedClock(OrderingClock):
 
     def observe(self, timestamp: int) -> None:
         if timestamp > self._time:
-            self._time = timestamp
+            self._time = timestamp if timestamp < CEILING else max(self._time, CEILING)
 
     @property
     def time(self) -> int:

@@ -144,6 +144,7 @@ class PGMP:
 
     def _ordered_add(self, msg: AddProcessorMessage) -> None:
         new = msg.new_member
+        self._g.romp.settle_joiner(new, (msg.header.timestamp, msg.header.source))
         if new == self._g.pid:
             if self._g.joining:
                 # Our own AddProcessor reached its position in the total
@@ -193,6 +194,8 @@ class PGMP:
             return
         if gone not in self._g.membership:
             return
+        # before the view: what it installs may deliver, and reclaim
+        self._g.romp.hold_for_leaver(gone, msg.header.timestamp)
         self._g.install_view(
             membership=tuple(sorted(set(self._g.membership) - {gone})),
             view_timestamp=msg.header.timestamp,

@@ -10,7 +10,8 @@ Header layout (offsets in bytes)::
     0   magic            4s   b"FTMP"
     4   version major    u8
     5   version minor    u8
-    6   flags            u8   bit0 = little endian, bit1 = retransmission
+    6   flags            u8   bit0 = little endian, bit1 = retransmission,
+                              bit2 = connectionless (Regular only)
     7   message type     u8
     8   message size     u32  (header + body, filled in at encode time)
     12  source processor u32
@@ -21,6 +22,22 @@ Header layout (offsets in bytes)::
 
 Body encodings use length-prefixed collections: ``u16 count`` for
 processor lists and sequence-number vectors, ``u32 length`` for payloads.
+
+A standalone Regular takes one of two layouts.  On a §4 logical
+connection (a connection id or a request number not zero — GIOP, LLFT
+OrderInfos) the body is the fixed prefix, then the payload: 68 B +
+payload::
+
+    40  connection id    4 x u32
+    56  request number   u64
+    64  payload length   u32
+    68  payload
+
+Below the ORB (the zero connection id, request number 0) the flags carry
+bit2 and the payload follows the header at once: 40 B + payload, its
+length the size field minus 40.  :func:`encode` picks the layout from
+the fields; the flag on any other type, or a size field that is not the
+datagram's length, is a :class:`CodecError`.
 
 Hot-path engineering: Heartbeat, Regular and AckSummary's fixed prefix
 encode in a single precompiled :class:`struct.Struct` ``pack`` call per
@@ -57,7 +74,9 @@ first part::
             u8   ts  - the previous record's ts
             u8   ack - the previous record's ack
         16B  connection id, u64 request number   (with connection only;
-                     without it they are the zero id and request 0)
+                     without it they are the zero id and request 0,
+                     and the part is rebuilt in the connectionless
+                     layout)
         u16  payload length
         ...  payload
     or a verbatim record, for any other part:
@@ -66,12 +85,15 @@ first part::
         ...  full part encoding
 
 A part gets a Regular record when it is a Regular of the envelope's
-source, group and endianness whose only flags are those two bits and
-whose body is exactly the fixed prefix and a payload of at most 0xFFFF
-bytes.  The record is a delta record when its seq is the previous
-record's + 1 and its ts and ack each exceed the previous record's by
-less than 256: a Regular below the ORB then costs 5 B + payload (29 B +
-payload on a connection) instead of its 68 B of header and body prefix,
+source, group and endianness, whose size field is its length, whose
+payload is at most 0xFFFF bytes, and which is in the layout
+:func:`encode` gives it: connectionless, or the fixed prefix naming a
+connection or a request.  A part in the 68 B layout with a zero
+connection block is not what the encoder emits and goes verbatim.  The
+record is a delta record when its seq is the previous record's + 1 and
+its ts and ack each exceed the previous record's by less than 256: a
+Regular below the ORB then costs 5 B + payload (29 B + payload on a
+connection) instead of its 40 B header (68 B of header and body prefix),
 the first part of an envelope included.  A delta record needs a
 predecessor: the header or a Regular record, with no verbatim record in
 between.  The receiver rebuilds each part's full encoding byte for byte,
@@ -114,10 +136,16 @@ __all__ = [
     "CodecError",
     "peek_header",
     "mark_retransmission",
+    "regular_full_size",
 ]
 
 _FLAG_LITTLE_ENDIAN = 0x01
 _FLAG_RETRANSMISSION = 0x02
+#: a Regular without its connection block: the zero connection id and
+#: request number 0, the payload right after the header (Regular only)
+_FLAG_CONNECTIONLESS = 0x04
+#: the part's own flags a BATCH record carries (the rest it implies)
+_PART_FLAGS = _FLAG_LITTLE_ENDIAN | _FLAG_RETRANSMISSION
 #: BATCH record flags beside the part's own two: seq is the previous
 #: record's + 1 and ts / ack are u8 steps from the previous record's, and
 #: the connection id and request number are present.  A verbatim
@@ -193,12 +221,12 @@ _RECORD_LAYOUTS = {True: _record_layouts(True), False: _record_layouts(False)}
 #: ts and ack steps, [connection id and request number,] payload length
 _DELTA_HEAD = {True: struct.Struct("<BBBH"), False: struct.Struct(">BBBH")}
 _DELTA_HEAD_CONNECTION = {True: struct.Struct("<BBB24sH"), False: struct.Struct(">BBB24sH")}
-#: a Regular part's size field, source, group, seq, ts, ack and payload length
-_PART_FIELDS = {True: struct.Struct("<8xIIIIQQ24xI"),
-                False: struct.Struct(">8xIIIIQQ24xI")}
+#: a Regular part's size field, source, group, seq, ts and ack
+_PART_FIELDS = {True: struct.Struct("<8xIIIIQQ"), False: struct.Struct(">8xIIIIQQ")}
 #: one-byte record flags, prebuilt
 _BYTE = tuple(bytes((i,)) for i in range(256))
 _U16 = {True: struct.Struct("<H"), False: struct.Struct(">H")}
+_U32 = {True: struct.Struct("<I"), False: struct.Struct(">I")}
 #: wire value -> MessageType member (``MessageType(x)`` is far slower)
 _TYPE_BY_VALUE = {int(t): t for t in MessageType}
 _BATCH_VERBATIM_SIZE = _BATCH_VERBATIM[True].size
@@ -207,10 +235,12 @@ _TYPE_OFFSET = 7
 _REGULAR = int(MessageType.REGULAR)
 _HEARTBEAT = int(MessageType.HEARTBEAT)
 #: header bytes 0:8 of a Regular that may take a BATCH Regular record:
-#: magic, version, the byte order's flag with or without retransmission
+#: magic, version, the byte order's flag with or without retransmission,
+#: in either form
 _REGULAR_HEADS = {
-    little: tuple(MAGIC + bytes((VERSION_MAJOR, VERSION_MINOR, flags, _REGULAR))
-                  for flags in (bit, bit | _FLAG_RETRANSMISSION))
+    little: tuple(MAGIC + bytes((VERSION_MAJOR, VERSION_MINOR, bit | more, _REGULAR))
+                  for more in (0, _FLAG_RETRANSMISSION, _FLAG_CONNECTIONLESS,
+                               _FLAG_RETRANSMISSION | _FLAG_CONNECTIONLESS))
     for little, bit in ((True, _FLAG_LITTLE_ENDIAN), (False, 0))}
 #: header + fixed Regular body prefix: where a Regular's payload starts
 _REGULAR_FIXED = _HDR_REGULAR[True].size
@@ -364,9 +394,18 @@ def encode(msg: FTMPMessage) -> bytes:
     flags = _flags_of(h)
     cls = msg.__class__
     if cls is RegularMessage:
-        size = HEADER_SIZE + 28 + len(msg.payload)
-        h.message_size = size
         cid = msg.connection_id
+        if not (msg.request_num or cid.client_domain or cid.client_group
+                or cid.server_domain or cid.server_group):
+            size = HEADER_SIZE + len(msg.payload)
+            h.message_size = size
+            return _HDR[little].pack(
+                h.magic, h.version[0], h.version[1], flags | _FLAG_CONNECTIONLESS,
+                int(h.message_type), size, h.source, h.group, h.sequence_number,
+                h.timestamp, h.ack_timestamp,
+            ) + msg.payload
+        size = _REGULAR_FIXED + len(msg.payload)
+        h.message_size = size
         return _HDR_REGULAR[little].pack(
             h.magic, h.version[0], h.version[1], flags, int(h.message_type),
             size, h.source, h.group, h.sequence_number, h.timestamp,
@@ -398,17 +437,19 @@ def encode(msg: FTMPMessage) -> bytes:
     if cls is BatchMessage:
         # A full record is slices of its part's own encoding, assembled by
         # one join: seq / ts / ack lie contiguously at header bytes 20:40,
-        # the connection id and request number at 40:64, and the u16
-        # payload length is the low half of the part's u32 at 64 (bounded
-        # to 0xFFFF below).  A delta record's head is one precompiled
-        # ``pack``.  The eligibility and delta tests are exactly those of
-        # ``_regular_fields`` / ``_regular_record`` in the reference encoder
-        # (tests/reference/wire_reference.py), which the codec property
-        # tests hold this one to.
+        # a full-form part's connection id and request number at 40:64,
+        # and its u16 payload length is the low half of its u32 at 64
+        # (bounded to 0xFFFF below).  A delta record's head is one
+        # precompiled ``pack``.  The eligibility and delta tests are
+        # exactly those of ``_regular_fields`` / ``_regular_record`` in the
+        # reference encoder (tests/reference/wire_reference.py), which the
+        # codec property tests hold this one to.
         parts = msg.parts
         heads = _REGULAR_HEADS[little]
         source, group = h.source, h.group
         fields = _PART_FIELDS[little].unpack_from
+        u32 = _U32[little].unpack_from
+        u16 = _U16[little].pack
         delta_head = _DELTA_HEAD[little].pack
         delta_head_connection = _DELTA_HEAD_CONNECTION[little].pack
         verbatim = _BATCH_VERBATIM[little]
@@ -420,35 +461,47 @@ def encode(msg: FTMPMessage) -> bytes:
         prev_seq = prev_ts = prev_ack = None
         h.sequence_number = h.timestamp = h.ack_timestamp = 0
         for part in parts:
-            if part[0:8] in heads and len(part) >= _REGULAR_FIXED:
-                size, src, grp, seq, ts, ack, plen = fields(part)
-                if (size == len(part) == _REGULAR_FIXED + plen and plen <= 0xFFFF
-                        and src == source and grp == group):
-                    if prev_seq is None:
-                        if seq:
-                            prev_seq = h.sequence_number = seq - 1
-                            prev_ts = h.timestamp = ts
-                            prev_ack = h.ack_timestamp = ack
-                        else:
-                            prev_seq = prev_ts = prev_ack = 0
-                    conn = part[40:64]
-                    payload = part[_REGULAR_FIXED:]
-                    if (seq == prev_seq + 1 and 0 <= (dts := ts - prev_ts) < 256
-                            and 0 <= (dack := ack - prev_ack) < 256):
-                        if conn == _NO_CONNECTION_BYTES:
-                            extend((delta_head(part[6] | _REC_DELTA, dts, dack, plen), payload))
-                        else:
-                            extend((delta_head_connection(
-                                part[6] | _REC_DELTA | _REC_CONNECTION, dts, dack, conn, plen),
-                                payload))
-                    elif conn == _NO_CONNECTION_BYTES:
-                        extend((_BYTE[part[6]], part[20:40], part[low:low + 2], payload))
+            n = len(part)
+            # where the payload starts: 0 while the part goes verbatim
+            start = 0
+            if part[0:8] in heads and n >= HEADER_SIZE:
+                size, src, grp, seq, ts, ack = fields(part)
+                if size == n and src == source and grp == group:
+                    if part[6] & _FLAG_CONNECTIONLESS:
+                        start, conn = HEADER_SIZE, None
+                    elif n >= _REGULAR_FIXED:
+                        # the zero block has its own form: this one is
+                        # not what encode emits, and is kept verbatim
+                        conn = part[40:64]
+                        if (conn != _NO_CONNECTION_BYTES
+                                and u32(part, 64)[0] == n - _REGULAR_FIXED):
+                            start = _REGULAR_FIXED
+            if start and (plen := n - start) <= 0xFFFF:
+                if prev_seq is None:
+                    if seq:
+                        prev_seq = h.sequence_number = seq - 1
+                        prev_ts = h.timestamp = ts
+                        prev_ack = h.ack_timestamp = ack
                     else:
-                        extend((_BYTE[part[6] | _REC_CONNECTION], part[20:40], conn,
-                                part[low:low + 2], payload))
-                    prev_seq, prev_ts, prev_ack = seq, ts, ack
-                    continue
-            append(verbatim.pack(_REC_VERBATIM, len(part)))
+                        prev_seq = prev_ts = prev_ack = 0
+                rflags = part[6] & _PART_FLAGS
+                payload = part[start:]
+                if (seq == prev_seq + 1 and 0 <= (dts := ts - prev_ts) < 256
+                        and 0 <= (dack := ack - prev_ack) < 256):
+                    if conn is None:
+                        extend((delta_head(rflags | _REC_DELTA, dts, dack, plen), payload))
+                    else:
+                        extend((delta_head_connection(
+                            rflags | _REC_DELTA | _REC_CONNECTION, dts, dack, conn, plen),
+                            payload))
+                elif conn is None:
+                    extend((_BYTE[rflags], part[20:40], u16(plen), payload))
+                else:
+                    extend((_BYTE[rflags | _REC_CONNECTION], part[20:40], conn,
+                            part[low:low + 2], payload))
+                prev_seq, prev_ts, prev_ack = seq, ts, ack
+                continue
+            append(verbatim.pack(_REC_VERBATIM, n))
             append(part if type(part) is bytes else bytes(part))
             prev_seq, prev_ts, prev_ack = -2, 0, 0  # a delta needs a Regular record
         size = HEADER_SIZE + 2 + sum(map(len, chunks))
@@ -493,6 +546,8 @@ def peek_header(data: _Buffer) -> FTMPHeader:
     message_type = _TYPE_BY_VALUE.get(mtype)
     if message_type is None:
         raise CodecError(f"unknown message type {mtype}")
+    if flags & _FLAG_CONNECTIONLESS and mtype != _REGULAR:
+        raise CodecError(f"connectionless flag on a {message_type.name} message")
     return FTMPHeader(
         message_type=message_type,
         source=source,
@@ -533,8 +588,8 @@ def _decode_batch(h: FTMPHeader, data: _Buffer, little: bool) -> BatchMessage:
     layouts = _RECORD_LAYOUTS[little]
     verbatim = _BATCH_VERBATIM[little]
     pack_part = _HDR_REGULAR[little].pack
+    pack_connectionless = _HDR[little].pack
     source, group = h.source, h.group
-    part_flags = _FLAG_LITTLE_ENDIAN | _FLAG_RETRANSMISSION
     regular = MessageType.REGULAR
     parts = []
     decoded: Optional[list] = []
@@ -562,18 +617,19 @@ def _decode_batch(h: FTMPHeader, data: _Buffer, little: bool) -> BatchMessage:
         body = pos + layout.size
         if body > n:
             raise CodecError("truncated batch record")
+        connection = rflags & _REC_CONNECTION
         if rflags & _REC_DELTA:
             if seq < 0:
                 raise CodecError("batch delta record follows no Regular record")
             seq += 1
-            if rflags & _REC_CONNECTION:
+            if connection:
                 _f, dts, dack, cd, cg, sd, sg, req, plen = layout.unpack_from(data, pos)
             else:
                 _f, dts, dack, plen = layout.unpack_from(data, pos)
                 cd = cg = sd = sg = req = 0
             ts += dts
             ack += dack
-        elif rflags & _REC_CONNECTION:
+        elif connection:
             _f, seq, ts, ack, cd, cg, sd, sg, req, plen = layout.unpack_from(data, pos)
         else:
             _f, seq, ts, ack, plen = layout.unpack_from(data, pos)
@@ -582,12 +638,18 @@ def _decode_batch(h: FTMPHeader, data: _Buffer, little: bool) -> BatchMessage:
         if pos > n:
             raise CodecError("truncated batch part")
         payload = bytes(data[body:pos])
-        size = _REGULAR_FIXED + plen
-        pflags = rflags & part_flags
+        pflags = rflags & _PART_FLAGS
         try:
-            parts.append(pack_part(MAGIC, VERSION_MAJOR, VERSION_MINOR, pflags, _REGULAR,
-                                   size, source, group, seq, ts, ack,
-                                   cd, cg, sd, sg, req, plen) + payload)
+            if connection:
+                size = _REGULAR_FIXED + plen
+                parts.append(pack_part(MAGIC, VERSION_MAJOR, VERSION_MINOR, pflags, _REGULAR,
+                                       size, source, group, seq, ts, ack,
+                                       cd, cg, sd, sg, req, plen) + payload)
+            else:
+                size = HEADER_SIZE + plen
+                parts.append(pack_connectionless(
+                    MAGIC, VERSION_MAJOR, VERSION_MINOR, pflags | _FLAG_CONNECTIONLESS,
+                    _REGULAR, size, source, group, seq, ts, ack) + payload)
         except struct.error:
             # only a delta record's steps can carry a field past its width
             raise CodecError("batch record sequence number past 0xFFFFFFFF"
@@ -615,22 +677,33 @@ def decode(data: _Buffer) -> FTMPMessage:
     """
     n = len(data)
     wire_type = data[_TYPE_OFFSET] if n >= HEADER_SIZE else None
-    if wire_type == _REGULAR and n >= _REGULAR_FIXED:
-        little = bool(data[_FLAGS_OFFSET] & _FLAG_LITTLE_ENDIAN)
-        (magic, vmaj, vmin, flags, _t, size, source, group, seq, ts, ack,
-         cd, cg, sd, sg, req, plen) = _HDR_REGULAR[little].unpack_from(data, 0)
-        if magic == MAGIC and size == n and _REGULAR_FIXED + plen <= n:
-            return RegularMessage(
-                FTMPHeader(MessageType.REGULAR, source, group, seq, ts, ack,
-                           bool(flags & _FLAG_RETRANSMISSION), little, size,
-                           magic, (vmaj, vmin)),
-                ConnectionId(cd, cg, sd, sg) if cd or cg or sd or sg else _NO_CONNECTION,
-                req, bytes(data[_REGULAR_FIXED:_REGULAR_FIXED + plen]))
+    if wire_type == _REGULAR:
+        flags = data[_FLAGS_OFFSET]
+        little = bool(flags & _FLAG_LITTLE_ENDIAN)
+        if flags & _FLAG_CONNECTIONLESS:
+            magic, vmaj, vmin, flags, _t, size, source, group, seq, ts, ack = (
+                _HDR[little].unpack_from(data, 0))
+            if magic == MAGIC and size == n:
+                return RegularMessage(
+                    FTMPHeader(MessageType.REGULAR, source, group, seq, ts, ack,
+                               bool(flags & _FLAG_RETRANSMISSION), little, size,
+                               magic, (vmaj, vmin)),
+                    _NO_CONNECTION, 0, bytes(data[HEADER_SIZE:n]))
+        elif n >= _REGULAR_FIXED:
+            (magic, vmaj, vmin, flags, _t, size, source, group, seq, ts, ack,
+             cd, cg, sd, sg, req, plen) = _HDR_REGULAR[little].unpack_from(data, 0)
+            if magic == MAGIC and size == n and _REGULAR_FIXED + plen <= n:
+                return RegularMessage(
+                    FTMPHeader(MessageType.REGULAR, source, group, seq, ts, ack,
+                               bool(flags & _FLAG_RETRANSMISSION), little, size,
+                               magic, (vmaj, vmin)),
+                    ConnectionId(cd, cg, sd, sg) if cd or cg or sd or sg else _NO_CONNECTION,
+                    req, bytes(data[_REGULAR_FIXED:_REGULAR_FIXED + plen]))
     elif wire_type == _HEARTBEAT and n == HEADER_SIZE:
         little = bool(data[_FLAGS_OFFSET] & _FLAG_LITTLE_ENDIAN)
         magic, vmaj, vmin, flags, _t, size, source, group, seq, ts, ack = (
             _HDR[little].unpack_from(data, 0))
-        if magic == MAGIC and size == n:
+        if magic == MAGIC and size == n and not flags & _FLAG_CONNECTIONLESS:
             return HeartbeatMessage(
                 FTMPHeader(MessageType.HEARTBEAT, source, group, seq, ts, ack,
                            bool(flags & _FLAG_RETRANSMISSION), little, size,
@@ -687,6 +760,8 @@ def decode_view(data: _Buffer) -> FTMPMessage:
             f"size field {h.message_size} != datagram length {len(mv)}"
         )
     if h.message_type == MessageType.REGULAR:
+        if mv[_FLAGS_OFFSET] & _FLAG_CONNECTIONLESS:
+            return RegularMessage(h, _NO_CONNECTION, 0, mv[HEADER_SIZE:])
         s = _REGULAR_BODY[h.little_endian]
         try:
             cd, cg, sd, sg, req, plen = s.unpack_from(mv, HEADER_SIZE)
@@ -699,6 +774,15 @@ def decode_view(data: _Buffer) -> FTMPMessage:
             h, ConnectionId(cd, cg, sd, sg) if cd or cg or sd or sg else _NO_CONNECTION,
             req, mv[start:start + plen])
     return decode(mv)
+
+
+def regular_full_size(raw: _Buffer) -> int:
+    """The length of a Regular's 68 B + payload form, whichever form
+    ``raw`` is in: what a batch window counts (``batch_max_bytes``), so
+    a window closes at the same number of messages whether or not they
+    travel with a connection block."""
+    return len(raw) + (_REGULAR_FIXED - HEADER_SIZE
+                       if raw[_FLAGS_OFFSET] & _FLAG_CONNECTIONLESS else 0)
 
 
 def mark_retransmission(raw: _Buffer) -> bytes:

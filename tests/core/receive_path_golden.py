@@ -168,10 +168,6 @@ def observe(mode: str, scenario: str) -> dict:
             t += rng.expovariate(rate)
             if t >= window:
                 break
-            # the join hang tests/integration/test_join_under_load.py pins:
-            # keep sends clear of the AddProcessor
-            if churn and abs(t - 2 * window / 3) < 0.005:
-                continue
             sched.at(WARMUP + t, send, p, index)
             index += 1
     if churn:

@@ -128,6 +128,22 @@ def _delta(e, seq, ts, p, prev):
     return record(e, payload=p, cid=cid, req=req, delta=steps), after
 
 
+def below_the_orb(seq, ts, e, payload=b"x"):
+    """A Regular with no connection: the 40 B connectionless layout."""
+    return encode(RegularMessage(
+        FTMPHeader(MessageType.REGULAR, source=SENDER, group=GROUP, sequence_number=seq,
+                   timestamp=ts, ack_timestamp=0, little_endian=e == "<"),
+        ConnectionId.none(), 0, payload))
+
+
+def zero_block(seq, ts, e, payload=b"x"):
+    """The same in the 68 B layout, connection block all zero: it decodes,
+    but ``encode`` never emits it, so a BATCH carries it verbatim."""
+    return struct.pack(e + "4sBBBBIIIIQQ24xI", MAGIC, VERSION_MAJOR, VERSION_MINOR,
+                       LITTLE if e == "<" else 0, int(MessageType.REGULAR),
+                       68 + len(payload), SENDER, GROUP, seq, ts, 0, len(payload)) + payload
+
+
 def _verbatim(**kw):
     return lambda e, seq, ts, p, prev: (verbatim(full_regular(seq, ts, e, payload=p, **kw), e),
                                         None)
@@ -172,6 +188,10 @@ RECORDS = {
     "verbatim_retransmitted": _verbatim(retransmission=True),
     "verbatim_foreign_source": _verbatim(source=9),
     "verbatim_foreign_group": _verbatim(group=GROUP + 1),
+    "verbatim_connectionless": lambda e, seq, ts, p, prev: (
+        verbatim(below_the_orb(seq, ts, e, payload=p), e), None),
+    "verbatim_zero_block": lambda e, seq, ts, p, prev: (
+        verbatim(zero_block(seq, ts, e, payload=p), e), None),
     "heartbeat": lambda e, seq, ts, p, prev: (verbatim(encode(HeartbeatMessage(FTMPHeader(
         MessageType.HEARTBEAT, source=SENDER, group=GROUP, sequence_number=seq,
         timestamp=ts, ack_timestamp=0, little_endian=e == "<"))), e), None),
@@ -203,7 +223,8 @@ RUN_KINDS = ("regular", "retransmitted", "full", "delta")
 #: kinds stored verbatim: the in-pass decode leaves the batch to the
 #: receive path part by part
 VERBATIM_KINDS = ("verbatim", "verbatim_retransmitted", "verbatim_foreign_source",
-                  "verbatim_foreign_group", "heartbeat", "unknown_type",
+                  "verbatim_foreign_group", "verbatim_connectionless",
+                  "verbatim_zero_block", "heartbeat", "unknown_type",
                   "endianness_flipped", "payload_past_body", "payload_length_huge",
                   "body_short_of_regular_prefix", "nested_batch")
 
@@ -411,6 +432,10 @@ ONE_BAD_PART = {
     "verbatim_foreign_source": (1, 0),
     "verbatim_foreign_group": (1, 0),
     "heartbeat": (0, 1),  # not an error: a heartbeat, handled as one
+    # not errors: this source's message, in either Regular layout,
+    # handled as one (the second seq 3 is then a duplicate)
+    "verbatim_connectionless": (0, 1),
+    "verbatim_zero_block": (0, 1),
 }
 
 

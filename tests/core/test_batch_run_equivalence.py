@@ -105,9 +105,9 @@ def run_once(seed, in_pass_decode):
 # delivered out of a gate entry in mid-batch stops its group with the rest
 # of the batch in hand.  Whether the datagram that completes the removal's
 # cover there is a batch or a single message is up to the loss stream, on
-# about half of the seeds; these two have it (a run of 8 cut at 1, one of
-# 5 cut at 1).  Re-pick when NACK or credit timing moves the stream.
-@pytest.mark.parametrize("seed", [4, 6])
+# about half of the seeds; these two have it (a run of 6 cut at 1, one of
+# 3 cut at 1).  Re-pick when NACK or credit timing moves the stream.
+@pytest.mark.parametrize("seed", [4, 5])
 def test_runs_leave_the_wire_and_the_upcalls_as_part_by_part_does(seed):
     wire_log, upcalls, counters, runs = run_once(seed, in_pass_decode=True)
     ref_wire, ref_upcalls, ref_counters, ref_runs = run_once(seed, in_pass_decode=False)
@@ -126,5 +126,7 @@ def test_runs_leave_the_wire_and_the_upcalls_as_part_by_part_does(seed):
     assert any(0 < taken < n for n, taken in runs)
     assert len(upcalls[NEWCOMER]) > 100
     assert any("removed=(4,)" in e for e in upcalls[1])
+    # and ordered its own removal: what it missed was held for its NACKs
+    assert any("removed=(4,)" in e for e in upcalls[LEAVER])
     assert sum(c[f"group.{GROUP}.flow.sends_queued"] for p, c in counters.items()
                if f"group.{GROUP}.flow.sends_queued" in c) > 100

@@ -2,7 +2,7 @@
 
 A member that receives a Regular on a §4 logical connection, and has
 stamped nothing since that Regular's timestamp, sends one §5 Heartbeat on
-the next scheduler turn instead of at its periodic tick
+the next scheduler turn instead of one heartbeat interval later
 (``SendPath.cover``).  These tests pin when it does and when it does not.
 """
 
@@ -29,7 +29,7 @@ def build(config=None, topology=STEADY_LAN):
                         server_pids=SERVERS)
     for p in CLIENTS:
         stacks[p].request_connection(CID, client_pids=CLIENTS)
-    # settle, then stop a quarter interval clear of the periodic ticks
+    # settle, then stop a quarter interval past the 0.3 s mark
     net.run_for(0.305)
     assert all(stacks[p].connection_binding(CID).established for p in PIDS)
     gid = stacks[8].connection_binding(CID).group_id
@@ -128,7 +128,7 @@ def test_no_cover_outside_a_connection(monkeypatch):
     # ConnectionId.none() is an identity test: the rule is never entered
     assert not called
     assert covers(groups) == dict.fromkeys(PIDS, 0)
-    # the periodic tick is all there is: 0.1 s of 0.02 s intervals
+    # the idle clock is all there is: 0.1 s of 0.02 s intervals
     assert all(groups[p].stats.heartbeats_sent - beats[p] <= 5 for p in PIDS)
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core import FTMPConfig, LamportClock, MessageType, RetransmissionBuffer
 from repro.core.messages import (
+    AddProcessorMessage,
     ConnectionId,
     FTMPHeader,
     HeartbeatMessage,
@@ -124,6 +125,83 @@ def test_ack_advances_with_deliveries_and_drives_stability():
     r.receive_heartbeat(heartbeat(2, ts=7, ack=5))
     assert r.stability_timestamp() == 5
     assert len(g.buffer) == 0
+
+
+def add_processor(src, ts, seq, new_member):
+    return AddProcessorMessage(
+        FTMPHeader(MessageType.ADD_PROCESSOR, source=src, group=1,
+                   sequence_number=seq, timestamp=ts, ack_timestamp=0),
+        membership_timestamp=0, membership=(1, 2), sequence_numbers={1: 0, 2: 0},
+        new_member=new_member)
+
+
+def test_a_joiner_counts_in_stability_from_its_add_processor_on():
+    # The join hang: a Regular in flight when the AddProcessor was built
+    # lies above the baseline it gives the joiner, and every member can
+    # acknowledge it one round before the add is ordered.  From the
+    # AddProcessor on, the joiner counts with the ack heard from it — 0
+    # before any — so the message stays retained for its NACK.
+    g = MockGroup(membership=(1, 2))
+    r = ROMP(g)
+    g.buffer.add(2, 1, 5, b"in flight")
+    r.receive(regular(2, ts=5, seq=1))
+    r.receive(add_processor(2, ts=6, seq=2, new_member=4))
+    r.receive_heartbeat(heartbeat(1, ts=7, ack=0))
+    assert [type(m) for m in g.ordered_control] == [AddProcessorMessage]
+    assert r.ack_timestamp == 6
+    r.receive_heartbeat(heartbeat(2, ts=8, ack=6))  # both members are past it
+    assert r.stability_timestamp() == 0
+    assert len(g.buffer) == 1
+    r.observe_header(heartbeat(4, ts=3, ack=2).header)
+    assert r.stability_timestamp() == 2
+    assert len(g.buffer) == 1
+    # ordered: a view admits the joiner (it counts as a member from
+    # then on), or the add was abandoned
+    r.settle_joiner(4, (6, 2))
+    assert r.stability_timestamp() == 6
+    r.recheck_stability()
+    assert len(g.buffer) == 0
+
+
+def test_a_joiner_hold_ends_with_its_newest_add_or_its_sponsor():
+    g = MockGroup(membership=(1, 2, 3))
+    r = ROMP(g)
+    r.hold_for_joiner(add_processor(2, ts=6, seq=1, new_member=4))
+    r.hold_for_joiner(add_processor(3, ts=9, seq=1, new_member=4))  # re-issued
+    r.hold_for_joiner(add_processor(2, ts=6, seq=1, new_member=4))  # a resend
+    r.hold_for_joiner(add_processor(2, ts=7, seq=2, new_member=1))  # ourselves
+    assert r._joiners == {4: (9, 3)}
+    r.settle_joiner(4, (6, 2))  # the stale one, ordered and dropped
+    assert r._joiners == {4: (9, 3)}
+    r.purge_source(3)  # its sponsor left: nobody orders it now
+    assert r._joiners == {}
+
+
+def test_a_leaver_counts_in_stability_until_it_acknowledges_its_removal():
+    # The same for a member on its way out: its removal ordered here, it
+    # has not necessarily ordered that itself, and what it still lacks
+    # to do so must stay retained until its ack passes the removal
+    g = MockGroup(membership=(1, 2, 3))
+    r = ROMP(g)
+    r.receive_heartbeat(heartbeat(3, ts=4, ack=3))
+    r.hold_for_leaver(3, removal_ts=10)
+    g.membership = (1, 2)
+    r.purge_source(3)
+    g.buffer.add(2, 1, 12, b"m")
+    r.receive(regular(2, ts=12, seq=1))
+    r.receive_heartbeat(heartbeat(1, ts=13, ack=0))
+    r.receive_heartbeat(heartbeat(2, ts=14, ack=12))
+    assert r.ack_timestamp == 12
+    assert r.stability_timestamp() == 3
+    r.hear_leaver(3, 8)
+    assert r.stability_timestamp() == 8
+    assert len(g.buffer) == 1
+    r.hear_leaver(3, 10)  # it ordered its removal: nothing more to hold
+    assert r.stability_timestamp() == 12
+    assert len(g.buffer) == 0
+    r.hold_for_leaver(2, removal_ts=20)
+    r.forget_leaver(2)  # silent for suspect_timeout since
+    assert r._leavers == {}
 
 
 def test_bypass_types_never_enter_the_queue():

@@ -25,6 +25,7 @@ from repro.core import (
     mark_retransmission,
     peek_header,
 )
+from repro.core.wire import decode_view
 
 
 def header(mtype: MessageType, little: bool = True) -> FTMPHeader:
@@ -193,6 +194,78 @@ def test_a_step_of_256_takes_a_full_record(little):
     raw = encode(BatchMessage(header(MessageType.BATCH, little), parts))
     assert len(raw) == HEADER_SIZE + 2 + (5 + 64) + (23 + 64)
     assert decode(raw).parts == parts
+
+
+@pytest.mark.parametrize("little", [True, False], ids=["little-endian", "big-endian"])
+@pytest.mark.parametrize("n", [0, 1, 64, 2048])
+def test_a_regular_below_the_orb_is_40_bytes_plus_payload(little, n):
+    below = RegularMessage(header(MessageType.REGULAR, little), ConnectionId.none(), 0,
+                           b"x" * n)
+    raw = encode(below)
+    assert len(raw) == below.header.message_size == HEADER_SIZE + n
+    assert raw[6] & 0x04  # the connectionless flag
+    assert raw[HEADER_SIZE:] == b"x" * n
+    assert decode(raw) == below
+    view = decode_view(raw)
+    assert type(view.payload) is memoryview and bytes(view.payload) == b"x" * n
+    assert view.connection_id == ConnectionId.none() and view.request_num == 0
+
+
+@pytest.mark.parametrize("little", [True, False], ids=["little-endian", "big-endian"])
+@pytest.mark.parametrize("cid,request_num", [(CID, 17), (CID, 0),
+                                             (ConnectionId.none(), 17)])
+def test_a_regular_on_a_connection_is_68_bytes_plus_payload(little, cid, request_num):
+    msg = RegularMessage(header(MessageType.REGULAR, little), cid, request_num, b"x" * 64)
+    raw = encode(msg)
+    assert len(raw) == 68 + 64 and not raw[6] & 0x04
+    assert decode(raw) == msg
+    assert bytes(decode_view(raw).payload) == b"x" * 64
+
+
+@pytest.mark.parametrize("mtype", [t for t in MessageType if t != MessageType.REGULAR])
+def test_the_connectionless_flag_on_another_type_is_rejected(mtype):
+    # a type sample_messages leaves out is a bare header of that type
+    msg = next((m for m in sample_messages(True) if m.header.message_type == mtype),
+               HeartbeatMessage(header(mtype)))
+    raw = encode(msg)
+    flagged = raw[:6] + bytes((raw[6] | 0x04,)) + raw[7:]
+    for data in (flagged, memoryview(flagged)):
+        with pytest.raises(CodecError, match=f"connectionless flag on a {mtype.name}"):
+            decode(data)
+        with pytest.raises(CodecError, match="connectionless flag"):
+            decode_view(data)
+        with pytest.raises(CodecError, match="connectionless flag"):
+            peek_header(data)
+
+
+@pytest.mark.parametrize("little", [True, False], ids=["little-endian", "big-endian"])
+def test_a_connectionless_regular_must_state_the_datagram_length(little):
+    raw = encode(RegularMessage(header(MessageType.REGULAR, little), ConnectionId.none(), 0,
+                                b"payload"))
+    for data in (raw + b"\0", raw[:-1]):
+        for fn in (decode, decode_view):
+            with pytest.raises(CodecError, match=r"size field \d+ != datagram length"):
+                fn(data)
+
+
+@pytest.mark.parametrize("little", [True, False], ids=["little-endian", "big-endian"])
+def test_a_full_form_part_with_a_zero_connection_block_goes_verbatim(little):
+    # what an encoder that always wrote the 68 B layout would send: it
+    # decodes, but a Regular record could not give it back byte for byte
+    import struct
+
+    e = "<" if little else ">"
+    full = struct.pack(e + "4sBBBBIIIIQQIIIIQI", b"FTMP", 1, 0, int(little), 1, 68 + 3,
+                       7, 42, 5, 100, 50, 0, 0, 0, 0, 0, 3) + b"abc"
+    assert decode(full) == RegularMessage(
+        FTMPHeader(MessageType.REGULAR, 7, 42, 5, 100, 50, little_endian=little,
+                   message_size=71), ConnectionId.none(), 0, b"abc")
+    parts = (full, encode(decode(full)))  # the same message, both layouts
+    raw = encode(BatchMessage(header(MessageType.BATCH, little), parts))
+    assert len(raw) == HEADER_SIZE + 2 + (5 + len(full)) + (23 + 3)
+    out = decode(raw)
+    assert out.parts == parts
+    assert out.decoded is None  # a verbatim record leaves the rest to the receive path
 
 
 def test_empty_batch_round_trip():

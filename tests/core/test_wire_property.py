@@ -68,8 +68,9 @@ def _header(mtype: MessageType):
 
 CID_S = st.builds(ConnectionId, U32, U32, U32, U32)
 
+#: below the ORB (the connectionless layout) about one draw in four
 REGULAR = st.builds(RegularMessage, _header(MessageType.REGULAR),
-                    CID_S, U64, PAYLOAD)
+                    st.just(ConnectionId.none()) | CID_S, st.just(0) | U64, PAYLOAD)
 
 MESSAGES = st.one_of(
     REGULAR,
@@ -184,6 +185,26 @@ DELTAS = _batch(5, 9, True, [
     _coalesced_part(5, 9, True, 2, 3, 562),
 ])
 
+
+def _zero_block_part(source, group, little, seq, ts, ack, payload=b"z"):
+    """A Regular below the ORB in the 68 B layout: decodable, never what
+    ``encode`` emits, so a BATCH stores it verbatim."""
+    e = "<" if little else ">"
+    return struct.pack(e + "4sBBBBIIIIQQ24xI", b"FTMP", 1, 0, int(little), 1,
+                       68 + len(payload), source, group, seq, ts, ack,
+                       len(payload)) + payload
+
+
+#: connectionless parts around a zero-block one: a delta record, the
+#: verbatim part, then a Regular record that must not be a delta
+ZERO_BLOCK = _batch(5, 9, False, [
+    _coalesced_part(5, 9, False, 7, 100, 50),
+    _coalesced_part(5, 9, False, 8, 101, 50),
+    _zero_block_part(5, 9, False, 9, 102, 50),
+    _coalesced_part(5, 9, False, 10, 103, 50, ConnectionId(1, 2, 3, 4)),
+    _coalesced_part(5, 9, False, 11, 104, 50),
+])
+
 ALL_MESSAGES = st.one_of(MESSAGES, BATCHES, COALESCED)
 
 
@@ -208,6 +229,7 @@ def delta_records(batch):
 @settings(max_examples=300, deadline=None)
 @given(ALL_MESSAGES)
 @example(DELTAS)
+@example(ZERO_BLOCK)
 def test_roundtrip_identity(msg):
     raw = encode(msg)  # back-fills header.message_size on msg
     out = decode(raw)
@@ -218,6 +240,7 @@ def test_roundtrip_identity(msg):
 @settings(max_examples=300, deadline=None)
 @given(ALL_MESSAGES)
 @example(DELTAS)
+@example(ZERO_BLOCK)
 def test_fast_path_matches_reference(msg):
     assert encode(msg) == encode_reference(msg)
 
@@ -225,6 +248,7 @@ def test_fast_path_matches_reference(msg):
 @settings(max_examples=200, deadline=None)
 @given(BATCHES | COALESCED)
 @example(DELTAS)
+@example(ZERO_BLOCK)
 def test_batch_parts_reconstructed_byte_exact(batch):
     """Unpacked parts must be byte-for-byte the original encodings —
     retention buffers and retransmission identity depend on it."""
@@ -250,6 +274,18 @@ def test_the_coalesced_strategy_reaches_follow_on_records():
     assert sum(drawn) > len(drawn) // 2
 
 
+def test_a_zero_block_part_is_verbatim_and_breaks_the_delta_chain():
+    parts = ZERO_BLOCK.parts
+    raw = encode(ZERO_BLOCK)
+    # two delta records below the ORB (5 B + 1), the verbatim record
+    # (5 B + the part), a full record on a connection (48 B: it follows a
+    # verbatim one), a delta record below the ORB again
+    assert len(raw) == 40 + 2 + 6 + 6 + (5 + len(parts[2])) + 48 + 6
+    out = decode(raw)
+    assert out.parts == parts and out.decoded is None
+    assert [len(p) for p in parts] == [41, 41, 69, 69, 41]
+
+
 # ----------------------------------------------------------------------
 # fused Regular / Heartbeat decode against the general path
 # ----------------------------------------------------------------------
@@ -262,6 +298,8 @@ def general_decode(data):
     if h.message_type == MessageType.HEARTBEAT:
         return HeartbeatMessage(h)
     assert h.message_type == MessageType.REGULAR
+    if data[6] & 0x04:  # connectionless: the payload follows the header
+        return RegularMessage(h, ConnectionId.none(), 0, bytes(data[40:]))
     try:
         cd, cg, sd, sg, req, plen = struct.unpack_from(
             ("<" if h.little_endian else ">") + "IIIIQI", data, 40)
@@ -291,6 +329,7 @@ def corruptions(raw: bytes):
         yield f"size field {size}", (raw[:8] + struct.pack("<I" if little else ">I", size)
                                      + raw[12:])
     yield "flipped endianness flag", raw[:6] + bytes([raw[6] ^ 1]) + raw[7:]
+    yield "flipped connectionless flag", raw[:6] + bytes([raw[6] ^ 4]) + raw[7:]
     yield "unknown type byte", raw[:7] + b"\xee" + raw[8:]
 
 

@@ -1,7 +1,7 @@
-"""The known join hang, pinned (perf/README.md, "Found while building this").
+"""The join hang, pinned (perf/README.md, "Found while building this").
 
-A Regular that is *in flight* when ``AddProcessor`` is sent can strand the
-newcomer for good:
+A Regular that is *in flight* when ``AddProcessor`` is sent could strand
+the newcomer for good:
 
 1. member 2 multicasts Regular *m* a moment before member 1 sends the
    ``AddProcessor``: 1 has not received *m* yet, so the sequence-number
@@ -24,19 +24,21 @@ newcomer for good:
 
 No randomness is involved: fixed link latency, three members, one send.
 ``churn5`` schedules no send within 5 ms of its join for this reason, and
-so do the receive-path golden scenarios.  The fix belongs to the join
-protocol (hold reclamation while an ``AddProcessor`` of one's own view is
-unordered, or let the sponsor answer from the baseline) and is out of
-scope for the PR that pinned it.
+so do the receive-path golden scenarios.  Fixed by the §6 rule
+``ROMP.hold_for_joiner`` states: from the moment a member sends or
+receives an ``AddProcessor``, the joiner counts in stability with the
+ack heard from it (0 before any) until the ``AddProcessor`` is ordered,
+so step 3 reclaims nothing the newcomer lacks.  Heartbeats that follow
+the last send by one interval (``SendPath._heartbeat_tick``) also move
+step 2 off this schedule; on the periodic grid they replaced, the
+repro hangs without the rule and completes with it.
 """
-
-import pytest
 
 from repro.core import FTMPConfig, FTMPStack, RecordingListener
 from repro.simnet import LinkModel, Network, Topology
 
 GROUP, ADDRESS = 1, 5001
-#: a heartbeat instant: the founders' 2 ms heartbeat timers tick here
+#: a heartbeat instant of the founders' 2 ms periodic grid
 T = 0.1
 
 
@@ -71,11 +73,9 @@ def test_join_completes_when_the_send_has_landed():
     assert all(len(l.deliveries) == 1 for l in founders)
 
 
-@pytest.mark.xfail(strict=True, reason="join hang: a Regular in flight at "
-                   "AddProcessor time is reclaimed before the newcomer can NACK it")
 def test_join_completes_with_a_send_in_flight():
     # 2 us ahead: still in flight when the AddProcessor is built
     joiner, group, founders = join_with_send_in_flight(lead=2e-6)
-    assert all(len(l.deliveries) == 1 for l in founders)  # holds today
+    assert all(len(l.deliveries) == 1 for l in founders)
     assert [v.membership for v in joiner.views] == [(1, 2, 3, 4)]
     assert not group.joining

@@ -41,6 +41,9 @@ from repro.core.wire import CodecError
 
 _FLAG_LITTLE_ENDIAN = 0x01
 _FLAG_RETRANSMISSION = 0x02
+#: a Regular on no connection (the zero connection id, request number 0)
+#: leaves its connection block out: header, then payload
+_FLAG_CONNECTIONLESS = 0x04
 #: BATCH record flags beside the part's own two (above): a delta record
 #: (seq the previous record's + 1, ts and ack as u8 steps from the
 #: previous record's), and the connection id and request number are
@@ -75,6 +78,12 @@ def _flags_of(h: FTMPHeader) -> int:
     if h.retransmission:
         flags |= _FLAG_RETRANSMISSION
     return flags
+
+
+def _connectionless(msg: FTMPMessage) -> bool:
+    """A Regular below the ORB: it travels without its connection block."""
+    return (isinstance(msg, RegularMessage) and msg.connection_id == ConnectionId.none()
+            and msg.request_num == 0)
 
 
 class _Writer:
@@ -136,30 +145,41 @@ def _regular_fields(part: _Buffer, envelope: FTMPHeader, little: bool) -> Option
 
     A part gets a Regular record when it is a Regular with the envelope's
     magic, version, source, group and endianness, no flag but those two
-    (endianness, retransmission), a size field equal to its length, and
-    a body of exactly the fixed prefix and a payload the record's u16
-    length can state: then the record rebuilds it byte for byte.
+    (endianness, retransmission) and the connectionless one, a size field
+    equal to its length, a payload the record's u16 length can state,
+    and a body in the form :func:`encode_reference` gives it: the
+    payload alone when connectionless, else the fixed prefix — naming a
+    connection, a request or both — and the payload.  Then the record
+    rebuilds it byte for byte.  The flags returned are the two the
+    record carries.
     """
-    if len(part) < HEADER_SIZE + _REGULAR_PREFIX:
+    if len(part) < HEADER_SIZE:
         return None
     magic, vmaj, vmin, pflags, ptype, psize, psrc, pgrp, pseq, pts, pack_ts = \
         _HDR[little].unpack_from(part, 0)
-    cd, cg, sd, sg, req, plen = _REGULAR_BODY[little].unpack_from(part, HEADER_SIZE)
     if (
         magic != MAGIC
         or (vmaj, vmin) != (VERSION_MAJOR, VERSION_MINOR)
-        or pflags & ~(_FLAG_LITTLE_ENDIAN | _FLAG_RETRANSMISSION)
+        or pflags & ~(_FLAG_LITTLE_ENDIAN | _FLAG_RETRANSMISSION | _FLAG_CONNECTIONLESS)
         or bool(pflags & _FLAG_LITTLE_ENDIAN) != little
         or ptype != MessageType.REGULAR
         or psize != len(part)
         or psrc != envelope.source
         or pgrp != envelope.group
-        or plen != len(part) - HEADER_SIZE - _REGULAR_PREFIX
-        or plen > _RECORD_PAYLOAD_MAX
     ):
         return None
-    return (pflags, pseq, pts, pack_ts, ConnectionId(cd, cg, sd, sg), req,
-            bytes(part[HEADER_SIZE + _REGULAR_PREFIX:]))
+    if pflags & _FLAG_CONNECTIONLESS:
+        cid, req, start = ConnectionId.none(), 0, HEADER_SIZE
+    else:
+        if len(part) < HEADER_SIZE + _REGULAR_PREFIX:
+            return None
+        cd, cg, sd, sg, req, plen = _REGULAR_BODY[little].unpack_from(part, HEADER_SIZE)
+        cid, start = ConnectionId(cd, cg, sd, sg), HEADER_SIZE + _REGULAR_PREFIX
+        if plen != len(part) - start or (cid == ConnectionId.none() and req == 0):
+            return None
+    if len(part) - start > _RECORD_PAYLOAD_MAX:
+        return None
+    return (pflags & ~_FLAG_CONNECTIONLESS, pseq, pts, pack_ts, cid, req, bytes(part[start:]))
 
 
 def _regular_record(w: "_Writer", fields: tuple, prev: Optional[Tuple[int, int, int]]) -> None:
@@ -168,7 +188,8 @@ def _regular_record(w: "_Writer", fields: tuple, prev: Optional[Tuple[int, int, 
     and its ts and ack each exceed ``prev``'s by less than 256: then the
     two steps take a byte each and seq is left out.  Otherwise it is a
     full record, seq / ts / ack in full.  It has a *connection* when the
-    connection id or the request number is not zero."""
+    connection id or the request number is not zero; without one it
+    rebuilds the connectionless form."""
     pflags, seq, ts, ack, cid, req, payload = fields
     delta = (prev is not None and seq == prev[0] + 1
              and 0 <= ts - prev[1] < 256 and 0 <= ack - prev[2] < 256)
@@ -229,7 +250,8 @@ def encode_reference(msg: FTMPMessage) -> bytes:
     size = HEADER_SIZE + len(body)
     h.message_size = size
 
-    prefix = _PREFIX.pack(h.magic, h.version[0], h.version[1], _flags_of(h),
+    flags = _flags_of(h) | (_FLAG_CONNECTIONLESS if _connectionless(msg) else 0)
+    prefix = _PREFIX.pack(h.magic, h.version[0], h.version[1], flags,
                           int(h.message_type))
     e = "<" if h.little_endian else ">"
     rest = struct.pack(
@@ -245,7 +267,9 @@ def encode_reference(msg: FTMPMessage) -> bytes:
 
 
 def _encode_body(msg: FTMPMessage, w: _Writer) -> None:
-    if isinstance(msg, RegularMessage):
+    if _connectionless(msg):
+        w.raw(msg.payload)
+    elif isinstance(msg, RegularMessage):
         w.connection_id(msg.connection_id)
         w.u64(msg.request_num)
         w.blob(msg.payload)
