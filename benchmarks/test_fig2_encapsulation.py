@@ -8,7 +8,7 @@ network.
 
 from repro.analysis import Table
 from repro.core import (
-    HEADER_SIZE,
+    SHORT_HEADER_SIZE,
     ConnectionId,
     FTMPHeader,
     MessageType,
@@ -90,7 +90,8 @@ def test_fig2_encapsulation():
 
     assert len(rows) == 8
     assert all(intact and recovered for _n, _g, _f, intact, recovered in rows)
-    # FTMP framing adds exactly the 40-byte header plus the Regular body
-    # prefix (connection id 16B + request num 8B + payload length 4B)
+    # FTMP framing adds exactly the header plus the Regular body prefix
+    # (connection id 16B + request num 8B + payload length 4B); the
+    # header is the 27-byte short form, the ack 5 ticks behind ts
     for _name, giop_len, ftmp_len, _i, _r in rows:
-        assert ftmp_len == HEADER_SIZE + 16 + 8 + 4 + giop_len
+        assert ftmp_len == SHORT_HEADER_SIZE + 16 + 8 + 4 + giop_len

@@ -19,6 +19,7 @@ from .constants import (
     HEADER_SIZE,
     MAGIC,
     RELIABLE_TYPES,
+    SHORT_HEADER_SIZE,
     TOTALLY_ORDERED_TYPES,
     MessageType,
 )
@@ -94,6 +95,7 @@ __all__ = [
     "MessageType",
     "MAGIC",
     "HEADER_SIZE",
+    "SHORT_HEADER_SIZE",
     "RELIABLE_TYPES",
     "TOTALLY_ORDERED_TYPES",
     "ConnectionId",

@@ -9,14 +9,17 @@ from __future__ import annotations
 
 import enum
 
-__all__ = ["MAGIC", "VERSION_MAJOR", "VERSION_MINOR", "HEADER_SIZE", "MessageType"]
+__all__ = ["MAGIC", "VERSION_MAJOR", "VERSION_MINOR", "HEADER_SIZE", "SHORT_HEADER_SIZE",
+           "MessageType"]
 
 MAGIC = b"FTMP"
 VERSION_MAJOR = 1
 VERSION_MINOR = 0
 
-#: Fixed FTMP header length in bytes (see :mod:`repro.core.wire`).
+#: FTMP header length in bytes (see :mod:`repro.core.wire`): the full
+#: form, and the short form a datagram takes when its fields fit it.
 HEADER_SIZE = 40
+SHORT_HEADER_SIZE = 27
 
 
 class MessageType(enum.IntEnum):

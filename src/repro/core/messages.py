@@ -1,7 +1,9 @@
 """FTMP message model (paper §3 and §5–§7).
 
-Every FTMP message is a fixed 40-byte header (:class:`FTMPHeader`) followed
-by a type-specific body.  The dataclasses here mirror the paper's message
+Every FTMP message is a header (:class:`FTMPHeader`) followed by a
+type-specific body.  The header has the same fields whatever its form on
+the wire — 40 bytes, or 27 when the timestamp, the ack's distance behind
+it and the datagram's length fit the short form.  The dataclasses here mirror the paper's message
 format tables field-for-field and name their Figure 3 type as ``TYPE``;
 the binary encoding lives in :mod:`repro.core.wire`.
 

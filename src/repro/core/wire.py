@@ -1,17 +1,19 @@
 """Binary codec for FTMP messages (paper §3, Figure 2).
 
-Layout: a fixed 40-byte header, then a type-specific body.  The first
-8 header bytes (magic, version, flags, type) are endianness-independent so
-a receiver can read the byte-order flag before decoding the rest — the
-same trick GIOP uses.
+Layout: a header, then a type-specific body.  The first 8 header bytes
+(magic, version, flags, type) are endianness-independent so a receiver
+can read the byte-order flag and the header form before decoding the
+rest — the same trick GIOP uses.  Figure 2 fixes the header's fields,
+not their widths, and a datagram takes one of two forms of it.
 
-Header layout (offsets in bytes)::
+Full header, 40 B (offsets in bytes)::
 
     0   magic            4s   b"FTMP"
     4   version major    u8
     5   version minor    u8
     6   flags            u8   bit0 = little endian, bit1 = retransmission,
-                              bit2 = connectionless (Regular only)
+                              bit2 = connectionless (Regular only),
+                              bit3 = short header
     7   message type     u8
     8   message size     u32  (header + body, filled in at encode time)
     12  source processor u32
@@ -20,29 +22,47 @@ Header layout (offsets in bytes)::
     24  message timestamp u64
     32  ack timestamp    u64
 
+Short header, 27 B, flags bit3 set::
+
+    8   message size     u16
+    10  source processor u32
+    14  destination grp  u32
+    18  sequence number  u32
+    22  message timestamp u32
+    26  ack step         u8   timestamp - ack timestamp
+
+:func:`encode` picks the form from the datagram's own fields alone: the
+short one when ts < 2**32, 0 <= ts - ack < 256 and the datagram is under
+65,536 B, the full one otherwise.  No state passes from one datagram to
+the next, so a lost datagram costs no other its decoding.  Both forms
+decode; an ack step past the timestamp is a :class:`CodecError`.  H
+below is the header's length, 40 or 27; the body starts there.
+
 Body encodings use length-prefixed collections: ``u16 count`` for
 processor lists and sequence-number vectors, ``u32 length`` for payloads.
 
 A standalone Regular takes one of two layouts.  On a §4 logical
 connection (a connection id or a request number not zero — GIOP, LLFT
-OrderInfos) the body is the fixed prefix, then the payload: 68 B +
-payload::
+OrderInfos) the body is the fixed prefix, then the payload: H + 28 B +
+payload, 68 or 55::
 
-    40  connection id    4 x u32
-    56  request number   u64
-    64  payload length   u32
-    68  payload
+    H       connection id    4 x u32
+    H + 16  request number   u64
+    H + 24  payload length   u32
+    H + 28  payload
 
 Below the ORB (the zero connection id, request number 0) the flags carry
-bit2 and the payload follows the header at once: 40 B + payload, its
-length the size field minus 40.  :func:`encode` picks the layout from
-the fields; the flag on any other type, or a size field that is not the
+bit2 and the payload follows the header at once: H + payload, its length
+the size field minus H.  :func:`encode` picks the layout from the
+fields; the flag on any other type, or a size field that is not the
 datagram's length, is a :class:`CodecError`.
 
 Hot-path engineering: Heartbeat, Regular and AckSummary's fixed prefix
 encode in a single precompiled :class:`struct.Struct` ``pack`` call per
 message and decode with ``unpack_from`` at fixed offsets — no
-intermediate slices, no per-field ``struct.pack`` allocations.  Regular
+intermediate slices, no per-field ``struct.pack`` allocations.  Each
+layout has a short-header twin built from the same format string; the
+four are keyed by the flag bits of byte order and form.  Regular
 and Heartbeat — all but a few datagrams of a running group — decode
 header and body in one ``unpack_from`` (:func:`decode`).  The nine
 membership/control bodies are stated once, in ``_CONTROL_LAYOUTS``, and
@@ -86,18 +106,21 @@ first part::
 
 A part gets a Regular record when it is a Regular of the envelope's
 source, group and endianness, whose size field is its length, whose
-payload is at most 0xFFFF bytes, and which is in the layout
-:func:`encode` gives it: connectionless, or the fixed prefix naming a
-connection or a request.  A part in the 68 B layout with a zero
-connection block is not what the encoder emits and goes verbatim.  The
-record is a delta record when its seq is the previous record's + 1 and
-its ts and ack each exceed the previous record's by less than 256: a
-Regular below the ORB then costs 5 B + payload (29 B + payload on a
-connection) instead of its 40 B header (68 B of header and body prefix),
-the first part of an envelope included.  A delta record needs a
-predecessor: the header or a Regular record, with no verbatim record in
-between.  The receiver rebuilds each part's full encoding byte for byte,
-so retention and retransmission identity are untouched.  When every
+payload is at most 0xFFFF bytes, and which is in the layout and header
+form :func:`encode` gives it: connectionless, or the fixed prefix naming
+a connection or a request; the short header exactly when its fields fit
+one.  A part in the full layout with a zero connection block, or with a
+40 B header its fields would fit in 27, is not what the encoder emits
+and goes verbatim.  The record is a delta record when its seq is the
+previous record's + 1 and its ts and ack each exceed the previous
+record's by less than 256: a Regular below the ORB then costs 5 B +
+payload (29 B + payload on a connection) instead of its header (and
+body prefix), the first part of an envelope included.  A delta record
+needs a predecessor: the header or a Regular record, with no verbatim
+record in between.  The record does not say which header form its part
+had: the receiver rebuilds each part in the form :func:`encode` gives
+the part's fields, which is the form it had, byte for byte, so
+retention and retransmission identity are untouched.  When every
 record is a Regular record — what the send path coalesces — the same
 pass also builds each part's message
 (:attr:`~repro.core.messages.BatchMessage.decoded`), so the receive path
@@ -109,7 +132,8 @@ from __future__ import annotations
 import struct
 from typing import Dict, Optional, Tuple, Union
 
-from .constants import HEADER_SIZE, MAGIC, VERSION_MAJOR, VERSION_MINOR, MessageType
+from .constants import (HEADER_SIZE, MAGIC, SHORT_HEADER_SIZE, VERSION_MAJOR, VERSION_MINOR,
+                        MessageType)
 from .messages import (
     AckSummaryMessage,
     AddProcessorMessage,
@@ -144,6 +168,12 @@ _FLAG_RETRANSMISSION = 0x02
 #: a Regular without its connection block: the zero connection id and
 #: request number 0, the payload right after the header (Regular only)
 _FLAG_CONNECTIONLESS = 0x04
+#: the 27 B header: u16 size, u32 ts, u8 ack step (module docstring)
+_FLAG_SHORT = 0x08
+#: the flag bits that pick a header layout: byte order and form
+_FORM = _FLAG_LITTLE_ENDIAN | _FLAG_SHORT
+#: the largest body the short header's u16 size field leaves room for
+_SHORT_BODY_MAX = 0xFFFF - SHORT_HEADER_SIZE
 #: the part's own flags a BATCH record carries (the rest it implies)
 _PART_FLAGS = _FLAG_LITTLE_ENDIAN | _FLAG_RETRANSMISSION
 #: BATCH record flags beside the part's own two: seq is the previous
@@ -160,24 +190,30 @@ _REC_VERBATIM = 0x80
 _FLAGS_OFFSET = 6
 
 # ----------------------------------------------------------------------
-# precompiled fixed layouts, both endiannesses ("<" and ">" suppress
-# padding, so these match the historical field-at-a-time encodings)
+# precompiled fixed layouts, keyed by ``flags & _FORM``: both byte orders
+# ("<" and ">" suppress padding, so these match the field-at-a-time
+# encodings) and both header forms, each twin from one format string
 # ----------------------------------------------------------------------
+#: size, source, group, seq, ts, ack (or ack step) of each header form
+_HEADER_REST = {0: "IIIIQQ", _FLAG_SHORT: "HIIIIB"}
+
+
+def _twins(head: str, body: str = "") -> Dict[int, struct.Struct]:
+    """``head``, the header's remaining fields and ``body`` as one layout
+    per byte order and header form."""
+    return {bit | form: struct.Struct(e + head + rest + body)
+            for e, bit in (("<", _FLAG_LITTLE_ENDIAN), (">", 0))
+            for form, rest in _HEADER_REST.items()}
+
+
 #: whole header in one call: prefix + size/source/group/seq/ts/ack
-_HDR = {
-    True: struct.Struct("<4sBBBBIIIIQQ"),
-    False: struct.Struct(">4sBBBBIIIIQQ"),
-}
+_HDR = _twins("4sBBBB")
 #: header + Regular body prefix (connection id ×4, request num, payload len)
-_HDR_REGULAR = {
-    True: struct.Struct("<4sBBBBIIIIQQIIIIQI"),
-    False: struct.Struct(">4sBBBBIIIIQQIIIIQI"),
-}
+_HDR_REGULAR = _twins("4sBBBB", "IIIIQI")
 #: header + fixed AckSummary body prefix (kind, cover ts, ack ts, entry count)
-_HDR_ACK_SUMMARY = {
-    True: struct.Struct("<4sBBBBIIIIQQBQQH"),
-    False: struct.Struct(">4sBBBBIIIIQQBQQH"),
-}
+_HDR_ACK_SUMMARY = _twins("4sBBBB", "BQQH")
+#: a Regular part's size field, source, group, seq, ts and ack (or step)
+_PART_FIELDS = _twins("8x")
 #: Regular body alone (decode side)
 _REGULAR_BODY = {
     True: struct.Struct("<IIIIQI"),
@@ -217,14 +253,13 @@ def _record_layouts(little: bool) -> Tuple[Optional[struct.Struct], ...]:
 
 
 _RECORD_LAYOUTS = {True: _record_layouts(True), False: _record_layouts(False)}
-#: a delta record's head, below the ORB and on a connection: flags, the
-#: ts and ack steps, [connection id and request number,] payload length
+#: a record's head on the encode side: flags, the ts and ack steps (a
+#: delta record) or seq / ts / ack (a full one), [connection id and
+#: request number,] payload length
 _DELTA_HEAD = {True: struct.Struct("<BBBH"), False: struct.Struct(">BBBH")}
 _DELTA_HEAD_CONNECTION = {True: struct.Struct("<BBB24sH"), False: struct.Struct(">BBB24sH")}
-#: a Regular part's size field, source, group, seq, ts and ack
-_PART_FIELDS = {True: struct.Struct("<8xIIIIQQ"), False: struct.Struct(">8xIIIIQQ")}
-#: one-byte record flags, prebuilt
-_BYTE = tuple(bytes((i,)) for i in range(256))
+_FULL_HEAD = {True: struct.Struct("<BIQQH"), False: struct.Struct(">BIQQH")}
+_FULL_HEAD_CONNECTION = {True: struct.Struct("<BIQQ24sH"), False: struct.Struct(">BIQQ24sH")}
 _U16 = {True: struct.Struct("<H"), False: struct.Struct(">H")}
 _U32 = {True: struct.Struct("<I"), False: struct.Struct(">I")}
 #: wire value -> MessageType member (``MessageType(x)`` is far slower)
@@ -236,16 +271,17 @@ _REGULAR = int(MessageType.REGULAR)
 _HEARTBEAT = int(MessageType.HEARTBEAT)
 #: header bytes 0:8 of a Regular that may take a BATCH Regular record:
 #: magic, version, the byte order's flag with or without retransmission,
-#: in either form
+#: in either layout and either header form
 _REGULAR_HEADS = {
-    little: tuple(MAGIC + bytes((VERSION_MAJOR, VERSION_MINOR, bit | more, _REGULAR))
+    little: tuple(MAGIC + bytes((VERSION_MAJOR, VERSION_MINOR, bit | more | form, _REGULAR))
                   for more in (0, _FLAG_RETRANSMISSION, _FLAG_CONNECTIONLESS,
-                               _FLAG_RETRANSMISSION | _FLAG_CONNECTIONLESS))
+                               _FLAG_RETRANSMISSION | _FLAG_CONNECTIONLESS)
+                  for form in _HEADER_REST)
     for little, bit in ((True, _FLAG_LITTLE_ENDIAN), (False, 0))}
-#: header + fixed Regular body prefix: where a Regular's payload starts
-_REGULAR_FIXED = _HDR_REGULAR[True].size
+#: the Regular body's fixed prefix: connection id, request number, payload length
+_REGULAR_PREFIX = _REGULAR_BODY[True].size
 #: a Regular's connection id and request number when it is below the ORB
-_NO_CONNECTION_BYTES = bytes(_REGULAR_FIXED - HEADER_SIZE - 4)
+_NO_CONNECTION_BYTES = bytes(_REGULAR_PREFIX - 4)
 _VERSION = (VERSION_MAJOR, VERSION_MINOR)
 #: the all-zero connection id of a Regular below the ORB, shared (the
 #: class is frozen) where building it anew would cost more than the
@@ -259,13 +295,22 @@ class CodecError(Exception):
     """Raised on malformed FTMP datagrams."""
 
 
-def _flags_of(h: FTMPHeader) -> int:
-    flags = 0
+def _form(h: FTMPHeader, body: int, flags: int = 0) -> Tuple[int, int, int]:
+    """(flags, size field, last header field) of a datagram with header
+    ``h`` and a ``body``-byte body: the short form — ack step last — when
+    ts, ts - ack and the length fit it, else the full one (``flags &
+    _FORM`` picks the layout).  Back-fills ``h.message_size``."""
     if h.little_endian:
         flags |= _FLAG_LITTLE_ENDIAN
     if h.retransmission:
         flags |= _FLAG_RETRANSMISSION
-    return flags
+    ts = h.timestamp
+    last = ts - h.ack_timestamp
+    if ts <= 0xFFFFFFFF and 0 <= last <= 0xFF and body <= _SHORT_BODY_MAX:
+        h.message_size = size = SHORT_HEADER_SIZE + body
+        return flags | _FLAG_SHORT, size, last
+    h.message_size = size = HEADER_SIZE + body
+    return flags, size, h.ack_timestamp
 
 
 #: the reader's fixed-width fields, compiled once: byte order + format code
@@ -388,72 +433,64 @@ _CONTROL_BY_TYPE = {cls.TYPE: cls for cls in _CONTROL_LAYOUTS}
 # encoding — precompiled fast path
 # ----------------------------------------------------------------------
 def encode(msg: FTMPMessage) -> bytes:
-    """Serialize an FTMP message; also back-fills ``header.message_size``."""
+    """Serialize an FTMP message, in the header form its fields fit;
+    also back-fills ``header.message_size``."""
     h = msg.header
     little = h.little_endian
-    flags = _flags_of(h)
     cls = msg.__class__
     if cls is RegularMessage:
         cid = msg.connection_id
+        payload = msg.payload
         if not (msg.request_num or cid.client_domain or cid.client_group
                 or cid.server_domain or cid.server_group):
-            size = HEADER_SIZE + len(msg.payload)
-            h.message_size = size
-            return _HDR[little].pack(
-                h.magic, h.version[0], h.version[1], flags | _FLAG_CONNECTIONLESS,
-                int(h.message_type), size, h.source, h.group, h.sequence_number,
-                h.timestamp, h.ack_timestamp,
-            ) + msg.payload
-        size = _REGULAR_FIXED + len(msg.payload)
-        h.message_size = size
-        return _HDR_REGULAR[little].pack(
+            flags, size, last = _form(h, len(payload), _FLAG_CONNECTIONLESS)
+            return _HDR[flags & _FORM].pack(
+                h.magic, h.version[0], h.version[1], flags, int(h.message_type),
+                size, h.source, h.group, h.sequence_number, h.timestamp, last,
+            ) + payload
+        flags, size, last = _form(h, _REGULAR_PREFIX + len(payload))
+        return _HDR_REGULAR[flags & _FORM].pack(
             h.magic, h.version[0], h.version[1], flags, int(h.message_type),
-            size, h.source, h.group, h.sequence_number, h.timestamp,
-            h.ack_timestamp,
+            size, h.source, h.group, h.sequence_number, h.timestamp, last,
             cid.client_domain, cid.client_group, cid.server_domain,
-            cid.server_group, msg.request_num, len(msg.payload),
-        ) + msg.payload
+            cid.server_group, msg.request_num, len(payload),
+        ) + payload
     if cls is HeartbeatMessage:
-        h.message_size = HEADER_SIZE
-        return _HDR[little].pack(
+        flags, size, last = _form(h, 0)
+        return _HDR[flags & _FORM].pack(
             h.magic, h.version[0], h.version[1], flags, int(h.message_type),
-            HEADER_SIZE, h.source, h.group, h.sequence_number, h.timestamp,
-            h.ack_timestamp,
+            size, h.source, h.group, h.sequence_number, h.timestamp, last,
         )
     if cls is AckSummaryMessage:
         entries = msg.entries
         entry_struct = _ACK_SUMMARY_ENTRY[little]
-        size = HEADER_SIZE + 19 + entry_struct.size * len(entries)
-        h.message_size = size
-        prefix = _HDR_ACK_SUMMARY[little].pack(
+        flags, size, last = _form(h, 19 + entry_struct.size * len(entries))
+        prefix = _HDR_ACK_SUMMARY[flags & _FORM].pack(
             h.magic, h.version[0], h.version[1], flags, int(h.message_type),
-            size, h.source, h.group, h.sequence_number, h.timestamp,
-            h.ack_timestamp, msg.kind, msg.cover_ts, msg.ack_ts, len(entries),
+            size, h.source, h.group, h.sequence_number, h.timestamp, last,
+            msg.kind, msg.cover_ts, msg.ack_ts, len(entries),
         )
         if not entries:
             return prefix
         pack = entry_struct.pack
         return prefix + b"".join(pack(pid, seq, ts) for pid, seq, ts in entries)
     if cls is BatchMessage:
-        # A full record is slices of its part's own encoding, assembled by
-        # one join: seq / ts / ack lie contiguously at header bytes 20:40,
-        # a full-form part's connection id and request number at 40:64,
-        # and its u16 payload length is the low half of its u32 at 64
-        # (bounded to 0xFFFF below).  A delta record's head is one
-        # precompiled ``pack``.  The eligibility and delta tests are
-        # exactly those of ``_regular_fields`` / ``_regular_record`` in the
-        # reference encoder (tests/reference/wire_reference.py), which the
-        # codec property tests hold this one to.
+        # A record is one precompiled ``pack`` of its head — flags, seq /
+        # ts / ack or the two steps, a connection part's connection id and
+        # request number sliced from it — and the payload, assembled by
+        # one join.  The eligibility and delta tests are exactly those of
+        # ``_regular_fields`` / ``_regular_record`` in the reference
+        # encoder (tests/reference/wire_reference.py), which the codec
+        # property tests hold this one to.
         parts = msg.parts
         heads = _REGULAR_HEADS[little]
         source, group = h.source, h.group
-        fields = _PART_FIELDS[little].unpack_from
         u32 = _U32[little].unpack_from
-        u16 = _U16[little].pack
         delta_head = _DELTA_HEAD[little].pack
         delta_head_connection = _DELTA_HEAD_CONNECTION[little].pack
+        full_head = _FULL_HEAD[little].pack
+        full_head_connection = _FULL_HEAD_CONNECTION[little].pack
         verbatim = _BATCH_VERBATIM[little]
-        low = 64 if little else 66
         chunks = [b"", b""]  # back-filled below: header, part count
         append, extend = chunks.append, chunks.extend
         # the previous record's seq / ts / ack; None before the first
@@ -464,18 +501,25 @@ def encode(msg: FTMPMessage) -> bytes:
             n = len(part)
             # where the payload starts: 0 while the part goes verbatim
             start = 0
-            if part[0:8] in heads and n >= HEADER_SIZE:
-                size, src, grp, seq, ts, ack = fields(part)
-                if size == n and src == source and grp == group:
+            short = n > _FLAGS_OFFSET and part[_FLAGS_OFFSET] & _FLAG_SHORT
+            hs = SHORT_HEADER_SIZE if short else HEADER_SIZE
+            if part[0:8] in heads and n >= hs:
+                size, src, grp, seq, ts, ack = _PART_FIELDS[part[6] & _FORM].unpack_from(part)
+                if short:
+                    ack = ts - ack
+                # in the header form encode gives these fields, and decodable
+                fits = ts <= 0xFFFFFFFF and 0 <= ts - ack <= 0xFF and n - hs <= _SHORT_BODY_MAX
+                if (size == n and src == source and grp == group and ack >= 0
+                        and fits == bool(short)):
                     if part[6] & _FLAG_CONNECTIONLESS:
-                        start, conn = HEADER_SIZE, None
-                    elif n >= _REGULAR_FIXED:
+                        start, conn = hs, None
+                    elif n >= hs + _REGULAR_PREFIX:
                         # the zero block has its own form: this one is
                         # not what encode emits, and is kept verbatim
-                        conn = part[40:64]
+                        conn = part[hs:hs + 24]
                         if (conn != _NO_CONNECTION_BYTES
-                                and u32(part, 64)[0] == n - _REGULAR_FIXED):
-                            start = _REGULAR_FIXED
+                                and u32(part, hs + 24)[0] == n - hs - _REGULAR_PREFIX):
+                            start = hs + _REGULAR_PREFIX
             if start and (plen := n - start) <= 0xFFFF:
                 if prev_seq is None:
                     if seq:
@@ -495,49 +539,51 @@ def encode(msg: FTMPMessage) -> bytes:
                             rflags | _REC_DELTA | _REC_CONNECTION, dts, dack, conn, plen),
                             payload))
                 elif conn is None:
-                    extend((_BYTE[rflags], part[20:40], u16(plen), payload))
+                    extend((full_head(rflags, seq, ts, ack, plen), payload))
                 else:
-                    extend((_BYTE[rflags | _REC_CONNECTION], part[20:40], conn,
-                            part[low:low + 2], payload))
+                    extend((full_head_connection(rflags | _REC_CONNECTION, seq, ts, ack, conn,
+                                                 plen), payload))
                 prev_seq, prev_ts, prev_ack = seq, ts, ack
                 continue
             append(verbatim.pack(_REC_VERBATIM, n))
             append(part if type(part) is bytes else bytes(part))
             prev_seq, prev_ts, prev_ack = -2, 0, 0  # a delta needs a Regular record
-        size = HEADER_SIZE + 2 + sum(map(len, chunks))
-        h.message_size = size
-        chunks[0] = _HDR[little].pack(
-            h.magic, h.version[0], h.version[1], flags, int(h.message_type),
-            size, h.source, h.group, h.sequence_number, h.timestamp,
-            h.ack_timestamp,
-        )
         chunks[1] = _U16[little].pack(len(parts))
+        chunks[0] = _packed_header(h, sum(map(len, chunks)))
         return b"".join(chunks)
     layout = _CONTROL_LAYOUTS.get(cls)
     if layout is None:
         raise CodecError(f"unknown message class {cls.__name__}")
     e = "<" if little else ">"
     body = b"".join(_PACK[kind](e, getattr(msg, name)) for name, kind in layout)
-    size = HEADER_SIZE + len(body)
-    h.message_size = size
-    return _HDR[little].pack(
+    return _packed_header(h, len(body)) + body
+
+
+def _packed_header(h: FTMPHeader, body: int) -> bytes:
+    """The header alone, in the form :func:`_form` picks."""
+    flags, size, last = _form(h, body)
+    return _HDR[flags & _FORM].pack(
         h.magic, h.version[0], h.version[1], flags, int(h.message_type),
-        size, h.source, h.group, h.sequence_number, h.timestamp,
-        h.ack_timestamp,
-    ) + body
+        size, h.source, h.group, h.sequence_number, h.timestamp, last,
+    )
 
 
 # ----------------------------------------------------------------------
 # decoding — precompiled unpack_from, no intermediate slices
 # ----------------------------------------------------------------------
 def peek_header(data: _Buffer) -> FTMPHeader:
-    """Decode only the 40-byte header (used by traces and filters)."""
-    if len(data) < HEADER_SIZE:
-        raise CodecError(f"datagram shorter than header: {len(data)} bytes")
-    flags = data[_FLAGS_OFFSET]
-    little = bool(flags & _FLAG_LITTLE_ENDIAN)
+    """Decode only the header, in either form (used by traces and filters).
+
+    Flags bit3 says which form: the short header's ack timestamp is its
+    timestamp less the ack step.  A datagram shorter than its form's
+    header, or an ack step past the timestamp, is a :class:`CodecError`;
+    the size field is the caller's to check."""
+    n = len(data)
+    form = data[_FLAGS_OFFSET] & _FORM if n > _FLAGS_OFFSET else 0
+    if n < (SHORT_HEADER_SIZE if form & _FLAG_SHORT else HEADER_SIZE):
+        raise CodecError(f"datagram shorter than header: {n} bytes")
     magic, vmaj, vmin, flags, mtype, size, source, group, seq, ts, ack = (
-        _HDR[little].unpack_from(data, 0)
+        _HDR[form].unpack_from(data, 0)
     )
     if magic != MAGIC:
         raise CodecError(f"bad magic {magic!r}")
@@ -548,6 +594,10 @@ def peek_header(data: _Buffer) -> FTMPHeader:
         raise CodecError(f"unknown message type {mtype}")
     if flags & _FLAG_CONNECTIONLESS and mtype != _REGULAR:
         raise CodecError(f"connectionless flag on a {message_type.name} message")
+    if form & _FLAG_SHORT:
+        if ack > ts:
+            raise CodecError(f"ack step {ack} past timestamp {ts}")
+        ack = ts - ack
     return FTMPHeader(
         message_type=message_type,
         source=source,
@@ -556,17 +606,19 @@ def peek_header(data: _Buffer) -> FTMPHeader:
         timestamp=ts,
         ack_timestamp=ack,
         retransmission=bool(flags & _FLAG_RETRANSMISSION),
-        little_endian=little,
+        little_endian=bool(form & _FLAG_LITTLE_ENDIAN),
         message_size=size,
         magic=magic,
         version=(vmaj, vmin),
     )
 
 
-def _decode_batch(h: FTMPHeader, data: _Buffer, little: bool) -> BatchMessage:
-    """Unpack a Batch envelope: every part's full encoding, rebuilt byte
-    for byte, and — when every record is a Regular record, what the send
-    path coalesces — each part's message, built in the same pass.
+def _decode_batch(h: FTMPHeader, data: _Buffer, little: bool, pos: int) -> BatchMessage:
+    """Unpack a Batch envelope whose body starts at ``pos``: every part's
+    full encoding, rebuilt byte for byte in the header form
+    :func:`encode` gives its fields, and — when every record is a Regular
+    record, what the send path coalesces — each part's message, built in
+    the same pass.
 
     One reader over one buffer; the header's seq / ts / ack are the
     record before the first.  A record that cannot be framed (flags byte
@@ -580,15 +632,12 @@ def _decode_batch(h: FTMPHeader, data: _Buffer, little: bool) -> BatchMessage:
     field for field.
     """
     n = len(data)
-    pos = HEADER_SIZE
     if pos + 2 > n:
         raise CodecError("truncated FTMP message body")
     (count,) = _U16[little].unpack_from(data, pos)
     pos += 2
     layouts = _RECORD_LAYOUTS[little]
     verbatim = _BATCH_VERBATIM[little]
-    pack_part = _HDR_REGULAR[little].pack
-    pack_connectionless = _HDR[little].pack
     source, group = h.source, h.group
     regular = MessageType.REGULAR
     parts = []
@@ -639,17 +688,24 @@ def _decode_batch(h: FTMPHeader, data: _Buffer, little: bool) -> BatchMessage:
             raise CodecError("truncated batch part")
         payload = bytes(data[body:pos])
         pflags = rflags & _PART_FLAGS
+        # the part's header form: what encode gives these fields
+        size = plen + (_REGULAR_PREFIX if connection else 0)
+        last = ts - ack
+        if ts <= 0xFFFFFFFF and 0 <= last <= 0xFF and size <= _SHORT_BODY_MAX:
+            pflags |= _FLAG_SHORT
+            size += SHORT_HEADER_SIZE
+        else:
+            last = ack
+            size += HEADER_SIZE
         try:
             if connection:
-                size = _REGULAR_FIXED + plen
-                parts.append(pack_part(MAGIC, VERSION_MAJOR, VERSION_MINOR, pflags, _REGULAR,
-                                       size, source, group, seq, ts, ack,
-                                       cd, cg, sd, sg, req, plen) + payload)
+                parts.append(_HDR_REGULAR[pflags & _FORM].pack(
+                    MAGIC, VERSION_MAJOR, VERSION_MINOR, pflags, _REGULAR, size, source,
+                    group, seq, ts, last, cd, cg, sd, sg, req, plen) + payload)
             else:
-                size = HEADER_SIZE + plen
-                parts.append(pack_connectionless(
+                parts.append(_HDR[pflags & _FORM].pack(
                     MAGIC, VERSION_MAJOR, VERSION_MINOR, pflags | _FLAG_CONNECTIONLESS,
-                    _REGULAR, size, source, group, seq, ts, ack) + payload)
+                    _REGULAR, size, source, group, seq, ts, last) + payload)
         except struct.error:
             # only a delta record's steps can carry a field past its width
             raise CodecError("batch record sequence number past 0xFFFFFFFF"
@@ -666,57 +722,67 @@ def _decode_batch(h: FTMPHeader, data: _Buffer, little: bool) -> BatchMessage:
 
 
 def decode(data: _Buffer) -> FTMPMessage:
-    """Deserialize a full FTMP message (header + body).
+    """Deserialize a full FTMP message (header + body), in either header form.
 
     A well-formed Regular or Heartbeat is decoded by one ``unpack_from``
     over header and body together.  The fused branches make the general
-    path's checks (magic, size field, payload bound) on the values they
-    unpacked and return only when all hold; anything else — truncated,
-    wrong size, bad magic, flipped endianness flag — falls through to
-    the general path below, which names the failure.
+    path's checks (magic, size field, payload bound, ack step) on the
+    values they unpacked and return only when all hold; anything else —
+    truncated, wrong size, bad magic, flipped endianness or form flag —
+    falls through to the general path below, which names the failure.
     """
     n = len(data)
-    wire_type = data[_TYPE_OFFSET] if n >= HEADER_SIZE else None
-    if wire_type == _REGULAR:
+    if n >= SHORT_HEADER_SIZE:
         flags = data[_FLAGS_OFFSET]
+        form = flags & _FORM
         little = bool(flags & _FLAG_LITTLE_ENDIAN)
-        if flags & _FLAG_CONNECTIONLESS:
+        hs = SHORT_HEADER_SIZE if form & _FLAG_SHORT else HEADER_SIZE
+        wire_type = data[_TYPE_OFFSET]
+        if wire_type == _REGULAR:
+            if flags & _FLAG_CONNECTIONLESS:
+                if n >= hs:
+                    magic, vmaj, vmin, flags, _t, size, source, group, seq, ts, ack = (
+                        _HDR[form].unpack_from(data, 0))
+                    if form & _FLAG_SHORT:
+                        ack = ts - ack
+                    if magic == MAGIC and size == n and ack >= 0:
+                        return RegularMessage(
+                            FTMPHeader(MessageType.REGULAR, source, group, seq, ts, ack,
+                                       bool(flags & _FLAG_RETRANSMISSION), little, size,
+                                       magic, (vmaj, vmin)),
+                            _NO_CONNECTION, 0, bytes(data[hs:n]))
+            elif n >= (start := hs + _REGULAR_PREFIX):
+                (magic, vmaj, vmin, flags, _t, size, source, group, seq, ts, ack,
+                 cd, cg, sd, sg, req, plen) = _HDR_REGULAR[form].unpack_from(data, 0)
+                if form & _FLAG_SHORT:
+                    ack = ts - ack
+                if magic == MAGIC and size == n and start + plen <= n and ack >= 0:
+                    return RegularMessage(
+                        FTMPHeader(MessageType.REGULAR, source, group, seq, ts, ack,
+                                   bool(flags & _FLAG_RETRANSMISSION), little, size,
+                                   magic, (vmaj, vmin)),
+                        ConnectionId(cd, cg, sd, sg) if cd or cg or sd or sg else _NO_CONNECTION,
+                        req, bytes(data[start:start + plen]))
+        elif wire_type == _HEARTBEAT and n == hs:
             magic, vmaj, vmin, flags, _t, size, source, group, seq, ts, ack = (
-                _HDR[little].unpack_from(data, 0))
-            if magic == MAGIC and size == n:
-                return RegularMessage(
-                    FTMPHeader(MessageType.REGULAR, source, group, seq, ts, ack,
+                _HDR[form].unpack_from(data, 0))
+            if form & _FLAG_SHORT:
+                ack = ts - ack
+            if magic == MAGIC and size == n and not flags & _FLAG_CONNECTIONLESS and ack >= 0:
+                return HeartbeatMessage(
+                    FTMPHeader(MessageType.HEARTBEAT, source, group, seq, ts, ack,
                                bool(flags & _FLAG_RETRANSMISSION), little, size,
-                               magic, (vmaj, vmin)),
-                    _NO_CONNECTION, 0, bytes(data[HEADER_SIZE:n]))
-        elif n >= _REGULAR_FIXED:
-            (magic, vmaj, vmin, flags, _t, size, source, group, seq, ts, ack,
-             cd, cg, sd, sg, req, plen) = _HDR_REGULAR[little].unpack_from(data, 0)
-            if magic == MAGIC and size == n and _REGULAR_FIXED + plen <= n:
-                return RegularMessage(
-                    FTMPHeader(MessageType.REGULAR, source, group, seq, ts, ack,
-                               bool(flags & _FLAG_RETRANSMISSION), little, size,
-                               magic, (vmaj, vmin)),
-                    ConnectionId(cd, cg, sd, sg) if cd or cg or sd or sg else _NO_CONNECTION,
-                    req, bytes(data[_REGULAR_FIXED:_REGULAR_FIXED + plen]))
-    elif wire_type == _HEARTBEAT and n == HEADER_SIZE:
-        little = bool(data[_FLAGS_OFFSET] & _FLAG_LITTLE_ENDIAN)
-        magic, vmaj, vmin, flags, _t, size, source, group, seq, ts, ack = (
-            _HDR[little].unpack_from(data, 0))
-        if magic == MAGIC and size == n and not flags & _FLAG_CONNECTIONLESS:
-            return HeartbeatMessage(
-                FTMPHeader(MessageType.HEARTBEAT, source, group, seq, ts, ack,
-                           bool(flags & _FLAG_RETRANSMISSION), little, size,
-                           magic, (vmaj, vmin)))
+                               magic, (vmaj, vmin)))
     h = peek_header(data)
     if h.message_size != n:
         raise CodecError(f"size field {h.message_size} != datagram length {n}")
     little = h.little_endian
+    start = SHORT_HEADER_SIZE if data[_FLAGS_OFFSET] & _FLAG_SHORT else HEADER_SIZE
     t = h.message_type
     if t == MessageType.REGULAR:
-        # magic and size field hold, yet the fused branch did not return:
-        # the fixed body prefix or the payload it announces is cut short
-        raise CodecError("truncated payload" if n >= _REGULAR_FIXED
+        # magic, size field and ack step hold, yet the fused branch did
+        # not return: the fixed body prefix or its payload is cut short
+        raise CodecError("truncated payload" if n >= start + _REGULAR_PREFIX
                          else "truncated FTMP message body")
     if t == MessageType.HEARTBEAT:
         return HeartbeatMessage(h)  # trailing bytes the size field covers
@@ -724,8 +790,8 @@ def decode(data: _Buffer) -> FTMPMessage:
         body = _ACK_SUMMARY_BODY[little]
         entry_struct = _ACK_SUMMARY_ENTRY[little]
         try:
-            kind, cover_ts, ack_ts, count = body.unpack_from(data, HEADER_SIZE)
-            pos = HEADER_SIZE + body.size
+            kind, cover_ts, ack_ts, count = body.unpack_from(data, start)
+            pos = start + body.size
             unpack = entry_struct.unpack_from
             entries = tuple(
                 unpack(data, pos + i * entry_struct.size) for i in range(count)
@@ -734,11 +800,11 @@ def decode(data: _Buffer) -> FTMPMessage:
             raise CodecError("truncated FTMP message body") from exc
         return AckSummaryMessage(h, kind, cover_ts, ack_ts, entries)
     if t == MessageType.BATCH:
-        return _decode_batch(h, data, little)
+        return _decode_batch(h, data, little, start)
     cls = _CONTROL_BY_TYPE.get(t)
     if cls is None:  # pragma: no cover - the branches above cover the rest
         raise CodecError(f"unhandled message type {t}")
-    r = _Reader(data, HEADER_SIZE, little)
+    r = _Reader(data, start, little)
     return cls(h, *[getattr(r, kind)() for _name, kind in _CONTROL_LAYOUTS[cls]])
 
 
@@ -760,14 +826,15 @@ def decode_view(data: _Buffer) -> FTMPMessage:
             f"size field {h.message_size} != datagram length {len(mv)}"
         )
     if h.message_type == MessageType.REGULAR:
+        start = SHORT_HEADER_SIZE if mv[_FLAGS_OFFSET] & _FLAG_SHORT else HEADER_SIZE
         if mv[_FLAGS_OFFSET] & _FLAG_CONNECTIONLESS:
-            return RegularMessage(h, _NO_CONNECTION, 0, mv[HEADER_SIZE:])
+            return RegularMessage(h, _NO_CONNECTION, 0, mv[start:])
         s = _REGULAR_BODY[h.little_endian]
         try:
-            cd, cg, sd, sg, req, plen = s.unpack_from(mv, HEADER_SIZE)
+            cd, cg, sd, sg, req, plen = s.unpack_from(mv, start)
         except struct.error as exc:
             raise CodecError("truncated FTMP message body") from exc
-        start = HEADER_SIZE + s.size
+        start += s.size
         if start + plen > len(mv):
             raise CodecError("truncated payload")
         return RegularMessage(
@@ -777,12 +844,14 @@ def decode_view(data: _Buffer) -> FTMPMessage:
 
 
 def regular_full_size(raw: _Buffer) -> int:
-    """The length of a Regular's 68 B + payload form, whichever form
-    ``raw`` is in: what a batch window counts (``batch_max_bytes``), so
-    a window closes at the same number of messages whether or not they
-    travel with a connection block."""
-    return len(raw) + (_REGULAR_FIXED - HEADER_SIZE
-                       if raw[_FLAGS_OFFSET] & _FLAG_CONNECTIONLESS else 0)
+    """The length of a Regular's 68 B + payload form, whichever layout
+    and header form ``raw`` is in: what a batch window counts
+    (``batch_max_bytes``), so a window closes at the same number of
+    messages whether or not they travel with a connection block or a
+    short header."""
+    flags = raw[_FLAGS_OFFSET]
+    return (len(raw) + (HEADER_SIZE - SHORT_HEADER_SIZE if flags & _FLAG_SHORT else 0)
+            + (_REGULAR_PREFIX if flags & _FLAG_CONNECTIONLESS else 0))
 
 
 def mark_retransmission(raw: _Buffer) -> bytes:

@@ -47,6 +47,8 @@ GROUP, ADDRESS = 1, 5001
 SENDER = 2  #: the source every hand-built BATCH claims
 PEER = 3  #: a third member, heard only through hand-built heartbeats
 LITTLE, RETRANSMISSION, DELTA, CONNECTION, VERBATIM = 0x01, 0x02, 0x04, 0x08, 0x80
+#: the header flag of the 27 B header form
+SHORT = 0x08
 U64_MAX = 2**64 - 1
 
 
@@ -93,13 +95,20 @@ def full_regular(seq, ts, e, *, source=SENDER, group=GROUP, payload=b"x",
         ConnectionId.none(), seq, payload))
 
 
-def envelope(records, e="<", *, count=None, source=SENDER, head=(0, 0, 0)):
+def envelope(records, e="<", *, count=None, source=SENDER, head=(0, 0, 0), short=True):
     """A BATCH datagram; ``head`` is its header's (seq, ts, ack), the
-    record before the first."""
+    record before the first.  Its header is the 27 B one where ``head``
+    fits it and ``short`` holds — what ``encode`` gives a small envelope
+    — else the 40 B one, which decodes too."""
     body = struct.pack(e + "H", len(records) if count is None else count) + b"".join(records)
-    return struct.pack(e + "4sBBBBIIIIQQ", MAGIC, VERSION_MAJOR, VERSION_MINOR,
-                       LITTLE if e == "<" else 0, int(MessageType.BATCH),
-                       40 + len(body), source, GROUP, *head) + body
+    seq, ts, ack = head
+    flags = LITTLE if e == "<" else 0
+    if short and ts < 2**32 and 0 <= ts - ack < 256:
+        return struct.pack(e + "4sBBBBHIIIIB", MAGIC, VERSION_MAJOR, VERSION_MINOR,
+                           flags | SHORT, int(MessageType.BATCH), 27 + len(body), source,
+                           GROUP, seq, ts, ts - ack) + body
+    return struct.pack(e + "4sBBBBIIIIQQ", MAGIC, VERSION_MAJOR, VERSION_MINOR, flags,
+                       int(MessageType.BATCH), 40 + len(body), source, GROUP, *head) + body
 
 
 def _regular(flags=0, delta=True):
@@ -129,7 +138,8 @@ def _delta(e, seq, ts, p, prev):
 
 
 def below_the_orb(seq, ts, e, payload=b"x"):
-    """A Regular with no connection: the 40 B connectionless layout."""
+    """A Regular with no connection: the connectionless layout, in the
+    27 B header below ts 256 (its ack is 0), else the 40 B one."""
     return encode(RegularMessage(
         FTMPHeader(MessageType.REGULAR, source=SENDER, group=GROUP, sequence_number=seq,
                    timestamp=ts, ack_timestamp=0, little_endian=e == "<"),
@@ -142,6 +152,22 @@ def zero_block(seq, ts, e, payload=b"x"):
     return struct.pack(e + "4sBBBBIIIIQQ24xI", MAGIC, VERSION_MAJOR, VERSION_MINOR,
                        LITTLE if e == "<" else 0, int(MessageType.REGULAR),
                        68 + len(payload), SENDER, GROUP, seq, ts, 0, len(payload)) + payload
+
+
+def full_header(seq, ts, e, payload=b"x"):
+    """A Regular below the ORB in the 40 B header whatever its fields: it
+    decodes, but where they fit the 27 B header ``encode`` never emits
+    it, so a BATCH carries it verbatim."""
+    return struct.pack(e + "4sBBBBIIIIQQ", MAGIC, VERSION_MAJOR, VERSION_MINOR,
+                       (LITTLE if e == "<" else 0) | 0x04, int(MessageType.REGULAR),
+                       40 + len(payload), SENDER, GROUP, seq, ts, 0) + payload
+
+
+def _ack_step_past_ts(part, e):
+    # a short header's ack step one past its timestamp (below 255 in
+    # every session here): the part does not decode
+    if part[6] & SHORT:
+        part[26] = struct.unpack_from(e + "I", part, 22)[0] + 1
 
 
 def _verbatim(**kw):
@@ -158,14 +184,19 @@ def _verbatim_part(damage):
     return build
 
 
+def body_start(part):
+    """Where a datagram's body starts: after the 27 B or the 40 B header."""
+    return 27 if part[6] & SHORT else 40
+
+
 def _set_payload_length(plen):
-    return lambda part, e: struct.pack_into(e + "I", part, 64, plen(part))
+    return lambda part, e: struct.pack_into(e + "I", part, body_start(part) + 24, plen(part))
 
 
 def _cut_body(part, e):
     # 27 of the 28 bytes of the fixed body prefix, size field to match
-    del part[67:]
-    struct.pack_into(e + "I", part, 8, len(part))
+    del part[body_start(part) + 27:]
+    struct.pack_into(e + ("H" if part[6] & SHORT else "I"), part, 8, len(part))
 
 
 def _framing(build):
@@ -192,12 +223,16 @@ RECORDS = {
         verbatim(below_the_orb(seq, ts, e, payload=p), e), None),
     "verbatim_zero_block": lambda e, seq, ts, p, prev: (
         verbatim(zero_block(seq, ts, e, payload=p), e), None),
+    "verbatim_full_header": lambda e, seq, ts, p, prev: (
+        verbatim(full_header(seq, ts, e, payload=p), e), None),
+    "ack_step_past_ts": _verbatim_part(_ack_step_past_ts),
     "heartbeat": lambda e, seq, ts, p, prev: (verbatim(encode(HeartbeatMessage(FTMPHeader(
         MessageType.HEARTBEAT, source=SENDER, group=GROUP, sequence_number=seq,
         timestamp=ts, ack_timestamp=0, little_endian=e == "<"))), e), None),
     "unknown_type": _verbatim_part(lambda part, e: part.__setitem__(7, 0xEE)),
     "endianness_flipped": _verbatim_part(lambda part, e: part.__setitem__(6, part[6] ^ LITTLE)),
-    "payload_past_body": _verbatim_part(_set_payload_length(lambda part: len(part) - 67)),
+    "payload_past_body": _verbatim_part(
+        _set_payload_length(lambda part: len(part) - body_start(part) - 27)),
     "payload_length_huge": _verbatim_part(_set_payload_length(lambda part: 0xFFFFFFFF)),
     "body_short_of_regular_prefix": _verbatim_part(_cut_body),
     "nested_batch": lambda e, seq, ts, p, prev: (verbatim(encode(BatchMessage(
@@ -224,7 +259,8 @@ RUN_KINDS = ("regular", "retransmitted", "full", "delta")
 #: receive path part by part
 VERBATIM_KINDS = ("verbatim", "verbatim_retransmitted", "verbatim_foreign_source",
                   "verbatim_foreign_group", "verbatim_connectionless",
-                  "verbatim_zero_block", "heartbeat", "unknown_type",
+                  "verbatim_zero_block", "verbatim_full_header", "ack_step_past_ts",
+                  "heartbeat", "unknown_type",
                   "endianness_flipped", "payload_past_body", "payload_length_huge",
                   "body_short_of_regular_prefix", "nested_batch")
 
@@ -284,15 +320,18 @@ def sessions(draw, max_datagrams=1, peer=False):
             count = len(records) + draw(st.integers(1, 3))
         elif damage == "count_under" and records:
             count = len(records) - 1
-        raw = envelope(records, e, count=count, head=head)
+        # a hostile sender may put a header that fits 27 B in 40
+        raw = envelope(records, e, count=count, head=head,
+                       short=draw(st.booleans()) if hostile else True)
         if damage == "prefix":
             # the size field goes on announcing the whole datagram, as if
             # the tail were lost; a second variant repairs it so that
             # the cut is found inside the records
             cut = draw(st.integers(0, len(raw)))
             raw = raw[:cut]
-            if cut >= 12 and draw(st.booleans()):
-                raw = raw[:8] + struct.pack(e + "I", cut) + raw[12:]
+            width = "H" if cut > 6 and raw[6] & SHORT else "I"  # the size field's
+            if cut >= 8 + struct.calcsize(width) and draw(st.booleans()):
+                raw = raw[:8] + struct.pack(e + width, cut) + raw[8 + struct.calcsize(width):]
         out.append((raw, record_kinds, damage in ("none", "count_under")))
     return out
 
@@ -428,14 +467,17 @@ ONE_BAD_PART = {
     "payload_length_huge": (1, 0),
     "body_short_of_regular_prefix": (1, 0),
     "nested_batch": (1, 0),
+    "ack_step_past_ts": (1, 0),
     # a part is the envelope's sender's message to the envelope's group
     "verbatim_foreign_source": (1, 0),
     "verbatim_foreign_group": (1, 0),
     "heartbeat": (0, 1),  # not an error: a heartbeat, handled as one
-    # not errors: this source's message, in either Regular layout,
-    # handled as one (the second seq 3 is then a duplicate)
+    # not errors: this source's message, in either Regular layout and
+    # either header form, handled as one (the second seq 3 is then a
+    # duplicate)
     "verbatim_connectionless": (0, 1),
     "verbatim_zero_block": (0, 1),
+    "verbatim_full_header": (0, 1),
 }
 
 

@@ -1,4 +1,5 @@
-"""Codec tests: every FTMP message type round-trips, both byte orders."""
+"""Codec tests: every FTMP message type round-trips, both byte orders,
+both header forms; the exact sizes of each form."""
 
 import dataclasses
 
@@ -6,6 +7,7 @@ import pytest
 
 from repro.core import (
     HEADER_SIZE,
+    SHORT_HEADER_SIZE,
     AddProcessorMessage,
     BatchMessage,
     CodecError,
@@ -25,46 +27,53 @@ from repro.core import (
     mark_retransmission,
     peek_header,
 )
-from repro.core.wire import decode_view
+from repro.core.wire import decode_view, regular_full_size
 
 
-def header(mtype: MessageType, little: bool = True) -> FTMPHeader:
+def header(mtype: MessageType, little: bool = True, timestamp: int = 99) -> FTMPHeader:
+    """Ack 55: 44 ticks behind the default timestamp, the short header's
+    range; ``timestamp=FULL`` puts it 256 behind, and the 40 B header on."""
     return FTMPHeader(
         message_type=mtype,
         source=7,
         group=42,
         sequence_number=1234,
-        timestamp=99,
+        timestamp=timestamp,
         ack_timestamp=55,
         little_endian=little,
     )
 
 
+#: a timestamp whose ack step (256) the short header cannot hold
+FULL = 55 + 256
+
+
 CID = ConnectionId(1, 2, 3, 4)
 
 
-def sample_messages(little: bool):
+def sample_messages(little: bool, timestamp: int = 99):
+    def h(mtype):
+        return header(mtype, little, timestamp)
+
     return [
-        RegularMessage(header(MessageType.REGULAR, little), CID, 17, b"payload!"),
-        RetransmitRequestMessage(header(MessageType.RETRANSMIT_REQUEST, little), 9, 5, 11),
-        HeartbeatMessage(header(MessageType.HEARTBEAT, little)),
-        ConnectRequestMessage(header(MessageType.CONNECT_REQUEST, little), CID, (8, 9)),
-        ConnectMessage(header(MessageType.CONNECT, little), CID, 1000, 2000, 77, (1, 2, 8, 9)),
-        AddProcessorMessage(
-            header(MessageType.ADD_PROCESSOR, little), 77, (1, 2, 3), {1: 10, 2: 20, 3: 0}, 4
-        ),
-        RemoveProcessorMessage(header(MessageType.REMOVE_PROCESSOR, little), 2),
-        SuspectMessage(header(MessageType.SUSPECT, little), 77, (3,)),
-        MembershipMessage(
-            header(MessageType.MEMBERSHIP, little), 77, (1, 2, 3), {1: 10, 2: 20, 3: 5}, (1, 2)
-        ),
+        RegularMessage(h(MessageType.REGULAR), CID, 17, b"payload!"),
+        RetransmitRequestMessage(h(MessageType.RETRANSMIT_REQUEST), 9, 5, 11),
+        HeartbeatMessage(h(MessageType.HEARTBEAT)),
+        ConnectRequestMessage(h(MessageType.CONNECT_REQUEST), CID, (8, 9)),
+        ConnectMessage(h(MessageType.CONNECT), CID, 1000, 2000, 77, (1, 2, 8, 9)),
+        AddProcessorMessage(h(MessageType.ADD_PROCESSOR), 77, (1, 2, 3), {1: 10, 2: 20, 3: 0}, 4),
+        RemoveProcessorMessage(h(MessageType.REMOVE_PROCESSOR), 2),
+        SuspectMessage(h(MessageType.SUSPECT), 77, (3,)),
+        MembershipMessage(h(MessageType.MEMBERSHIP), 77, (1, 2, 3), {1: 10, 2: 20, 3: 5}, (1, 2)),
     ]
 
 
 @pytest.mark.parametrize("little", [True, False], ids=["little-endian", "big-endian"])
 def test_all_types_round_trip(little):
-    for msg in sample_messages(little):
+    for msg in sample_messages(little) + sample_messages(little, FULL):
         raw = encode(msg)
+        assert len(raw) == msg.header.message_size
+        assert bool(raw[6] & 0x08) == (msg.header.timestamp != FULL)
         out = decode(raw)
         assert type(out) is type(msg)
         assert out.header.message_type == msg.header.message_type
@@ -90,7 +99,9 @@ def test_message_size_covers_header_and_body():
 
 def test_heartbeat_is_header_only():
     raw = encode(HeartbeatMessage(header(MessageType.HEARTBEAT)))
-    assert len(raw) == HEADER_SIZE
+    assert len(raw) == SHORT_HEADER_SIZE
+    assert len(encode(HeartbeatMessage(header(MessageType.HEARTBEAT, timestamp=FULL)))) \
+        == HEADER_SIZE
 
 
 def test_peek_header_without_body_decode():
@@ -167,7 +178,10 @@ def test_delta_record_below_the_orb_costs_5_bytes_plus_payload(little):
     # whose base is the envelope header's (seq - 1, ts, ack)
     for n in (1, 2, 8):
         parts, raw = _coalesced(little, n)
-        assert len(raw) == HEADER_SIZE + 2 + n * (5 + 64)
+        # every part and the envelope in the short header: the acks lag
+        # the timestamps by ~20 ticks
+        assert len(parts[0]) == SHORT_HEADER_SIZE + 64
+        assert len(raw) == SHORT_HEADER_SIZE + 2 + n * (5 + 64)
         out = decode(raw)
         assert out.parts == parts
         first = decode(parts[0]).header
@@ -180,31 +194,34 @@ def test_delta_record_on_a_connection_costs_29_bytes_plus_payload(little):
     # + the connection id and request number
     for n in (1, 2, 8):
         parts, raw = _coalesced(little, n, CID, 9)
-        assert len(raw) == HEADER_SIZE + 2 + n * (29 + 64)
+        assert len(parts[0]) == SHORT_HEADER_SIZE + 28 + 64
+        assert len(raw) == SHORT_HEADER_SIZE + 2 + n * (29 + 64)
         assert decode(raw).parts == parts
 
 
 @pytest.mark.parametrize("little", [True, False], ids=["little-endian", "big-endian"])
 def test_a_step_of_256_takes_a_full_record(little):
-    # ts 256 past the previous record's: seq, ts and ack in full (23 B)
+    # ts 256 past the previous record's: seq, ts and ack in full (23 B).
+    # The first part's ack step, 6, takes the short header, the second's,
+    # 262, the full one; the record says neither, the rebuild finds both
     parts = tuple(encode(RegularMessage(
         FTMPHeader(MessageType.REGULAR, source=7, group=42, sequence_number=1 + i,
                    timestamp=10 + 256 * i, ack_timestamp=4, little_endian=little),
         ConnectionId.none(), 0, b"x" * 64)) for i in range(2))
+    assert [len(p) for p in parts] == [SHORT_HEADER_SIZE + 64, HEADER_SIZE + 64]
     raw = encode(BatchMessage(header(MessageType.BATCH, little), parts))
-    assert len(raw) == HEADER_SIZE + 2 + (5 + 64) + (23 + 64)
+    assert len(raw) == SHORT_HEADER_SIZE + 2 + (5 + 64) + (23 + 64)
     assert decode(raw).parts == parts
 
 
-@pytest.mark.parametrize("little", [True, False], ids=["little-endian", "big-endian"])
-@pytest.mark.parametrize("n", [0, 1, 64, 2048])
-def test_a_regular_below_the_orb_is_40_bytes_plus_payload(little, n):
-    below = RegularMessage(header(MessageType.REGULAR, little), ConnectionId.none(), 0,
-                           b"x" * n)
+def _below_the_orb(little, n, timestamp, size):
+    below = RegularMessage(header(MessageType.REGULAR, little, timestamp), ConnectionId.none(),
+                           0, b"x" * n)
     raw = encode(below)
-    assert len(raw) == below.header.message_size == HEADER_SIZE + n
+    assert len(raw) == below.header.message_size == size + n
     assert raw[6] & 0x04  # the connectionless flag
-    assert raw[HEADER_SIZE:] == b"x" * n
+    assert bool(raw[6] & 0x08) == (size == SHORT_HEADER_SIZE)  # the short header's
+    assert raw[size:] == b"x" * n
     assert decode(raw) == below
     view = decode_view(raw)
     assert type(view.payload) is memoryview and bytes(view.payload) == b"x" * n
@@ -212,14 +229,61 @@ def test_a_regular_below_the_orb_is_40_bytes_plus_payload(little, n):
 
 
 @pytest.mark.parametrize("little", [True, False], ids=["little-endian", "big-endian"])
+@pytest.mark.parametrize("n", [0, 1, 64, 2048])
+def test_a_regular_below_the_orb_is_40_bytes_plus_payload(little, n):
+    # an ack 256 ticks behind: the full header
+    _below_the_orb(little, n, FULL, HEADER_SIZE)
+
+
+@pytest.mark.parametrize("little", [True, False], ids=["little-endian", "big-endian"])
+@pytest.mark.parametrize("n", [0, 1, 64, 2048])
+def test_a_regular_below_the_orb_with_a_short_header_is_27_bytes_plus_payload(little, n):
+    _below_the_orb(little, n, 99, SHORT_HEADER_SIZE)
+
+
+def _on_a_connection(little, cid, request_num, timestamp, size):
+    msg = RegularMessage(header(MessageType.REGULAR, little, timestamp), cid, request_num,
+                         b"x" * 64)
+    raw = encode(msg)
+    assert len(raw) == size + 64 and not raw[6] & 0x04
+    assert decode(raw) == msg
+    assert bytes(decode_view(raw).payload) == b"x" * 64
+
+
+@pytest.mark.parametrize("little", [True, False], ids=["little-endian", "big-endian"])
 @pytest.mark.parametrize("cid,request_num", [(CID, 17), (CID, 0),
                                              (ConnectionId.none(), 17)])
 def test_a_regular_on_a_connection_is_68_bytes_plus_payload(little, cid, request_num):
-    msg = RegularMessage(header(MessageType.REGULAR, little), cid, request_num, b"x" * 64)
-    raw = encode(msg)
-    assert len(raw) == 68 + 64 and not raw[6] & 0x04
-    assert decode(raw) == msg
-    assert bytes(decode_view(raw).payload) == b"x" * 64
+    _on_a_connection(little, cid, request_num, FULL, 68)
+
+
+@pytest.mark.parametrize("little", [True, False], ids=["little-endian", "big-endian"])
+@pytest.mark.parametrize("cid,request_num", [(CID, 17), (CID, 0),
+                                             (ConnectionId.none(), 17)])
+def test_a_regular_on_a_connection_with_a_short_header_is_55_bytes_plus_payload(
+        little, cid, request_num):
+    _on_a_connection(little, cid, request_num, 99, 55)
+
+
+@pytest.mark.parametrize("timestamp", [99, FULL], ids=["short", "full"])
+@pytest.mark.parametrize("cid,request_num", [(CID, 17), (ConnectionId.none(), 0)])
+def test_a_batch_window_counts_every_regular_as_68_bytes_plus_payload(timestamp, cid,
+                                                                      request_num):
+    # whichever layout and header form: batch composition does not move
+    raw = encode(RegularMessage(header(MessageType.REGULAR, True, timestamp), cid, request_num,
+                                b"x" * 64))
+    assert regular_full_size(raw) == 68 + 64
+
+
+@pytest.mark.parametrize("little", [True, False], ids=["little-endian", "big-endian"])
+def test_a_regular_under_the_short_size_limit_takes_the_short_header(little):
+    # 27 + 65,508 = 65,535 B fits the u16 size field; one byte more does not
+    for n, size in ((65_508, SHORT_HEADER_SIZE), (65_509, HEADER_SIZE)):
+        msg = RegularMessage(header(MessageType.REGULAR, little), ConnectionId.none(), 0,
+                             b"x" * n)
+        raw = encode(msg)
+        assert len(raw) == size + n
+        assert decode(raw) == msg
 
 
 @pytest.mark.parametrize("mtype", [t for t in MessageType if t != MessageType.REGULAR])
@@ -261,8 +325,10 @@ def test_a_full_form_part_with_a_zero_connection_block_goes_verbatim(little):
         FTMPHeader(MessageType.REGULAR, 7, 42, 5, 100, 50, little_endian=little,
                    message_size=71), ConnectionId.none(), 0, b"abc")
     parts = (full, encode(decode(full)))  # the same message, both layouts
+    assert len(parts[1]) == SHORT_HEADER_SIZE + 3  # and both header forms
     raw = encode(BatchMessage(header(MessageType.BATCH, little), parts))
-    assert len(raw) == HEADER_SIZE + 2 + (5 + len(full)) + (23 + 3)
+    # the envelope's header is the short one: its seq / ts / ack are zeros
+    assert len(raw) == SHORT_HEADER_SIZE + 2 + (5 + len(full)) + (23 + 3)
     out = decode(raw)
     assert out.parts == parts
     assert out.decoded is None  # a verbatim record leaves the rest to the receive path

@@ -1,18 +1,24 @@
 """Golden wire-format vectors.
 
-Pins the exact byte layout of the FTMP header and representative bodies,
-so accidental format changes (field order, widths, endianness handling)
-are caught even when encode/decode remain mutually consistent.
+Pins the exact byte layout of the FTMP header in both its forms and of
+representative bodies, so accidental format changes (field order,
+widths, endianness handling, the choice of header form) are caught even
+when encode/decode remain mutually consistent.
 """
 
+import pytest
+
 from repro.core import (
+    CodecError,
     ConnectionId,
     FTMPHeader,
     HeartbeatMessage,
     MessageType,
     RegularMessage,
     RetransmitRequestMessage,
+    decode,
     encode,
+    peek_header,
 )
 
 
@@ -68,7 +74,103 @@ def test_heartbeat_big_endian_golden():
     assert raw == expected
 
 
+def test_short_heartbeat_little_endian_golden():
+    h = FTMPHeader(
+        message_type=MessageType.HEARTBEAT,
+        source=0x01020304,
+        group=0x0A0B0C0D,
+        sequence_number=0x11223344,
+        timestamp=0x05060708,
+        ack_timestamp=0x05060708 - 0x2A,
+        little_endian=True,
+    )
+    raw = encode(HeartbeatMessage(h))
+    expected = (
+        b"FTMP"                     # magic
+        b"\x01\x00"                 # version 1.0
+        b"\x09"                     # flags: little endian | short header
+        b"\x03"                     # type HEARTBEAT
+        b"\x1b\x00"                 # size = 27 (u16)
+        b"\x04\x03\x02\x01"         # source (LE)
+        b"\x0d\x0c\x0b\x0a"         # group (LE)
+        b"\x44\x33\x22\x11"         # seq (LE)
+        b"\x08\x07\x06\x05"         # timestamp (LE u32)
+        b"\x2a"                     # ack step: timestamp - ack
+    )
+    assert raw == expected
+    assert decode(raw) == HeartbeatMessage(h)
+
+
+def test_short_heartbeat_big_endian_golden():
+    h = FTMPHeader(
+        message_type=MessageType.HEARTBEAT,
+        source=0x01020304,
+        group=0x0A0B0C0D,
+        sequence_number=0x11223344,
+        timestamp=0x05060708,
+        ack_timestamp=0x05060708 - 0x2A,
+        little_endian=False,
+    )
+    raw = encode(HeartbeatMessage(h))
+    expected = (
+        b"FTMP"
+        b"\x01\x00"
+        b"\x08"                     # flags: big endian | short header
+        b"\x03"
+        b"\x00\x1b"
+        b"\x01\x02\x03\x04"
+        b"\x0a\x0b\x0c\x0d"
+        b"\x11\x22\x33\x44"
+        b"\x05\x06\x07\x08"
+        b"\x2a"
+    )
+    assert raw == expected
+    assert decode(raw) == HeartbeatMessage(h)
+
+
+def _heartbeat(ts, ack, little=True):
+    return encode(HeartbeatMessage(FTMPHeader(
+        MessageType.HEARTBEAT, source=1, group=2, sequence_number=3, timestamp=ts,
+        ack_timestamp=ack, little_endian=little)))
+
+
+@pytest.mark.parametrize("little", [True, False], ids=["little-endian", "big-endian"])
+def test_the_largest_u32_timestamp_is_the_last_that_takes_the_short_header(little):
+    e = (lambda b: b) if little else (lambda b: b[::-1])
+    raw = _heartbeat(2**32 - 1, 2**32 - 1, little)
+    assert raw[6] == 0x08 | little and raw[8:10] == e(b"\x1b\x00")
+    assert raw[22:] == b"\xff\xff\xff\xff\x00"  # timestamp, ack step 0
+    raw = _heartbeat(2**32, 2**32, little)
+    assert raw[6] == little and raw[8:12] == e(b"\x28\x00\x00\x00")
+    assert raw[24:] == e(b"\x00\x00\x00\x00\x01\x00\x00\x00") * 2  # ts and ack, u64
+    for ts in (2**32 - 1, 2**32):
+        assert decode(_heartbeat(ts, ts, little)).header.ack_timestamp == ts
+
+
+@pytest.mark.parametrize("little", [True, False], ids=["little-endian", "big-endian"])
+def test_an_ack_step_of_255_is_the_last_that_takes_the_short_header(little):
+    e = (lambda b: b) if little else (lambda b: b[::-1])
+    raw = _heartbeat(1000, 1000 - 255, little)
+    assert len(raw) == 27 and raw[22:] == e(b"\xe8\x03\x00\x00") + b"\xff"
+    raw = _heartbeat(1000, 1000 - 256, little)
+    assert len(raw) == 40 and raw[24:] == (e(b"\xe8\x03\x00\x00\x00\x00\x00\x00")
+                                           + e(b"\xe8\x02\x00\x00\x00\x00\x00\x00"))
+    # an ack ahead of the timestamp is a negative step: the full header too
+    assert len(_heartbeat(1000, 1001, little)) == 40
+    for ack in (745, 744, 1001):
+        assert decode(_heartbeat(1000, ack, little)).header.ack_timestamp == ack
+
+
+def test_an_ack_step_past_the_timestamp_does_not_decode():
+    raw = bytearray(_heartbeat(5, 5))
+    raw[26] = 6  # ack = 5 - 6
+    for fn in (decode, peek_header):
+        with pytest.raises(CodecError, match="ack step 6 past timestamp 5"):
+            fn(bytes(raw))
+
+
 def test_regular_body_golden():
+    # an ack ahead of the timestamp: the full 40 B header
     h = FTMPHeader(
         message_type=MessageType.REGULAR,
         source=1, group=2, sequence_number=3, timestamp=4, ack_timestamp=5,
@@ -87,6 +189,37 @@ def test_regular_body_golden():
         b"HI"
     )
     assert len(raw) == 40 + 16 + 8 + 4 + 2
+
+
+def test_short_regular_golden():
+    # the same message with its ack one tick behind: the 27 B header
+    h = FTMPHeader(
+        message_type=MessageType.REGULAR,
+        source=1, group=2, sequence_number=3, timestamp=4, ack_timestamp=3,
+        little_endian=True,
+    )
+    msg = RegularMessage(h, ConnectionId(0x0A, 0x0B, 0x0C, 0x0D), 0x0E, b"HI")
+    raw = encode(msg)
+    assert raw == (
+        b"FTMP"
+        b"\x01\x00"                 # version 1.0
+        b"\x09"                     # flags: little endian | short header
+        b"\x01"                     # type REGULAR
+        b"\x39\x00"                 # size = 57 (u16)
+        b"\x01\x00\x00\x00"          # source
+        b"\x02\x00\x00\x00"          # group
+        b"\x03\x00\x00\x00"          # seq
+        b"\x04\x00\x00\x00"          # timestamp (u32)
+        b"\x01"                     # ack step
+        b"\x0a\x00\x00\x00"          # client domain: the body at byte 27
+        b"\x0b\x00\x00\x00"
+        b"\x0c\x00\x00\x00"
+        b"\x0d\x00\x00\x00"
+        b"\x0e\x00\x00\x00\x00\x00\x00\x00"  # request num (u64)
+        b"\x02\x00\x00\x00"          # payload length
+        b"HI"
+    )
+    assert len(raw) == 27 + 16 + 8 + 4 + 2
 
 
 def test_retransmit_request_body_golden():
@@ -110,4 +243,4 @@ def test_retransmission_flag_bit_position():
         little_endian=True, retransmission=True,
     )
     raw = encode(HeartbeatMessage(h))
-    assert raw[6] == 0x03  # little-endian bit | retransmission bit
+    assert raw[6] == 0x0B  # little-endian bit | retransmission bit | short header

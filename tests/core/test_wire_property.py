@@ -7,8 +7,8 @@ for performance:
   instances of every message type, in both byte orders;
 * **fast path == reference** — ``encode`` (one-pack fast paths) produces
   exactly the bytes of ``tests/reference/wire_reference.py`` (the
-  field-at-a-time writer), so the wire format cannot drift between the
-  two implementations;
+  field-at-a-time writer), header form included, so the wire format
+  cannot drift between the two implementations;
 * **fused decode == general path** — the single-``unpack_from`` decode of
   Regular and Heartbeat accepts, rejects and *names the rejection* exactly
   as the header-then-body decode spelled out here does, on truncated and
@@ -52,15 +52,30 @@ SEQ_VECTOR = st.dictionaries(U32, U32, max_size=6)
 PAYLOAD = st.binary(max_size=256)
 
 
+#: timestamps at and around the short header's u32 edge, or anywhere
+TIMESTAMPS = st.sampled_from([0, 255, 2**32 - 1, 2**32]) | U32 | U64
+#: how far an ack lags its timestamp: the short header's u8 step, its
+#: edges and just past them (a negative lag is an ack ahead of it)
+ACK_LAGS = st.sampled_from([0, 1, 255, 256, -1]) | st.integers(0, 300)
+
+
+@st.composite
+def _stamps(draw):
+    """(ts, ack): about half the draws fit the short header."""
+    ts = draw(TIMESTAMPS)
+    if draw(st.booleans()):
+        return ts, draw(U64)
+    return ts, min(max(ts - draw(ACK_LAGS), 0), 2**64 - 1)
+
+
 def _header(mtype: MessageType):
     return st.builds(
-        FTMPHeader,
+        lambda stamps, **kw: FTMPHeader(timestamp=stamps[0], ack_timestamp=stamps[1], **kw),
+        _stamps(),
         message_type=st.just(mtype),
         source=U32,
         group=U32,
         sequence_number=U32,
-        timestamp=U64,
-        ack_timestamp=U64,
         retransmission=st.booleans(),
         little_endian=st.booleans(),
     )
@@ -142,8 +157,9 @@ def coalesced(draw):
     them, stored verbatim."""
     source, group, little = draw(U32), draw(U32), draw(st.booleans())
     seq = draw(st.sampled_from([0, 1, 0xFFFFFFFE]) | U32)
-    ts = draw(st.sampled_from([0, 2**64 - 256]) | U64)
-    ack = draw(U64)
+    ts = draw(st.sampled_from([0, 2**32 - 256, 2**64 - 256]) | U32 | U64)
+    # mostly a short step behind ts, so that parts take both header forms
+    ack = draw(U64) if draw(st.integers(0, 3)) == 0 else max(ts - draw(SMALL_STEPS), 0)
     parts = []
     for _ in range(draw(st.integers(0, 8))):
         if draw(st.integers(0, 9)) == 0:
@@ -183,6 +199,43 @@ DELTAS = _batch(5, 9, True, [
     _coalesced_part(5, 9, True, 0, 618, 562),
     _coalesced_part(5, 9, True, 1, 2**64 - 1, 562),
     _coalesced_part(5, 9, True, 2, 3, 562),
+])
+
+
+def _long_part(source, group, little, seq, ts, ack, payload=b"l"):
+    """A Regular below the ORB in the 40 B header whatever its fields:
+    decodable, but when they fit the short header not what ``encode``
+    emits, so a BATCH stores it verbatim."""
+    e = "<" if little else ">"
+    return struct.pack(e + "4sBBBBIIIIQQ", b"FTMP", 1, 0, int(little) | 0x04, 1,
+                       40 + len(payload), source, group, seq, ts, ack) + payload
+
+
+def _step_past_ts_part(source, group, little, seq, ts, step, payload=b"s"):
+    """A short-header Regular whose ack step exceeds its timestamp: it
+    does not decode, and a BATCH stores it verbatim."""
+    e = "<" if little else ">"
+    return struct.pack(e + "4sBBBBHIIIIB", b"FTMP", 1, 0, int(little) | 0x0C, 1,
+                       27 + len(payload), source, group, seq, ts, step) + payload
+
+
+#: parts either side of each edge of the short header — ts 2**32 - 1 and
+#: 2**32, ack steps 255 and 256, a negative one — rebuilt in the form
+#: each had; a full-header part whose fields fit the short one and a
+#: short part with its step past its timestamp, both verbatim
+EDGES = _batch(5, 9, False, [
+    _coalesced_part(5, 9, False, 7, 2**32 - 2, 2**32 - 2),
+    _coalesced_part(5, 9, False, 8, 2**32 - 1, 2**32 - 256),
+    _coalesced_part(5, 9, False, 9, 2**32, 2**32 - 255, ConnectionId(1, 2, 3, 4)),
+    _coalesced_part(5, 9, False, 10, 2**32, 2**32),
+    _coalesced_part(5, 9, False, 11, 2**32 + 1, 2**32 + 1),
+    _coalesced_part(5, 9, False, 12, 300, 45),
+    _coalesced_part(5, 9, False, 13, 300, 44),
+    _coalesced_part(5, 9, False, 14, 300, 301),
+    _long_part(5, 9, False, 15, 301, 300),
+    _coalesced_part(5, 9, False, 16, 302, 300),
+    _step_past_ts_part(5, 9, False, 17, 3, 4),
+    _coalesced_part(5, 9, False, 18, 303, 300),
 ])
 
 
@@ -230,6 +283,7 @@ def delta_records(batch):
 @given(ALL_MESSAGES)
 @example(DELTAS)
 @example(ZERO_BLOCK)
+@example(EDGES)
 def test_roundtrip_identity(msg):
     raw = encode(msg)  # back-fills header.message_size on msg
     out = decode(raw)
@@ -241,6 +295,7 @@ def test_roundtrip_identity(msg):
 @given(ALL_MESSAGES)
 @example(DELTAS)
 @example(ZERO_BLOCK)
+@example(EDGES)
 def test_fast_path_matches_reference(msg):
     assert encode(msg) == encode_reference(msg)
 
@@ -249,6 +304,7 @@ def test_fast_path_matches_reference(msg):
 @given(BATCHES | COALESCED)
 @example(DELTAS)
 @example(ZERO_BLOCK)
+@example(EDGES)
 def test_batch_parts_reconstructed_byte_exact(batch):
     """Unpacked parts must be byte-for-byte the original encodings —
     retention buffers and retransmission identity depend on it."""
@@ -277,13 +333,33 @@ def test_the_coalesced_strategy_reaches_follow_on_records():
 def test_a_zero_block_part_is_verbatim_and_breaks_the_delta_chain():
     parts = ZERO_BLOCK.parts
     raw = encode(ZERO_BLOCK)
-    # two delta records below the ORB (5 B + 1), the verbatim record
-    # (5 B + the part), a full record on a connection (48 B: it follows a
-    # verbatim one), a delta record below the ORB again
-    assert len(raw) == 40 + 2 + 6 + 6 + (5 + len(parts[2])) + 48 + 6
+    # the envelope in the short header, two delta records below the ORB
+    # (5 B + 1), the verbatim record (5 B + the part), a full record on a
+    # connection (48 B: it follows a verbatim one), a delta record below
+    # the ORB again
+    assert len(raw) == 27 + 2 + 6 + 6 + (5 + len(parts[2])) + 48 + 6
     out = decode(raw)
     assert out.parts == parts and out.decoded is None
-    assert [len(p) for p in parts] == [41, 41, 69, 69, 41]
+    # every encoded part in the short header (27 B, 55 B on a
+    # connection), the zero-block one in the full 68 B layout
+    assert [len(p) for p in parts] == [28, 28, 69, 56, 28]
+
+
+def test_each_part_is_rebuilt_in_the_header_form_it_had():
+    parts = EDGES.parts
+    assert [len(p) for p in parts] == [28, 28, 69, 41, 41, 28, 41, 41, 41, 28, 28, 28]
+    raw = encode(EDGES)
+    out = decode(raw)
+    assert out.parts == parts and out.decoded is None
+    # the envelope header is the first part's (6, 2**32 - 2, 2**32 - 2):
+    # short.  A Regular record is a delta (5 B + 1, 29 B + 1 on the
+    # connection) where seq, ts and ack step on from the record before,
+    # across the change of form too, else a full one (23 B + 1); the two
+    # verbatim records are 5 B + the part
+    assert len(raw) == (27 + 2 + 6 + 24 + 30 + 6 + 6 + 24 + 24 + 24 + (5 + 41) + 24
+                        + (5 + 28) + 24)
+    with pytest.raises(CodecError, match="ack step 4 past timestamp 3"):
+        decode(parts[10])
 
 
 # ----------------------------------------------------------------------
@@ -298,16 +374,19 @@ def general_decode(data):
     if h.message_type == MessageType.HEARTBEAT:
         return HeartbeatMessage(h)
     assert h.message_type == MessageType.REGULAR
+    start = 27 if data[6] & 0x08 else 40  # the short header's length, or the full one's
     if data[6] & 0x04:  # connectionless: the payload follows the header
-        return RegularMessage(h, ConnectionId.none(), 0, bytes(data[40:]))
+        return RegularMessage(h, ConnectionId.none(), 0, bytes(data[start:]))
     try:
         cd, cg, sd, sg, req, plen = struct.unpack_from(
-            ("<" if h.little_endian else ">") + "IIIIQI", data, 40)
+            ("<" if h.little_endian else ">") + "IIIIQI", data, start)
     except struct.error as exc:
         raise CodecError("truncated FTMP message body") from exc
-    if 68 + plen > len(data):
+    start += 28
+    if start + plen > len(data):
         raise CodecError("truncated payload")
-    return RegularMessage(h, ConnectionId(cd, cg, sd, sg), req, bytes(data[68:68 + plen]))
+    return RegularMessage(h, ConnectionId(cd, cg, sd, sg), req,
+                          bytes(data[start:start + plen]))
 
 
 def outcome(fn, data):
@@ -318,19 +397,27 @@ def outcome(fn, data):
 
 
 def corruptions(raw: bytes):
-    """Every prefix up to the Regular fixed part, then the header faults."""
+    """Every prefix up to the Regular fixed part, then the header faults,
+    in the header form ``raw`` has."""
     for n in range(0, min(len(raw), 68) + 1):
         yield f"prefix {n}", raw[:n]
     yield "one byte short", raw[:-1]
     yield "trailing byte", raw + b"\x00"
     yield "bad magic", b"FTMQ" + raw[4:]
-    little = bool(raw[6] & 1)
-    for size in (0, len(raw) - 1, len(raw) + 1, 0xFFFFFFFF):
-        yield f"size field {size}", (raw[:8] + struct.pack("<I" if little else ">I", size)
-                                     + raw[12:])
+    e = "<" if raw[6] & 1 else ">"
+    width = "H" if raw[6] & 0x08 else "I"  # the size field's
+    for size in (0, len(raw) - 1, len(raw) + 1, 0xFFFF if width == "H" else 0xFFFFFFFF):
+        if 0 <= size <= 0xFFFF or width == "I":
+            yield f"size field {size}", (raw[:8] + struct.pack(e + width, size)
+                                         + raw[8 + struct.calcsize(width):])
     yield "flipped endianness flag", raw[:6] + bytes([raw[6] ^ 1]) + raw[7:]
     yield "flipped connectionless flag", raw[:6] + bytes([raw[6] ^ 4]) + raw[7:]
+    yield "flipped short header flag", raw[:6] + bytes([raw[6] ^ 8]) + raw[7:]
     yield "unknown type byte", raw[:7] + b"\xee" + raw[8:]
+    if raw[6] & 0x08:
+        ts = struct.unpack_from(e + "I", raw, 22)[0]
+        if ts < 255:
+            yield "ack step past the timestamp", raw[:26] + bytes([ts + 1]) + raw[27:]
 
 
 FUSED = st.one_of(REGULAR, st.builds(HeartbeatMessage, _header(MessageType.HEARTBEAT)))
@@ -354,7 +441,8 @@ def test_regular_announcing_more_payload_than_it_carries(little):
         FTMPHeader(MessageType.REGULAR, 1, 1, 1, 1, 0, little_endian=little),
         ConnectionId.none(), 7, b"abcdef")
     raw = bytearray(encode(msg))
-    struct.pack_into("<I" if little else ">I", raw, 64, 7)
+    # the payload length: 24 bytes into the body of the short header
+    struct.pack_into("<I" if little else ">I", raw, 27 + 24, 7)
     for fn in (decode, general_decode):
         with pytest.raises(CodecError, match="truncated payload"):
             fn(bytes(raw))

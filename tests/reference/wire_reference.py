@@ -10,7 +10,9 @@ beyond the message classes, the constants and :class:`CodecError`, so
 is an independent check for all 13 types.  The writer and the body
 chain moved here unedited from ``core/wire.py``; the BATCH Regular record
 is written field by field below, where the fast encoder assembles it from
-slices of each part and one precompiled delta head.
+slices of each part and one precompiled record head.  The header's form
+is chosen by :func:`_fits_short`, the rule stated once here: the fast
+encoder and the BATCH rebuild inline it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,14 @@ from __future__ import annotations
 import struct
 from typing import Dict, Optional, Tuple, Union
 
-from repro.core.constants import HEADER_SIZE, MAGIC, VERSION_MAJOR, VERSION_MINOR, MessageType
+from repro.core.constants import (
+    HEADER_SIZE,
+    MAGIC,
+    SHORT_HEADER_SIZE,
+    VERSION_MAJOR,
+    VERSION_MINOR,
+    MessageType,
+)
 from repro.core.messages import (
     AckSummaryMessage,
     AddProcessorMessage,
@@ -44,6 +53,8 @@ _FLAG_RETRANSMISSION = 0x02
 #: a Regular on no connection (the zero connection id, request number 0)
 #: leaves its connection block out: header, then payload
 _FLAG_CONNECTIONLESS = 0x04
+#: the 27 B header: u16 size, u32 timestamp, u8 ack step (ts - ack)
+_FLAG_SHORT = 0x08
 #: BATCH record flags beside the part's own two (above): a delta record
 #: (seq the previous record's + 1, ts and ack as u8 steps from the
 #: previous record's), and the connection id and request number are
@@ -62,6 +73,11 @@ _HDR = {
     True: struct.Struct("<4sBBBBIIIIQQ"),
     False: struct.Struct(">4sBBBBIIIIQQ"),
 }
+#: the short header: prefix + u16 size/source/group/seq/u32 ts/u8 ack step
+_SHORT_HDR = {
+    True: struct.Struct("<4sBBBBHIIIIB"),
+    False: struct.Struct(">4sBBBBHIIIIB"),
+}
 #: Regular body prefix: connection id x4, request number, payload length
 _REGULAR_BODY = {
     True: struct.Struct("<IIIIQI"),
@@ -78,6 +94,29 @@ def _flags_of(h: FTMPHeader) -> int:
     if h.retransmission:
         flags |= _FLAG_RETRANSMISSION
     return flags
+
+
+def _fits_short(ts: int, ack: int, body_len: int) -> bool:
+    """The short header's rule, from the datagram's own fields alone: the
+    timestamp fits a u32, the ack lies 0-255 ticks behind it, and the
+    datagram is under 65,536 B."""
+    return ts < 2**32 and 0 <= ts - ack < 256 and SHORT_HEADER_SIZE + body_len < 2**16
+
+
+def _header_of(data: _Buffer, little: bool) -> Optional[tuple]:
+    """(magic, major, minor, flags, type, size, source, group, seq, ts,
+    ack, header length) of either header form; None if ``data`` is
+    shorter than its form."""
+    if len(data) <= 6:
+        return None
+    if data[6] & _FLAG_SHORT:
+        if len(data) < SHORT_HEADER_SIZE:
+            return None
+        *fields, ts, step = _SHORT_HDR[little].unpack_from(data, 0)
+        return (*fields, ts, ts - step, SHORT_HEADER_SIZE)
+    if len(data) < HEADER_SIZE:
+        return None
+    return (*_HDR[little].unpack_from(data, 0), HEADER_SIZE)
 
 
 def _connectionless(msg: FTMPMessage) -> bool:
@@ -145,41 +184,47 @@ def _regular_fields(part: _Buffer, envelope: FTMPHeader, little: bool) -> Option
 
     A part gets a Regular record when it is a Regular with the envelope's
     magic, version, source, group and endianness, no flag but those two
-    (endianness, retransmission) and the connectionless one, a size field
-    equal to its length, a payload the record's u16 length can state,
-    and a body in the form :func:`encode_reference` gives it: the
-    payload alone when connectionless, else the fixed prefix — naming a
-    connection, a request or both — and the payload.  Then the record
-    rebuilds it byte for byte.  The flags returned are the two the
-    record carries.
+    (endianness, retransmission), the connectionless one and the short
+    one, a size field equal to its length, a payload the record's u16
+    length can state, and a header and body in the form
+    :func:`encode_reference` gives it: the short header exactly when
+    :func:`_fits_short` holds (an ack step past the timestamp never
+    does: it does not decode), then the payload alone when
+    connectionless, else the fixed prefix — naming a connection, a
+    request or both — and the payload.  Then the record rebuilds it byte
+    for byte.  The flags returned are the two the record carries.
     """
-    if len(part) < HEADER_SIZE:
+    header = _header_of(part, little)
+    if header is None:
         return None
-    magic, vmaj, vmin, pflags, ptype, psize, psrc, pgrp, pseq, pts, pack_ts = \
-        _HDR[little].unpack_from(part, 0)
+    magic, vmaj, vmin, pflags, ptype, psize, psrc, pgrp, pseq, pts, pack_ts, hlen = header
     if (
         magic != MAGIC
         or (vmaj, vmin) != (VERSION_MAJOR, VERSION_MINOR)
-        or pflags & ~(_FLAG_LITTLE_ENDIAN | _FLAG_RETRANSMISSION | _FLAG_CONNECTIONLESS)
+        or pflags & ~(_FLAG_LITTLE_ENDIAN | _FLAG_RETRANSMISSION | _FLAG_CONNECTIONLESS
+                      | _FLAG_SHORT)
         or bool(pflags & _FLAG_LITTLE_ENDIAN) != little
         or ptype != MessageType.REGULAR
         or psize != len(part)
         or psrc != envelope.source
         or pgrp != envelope.group
+        or pack_ts < 0
+        or bool(pflags & _FLAG_SHORT) != _fits_short(pts, pack_ts, len(part) - hlen)
     ):
         return None
     if pflags & _FLAG_CONNECTIONLESS:
-        cid, req, start = ConnectionId.none(), 0, HEADER_SIZE
+        cid, req, start = ConnectionId.none(), 0, hlen
     else:
-        if len(part) < HEADER_SIZE + _REGULAR_PREFIX:
+        if len(part) < hlen + _REGULAR_PREFIX:
             return None
-        cd, cg, sd, sg, req, plen = _REGULAR_BODY[little].unpack_from(part, HEADER_SIZE)
-        cid, start = ConnectionId(cd, cg, sd, sg), HEADER_SIZE + _REGULAR_PREFIX
+        cd, cg, sd, sg, req, plen = _REGULAR_BODY[little].unpack_from(part, hlen)
+        cid, start = ConnectionId(cd, cg, sd, sg), hlen + _REGULAR_PREFIX
         if plen != len(part) - start or (cid == ConnectionId.none() and req == 0):
             return None
     if len(part) - start > _RECORD_PAYLOAD_MAX:
         return None
-    return (pflags & ~_FLAG_CONNECTIONLESS, pseq, pts, pack_ts, cid, req, bytes(part[start:]))
+    return (pflags & (_FLAG_LITTLE_ENDIAN | _FLAG_RETRANSMISSION), pseq, pts, pack_ts, cid, req,
+            bytes(part[start:]))
 
 
 def _regular_record(w: "_Writer", fields: tuple, prev: Optional[Tuple[int, int, int]]) -> None:
@@ -247,22 +292,35 @@ def encode_reference(msg: FTMPMessage) -> bytes:
     _encode_body(msg, w)
     body = w.getvalue()
 
-    size = HEADER_SIZE + len(body)
+    short = _fits_short(h.timestamp, h.ack_timestamp, len(body))
+    size = (SHORT_HEADER_SIZE if short else HEADER_SIZE) + len(body)
     h.message_size = size
 
-    flags = _flags_of(h) | (_FLAG_CONNECTIONLESS if _connectionless(msg) else 0)
+    flags = (_flags_of(h) | (_FLAG_CONNECTIONLESS if _connectionless(msg) else 0)
+             | (_FLAG_SHORT if short else 0))
     prefix = _PREFIX.pack(h.magic, h.version[0], h.version[1], flags,
                           int(h.message_type))
     e = "<" if h.little_endian else ">"
-    rest = struct.pack(
-        e + "IIIIQQ",
-        size,
-        h.source,
-        h.group,
-        h.sequence_number,
-        h.timestamp,
-        h.ack_timestamp,
-    )
+    if short:
+        rest = struct.pack(
+            e + "HIIIIB",
+            size,
+            h.source,
+            h.group,
+            h.sequence_number,
+            h.timestamp,
+            h.timestamp - h.ack_timestamp,
+        )
+    else:
+        rest = struct.pack(
+            e + "IIIIQQ",
+            size,
+            h.source,
+            h.group,
+            h.sequence_number,
+            h.timestamp,
+            h.ack_timestamp,
+        )
     return prefix + rest + body
 
 
