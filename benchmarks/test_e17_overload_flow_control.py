@@ -16,9 +16,9 @@ closed-loop datapath:
   latency of everything actually admitted stays bounded;
 * ``batch_adaptive`` bypasses the coalescing window when the recent send
   rate would not fill it, restoring near-unbatched low-load latency;
-* retransmission pacing (``retransmit_rate_limit``) keeps recovery
-  traffic from competing with fresh sends (inert here — zero loss — but
-  enabled to show it costs nothing on the happy path).
+* the NACK dedupe window (``nack_dedupe_window``) drops a repeated
+  request for a message answered moments ago (inert here — zero loss —
+  but enabled to show it costs nothing on the happy path).
 
 Two latency views are reported: *service* latency (admission to the wire
 path → ordered delivery at the observer — the protocol's own latency) and
@@ -71,8 +71,7 @@ def config(mode: str) -> FTMPConfig:
                           batch_window=BATCH_WINDOW)
     return FTMPConfig(heartbeat_interval=0.002, suspect_timeout=30.0,
                       batch_window=BATCH_WINDOW, batch_adaptive=True,
-                      flow_control_window=FC_WINDOW,
-                      retransmit_rate_limit=2000.0, nack_dedupe_window=0.005)
+                      flow_control_window=FC_WINDOW, nack_dedupe_window=0.005)
 
 
 def run_point(mode: str, rate: int, drain: float = 0.6):

@@ -122,8 +122,7 @@ def run_overload(mode: str):
         default=LinkModel(latency=0.0001, jitter=0.00002, loss=0),
         egress_bandwidth=BANDWIDTH, packet_overhead=PACKET_OVERHEAD,
     )
-    cfg = _config(mode, flow_control_window=48,
-                  retransmit_rate_limit=2000.0, nack_dedupe_window=0.005)
+    cfg = _config(mode, flow_control_window=48, nack_dedupe_window=0.005)
     cluster = make_cluster(PIDS, topology=topo, config=cfg, seed=5)
     try:
         window = 0.20

@@ -52,12 +52,12 @@ _POSITIVE = (
     "heartbeat_interval", "nack_retry_interval", "overlay_summary_interval",
     "suspect_timeout", "batch_max_bytes", "overlay_fanout",
 )
-#: delays, rates, windows and a pid: zero means "off" / "auto"; a negative
+#: delays, windows, a cap and a pid: zero means "off" / "auto"; a negative
 #: delay is a SimTimeError out of the simulator and a silent clamp on the
 #: asyncio runtime
 _NON_NEGATIVE = (
-    "nack_delay", "batch_window", "retransmit_rate_limit", "nack_dedupe_window",
-    "flow_control_window", "flow_queue_limit", "llft_leader_pid",
+    "nack_delay", "batch_window", "nack_dedupe_window", "flow_control_window",
+    "flow_queue_limit", "llft_leader_pid",
 )
 
 
@@ -93,12 +93,7 @@ class FTMPConfig:
     #: (the paper's "any processor ... may retransmit" turned off).
     retransmit_any_holder: bool = True
 
-    # --- retransmission pacing (extension) ------------------------------
-    #: Token-bucket rate cap on retransmissions answered by this
-    #: processor (retransmissions / second).  Recovery traffic beyond the
-    #: rate is deferred, not dropped, so loss bursts cannot starve fresh
-    #: sends of the egress.  0 disables pacing (legacy behaviour).
-    retransmit_rate_limit: float = 0.0
+    # --- duplicate-request suppression (extension) ----------------------
     #: Suppress duplicate RetransmitRequests: a request for a (source,
     #: seq) this processor answered less than this many seconds ago is
     #: ignored (the answer is still in flight).  0 disables (legacy).

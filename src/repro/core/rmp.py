@@ -54,7 +54,6 @@ class RMPStats:
     retransmissions_sent: int = 0
     retransmissions_suppressed: int = 0
     retransmit_requests_received: int = 0
-    retransmissions_paced: int = 0  #: deferred by the pacing token bucket
     duplicate_requests_suppressed: int = 0  #: NACK repeats inside the dedupe window
     spurious_nacks: int = 0  #: NACKed gaps that an original copy filled after all
     nack_window_us: int = 0  #: gauge: the loss-detection window now, in µs
@@ -98,7 +97,6 @@ class Answer:
     requests: int = 0  #: RetransmitRequests that have named it
     answered_at: float = float("-inf")  #: when we last committed to answering
     timer: Optional[object] = None  #: our pending answer
-    pinned: bool = False  #: escalated or ablation answer: a copy must not cancel it
 
 
 class RMP:
@@ -113,10 +111,6 @@ class RMP:
     #: before retransmitting and suppresses if it sees another copy first
     #: (NACK-implosion avoidance)
     RETRANSMIT_BACKOFF = 0.002
-
-    #: depth of the pacing token bucket (``retransmit_rate_limit``): a
-    #: burst of up to this many retransmissions may go out back-to-back
-    RETRANSMIT_BURST = 8
 
     #: the window's round trip is the least of this many latest ones: an
     #: ambiguous sample that slipped past Karn's rule ages out
@@ -137,8 +131,6 @@ class RMP:
         #: prune the records nothing reads once the table is twice what
         #: the last prune kept: amortized O(1) per record
         self._prune_at = 0
-        #: pacing token bucket, kept as the earliest next emission time
-        self._pace_next = -1e9
         self.stats = RMPStats(nack_window_us=round(self.nack_window * 1e6))
 
     # ------------------------------------------------------------------
@@ -436,51 +428,18 @@ class RMP:
                 # is down).  Answer unsuppressibly so a different network
                 # path carries the message.
             # Ablation A1 answers every request so: no backoff, no
-            # suppression (pacing still applies; the bucket is orthogonal).
-            rec.pinned = True
+            # suppression.
             self._answer(rec, buffered.data)
 
-    def _answer(self, rec: Answer, raw: bytes, paced: bool = False) -> None:
-        """One answer step through the pacing bucket: send ``raw`` if it
-        has a token, else pend the answer on ``rec`` until its slot (a
-        repeated request then finds it pending, even with
-        ``nack_dedupe_window`` off; a copy cancels it unless pinned)."""
+    def _answer(self, rec: Answer, raw: bytes) -> None:
+        """Send our answer ``raw`` for ``rec``'s message now."""
         rec.timer = None
-        if not paced:
-            delay = self._pace_delay()
-            if delay > 0.0:
-                self.stats.retransmissions_paced += 1
-                rec.timer = self._g.schedule(delay, self._answer, rec, raw, True)
-                return
-        rec.pinned = False
         self.stats.retransmissions_sent += 1
         self._g.retransmit_raw(raw)
 
     # ------------------------------------------------------------------
-    # retransmission pacing & duplicate-request suppression (extension)
+    # duplicate-request suppression (extension)
     # ------------------------------------------------------------------
-    def _pace_delay(self) -> float:
-        """Reserve the next token-bucket slot; 0 when tokens are available.
-
-        Each call reserves exactly one emission: recovery traffic beyond
-        ``retransmit_rate_limit`` per second (with ``RETRANSMIT_BURST``
-        of slack) is deferred, never dropped, so a loss burst's repair
-        cannot monopolize the sender's egress against fresh sends.
-        """
-        rate = self._g.config.retransmit_rate_limit
-        if rate <= 0.0:
-            return 0.0
-        now = self._g.now()
-        interval = 1.0 / rate
-        # a full bucket admits exactly ``RETRANSMIT_BURST`` back-to-back
-        earliest = max(self._pace_next,
-                       now - (self.RETRANSMIT_BURST - 1) * interval)
-        self._pace_next = earliest + interval
-        delay = earliest - now
-        # float residue from repeated interval sums must not read as a
-        # positive delay (it would needlessly defer an in-burst emission)
-        return delay if delay > 1e-9 else 0.0
-
     def _is_duplicate_request(self, rec: Answer) -> bool:
         """True when we committed to answering ``rec``'s message inside
         ``nack_dedupe_window``; otherwise we commit to it now."""
@@ -496,7 +455,7 @@ class RMP:
 
     def _suppress_retransmission(self, src: int, seq: int) -> None:
         rec = self._answers.get((src, seq))
-        if rec is not None and rec.timer is not None and not rec.pinned:
+        if rec is not None and rec.timer is not None:
             rec.timer.cancel()
             rec.timer = None
             self.stats.retransmissions_suppressed += 1

@@ -251,16 +251,16 @@ class ChaosPlan:
         # bandwidth-limited, and burst windows push the per-sender rate
         # past the egress drain rate — the flow-control credit loop (not
         # an unbounded network queue) must absorb the excess.  A loss
-        # burst on top exercises NACK recovery under retransmit pacing.
+        # burst on top exercises NACK recovery under the credit loop.
         self.senders = tuple(pids)
         self.egress_bandwidth = rng.uniform(35_000.0, 55_000.0)
         self.packet_overhead = 66
-        # backpressure queues and the paced retransmit backlog drain more
+        # backpressure queues and the retransmit backlog drain more
         # slowly than fault-free convergence: give the cool-down headroom
         self.duration = _DURATION + 0.8
         # the loss burst comes *first*, at baseline load: dropping packets
         # while the NIC is pinned — during a burst or its queue-drain tail
-        # — puts recovery into a congestion regime where paced NACK
+        # — puts recovery into a congestion regime where NACK repair
         # traffic competes with the very backlog it repairs
         loss_len = rng.uniform(0.08, 0.15)
         loss_start = rng.uniform(_FAULT_START, 0.45)

@@ -3,7 +3,7 @@
 The discrete-event simulator (:mod:`repro.simnet`) is the *semantic*
 truth — deterministic, oracle-checked, explorable.  This package is the
 *wall-clock* truth: the identical protocol stack (flow control, adaptive
-batching, retransmission pacing included) running over real OS
+batching, NACK deduplication included) running over real OS
 processes, one asyncio event loop per processor, with datagrams on real
 UDP sockets.
 

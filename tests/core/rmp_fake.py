@@ -31,10 +31,8 @@ class FakeContext:
         self.heartbeats: List[HeartbeatMessage] = []
         self.nacks: List[Tuple[int, int, int]] = []
         self.retransmitted: List[bytes] = []
-        #: when each retransmission went out, for pacing assertions
-        self.retransmit_times: List[float] = []
-        #: pacing and the dedupe window are what reads the clock: with
-        #: both off (the defaults) this stays 0
+        #: the dedupe window is what reads the clock on the answer path:
+        #: with it off (the default) answering leaves this at 0
         self.clock_reads = 0
 
     def now(self):
@@ -59,7 +57,6 @@ class FakeContext:
 
     def retransmit_raw(self, raw, address=None):
         self.retransmitted.append(raw)
-        self.retransmit_times.append(self.scheduler.now)
 
 
 def feed(rmp, msg):

@@ -55,7 +55,6 @@ def test_config_rejects_a_self_rearming_period_that_would_spin(knobs, period, va
     # on simnet and a silent clamp on the asyncio runtime
     ("nack_delay", -0.001, "must not be negative"),
     ("batch_window", -0.001, "must not be negative"),
-    ("retransmit_rate_limit", -1.0, "must not be negative"),
     ("nack_dedupe_window", -0.02, "must not be negative"),
     ("flow_control_window", -1, "must not be negative"),
     ("flow_queue_limit", -1, "must not be negative"),
@@ -96,7 +95,7 @@ def test_config_legality_is_the_rejected_cells_table(cell):
 
 def test_config_field_count_is_pinned():
     # a seam is not a knob: simplifying PRs add no field (ISSUE 17)
-    assert len(dataclasses.fields(FTMPConfig)) == 23
+    assert len(dataclasses.fields(FTMPConfig)) == 22
     assert (len(CELLS), sum(not _rejections(dict(zip(AXES, c))) for c in CELLS)) == (12, 6)
 
 

@@ -106,7 +106,7 @@ def test_source_answers_nack_immediately():
     # the source schedules with zero delay: fires at the next step
     ctx.scheduler.run_until(0.0)
     assert len(ctx.retransmitted) == 1
-    # pacing and the dedupe window are off by default: nothing read the clock
+    # the dedupe window is off by default: nothing read the clock
     assert ctx.clock_reads == 0
 
 

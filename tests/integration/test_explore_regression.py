@@ -95,16 +95,21 @@ def test_artifact_replays_green_against_fixed_code(path):
     assert result.ok, [v.as_dict() for v in result.violations]
 
 
-def test_an_artifact_naming_a_retired_config_field_exits_2(tmp_path, capsys):
-    # artifacts recorded while the ordering was three booleans carry a
-    # field FTMPConfig no longer has: one line naming it, not a traceback
-    # (the name is spelled in two parts so it appears nowhere else in the
-    # tree)
-    retired = "llft" + "_mode"
+@pytest.mark.parametrize("retired, value", [
+    # recorded while the ordering was three booleans
+    ("llft" + "_mode", True),
+    # recorded while a token bucket paced retransmissions
+    ("retransmit" + "_rate_limit", 150.0),
+])
+def test_an_artifact_naming_a_retired_config_field_exits_2(
+        retired, value, tmp_path, capsys):
+    # an artifact carrying a field FTMPConfig no longer has: one line
+    # naming it, not a traceback (each name is spelled in two parts so a
+    # search for it finds no code)
     with open(os.path.join(_DATA_DIR, "explore-churn-0-s0.json"),
               encoding="utf-8") as fh:
         artifact = json.load(fh)
-    artifact["config"][retired] = True
+    artifact["config"][retired] = value
     old = tmp_path / "old.json"
     old.write_text(json.dumps(artifact))
     assert main(["replay", str(old)]) == 2
