@@ -16,6 +16,12 @@ Head-to-head on the E17 harness, three axes:
   takeover.  The active stack's same-shape crash is the contrast point
   (any member crash stalls delivery there too, until the fault view).
 
+* **Paced load.**  The ``steady5`` shape: five members, each sending
+  64 B Poisson at 1,000 msg/s on ``lan()`` with 2 ms heartbeats.  Here
+  the symmetric gate waits for the member the queue head waits for, and
+  LLFT's OrderInfo does not: p50, p99 and wire bytes per delivery
+  (framing included) for both, and for the leader sending alone.
+
 * **Overload behaviour.**  The E17 overload point (offered ≈ 1.5× the
   E12 knee on a bandwidth-limited NIC) with flow control on: LLFT's
   OrderInfo control traffic rides the leader's stream with
@@ -25,10 +31,12 @@ Head-to-head on the E17 harness, three axes:
   traffic takes one extra queued hop before anyone may deliver it.
 """
 
+import random
+
 from repro.analysis import Table, summarize
 from repro.analysis.harness import TimedWorkload, make_cluster
 from repro.core import FTMPConfig
-from repro.simnet import LinkModel, Topology
+from repro.simnet import LinkModel, Topology, lan
 
 from _report import emit, emit_json
 from test_e12_throughput_saturation import BATCHED_KNEE_RATE
@@ -40,6 +48,8 @@ BANDWIDTH = 1_000_000
 PACKET_OVERHEAD = 66
 OVERLOAD_RATE = BATCHED_KNEE_RATE * 3 // 2  # per-sender msg/s: 1.5× the E12 knee
 SUSPECT_TIMEOUT = 0.150
+PACED_RATE = 1_000.0  # per-sender msg/s, Poisson
+PACED_WARMUP, PACED_WINDOW = 0.3, 1.0
 
 
 def _base_config(**overrides) -> FTMPConfig:
@@ -117,6 +127,32 @@ def run_failover(mode: str):
         cluster.stop()
 
 
+def run_paced(mode: str, senders=PIDS):
+    """``senders`` each multicast 64 B Poisson at PACED_RATE on lan()."""
+    cfg = FTMPConfig(heartbeat_interval=0.002, suspect_timeout=30.0,
+                     ordering="leader" if mode == "llft" else "symmetric")
+    cluster = make_cluster(PIDS, topology=lan(), config=cfg, seed=11)
+    try:
+        wl = TimedWorkload(cluster)
+        for p in senders:
+            rng = random.Random(1009 * 11 + p)
+            t = PACED_WARMUP + rng.expovariate(PACED_RATE)
+            while t < PACED_WARMUP + PACED_WINDOW:
+                wl.send_at(t, p, size=MSG_SIZE)
+                t += rng.expovariate(PACED_RATE)
+        trace = cluster.net.trace
+        cluster.run_for(PACED_WARMUP)
+        sends0, bytes0 = trace.sends, trace.bytes_sent
+        cluster.run_for(PACED_WINDOW + 0.1)
+        cluster.assert_agreement()
+        assert wl.delivered_fraction(PIDS) == 1.0
+        lat = summarize(wl.latencies(PIDS))
+        wire = (trace.bytes_sent - bytes0) + PACKET_OVERHEAD * (trace.sends - sends0)
+        return {"p50": lat.p50, "p99": lat.p99, "bytes_per_delivery": wire / lat.count}
+    finally:
+        cluster.stop()
+
+
 def run_overload(mode: str):
     topo = Topology(
         default=LinkModel(latency=0.0001, jitter=0.00002, loss=0),
@@ -153,8 +189,11 @@ def test_e20_llft_vs_active():
         "low": {m: run_low_load(m) for m in ("active", "llft")},
         "failover": {m: run_failover(m) for m in ("active", "llft")},
         "overload": {m: run_overload(m) for m in ("active", "llft")},
+        "paced": {m: run_paced(m) for m in ("active", "llft")},
+        "paced_leader": {m: run_paced(m, senders=(1,)) for m in ("active", "llft")},
     }
     low, fo, ov = r["low"], r["failover"], r["overload"]
+    paced, alone = r["paced"], r["paced_leader"]
 
     table = Table(
         ["mode", "p50 (ms)", "leader-origin p50 (ms)",
@@ -173,7 +212,20 @@ def test_e20_llft_vs_active():
             round(fo[m]["failover"] * 1e3, 1),
             round(ov[m]["goodput"]),
         )
-    emit("E20_llft_vs_active", table.render())
+    paced_table = Table(
+        ["mode", "p50 (ms)", "p99 (ms)", "B/delivery", "leader alone p50 (ms)"],
+        title="E20 paced — 5 senders @ 1,000 msg/s Poisson, lan(), 2 ms heartbeats "
+              "(B/delivery: FTMP bytes + 66 B framing per datagram)",
+    )
+    for m in ("active", "llft"):
+        paced_table.add_row(
+            m,
+            round(paced[m]["p50"] * 1e3, 3),
+            round(paced[m]["p99"] * 1e3, 3),
+            round(paced[m]["bytes_per_delivery"], 1),
+            round(alone[m]["p50"] * 1e3, 3),
+        )
+    emit("E20_llft_vs_active", table.render() + "\n\n" + paced_table.render())
 
     emit_json("e20_llft_vs_active", {
         "senders_low_load": len(LOW_LOAD_PIDS),
@@ -192,6 +244,14 @@ def test_e20_llft_vs_active():
         "failover_latency_llft_ms": round(fo["llft"]["failover"] * 1e3, 1),
         "overload_goodput_active_msg_s": round(ov["active"]["goodput"]),
         "overload_goodput_llft_msg_s": round(ov["llft"]["goodput"]),
+        "paced_p50_latency_active_ms": round(paced["active"]["p50"] * 1e3, 3),
+        "paced_p50_latency_llft_ms": round(paced["llft"]["p50"] * 1e3, 3),
+        "paced_p99_latency_active_ms": round(paced["active"]["p99"] * 1e3, 3),
+        "paced_p99_latency_llft_ms": round(paced["llft"]["p99"] * 1e3, 3),
+        "paced_bytes_per_delivery_active": round(paced["active"]["bytes_per_delivery"], 1),
+        "paced_bytes_per_delivery_llft": round(paced["llft"]["bytes_per_delivery"], 1),
+        "paced_leader_alone_p50_latency_active_ms": round(alone["active"]["p50"] * 1e3, 3),
+        "paced_leader_alone_p50_latency_llft_ms": round(alone["llft"]["p50"] * 1e3, 3),
     })
 
     # the headline: the leader's invocation path beats the active p50

@@ -19,7 +19,7 @@ VERSION_MINOR = 0
 #: FTMP header length in bytes (see :mod:`repro.core.wire`): the full
 #: form, and the short form a datagram takes when its fields fit it.
 HEADER_SIZE = 40
-SHORT_HEADER_SIZE = 27
+SHORT_HEADER_SIZE = 21
 
 
 class MessageType(enum.IntEnum):

@@ -103,6 +103,10 @@ __all__ = [
 #: (``batch_adaptive``) to engage coalescing: the break-even batch size.
 BATCH_MIN_FILL = 4
 
+#: Heartbeat intervals a member the ordering queue's head waits for alone
+#: lets pass before it covers the head (:meth:`SendPath.cover_head`)
+HEAD_COVER_DELAY = 1 / 8
+
 #: the interned connection id of Regulars outside any logical connection
 _NO_CONNECTION = ConnectionId.none()
 
@@ -408,8 +412,10 @@ class SendPath:
         self._timers = NamedTimerSet(ctx.schedule)
         #: periodic dissemination traffic stands in for §5 heartbeats
         self._heartbeats_replaced = ctx.dissemination.replaces_heartbeats
-        #: connection Regulars are covered at once (:meth:`cover`)
-        self._covers = ctx.romp.covers_connections and not self._heartbeats_replaced
+        #: received Regulars are covered: a connection one at once
+        #: (:meth:`cover`), the queue head we alone hold back after
+        #: :data:`HEAD_COVER_DELAY` intervals (:meth:`cover_head`)
+        self.covers = ctx.romp.covers_connections and not self._heartbeats_replaced
         self._seq = 0
         self._last_send_time = -1e9
         #: timestamp of the last stamped reliable message or Heartbeat:
@@ -417,6 +423,8 @@ class SendPath:
         self._stamped = 0
         #: the largest connection Regular timestamp a cover is armed for
         self._cover_due = 0
+        #: the queue head a head cover is armed for
+        self._head_due = 0
         self._pending: List[bytes] = []
         self._pending_bytes = 0
         self._stopped = False
@@ -520,9 +528,7 @@ class SendPath:
         bypasses a non-empty window — that would reorder the sender's
         reliable stream on the wire — and a send released by
         :meth:`FlowController.drain` never bypasses at all: a backlog of
-        credit-queued sends is observed load that fills the window, while
-        the EWMA, fed by the release bursts and reset by the lull before
-        each, would send the first ~10 of every burst alone.
+        credit-queued sends is observed load that fills the window.
         """
         cfg = self._ctx.config
         if not cfg.batch_adaptive:
@@ -530,19 +536,20 @@ class SendPath:
         now = self._ctx.now()
         gap = now - self._last_batchable
         self._last_batchable = now
+        threshold = cfg.batch_window / BATCH_MIN_FILL
         if gap >= cfg.batch_window * BATCH_MIN_FILL:
-            # idle long enough that no plausible rate fills a window:
-            # hard-reset the estimate so one stale burst cannot tax the
-            # first messages of a quiet period.  Clamped at the engage
-            # threshold — an unbounded idle gap would otherwise take ~100
-            # EWMA steps to decay, taxing the front of the next burst.
-            self._gap_ewma = cfg.batch_window * BATCH_MIN_FILL
+            # idle long enough that no plausible rate fills a window: this
+            # send goes alone, and the estimate restarts at the engage
+            # threshold, so that one stale burst cannot tax a quiet
+            # period and the next send that follows within it engages
+            # the window
+            self._gap_ewma = threshold
+            bypass = True
         else:
             ewma = self._gap_ewma
             self._gap_ewma = gap if ewma == float("inf") else 0.75 * ewma + 0.25 * gap
-        if self._pending or self._ctx.flow.releasing:
-            return False
-        return self._gap_ewma * BATCH_MIN_FILL > cfg.batch_window
+            bypass = self._gap_ewma > threshold
+        return bypass and not (self._pending or self._ctx.flow.releasing)
 
     def _append(self, raw: bytes) -> None:
         self._pending.append(raw)
@@ -648,7 +655,7 @@ class SendPath:
         Regulars arrive in the meantime, none if we send anything first.
         """
         ts = msg.header.timestamp
-        if (not self._covers or ts <= self._stamped
+        if (not self.covers or ts <= self._stamped
                 or self._ctx._stack.connection_binding(msg.connection_id) is None):
             return
         if ts > self._cover_due:
@@ -657,7 +664,30 @@ class SendPath:
             self._timers.arm("cover", 0.0, self._cover_tick)
 
     def _cover_tick(self) -> None:
-        if self._stopped or self._ctx.joining or self._stamped >= self._cover_due:
+        if self._stamped < self._cover_due:
+            self._send_cover()
+
+    def cover_head(self, ts: int) -> None:
+        """Every member but us is heard at or past ``ts``, the ordering
+        queue's head (``ROMP.awaited_head``): the whole group waits for
+        our stream to pass it.  Unless we stamp something first, send the
+        §5 null message after :data:`HEAD_COVER_DELAY` heartbeat
+        intervals — time for a send of our own to say it instead.  A cover
+        already armed for an uncovered head is that head's: while we hold
+        it back, no other can become the head."""
+        if ts <= self._stamped or (self._head_due > self._stamped
+                                   and self._timers.is_armed("head")):
+            return
+        self._head_due = ts
+        self._timers.arm("head", self._ctx.config.heartbeat_interval * HEAD_COVER_DELAY,
+                         self._head_tick)
+
+    def _head_tick(self) -> None:
+        if self._stamped < self._head_due:
+            self._send_cover()
+
+    def _send_cover(self) -> None:
+        if self._stopped or self._ctx.joining:
             return
         self._stats.heartbeats_sent += 1
         self._stats.cover_heartbeats += 1
@@ -685,13 +715,27 @@ class ReceivePath:
         self._batch = batch_stats
 
     def on_datagram(self, msg: FTMPMessage, raw: bytes) -> None:
+        """One datagram, then the head cover's decision on the state it
+        left: once per datagram, so a BATCH taken as a run and one taken
+        part by part decide alike."""
+        g = self._g
+        if g.stopped:
+            return
+        if msg.__class__ is BatchMessage:
+            self._on_batch(msg)
+        else:
+            self._on_message(msg, raw)
+        send_path = g.send_path
+        if send_path.covers and not g.joining:
+            ts = g.romp.awaited_head()
+            if ts:
+                send_path.cover_head(ts)
+
+    def _on_message(self, msg: FTMPMessage, raw: bytes) -> None:
         g = self._g
         if g.stopped:
             return
         cls = msg.__class__
-        if cls is BatchMessage:
-            self._on_batch(msg)
-            return
         if g.joining:
             # A new member seeds provisional state from the AddProcessor
             # that names it; the message then flows through RMP/ROMP like
@@ -722,7 +766,7 @@ class ReceivePath:
         envelope's pass they are a run of Regulars, which RMP takes as
         one (:meth:`RMP.on_run`) as far as it is the in-order stream —
         the rest, and every batch of anything else, goes part by part
-        through :meth:`on_datagram`, the general path."""
+        through :meth:`_on_message`, the general path."""
         g = self._g
         batch = self._batch
         batch.batches_received += 1
@@ -738,7 +782,7 @@ class ReceivePath:
                     if run[i].connection_id is not _NO_CONNECTION:
                         g.send_path.cover(run[i])
             for i in range(taken, len(run)):
-                self.on_datagram(run[i], parts[i])
+                self._on_message(run[i], parts[i])
             return
         envelope = msg.header
         for part in parts:
@@ -760,7 +804,7 @@ class ReceivePath:
                 batch.batch_decode_errors += 1
                 continue
             batch.messages_unbatched += 1
-            self.on_datagram(inner, part)
+            self._on_message(inner, part)
 
 
 class ProcessorGroup:
@@ -1093,7 +1137,7 @@ class ProcessorGroup:
         self._stack.listener.on_deliver(
             Delivery(self.group_id, h.source, h.sequence_number, h.timestamp,
                      msg.connection_id, msg.request_num, msg.payload,
-                     self._endpoint.now)
+                     self._endpoint.now, h.ack_timestamp)
         )
 
     # ------------------------------------------------------------------

@@ -34,6 +34,9 @@ class Delivery:
     request_num: int
     payload: bytes
     delivered_at: float  #: local clock time of delivery
+    #: the sender's acknowledgement timestamp when it stamped the message:
+    #: it had delivered everything at or below it
+    ack_timestamp: int = 0
 
 
 @dataclass(frozen=True)

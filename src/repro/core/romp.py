@@ -580,6 +580,36 @@ class ROMP:
         cover = self._cover_ts()
         return 0 if cover is None else cover
 
+    def awaited_head(self) -> int:
+        """The queue head's timestamp when the §6 gate waits for this
+        member alone — every other member is heard at or past it, we are
+        not — else 0.  Never during a fault-view drain, whose gate is the
+        survivors'.  The live cover minimum has to be ours, so the scan
+        over the others runs only when it might succeed."""
+        queue = self._queue
+        if not queue or self._transition is not None:
+            return 0
+        if self._g.membership is not self._gate_members:
+            self._sync_gate()
+        # _cover_ts() in line: superseded heap entries popped on sight
+        heap = self._cover_heap
+        order = self._order_ts
+        while heap:
+            cover, p = heap[0]
+            if order.get(p, 0) == cover:
+                break
+            heapq.heappop(heap)
+        else:
+            return 0
+        pid = self._pid
+        ts, src = queue[0][0], queue[0][1]
+        if p != pid or cover >= ts or src not in self._gate_set:
+            return 0
+        for p in self._gate_members:
+            if p != pid and order.get(p, 0) < ts:
+                return 0
+        return ts
+
     def adopt_order_progress(self, src: int, ts: int) -> None:
         """Advance ``src``'s contiguous-stream timestamp to ``ts``.
 

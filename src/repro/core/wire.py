@@ -22,21 +22,21 @@ Full header, 40 B (offsets in bytes)::
     24  message timestamp u64
     32  ack timestamp    u64
 
-Short header, 27 B, flags bit3 set::
+Short header, 21 B, flags bit3 set — no size field: the datagram's
+length is its size, and a BATCH part's length is in its record::
 
-    8   message size     u16
-    10  source processor u32
-    14  destination grp  u32
-    18  sequence number  u32
-    22  message timestamp u32
-    26  ack step         u8   timestamp - ack timestamp
+    8   source processor u16
+    10  destination grp  u16
+    12  sequence number  u32
+    16  message timestamp u32
+    20  ack step         u8   timestamp - ack timestamp
 
 :func:`encode` picks the form from the datagram's own fields alone: the
-short one when ts < 2**32, 0 <= ts - ack < 256 and the datagram is under
-65,536 B, the full one otherwise.  No state passes from one datagram to
-the next, so a lost datagram costs no other its decoding.  Both forms
+short one when ts < 2**32, 0 <= ts - ack < 256 and source and group are
+below 2**16, the full one otherwise.  No state passes from one datagram
+to the next, so a lost datagram costs no other its decoding.  Both forms
 decode; an ack step past the timestamp is a :class:`CodecError`.  H
-below is the header's length, 40 or 27; the body starts there.
+below is the header's length, 40 or 21; the body starts there.
 
 Body encodings use length-prefixed collections: ``u16 count`` for
 processor lists and sequence-number vectors, ``u32 length`` for payloads.
@@ -44,7 +44,7 @@ processor lists and sequence-number vectors, ``u32 length`` for payloads.
 A standalone Regular takes one of two layouts.  On a §4 logical
 connection (a connection id or a request number not zero — GIOP, LLFT
 OrderInfos) the body is the fixed prefix, then the payload: H + 28 B +
-payload, 68 or 55::
+payload, 68 or 49::
 
     H       connection id    4 x u32
     H + 16  request number   u64
@@ -53,17 +53,19 @@ payload, 68 or 55::
 
 Below the ORB (the zero connection id, request number 0) the flags carry
 bit2 and the payload follows the header at once: H + payload, its length
-the size field minus H.  :func:`encode` picks the layout from the
-fields; the flag on any other type, or a size field that is not the
-datagram's length, is a :class:`CodecError`.
+the datagram's less H.  :func:`encode` picks the layout from the
+fields; the flag on any other type, or a full header's size field that
+is not the datagram's length, is a :class:`CodecError`.
 
 Hot-path engineering: Heartbeat, Regular and AckSummary's fixed prefix
 encode in a single precompiled :class:`struct.Struct` ``pack`` call per
 message and decode with ``unpack_from`` at fixed offsets — no
 intermediate slices, no per-field ``struct.pack`` allocations.  Each
 layout has a short-header twin built from the same format string; the
-four are keyed by the flag bits of byte order and form.  Regular
-and Heartbeat — all but a few datagrams of a running group — decode
+four are keyed by the flag bits of byte order and form.  The twin keeps
+the size field's place as a zero-width ``0s`` field, so both forms pack
+and unpack the same argument list: ``b""`` there in the short form.
+Regular and Heartbeat — all but a few datagrams of a running group — decode
 header and body in one ``unpack_from`` (:func:`decode`).  The nine
 membership/control bodies are stated once, in ``_CONTROL_LAYOUTS``, and
 both directions read that table field by field (25 NACKs per thousand
@@ -105,8 +107,8 @@ first part::
         ...  full part encoding
 
 A part gets a Regular record when it is a Regular of the envelope's
-source, group and endianness, whose size field is its length, whose
-payload is at most 0xFFFF bytes, and which is in the layout and header
+source, group and endianness, whose size field (in the full form) is its
+length, whose payload is at most 0xFFFF bytes, and which is in the layout and header
 form :func:`encode` gives it: connectionless, or the fixed prefix naming
 a connection or a request; the short header exactly when its fields fit
 one.  A part in the full layout with a zero connection block, or with a
@@ -168,12 +170,11 @@ _FLAG_RETRANSMISSION = 0x02
 #: a Regular without its connection block: the zero connection id and
 #: request number 0, the payload right after the header (Regular only)
 _FLAG_CONNECTIONLESS = 0x04
-#: the 27 B header: u16 size, u32 ts, u8 ack step (module docstring)
+#: the 21 B header: no size, u16 source and group, u32 ts, u8 ack step
+#: (module docstring)
 _FLAG_SHORT = 0x08
 #: the flag bits that pick a header layout: byte order and form
 _FORM = _FLAG_LITTLE_ENDIAN | _FLAG_SHORT
-#: the largest body the short header's u16 size field leaves room for
-_SHORT_BODY_MAX = 0xFFFF - SHORT_HEADER_SIZE
 #: the part's own flags a BATCH record carries (the rest it implies)
 _PART_FLAGS = _FLAG_LITTLE_ENDIAN | _FLAG_RETRANSMISSION
 #: BATCH record flags beside the part's own two: seq is the previous
@@ -194,8 +195,10 @@ _FLAGS_OFFSET = 6
 # ("<" and ">" suppress padding, so these match the field-at-a-time
 # encodings) and both header forms, each twin from one format string
 # ----------------------------------------------------------------------
-#: size, source, group, seq, ts, ack (or ack step) of each header form
-_HEADER_REST = {0: "IIIIQQ", _FLAG_SHORT: "HIIIIB"}
+#: size, source, group, seq, ts, ack (or ack step) of each header form;
+#: the short form has no size field, and its zero-width place packs and
+#: unpacks ``b""``
+_HEADER_REST = {0: "IIIIQQ", _FLAG_SHORT: "0sHHIIB"}
 
 
 def _twins(head: str, body: str = "") -> Dict[int, struct.Struct]:
@@ -295,20 +298,22 @@ class CodecError(Exception):
     """Raised on malformed FTMP datagrams."""
 
 
-def _form(h: FTMPHeader, body: int, flags: int = 0) -> Tuple[int, int, int]:
+def _form(h: FTMPHeader, body: int,
+          flags: int = 0) -> Tuple[int, Union[int, bytes], int]:
     """(flags, size field, last header field) of a datagram with header
-    ``h`` and a ``body``-byte body: the short form — ack step last — when
-    ts, ts - ack and the length fit it, else the full one (``flags &
-    _FORM`` picks the layout).  Back-fills ``h.message_size``."""
+    ``h`` and a ``body``-byte body: the short form — no size field
+    (``b""``), ack step last — when ts, ts - ack, source and group fit
+    it, else the full one (``flags & _FORM`` picks the layout).
+    Back-fills ``h.message_size``."""
     if h.little_endian:
         flags |= _FLAG_LITTLE_ENDIAN
     if h.retransmission:
         flags |= _FLAG_RETRANSMISSION
     ts = h.timestamp
     last = ts - h.ack_timestamp
-    if ts <= 0xFFFFFFFF and 0 <= last <= 0xFF and body <= _SHORT_BODY_MAX:
-        h.message_size = size = SHORT_HEADER_SIZE + body
-        return flags | _FLAG_SHORT, size, last
+    if ts <= 0xFFFFFFFF and 0 <= last <= 0xFF and h.source <= 0xFFFF and h.group <= 0xFFFF:
+        h.message_size = SHORT_HEADER_SIZE + body
+        return flags | _FLAG_SHORT, b"", last
     h.message_size = size = HEADER_SIZE + body
     return flags, size, h.ack_timestamp
 
@@ -485,6 +490,8 @@ def encode(msg: FTMPMessage) -> bytes:
         parts = msg.parts
         heads = _REGULAR_HEADS[little]
         source, group = h.source, h.group
+        # the short form's other condition, the same for every part
+        short_ids = source <= 0xFFFF and group <= 0xFFFF
         u32 = _U32[little].unpack_from
         delta_head = _DELTA_HEAD[little].pack
         delta_head_connection = _DELTA_HEAD_CONNECTION[little].pack
@@ -507,8 +514,9 @@ def encode(msg: FTMPMessage) -> bytes:
                 size, src, grp, seq, ts, ack = _PART_FIELDS[part[6] & _FORM].unpack_from(part)
                 if short:
                     ack = ts - ack
+                    size = n
                 # in the header form encode gives these fields, and decodable
-                fits = ts <= 0xFFFFFFFF and 0 <= ts - ack <= 0xFF and n - hs <= _SHORT_BODY_MAX
+                fits = ts <= 0xFFFFFFFF and 0 <= ts - ack <= 0xFF and short_ids
                 if (size == n and src == source and grp == group and ack >= 0
                         and fits == bool(short)):
                     if part[6] & _FLAG_CONNECTIONLESS:
@@ -577,7 +585,8 @@ def peek_header(data: _Buffer) -> FTMPHeader:
     Flags bit3 says which form: the short header's ack timestamp is its
     timestamp less the ack step.  A datagram shorter than its form's
     header, or an ack step past the timestamp, is a :class:`CodecError`;
-    the size field is the caller's to check."""
+    the size field is the caller's to check (the short form has none:
+    the datagram's length is its size)."""
     n = len(data)
     form = data[_FLAGS_OFFSET] & _FORM if n > _FLAGS_OFFSET else 0
     if n < (SHORT_HEADER_SIZE if form & _FLAG_SHORT else HEADER_SIZE):
@@ -598,6 +607,7 @@ def peek_header(data: _Buffer) -> FTMPHeader:
         if ack > ts:
             raise CodecError(f"ack step {ack} past timestamp {ts}")
         ack = ts - ack
+        size = n
     return FTMPHeader(
         message_type=message_type,
         source=source,
@@ -639,6 +649,7 @@ def _decode_batch(h: FTMPHeader, data: _Buffer, little: bool, pos: int) -> Batch
     layouts = _RECORD_LAYOUTS[little]
     verbatim = _BATCH_VERBATIM[little]
     source, group = h.source, h.group
+    short_ids = source <= 0xFFFF and group <= 0xFFFF
     regular = MessageType.REGULAR
     parts = []
     decoded: Optional[list] = []
@@ -691,21 +702,22 @@ def _decode_batch(h: FTMPHeader, data: _Buffer, little: bool, pos: int) -> Batch
         # the part's header form: what encode gives these fields
         size = plen + (_REGULAR_PREFIX if connection else 0)
         last = ts - ack
-        if ts <= 0xFFFFFFFF and 0 <= last <= 0xFF and size <= _SHORT_BODY_MAX:
+        if ts <= 0xFFFFFFFF and 0 <= last <= 0xFF and short_ids:
             pflags |= _FLAG_SHORT
             size += SHORT_HEADER_SIZE
+            field = b""
         else:
             last = ack
-            size += HEADER_SIZE
+            field = size = size + HEADER_SIZE
         try:
             if connection:
                 parts.append(_HDR_REGULAR[pflags & _FORM].pack(
-                    MAGIC, VERSION_MAJOR, VERSION_MINOR, pflags, _REGULAR, size, source,
+                    MAGIC, VERSION_MAJOR, VERSION_MINOR, pflags, _REGULAR, field, source,
                     group, seq, ts, last, cd, cg, sd, sg, req, plen) + payload)
             else:
                 parts.append(_HDR[pflags & _FORM].pack(
                     MAGIC, VERSION_MAJOR, VERSION_MINOR, pflags | _FLAG_CONNECTIONLESS,
-                    _REGULAR, size, source, group, seq, ts, last) + payload)
+                    _REGULAR, field, source, group, seq, ts, last) + payload)
         except struct.error:
             # only a delta record's steps can carry a field past its width
             raise CodecError("batch record sequence number past 0xFFFFFFFF"
@@ -745,6 +757,7 @@ def decode(data: _Buffer) -> FTMPMessage:
                         _HDR[form].unpack_from(data, 0))
                     if form & _FLAG_SHORT:
                         ack = ts - ack
+                        size = n
                     if magic == MAGIC and size == n and ack >= 0:
                         return RegularMessage(
                             FTMPHeader(MessageType.REGULAR, source, group, seq, ts, ack,
@@ -756,6 +769,7 @@ def decode(data: _Buffer) -> FTMPMessage:
                  cd, cg, sd, sg, req, plen) = _HDR_REGULAR[form].unpack_from(data, 0)
                 if form & _FLAG_SHORT:
                     ack = ts - ack
+                    size = n
                 if magic == MAGIC and size == n and start + plen <= n and ack >= 0:
                     return RegularMessage(
                         FTMPHeader(MessageType.REGULAR, source, group, seq, ts, ack,
@@ -768,6 +782,7 @@ def decode(data: _Buffer) -> FTMPMessage:
                 _HDR[form].unpack_from(data, 0))
             if form & _FLAG_SHORT:
                 ack = ts - ack
+                size = n
             if magic == MAGIC and size == n and not flags & _FLAG_CONNECTIONLESS and ack >= 0:
                 return HeartbeatMessage(
                     FTMPHeader(MessageType.HEARTBEAT, source, group, seq, ts, ack,
@@ -785,7 +800,7 @@ def decode(data: _Buffer) -> FTMPMessage:
         raise CodecError("truncated payload" if n >= start + _REGULAR_PREFIX
                          else "truncated FTMP message body")
     if t == MessageType.HEARTBEAT:
-        return HeartbeatMessage(h)  # trailing bytes the size field covers
+        return HeartbeatMessage(h)  # trailing bytes its size covers
     if t == MessageType.ACK_SUMMARY:
         body = _ACK_SUMMARY_BODY[little]
         entry_struct = _ACK_SUMMARY_ENTRY[little]

@@ -15,10 +15,11 @@ of the authors' Eternal system:
   body only of a message it consumes — and replicated clients invoke
   once, replicated servers execute once and answer once: an invocation
   by R client replicas on S server replicas is R + S multicasts;
-* a duplicate Request is answered from the reply cache only when a Reply
-  is already ahead of it in the total order (a log replay, a replica
-  that invokes late); ordered before the Reply, its sender will deliver
-  that Reply itself (DESIGN.md "GIOP mapping");
+* a duplicate Request is answered from the reply cache only when its
+  sender had delivered the first Reply when it stamped the copy — the
+  copy's acknowledgement timestamp is at or past that Reply's (a log
+  replay, a replica that invokes late or joins later); otherwise its
+  sender delivers that Reply itself (DESIGN.md "GIOP mapping");
 * server replicas execute delivered Requests in FTMP's total order, which
   is what keeps active replicas consistent;
 * reserved ``_set_state`` Requests implement state transfer to freshly
@@ -107,6 +108,15 @@ class _Stream(NamedTuple):
     source: int
 
 
+class _CachedReply(NamedTuple):
+    """A Reply this replica sent, kept to answer log-replayed Requests."""
+
+    group: int
+    data: bytes
+    #: timestamp of the first Reply delivered for the request; None before
+    delivered: Optional[int]
+
+
 @dataclass
 class _PendingConnection:
     """Invocations issued before the Connect handshake finished."""
@@ -146,9 +156,10 @@ class FTMPAdapter(Listener):
         #: callbacks invoked on every view change (replication manager hook)
         self.view_callbacks: List[Callable[[ViewChange], None]] = []
         self.fault_callbacks: List[Callable[[FaultReport], None]] = []
-        #: (cid, request_num) -> encoded Reply, re-sent when a duplicate
-        #: request arrives (answers log-replayed requests, §4)
-        self._reply_cache: "OrderedDict[Tuple[ConnectionId, int], Tuple[int, bytes]]" = OrderedDict()
+        #: (cid, request_num) -> (group, encoded Reply, timestamp of the
+        #: first Reply delivered or None), re-sent when a duplicate request
+        #: arrives from a sender past that Reply (log replays, §4)
+        self._reply_cache: "OrderedDict[Tuple[ConnectionId, int], _CachedReply]" = OrderedDict()
         self.reply_cache_size = 1024
         self.stats_requests_executed = 0
         self.stats_duplicates_suppressed = 0
@@ -332,9 +343,9 @@ class FTMPAdapter(Listener):
             self.downstream.on_deliver(delivery)
             return
         if mtype == GIOPMessageType.REQUEST:
-            self._on_request(cid, delivery.group, request_num, *target)
+            self._on_request(cid, delivery.group, request_num, delivery.ack_timestamp, *target)
         elif mtype == GIOPMessageType.REPLY:
-            self._on_reply(cid, request_num, reply)
+            self._on_reply(cid, request_num, reply, delivery.timestamp)
         elif mtype == GIOPMessageType.CLOSE_CONNECTION:
             self._on_close(cid)
         else:
@@ -358,23 +369,25 @@ class FTMPAdapter(Listener):
             return kind, response_expected, object_key, decode_giop(data)
         return kind, response_expected, object_key, None
 
-    def _on_request(self, cid: ConnectionId, group: int, request_num: int,
+    def _on_request(self, cid: ConnectionId, group: int, request_num: int, ack: int,
                     kind: str, response_expected: bool, object_key: bytes,
                     msg: Optional[RequestMessage]) -> None:
         duplicates = self.stack.duplicates
         if duplicates.is_duplicate(cid, request_num, kind):
             self.stats_duplicates_suppressed += 1
             cached = self._reply_cache.get((cid, request_num))
-            if (cached is not None and response_expected
-                    and duplicates.seen(cid, request_num, "reply")):
-                # ordered after the Reply — a replayed request, a late or
-                # freshly joined client replica: answer from the reply log
-                # instead of re-executing ("necessary ... when replaying
-                # messages from a log", §4).  Ordered before it, the Reply
-                # is still to come in the total order and the copy's sender
-                # is a group member awaiting it: nothing to add.
+            if (cached is not None and response_expected and cached.delivered is not None
+                    and ack >= cached.delivered):
+                # stamped by a sender that had delivered the Reply — a
+                # replayed request, a late or freshly joined client
+                # replica: answer from the reply log instead of
+                # re-executing ("necessary ... when replaying messages
+                # from a log", §4).  Stamped before its sender delivered
+                # the Reply, that Reply is still to come in its total
+                # order — even when the copy is ordered after it — and
+                # resolves the sender's future: nothing to add.
                 self.stats_replies_served_from_cache += 1
-                c_group, c_data = cached
+                c_group, c_data, _ = cached
                 for piece in self._wire_pieces(c_data):
                     self.stack.multicast(c_group, piece, cid, request_num)
             return
@@ -409,7 +422,7 @@ class FTMPAdapter(Listener):
             # reply on the processor group the Request was delivered on —
             # a freshly added replica has the group before any binding
             data = encode_giop(reply)
-            self._reply_cache[(cid, request_num)] = (group, data)
+            self._reply_cache[(cid, request_num)] = _CachedReply(group, data, None)
             while len(self._reply_cache) > self.reply_cache_size:
                 self._reply_cache.popitem(last=False)
             for piece in self._wire_pieces(data):
@@ -426,10 +439,13 @@ class FTMPAdapter(Listener):
             self._execute(cid, b_group, b_num, buffered)
 
     def _on_reply(self, cid: ConnectionId, request_num: int,
-                  msg: Optional[ReplyMessage]) -> None:
+                  msg: Optional[ReplyMessage], timestamp: int) -> None:
         # a pending future always wins, even when the reply is nominally a
         # duplicate — a log replay deliberately solicits a re-sent reply
         duplicate = self.stack.duplicates.is_duplicate(cid, request_num, "reply")
+        cached = self._reply_cache.get((cid, request_num))
+        if not duplicate and cached is not None:
+            self._reply_cache[(cid, request_num)] = cached._replace(delivered=timestamp)
         if msg is not None:
             self.stats_replies_matched += 1
             self.orb.complete_from_reply(self._pending.pop((cid, request_num)), msg)

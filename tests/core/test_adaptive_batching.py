@@ -7,8 +7,10 @@ the fixed-window coalescing engages unchanged.  Off by default, and only
 meaningful with ``batch_window > 0``.
 """
 
+from unittest import mock
+
 from repro.analysis.harness import make_cluster
-from repro.core import FTMPConfig
+from repro.core import FTMPConfig, FTMPStack, MessageType
 from repro.simnet import LinkModel, Topology
 
 
@@ -123,6 +125,41 @@ def test_rate_transition_quiet_burst_quiet():
     expected = [f"1:{i}".encode() for i in range(n)]
     for pid in (1, 2, 3):
         assert c.listeners[pid].payloads(1) == expected
+    c.assert_agreement()
+    c.stop()
+
+
+def test_a_burst_after_a_lull_sends_only_its_first_message_alone():
+    # After a lull the gap estimate restarts at the engage threshold:
+    # the burst's first send bypasses the window and the next one, 50 us
+    # later, engages it.  A restart at four windows took ~10 EWMA steps
+    # to come down, and the first ~10 sends of every burst went alone.
+    wire = []
+    transmit = FTMPStack.transmit
+
+    def tap(self, address, raw):
+        if self.pid == 1:
+            wire.append((self.endpoint.now, raw[7]))
+        transmit(self, address, raw)
+
+    with mock.patch.object(FTMPStack, "transmit", tap):
+        c = make_cluster(
+            (1, 2, 3),
+            topology=Topology(default=LinkModel(latency=0.0001, jitter=0.00002)),
+            seed=3,
+            config=FTMPConfig(heartbeat_interval=0.002, suspect_timeout=10.0,
+                              batch_window=0.001, batch_adaptive=True),
+        )
+        for i in range(5):  # quiet sends, then a lull of 0.26 s
+            c.net.scheduler.at(0.2 + 0.01 * i, c.stacks[1].multicast, 1, b"q%d" % i)
+        for i in range(60):
+            c.net.scheduler.at(0.5 + 0.00005 * i, c.stacks[1].multicast, 1, b"b%d" % i)
+        c.run_for(1.0)
+    burst = [t for t, mtype in wire if 0.5 <= t < 0.51]
+    alone = [t for t, mtype in wire if 0.5 <= t < 0.51 and mtype == MessageType.REGULAR]
+    assert alone == [0.5]
+    assert len(burst) - len(alone) >= 60 // 8  # the rest in BATCH datagrams and heartbeats
+    assert c.stacks[1].snapshot()["group.1.batch.messages_batched"] == 59
     c.assert_agreement()
     c.stop()
 

@@ -47,7 +47,7 @@ GROUP, ADDRESS = 1, 5001
 SENDER = 2  #: the source every hand-built BATCH claims
 PEER = 3  #: a third member, heard only through hand-built heartbeats
 LITTLE, RETRANSMISSION, DELTA, CONNECTION, VERBATIM = 0x01, 0x02, 0x04, 0x08, 0x80
-#: the header flag of the 27 B header form
+#: the header flag of the 21 B header form
 SHORT = 0x08
 U64_MAX = 2**64 - 1
 
@@ -97,16 +97,16 @@ def full_regular(seq, ts, e, *, source=SENDER, group=GROUP, payload=b"x",
 
 def envelope(records, e="<", *, count=None, source=SENDER, head=(0, 0, 0), short=True):
     """A BATCH datagram; ``head`` is its header's (seq, ts, ack), the
-    record before the first.  Its header is the 27 B one where ``head``
+    record before the first.  Its header is the 21 B one where ``head``
     fits it and ``short`` holds — what ``encode`` gives a small envelope
     — else the 40 B one, which decodes too."""
     body = struct.pack(e + "H", len(records) if count is None else count) + b"".join(records)
     seq, ts, ack = head
     flags = LITTLE if e == "<" else 0
     if short and ts < 2**32 and 0 <= ts - ack < 256:
-        return struct.pack(e + "4sBBBBHIIIIB", MAGIC, VERSION_MAJOR, VERSION_MINOR,
-                           flags | SHORT, int(MessageType.BATCH), 27 + len(body), source,
-                           GROUP, seq, ts, ts - ack) + body
+        return struct.pack(e + "4sBBBBHHIIB", MAGIC, VERSION_MAJOR, VERSION_MINOR,
+                           flags | SHORT, int(MessageType.BATCH), source, GROUP, seq, ts,
+                           ts - ack) + body
     return struct.pack(e + "4sBBBBIIIIQQ", MAGIC, VERSION_MAJOR, VERSION_MINOR, flags,
                        int(MessageType.BATCH), 40 + len(body), source, GROUP, *head) + body
 
@@ -139,7 +139,7 @@ def _delta(e, seq, ts, p, prev):
 
 def below_the_orb(seq, ts, e, payload=b"x"):
     """A Regular with no connection: the connectionless layout, in the
-    27 B header below ts 256 (its ack is 0), else the 40 B one."""
+    21 B header below ts 256 (its ack is 0), else the 40 B one."""
     return encode(RegularMessage(
         FTMPHeader(MessageType.REGULAR, source=SENDER, group=GROUP, sequence_number=seq,
                    timestamp=ts, ack_timestamp=0, little_endian=e == "<"),
@@ -156,7 +156,7 @@ def zero_block(seq, ts, e, payload=b"x"):
 
 def full_header(seq, ts, e, payload=b"x"):
     """A Regular below the ORB in the 40 B header whatever its fields: it
-    decodes, but where they fit the 27 B header ``encode`` never emits
+    decodes, but where they fit the 21 B header ``encode`` never emits
     it, so a BATCH carries it verbatim."""
     return struct.pack(e + "4sBBBBIIIIQQ", MAGIC, VERSION_MAJOR, VERSION_MINOR,
                        (LITTLE if e == "<" else 0) | 0x04, int(MessageType.REGULAR),
@@ -167,7 +167,7 @@ def _ack_step_past_ts(part, e):
     # a short header's ack step one past its timestamp (below 255 in
     # every session here): the part does not decode
     if part[6] & SHORT:
-        part[26] = struct.unpack_from(e + "I", part, 22)[0] + 1
+        part[20] = struct.unpack_from(e + "I", part, 16)[0] + 1
 
 
 def _verbatim(**kw):
@@ -185,8 +185,8 @@ def _verbatim_part(damage):
 
 
 def body_start(part):
-    """Where a datagram's body starts: after the 27 B or the 40 B header."""
-    return 27 if part[6] & SHORT else 40
+    """Where a datagram's body starts: after the 21 B or the 40 B header."""
+    return 21 if part[6] & SHORT else 40
 
 
 def _set_payload_length(plen):
@@ -194,9 +194,11 @@ def _set_payload_length(plen):
 
 
 def _cut_body(part, e):
-    # 27 of the 28 bytes of the fixed body prefix, size field to match
+    # 27 of the 28 bytes of the fixed body prefix, a full header's size
+    # field to match (the short one's length is the datagram's)
     del part[body_start(part) + 27:]
-    struct.pack_into(e + ("H" if part[6] & SHORT else "I"), part, 8, len(part))
+    if not part[6] & SHORT:
+        struct.pack_into(e + "I", part, 8, len(part))
 
 
 def _framing(build):
@@ -320,18 +322,18 @@ def sessions(draw, max_datagrams=1, peer=False):
             count = len(records) + draw(st.integers(1, 3))
         elif damage == "count_under" and records:
             count = len(records) - 1
-        # a hostile sender may put a header that fits 27 B in 40
+        # a hostile sender may put a header that fits 21 B in 40
         raw = envelope(records, e, count=count, head=head,
                        short=draw(st.booleans()) if hostile else True)
         if damage == "prefix":
-            # the size field goes on announcing the whole datagram, as if
-            # the tail were lost; a second variant repairs it so that
-            # the cut is found inside the records
+            # a full header's size field goes on announcing the whole
+            # datagram, as if the tail were lost; a second variant
+            # repairs it so that the cut is found inside the records.
+            # The short header has no size field: its cut is the second.
             cut = draw(st.integers(0, len(raw)))
             raw = raw[:cut]
-            width = "H" if cut > 6 and raw[6] & SHORT else "I"  # the size field's
-            if cut >= 8 + struct.calcsize(width) and draw(st.booleans()):
-                raw = raw[:8] + struct.pack(e + width, cut) + raw[8 + struct.calcsize(width):]
+            if cut >= 12 and not raw[6] & SHORT and draw(st.booleans()):
+                raw = raw[:8] + struct.pack(e + "I", cut) + raw[12:]
         out.append((raw, record_kinds, damage in ("none", "count_under")))
     return out
 

@@ -1,23 +1,24 @@
 """Both header forms on one wire: a group whose clock crosses 2**32.
 
-``wire.encode`` gives each datagram the 27 B header when its own fields
-fit it (ts < 2**32, ack 0-255 ticks behind ts, under 65,536 B) and the
-40 B header otherwise, with no state passed between datagrams.  Here
-four members multicast through a batching window at 3 % loss, and two
-clock jumps make the forms interleave:
+``wire.encode`` gives each datagram the 21 B header when its own fields
+fit it (ts < 2**32, ack 0-255 ticks behind ts, source and group below
+2**16) and the 40 B header otherwise, with no state passed between
+datagrams.  Here four members multicast through a batching window at
+3 % loss, and two clock jumps make the forms interleave:
 
 * early on, member 2's clock leaps 1,000 ticks: every member's clock
   follows at its next datagram from 2, while its acknowledgements stay
   behind until the first messages stamped after the leap are delivered
-  — a window of 40 B headers, then 27 B ones again;
+  — a window of 40 B headers, then 21 B ones again;
 * mid-run, member 3 observes 2**32 - 500: the same window, then about
-  500 ticks of 27 B headers, then 40 B headers for good.
+  500 ticks of 21 B headers, then 40 B headers for good.
 
 The histories must pass the oracle battery, no datagram may fail to
 decode, every retransmission on the wire must be its original, byte for
 byte, but for the retransmission flag (bit 1), and every BATCH part a
 receiver rebuilds must be the original its sender encoded, in the form
-it had.
+it had.  The twin below runs the same group with one member whose pid
+is past 2**16: its datagrams take the 40 B header whatever their stamps.
 """
 
 from unittest import mock
@@ -33,9 +34,12 @@ LEAP_AT, CROSS_AT, SENDS_UNTIL = 0.15, 0.40, 1.20
 RETRANSMISSION, SHORT = 0x02, 0x08
 
 
-def test_both_header_forms_interleave_and_interoperate():
+def run(pids, leaps):
+    """Multicast from every member of ``pids`` for SENDS_UNTIL with the
+    clock ``leaps`` scheduled; check the histories, and return every
+    datagram on the wire with its time."""
     cfg = FTMPConfig(heartbeat_interval=0.002, suspect_timeout=0.100, batch_window=0.001)
-    c = make_cluster(PIDS, topology=lan(loss=0.03), config=cfg, seed=37)
+    c = make_cluster(pids, topology=lan(loss=0.03), config=cfg, seed=37)
 
     # every message the send path encodes, and every datagram on the wire
     originals, wire_log = set(), []
@@ -55,24 +59,42 @@ def test_both_header_forms_interleave_and_interoperate():
 
     c.net.multicast = tap
     for i in range(int(SENDS_UNTIL / 0.002)):
-        for p in PIDS:
-            c.net.scheduler.at(0.002 * i + 0.0004 * p, c.stacks[p].multicast, GROUP,
+        for k, p in enumerate(pids, 1):
+            c.net.scheduler.at(0.002 * i + 0.0004 * k, c.stacks[p].multicast, GROUP,
                                b"%d:%d" % (p, i))
-    c.net.scheduler.at(LEAP_AT, lambda: c.stacks[2].clock.observe(c.stacks[2].clock.time + 1000))
-    c.net.scheduler.at(CROSS_AT, c.stacks[3].clock.observe, 2**32 - 500)
+    for at, p, to in leaps:
+        c.net.scheduler.at(at, lambda p=p, to=to: c.stacks[p].clock.observe(to(c.stacks[p])))
     with mock.patch.object(datapath, "encode", recording):
         c.run_for(SENDS_UNTIL + 1.0)
 
-    violations = run_history_oracles(c.listeners, GROUP, final_members=PIDS)
-    violations += check_quiescence(c.stacks, GROUP, PIDS)
+    violations = run_history_oracles(c.listeners, GROUP, final_members=pids)
+    violations += check_quiescence(c.stacks, GROUP, pids)
     assert violations == [], "\n".join(f"[{v.oracle}] {v.detail}" for v in violations)
-    for p in PIDS:
+    for p in pids:
         assert c.stacks[p].snapshot()["stack.decode_errors"] == 0, p
-        assert len(c.listeners[p].deliveries) == len(PIDS) * int(SENDS_UNTIL / 0.002)
+        assert len(c.listeners[p].deliveries) == len(pids) * int(SENDS_UNTIL / 0.002)
 
+    retransmitted = {0: 0, SHORT: 0}
+    for now, raw in wire_log:
+        h = wire.peek_header(raw)
+        if h.message_type == MessageType.BATCH:
+            for part in wire.decode(raw).parts:
+                assert part in originals
+        elif raw[6] & RETRANSMISSION:
+            retransmitted[raw[6] & SHORT] += 1
+            assert raw[:6] + bytes((raw[6] & ~RETRANSMISSION,)) + raw[7:] in originals
+        elif h.message_type == MessageType.REGULAR:
+            assert raw in originals
+    # both forms are retransmitted
+    assert all(retransmitted.values()), retransmitted
+    return wire_log
+
+
+def test_both_header_forms_interleave_and_interoperate():
+    wire_log = run(PIDS, [(LEAP_AT, 2, lambda s: s.clock.time + 1000),
+                          (CROSS_AT, 3, lambda s: 2**32 - 500)])
     forms = {"short": 0, "lagging": 0, "past_u32": 0}
     short_after_leap = short_after_cross = 0
-    retransmitted = {0: 0, SHORT: 0}
     for now, raw in wire_log:
         h = wire.peek_header(raw)
         if raw[6] & SHORT:
@@ -82,17 +104,22 @@ def test_both_header_forms_interleave_and_interoperate():
         elif h.timestamp >= 2**32:
             forms["past_u32"] += 1
         else:
-            assert not 0 <= h.timestamp - h.ack_timestamp < 256, "fits 27 B but sent in 40"
+            assert not 0 <= h.timestamp - h.ack_timestamp < 256, "fits 21 B but sent in 40"
             forms["lagging"] += 1
-        if h.message_type == MessageType.BATCH:
-            for part in wire.decode(raw).parts:
-                assert part in originals
-        elif raw[6] & RETRANSMISSION:
-            retransmitted[raw[6] & SHORT] += 1
-            assert raw[:6] + bytes((raw[6] & ~RETRANSMISSION,)) + raw[7:] in originals
-        elif h.message_type == MessageType.REGULAR:
-            assert raw in originals
-    # both forms interleave, and both are retransmitted
+    # both forms interleave
     assert all(forms.values()), forms
     assert short_after_leap and short_after_cross
-    assert all(retransmitted.values()), retransmitted
+
+
+def test_a_member_past_u16_sends_the_full_header_to_short_header_peers():
+    # the 21 B twin: the forms interleave by source, not by clock
+    wide = 0x10000 + 4
+    wire_log = run(PIDS[:3] + (wide,), [(LEAP_AT, 2, lambda s: s.clock.time + 1000)])
+    by_source = {}
+    for _now, raw in wire_log:
+        h = wire.peek_header(raw)
+        fits = h.timestamp < 2**32 and 0 <= h.timestamp - h.ack_timestamp < 256
+        by_source.setdefault(h.source, set()).add((bool(raw[6] & SHORT), fits))
+    assert by_source[wide] == {(False, True), (False, False)}
+    for p in PIDS[:3]:
+        assert by_source[p] == {(True, True), (False, False)}, p

@@ -238,6 +238,8 @@ def test_a_regular_below_the_orb_is_40_bytes_plus_payload(little, n):
 @pytest.mark.parametrize("little", [True, False], ids=["little-endian", "big-endian"])
 @pytest.mark.parametrize("n", [0, 1, 64, 2048])
 def test_a_regular_below_the_orb_with_a_short_header_is_27_bytes_plus_payload(little, n):
+    # 21 B since the short header dropped its size field and narrowed
+    # source and group; the name keeps the first short form's figure
     _below_the_orb(little, n, 99, SHORT_HEADER_SIZE)
 
 
@@ -262,7 +264,8 @@ def test_a_regular_on_a_connection_is_68_bytes_plus_payload(little, cid, request
                                              (ConnectionId.none(), 17)])
 def test_a_regular_on_a_connection_with_a_short_header_is_55_bytes_plus_payload(
         little, cid, request_num):
-    _on_a_connection(little, cid, request_num, 99, 55)
+    # 49 B since the 21 B short header (the name keeps the 27 B form's 55)
+    _on_a_connection(little, cid, request_num, 99, 49)
 
 
 @pytest.mark.parametrize("timestamp", [99, FULL], ids=["short", "full"])
@@ -277,8 +280,9 @@ def test_a_batch_window_counts_every_regular_as_68_bytes_plus_payload(timestamp,
 
 @pytest.mark.parametrize("little", [True, False], ids=["little-endian", "big-endian"])
 def test_a_regular_under_the_short_size_limit_takes_the_short_header(little):
-    # 27 + 65,508 = 65,535 B fits the u16 size field; one byte more does not
-    for n, size in ((65_508, SHORT_HEADER_SIZE), (65_509, HEADER_SIZE)):
+    # the 21 B header has no size field to bound it: a datagram past
+    # 65,535 B takes it as well as one under
+    for n, size in ((65_514, SHORT_HEADER_SIZE), (65_515, SHORT_HEADER_SIZE)):
         msg = RegularMessage(header(MessageType.REGULAR, little), ConnectionId.none(), 0,
                              b"x" * n)
         raw = encode(msg)
@@ -304,12 +308,28 @@ def test_the_connectionless_flag_on_another_type_is_rejected(mtype):
 
 @pytest.mark.parametrize("little", [True, False], ids=["little-endian", "big-endian"])
 def test_a_connectionless_regular_must_state_the_datagram_length(little):
-    raw = encode(RegularMessage(header(MessageType.REGULAR, little), ConnectionId.none(), 0,
-                                b"payload"))
+    # the full header's size field; the short header has none
+    raw = encode(RegularMessage(header(MessageType.REGULAR, little, FULL), ConnectionId.none(),
+                                0, b"payload"))
     for data in (raw + b"\0", raw[:-1]):
         for fn in (decode, decode_view):
             with pytest.raises(CodecError, match=r"size field \d+ != datagram length"):
                 fn(data)
+
+
+@pytest.mark.parametrize("little", [True, False], ids=["little-endian", "big-endian"])
+def test_a_short_connectionless_regulars_payload_is_the_rest_of_the_datagram(little):
+    # the 21 B twin: no size field, so the datagram's length is its size
+    raw = encode(RegularMessage(header(MessageType.REGULAR, little), ConnectionId.none(), 0,
+                                b"payload"))
+    assert len(raw) == SHORT_HEADER_SIZE + 7
+    for data, payload in ((raw + b"\0", b"payload\0"), (raw[:-1], b"payloa")):
+        for fn in (decode, decode_view):
+            out = fn(data)
+            assert bytes(out.payload) == payload
+            assert out.header.message_size == len(data)
+    with pytest.raises(CodecError, match="datagram shorter than header"):
+        decode(raw[:SHORT_HEADER_SIZE - 1])
 
 
 @pytest.mark.parametrize("little", [True, False], ids=["little-endian", "big-endian"])
@@ -363,9 +383,18 @@ def test_unknown_message_type_rejected():
 
 
 def test_size_mismatch_rejected():
-    raw = encode(RegularMessage(header(MessageType.REGULAR), CID, 1, b"abc"))
+    # the full header's size field (the short one has none)
+    raw = encode(RegularMessage(header(MessageType.REGULAR, timestamp=FULL), CID, 1, b"abc"))
     with pytest.raises(CodecError):
         decode(raw + b"extra")
+
+
+def test_a_short_regular_on_a_connection_cut_into_its_payload_is_rejected():
+    # the 21 B twin: its payload length is the one length it states
+    raw = encode(RegularMessage(header(MessageType.REGULAR), CID, 1, b"abc"))
+    assert len(raw) == SHORT_HEADER_SIZE + 28 + 3
+    with pytest.raises(CodecError, match="truncated payload"):
+        decode(raw[:-1])
 
 
 def test_empty_collections_round_trip():

@@ -77,8 +77,8 @@ def test_heartbeat_big_endian_golden():
 def test_short_heartbeat_little_endian_golden():
     h = FTMPHeader(
         message_type=MessageType.HEARTBEAT,
-        source=0x01020304,
-        group=0x0A0B0C0D,
+        source=0x0102,
+        group=0x0A0B,
         sequence_number=0x11223344,
         timestamp=0x05060708,
         ack_timestamp=0x05060708 - 0x2A,
@@ -90,9 +90,8 @@ def test_short_heartbeat_little_endian_golden():
         b"\x01\x00"                 # version 1.0
         b"\x09"                     # flags: little endian | short header
         b"\x03"                     # type HEARTBEAT
-        b"\x1b\x00"                 # size = 27 (u16)
-        b"\x04\x03\x02\x01"         # source (LE)
-        b"\x0d\x0c\x0b\x0a"         # group (LE)
+        b"\x02\x01"                 # source (LE u16); no size field: 21 B
+        b"\x0b\x0a"                 # group (LE u16)
         b"\x44\x33\x22\x11"         # seq (LE)
         b"\x08\x07\x06\x05"         # timestamp (LE u32)
         b"\x2a"                     # ack step: timestamp - ack
@@ -104,8 +103,8 @@ def test_short_heartbeat_little_endian_golden():
 def test_short_heartbeat_big_endian_golden():
     h = FTMPHeader(
         message_type=MessageType.HEARTBEAT,
-        source=0x01020304,
-        group=0x0A0B0C0D,
+        source=0x0102,
+        group=0x0A0B,
         sequence_number=0x11223344,
         timestamp=0x05060708,
         ack_timestamp=0x05060708 - 0x2A,
@@ -117,9 +116,8 @@ def test_short_heartbeat_big_endian_golden():
         b"\x01\x00"
         b"\x08"                     # flags: big endian | short header
         b"\x03"
-        b"\x00\x1b"
-        b"\x01\x02\x03\x04"
-        b"\x0a\x0b\x0c\x0d"
+        b"\x01\x02"
+        b"\x0a\x0b"
         b"\x11\x22\x33\x44"
         b"\x05\x06\x07\x08"
         b"\x2a"
@@ -128,18 +126,30 @@ def test_short_heartbeat_big_endian_golden():
     assert decode(raw) == HeartbeatMessage(h)
 
 
-def _heartbeat(ts, ack, little=True):
+def _heartbeat(ts, ack, little=True, source=1, group=2):
     return encode(HeartbeatMessage(FTMPHeader(
-        MessageType.HEARTBEAT, source=1, group=2, sequence_number=3, timestamp=ts,
+        MessageType.HEARTBEAT, source=source, group=group, sequence_number=3, timestamp=ts,
         ack_timestamp=ack, little_endian=little)))
+
+
+@pytest.mark.parametrize("little", [True, False], ids=["little-endian", "big-endian"])
+def test_a_source_or_group_of_0xffff_is_the_last_that_takes_the_short_header(little):
+    e = (lambda b: b) if little else (lambda b: b[::-1])
+    raw = _heartbeat(5, 5, little, source=0xFFFF, group=0xFFFF)
+    assert len(raw) == 21 and raw[8:12] == b"\xff" * 4
+    for source, group in ((0x10000, 2), (1, 0x10000)):
+        raw = _heartbeat(5, 5, little, source=source, group=group)
+        assert len(raw) == 40 and raw[6] == little
+        assert raw[12:20] == e(source.to_bytes(4, "little")) + e(group.to_bytes(4, "little"))
+        assert decode(raw).header.source == source and decode(raw).header.group == group
 
 
 @pytest.mark.parametrize("little", [True, False], ids=["little-endian", "big-endian"])
 def test_the_largest_u32_timestamp_is_the_last_that_takes_the_short_header(little):
     e = (lambda b: b) if little else (lambda b: b[::-1])
     raw = _heartbeat(2**32 - 1, 2**32 - 1, little)
-    assert raw[6] == 0x08 | little and raw[8:10] == e(b"\x1b\x00")
-    assert raw[22:] == b"\xff\xff\xff\xff\x00"  # timestamp, ack step 0
+    assert raw[6] == 0x08 | little and len(raw) == 21
+    assert raw[16:] == b"\xff\xff\xff\xff\x00"  # timestamp, ack step 0
     raw = _heartbeat(2**32, 2**32, little)
     assert raw[6] == little and raw[8:12] == e(b"\x28\x00\x00\x00")
     assert raw[24:] == e(b"\x00\x00\x00\x00\x01\x00\x00\x00") * 2  # ts and ack, u64
@@ -151,7 +161,7 @@ def test_the_largest_u32_timestamp_is_the_last_that_takes_the_short_header(littl
 def test_an_ack_step_of_255_is_the_last_that_takes_the_short_header(little):
     e = (lambda b: b) if little else (lambda b: b[::-1])
     raw = _heartbeat(1000, 1000 - 255, little)
-    assert len(raw) == 27 and raw[22:] == e(b"\xe8\x03\x00\x00") + b"\xff"
+    assert len(raw) == 21 and raw[16:] == e(b"\xe8\x03\x00\x00") + b"\xff"
     raw = _heartbeat(1000, 1000 - 256, little)
     assert len(raw) == 40 and raw[24:] == (e(b"\xe8\x03\x00\x00\x00\x00\x00\x00")
                                            + e(b"\xe8\x02\x00\x00\x00\x00\x00\x00"))
@@ -163,7 +173,7 @@ def test_an_ack_step_of_255_is_the_last_that_takes_the_short_header(little):
 
 def test_an_ack_step_past_the_timestamp_does_not_decode():
     raw = bytearray(_heartbeat(5, 5))
-    raw[26] = 6  # ack = 5 - 6
+    raw[20] = 6  # ack = 5 - 6
     for fn in (decode, peek_header):
         with pytest.raises(CodecError, match="ack step 6 past timestamp 5"):
             fn(bytes(raw))
@@ -192,7 +202,7 @@ def test_regular_body_golden():
 
 
 def test_short_regular_golden():
-    # the same message with its ack one tick behind: the 27 B header
+    # the same message with its ack one tick behind: the 21 B header
     h = FTMPHeader(
         message_type=MessageType.REGULAR,
         source=1, group=2, sequence_number=3, timestamp=4, ack_timestamp=3,
@@ -205,13 +215,12 @@ def test_short_regular_golden():
         b"\x01\x00"                 # version 1.0
         b"\x09"                     # flags: little endian | short header
         b"\x01"                     # type REGULAR
-        b"\x39\x00"                 # size = 57 (u16)
-        b"\x01\x00\x00\x00"          # source
-        b"\x02\x00\x00\x00"          # group
+        b"\x01\x00"                 # source (u16); no size field
+        b"\x02\x00"                 # group (u16)
         b"\x03\x00\x00\x00"          # seq
         b"\x04\x00\x00\x00"          # timestamp (u32)
         b"\x01"                     # ack step
-        b"\x0a\x00\x00\x00"          # client domain: the body at byte 27
+        b"\x0a\x00\x00\x00"          # client domain: the body at byte 21
         b"\x0b\x00\x00\x00"
         b"\x0c\x00\x00\x00"
         b"\x0d\x00\x00\x00"
@@ -219,7 +228,7 @@ def test_short_regular_golden():
         b"\x02\x00\x00\x00"          # payload length
         b"HI"
     )
-    assert len(raw) == 27 + 16 + 8 + 4 + 2
+    assert len(raw) == 21 + 16 + 8 + 4 + 2
 
 
 def test_retransmit_request_body_golden():

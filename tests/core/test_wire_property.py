@@ -47,6 +47,9 @@ from tests.reference.wire_reference import encode_reference
 U16 = st.integers(0, 0xFFFF)
 U32 = st.integers(0, 0xFFFFFFFF)
 U64 = st.integers(0, 0xFFFFFFFFFFFFFFFF)
+#: a source or group: at and around the short header's u16 edge, or
+#: anywhere a u32 reaches
+IDS = st.sampled_from([0, 0xFFFF, 0x10000]) | U16 | U32
 PIDS = st.tuples(*[]) | st.lists(U32, max_size=6).map(tuple)
 SEQ_VECTOR = st.dictionaries(U32, U32, max_size=6)
 PAYLOAD = st.binary(max_size=256)
@@ -73,8 +76,8 @@ def _header(mtype: MessageType):
         lambda stamps, **kw: FTMPHeader(timestamp=stamps[0], ack_timestamp=stamps[1], **kw),
         _stamps(),
         message_type=st.just(mtype),
-        source=U32,
-        group=U32,
+        source=IDS,
+        group=IDS,
         sequence_number=U32,
         retransmission=st.booleans(),
         little_endian=st.booleans(),
@@ -155,7 +158,7 @@ def coalesced(draw):
     connection ids and request numbers zero or not, the odd
     retransmission — and now and then a part of another source between
     them, stored verbatim."""
-    source, group, little = draw(U32), draw(U32), draw(st.booleans())
+    source, group, little = draw(IDS), draw(IDS), draw(st.booleans())
     seq = draw(st.sampled_from([0, 1, 0xFFFFFFFE]) | U32)
     ts = draw(st.sampled_from([0, 2**32 - 256, 2**64 - 256]) | U32 | U64)
     # mostly a short step behind ts, so that parts take both header forms
@@ -215,8 +218,8 @@ def _step_past_ts_part(source, group, little, seq, ts, step, payload=b"s"):
     """A short-header Regular whose ack step exceeds its timestamp: it
     does not decode, and a BATCH stores it verbatim."""
     e = "<" if little else ">"
-    return struct.pack(e + "4sBBBBHIIIIB", b"FTMP", 1, 0, int(little) | 0x0C, 1,
-                       27 + len(payload), source, group, seq, ts, step) + payload
+    return struct.pack(e + "4sBBBBHHIIB", b"FTMP", 1, 0, int(little) | 0x0C, 1,
+                       source, group, seq, ts, step) + payload
 
 
 #: parts either side of each edge of the short header — ts 2**32 - 1 and
@@ -337,17 +340,17 @@ def test_a_zero_block_part_is_verbatim_and_breaks_the_delta_chain():
     # (5 B + 1), the verbatim record (5 B + the part), a full record on a
     # connection (48 B: it follows a verbatim one), a delta record below
     # the ORB again
-    assert len(raw) == 27 + 2 + 6 + 6 + (5 + len(parts[2])) + 48 + 6
+    assert len(raw) == 21 + 2 + 6 + 6 + (5 + len(parts[2])) + 48 + 6
     out = decode(raw)
     assert out.parts == parts and out.decoded is None
-    # every encoded part in the short header (27 B, 55 B on a
+    # every encoded part in the short header (21 B, 49 B on a
     # connection), the zero-block one in the full 68 B layout
-    assert [len(p) for p in parts] == [28, 28, 69, 56, 28]
+    assert [len(p) for p in parts] == [22, 22, 69, 50, 22]
 
 
 def test_each_part_is_rebuilt_in_the_header_form_it_had():
     parts = EDGES.parts
-    assert [len(p) for p in parts] == [28, 28, 69, 41, 41, 28, 41, 41, 41, 28, 28, 28]
+    assert [len(p) for p in parts] == [22, 22, 69, 41, 41, 22, 41, 41, 41, 22, 22, 22]
     raw = encode(EDGES)
     out = decode(raw)
     assert out.parts == parts and out.decoded is None
@@ -356,8 +359,8 @@ def test_each_part_is_rebuilt_in_the_header_form_it_had():
     # connection) where seq, ts and ack step on from the record before,
     # across the change of form too, else a full one (23 B + 1); the two
     # verbatim records are 5 B + the part
-    assert len(raw) == (27 + 2 + 6 + 24 + 30 + 6 + 6 + 24 + 24 + 24 + (5 + 41) + 24
-                        + (5 + 28) + 24)
+    assert len(raw) == (21 + 2 + 6 + 24 + 30 + 6 + 6 + 24 + 24 + 24 + (5 + 41) + 24
+                        + (5 + 22) + 24)
     with pytest.raises(CodecError, match="ack step 4 past timestamp 3"):
         decode(parts[10])
 
@@ -366,7 +369,8 @@ def test_each_part_is_rebuilt_in_the_header_form_it_had():
 # fused Regular / Heartbeat decode against the general path
 # ----------------------------------------------------------------------
 def general_decode(data):
-    """Header, then size field, then body — the checks in the order the
+    """Header, then size field (the full header's; the short one's size
+    is the datagram's length), then body — the checks in the order the
     general path makes them, for the two types ``decode`` fuses."""
     h = peek_header(data)
     if h.message_size != len(data):
@@ -374,7 +378,7 @@ def general_decode(data):
     if h.message_type == MessageType.HEARTBEAT:
         return HeartbeatMessage(h)
     assert h.message_type == MessageType.REGULAR
-    start = 27 if data[6] & 0x08 else 40  # the short header's length, or the full one's
+    start = 21 if data[6] & 0x08 else 40  # the short header's length, or the full one's
     if data[6] & 0x04:  # connectionless: the payload follows the header
         return RegularMessage(h, ConnectionId.none(), 0, bytes(data[start:]))
     try:
@@ -405,19 +409,17 @@ def corruptions(raw: bytes):
     yield "trailing byte", raw + b"\x00"
     yield "bad magic", b"FTMQ" + raw[4:]
     e = "<" if raw[6] & 1 else ">"
-    width = "H" if raw[6] & 0x08 else "I"  # the size field's
-    for size in (0, len(raw) - 1, len(raw) + 1, 0xFFFF if width == "H" else 0xFFFFFFFF):
-        if 0 <= size <= 0xFFFF or width == "I":
-            yield f"size field {size}", (raw[:8] + struct.pack(e + width, size)
-                                         + raw[8 + struct.calcsize(width):])
+    if not raw[6] & 0x08:  # the full header's size field; the short one has none
+        for size in (0, len(raw) - 1, len(raw) + 1, 0xFFFFFFFF):
+            yield f"size field {size}", raw[:8] + struct.pack(e + "I", size) + raw[12:]
     yield "flipped endianness flag", raw[:6] + bytes([raw[6] ^ 1]) + raw[7:]
     yield "flipped connectionless flag", raw[:6] + bytes([raw[6] ^ 4]) + raw[7:]
     yield "flipped short header flag", raw[:6] + bytes([raw[6] ^ 8]) + raw[7:]
     yield "unknown type byte", raw[:7] + b"\xee" + raw[8:]
     if raw[6] & 0x08:
-        ts = struct.unpack_from(e + "I", raw, 22)[0]
+        ts = struct.unpack_from(e + "I", raw, 16)[0]
         if ts < 255:
-            yield "ack step past the timestamp", raw[:26] + bytes([ts + 1]) + raw[27:]
+            yield "ack step past the timestamp", raw[:20] + bytes([ts + 1]) + raw[21:]
 
 
 FUSED = st.one_of(REGULAR, st.builds(HeartbeatMessage, _header(MessageType.HEARTBEAT)))
@@ -435,14 +437,14 @@ def test_fused_decode_agrees_with_general_path(msg):
 
 @pytest.mark.parametrize("little", [True, False])
 def test_regular_announcing_more_payload_than_it_carries(little):
-    # valid magic and size field, payload length overstated: the fused
+    # valid magic and length, payload length overstated: the fused
     # branch must hand over to the general path's "truncated payload"
     msg = RegularMessage(
         FTMPHeader(MessageType.REGULAR, 1, 1, 1, 1, 0, little_endian=little),
         ConnectionId.none(), 7, b"abcdef")
     raw = bytearray(encode(msg))
     # the payload length: 24 bytes into the body of the short header
-    struct.pack_into("<I" if little else ">I", raw, 27 + 24, 7)
+    struct.pack_into("<I" if little else ">I", raw, 21 + 24, 7)
     for fn in (decode, general_decode):
         with pytest.raises(CodecError, match="truncated payload"):
             fn(bytes(raw))

@@ -6,8 +6,9 @@ not the GIOP clause of ``no-duplicates`` — and one logical invocation
 costs R + S Regular multicasts: R Request copies, S Replies, no more.
 
 The second half pins both sides of the rule that gets it there: a
-duplicate Request is answered from the reply cache only when a Reply has
-already been delivered ahead of it in the connection's total order.
+duplicate Request is answered from the reply cache only when its sender
+had delivered the first Reply when it stamped the copy (the copy's
+acknowledgement timestamp is at or past that Reply's).
 """
 
 import pytest
@@ -193,6 +194,28 @@ def test_copy_ordered_between_request_and_reply_is_suppressed_and_resolves():
     # every member suppressed replica 9's copy
     assert all(adapters[p].stack.duplicates.seen(
         adapters[8].connection_id_for(REF), 2, "request") for p in servers + clients)
+
+
+def test_copy_ordered_after_the_reply_but_stamped_before_it_was_delivered():
+    # Replica 9 invokes once every Reply has reached it but before the
+    # first is delivered there: its copy is ordered after all three
+    # Replies, with an acknowledgement short of the first.  Its future is
+    # resolved by those Replies, so no server answers it from the cache.
+    net, servers, clients, orbs, stacks, adapters, recorders, servants = warmed()
+    futs = {8: orbs[8].proxy(REF).put("k", b"v")}
+    net.scheduler.schedule(
+        0.0003, lambda: futs.__setitem__(9, orbs[9].proxy(REF).put("k", b"v")))
+    net.run_for(0.5)
+    group = connection_group(stacks, adapters, 8)
+    trail = [d for d in recorders[1].deliveries if d.group == group and d.request_num == 2]
+    # the premise: ordered after the first Reply, stamped before delivering it
+    assert [(d.source, d.payload[7]) for d in trail] == [
+        (8, 0), (1, 1), (2, 1), (3, 1), (9, 0)]
+    assert trail[4].ack_timestamp < trail[1].timestamp
+    assert futs[8].result() == futs[9].result() == 2
+    assert [servants[p].puts for p in servers] == [2, 2, 2]
+    assert [adapters[p].stats_requests_executed for p in servers] == [2, 2, 2]
+    assert [adapters[p].stats_replies_served_from_cache for p in servers] == [0, 0, 0]
 
 
 def test_passive_primary_crash_after_replying_resolves_both_replicas():

@@ -53,7 +53,8 @@ _FLAG_RETRANSMISSION = 0x02
 #: a Regular on no connection (the zero connection id, request number 0)
 #: leaves its connection block out: header, then payload
 _FLAG_CONNECTIONLESS = 0x04
-#: the 27 B header: u16 size, u32 timestamp, u8 ack step (ts - ack)
+#: the 21 B header: no size field, u16 source and group, u32 timestamp,
+#: u8 ack step (ts - ack)
 _FLAG_SHORT = 0x08
 #: BATCH record flags beside the part's own two (above): a delta record
 #: (seq the previous record's + 1, ts and ack as u8 steps from the
@@ -73,10 +74,10 @@ _HDR = {
     True: struct.Struct("<4sBBBBIIIIQQ"),
     False: struct.Struct(">4sBBBBIIIIQQ"),
 }
-#: the short header: prefix + u16 size/source/group/seq/u32 ts/u8 ack step
+#: the short header: prefix + u16 source/group, u32 seq/ts, u8 ack step
 _SHORT_HDR = {
-    True: struct.Struct("<4sBBBBHIIIIB"),
-    False: struct.Struct(">4sBBBBHIIIIB"),
+    True: struct.Struct("<4sBBBBHHIIB"),
+    False: struct.Struct(">4sBBBBHHIIB"),
 }
 #: Regular body prefix: connection id x4, request number, payload length
 _REGULAR_BODY = {
@@ -96,24 +97,25 @@ def _flags_of(h: FTMPHeader) -> int:
     return flags
 
 
-def _fits_short(ts: int, ack: int, body_len: int) -> bool:
+def _fits_short(ts: int, ack: int, source: int, group: int) -> bool:
     """The short header's rule, from the datagram's own fields alone: the
-    timestamp fits a u32, the ack lies 0-255 ticks behind it, and the
-    datagram is under 65,536 B."""
-    return ts < 2**32 and 0 <= ts - ack < 256 and SHORT_HEADER_SIZE + body_len < 2**16
+    timestamp fits a u32, the ack lies 0-255 ticks behind it, and source
+    and group each fit a u16.  Its length is not a field: the datagram's
+    is its size."""
+    return ts < 2**32 and 0 <= ts - ack < 256 and source < 2**16 and group < 2**16
 
 
 def _header_of(data: _Buffer, little: bool) -> Optional[tuple]:
     """(magic, major, minor, flags, type, size, source, group, seq, ts,
-    ack, header length) of either header form; None if ``data`` is
-    shorter than its form."""
+    ack, header length) of either header form — the short form's size is
+    the datagram's length; None if ``data`` is shorter than its form."""
     if len(data) <= 6:
         return None
     if data[6] & _FLAG_SHORT:
         if len(data) < SHORT_HEADER_SIZE:
             return None
-        *fields, ts, step = _SHORT_HDR[little].unpack_from(data, 0)
-        return (*fields, ts, ts - step, SHORT_HEADER_SIZE)
+        *prefix, source, group, seq, ts, step = _SHORT_HDR[little].unpack_from(data, 0)
+        return (*prefix, len(data), source, group, seq, ts, ts - step, SHORT_HEADER_SIZE)
     if len(data) < HEADER_SIZE:
         return None
     return (*_HDR[little].unpack_from(data, 0), HEADER_SIZE)
@@ -185,7 +187,7 @@ def _regular_fields(part: _Buffer, envelope: FTMPHeader, little: bool) -> Option
     A part gets a Regular record when it is a Regular with the envelope's
     magic, version, source, group and endianness, no flag but those two
     (endianness, retransmission), the connectionless one and the short
-    one, a size field equal to its length, a payload the record's u16
+    one, a size field (in the full form) equal to its length, a payload the record's u16
     length can state, and a header and body in the form
     :func:`encode_reference` gives it: the short header exactly when
     :func:`_fits_short` holds (an ack step past the timestamp never
@@ -209,7 +211,7 @@ def _regular_fields(part: _Buffer, envelope: FTMPHeader, little: bool) -> Option
         or psrc != envelope.source
         or pgrp != envelope.group
         or pack_ts < 0
-        or bool(pflags & _FLAG_SHORT) != _fits_short(pts, pack_ts, len(part) - hlen)
+        or bool(pflags & _FLAG_SHORT) != _fits_short(pts, pack_ts, psrc, pgrp)
     ):
         return None
     if pflags & _FLAG_CONNECTIONLESS:
@@ -292,7 +294,7 @@ def encode_reference(msg: FTMPMessage) -> bytes:
     _encode_body(msg, w)
     body = w.getvalue()
 
-    short = _fits_short(h.timestamp, h.ack_timestamp, len(body))
+    short = _fits_short(h.timestamp, h.ack_timestamp, h.source, h.group)
     size = (SHORT_HEADER_SIZE if short else HEADER_SIZE) + len(body)
     h.message_size = size
 
@@ -303,8 +305,7 @@ def encode_reference(msg: FTMPMessage) -> bytes:
     e = "<" if h.little_endian else ">"
     if short:
         rest = struct.pack(
-            e + "HIIIIB",
-            size,
+            e + "HHIIB",
             h.source,
             h.group,
             h.sequence_number,
