@@ -206,6 +206,10 @@ class FTMPConfig:
             if not getattr(self, knob) >= 0:
                 raise ValueError(
                     f"{knob} must not be negative, not {getattr(self, knob)!r}")
+        if self.batch_max_bytes > 0xFFFF:
+            # a BATCH record states its part's payload length in a u16
+            raise ValueError(
+                f"batch_max_bytes must be at most 65535, not {self.batch_max_bytes!r}")
         if not self.nack_backoff_factor >= 1.0:
             raise ValueError(
                 "nack_backoff_factor must be at least 1.0, not "

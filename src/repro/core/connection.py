@@ -403,7 +403,9 @@ class DuplicateDetector:
 
     ``kind`` distinguishes requests from replies (both directions of a
     connection use the same numbers).  Uses a contiguous watermark plus a
-    sparse overflow set, so memory stays bounded for in-order traffic.
+    sparse overflow set that exists only while a number past the
+    watermark's next is held, so in-order traffic moves the watermark
+    alone and memory stays bounded for it.
     """
 
     def __init__(self) -> None:
@@ -418,7 +420,13 @@ class DuplicateDetector:
         if request_num <= mark:
             self.duplicates_suppressed += 1
             return True
-        sparse = self._sparse.setdefault(key, set())
+        sparse = self._sparse.get(key)
+        if sparse is None:
+            if request_num == mark + 1:
+                self._watermark[key] = request_num
+            else:
+                self._sparse[key] = {request_num}
+            return False
         if request_num in sparse:
             self.duplicates_suppressed += 1
             return True
@@ -428,6 +436,8 @@ class DuplicateDetector:
             mark += 1
             sparse.discard(mark)
         self._watermark[key] = mark
+        if not sparse:
+            del self._sparse[key]
         return False
 
     def seen(self, cid: ConnectionId, request_num: int, kind: str) -> bool:

@@ -73,14 +73,7 @@ from .pgmp import PGMP
 from .rmp import RMP
 from .romp import ROMP
 from .stats import GroupStats
-from .wire import (
-    CodecError,
-    decode,
-    encode,
-    mark_retransmission,
-    peek_header,
-    regular_full_size,
-)
+from .wire import decode, encode, mark_retransmission, regular_full_size
 
 if TYPE_CHECKING:  # pragma: no cover
     from random import Random
@@ -226,7 +219,6 @@ class BatchStats:
     flushes_on_size: int = 0
     flushes_on_order: int = 0  #: a non-batchable send forced the flush
     heartbeats_suppressed: int = 0
-    batch_decode_errors: int = 0
     #: adaptive window: sends that skipped the window because the recent
     #: rate would not fill it (low-load latency restored to unbatched)
     adaptive_bypasses: int = 0
@@ -761,50 +753,25 @@ class ReceivePath:
             g.send_path.cover(msg)
 
     def _on_batch(self, msg: BatchMessage) -> None:
-        """Unpack one envelope.  Its parts are one sender's messages in
-        the order it sent them; where the codec decoded them in the
-        envelope's pass they are a run of Regulars, which RMP takes as
-        one (:meth:`RMP.on_run`) as far as it is the in-order stream —
-        the rest, and every batch of anything else, goes part by part
+        """Unpack one envelope: a run of one sender's Regulars, in the
+        order it sent them, which RMP takes as one (:meth:`RMP.on_run`)
+        as far as it is the in-order stream; the rest goes part by part
         through :meth:`_on_message`, the general path."""
         g = self._g
         batch = self._batch
         batch.batches_received += 1
         parts = msg.parts
         run = msg.decoded
-        if run is not None:
-            batch.messages_unbatched += len(run)
-            taken = 0
-            # the ``recv`` trace events and the join gate are per part
-            if run and not g.joining and g._stack.tracer is None:
-                taken = g.rmp.on_run(run, parts)
-                for i in range(taken):
-                    if run[i].connection_id is not _NO_CONNECTION:
-                        g.send_path.cover(run[i])
-            for i in range(taken, len(run)):
-                self._on_message(run[i], parts[i])
-            return
-        envelope = msg.header
-        for part in parts:
-            try:
-                inner = decode(part)
-            except CodecError:
-                batch.batch_decode_errors += 1
-                continue
-            h = inner.header
-            if (inner.__class__ is BatchMessage or h.group != envelope.group
-                    or h.source != envelope.source):
-                # The send path never nests (``_batchable`` admits
-                # Regular only), and over a thousand nested envelopes
-                # fit one datagram: recursing into them is a stack
-                # depth the sender chooses.  Nor does it pack anyone
-                # else's message: a verbatim part naming another group or
-                # source would be fed to this group, or move another
-                # source's sequence numbers, on the envelope's say-so.
-                batch.batch_decode_errors += 1
-                continue
-            batch.messages_unbatched += 1
-            self._on_message(inner, part)
+        batch.messages_unbatched += len(run)
+        taken = 0
+        # the ``recv`` trace events and the join gate are per part
+        if run and not g.joining and g._stack.tracer is None:
+            taken = g.rmp.on_run(run, parts)
+            for i in range(taken):
+                if run[i].connection_id is not _NO_CONNECTION:
+                    g.send_path.cover(run[i])
+        for i in range(taken, len(run)):
+            self._on_message(run[i], parts[i])
 
 
 class ProcessorGroup:
@@ -1083,10 +1050,9 @@ class ProcessorGroup:
         removal_ts, _, waiting = self._lingering
         h = msg.header
         if msg.__class__ is BatchMessage:
-            try:
-                h = peek_header(msg.parts[-1])
-            except (CodecError, IndexError):
+            if not msg.decoded:
                 return
+            h = msg.decoded[-1].header
         if h.ack_timestamp >= removal_ts:
             waiting.discard(h.source)
 

@@ -199,25 +199,26 @@ class MembershipMessage:
 
 @dataclass(slots=True)
 class BatchMessage:
-    """Several encoded FTMP messages packed into one datagram.
+    """One sender's Regulars to one group, packed into one datagram.
 
     A pure transport envelope (extension; not in the paper): ``parts``
     are the complete wire encodings — header included — of the packed
-    messages, so each part retains its own sequence number, timestamps
-    and retransmission identity.  The envelope itself is unreliable and
-    carries no ordering information: :func:`~repro.core.wire.encode`
-    sets its sequence number and timestamps to the first part's (seq - 1,
-    ts, ack), the base of that part's record, and the receive path never
-    reads them.
+    first transmissions, so each part retains its own sequence number,
+    timestamps and retransmission identity.  The envelope itself is
+    unreliable and carries no ordering information:
+    :func:`~repro.core.wire.encode` sets its sequence number and
+    timestamps to the first part's (seq - 1, ts, ack), the base of that
+    part's record, and the receive path never reads them.
     """
 
     TYPE = MessageType.BATCH
     header: FTMPHeader
     parts: Tuple[bytes, ...]
-    #: decode side only: ``decode(part)`` of every part, in order, when the
-    #: codec built them in the envelope's pass (all parts compact,
-    #: well-formed Regulars) — a cache of ``parts``, so it takes no part
-    #: in equality and :func:`~repro.core.wire.encode` ignores it
+    #: decode side: ``decode(part)`` of every part, in order, built in the
+    #: envelope's pass (every part is a Regular) — a cache of ``parts``,
+    #: so it takes no part in equality and
+    #: :func:`~repro.core.wire.encode` ignores it; None on a message built
+    #: for sending
     decoded: Optional[Tuple[RegularMessage, ...]] = field(
         default=None, compare=False, repr=False)
 

@@ -219,13 +219,11 @@ class RMP:
         st = self._sources.get(src)
         if st is None:
             return 0
-        # the in-order prefix: consecutive from the next expected number,
-        # none a retransmitted copy (that one may cancel an answer of ours)
+        # the in-order prefix: consecutive from the next expected number
         first = seq = st.next_seq
         stop = 0
         for msg in run:
-            h = msg.header
-            if h.sequence_number != seq or h.retransmission:
+            if msg.header.sequence_number != seq:
                 break
             seq += 1
             stop += 1

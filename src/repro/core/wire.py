@@ -75,19 +75,18 @@ field-at-a-time specification every type must stay byte-identical to is
 ``tests/reference/wire_reference.py``; codec cost is measured by
 ``perf/`` (``wire.*_norm_ns``, see ``perf/README.md``).
 
-BATCH framing (Regular records): the send path coalesces only Regulars,
-one sender's consecutive messages to one group, so the envelope body
-stores each as a record that leaves out what the envelope header and
-the previous record already say.  The envelope header's seq / ts / ack
-are the first part's (seq - 1, ts, ack) when that part takes a Regular
-record (zeros otherwise): the header counts as the record before the
-first part::
+BATCH framing: the send path coalesces only Regulars, one sender's
+consecutive first transmissions to one group, and a BATCH holds nothing
+else.  Its body stores each part as a record that leaves out what the
+envelope header and the previous record already say.  The envelope
+header's seq / ts / ack are the first part's (seq - 1, ts, ack) (zeros
+when that seq is 0, or the envelope is empty): the header counts as the
+record before the first part::
 
     u16  part count
-    then per part, a Regular record (envelope endianness):
-        u8   flags   bit0 little endian (the envelope's), bit1
-                     retransmission, bit2 delta, bit3 connection;
-                     bits 4-7 clear
+    then per part, a record (envelope endianness):
+        u8   flags   bit0 little endian (the envelope's), bit2 delta,
+                     bit3 connection; the other bits clear
         full (without delta):
             u32  seq
             u64  ts
@@ -101,30 +100,23 @@ first part::
                      layout)
         u16  payload length
         ...  payload
-    or a verbatim record, for any other part:
-        u8   0x80
-        u32  part length
-        ...  full part encoding
 
-A part gets a Regular record when it is a Regular of the envelope's
-source, group and endianness, whose size field (in the full form) is its
-length, whose payload is at most 0xFFFF bytes, and which is in the layout and header
-form :func:`encode` gives it: connectionless, or the fixed prefix naming
-a connection or a request; the short header exactly when its fields fit
-one.  A part in the full layout with a zero connection block, or with a
-40 B header its fields would fit in 27, is not what the encoder emits
-and goes verbatim.  The record is a delta record when its seq is the
-previous record's + 1 and its ts and ack each exceed the previous
-record's by less than 256: a Regular below the ORB then costs 5 B +
-payload (29 B + payload on a connection) instead of its header (and
-body prefix), the first part of an envelope included.  A delta record
-needs a predecessor: the header or a Regular record, with no verbatim
-record in between.  The record does not say which header form its part
-had: the receiver rebuilds each part in the form :func:`encode` gives
-the part's fields, which is the form it had, byte for byte, so
-retention and retransmission identity are untouched.  When every
-record is a Regular record — what the send path coalesces — the same
-pass also builds each part's message
+A part is a Regular of the envelope's source, group and endianness,
+without the retransmission flag (``send_raw`` re-sends single
+datagrams, never envelopes), whose payload is at most 0xFFFF bytes and
+which is in the layout and header form :func:`encode` gives it:
+connectionless, or the fixed prefix naming a connection or a request;
+the short header exactly when its fields fit one.  :func:`encode`
+refuses anything else with a :class:`CodecError`, and a flags byte
+opening no record is one on decode.  The record is a delta record when
+its seq is the previous record's + 1 and its ts and ack each exceed the
+previous record's by less than 256: a Regular below the ORB then costs
+5 B + payload (29 B + payload on a connection) instead of its header
+(and body prefix), the first part of an envelope included.  The record
+does not say which header form its part had: the receiver rebuilds each
+part in the form :func:`encode` gives the part's fields, which is the
+form it had, byte for byte, so retention and retransmission identity
+are untouched.  The same pass builds each part's message
 (:attr:`~repro.core.messages.BatchMessage.decoded`), so the receive path
 does not decode what was just packed.
 """
@@ -175,15 +167,11 @@ _FLAG_CONNECTIONLESS = 0x04
 _FLAG_SHORT = 0x08
 #: the flag bits that pick a header layout: byte order and form
 _FORM = _FLAG_LITTLE_ENDIAN | _FLAG_SHORT
-#: the part's own flags a BATCH record carries (the rest it implies)
-_PART_FLAGS = _FLAG_LITTLE_ENDIAN | _FLAG_RETRANSMISSION
-#: BATCH record flags beside the part's own two: seq is the previous
-#: record's + 1 and ts / ack are u8 steps from the previous record's, and
-#: the connection id and request number are present.  A verbatim
-#: record's first byte is 0x80 exactly.
+#: BATCH record flags beside the envelope's byte order: seq is the
+#: previous record's + 1 and ts / ack are u8 steps from the previous
+#: record's, and the connection id and request number are present
 _REC_DELTA = 0x04
 _REC_CONNECTION = 0x08
-_REC_VERBATIM = 0x80
 
 #: Byte offset of the flags field within the endianness-independent prefix
 #: (magic ``4s`` + version ``BB`` precede it).  Kept next to the codec so a
@@ -232,11 +220,6 @@ _ACK_SUMMARY_ENTRY = {
     True: struct.Struct("<IIQ"),
     False: struct.Struct(">IIQ"),
 }
-#: verbatim BATCH part record: 0x80 marker, full part length
-_BATCH_VERBATIM = {
-    True: struct.Struct("<BI"),
-    False: struct.Struct(">BI"),
-}
 
 
 def _record_layouts(little: bool) -> Tuple[Optional[struct.Struct], ...]:
@@ -247,11 +230,10 @@ def _record_layouts(little: bool) -> Tuple[Optional[struct.Struct], ...]:
     endianness."""
     e, endian_bit = ("<", _FLAG_LITTLE_ENDIAN) if little else (">", 0)
     table: list = [None] * 256
-    for retrans in (0, _FLAG_RETRANSMISSION):
-        for delta in (0, _REC_DELTA):
-            for conn in (0, _REC_CONNECTION):
-                table[endian_bit | retrans | delta | conn] = struct.Struct(
-                    e + "B" + ("BB" if delta else "IQQ") + ("IIIIQ" if conn else "") + "H")
+    for delta in (0, _REC_DELTA):
+        for conn in (0, _REC_CONNECTION):
+            table[endian_bit | delta | conn] = struct.Struct(
+                e + "B" + ("BB" if delta else "IQQ") + ("IIIIQ" if conn else "") + "H")
     return tuple(table)
 
 
@@ -267,18 +249,15 @@ _U16 = {True: struct.Struct("<H"), False: struct.Struct(">H")}
 _U32 = {True: struct.Struct("<I"), False: struct.Struct(">I")}
 #: wire value -> MessageType member (``MessageType(x)`` is far slower)
 _TYPE_BY_VALUE = {int(t): t for t in MessageType}
-_BATCH_VERBATIM_SIZE = _BATCH_VERBATIM[True].size
 #: byte offset of the type field, and the fused decode's two wire values
 _TYPE_OFFSET = 7
 _REGULAR = int(MessageType.REGULAR)
 _HEARTBEAT = int(MessageType.HEARTBEAT)
-#: header bytes 0:8 of a Regular that may take a BATCH Regular record:
-#: magic, version, the byte order's flag with or without retransmission,
-#: in either layout and either header form
+#: header bytes 0:8 of a Regular that may be a BATCH part: magic,
+#: version, the byte order's flag, in either layout and either header form
 _REGULAR_HEADS = {
-    little: tuple(MAGIC + bytes((VERSION_MAJOR, VERSION_MINOR, bit | more | form, _REGULAR))
-                  for more in (0, _FLAG_RETRANSMISSION, _FLAG_CONNECTIONLESS,
-                               _FLAG_RETRANSMISSION | _FLAG_CONNECTIONLESS)
+    little: tuple(MAGIC + bytes((VERSION_MAJOR, VERSION_MINOR, bit | layout | form, _REGULAR))
+                  for layout in (0, _FLAG_CONNECTIONLESS)
                   for form in _HEADER_REST)
     for little, bit in ((True, _FLAG_LITTLE_ENDIAN), (False, 0))}
 #: the Regular body's fixed prefix: connection id, request number, payload length
@@ -497,16 +476,16 @@ def encode(msg: FTMPMessage) -> bytes:
         delta_head_connection = _DELTA_HEAD_CONNECTION[little].pack
         full_head = _FULL_HEAD[little].pack
         full_head_connection = _FULL_HEAD_CONNECTION[little].pack
-        verbatim = _BATCH_VERBATIM[little]
+        rflags = _FLAG_LITTLE_ENDIAN if little else 0
         chunks = [b"", b""]  # back-filled below: header, part count
-        append, extend = chunks.append, chunks.extend
+        extend = chunks.extend
         # the previous record's seq / ts / ack; None before the first
         # part, which sets the header's (the record before it)
         prev_seq = prev_ts = prev_ack = None
         h.sequence_number = h.timestamp = h.ack_timestamp = 0
         for part in parts:
             n = len(part)
-            # where the payload starts: 0 while the part goes verbatim
+            # where the payload starts: 0 while the part is not a record
             start = 0
             short = n > _FLAGS_OFFSET and part[_FLAGS_OFFSET] & _FLAG_SHORT
             hs = SHORT_HEADER_SIZE if short else HEADER_SIZE
@@ -523,39 +502,32 @@ def encode(msg: FTMPMessage) -> bytes:
                         start, conn = hs, None
                     elif n >= hs + _REGULAR_PREFIX:
                         # the zero block has its own form: this one is
-                        # not what encode emits, and is kept verbatim
+                        # not what encode emits
                         conn = part[hs:hs + 24]
                         if (conn != _NO_CONNECTION_BYTES
                                 and u32(part, hs + 24)[0] == n - hs - _REGULAR_PREFIX):
                             start = hs + _REGULAR_PREFIX
-            if start and (plen := n - start) <= 0xFFFF:
-                if prev_seq is None:
-                    if seq:
-                        prev_seq = h.sequence_number = seq - 1
-                        prev_ts = h.timestamp = ts
-                        prev_ack = h.ack_timestamp = ack
-                    else:
-                        prev_seq = prev_ts = prev_ack = 0
-                rflags = part[6] & _PART_FLAGS
-                payload = part[start:]
-                if (seq == prev_seq + 1 and 0 <= (dts := ts - prev_ts) < 256
-                        and 0 <= (dack := ack - prev_ack) < 256):
-                    if conn is None:
-                        extend((delta_head(rflags | _REC_DELTA, dts, dack, plen), payload))
-                    else:
-                        extend((delta_head_connection(
-                            rflags | _REC_DELTA | _REC_CONNECTION, dts, dack, conn, plen),
-                            payload))
-                elif conn is None:
-                    extend((full_head(rflags, seq, ts, ack, plen), payload))
+            if not start or (plen := n - start) > 0xFFFF:
+                raise CodecError("a BATCH part must be a first-transmission Regular of the "
+                                 "envelope's source, group and byte order, as encode gives it")
+            if prev_seq is None:
+                prev_seq, prev_ts, prev_ack = (seq - 1, ts, ack) if seq else (0, 0, 0)
+                h.sequence_number, h.timestamp, h.ack_timestamp = prev_seq, prev_ts, prev_ack
+            payload = part[start:]
+            if (seq == prev_seq + 1 and 0 <= (dts := ts - prev_ts) < 256
+                    and 0 <= (dack := ack - prev_ack) < 256):
+                if conn is None:
+                    extend((delta_head(rflags | _REC_DELTA, dts, dack, plen), payload))
                 else:
-                    extend((full_head_connection(rflags | _REC_CONNECTION, seq, ts, ack, conn,
-                                                 plen), payload))
-                prev_seq, prev_ts, prev_ack = seq, ts, ack
-                continue
-            append(verbatim.pack(_REC_VERBATIM, n))
-            append(part if type(part) is bytes else bytes(part))
-            prev_seq, prev_ts, prev_ack = -2, 0, 0  # a delta needs a Regular record
+                    extend((delta_head_connection(
+                        rflags | _REC_DELTA | _REC_CONNECTION, dts, dack, conn, plen),
+                        payload))
+            elif conn is None:
+                extend((full_head(rflags, seq, ts, ack, plen), payload))
+            else:
+                extend((full_head_connection(rflags | _REC_CONNECTION, seq, ts, ack, conn,
+                                             plen), payload))
+            prev_seq, prev_ts, prev_ack = seq, ts, ack
         chunks[1] = _U16[little].pack(len(parts))
         chunks[0] = _packed_header(h, sum(map(len, chunks)))
         return b"".join(chunks)
@@ -626,17 +598,14 @@ def peek_header(data: _Buffer) -> FTMPHeader:
 def _decode_batch(h: FTMPHeader, data: _Buffer, little: bool, pos: int) -> BatchMessage:
     """Unpack a Batch envelope whose body starts at ``pos``: every part's
     full encoding, rebuilt byte for byte in the header form
-    :func:`encode` gives its fields, and — when every record is a Regular
-    record, what the send path coalesces — each part's message, built in
+    :func:`encode` gives its fields, and each part's message, built in
     the same pass.
 
     One reader over one buffer; the header's seq / ts / ack are the
-    record before the first.  A record that cannot be framed (flags byte
-    opening no record, a delta record right after a verbatim one, a
-    sequence number carried past 0xFFFFFFFF or a timestamp past
-    2**64 - 1, a length past the end) raises :class:`CodecError`; a
-    verbatim part is copied as it came, left to the receive path, and
-    ends the in-pass decode.  A rebuilt Regular passes every check
+    record before the first.  A record that cannot be framed (a flags
+    byte opening no Regular record, a sequence number carried past
+    0xFFFFFFFF or a timestamp past 2**64 - 1, a length past the end)
+    raises :class:`CodecError`.  A rebuilt Regular passes every check
     :func:`decode` makes — magic, size field, payload bound, endianness
     bit hold by construction — so ``decoded[i] == decode(parts[i])``
     field for field.
@@ -647,30 +616,18 @@ def _decode_batch(h: FTMPHeader, data: _Buffer, little: bool, pos: int) -> Batch
     (count,) = _U16[little].unpack_from(data, pos)
     pos += 2
     layouts = _RECORD_LAYOUTS[little]
-    verbatim = _BATCH_VERBATIM[little]
     source, group = h.source, h.group
     short_ids = source <= 0xFFFF and group <= 0xFFFF
     regular = MessageType.REGULAR
+    pflags = _FLAG_LITTLE_ENDIAN if little else 0
     parts = []
-    decoded: Optional[list] = []
-    # the previous record's; seq -1: a verbatim record, no predecessor
+    decoded = []
+    # the previous record's
     seq, ts, ack = h.sequence_number, h.timestamp, h.ack_timestamp
     for _ in range(count):
         if pos >= n:
             raise CodecError("truncated batch record")
         rflags = data[pos]
-        if rflags == _REC_VERBATIM:
-            if pos + _BATCH_VERBATIM_SIZE > n:
-                raise CodecError("truncated batch record")
-            _marker, plen = verbatim.unpack_from(data, pos)
-            pos += _BATCH_VERBATIM_SIZE
-            if pos + plen > n:
-                raise CodecError("truncated batch part")
-            parts.append(bytes(data[pos:pos + plen]))
-            pos += plen
-            decoded = None
-            seq = -1
-            continue
         layout = layouts[rflags]
         if layout is None:
             raise CodecError(f"bad batch record flags {rflags:#04x}")
@@ -679,8 +636,6 @@ def _decode_batch(h: FTMPHeader, data: _Buffer, little: bool, pos: int) -> Batch
             raise CodecError("truncated batch record")
         connection = rflags & _REC_CONNECTION
         if rflags & _REC_DELTA:
-            if seq < 0:
-                raise CodecError("batch delta record follows no Regular record")
             seq += 1
             if connection:
                 _f, dts, dack, cd, cg, sd, sg, req, plen = layout.unpack_from(data, pos)
@@ -698,39 +653,37 @@ def _decode_batch(h: FTMPHeader, data: _Buffer, little: bool, pos: int) -> Batch
         if pos > n:
             raise CodecError("truncated batch part")
         payload = bytes(data[body:pos])
-        pflags = rflags & _PART_FLAGS
         # the part's header form: what encode gives these fields
         size = plen + (_REGULAR_PREFIX if connection else 0)
         last = ts - ack
         if ts <= 0xFFFFFFFF and 0 <= last <= 0xFF and short_ids:
-            pflags |= _FLAG_SHORT
+            form = pflags | _FLAG_SHORT
             size += SHORT_HEADER_SIZE
             field = b""
         else:
+            form = pflags
             last = ack
             field = size = size + HEADER_SIZE
         try:
             if connection:
-                parts.append(_HDR_REGULAR[pflags & _FORM].pack(
-                    MAGIC, VERSION_MAJOR, VERSION_MINOR, pflags, _REGULAR, field, source,
+                parts.append(_HDR_REGULAR[form].pack(
+                    MAGIC, VERSION_MAJOR, VERSION_MINOR, form, _REGULAR, field, source,
                     group, seq, ts, last, cd, cg, sd, sg, req, plen) + payload)
             else:
-                parts.append(_HDR[pflags & _FORM].pack(
-                    MAGIC, VERSION_MAJOR, VERSION_MINOR, pflags | _FLAG_CONNECTIONLESS,
+                parts.append(_HDR[form].pack(
+                    MAGIC, VERSION_MAJOR, VERSION_MINOR, form | _FLAG_CONNECTIONLESS,
                     _REGULAR, field, source, group, seq, ts, last) + payload)
         except struct.error:
             # only a delta record's steps can carry a field past its width
             raise CodecError("batch record sequence number past 0xFFFFFFFF"
                              if seq > 0xFFFFFFFF else
                              "batch record timestamp past 2**64 - 1") from None
-        if decoded is not None:
-            decoded.append(RegularMessage(
-                FTMPHeader(regular, source, group, seq, ts, ack,
-                           bool(pflags & _FLAG_RETRANSMISSION), little, size,
-                           MAGIC, _VERSION),
-                ConnectionId(cd, cg, sd, sg) if cd or cg or sd or sg else _NO_CONNECTION,
-                req, payload))
-    return BatchMessage(h, tuple(parts), None if decoded is None else tuple(decoded))
+        decoded.append(RegularMessage(
+            FTMPHeader(regular, source, group, seq, ts, ack, False, little, size,
+                       MAGIC, _VERSION),
+            ConnectionId(cd, cg, sd, sg) if cd or cg or sd or sg else _NO_CONNECTION,
+            req, payload))
+    return BatchMessage(h, tuple(parts), tuple(decoded))
 
 
 def decode(data: _Buffer) -> FTMPMessage:

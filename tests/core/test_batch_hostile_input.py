@@ -2,26 +2,26 @@
 
 A BATCH datagram is the one FTMP message whose body is other messages, so
 it is where a sender chooses how much work one datagram costs its
-receivers — and since the codec decodes Regular records in the
-envelope's pass (``BatchMessage.decoded``) and RMP / ROMP take them as a
-run, it is also where a second way through the receiver begins.  Records
-are laid out by hand here so that every fault can be planted where
-``encode`` would never put it: a delta record right after a verbatim
-one, a sequence number carried past 0xFFFFFFFF or a timestamp past
-2**64 - 1, a length past the end, a flags byte opening no record, and
-verbatim parts the receive path must refuse.  Whatever arrives:
+receivers — and since the codec decodes its records in the envelope's
+pass (``BatchMessage.decoded``) and RMP / ROMP take them as a run, it is
+also where a second way through the receiver begins.  A BATCH holds one
+sender's first-transmission Regulars and nothing else.  Records are laid
+out by hand here so that every fault can be planted where ``encode``
+would never put it: a sequence number carried past 0xFFFFFFFF or a
+timestamp past 2**64 - 1, a length past the end, and a flags byte
+opening no record — among them the 0x80 "verbatim" record, which once
+carried any other part, and the retransmission bit records once had.
+Whatever arrives:
 
-* ``CodecError`` (counted by the stack as a decode error) or a counted
-  per-part drop — nothing else escapes ``FTMPStack._on_datagram``, one bad
-  verbatim part costs that part only, and the reader's work is bounded by
-  the bytes present;
-* the in-pass decode accepts and rejects exactly what the record loop
-  does without it, with the same parts, and wherever it yields a message
-  that message equals ``decode(part)`` of the rebuilt part field for
-  field, ``bytes`` payload included when the datagram was a ``memoryview``;
+* ``CodecError``, counted once by the stack as a decode error for the
+  whole datagram — nothing else escapes ``FTMPStack._on_datagram``, and
+  the reader's work is bounded by the bytes present;
+* wherever the decode yields a message, that message equals
+  ``decode(part)`` of the rebuilt part field for field, ``bytes``
+  payload included when the datagram was a ``memoryview``;
 * a receiver fed the datagrams ends in the same state, counters and
-  deliveries as one that was denied the in-pass decode and so took every
-  part one by one.
+  deliveries as one whose RMP took none of each run, and so routed
+  every part one by one.
 """
 
 import struct
@@ -40,6 +40,7 @@ from repro.core.messages import (
     HeartbeatMessage,
     RegularMessage,
 )
+from repro.core.rmp import RMP
 from repro.core.wire import CodecError, decode, decode_view, encode
 from repro.simnet import Network, lan
 
@@ -83,6 +84,8 @@ def record(e, *, seq=0, ts=0, ack=0, payload=b"", cid=(0, 0, 0, 0), req=0, flags
 
 
 def verbatim(part, e, *, plen=None, marker=VERBATIM):
+    """The record a part of any kind once took: 0x80, u32 length, the
+    part as it came.  It opens no record now."""
     return struct.pack(e + "BI", marker, len(part) if plen is None else plen) + part
 
 
@@ -127,8 +130,8 @@ def _regular(flags=0, delta=True):
 
 def _delta(e, seq, ts, p, prev):
     # a delta record whatever came before: its seq is the predecessor's
-    # + 1 and its steps are what they can be of the ts drawn, and with
-    # no predecessor it is a framing fault
+    # + 1 and its steps are what they can be of the ts drawn; with no
+    # known predecessor (after a record that opens none) any steps do
     cid, req = connection_of(p)
     if prev is None:
         return record(e, payload=p, cid=cid, req=req, delta=(1, 0)), None
@@ -148,7 +151,7 @@ def below_the_orb(seq, ts, e, payload=b"x"):
 
 def zero_block(seq, ts, e, payload=b"x"):
     """The same in the 68 B layout, connection block all zero: it decodes,
-    but ``encode`` never emits it, so a BATCH carries it verbatim."""
+    but ``encode`` never emits it, so no BATCH carries it."""
     return struct.pack(e + "4sBBBBIIIIQQ24xI", MAGIC, VERSION_MAJOR, VERSION_MINOR,
                        LITTLE if e == "<" else 0, int(MessageType.REGULAR),
                        68 + len(payload), SENDER, GROUP, seq, ts, 0, len(payload)) + payload
@@ -157,7 +160,7 @@ def zero_block(seq, ts, e, payload=b"x"):
 def full_header(seq, ts, e, payload=b"x"):
     """A Regular below the ORB in the 40 B header whatever its fields: it
     decodes, but where they fit the 21 B header ``encode`` never emits
-    it, so a BATCH carries it verbatim."""
+    it, so no BATCH carries it."""
     return struct.pack(e + "4sBBBBIIIIQQ", MAGIC, VERSION_MAJOR, VERSION_MINOR,
                        (LITTLE if e == "<" else 0) | 0x04, int(MessageType.REGULAR),
                        40 + len(payload), SENDER, GROUP, seq, ts, 0) + payload
@@ -176,7 +179,8 @@ def _verbatim(**kw):
 
 
 def _verbatim_part(damage):
-    """A verbatim record of a Regular ``damage(bytearray)`` has spoiled."""
+    """A former verbatim record of a Regular ``damage(bytearray)`` has
+    spoiled."""
     def build(e, seq, ts, p, prev):
         part = bytearray(full_regular(seq, ts, e, payload=p))
         damage(part, e)
@@ -207,16 +211,18 @@ def _framing(build):
 
 #: record kind -> builder(e, seq, ts, payload, prev) -> (bytes, prev after),
 #: where ``prev`` is the (seq, ts, ack) a delta record would extend: the
-#: envelope header's at the start of a datagram, None after a verbatim
-#: record.  The first row is what the send path coalesces; every other
+#: envelope header's at the start of a datagram, None after a record that
+#: opens none.  The first row is what the send path coalesces; every other
 #: one a way for a record to be different
 RECORDS = {
     "regular": _regular(),
-    "retransmitted": _regular(flags=RETRANSMISSION),
     "full": _regular(delta=False),  # a full record that could be a delta
     "delta": _delta,
-    # verbatim parts: the receive path decodes each, and drops and counts
-    # what it must not take
+    # a record with the retransmission bit records once had
+    "retransmitted": lambda e, seq, ts, p, prev: (_regular(flags=RETRANSMISSION)(
+        e, seq, ts, p, prev)[0], None),
+    # the former verbatim record, around every kind of part it once
+    # carried: each is a decode error for the whole datagram
     "verbatim": _verbatim(),
     "verbatim_retransmitted": _verbatim(retransmission=True),
     "verbatim_foreign_source": _verbatim(source=9),
@@ -255,10 +261,10 @@ RECORDS = {
         lambda e, seq, ts, p: verbatim(full_regular(seq, ts, e, payload=p), e,
                                        plen=0xFFFFFF)),
 }
-#: kinds the in-pass decode takes: a datagram of these alone has a run
-RUN_KINDS = ("regular", "retransmitted", "full", "delta")
-#: kinds stored verbatim: the in-pass decode leaves the batch to the
-#: receive path part by part
+#: the kinds a BATCH holds: a datagram of these alone decodes
+RUN_KINDS = ("regular", "full", "delta")
+#: the parts the verbatim record once carried, and the receive path
+#: decoded one by one
 VERBATIM_KINDS = ("verbatim", "verbatim_retransmitted", "verbatim_foreign_source",
                   "verbatim_foreign_group", "verbatim_connectionless",
                   "verbatim_zero_block", "verbatim_full_header", "ack_step_past_ts",
@@ -290,8 +296,9 @@ def head_of(kind, seq, ts):
 def sessions(draw, max_datagrams=1, peer=False):
     """BATCH datagrams one sender might emit in turn, each a ``(raw,
     record kinds, envelope intact)`` triple; sequence numbers start at 2
-    and timestamps at 10.  Delta, full and verbatim records mix, on the
-    base ``encode`` puts in the envelope header or another.  With
+    and timestamps at 10.  Delta and full records mix with records a
+    BATCH no longer holds, on the base ``encode`` puts in the envelope
+    header or another.  With
     ``peer``, PEER's heartbeats come in between: how far it has been
     heard is what lets the ordering gate deliver — and its
     acknowledgements, stability move — part of the way into a batch."""
@@ -345,16 +352,10 @@ def decoded_or_error(data):
         return str(exc)
 
 
-def without_in_pass_decode():
-    """The codec without the in-pass decode: a batch comes with its parts
-    only, and the receive path takes them one by one."""
-    decode_batch = wire._decode_batch
-
-    def parts_only(*args):
-        batch = decode_batch(*args)
-        return BatchMessage(batch.header, batch.parts)
-
-    return mock.patch.object(wire, "_decode_batch", parts_only)
+def part_by_part():
+    """The receive path with RMP taking none of any run: it routes every
+    part of a batch one by one."""
+    return mock.patch.object(RMP, "on_run", lambda rmp, run, raws: 0)
 
 
 # ----------------------------------------------------------------------
@@ -367,21 +368,13 @@ def without_in_pass_decode():
 def test_in_pass_decode_is_the_record_loop_and_decode_of_each_part(session, buffer):
     (raw, kinds, intact), = session
     got = decoded_or_error(buffer(raw))
-    with without_in_pass_decode():
-        want = decoded_or_error(buffer(raw))
-    # same verdict, named the same; same parts, byte for byte
-    assert got == want
     if isinstance(got, str):
         return
-    assert all(type(p) is bytes for p in got.parts)
-    assert want.decoded is None
-    if got.decoded is None:
-        # declined: some record is verbatim
-        assert not intact or not all(k in RUN_KINDS for k in kinds)
-        assert not intact or any(k in VERBATIM_KINDS for k in kinds[:len(got.parts)])
-        return
-    if intact and kinds:
+    # whatever decodes is records of the kinds a BATCH holds, and each
+    # part comes with its message
+    if intact:
         assert all(k in RUN_KINDS for k in kinds[:len(got.parts)])
+    assert all(type(p) is bytes for p in got.parts)
     assert len(got.decoded) == len(got.parts)
     for message, part in zip(got.decoded, got.parts):
         assert message == decode(part)
@@ -447,7 +440,7 @@ def test_nothing_escapes_and_the_run_path_ends_where_part_by_part_does(session, 
     (fast, fast_l, fast_net), (slow, slow_l, slow_net) = receiver(), receiver()
     for raw, _kinds, _intact in session:
         fast._on_datagram(buffer(raw))  # must not raise, whatever ``raw`` is
-        with without_in_pass_decode():
+        with part_by_part():
             slow._on_datagram(buffer(raw))
         assert state_of(fast, fast_l) == state_of(slow, slow_l)
     # and after the NACK / heartbeat timers the datagrams armed have run
@@ -460,52 +453,38 @@ def counter(stack, name):
     return stack.snapshot()[f"group.{GROUP}.{name}"]
 
 
-#: kind -> what the receiver counts for one such record between two good
-#: ones: (batch_decode_errors, messages_unbatched beyond the two)
-ONE_BAD_PART = {
-    "unknown_type": (1, 0),
-    "endianness_flipped": (1, 0),
-    "payload_past_body": (1, 0),
-    "payload_length_huge": (1, 0),
-    "body_short_of_regular_prefix": (1, 0),
-    "nested_batch": (1, 0),
-    "ack_step_past_ts": (1, 0),
-    # a part is the envelope's sender's message to the envelope's group
-    "verbatim_foreign_source": (1, 0),
-    "verbatim_foreign_group": (1, 0),
-    "heartbeat": (0, 1),  # not an error: a heartbeat, handled as one
-    # not errors: this source's message, in either Regular layout and
-    # either header form, handled as one (the second seq 3 is then a
-    # duplicate)
-    "verbatim_connectionless": (0, 1),
-    "verbatim_zero_block": (0, 1),
-    "verbatim_full_header": (0, 1),
-}
-
-
 @pytest.mark.parametrize("e", "<>")
-@pytest.mark.parametrize("kind", sorted(ONE_BAD_PART))
-def test_one_bad_part_costs_that_part_only(kind, e):
-    errors, extra = ONE_BAD_PART[kind]
+@pytest.mark.parametrize("kind", VERBATIM_KINDS)
+def test_one_bad_part_costs_the_datagram(kind, e):
+    # between two good records: the record it takes opens none, and the
+    # receiver counts one decode error for the datagram and takes nothing
+    # of it
     stack, listener, net = receiver()
     good = RECORDS["regular"]
     raw = envelope([good(e, 2, 11, b"a", None)[0], RECORDS[kind](e, 3, 12, b"b", None)[0],
                     good(e, 3, 13, b"c", None)[0]], e)
+    for data in (raw, memoryview(raw)):
+        with pytest.raises(CodecError, match="bad batch record flags 0x80"):
+            decode(data)
     stack._on_datagram(raw)
-    assert counter(stack, "batch.batches_received") == 1
-    assert counter(stack, "batch.batch_decode_errors") == errors
-    assert counter(stack, "batch.messages_unbatched") == 2 + extra
-    assert counter(stack, "rmp.delivered") == 1 + 2
-    assert stack.snapshot()["stack.decode_errors"] == 0
-    assert stack._groups[GROUP].rmp.sources()[SENDER].next_seq == 4
+    assert stack.snapshot()["stack.decode_errors"] == 1
+    assert counter(stack, "batch.batches_received") == 0
+    assert counter(stack, "batch.messages_unbatched") == 0
+    assert counter(stack, "rmp.delivered") == 1
+    assert stack._groups[GROUP].rmp.sources()[SENDER].next_seq == 2
 
 
-@pytest.mark.parametrize("kind", ["body_length_past_end", "verbatim_length_past_end"])
-def test_a_record_running_past_the_datagram_is_a_decode_error(kind):
+@pytest.mark.parametrize("kind, message", [
+    ("body_length_past_end", "truncated batch part"),
+    # the former verbatim record's own length: its flags byte opens no
+    # record before the length is read
+    ("verbatim_length_past_end", "bad batch record flags 0x80"),
+])
+def test_a_record_running_past_the_datagram_is_a_decode_error(kind, message):
     stack, listener, net = receiver()
     raw = envelope([RECORDS["regular"]("<", 2, 11, b"a", None)[0],
                     RECORDS[kind]("<", 3, 12, b"b", None)[0]])
-    with pytest.raises(CodecError, match="truncated batch part"):
+    with pytest.raises(CodecError, match=message):
         decode(raw)
     stack._on_datagram(raw)
     assert stack.snapshot()["stack.decode_errors"] == 1
@@ -526,7 +505,12 @@ FRAMING_FAULTS = {
     "follows_after_verbatim": (
         lambda e: [verbatim(full_regular(2, 11, e), e),
                    record(e, payload=b"b", delta=(1, 0))],
-        "batch delta record follows no Regular record"),
+        "bad batch record flags 0x80"),
+    # records have no retransmission bit: a BATCH carries first
+    # transmissions only
+    "retransmission_bit": (
+        lambda e: [_good(e), record(e, seq=3, ts=12, payload=b"b", flags=RETRANSMISSION)],
+        "bad batch record flags 0x0[23]"),
     "seq_past_u32": (
         lambda e: [record(e, seq=0xFFFFFFFF, ts=11, payload=b"a"),
                    record(e, payload=b"b", delta=(1, 0))],
@@ -583,22 +567,29 @@ def test_a_record_that_cannot_be_framed_is_a_decode_error(fault, e):
 
 @pytest.mark.parametrize("e", "<>")
 def test_work_is_bounded_by_the_bytes_present(e):
-    # every record the reader frames takes at least 5 bytes (a verbatim
-    # header or a delta record's head), or the datagram is an error: the
-    # part count cannot make it read past what arrived
+    # every record the reader frames takes at least 5 bytes (a delta
+    # record's head), or the datagram is an error: the part count cannot
+    # make it read past what arrived
     layouts = [layout for layout in wire._RECORD_LAYOUTS[e == "<"] if layout is not None]
     assert min(layout.size for layout in layouts) == 5
-    assert len(layouts) == 8  # endianness fixed; retransmission x delta x connection
+    assert len(layouts) == 4  # endianness fixed; delta x connection
     raw = envelope([_good(e)], e, count=0xFFFF)
     with pytest.raises(CodecError, match="truncated batch record"):
         decode(raw)
 
 
 def test_parts_naming_another_group_do_not_move_the_senders_stream():
-    # two verbatim Regulars headed for another group, numbered 1 and 2,
-    # inside an envelope for this one: fed to this group they were
-    # delivered here and took SENDER's numbers 1 and 2, so its real first
-    # two messages were discarded as duplicates and never asked for again
+    # two Regulars headed for another group, numbered 1 and 2, inside an
+    # envelope for this one: once fed to this group they took SENDER's
+    # numbers 1 and 2, so its real first two messages were discarded as
+    # duplicates and never asked for again.  Such a part has no record:
+    # the datagram is refused whole
+    foreign = [full_regular(seq, 100 + seq, "<", group=GROUP + 1, payload=b"foreign-%d" % seq)
+               for seq in (1, 2)]
+    with pytest.raises(CodecError, match="BATCH part"):
+        encode(BatchMessage(FTMPHeader(MessageType.BATCH, source=SENDER, group=GROUP,
+                                       sequence_number=0, timestamp=0, ack_timestamp=0),
+                            tuple(foreign)))
     net = Network(lan(), seed=1)
     stacks, listeners = {}, {}
     for p in (1, SENDER, PEER):
@@ -606,33 +597,36 @@ def test_parts_naming_another_group_do_not_move_the_senders_stream():
         stacks[p] = FTMPStack(net.endpoint(p), FTMPConfig(), listeners[p])
         stacks[p].create_group(GROUP, ADDRESS, (1, SENDER, PEER))
     net.run_for(0.05)
-    stacks[1]._on_datagram(envelope([
-        verbatim(full_regular(seq, 100 + seq, "<", group=GROUP + 1,
-                              payload=b"foreign-%d" % seq), "<") for seq in (1, 2)]))
+    stacks[1]._on_datagram(envelope([verbatim(part, "<") for part in foreign]))
     for payload in (b"real-1", b"real-2"):
         stacks[SENDER].multicast(GROUP, payload)
     net.run_for(0.2)
     for p in (1, SENDER, PEER):
         assert [d.payload for d in listeners[p].deliveries] == [b"real-1", b"real-2"], p
-    assert counter(stacks[1], "batch.batch_decode_errors") == 2
+    assert stacks[1].snapshot()["stack.decode_errors"] == 1
     assert counter(stacks[1], "batch.messages_unbatched") == 0
     assert counter(stacks[1], "rmp.duplicates") == 0
     assert stacks[1]._groups[GROUP].rmp.sources()[SENDER].next_seq == 3
 
 
 def test_nested_batch_is_dropped_and_counted_not_recursed_into():
-    # 1,276 envelopes, each the single (verbatim) part of the next, fit
-    # one 59,998 byte datagram; following them was a RecursionError out
-    # of FTMPStack._on_datagram
+    # 1,276 envelopes, each the single part of the next, fit one 59,998
+    # byte datagram; following them was a RecursionError out of
+    # FTMPStack._on_datagram.  ``encode`` refuses to nest, and the
+    # receiver stops at the outer envelope's first record
     def wrap(parts):
-        return encode(BatchMessage(
-            FTMPHeader(MessageType.BATCH, source=SENDER, group=GROUP, sequence_number=0,
-                       timestamp=0, ack_timestamp=0), tuple(parts)))
+        return envelope([verbatim(part, "<") for part in parts])
 
+    with pytest.raises(CodecError, match="BATCH part"):
+        encode(BatchMessage(FTMPHeader(MessageType.BATCH, source=SENDER, group=GROUP,
+                                       sequence_number=0, timestamp=0, ack_timestamp=0),
+                            (wrap([]),)))
     raw, depth = wrap([]), 1
     while len(bigger := wrap([raw])) <= 59_999:
         raw, depth = bigger, depth + 1
     assert depth > 1000
+    with pytest.raises(CodecError, match="bad batch record flags 0x80"):
+        decode(raw)
     net = Network(lan(), seed=1)
     stacks, listeners = {}, {}
     for p in (1, SENDER):
@@ -641,8 +635,8 @@ def test_nested_batch_is_dropped_and_counted_not_recursed_into():
         stacks[p].create_group(GROUP, ADDRESS, (1, SENDER))
     net.run_for(0.05)
     stacks[1]._on_datagram(raw)
-    assert counter(stacks[1], "batch.batches_received") == 1
-    assert counter(stacks[1], "batch.batch_decode_errors") == 1
+    assert stacks[1].snapshot()["stack.decode_errors"] == 1
+    assert counter(stacks[1], "batch.batches_received") == 0
     assert counter(stacks[1], "batch.messages_unbatched") == 0
     # the receiver is still a working member
     stacks[SENDER].multicast(GROUP, b"after")

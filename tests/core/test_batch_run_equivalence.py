@@ -2,9 +2,9 @@
 the same datagram taken part by part.
 
 The same seeded simnet run is made twice: once as shipped, and once with
-the codec's in-pass part decode switched off, which leaves the receive
-path nothing to hand RMP as a run — every part then goes one by one, as
-every part did before the run path existed.  The application is as
+``RMP.on_run`` taking none of the run it is handed, so that the receive
+path routes every part one by one, as every part went before the run
+path existed.  The application is as
 awkward as the stack allows: listeners multicast from inside
 ``on_deliver`` (a send stamped in the middle of a run carries the clock
 and the acknowledgement of that moment), one adds a processor from
@@ -16,11 +16,9 @@ transmits, with its time, and every upcall must be identical.
 """
 
 import random
-from contextlib import nullcontext
 from unittest import mock
 
 import pytest
-from test_batch_hostile_input import without_in_pass_decode
 
 from repro.core import FTMPConfig, FTMPStack, RecordingListener
 from repro.core.rmp import RMP
@@ -43,7 +41,7 @@ class Reactive(RecordingListener):
         self._act(self.pid, len(self.deliveries), delivery)
 
 
-def run_once(seed, in_pass_decode):
+def run_once(seed, as_runs):
     wire_log, runs = [], []
     transmit, on_run = FTMPStack.transmit, RMP.on_run
 
@@ -52,7 +50,7 @@ def run_once(seed, in_pass_decode):
         transmit(self, address, raw)
 
     def counting_on_run(self, run, raws):
-        taken = on_run(self, run, raws)
+        taken = on_run(self, run, raws) if as_runs else 0
         runs.append((len(run), taken))
         return taken
 
@@ -82,8 +80,7 @@ def run_once(seed, in_pass_decode):
             stacks[pid].multicast(GROUP, b"%d:%d" % (pid, index))
 
     with mock.patch.object(FTMPStack, "transmit", logging_transmit), \
-            mock.patch.object(RMP, "on_run", counting_on_run), \
-            nullcontext() if in_pass_decode else without_in_pass_decode():
+            mock.patch.object(RMP, "on_run", counting_on_run):
         for p in FOUNDERS:
             listeners[p] = Reactive(p, act)
             stacks[p] = FTMPStack(net.endpoint(p), cfg, listeners[p])
@@ -110,9 +107,10 @@ def run_once(seed, in_pass_decode):
 # stream (seed 4 lost its cut to the head cover's heartbeats).
 @pytest.mark.parametrize("seed", [2, 5])
 def test_runs_leave_the_wire_and_the_upcalls_as_part_by_part_does(seed):
-    wire_log, upcalls, counters, runs = run_once(seed, in_pass_decode=True)
-    ref_wire, ref_upcalls, ref_counters, ref_runs = run_once(seed, in_pass_decode=False)
-    assert not ref_runs  # the reference really went part by part
+    wire_log, upcalls, counters, runs = run_once(seed, as_runs=True)
+    ref_wire, ref_upcalls, ref_counters, ref_runs = run_once(seed, as_runs=False)
+    # the reference really went part by part
+    assert ref_runs and not any(taken for _, taken in ref_runs)
     assert upcalls == ref_upcalls
     assert counters == ref_counters
     assert len(wire_log) == len(ref_wire)

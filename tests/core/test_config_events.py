@@ -62,6 +62,8 @@ def test_config_rejects_a_self_rearming_period_that_would_spin(knobs, period, va
     ("suspect_timeout", 0, "must be positive"),
     ("suspect_timeout", -0.06, "must be positive"),
     ("batch_max_bytes", 0, "must be positive"),
+    # a BATCH record's u16 payload length could not state a bigger part
+    ("batch_max_bytes", 0x10000, "must be at most 65535"),
     ("overlay_fanout", 0, "must be positive"),
     ("nack_backoff_factor", 0.5, "must be at least 1.0"),
 ])

@@ -175,3 +175,24 @@ def test_duplicate_detector_out_of_order_watermark():
     for n in (1, 2, 3):
         assert d.is_duplicate(CID, n, "request")
     assert d.seen_count(CID, "request") == 3
+
+
+def test_duplicate_detector_holds_no_sparse_set_once_in_order():
+    # in order, the watermark moves alone; out of order, the set lives
+    # only until the watermark has caught up with it
+    d = DuplicateDetector()
+    for n in range(1, 1001):
+        assert not d.is_duplicate(CID, n, "request")
+    assert d._sparse == {}
+    assert d.seen(CID, 1000, "request") and not d.seen(CID, 1001, "request")
+    assert d.seen_count(CID, "request") == 1000
+    for n in (3, 1):
+        assert not d.is_duplicate(CID, n, "reply")
+    assert d._sparse == {(CID, "reply"): {3}}
+    assert d.seen(CID, 3, "reply") and not d.seen(CID, 2, "reply")
+    assert d.seen_count(CID, "reply") == 2
+    assert not d.is_duplicate(CID, 2, "reply")
+    assert d._sparse == {}
+    assert d.seen_count(CID, "reply") == 3
+    assert all(d.is_duplicate(CID, n, "reply") for n in (1, 2, 3))
+    assert d.duplicates_suppressed == 3

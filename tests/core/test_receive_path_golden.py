@@ -60,6 +60,5 @@ def test_batched_scenarios_pin_batch_reception(golden, mode, scenario):
     assert total("batch.messages_unbatched") >= 0.7 * total("rmp.delivered")
     assert total("batch.messages_unbatched") >= 4 * total("batch.batches_received")
     assert total("flow.sends_released") > 0
-    assert total("batch.batch_decode_errors") == 0
     if scenario == "saturate":
         assert total("rmp.nacks_sent") > 0

@@ -21,10 +21,11 @@ goes through ``on_message`` one by one), the reference gets every message
 one by one, and the ordering layer's double enters its gate after chosen
 messages — where it records where RMP stands, and may drop or re-base
 the source or stop the group, as a delivered membership change would.
-Gaps and retransmitted copies inside the run, a batch delivered twice,
+Gaps and earlier numbers inside the run, a batch delivered twice,
 heartbeats ahead, parked messages and armed NACK timers between batches
 all have to come out the same, and a run that is declined must have
-touched nothing.
+touched nothing.  A run holds no retransmitted copy: a BATCH carries
+first transmissions only, and a copy arrives on its own.
 """
 
 from dataclasses import asdict
@@ -123,12 +124,11 @@ def heartbeat(src, seq, ts):
 
 SOURCES = st.sampled_from([1, 3])
 #: one message of a batch: the next in sequence, one that skips ahead
-#: (a gap inside the run), or an earlier one again, flagged or not
+#: (a gap inside the run), or an earlier one again
 BATCH_ITEMS = st.one_of(
     st.just(("next",)), st.just(("next",)), st.just(("next",)), st.just(("next",)),
     st.tuples(st.just("skip"), st.integers(1, 2)),
-    st.tuples(st.just("again"), st.integers(0, 3), st.booleans()),
-    st.tuples(st.just("flagged"),),  # in sequence, but a retransmitted copy
+    st.tuples(st.just("again"), st.integers(0, 3)),
 )
 #: what a delivery out of the gate may do to RMP in mid-run
 GATE_ACTIONS = {
@@ -190,19 +190,19 @@ def state_of(rmp, ctx):
 @example([("next", 1), ("batch", 1, [("next",)] * 5, {1}, "drop")])
 # the group stopped in mid-run: nothing after that message is taken
 @example([("next", 3), ("batch", 3, [("next",)] * 4, {0, 2}, "stop"), ("next", 3)])
-# a rejoined source's in-sequence message 2 arrives as a retransmitted
-# copy while our answer to a request for its old message 2 is pending
+# a rejoined source's in-sequence message 2 arrives in a batch while our
+# answer to a request for its old message 2 is pending
 @example([("next", 1), ("next", 1), ("drop", 1), ("next", 1), ("request", 1, 0, 1),
-          ("batch", 1, [("flagged",)], set(), None)])
-# a gap and a retransmitted copy inside the run, then the batch again
-@example([("next", 1), ("batch", 1, [("next",), ("next",), ("skip", 1), ("flagged",)], {0}, None),
+          ("batch", 1, [("next",)], set(), None)])
+# a gap and an earlier number inside the run, then the batch again
+@example([("next", 1), ("batch", 1, [("next",), ("next",), ("skip", 1), ("again", 0)], {0}, None),
           ("rebatch", 1), ("wait", 0.01)])
 def test_in_order_shortcut_matches_reference_model(steps):
     fast_ctx, ref_ctx = RecordingContext(), RecordingContext()
     fast, ref = RMP(fast_ctx), ReferenceRMP(ref_ctx)
     fast_ctx.rmp, ref_ctx.rmp = fast, ref
     sent = {1: 0, 3: 0}  # highest seq each source has "sent" so far
-    last_batch = {1: [], 3: []}  # (seq, retransmission) of its latest batch
+    last_batch = {1: [], 3: []}  # the seqs of its latest batch
     for step in steps:
         fast_ctx.stopped = ref_ctx.stopped = False
         if step[0] == "wait":
@@ -224,7 +224,7 @@ def test_in_order_shortcut_matches_reference_model(steps):
             src = step[1]
             if step[0] == "batch":
                 last_batch[src] = shape = batch_shape(sent, src, step[2])
-                gates = {(src, shape[i][0]): GATE_ACTIONS[step[4] if n == 0 else None]
+                gates = {(src, shape[i]): GATE_ACTIONS[step[4] if n == 0 else None]
                          for n, i in enumerate(sorted(k for k in step[3] if k < len(shape)))}
             else:
                 shape, gates = last_batch[src], {}
@@ -258,15 +258,15 @@ def test_in_order_shortcut_matches_reference_model(steps):
 
 
 def batch_shape(sent, src, items):
-    """The (seq, retransmission flag) of each message of a batch, the
-    sender's counter moved on past the new ones."""
+    """The seq of each message of a batch, the sender's counter moved on
+    past the new ones."""
     shape = []
     for item in items:
         if item[0] == "again":
-            shape.append((max(1, sent[src] - item[1]), item[2]))
+            shape.append(max(1, sent[src] - item[1]))
             continue
         sent[src] += 1 + (item[1] if item[0] == "skip" else 0)
-        shape.append((sent[src], item[0] == "flagged"))
+        shape.append(sent[src])
     return shape
 
 
@@ -274,7 +274,7 @@ def deliver_batch(rmp, ctx, src, shape, as_run):
     """One BATCH datagram as ``ReceivePath`` routes it: the run entry
     first (``as_run``), whatever it left part by part — unless the group
     was stopped on the way."""
-    run = [regular(src, seq, retransmission=flag) for seq, flag in shape]
+    run = [regular(src, seq) for seq in shape]
     taken = 0
     if as_run:
         before = repr(state_of(rmp, ctx))

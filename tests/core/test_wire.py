@@ -333,9 +333,10 @@ def test_a_short_connectionless_regulars_payload_is_the_rest_of_the_datagram(lit
 
 
 @pytest.mark.parametrize("little", [True, False], ids=["little-endian", "big-endian"])
-def test_a_full_form_part_with_a_zero_connection_block_goes_verbatim(little):
+def test_a_full_form_part_with_a_zero_connection_block_is_refused(little):
     # what an encoder that always wrote the 68 B layout would send: it
-    # decodes, but a Regular record could not give it back byte for byte
+    # decodes, but no record could give it back byte for byte, so no
+    # BATCH carries it; the same message as encode gives it is batched
     import struct
 
     e = "<" if little else ">"
@@ -344,14 +345,14 @@ def test_a_full_form_part_with_a_zero_connection_block_goes_verbatim(little):
     assert decode(full) == RegularMessage(
         FTMPHeader(MessageType.REGULAR, 7, 42, 5, 100, 50, little_endian=little,
                    message_size=71), ConnectionId.none(), 0, b"abc")
-    parts = (full, encode(decode(full)))  # the same message, both layouts
-    assert len(parts[1]) == SHORT_HEADER_SIZE + 3  # and both header forms
-    raw = encode(BatchMessage(header(MessageType.BATCH, little), parts))
-    # the envelope's header is the short one: its seq / ts / ack are zeros
-    assert len(raw) == SHORT_HEADER_SIZE + 2 + (5 + len(full)) + (23 + 3)
-    out = decode(raw)
-    assert out.parts == parts
-    assert out.decoded is None  # a verbatim record leaves the rest to the receive path
+    encoded = encode(decode(full))
+    assert len(encoded) == SHORT_HEADER_SIZE + 3  # the other layout and header form
+    with pytest.raises(CodecError, match="BATCH part"):
+        encode(BatchMessage(header(MessageType.BATCH, little), (encoded, full)))
+    raw = encode(BatchMessage(header(MessageType.BATCH, little), (encoded,)))
+    # the envelope header is the part's (seq - 1, ts, ack): a delta record
+    assert len(raw) == SHORT_HEADER_SIZE + 2 + (5 + 3)
+    assert decode(raw).parts == (encoded,)
 
 
 def test_empty_batch_round_trip():

@@ -7,8 +7,9 @@ for performance:
   instances of every message type, in both byte orders;
 * **fast path == reference** — ``encode`` (one-pack fast paths) produces
   exactly the bytes of ``tests/reference/wire_reference.py`` (the
-  field-at-a-time writer), header form included, so the wire format
-  cannot drift between the two implementations;
+  field-at-a-time writer), header form included, and refuses exactly the
+  BATCHes it refuses, so the wire format cannot drift between the two
+  implementations;
 * **fused decode == general path** — the single-``unpack_from`` decode of
   Regular and Heartbeat accepts, rejects and *names the rejection* exactly
   as the header-then-body decode spelled out here does, on truncated and
@@ -120,9 +121,9 @@ MESSAGES = st.one_of(
 )
 
 # Batch parts are complete encodings of other messages.  Parts of random
-# messages exercise the verbatim record (a part that is not a Regular of
-# the envelope's source, group and endianness) and almost never anything
-# else; COALESCED draws what the send path packs instead.
+# messages are almost never a first-transmission Regular of the
+# envelope's source, group and endianness, so such a batch exercises the
+# refusal; COALESCED draws what the send path packs instead.
 BATCHES = st.builds(
     BatchMessage,
     _header(MessageType.BATCH),
@@ -137,10 +138,9 @@ def _batch(source, group, little, parts):
 
 
 def _coalesced_part(source, group, little, seq, ts, ack, cid=ConnectionId.none(),
-                    request_num=0, retransmission=False, payload=b"p"):
+                    request_num=0, payload=b"p"):
     return encode(RegularMessage(
-        FTMPHeader(MessageType.REGULAR, source, group, seq, ts, ack,
-                   retransmission=retransmission, little_endian=little),
+        FTMPHeader(MessageType.REGULAR, source, group, seq, ts, ack, little_endian=little),
         cid, request_num, payload))
 
 
@@ -155,9 +155,7 @@ def coalesced(draw):
     path packs them: sequence numbers mostly consecutive (sometimes
     broken, or wrapping past 0xFFFFFFFF), timestamps and acks mostly a
     small step on (sometimes a long one, or wrapping past 2**64 - 1),
-    connection ids and request numbers zero or not, the odd
-    retransmission — and now and then a part of another source between
-    them, stored verbatim."""
+    connection ids and request numbers zero or not."""
     source, group, little = draw(IDS), draw(IDS), draw(st.booleans())
     seq = draw(st.sampled_from([0, 1, 0xFFFFFFFE]) | U32)
     ts = draw(st.sampled_from([0, 2**32 - 256, 2**64 - 256]) | U32 | U64)
@@ -165,9 +163,6 @@ def coalesced(draw):
     ack = draw(U64) if draw(st.integers(0, 3)) == 0 else max(ts - draw(SMALL_STEPS), 0)
     parts = []
     for _ in range(draw(st.integers(0, 8))):
-        if draw(st.integers(0, 9)) == 0:
-            parts.append(_coalesced_part(source ^ 1, group, little, seq, 0, ack))
-            continue
         seq = (seq + draw(st.sampled_from([1, 1, 1, 1, 0, 2]))) % 2**32
         # one step in eight lands anywhere: behind the predecessor, too
         ts = (ts + draw(U64 if draw(st.integers(0, 7)) == 0 else SMALL_STEPS)) % 2**64
@@ -175,28 +170,26 @@ def coalesced(draw):
         cid = draw(st.sampled_from([ConnectionId.none()]) | CID_S)
         parts.append(_coalesced_part(
             source, group, little, seq, ts, ack, cid,
-            draw(st.sampled_from([0]) | U64), draw(st.integers(0, 7)) == 0,
-            draw(st.binary(max_size=80))))
+            draw(st.sampled_from([0]) | U64), draw(st.binary(max_size=80))))
     return _batch(source, group, little, parts)
 
 
 COALESCED = coalesced()
-#: delta records below the ORB, on a connection, retransmitted, at both
-#: step edges (255) and just past them (256, a full record); a broken
-#: sequence and a timestamp that goes back; a verbatim part and a Regular
-#: after it, which must not be a delta; a wrap past 0xFFFFFFFF and one
-#: past 2**64 - 1, which must not either
+#: delta records below the ORB and on a connection, at both step edges
+#: (255) and just past them (256, a full record); a broken sequence, a
+#: timestamp that goes back and a sequence number repeated; a wrap past
+#: 0xFFFFFFFF and one past 2**64 - 1, which must not be a delta either
 DELTAS = _batch(5, 9, True, [
     _coalesced_part(5, 9, True, 7, 100, 50),
     _coalesced_part(5, 9, True, 8, 101, 50),
     _coalesced_part(5, 9, True, 9, 102, 51, ConnectionId(1, 2, 3, 4), 17),
-    _coalesced_part(5, 9, True, 10, 357, 51, retransmission=True),
+    _coalesced_part(5, 9, True, 10, 357, 51),
     _coalesced_part(5, 9, True, 11, 357, 306),
     _coalesced_part(5, 9, True, 12, 613, 306),
     _coalesced_part(5, 9, True, 13, 613, 562),
     _coalesced_part(5, 9, True, 15, 614, 562),
     _coalesced_part(5, 9, True, 16, 600, 562),
-    _coalesced_part(6, 9, True, 17, 615, 562),
+    _coalesced_part(5, 9, True, 16, 615, 562),
     _coalesced_part(5, 9, True, 17, 616, 562),
     _coalesced_part(5, 9, True, 0xFFFFFFFF, 617, 562),
     _coalesced_part(5, 9, True, 0, 618, 562),
@@ -208,7 +201,7 @@ DELTAS = _batch(5, 9, True, [
 def _long_part(source, group, little, seq, ts, ack, payload=b"l"):
     """A Regular below the ORB in the 40 B header whatever its fields:
     decodable, but when they fit the short header not what ``encode``
-    emits, so a BATCH stores it verbatim."""
+    emits, so no BATCH holds it."""
     e = "<" if little else ">"
     return struct.pack(e + "4sBBBBIIIIQQ", b"FTMP", 1, 0, int(little) | 0x04, 1,
                        40 + len(payload), source, group, seq, ts, ack) + payload
@@ -216,7 +209,7 @@ def _long_part(source, group, little, seq, ts, ack, payload=b"l"):
 
 def _step_past_ts_part(source, group, little, seq, ts, step, payload=b"s"):
     """A short-header Regular whose ack step exceeds its timestamp: it
-    does not decode, and a BATCH stores it verbatim."""
+    does not decode, and no BATCH holds it."""
     e = "<" if little else ">"
     return struct.pack(e + "4sBBBBHHIIB", b"FTMP", 1, 0, int(little) | 0x0C, 1,
                        source, group, seq, ts, step) + payload
@@ -224,8 +217,7 @@ def _step_past_ts_part(source, group, little, seq, ts, step, payload=b"s"):
 
 #: parts either side of each edge of the short header — ts 2**32 - 1 and
 #: 2**32, ack steps 255 and 256, a negative one — rebuilt in the form
-#: each had; a full-header part whose fields fit the short one and a
-#: short part with its step past its timestamp, both verbatim
+#: each had
 EDGES = _batch(5, 9, False, [
     _coalesced_part(5, 9, False, 7, 2**32 - 2, 2**32 - 2),
     _coalesced_part(5, 9, False, 8, 2**32 - 1, 2**32 - 256),
@@ -235,24 +227,25 @@ EDGES = _batch(5, 9, False, [
     _coalesced_part(5, 9, False, 12, 300, 45),
     _coalesced_part(5, 9, False, 13, 300, 44),
     _coalesced_part(5, 9, False, 14, 300, 301),
-    _long_part(5, 9, False, 15, 301, 300),
     _coalesced_part(5, 9, False, 16, 302, 300),
-    _step_past_ts_part(5, 9, False, 17, 3, 4),
     _coalesced_part(5, 9, False, 18, 303, 300),
 ])
+#: two Regulars in a header form ``encode`` does not give them: a
+#: full-header part whose fields fit the short one, and a short part
+#: with its step past its timestamp
+OFF_FORM = (_long_part(5, 9, False, 15, 301, 300), _step_past_ts_part(5, 9, False, 17, 3, 4))
 
 
 def _zero_block_part(source, group, little, seq, ts, ack, payload=b"z"):
     """A Regular below the ORB in the 68 B layout: decodable, never what
-    ``encode`` emits, so a BATCH stores it verbatim."""
+    ``encode`` emits, so no BATCH holds it."""
     e = "<" if little else ">"
     return struct.pack(e + "4sBBBBIIIIQQ24xI", b"FTMP", 1, 0, int(little), 1,
                        68 + len(payload), source, group, seq, ts, ack,
                        len(payload)) + payload
 
 
-#: connectionless parts around a zero-block one: a delta record, the
-#: verbatim part, then a Regular record that must not be a delta
+#: connectionless parts around a zero-block one
 ZERO_BLOCK = _batch(5, 9, False, [
     _coalesced_part(5, 9, False, 7, 100, 50),
     _coalesced_part(5, 9, False, 8, 101, 50),
@@ -261,20 +254,15 @@ ZERO_BLOCK = _batch(5, 9, False, [
     _coalesced_part(5, 9, False, 11, 104, 50),
 ])
 
-ALL_MESSAGES = st.one_of(MESSAGES, BATCHES, COALESCED)
+ALL_MESSAGES = st.one_of(MESSAGES, COALESCED)
 
 
 def delta_records(batch):
     """How many parts of ``batch`` after its first get a delta record
-    (the first gets one whenever it is a Regular record with seq > 0)."""
+    (the first gets one whenever its seq > 0)."""
     count, prev = 0, None
     for part in batch.parts:
         h = peek_header(part)
-        if (h.message_type != MessageType.REGULAR or h.source != batch.header.source
-                or h.group != batch.header.group
-                or h.little_endian != batch.header.little_endian):
-            prev = None
-            continue
         cur = (h.sequence_number, h.timestamp, h.ack_timestamp)
         count += (prev is not None and cur[0] == prev[0] + 1
                   and 0 <= cur[1] - prev[1] < 256 and 0 <= cur[2] - prev[2] < 256)
@@ -285,7 +273,6 @@ def delta_records(batch):
 @settings(max_examples=300, deadline=None)
 @given(ALL_MESSAGES)
 @example(DELTAS)
-@example(ZERO_BLOCK)
 @example(EDGES)
 def test_roundtrip_identity(msg):
     raw = encode(msg)  # back-fills header.message_size on msg
@@ -295,18 +282,18 @@ def test_roundtrip_identity(msg):
 
 
 @settings(max_examples=300, deadline=None)
-@given(ALL_MESSAGES)
+@given(st.one_of(ALL_MESSAGES, BATCHES))
 @example(DELTAS)
 @example(ZERO_BLOCK)
 @example(EDGES)
 def test_fast_path_matches_reference(msg):
-    assert encode(msg) == encode_reference(msg)
+    # the same bytes, or both refuse the batch
+    assert outcome(encode, msg) == outcome(encode_reference, msg)
 
 
 @settings(max_examples=200, deadline=None)
-@given(BATCHES | COALESCED)
+@given(COALESCED)
 @example(DELTAS)
-@example(ZERO_BLOCK)
 @example(EDGES)
 def test_batch_parts_reconstructed_byte_exact(batch):
     """Unpacked parts must be byte-for-byte the original encodings —
@@ -316,7 +303,7 @@ def test_batch_parts_reconstructed_byte_exact(batch):
 
 
 def test_the_coalesced_strategy_reaches_follow_on_records():
-    assert delta_records(DELTAS) == 4
+    assert delta_records(DELTAS) == 5  # seqs 8, 9, 10, 11 and 17
     drawn = []
 
     # derandomized: a threshold over a random draw fails now and then
@@ -333,36 +320,43 @@ def test_the_coalesced_strategy_reaches_follow_on_records():
     assert sum(drawn) > len(drawn) // 2
 
 
-def test_a_zero_block_part_is_verbatim_and_breaks_the_delta_chain():
-    parts = ZERO_BLOCK.parts
-    raw = encode(ZERO_BLOCK)
-    # the envelope in the short header, two delta records below the ORB
-    # (5 B + 1), the verbatim record (5 B + the part), a full record on a
-    # connection (48 B: it follows a verbatim one), a delta record below
-    # the ORB again
-    assert len(raw) == 21 + 2 + 6 + 6 + (5 + len(parts[2])) + 48 + 6
-    out = decode(raw)
-    assert out.parts == parts and out.decoded is None
+def test_a_zero_block_part_is_refused():
     # every encoded part in the short header (21 B, 49 B on a
     # connection), the zero-block one in the full 68 B layout
+    parts = ZERO_BLOCK.parts
     assert [len(p) for p in parts] == [22, 22, 69, 50, 22]
+    for encoder in (encode, encode_reference):
+        with pytest.raises(CodecError, match="BATCH part"):
+            encoder(ZERO_BLOCK)
+    # without it: the envelope in the short header, two delta records
+    # below the ORB (5 B + 1), a full record on a connection (48 B: its
+    # seq skips one), a delta record below the ORB again
+    rest = _batch(5, 9, False, parts[:2] + parts[3:])
+    raw = encode(rest)
+    assert len(raw) == 21 + 2 + 6 + 6 + 48 + 6
+    assert decode(raw).parts == rest.parts
 
 
 def test_each_part_is_rebuilt_in_the_header_form_it_had():
     parts = EDGES.parts
-    assert [len(p) for p in parts] == [22, 22, 69, 41, 41, 22, 41, 41, 41, 22, 22, 22]
+    assert [len(p) for p in parts] == [22, 22, 69, 41, 41, 22, 41, 41, 22, 22]
     raw = encode(EDGES)
     out = decode(raw)
-    assert out.parts == parts and out.decoded is None
+    assert out.parts == parts
+    assert out.decoded == tuple(decode(p) for p in parts)
     # the envelope header is the first part's (6, 2**32 - 2, 2**32 - 2):
-    # short.  A Regular record is a delta (5 B + 1, 29 B + 1 on the
-    # connection) where seq, ts and ack step on from the record before,
-    # across the change of form too, else a full one (23 B + 1); the two
-    # verbatim records are 5 B + the part
-    assert len(raw) == (21 + 2 + 6 + 24 + 30 + 6 + 6 + 24 + 24 + 24 + (5 + 41) + 24
-                        + (5 + 22) + 24)
+    # short.  A record is a delta (5 B + 1, 29 B + 1 on the connection)
+    # where seq, ts and ack step on from the record before, across the
+    # change of form too, else a full one (23 B + 1)
+    assert len(raw) == 21 + 2 + 6 + 24 + 30 + 6 + 6 + 24 + 24 + 24 + 24 + 24
+    # a part in another form than encode gives its fields is refused
+    for part in OFF_FORM:
+        for encoder in (encode, encode_reference):
+            with pytest.raises(CodecError, match="BATCH part"):
+                encoder(_batch(5, 9, False, parts[:3] + (part,)))
+    assert decode(OFF_FORM[0]).header.message_size == 41
     with pytest.raises(CodecError, match="ack step 4 past timestamp 3"):
-        decode(parts[10])
+        decode(OFF_FORM[1])
 
 
 # ----------------------------------------------------------------------

@@ -20,7 +20,7 @@ latency, four members, one lost datagram.
 
 import pytest
 
-from repro.core import FTMPConfig, FTMPStack, RecordingListener
+from repro.core import FTMPConfig, FTMPStack, MessageType, RecordingListener
 from repro.simnet import LinkModel, Network, Topology
 
 GROUP, ADDRESS = 1, 5001
@@ -61,3 +61,47 @@ def test_a_leaver_recovers_what_it_lost_and_orders_its_removal(lead):
     assert [(v.membership, v.reason) for v in leaver.views][-1] == ((), "remove")
     assert [d.payload for d in leaver.deliveries] == [b"in flight"]
     assert stacks[4].group(GROUP) is None
+
+
+def test_a_lingering_leaver_hears_acknowledgements_inside_batches():
+    # Under batched load the survivors' Regulars travel in BATCH
+    # datagrams, and what acknowledges past the removal is each part's
+    # ack.  Everything else to the leaver is lost once it lingers, so
+    # only the parts can end the linger before ``suspect_timeout``
+    net = Network(Topology(default=LinkModel(latency=1e-4, jitter=0.0, loss=0.0)), seed=0)
+    cfg = FTMPConfig(heartbeat_interval=0.002, batch_window=0.002)
+    stacks = {p: FTMPStack(net.endpoint(p), cfg, RecordingListener()) for p in (1, 2, 3, 4)}
+    for s in stacks.values():
+        s.create_group(GROUP, ADDRESS, (1, 2, 3, 4))
+    leaver, receive, heard = stacks[4], stacks[4]._on_datagram, []
+
+    def batches_only_while_lingering(raw):
+        if GROUP in leaver._leaving:
+            if raw[7] != MessageType.BATCH:
+                return
+            heard.append(raw)
+        receive(raw)
+
+    net.endpoint(4).set_receiver(batches_only_while_lingering)
+    linger = {}
+    retire, end = leaver.retire_group, leaver.end_leaving
+
+    def retiring(group_id, removal_ts):
+        retire(group_id, removal_ts)
+        linger["start"] = net.scheduler.now
+        linger["waiting"] = set(leaver._leaving[group_id]._lingering[2])
+
+    def ending(group_id):
+        linger.setdefault("end", net.scheduler.now)
+        end(group_id)
+
+    leaver.retire_group, leaver.end_leaving = retiring, ending
+    for p in (1, 2, 3):
+        for i in range(400):
+            net.scheduler.at(0.01 + i * 5e-4 + p * 1e-4, stacks[p].multicast, GROUP, b"%d" % i)
+    net.scheduler.at(T, leaver.leave_group, GROUP)
+    net.run_for(0.3)
+    assert linger["waiting"] == {1, 2, 3}  # nobody had acknowledged the removal yet
+    assert not leaver._leaving
+    assert linger["end"] - linger["start"] < cfg.suspect_timeout / 2
+    assert heard

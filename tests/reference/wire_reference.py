@@ -56,13 +56,12 @@ _FLAG_CONNECTIONLESS = 0x04
 #: the 21 B header: no size field, u16 source and group, u32 timestamp,
 #: u8 ack step (ts - ack)
 _FLAG_SHORT = 0x08
-#: BATCH record flags beside the part's own two (above): a delta record
+#: BATCH record flags beside the byte order's (above): a delta record
 #: (seq the previous record's + 1, ts and ack as u8 steps from the
 #: previous record's), and the connection id and request number are
-#: present.  0x80 alone opens a verbatim record.
+#: present
 _REC_DELTA = 0x04
 _REC_CONNECTION = 0x08
-_REC_VERBATIM = 0x80
 #: the largest payload a Regular record's u16 length can state
 _RECORD_PAYLOAD_MAX = 0xFFFF
 #: a Regular body's fixed prefix: connection id, request number, payload length
@@ -180,31 +179,32 @@ class _Writer:
 # BATCH records (the fast encoder's inline tests must make exactly these
 # decisions)
 # ----------------------------------------------------------------------
-def _regular_fields(part: _Buffer, envelope: FTMPHeader, little: bool) -> Optional[tuple]:
-    """(flags, seq, ts, ack, connection id, request number, payload) when
-    ``part`` gets a Regular record, None when it goes verbatim.
+def _regular_fields(part: _Buffer, envelope: FTMPHeader, little: bool) -> tuple:
+    """(flags, seq, ts, ack, connection id, request number, payload) of
+    ``part``'s record; :class:`CodecError` when it may not be a part.
 
-    A part gets a Regular record when it is a Regular with the envelope's
-    magic, version, source, group and endianness, no flag but those two
-    (endianness, retransmission), the connectionless one and the short
-    one, a size field (in the full form) equal to its length, a payload the record's u16
-    length can state, and a header and body in the form
-    :func:`encode_reference` gives it: the short header exactly when
-    :func:`_fits_short` holds (an ack step past the timestamp never
-    does: it does not decode), then the payload alone when
-    connectionless, else the fixed prefix — naming a connection, a
+    A part is a Regular with the envelope's magic, version, source, group
+    and endianness, no flag but the endianness, the connectionless and
+    the short one (no retransmission: a BATCH carries first
+    transmissions), a size field (in the full form) equal to its length,
+    a payload the record's u16 length can state, and a header and body
+    in the form :func:`encode_reference` gives it: the short header
+    exactly when :func:`_fits_short` holds (an ack step past the
+    timestamp never does: it does not decode), then the payload alone
+    when connectionless, else the fixed prefix — naming a connection, a
     request or both — and the payload.  Then the record rebuilds it byte
-    for byte.  The flags returned are the two the record carries.
+    for byte.  The flags returned are the endianness the record carries.
     """
+    refused = CodecError("a BATCH part must be a first-transmission Regular of the "
+                         "envelope's source, group and byte order, as encode gives it")
     header = _header_of(part, little)
     if header is None:
-        return None
+        raise refused
     magic, vmaj, vmin, pflags, ptype, psize, psrc, pgrp, pseq, pts, pack_ts, hlen = header
     if (
         magic != MAGIC
         or (vmaj, vmin) != (VERSION_MAJOR, VERSION_MINOR)
-        or pflags & ~(_FLAG_LITTLE_ENDIAN | _FLAG_RETRANSMISSION | _FLAG_CONNECTIONLESS
-                      | _FLAG_SHORT)
+        or pflags & ~(_FLAG_LITTLE_ENDIAN | _FLAG_CONNECTIONLESS | _FLAG_SHORT)
         or bool(pflags & _FLAG_LITTLE_ENDIAN) != little
         or ptype != MessageType.REGULAR
         or psize != len(part)
@@ -213,33 +213,31 @@ def _regular_fields(part: _Buffer, envelope: FTMPHeader, little: bool) -> Option
         or pack_ts < 0
         or bool(pflags & _FLAG_SHORT) != _fits_short(pts, pack_ts, psrc, pgrp)
     ):
-        return None
+        raise refused
     if pflags & _FLAG_CONNECTIONLESS:
         cid, req, start = ConnectionId.none(), 0, hlen
     else:
         if len(part) < hlen + _REGULAR_PREFIX:
-            return None
+            raise refused
         cd, cg, sd, sg, req, plen = _REGULAR_BODY[little].unpack_from(part, hlen)
         cid, start = ConnectionId(cd, cg, sd, sg), hlen + _REGULAR_PREFIX
         if plen != len(part) - start or (cid == ConnectionId.none() and req == 0):
-            return None
+            raise refused
     if len(part) - start > _RECORD_PAYLOAD_MAX:
-        return None
-    return (pflags & (_FLAG_LITTLE_ENDIAN | _FLAG_RETRANSMISSION), pseq, pts, pack_ts, cid, req,
-            bytes(part[start:]))
+        raise refused
+    return (pflags & _FLAG_LITTLE_ENDIAN, pseq, pts, pack_ts, cid, req, bytes(part[start:]))
 
 
-def _regular_record(w: "_Writer", fields: tuple, prev: Optional[Tuple[int, int, int]]) -> None:
-    """One Regular record.  It is a *delta* record when ``prev``, the
-    (seq, ts, ack) of the record before it, is known, its seq is one more
+def _regular_record(w: "_Writer", fields: tuple, prev: Tuple[int, int, int]) -> None:
+    """One record.  It is a *delta* record when ``prev``, the (seq, ts,
+    ack) of the record before it, has a seq one less
     and its ts and ack each exceed ``prev``'s by less than 256: then the
     two steps take a byte each and seq is left out.  Otherwise it is a
     full record, seq / ts / ack in full.  It has a *connection* when the
     connection id or the request number is not zero; without one it
     rebuilds the connectionless form."""
     pflags, seq, ts, ack, cid, req, payload = fields
-    delta = (prev is not None and seq == prev[0] + 1
-             and 0 <= ts - prev[1] < 256 and 0 <= ack - prev[2] < 256)
+    delta = seq == prev[0] + 1 and 0 <= ts - prev[1] < 256 and 0 <= ack - prev[2] < 256
     connection = cid != ConnectionId.none() or req != 0
     w.u8(pflags | (_REC_DELTA if delta else 0) | (_REC_CONNECTION if connection else 0))
     if delta:
@@ -259,25 +257,17 @@ def _regular_record(w: "_Writer", fields: tuple, prev: Optional[Tuple[int, int, 
 def _encode_batch_body(msg: BatchMessage, w: "_Writer") -> None:
     """Part count, then one record per part.  The envelope header counts
     as the record before the first part: it is set to the first part's
-    (seq - 1, ts, ack) when that part gets a Regular record with a seq
-    above 0, to zeros otherwise.  A verbatim record has no successor a
-    delta record could follow."""
+    (seq - 1, ts, ack) when that seq is above 0, to zeros otherwise."""
     h = msg.header
     records = [_regular_fields(part, h, h.little_endian) for part in msg.parts]
-    if records and records[0] is not None and records[0][1] > 0:
+    if records and records[0][1] > 0:
         _pflags, seq, ts, ack = records[0][:4]
         h.sequence_number, h.timestamp, h.ack_timestamp = seq - 1, ts, ack
     else:
         h.sequence_number = h.timestamp = h.ack_timestamp = 0
-    prev: Optional[Tuple[int, int, int]] = (h.sequence_number, h.timestamp, h.ack_timestamp)
+    prev = (h.sequence_number, h.timestamp, h.ack_timestamp)
     w.u16(len(msg.parts))
-    for part, fields in zip(msg.parts, records):
-        if fields is None:
-            w.u8(_REC_VERBATIM)
-            w.u32(len(part))
-            w.raw(bytes(part))
-            prev = None
-            continue
+    for fields in records:
         _regular_record(w, fields, prev)
         prev = fields[1:4]
 
