@@ -19,14 +19,19 @@ byte, but for the retransmission flag (bit 1), and every BATCH part a
 receiver rebuilds must be the original its sender encoded, in the form
 it had.  The twin below runs the same group with one member whose pid
 is past 2**16: its datagrams take the 40 B header whatever their stamps.
+The last test pins the short form on a connection's processor group,
+whose id the responder allocates below 2**16.
 """
 
 from unittest import mock
 
 from repro.analysis import make_cluster
-from repro.core import FTMPConfig, MessageType, datapath, wire
+from repro.core import FTMPConfig, FTMPStack, MessageType, datapath, wire
+from repro.giop import GroupRef
+from repro.giop.messages import ReplyMessage, RequestMessage, decode_giop
+from repro.orb import ORB, ClientIdentity, FTMPAdapter
 from repro.replication.oracles import check_quiescence, run_history_oracles
-from repro.simnet import lan
+from repro.simnet import Network, lan
 
 GROUP = 1
 PIDS = (1, 2, 3, 4)
@@ -123,3 +128,52 @@ def test_a_member_past_u16_sends_the_full_header_to_short_header_peers():
     assert by_source[wide] == {(False, True), (False, False)}
     for p in PIDS[:3]:
         assert by_source[p] == {(True, True), (False, False)}, p
+
+
+REF = GroupRef("Echo", domain=7, object_group=100, object_key=b"echo")
+
+
+class Echo:
+    def echo(self, text):
+        return text
+
+
+def test_connection_requests_and_replies_take_the_short_header():
+    # two server replicas and one client at lan() timing: every Request
+    # and every Reply on the established connection is a 21 B datagram
+    net = Network(lan(), seed=5)
+    adapters = {}
+    for pid in (1, 2, 8):
+        orb = ORB(pid, net.scheduler)
+        adapters[pid] = FTMPAdapter(orb, FTMPStack(net.endpoint(pid), FTMPConfig()))
+        if pid != 8:
+            orb.poa.activate(b"echo", Echo())
+            adapters[pid].export(7, 100, (1, 2))
+    adapters[8].set_client(ClientIdentity(3, 200, (8,)))
+    corb = adapters[8].orb
+    proxy = corb.proxy(REF)
+    assert corb.call(proxy, "echo", "up") == "up"
+
+    wire_log = []
+    multicast = net.multicast
+
+    def tap(src, address, data):
+        wire_log.append(bytes(data))
+        multicast(src, address, data)
+
+    net.multicast = tap
+    for i in range(20):
+        assert corb.call(proxy, "echo", "x" * i) == "x" * i
+    group = adapters[8].stack.connection_binding(
+        adapters[8].connection_id_for(REF)).group_id
+    assert group < 2**16
+    kinds = {RequestMessage: 0, ReplyMessage: 0}
+    for raw in wire_log:
+        msg = wire.decode(raw)
+        parts = msg.decoded if msg.header.message_type == MessageType.BATCH else [msg]
+        for part in parts:
+            if part.header.message_type == MessageType.REGULAR and part.header.group == group:
+                kinds[decode_giop(part.payload).__class__] += 1
+                assert raw[6] & SHORT, part.header
+    # one Request from the client, one Reply from each server replica
+    assert kinds == {RequestMessage: 20, ReplyMessage: 40}

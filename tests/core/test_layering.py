@@ -42,6 +42,7 @@ the five rules and exits 1.
 
 import ast
 import io
+import os
 import pathlib
 import re
 import sys
@@ -222,7 +223,10 @@ def test_core_loads_without_either_runtime():
         "bad = [m for m in sys.modules if m.startswith(('repro.simnet', 'repro.runtime'))]\n"
         "assert not bad, bad\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    # the child does not see pytest's ``pythonpath`` option: give it src/
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stderr
 
 

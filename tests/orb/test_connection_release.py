@@ -12,8 +12,15 @@ REF2 = GroupRef("T", domain=7, object_group=101, object_key=b"svc2")
 
 
 class Servant:
+    def __init__(self):
+        self.count = 0
+
     def ping(self):
         return "pong"
+
+    def bump(self):
+        self.count += 1
+        return self.count
 
 
 def build(seed=0):
@@ -103,3 +110,17 @@ def test_reconnect_after_release():
     net.run_for(0.5)
     # a fresh invocation re-runs the handshake and works again
     assert corb.call(proxy, "ping", timeout=5.0) == "pong"
+
+
+def test_reopened_connection_executes_each_request_once():
+    # the re-opened cid numbers its requests from 1 again: each must run
+    # once, as new, and no request of the released connection again
+    net, corb, cstack, cadapter, hosts = build()
+    proxy = corb.proxy(REF)
+    assert [corb.call(proxy, "bump") for _ in range(3)] == [1, 2, 3]
+    cadapter.close_connection(REF)
+    net.run_for(0.5)
+    assert [corb.call(proxy, "bump", timeout=5.0) for _ in range(3)] == [4, 5, 6]
+    net.run_for(0.5)
+    for pid in (1, 2):
+        assert hosts[pid][0].poa.servant(b"svc").count == 6
