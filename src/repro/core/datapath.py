@@ -327,6 +327,18 @@ class FlowController:
             self.stats.max_queue_depth = len(queue)
         return False
 
+    def withdraw(self, cid: ConnectionId) -> List[Tuple[bytes, ConnectionId, int]]:
+        """Take one connection's held sends out of the queue, in order
+        (the connection moves to another group before its §7 barrier
+        cleared here)."""
+        queue = self._queue
+        mine = [send for send in queue if send[1] == cid]
+        if mine:
+            kept = [send for send in queue if send[1] != cid]
+            queue.clear()
+            queue.extend(kept)
+        return mine
+
     def note_sent(self, timestamp: int) -> None:
         """Record an admitted Regular's ordering timestamp (one credit)."""
         if self.enabled:

@@ -196,3 +196,17 @@ def test_duplicate_detector_holds_no_sparse_set_once_in_order():
     assert d.seen_count(CID, "reply") == 3
     assert all(d.is_duplicate(CID, n, "reply") for n in (1, 2, 3))
     assert d.duplicates_suppressed == 3
+
+
+def test_duplicate_detector_forgets_one_connection_every_kind():
+    d = DuplicateDetector()
+    for cid in (CID, CID.reversed()):
+        for kind in DuplicateDetector.KINDS:
+            assert not d.is_duplicate(cid, 1, kind)
+            assert not d.is_duplicate(cid, 3, kind)  # a sparse entry too
+    d.forget(CID)
+    assert not any(d.seen(CID, n, kind) for n in (1, 3) for kind in DuplicateDetector.KINDS)
+    assert all(d.seen(CID.reversed(), n, kind)
+               for n in (1, 3) for kind in DuplicateDetector.KINDS)
+    d.forget(CID.reversed())
+    assert d._watermark == {} and d._sparse == {}
