@@ -555,6 +555,18 @@ class ConnectionManager:
             del self._by_membership[binding.membership]
         return group_id
 
+    def on_view(self, group_id: int, membership: Tuple[int, ...]) -> None:
+        """A view was installed in ``group_id``: a server releases each of
+        its connections whose client processors — the Connect's
+        membership but the registered server replicas — have all left it,
+        as an ordered release would (§7)."""
+        for cid in list(self._served.get(group_id, ())):
+            reg = self._servers.get((cid.server_domain, cid.server_group))
+            if reg is not None:
+                clients = set(self._bindings[cid].membership) - set(reg.server_pids)
+                if clients and clients.isdisjoint(membership):
+                    self._stack.release_connection_local(cid)
+
     # ==================================================================
     def binding(self, cid: ConnectionId) -> Optional[ConnectionBinding]:
         return self._bindings.get(cid)

@@ -71,7 +71,7 @@ from .multigroup import SkeenOrdering
 from .overlay import OverlayDissemination
 from .pgmp import PGMP
 from .rmp import RMP
-from .romp import ROMP
+from .romp import DEPARTED, JOINING, LEAVING, LINGERING, MEMBER, ROMP, Peer
 from .stats import GroupStats
 from .wire import decode, encode, mark_retransmission, regular_full_size
 
@@ -142,6 +142,8 @@ class GroupContext(Protocol):
     #: stability-driven credit window; ROMP reports stability advances to it
     flow: FlowController
     dissemination: Dissemination
+    #: the member lifecycle table (DESIGN.md, "Member lifecycle")
+    peers: Dict[int, Peer]
 
     # -- identity / environment ----------------------------------------
     @property
@@ -853,12 +855,7 @@ class ProcessorGroup:
         self._ingress = self.dissemination.ingress(self.receive_path.on_datagram)
 
         self._heard: Set[int] = set()
-        #: members that left in order -> when we last heard them since
-        #: (:meth:`_from_departed`)
-        self._departed: Dict[int, float] = {}
-        #: after our own ordered removal: (its timestamp, when we stop
-        #: anyway, members not yet heard acknowledging past it)
-        self._lingering: Optional[Tuple[int, float, Set[int]]] = None
+        self.peers: Dict[int, Peer] = {}
         self._linger_timer = None
         self._register_stats()
 
@@ -944,8 +941,14 @@ class ProcessorGroup:
         # them join the §7.2 fault round — their only path to the new view.
         self.dissemination.note_departure(pid, self.romp.order_ts(pid))
         self._purge_member(pid)
-        self._departed[pid] = self.now()
-        self.schedule(self.config.suspect_timeout, self._expire_departed, pid)
+        # -> departed, unless leaving: it heartbeats on while it lingers,
+        # and copies of its messages answer NACKs, either of which would
+        # re-create per-source state here (:meth:`_screen`)
+        peer = self.peers.get(pid)
+        if peer is None or peer.state is not LEAVING:
+            peer = self.peers[pid] = Peer(DEPARTED, None)
+        peer.heard = self.now()
+        self.schedule(self.config.suspect_timeout, self._expire_departed, pid, peer)
 
     def _purge_member(self, pid: int) -> None:
         """Drop the per-member state of every layer: the one purge of a
@@ -955,41 +958,51 @@ class ProcessorGroup:
         self.romp.purge_source(pid)
         self._heard.discard(pid)
 
-    def _from_departed(self, msg: FTMPMessage, raw: bytes) -> bool:
-        """True for a datagram from a member that left in order.
-
-        It keeps heartbeating after its removal until every member has
-        ordered that (:meth:`linger`), and copies of its messages answer
-        the laggards' NACKs: here, where the removal is ordered and the
-        member forgotten, either would re-create per-source state and
-        NACK the departed stream from 1.  Dropped until it has been
-        silent for ``suspect_timeout``, or an AddProcessor names it —
-        but its acknowledgement is heard, and its NACKs answered: until
-        it acknowledges past its removal it has not ordered that, and
-        what it still misses is held for it (``ROMP.hold_for_leaver``).
-        """
-        src = msg.header.source
-        if src in self._departed:
-            self._departed[src] = self.now()
-            self.romp.hear_leaver(src, msg.header.ack_timestamp)
+    def _screen(self, msg: FTMPMessage, raw: bytes) -> bool:
+        """True for a datagram that stops here, short of the receive path:
+        any while we linger, and a leaving or departed peer's — its ack
+        heard (what it misses is held while it is leaving), its NACKs
+        answered.  An AddProcessor naming such a peer ends its row."""
+        peers = self.peers
+        h = msg.header
+        if self.pid in peers:  # lingering: acks past our removal end rows
+            if msg.__class__ is BatchMessage:  # its parts carry them
+                if not msg.decoded:
+                    return True
+                h = msg.decoded[-1].header
+            peer = peers.get(h.source)
+            if peer is not None and peer.state is MEMBER and h.ack_timestamp >= peer.key:
+                del peers[h.source]
+            return True
+        peer = peers.get(h.source)
+        if peer is not None and peer.state is not JOINING:
+            peer.heard = self.now()
+            ack = h.ack_timestamp
+            if peer.state is LEAVING and ack > peer.ack:
+                if ack >= peer.key:  # it ordered its removal
+                    peer.state = DEPARTED
+                peer.ack = ack
+                self.romp.recheck_stability()
             if msg.__class__ is RetransmitRequestMessage:
                 self.rmp.on_message(msg, raw)
             return True
         if msg.__class__ is AddProcessorMessage:
-            self._departed.pop(msg.new_member, None)
+            peer = peers.get(msg.new_member)
+            if peer is not None and peer.state is not JOINING:
+                del peers[msg.new_member]
         return False
 
-    def _expire_departed(self, pid: int) -> None:
-        heard = self._departed.get(pid)
-        if heard is None:
-            return
-        quiet = self.now() - heard
+    def _expire_departed(self, pid: int, peer: Peer) -> None:
+        if self.peers.get(pid) is not peer:
+            return  # an AddProcessor named it since
+        quiet = self.now() - peer.heard
         timeout = self.config.suspect_timeout
         if quiet >= timeout * 0.999:  # float residue must not re-arm at +0
-            del self._departed[pid]
-            self.romp.forget_leaver(pid)
+            del self.peers[pid]
+            if peer.state is LEAVING:
+                self.romp.recheck_stability()
         else:
-            self.schedule(timeout - quiet, self._expire_departed, pid)
+            self.schedule(timeout - quiet, self._expire_departed, pid, peer)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -1025,22 +1038,17 @@ class ProcessorGroup:
         self._stack.registry.unregister_prefix(f"group.{self.group_id}")
 
     def linger(self, removal_ts: int) -> None:
-        """Our ordered removal (at ``removal_ts``) was delivered here.
-
-        A member that has not ordered it yet needs our stream heard past
-        ``removal_ts``, and the heartbeat that showed it may have been
-        lost; everyone who has ordered it has forgotten us, so nobody
-        could repeat it or convict us.  Halt, then keep heartbeating —
-        delivering nothing — until every member acknowledges past
-        ``removal_ts`` or ``suspect_timeout`` elapses; the stack then
-        stops the group.
-        """
+        """-> lingering: our removal at ``removal_ts`` was delivered here.
+        A member yet to order it needs our stream heard past it, and the
+        heartbeat that showed it may have been lost; whoever ordered it
+        forgot us, so nobody repeats it or convicts us.  Halt, then
+        heartbeat — delivering nothing — while a member is awaited (each
+        is, unless stability is past the removal) and ``suspect_timeout``
+        has not passed; the stack then stops the group."""
         self._halt()
-        waiting = set()
-        if self.romp.stability_timestamp() < removal_ts:
-            waiting = {p for p in self.membership if p != self.pid}
-        self._lingering = (removal_ts, self.now() + self.config.suspect_timeout,
-                           waiting)
+        awaited = self.romp.stability_timestamp() < removal_ts
+        self.peers = {p: Peer(MEMBER, removal_ts) for p in self.membership if awaited}
+        self.peers[self.pid] = Peer(LINGERING, removal_ts, heard=self.now())
         # our acknowledgement past the removal: whoever ordered it before
         # us holds what we might still have needed until it hears this
         self.send(HeartbeatMessage)
@@ -1048,31 +1056,19 @@ class ProcessorGroup:
                                            self._linger_tick)
 
     def _linger_tick(self) -> None:
-        _, deadline, waiting = self._lingering
-        if not waiting or self.now() >= deadline:
+        began = self.peers[self.pid].heard
+        if len(self.peers) == 1 or self.now() >= began + self.config.suspect_timeout:
             self._stack.end_leaving(self.group_id)
             return
         self.send(HeartbeatMessage)
         self._linger_timer = self.schedule(self.config.heartbeat_interval,
                                            self._linger_tick)
 
-    def hear_while_lingering(self, msg: FTMPMessage) -> None:
-        """A datagram for the group we were removed from: note whose
-        acknowledgement has passed our removal (a BATCH's parts carry it)."""
-        removal_ts, _, waiting = self._lingering
-        h = msg.header
-        if msg.__class__ is BatchMessage:
-            if not msg.decoded:
-                return
-            h = msg.decoded[-1].header
-        if h.ack_timestamp >= removal_ts:
-            waiting.discard(h.source)
-
     # ------------------------------------------------------------------
     # datagram input (from the stack router)
     # ------------------------------------------------------------------
     def on_datagram(self, msg: FTMPMessage, raw: bytes) -> None:
-        if self._departed and self._from_departed(msg, raw):
+        if self.peers and self._screen(msg, raw):
             return
         self._ingress(msg, raw)
 
@@ -1198,6 +1194,8 @@ class ProcessorGroup:
         self.announce_view(self.membership, view_timestamp, added, removed, reason)
         self.romp.on_view_installed(prev_membership, reason)
         self.romp.evaluate()
+        if removed:  # a connection's last client may have left
+            self._stack.connections.on_view(self.group_id, self.membership)
 
     def announce_view(self, membership: Tuple[int, ...], view_timestamp: int,
                       added: Tuple[int, ...], removed: Tuple[int, ...],
@@ -1238,7 +1236,8 @@ class ProcessorGroup:
         exclusion have synchronized without us, nobody waits for us."""
         self.announce_view((), view_timestamp, (), (self.pid,), reason)
         if reason == "remove":
-            self._stack.retire_group(self.group_id, view_timestamp)
+            self._stack.retire_group(self.group_id)
+            self.linger(view_timestamp)
         else:
             self._stack.remove_group(self.group_id)
 

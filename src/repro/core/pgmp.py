@@ -98,14 +98,9 @@ class PGMP:
         (unreliable) new member until the new member is heard from."""
         if new_member in self._g.membership:
             raise ValueError(f"processor {new_member} is already a member")
-        seq_vector = {
-            p: self._g.rmp.contiguous_top(p)
-            for p in self._g.membership
-            if p != self._g.pid
-        }
-        seq_vector[self._g.pid] = self._g.last_sent_seq
         raw = self._g.send(AddProcessorMessage, self._g.view_timestamp,
-                           tuple(sorted(self._g.membership)), seq_vector, new_member)
+                           tuple(sorted(self._g.membership)), self._seq_vector(),
+                           new_member)
         timer = self._g.schedule(
             HANDSHAKE_RESEND_INTERVAL, self._resend_add, new_member
         )

@@ -24,9 +24,7 @@ below it has been received from all members), and the minimum ack heard
 across members drives retransmission-buffer garbage collection (§6).
 A processor on its way into or out of the view may still need messages
 the members have all acknowledged, so it counts too, with the ack heard
-from it (:meth:`stability_timestamp`): a joiner from the AddProcessor we
-send or receive until that is ordered, a leaver from its ordered removal
-until it acknowledges past it.
+from it: a row of the group's member lifecycle table (:class:`Peer`).
 
 Hot-path engineering: the delivery gate and the stability rule are both
 "min over the membership of a per-member monotonic counter".  Instead of
@@ -78,7 +76,11 @@ from .messages import FTMPHeader, FTMPMessage, HeartbeatMessage
 if TYPE_CHECKING:  # pragma: no cover
     from .datapath import GroupContext
 
-__all__ = ["ROMP", "ROMPStats"]
+__all__ = ["ROMP", "ROMPStats", "Peer"]
+
+#: member lifecycle states (DESIGN.md, "Member lifecycle")
+JOINING, MEMBER, LEAVING, DEPARTED, LINGERING = (
+    "joining", "member", "leaving", "departed", "lingering")
 
 
 @dataclass
@@ -90,6 +92,20 @@ class ROMPStats:
     max_queue_depth: int = 0
     gc_runs: int = 0
     messages_reclaimed: int = 0
+
+
+@dataclass
+class Peer:
+    """A row of a group's member lifecycle table (``GroupContext.peers``,
+    pid -> row): a processor on its way into or out of the view, or, in a
+    group we linger in, ourselves and each member we wait for.  What each
+    state counts toward, holds and is ended by: DESIGN.md, "Member
+    lifecycle"."""
+
+    state: str
+    key: object  #: a joiner's AddProcessor (timestamp, source), else a removal's timestamp
+    ack: int = 0  #: a leaver's, heard since its removal
+    heard: float = 0.0  #: when a departed peer was last heard, or our linger began
 
 
 class ROMP:
@@ -170,14 +186,6 @@ class ROMP:
         self._floor = stability_floor
         #: safe delivery: ordered Regulars wait in ``_unsafe`` until stable
         self._safe = group.config.delivery_mode == "safe"
-        #: processors outside the view that count in stability: a joiner
-        #: -> the (timestamp, source) of the newest AddProcessor naming
-        #: it, until that is ordered or its sponsor purged (its ack is
-        #: ``_peer_ack``'s, 0 before it is heard); a leaver -> (its
-        #: removal's timestamp, the ack heard from it), until it
-        #: acknowledges past the removal or is forgotten
-        self._joiners: Dict[int, Tuple[int, int]] = {}
-        self._leavers: Dict[int, Tuple[int, int]] = {}
         self.stats = ROMPStats()
 
     # ------------------------------------------------------------------
@@ -264,7 +272,7 @@ class ROMP:
             self._sync_gate()
         if h.message_type in TOTALLY_ORDERED_TYPES:
             if h.message_type is MessageType.ADD_PROCESSOR:
-                self.hold_for_joiner(msg)  # type: ignore[arg-type]
+                self.hold_for_joiner(msg)
             if not self._take_ordered(msg):
                 return
         else:
@@ -515,64 +523,54 @@ class ROMP:
         floor = self._floor
         if floor is not None:
             stable = max(stable, floor())
-        if self._joiners or self._leavers:
+        if self._g.peers:
             outsiders = self._outsiders_ack()
             if outsiders is not None and outsiders < stable:
                 stable = outsiders
         return stable
 
     def _outsiders_ack(self) -> Optional[int]:
-        """The lowest ack of the processors outside the view that count
-        in stability; None when none does.  A joiner the view has
-        admitted counts as a member from then on."""
-        for p in [p for p in self._joiners if p in self._gate_set]:
-            del self._joiners[p]
-        acks = [self._peer_ack.get(p, 0) for p in self._joiners]
-        acks.extend(ack for _removal, ack in self._leavers.values())
+        """The lowest ack of the lifecycle rows counting in stability;
+        None when none does.  A joiner the view admitted is a member from
+        then on."""
+        peers = self._g.peers
+        acks = []
+        for pid, peer in list(peers.items()):
+            if peer.state is LEAVING:
+                acks.append(peer.ack)
+            elif peer.state is JOINING:
+                if pid in self._gate_set:
+                    del peers[pid]
+                else:
+                    acks.append(self._peer_ack.get(pid, 0))
         return min(acks, default=None)
 
     def hold_for_joiner(self, msg: FTMPMessage) -> None:
-        """An AddProcessor was sent or received: its new member counts in
-        stability until it is ordered (§6).  Without this, a message in
-        flight when the AddProcessor was built — above the baseline it
-        gives the joiner — could be acknowledged by every member and
-        reclaimed just before the view that would have held it for the
-        joiner is installed, and the joiner would NACK it for ever."""
+        """-> joining: an AddProcessor was sent or received.  Its member
+        counts in stability until it is ordered (§6), lest what was in
+        flight when it was built, above the baseline it gives the joiner,
+        be reclaimed before the view that holds it for the joiner."""
         new = msg.new_member  # type: ignore[attr-defined]
         key = (msg.header.timestamp, msg.header.source)
-        if new != self._pid and key > self._joiners.get(new, (-1, -1)):
-            self._joiners[new] = key
+        peer = self._g.peers.get(new)
+        if new != self._pid and (peer is None or peer.state is not JOINING
+                                 or key > peer.key):
+            self._g.peers[new] = Peer(JOINING, key)
 
     def settle_joiner(self, new_member: int, key: Tuple[int, int]) -> None:
         """The AddProcessor ``key`` naming ``new_member`` was ordered: the
-        view admitted it, or the add was abandoned (a newer one re-issued
-        it, or nobody will)."""
-        if self._joiners.get(new_member) == key:
-            del self._joiners[new_member]
+        view admitted it, or the add was abandoned (re-issued, or nobody
+        will)."""
+        if self._g.peers.get(new_member) == Peer(JOINING, key):
+            del self._g.peers[new_member]
 
     def hold_for_leaver(self, pid: int, removal_ts: int) -> None:
-        """``pid``'s removal at ``removal_ts`` was ordered here: until it
-        acknowledges past the removal it has not ordered it, and may
-        still NACK what it needs to (§6)."""
+        """-> leaving: ``pid``'s removal at ``removal_ts`` was ordered here;
+        until it acknowledges past it, it has not ordered it and may still
+        NACK what it needs to (§6)."""
         ack = self._peer_ack.get(pid, 0)
         if ack < removal_ts:
-            self._leavers[pid] = (removal_ts, ack)
-
-    def hear_leaver(self, pid: int, ack: int) -> None:
-        """A datagram from a processor whose removal was ordered here."""
-        entry = self._leavers.get(pid)
-        if entry is None or ack <= entry[1]:
-            return
-        if ack >= entry[0]:
-            del self._leavers[pid]
-        else:
-            self._leavers[pid] = (entry[0], ack)
-        self._maybe_collect()
-
-    def forget_leaver(self, pid: int) -> None:
-        """``pid`` has been silent for ``suspect_timeout`` since its removal."""
-        if self._leavers.pop(pid, None) is not None:
-            self._maybe_collect()
+            self._g.peers[pid] = Peer(LEAVING, removal_ts, ack)
 
     def cover_timestamp(self) -> int:
         """Public cover accessor: the stream heard contiguously from every
@@ -728,9 +726,10 @@ class ROMP:
         self._peer_ack.pop(src, None)
         self._staging.pop(src, None)
         # an add the departed member sponsored and nobody will order
-        for new, (_ts, sponsor) in list(self._joiners.items()):
-            if sponsor == src:
-                del self._joiners[new]
+        peers = self._g.peers
+        for new, peer in list(peers.items()):
+            if peer.state is JOINING and peer.key[1] == src:
+                del peers[new]
         # the min trackers may hold entries for the purged source whose
         # live value just vanished; force a rebuild at the next query
         self._gate_members = None

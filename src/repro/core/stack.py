@@ -345,13 +345,9 @@ class FTMPStack:
             if self.connections.on_connect(msg, raw):  # type: ignore[arg-type]
                 self._groups[h.group].on_datagram(msg, raw)
             return
-        group = self._groups.get(h.group)
+        group = self._groups.get(h.group) or self._leaving.get(h.group)
         if group is None:
-            leaving = self._leaving.get(h.group)
-            if leaving is not None:
-                leaving.hear_while_lingering(msg)
-            else:
-                self.stats.unknown_group_drops += 1
+            self.stats.unknown_group_drops += 1
             return
         group.on_datagram(msg, raw)
 
@@ -361,13 +357,10 @@ class FTMPStack:
         if g is not None:
             g.stop()
 
-    def retire_group(self, group_id: int, removal_ts: int) -> None:
+    def retire_group(self, group_id: int) -> None:
         """Our ordered removal from the group was delivered: the group is
         gone for the application at once, but it lingers on the wire."""
-        g = self._groups.pop(group_id, None)
-        if g is not None:
-            self._leaving[group_id] = g
-            g.linger(removal_ts)
+        self._leaving[group_id] = self._groups.pop(group_id)
 
     def end_leaving(self, group_id: int) -> None:
         """Stop a lingering group (it is done, or the id is reused)."""

@@ -1,6 +1,9 @@
 """PGMP §7.1: AddProcessor / RemoveProcessor for non-faulty processors."""
 
+import pytest
+
 from repro.core import FTMPConfig, FTMPStack, RecordingListener
+from repro.core.romp import DEPARTED, LEAVING
 from repro.analysis.harness import make_cluster
 
 
@@ -157,3 +160,83 @@ def test_view_timestamps_agree_across_members():
     c.run_for(0.3)
     stamps = {pid: c.listeners[pid].views[-1].view_timestamp for pid in (1, 2, 3, 4)}
     assert len(set(stamps.values())) == 1
+
+
+def leave_then_rejoin(gap, sponsor):
+    """Processor 3 leaves, then ``gap`` seconds after it ordered its own
+    removal (None: at that instant) asks back in under the same pid,
+    ``sponsor`` adding it.  Returns the cluster, 3's lifecycle row state
+    at the other members when the AddProcessor went out, and whether 3
+    still lingered."""
+    c = make_cluster((1, 2, 3))
+    c.run_for(0.05)
+    seen = {}
+
+    def rejoin():
+        seen["rows"] = {p: getattr(c.stacks[p].group(1).peers.get(3), "state", None)
+                        for p in (1, 2)}
+        seen["lingering"] = c.stacks[3].holds_group(1)
+        c.stacks[3].join_as_new_member(1, 5001)
+        c.stacks[sponsor].add_processor(1, 3)
+
+    c.stacks[3].leave_group(1)
+    with pytest.raises(ValueError):  # its removal is not ordered yet
+        c.stacks[3].join_as_new_member(1, 5001)
+    if gap is None:
+        g = c.stacks[3].group(1)
+        linger = g.linger
+
+        def lingering(removal_ts):
+            linger(removal_ts)
+            c.net.scheduler.at(c.net.scheduler.now, rejoin)
+
+        g.linger = lingering
+    else:
+        while c.stacks[3].group(1) is not None:
+            c.run_for(0.0005)
+        c.run_for(gap)
+        rejoin()
+    c.run_for(0.3)
+    return c, seen["rows"], seen["lingering"]
+
+
+def assert_rejoined(c):
+    """Every member holds (1, 2, 3), each one's next multicast reaches
+    all three in one order, and no lifecycle row is left anywhere."""
+    for p in (1, 2, 3):
+        assert c.listeners[p].current_membership(1) == (1, 2, 3)
+    for p in (1, 2, 3):
+        c.stacks[p].multicast(1, f"back-{p}".encode())
+    c.run_for(0.3)
+    for p in (1, 2, 3):
+        payloads = c.listeners[p].payloads(1)
+        assert all(f"back-{q}".encode() in payloads for q in (1, 2, 3))
+        assert not c.stacks[p].group(1).peers
+    assert c.orders(1)[1][-3:] == c.orders(1)[2][-3:] == c.orders(1)[3][-3:]
+
+
+@pytest.mark.parametrize("sponsor", [1, 2])
+@pytest.mark.parametrize("gap", [0.0, 0.020, 0.300])
+def test_a_leaver_rejoins_under_its_own_pid(gap, sponsor):
+    # Right after ordering its removal, 3 still lingers: joining ends
+    # that.  Within suspect_timeout the others still hold 3 as departed:
+    # the AddProcessor naming it ends that row; later the row has
+    # expired.  Each way the group ends as (1, 2, 3), each member's next
+    # multicast reaches all three, and no lifecycle row is left anywhere
+    c, rows, lingering = leave_then_rejoin(gap, sponsor)
+    assert lingering == (gap == 0.0)
+    departed = gap < FTMPConfig().suspect_timeout
+    assert rows == ({1: DEPARTED, 2: DEPARTED} if departed else {1: None, 2: None})
+    assert_rejoined(c)
+
+
+def test_a_rejoin_at_once_ends_the_leaving_rows():
+    # 3 asks back in the instant it orders its removal: the others have
+    # not heard its ack past the removal yet, so it is leaving there.
+    # The AddProcessor naming it ends those rows; a leaver hold kept past
+    # it held stability below 3's old RemoveProcessor, whose retained
+    # copy then answered a NACK of 3's new stream and removed 3 again at
+    # 1 and 2 but not at 3
+    c, rows, lingering = leave_then_rejoin(None, 2)
+    assert lingering and rows == {1: LEAVING, 2: LEAVING}
+    assert_rejoined(c)

@@ -186,13 +186,34 @@ def test_the_responder_stops_resending_once_a_dead_member_is_convicted(dead):
         net.run_for(0.0001)
         net.crash(8)
     net.run_for(1.0)
-    responder = 2 if dead == 1 else 1
-    binding = stacks[responder].connection_binding(CID)
-    assert binding.responder
-    assert dead not in stacks[responder].group(binding.group_id).membership
+    if dead == 1:
+        binding = stacks[2].connection_binding(CID)
+        assert binding.responder
+        assert 1 not in stacks[2].group(binding.group_id).membership
+    else:  # its last client gone, the servers released the connection
+        assert stacks[1].connection_binding(CID) is None
     settled = dict(connects)
     net.run_for(1.0)
     assert connects == settled
+
+
+def test_a_connection_whose_client_crashed_in_the_handshake_is_released():
+    # the client crashes right after asking: the servers bind the
+    # connection, bootstrap its group and convict the client.  The view
+    # that removes the connection's last client processor releases it at
+    # every server, as an ordered release would — group and binding gone,
+    # nothing more on the wire
+    net, stacks = build()
+    stacks[8].request_connection(CID, client_pids=(8,))
+    net.run_for(0.0001)
+    net.crash(8)
+    net.run_for(1.0)
+    for pid in (1, 2):
+        assert stacks[pid].connection_binding(CID) is None
+        assert stacks[pid].groups() == {}
+    sent = [stacks[pid].stats.datagrams_sent for pid in (1, 2)]
+    net.run_for(1.0)
+    assert [stacks[pid].stats.datagrams_sent for pid in (1, 2)] == sent
 
 
 @pytest.mark.parametrize("primary", ["crashed", "alive"])

@@ -14,7 +14,7 @@ from repro.core.messages import (
     RegularMessage,
     RemoveProcessorMessage,
 )
-from repro.core.romp import ROMP
+from repro.core.romp import DEPARTED, JOINING, LEAVING, ROMP
 
 
 class MockGroup:
@@ -35,6 +35,8 @@ class MockGroup:
         self.stability_advances: List[int] = []
         #: its own neighbours: what ROMP hands PGMP and the credit window
         self.pgmp = self.flow = self
+        #: the member lifecycle table
+        self.peers = {}
 
     @property
     def pid(self):
@@ -163,6 +165,11 @@ def test_a_joiner_counts_in_stability_from_its_add_processor_on():
     assert len(g.buffer) == 0
 
 
+def rows(g):
+    """The lifecycle table as {pid: (state, key)}."""
+    return {pid: (peer.state, peer.key) for pid, peer in g.peers.items()}
+
+
 def test_a_joiner_hold_ends_with_its_newest_add_or_its_sponsor():
     g = MockGroup(membership=(1, 2, 3))
     r = ROMP(g)
@@ -170,11 +177,11 @@ def test_a_joiner_hold_ends_with_its_newest_add_or_its_sponsor():
     r.hold_for_joiner(add_processor(3, ts=9, seq=1, new_member=4))  # re-issued
     r.hold_for_joiner(add_processor(2, ts=6, seq=1, new_member=4))  # a resend
     r.hold_for_joiner(add_processor(2, ts=7, seq=2, new_member=1))  # ourselves
-    assert r._joiners == {4: (9, 3)}
+    assert rows(g) == {4: (JOINING, (9, 3))}
     r.settle_joiner(4, (6, 2))  # the stale one, ordered and dropped
-    assert r._joiners == {4: (9, 3)}
+    assert rows(g) == {4: (JOINING, (9, 3))}
     r.purge_source(3)  # its sponsor left: nobody orders it now
-    assert r._joiners == {}
+    assert rows(g) == {}
 
 
 def test_a_leaver_counts_in_stability_until_it_acknowledges_its_removal():
@@ -185,6 +192,7 @@ def test_a_leaver_counts_in_stability_until_it_acknowledges_its_removal():
     r = ROMP(g)
     r.receive_heartbeat(heartbeat(3, ts=4, ack=3))
     r.hold_for_leaver(3, removal_ts=10)
+    assert rows(g) == {3: (LEAVING, 10)}
     g.membership = (1, 2)
     r.purge_source(3)
     g.buffer.add(2, 1, 12, b"m")
@@ -193,15 +201,17 @@ def test_a_leaver_counts_in_stability_until_it_acknowledges_its_removal():
     r.receive_heartbeat(heartbeat(2, ts=14, ack=12))
     assert r.ack_timestamp == 12
     assert r.stability_timestamp() == 3
-    r.hear_leaver(3, 8)
+    # the receive path records the ack it hears from the leaver
+    g.peers[3].ack = 8
+    r.recheck_stability()
     assert r.stability_timestamp() == 8
     assert len(g.buffer) == 1
-    r.hear_leaver(3, 10)  # it ordered its removal: nothing more to hold
+    g.peers[3].state = DEPARTED  # its ack passed the removal: it ordered that
+    r.recheck_stability()
     assert r.stability_timestamp() == 12
     assert len(g.buffer) == 0
-    r.hold_for_leaver(2, removal_ts=20)
-    r.forget_leaver(2)  # silent for suspect_timeout since
-    assert r._leavers == {}
+    r.hold_for_leaver(2, removal_ts=12)  # heard past it already: no hold
+    assert rows(g) == {3: (DEPARTED, 10)}
 
 
 def test_bypass_types_never_enter_the_queue():

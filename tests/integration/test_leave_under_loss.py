@@ -21,6 +21,7 @@ latency, four members, one lost datagram.
 import pytest
 
 from repro.core import FTMPConfig, FTMPStack, MessageType, RecordingListener
+from repro.core.romp import MEMBER
 from repro.simnet import LinkModel, Network, Topology
 
 GROUP, ADDRESS = 1, 5001
@@ -75,8 +76,11 @@ def test_a_lingering_leaver_hears_acknowledgements_inside_batches():
         s.create_group(GROUP, ADDRESS, (1, 2, 3, 4))
     leaver, receive, heard = stacks[4], stacks[4]._on_datagram, []
 
+    def lingering():
+        return leaver.holds_group(GROUP) and leaver.group(GROUP) is None
+
     def batches_only_while_lingering(raw):
-        if GROUP in leaver._leaving:
+        if lingering():
             if raw[7] != MessageType.BATCH:
                 return
             heard.append(raw)
@@ -84,24 +88,26 @@ def test_a_lingering_leaver_hears_acknowledgements_inside_batches():
 
     net.endpoint(4).set_receiver(batches_only_while_lingering)
     linger = {}
-    retire, end = leaver.retire_group, leaver.end_leaving
+    g = leaver.group(GROUP)
+    begin, end = g.linger, leaver.end_leaving
 
-    def retiring(group_id, removal_ts):
-        retire(group_id, removal_ts)
+    def beginning(removal_ts):
+        begin(removal_ts)
         linger["start"] = net.scheduler.now
-        linger["waiting"] = set(leaver._leaving[group_id]._lingering[2])
+        linger["waiting"] = {p for p, peer in g.peers.items() if peer.state == MEMBER}
 
     def ending(group_id):
         linger.setdefault("end", net.scheduler.now)
         end(group_id)
 
-    leaver.retire_group, leaver.end_leaving = retiring, ending
+    g.linger, leaver.end_leaving = beginning, ending
     for p in (1, 2, 3):
         for i in range(400):
             net.scheduler.at(0.01 + i * 5e-4 + p * 1e-4, stacks[p].multicast, GROUP, b"%d" % i)
     net.scheduler.at(T, leaver.leave_group, GROUP)
     net.run_for(0.3)
     assert linger["waiting"] == {1, 2, 3}  # nobody had acknowledged the removal yet
-    assert not leaver._leaving
+    assert not lingering()
+    assert set(g.peers) == {4}  # every member acknowledged: only our row was left
     assert linger["end"] - linger["start"] < cfg.suspect_timeout / 2
     assert heard

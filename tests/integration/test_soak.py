@@ -71,14 +71,14 @@ def soak(seed):
 
 def kept_state_of(c, gone):
     """``(member, where, pid)`` for every final member still holding RMP,
-    fault-detector or departed-member state keyed by a processor that
-    left."""
+    fault-detector or lifecycle state — a row in any state — keyed by a
+    processor that left."""
     kept = []
     for p in FINAL:
         g = c.stacks[p].group(1)
         for where, keys in (("rmp", g.rmp.sources()),
                             ("fault_detector", g.fault_detector._last_heard),
-                            ("departed", g._departed)):
+                            ("lifecycle", g.peers)):
             kept += [(p, where, pid) for pid in gone if pid in keys]
     return kept
 
