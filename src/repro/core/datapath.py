@@ -131,9 +131,6 @@ class GroupContext(Protocol):
     stopped: bool
     #: (timestamp, source) of the AddProcessor admitting this processor
     join_barrier: Optional[Tuple[int, int]]
-    #: (timestamp, source) keys grandfathered by a fault view — queued
-    #: ordered messages from removed members that remain deliverable
-    legacy_keys: Set[Tuple[int, int]]
     buffer: RetransmissionBuffer
     rmp: RMP
     romp: ROMP
@@ -195,8 +192,7 @@ class GroupContext(Protocol):
                      reason: str) -> None: ...
 
     def install_fault_view(self, membership: Tuple[int, ...], view_timestamp: int,
-                           removed: Tuple[int, ...],
-                           sync_targets: Optional[Dict[int, int]] = None) -> None: ...
+                           removed: Tuple[int, ...]) -> None: ...
 
     def evict_self(self, reason: str, view_timestamp: int) -> None: ...
 
@@ -820,9 +816,6 @@ class ProcessorGroup:
         #: (timestamp, source) of the AddProcessor that admitted us; ordered
         #: messages strictly before it belong to views we were not part of.
         self.join_barrier: Optional[Tuple[int, int]] = None
-        #: keys of queued ordered messages from members removed by a fault
-        #: view — still deliverable (virtual synchrony grandfathering)
-        self.legacy_keys: Set[Tuple[int, int]] = set()
 
         self.stopped = False
         self.buffer = RetransmissionBuffer(gc_enabled=stack.config.buffer_gc_enabled)
@@ -928,7 +921,6 @@ class ProcessorGroup:
     def forget_member(self, pid: int) -> None:
         # only graceful (ordered) departures route through here; the
         # fault-view path below shares the purge (:meth:`_purge_member`)
-        self.romp.purge_queue_of(pid)
         # Only a graceful (§7.1 ordered) departure hands the member's
         # final clock to the dissemination for re-emission: a laggard
         # that has not ordered the RemoveProcessor yet still gates its
@@ -953,6 +945,7 @@ class ProcessorGroup:
     def _purge_member(self, pid: int) -> None:
         """Drop the per-member state of every layer: the one purge of a
         departure, ordered or convicted."""
+        self.romp.purge_queue_of(pid)
         self.fault_detector.forget(pid)
         self.rmp.drop_source(pid)
         self.romp.purge_source(pid)
@@ -1103,8 +1096,6 @@ class ProcessorGroup:
         if self.stopped or (self.join_barrier is not None
                             and (h.timestamp, h.source) < self.join_barrier):
             return
-        if self.legacy_keys:  # non-empty only after a fault view
-            self.legacy_keys.discard((h.timestamp, h.source))
         if self._stack.tracer is not None:
             self.trace("deliver", src=h.source, seq=h.sequence_number,
                        ts=h.timestamp, bytes=len(msg.payload))
@@ -1207,18 +1198,11 @@ class ProcessorGroup:
             removed=tuple(removed), reason=reason, installed_at=self.now()))
 
     def install_fault_view(self, membership: Tuple[int, ...], view_timestamp: int,
-                           removed: Tuple[int, ...],
-                           sync_targets: Optional[Dict[int, int]] = None) -> None:
-        """Install a view that excludes convicted processors (§7.2)."""
-        targets = sync_targets or {}
+                           removed: Tuple[int, ...]) -> None:
+        """Install a view that excludes convicted processors (§7.2).  The
+        drain delivered each one's synchronized prefix: what it left
+        queued lies past that prefix, and the purge drops it."""
         for r in removed:
-            # Anything from the convicted member beyond the synchronized
-            # prefix was not received by every survivor: drop it.  The rest
-            # is grandfathered — deliverable after the member's removal
-            # (virtual synchrony: identical delivery sets at all survivors).
-            self.romp.purge_queue_after(r, targets.get(r, 0))
-            for key in self.romp.keys_from(r):
-                self.legacy_keys.add(key)
             self._purge_member(r)
         for r in removed:
             self.romp.abort_origin(r)

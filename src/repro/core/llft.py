@@ -614,18 +614,6 @@ class LeaderOrdering(ROMP):
     # ------------------------------------------------------------------
     # purges & bookkeeping
     # ------------------------------------------------------------------
-    def purge_queue_after(self, src: int, seq_cutoff: int) -> int:
-        """Drop ``src``'s parked messages with seq > ``seq_cutoff`` (§7.2:
-        beyond the synchronized prefix, received by no quorum)."""
-        q = self._pending.get(src)
-        if not q:
-            return 0
-        kept = deque(m for m in q if m.header.sequence_number <= seq_cutoff)
-        dropped = len(q) - len(kept)
-        if dropped:
-            self._pending[src] = kept
-        return dropped
-
     def purge_queue_of(self, src: int) -> int:
         """Drop every parked message from a departed source."""
         q = self._pending.pop(src, None)

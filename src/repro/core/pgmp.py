@@ -448,7 +448,6 @@ class PGMP:
         # single Membership message per proposal member, so the max of
         # their header timestamps agrees everywhere.
         view_ts = rnd.view_ts
-        targets = dict(rnd.targets)
         self._round = None
         self._accusations.clear()
         self._my_suspects.clear()
@@ -458,7 +457,6 @@ class PGMP:
             membership=new_membership,
             view_timestamp=view_ts,
             removed=removed,
-            sync_targets=targets,
         )
 
     # ------------------------------------------------------------------

@@ -436,16 +436,15 @@ class ROMP:
                     self._drop_keys(src, (ts,))
                     queue = self._queue
                     continue
-                if src not in self._gate_set and (ts, src) not in g.legacy_keys:
+                if src not in self._gate_set:
                     break
                 if not all(order.get(p, 0) >= ts for p in survivors):
                     break
             else:
-                if src not in self._gate_set and (ts, src) not in g.legacy_keys:
+                if src not in self._gate_set:
                     # A not-yet-added member's message: it always follows the
                     # AddProcessor (smaller timestamp) in the queue; if the
                     # source will never join, the view change purges it.
-                    # (Messages grandfathered by a fault view are delivered.)
                     break
                 if self._gate_set:
                     # _cover_ts() in line: min of ``_order_ts`` over the
@@ -719,9 +718,8 @@ class ROMP:
     # membership-change support
     # ------------------------------------------------------------------
     def purge_source(self, src: int) -> None:
-        """Forget a departed member (keep its already-queued messages only
-        if it was removed by RemoveProcessor/Membership *after* syncing —
-        the caller decides by calling purge_queue too)."""
+        """Forget a departed member; :meth:`purge_queue_of` drops what it
+        left queued."""
         self._order_ts.pop(src, None)
         self._peer_ack.pop(src, None)
         self._staging.pop(src, None)
@@ -766,18 +764,6 @@ class ROMP:
                 del self._by_src[src]
         return len(doomed)
 
-    def purge_queue_after(self, src: int, seq_cutoff: int) -> int:
-        """Discipline hook — drop queued messages from ``src`` with seq >
-        ``seq_cutoff``.
-
-        Used at fault-view installation: messages beyond the synchronized
-        prefix were not received by every survivor and must not be
-        delivered anywhere (virtual synchrony)."""
-        index = self._by_src.get(src, {})
-        return self._drop_keys(
-            src, [ts for ts, seq in index.items() if seq > seq_cutoff]
-        )
-
     def purge_queue_of(self, src: int) -> int:
         """Discipline hook — drop queued (undeliverable) messages from a
         departed source."""
@@ -790,10 +776,6 @@ class ROMP:
     def queued(self) -> int:
         """Discipline hook — messages taken from RMP but not yet released."""
         return len(self._queue)
-
-    def keys_from(self, src: int) -> List[Tuple[int, int]]:
-        """(timestamp, source) keys of queued messages from ``src``."""
-        return [(ts, src) for ts in sorted(self._by_src.get(src, ()))]
 
     # ------------------------------------------------------------------
     # discipline hooks: lifecycle notifications, no-ops under the §6 rule

@@ -225,11 +225,7 @@ def _view_epochs(listener: RecordingListener, group: int):
 
     Returns a list of dicts ``{key, succ_ts, succ_members, ids}`` in view
     order; ``succ_ts``/``succ_members`` are ``None`` for the final (open)
-    epoch.  Deliveries sourced from a member removed by a view transition
-    are attributed to the *earlier* view: the stack explicitly
-    grandfathers a convicted member's synchronized messages (virtual
-    synchrony), and whether one lands just before or just after the fault
-    view installs is a race that carries no ordering meaning.
+    epoch.
     """
     current_key: Optional[Tuple[int, Tuple[int, ...]]] = None
     current: List[MessageId] = []
@@ -247,21 +243,15 @@ def _view_epochs(listener: RecordingListener, group: int):
     if current_key is not None:
         epochs.append({"key": current_key, "succ_ts": None,
                        "succ_members": None, "ids": current})
-    for earlier, later in zip(epochs, epochs[1:]):
-        removed = set(earlier["key"][1]) - set(later["key"][1])
-        if not removed:
-            continue
-        moved = [m for m in later["ids"] if m[0] in removed]
-        if moved:
-            earlier["ids"] = earlier["ids"] + moved
-            later["ids"] = [m for m in later["ids"] if m[0] not in removed]
     return epochs
 
 
 def check_virtual_synchrony(listeners: Dict[int, RecordingListener],
                             group: int) -> List[Violation]:
     """Members that pass through the same (view, successor) transition
-    must have delivered the same message set in the earlier view.
+    must have delivered the same message set in the earlier view, and no
+    member delivers a message in a view its source is not in: the §7.2
+    drain delivers a convicted member's prefix before the fault view.
 
     Multi-group deliveries get one relaxation: a member in its *first*
     epoch of the group may be missing multi-group sentinel deliveries
@@ -283,15 +273,23 @@ def check_virtual_synchrony(listeners: Dict[int, RecordingListener],
     transitions: Dict[
         tuple, List[Tuple[int, Tuple[int, ...], frozenset, bool]]
     ] = {}
+    violations: List[Violation] = []
     for pid, lst in sorted(listeners.items()):
         for index, epoch in enumerate(_view_epochs(lst, group)):
+            outside = sorted({m for m in epoch["ids"] if m[0] not in epoch["key"][1]})
+            if outside:
+                violations.append(Violation(
+                    "virtual-synchrony",
+                    f"member {pid} delivered {outside[:5]} in view "
+                    f"{epoch['key']}, whose sources are outside it",
+                    (pid,), key=("virtual-synchrony", "outside-view"),
+                ))
             if epoch["succ_ts"] is None:
                 continue  # open epoch: no virtual-synchrony obligation
             transitions.setdefault((epoch["key"], epoch["succ_ts"]), []).append(
                 (pid, epoch["succ_members"], frozenset(epoch["ids"]),
                  index == 0)
             )
-    violations: List[Violation] = []
     for (key, succ_ts), entries in sorted(transitions.items()):
         # an evicted member reports successor membership (); every other
         # member must name the same successor view for sets to be comparable
@@ -338,7 +336,7 @@ def check_convergence(listeners: Dict[int, RecordingListener], group: int,
     delivered after its own first delivery (joiners hold a suffix).
 
     Messages originated by processors *outside* the final membership are
-    exempt: a member removed by a fault view has its tail grandfathered
+    exempt: a member removed by a fault view has its prefix delivered
     only at the members of that view — a joiner admitted afterwards
     legitimately never sees it (virtual synchrony covers those epochs).
     """

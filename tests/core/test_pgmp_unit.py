@@ -86,8 +86,7 @@ class MockGroup:
         {SuspectMessage: self.sent_suspects, MembershipMessage: self.sent_memberships,
          RetransmitRequestMessage: self.nacks}[cls].append(body)
 
-    def install_fault_view(self, membership, view_timestamp, removed,
-                           sync_targets=None):
+    def install_fault_view(self, membership, view_timestamp, removed):
         self.installed.append((membership, view_timestamp, removed))
         self.membership = membership
         self.view_timestamp = view_timestamp

@@ -26,7 +26,6 @@ class MockGroup:
         self.config = FTMPConfig()
         self.clock = LamportClock()
         self.buffer = RetransmissionBuffer()
-        self.legacy_keys = set()
         self.delivered: List[RegularMessage] = []
         self.ordered_control: List = []
         self.source_ordered: List = []
@@ -268,30 +267,16 @@ def test_send_barrier_blocks_until_coverage():
     assert g.barrier_cleared == 1
 
 
-def test_purge_queue_after_seq_cutoff():
+def test_a_departed_members_queued_message_is_not_delivered():
     g = MockGroup(membership=(1, 2, 3))
     r = ROMP(g)
     r.receive(regular(3, ts=5, seq=1))
-    r.receive(regular(3, ts=6, seq=2))
-    r.receive(regular(3, ts=7, seq=3))
-    assert r.queued() == 3
-    dropped = r.purge_queue_after(3, seq_cutoff=1)
-    assert dropped == 2
-    assert len(r.keys_from(3)) == 1
-    assert r.keys_from(3) == [(5, 3)]
-
-
-def test_legacy_keys_allow_delivery_from_departed_member():
-    g = MockGroup(membership=(1, 2, 3))
-    r = ROMP(g)
-    r.receive(regular(3, ts=5, seq=1))
-    # 3 departs; its queued message is grandfathered
+    # 3 departs with its message still queued: no view delivers it
     g.membership = (1, 2)
-    g.legacy_keys = {(5, 3)}
     r.purge_source(3)
     r.receive_heartbeat(heartbeat(1, ts=9))
     r.receive_heartbeat(heartbeat(2, ts=9))
-    assert [m.header.source for m in g.delivered] == [3]
+    assert g.delivered == []
 
 
 def test_the_fault_drain_drops_what_a_convicted_member_sends_past_its_synced_prefix():

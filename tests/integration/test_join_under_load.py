@@ -34,8 +34,10 @@ step 2 off this schedule; on the periodic grid they replaced, the
 repro hangs without the rule and completes with it.
 """
 
+from repro.analysis.harness import make_cluster
 from repro.core import FTMPConfig, FTMPStack, RecordingListener
-from repro.simnet import LinkModel, Network, Topology
+from repro.core.romp import ROMP
+from repro.simnet import LinkModel, Network, Topology, lan
 
 GROUP, ADDRESS = 1, 5001
 #: a heartbeat instant of the founders' 2 ms periodic grid
@@ -79,3 +81,41 @@ def test_join_completes_with_a_send_in_flight():
     assert all(len(l.deliveries) == 1 for l in founders)
     assert [v.membership for v in joiner.views] == [(1, 2, 3, 4)]
     assert not group.joining
+
+
+def test_a_joiners_first_send_is_staged_until_its_view(monkeypatch):
+    # 4 multicasts from its own add view; 2 and 3, 2 ms apart, have not
+    # ordered the AddProcessor yet when the Regular lands: they stage it
+    # (ROMP._take_ordered) and queue it when the view admits 4
+    staged = []
+    take = ROMP._take_ordered
+
+    def spy(self, msg):
+        if msg.header.source not in self._g.membership:
+            staged.append((self._g.pid, msg.header.source))
+        return take(self, msg)
+
+    monkeypatch.setattr(ROMP, "_take_ordered", spy)
+
+    class FirstSend(RecordingListener):
+        def on_view_change(self, view):
+            super().on_view_change(view)
+            if view.reason == "add" and 4 in view.added:
+                c.stacks[4].multicast(c.group, b"first")
+
+    topo = lan()
+    topo.set_link(2, 3, LinkModel(latency=0.002))
+    c = make_cluster((1, 2, 3), topology=topo)
+
+    def join():
+        c.listeners[4] = FirstSend()
+        c.stacks[4] = FTMPStack(c.net.endpoint(4), c.stacks[1].config, c.listeners[4])
+        c.stacks[4].join_as_new_member(c.group, c.addresses[c.group])
+        c.stacks[1].add_processor(c.group, 4)
+
+    c.net.scheduler.at(0.01, join)
+    c.run_for(0.5)
+    assert sorted(staged) == [(2, 4), (3, 4)]
+    for lst in c.listeners.values():
+        assert [(d.source, d.payload) for d in lst.deliveries] == [(4, b"first")]
+    c.assert_agreement()

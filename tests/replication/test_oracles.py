@@ -118,6 +118,23 @@ def test_virtual_synchrony_flags_diverging_cut_between_survivors():
     assert oracles_of(violations) == {"virtual-synchrony"}
 
 
+def test_virtual_synchrony_flags_a_delivery_from_outside_the_view():
+    # both survivors deliver 3's message, but member 2 only after the view
+    # that removed 3: the sets agree once it is counted, the cut does not
+    listeners = {1: RecordingListener(), 2: RecordingListener()}
+    for pid, lst in listeners.items():
+        view(lst, (1, 2, 3), 0, reason="connect")
+        deliver(lst, 1, 1, 10)
+        if pid == 1:
+            deliver(lst, 3, 1, 12)
+        view(lst, (1, 2), 100, removed=(3,))
+        if pid == 2:
+            deliver(lst, 3, 1, 12)
+    violations = check_virtual_synchrony(listeners, GROUP)
+    assert oracles_of(violations) == {"virtual-synchrony"}
+    assert any("outside" in v.detail and v.members == (2,) for v in violations)
+
+
 def test_virtual_synchrony_exempts_the_evicted_member():
     listeners = {1: RecordingListener(), 2: RecordingListener(),
                  3: RecordingListener()}
@@ -142,7 +159,7 @@ def test_convergence_flags_a_message_one_final_member_never_got():
 
 
 def test_convergence_exempts_sources_outside_final_membership():
-    # member 3 was convicted: its tail is grandfathered at the old view's
+    # member 3 was convicted: its prefix is delivered at the old view's
     # members only, so a joiner that never saw it owes nothing
     listeners = pair(stream=((3, 5, 9), (1, 1, 10), (2, 1, 11)))
     late = RecordingListener()
@@ -234,10 +251,15 @@ def test_acyclicity_flags_a_three_group_rotation():
     assert {(5, 1), (6, 1), (7, 1)} <= set(v.cycle)
 
 
+#: multicast C = (origin 2, mg_seq 1): a multi-group origin is a member
+#: of every group it addresses, so its delivery lies inside the view
+C = mg_request_num(2, 1)
+
+
 def _join_epoch_listeners(joiner_gap_req=None, joiner_gap_ordinary=False):
     """Members 1, 2 incumbent; 9 joins at ts 50; member 3 joins at ts 100.
 
-    In the epoch between the two joins the incumbents deliver multicast A
+    In the epoch between the two joins the incumbents deliver multicast C
     and one ordinary message; ``joiner_gap_req``/``joiner_gap_ordinary``
     select which of the two member 9 misses.
     """
@@ -249,7 +271,7 @@ def _join_epoch_listeners(joiner_gap_req=None, joiner_gap_ordinary=False):
         view(listeners[pid], (1, 2, 9), 50, added=(9,), reason="add")
     for pid, lst in listeners.items():
         if not (pid == 9 and joiner_gap_req is not None):
-            mg_deliver(lst, GROUP, A, 60)
+            mg_deliver(lst, GROUP, C, 60)
         if not (pid == 9 and joiner_gap_ordinary):
             deliver(lst, 1, 5, 70)
     for lst in listeners.values():
@@ -261,7 +283,7 @@ def test_virtual_synchrony_exempts_mg_gap_in_a_joiners_first_epoch():
     # the joiner's replay starts at its join barrier: a multicast whose
     # Propose predates the barrier but whose Commit landed after it is
     # delivered by incumbents only — documented window, not a breach
-    listeners = _join_epoch_listeners(joiner_gap_req=A)
+    listeners = _join_epoch_listeners(joiner_gap_req=C)
     assert check_virtual_synchrony(listeners, GROUP) == []
 
 
