@@ -165,6 +165,9 @@ class ROMP:
         #: per-source sequence vector) while a synced fault view waits to
         #: be installed
         self._transition: Optional[Tuple[FrozenSet[int], int, Dict[int, int]]] = None
+        #: convicted source -> the sequence number our Membership message
+        #: reported for it: held past it until the round's drain begins
+        self._held: Dict[int, int] = {}
         #: membership tuple the incremental min trackers were built for;
         #: compared by identity (membership tuples are replaced, never
         #: mutated), so the steady-state staleness check is one ``is``
@@ -446,6 +449,9 @@ class ROMP:
                     # AddProcessor (smaller timestamp) in the queue; if the
                     # source will never join, the view change purges it.
                     break
+                if self._held and src in self._held and (
+                        self._by_src[src][ts] > self._held[src]):
+                    break  # past what we reported of a convicted member
                 if self._gate_set:
                     # _cover_ts() in line: min of ``_order_ts`` over the
                     # members, superseded heap entries popped on sight
@@ -685,6 +691,21 @@ class ROMP:
     # ------------------------------------------------------------------
     # fault-view transition drain (§7.2)
     # ------------------------------------------------------------------
+    def hold_past(self, reported: Dict[int, int]) -> None:
+        """Hold each convicted source's messages past the sequence number
+        our Membership message ``reported`` for it (§7.2).
+
+        The round's targets are at least what we reported, so nothing we
+        deliver meanwhile can lie past the synced prefix every survivor
+        cuts at; what lies between the two is delivered by the drain.
+        :meth:`begin_transition` replaces the hold with the targets, a
+        superseding round with its own, :meth:`end_transition` ends it.
+        (Discipline hook, with :meth:`begin_transition`: LeaderOrdering
+        parks every decision while a fault round is open, which holds
+        these too.)
+        """
+        self._held = dict(reported)
+
     def begin_transition(self, survivors: FrozenSet[int], cut_ts: int,
                          targets: Optional[Dict[int, int]] = None) -> None:
         """Start draining the old view's messages before a fault view.
@@ -704,10 +725,12 @@ class ROMP:
         a discipline whose cut is a sequence number cuts at ``targets``.)
         """
         self._transition = (frozenset(survivors), cut_ts, dict(targets or {}))
+        self._held = {}
         self.evaluate()
 
     def end_transition(self) -> None:
         self._transition = None
+        self._held = {}
 
     def transition_drained(self, cut_ts: int) -> bool:
         """True when every old-view message has been delivered — i.e. the

@@ -38,9 +38,13 @@ class MockROMP:
 
     def __init__(self):
         self.transition = None
+        self.held = {}
 
     def order_ts(self, pid):
         return 10**9
+
+    def hold_past(self, reported):
+        self.held = dict(reported)
 
     def begin_transition(self, survivors, cut_ts, targets=None):
         self.transition = (frozenset(survivors), cut_ts)

@@ -673,3 +673,21 @@ def test_leader_ordering_declines_runs():
     for cls in ROMP.__subclasses__():
         if cls._take_ordered is not ROMP._take_ordered or cls.evaluate is not ROMP.evaluate:
             assert cls.receive_run is not ROMP.receive_run, cls
+
+
+def test_a_convicted_members_messages_past_our_report_wait_for_the_drain():
+    # we reported 3's stream through seq 1; 3 comes back and sends seq 2.
+    # Held, not delivered in the old view and not dropped: another
+    # survivor reported it, so the round's targets reach it and the
+    # drain delivers it
+    g = MockGroup(membership=(1, 2, 3))
+    r = ROMP(g)
+    r.receive(regular(3, ts=5, seq=1))
+    r.hold_past({3: 1})
+    r.receive(regular(3, ts=6, seq=2))
+    r.receive_heartbeat(heartbeat(1, ts=9))
+    r.receive_heartbeat(heartbeat(2, ts=9))
+    r.receive_heartbeat(heartbeat(3, ts=9))
+    assert [(m.header.timestamp, m.header.source) for m in g.delivered] == [(5, 3)]
+    r.begin_transition(frozenset({1, 2}), cut_ts=20, targets={1: 0, 2: 0, 3: 2})
+    assert [(m.header.timestamp, m.header.source) for m in g.delivered] == [(5, 3), (6, 3)]
