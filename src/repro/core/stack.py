@@ -230,16 +230,25 @@ class FTMPStack:
         return self._require_group(binding.group_id).multicast(payload, cid,
                                                                request_num)
 
-    def release_connection_local(self, cid: ConnectionId) -> None:
+    def release_connection_local(self, cid: ConnectionId, linger: bool = False) -> None:
         """Tear down local state for a released connection (§7).
 
         Called at the point in the total order where the release was
         delivered; retires the processor group if no other logical
-        connection shares it.
+        connection shares it.  A release at a view installation
+        (``linger``) leaves the group lingering past the view's
+        timestamp: a survivor still draining the old view must hear our
+        stream past its cut.
         """
         orphaned_group = self.connections.drop(cid)
         self.duplicates.forget(cid)
-        if orphaned_group is not None:
+        if orphaned_group is None:
+            return
+        if linger:
+            g = self._groups[orphaned_group]
+            self.retire_group(orphaned_group)
+            g.linger(g.view_timestamp)
+        else:
             self.remove_group(orphaned_group)
 
     def migrate_connection(self, cid: ConnectionId, new_address: int) -> None:

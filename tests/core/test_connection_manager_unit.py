@@ -1,6 +1,7 @@
 """ConnectionManager internals."""
 
 from repro.core import ConnectionId, ConnectMessage, FTMPConfig, FTMPStack, RecordingListener
+from repro.core.connection import domain_multicast_address
 from repro.simnet import Network, lan
 
 CID = ConnectionId(3, 200, 7, 100)
@@ -122,3 +123,17 @@ def test_an_ordered_connect_for_another_membership_binds_nothing():
         assert stacks[pid].connection_binding(CID2) is None
         assert stacks[pid].snapshot()["connections.id_collisions"] == 1
         assert stacks[pid].connection_binding(CID).group_id == gid
+
+
+def test_a_released_server_refuses_a_resend_of_the_old_connect():
+    # a resend of the Connect that bound a connection, reaching a server
+    # after it released it, must not bootstrap the group again
+    net, stacks = build()
+    establish(net, stacks)
+    raw = stacks[1].connection_binding(CID).connect_raw
+    gid = stacks[2].connection_binding(CID).group_id
+    stacks[2].release_connection_local(CID)
+    stacks[1].group(gid).retransmit_raw(raw, address=domain_multicast_address(7))
+    net.run_for(0.01)
+    assert stacks[2].connection_binding(CID) is None
+    assert not stacks[2].holds_group(gid)
