@@ -1003,10 +1003,10 @@ class ProcessorGroup:
     def _activate(self) -> None:
         """Join the wire address, start heartbeats and the fault detector."""
         self._endpoint.join(self.address)
-        self.fault_detector.start()
         for p in self.membership:
             if p != self.pid:
                 self.fault_detector.watch(p, grace=JOIN_GRACE)
+        self.fault_detector.start()
         self.send_path.start_heartbeats()
         self.dissemination.activate()
 

@@ -11,6 +11,7 @@ of the processor fault detectors" the paper alludes to).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional, Set
 
@@ -27,18 +28,30 @@ class FaultDetectorStats:
 
 
 class FaultDetector:
-    """Per-group liveness monitor driving PGMP suspicion."""
+    """Per-group liveness monitor driving PGMP suspicion.
+
+    One timer, armed at the earliest deadline ``last heard +
+    suspect_timeout`` over the unsuspected members (a grace period is a
+    later ``last heard``), so a member is suspected the moment it has been
+    silent for ``suspect_timeout``.  A datagram writes its source's entry
+    and leaves the timer alone — it then fires early, finds nobody due and
+    re-arms at the new earliest deadline — unless the entry moved earlier
+    than the armed one: a member heard inside its grace period.
+    """
 
     def __init__(self, group: "GroupContext"):
         self._g = group
         self._last_heard: Dict[int, float] = {}
         self._suspected: Set[int] = set()
         self._timer: Optional[object] = None
+        #: the ``last heard`` whose deadline the timer is armed for
+        #: (-inf while none is armed)
+        self._armed = -math.inf
         self.stats = FaultDetectorStats()
 
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Begin periodic liveness scans."""
+        """Begin monitoring: arm the deadline timer."""
         if self._timer is None:
             self._arm()
 
@@ -46,24 +59,49 @@ class FaultDetector:
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
+        self._armed = -math.inf
 
     def _arm(self) -> None:
-        period = max(self._g.config.suspect_timeout / 4.0, 1e-4)
-        self._timer = self._g.schedule(period, self._scan)
+        """Arm the timer at the earliest deadline over the unsuspected
+        members, starting the clock of any never heard; with none, a
+        timeout from now (a pass that only purges non-members)."""
+        now = self._g.now()
+        me = self._g.pid
+        last_heard = self._last_heard
+        earliest = None
+        for pid in self._g.membership:
+            if pid == me or pid in self._suspected:
+                continue
+            last = last_heard.get(pid)
+            if last is None:
+                last = last_heard[pid] = now
+            if earliest is None or last < earliest:
+                earliest = last
+        self._armed = now if earliest is None else earliest
+        delay = self._armed + self._g.config.suspect_timeout - now
+        self._timer = self._g.schedule(max(delay, 0.0), self._expire)
+
+    def _rearm(self) -> None:
+        self._timer.cancel()
+        self._arm()
 
     # ------------------------------------------------------------------
     def note_alive(self, pid: int) -> None:
         """Record that a datagram was received from ``pid``."""
-        self._last_heard[pid] = self._g.now()
+        now = self._last_heard[pid] = self._g.now()
         if pid in self._suspected:
             # heard from a suspect again: withdraw the suspicion
             self._suspected.discard(pid)
             self.stats.suspicions_withdrawn += 1
             self._g.pgmp_withdraw_suspicion(pid)
+        if now < self._armed:
+            self._rearm()
 
     def watch(self, pid: int, grace: float = 0.0) -> None:
         """Start monitoring a (possibly new) member, with a grace period."""
-        self._last_heard[pid] = self._g.now() + grace
+        last = self._last_heard[pid] = self._g.now() + grace
+        if last < self._armed:
+            self._rearm()
 
     def forget(self, pid: int) -> None:
         """Stop monitoring a departed member."""
@@ -76,10 +114,10 @@ class FaultDetector:
         return set(self._suspected)
 
     # ------------------------------------------------------------------
-    def _scan(self) -> None:
+    def _expire(self) -> None:
         self._timer = None
-        now = self._g.now()
-        timeout = self._g.config.suspect_timeout
+        armed, self._armed = self._armed, -math.inf
+        late = self._g.now() - self._g.config.suspect_timeout
         membership = self._g.membership
         # note_alive records *every* datagram source (any processor may
         # send to the group address), so liveness entries accumulate for
@@ -92,11 +130,9 @@ class FaultDetector:
             if pid == self._g.pid or pid in self._suspected:
                 continue
             last = self._last_heard.get(pid)
-            if last is None:
-                # never heard: start the clock from now
-                self._last_heard[pid] = now
-                continue
-            if now - last > timeout:
+            # due: the entry the timer was armed for (exactly, whatever
+            # float the scheduler fired at), or one older than a timeout
+            if last is not None and (last <= armed or last <= late):
                 self._suspected.add(pid)
                 self.stats.suspicions_raised += 1
                 self._g.pgmp_raise_suspicion(pid)

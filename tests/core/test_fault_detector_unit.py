@@ -1,7 +1,10 @@
 """Fault detector unit behaviour (suspicion lifecycle, grace, rejoin)."""
 
+import pytest
+
 from repro.analysis import make_cluster
 from repro.core import FTMPConfig, FTMPStack, RecordingListener
+from repro.core.tracing import Tracer
 
 
 def test_no_suspicion_while_everyone_heartbeats():
@@ -14,19 +17,23 @@ def test_no_suspicion_while_everyone_heartbeats():
 
 
 def test_silence_raises_suspicion_within_bounds():
+    # the rule: a member is suspected once it has been silent for
+    # suspect_timeout — measured from the last datagram heard from it —
+    # and the fault report follows within one round of messages
     cfg = FTMPConfig(heartbeat_interval=0.005, suspect_timeout=0.050)
     c = make_cluster((1, 2, 3), config=cfg)
+    tracer = c.stacks[1].tracer = Tracer()
     c.run_for(0.05)
-    t_crash = c.net.scheduler.now
     c.net.crash(3)
     c.run_for(0.5)
-    # suspicion was raised (then consumed by the conviction) and the
-    # resulting fault report lands within detection bounds
+    last = max(e.time for e in tracer.events
+               if e.kind == "recv" and e.detail["src"] == 3)
+    (raised,) = [e.time for e in tracer.events if e.kind == "suspect"]
+    assert raised == pytest.approx(last + cfg.suspect_timeout, abs=1e-9)
     fd = c.stacks[1].group(1).fault_detector
-    assert fd.stats.suspicions_raised >= 1
-    report = c.listeners[1].faults[0]
-    elapsed = report.reported_at - t_crash
-    assert cfg.suspect_timeout <= elapsed <= cfg.suspect_timeout + 0.050
+    assert fd.stats.suspicions_raised == 1
+    elapsed = c.listeners[1].faults[0].reported_at - last
+    assert cfg.suspect_timeout <= elapsed <= cfg.suspect_timeout + cfg.heartbeat_interval
 
 
 def test_grace_period_defers_suspicion_of_new_members():
@@ -107,3 +114,20 @@ def test_scan_purges_liveness_entries_for_non_members():
     assert 9 not in fd.suspected
     # members are of course kept
     assert 2 in fd._last_heard and 3 in fd._last_heard
+
+
+def test_one_timer_event_per_deadline():
+    # heartbeats only write the liveness map: the timer fires at the
+    # earliest deadline, finds everyone heard since and re-arms, about
+    # once per timeout less a heartbeat interval — not every quarter
+    # timeout, as a periodic sweep would
+    cfg = FTMPConfig(heartbeat_interval=0.010, suspect_timeout=0.060)
+    c = make_cluster((1, 2, 3), config=cfg)
+    fd = c.stacks[1].group(1).fault_detector
+    fired = []
+    expire = fd._expire
+    fd._expire = lambda: (fired.append(c.net.scheduler.now), expire())
+    c.run_for(1.0)
+    assert fd.stats.suspicions_raised == 0
+    assert 1.0 / cfg.suspect_timeout <= len(fired) <= 1.0 / (
+        cfg.suspect_timeout - cfg.heartbeat_interval)
