@@ -12,6 +12,7 @@ import random
 from test_endpoint_contract import AioHarness, run_until
 
 from repro.core import FTMPConfig, FTMPStack, RecordingListener
+from repro.core.tracing import Tracer
 from repro.replication.oracles import run_history_oracles
 
 
@@ -83,6 +84,7 @@ def test_aio_member_crash_installs_survivor_view():
             stacks[pid] = FTMPStack(harness.endpoint(pid), cfg, listeners[pid])
             stacks[pid].create_group(1, 5001, pids)
         listeners[3].stack = stacks[3]
+        tracer = stacks[1].tracer = Tracer()
         for i in range(per_member):
             for pid in pids:
                 if pid == 3 and len(listeners[3].deliveries) >= per_member:
@@ -118,3 +120,11 @@ def test_aio_member_crash_installs_survivor_view():
     assert from_crashed == by_source(survivors[2], 3)
     assert from_crashed == sent[3][:len(from_crashed)]
     assert run_history_oracles(survivors, 1, final_members=(1, 2)) == []
+    # suspected at the rule's deadline, a timeout after the last datagram
+    # heard from 3, on the loop's clock (late by what the loop was busy)
+    last = max(e.time for e in tracer.events
+               if e.kind == "recv" and e.detail["src"] == 3)
+    raised = min(e.time for e in tracer.events if e.kind == "suspect"
+                 and e.detail["suspect"] == 3 and e.time > last)
+    assert cfg.suspect_timeout <= raised - last + 1e-3
+    assert raised - last <= cfg.suspect_timeout + 0.05
