@@ -510,6 +510,10 @@ class LeaderOrdering(ROMP):
     def end_transition(self) -> None:
         self._drain = None
 
+    def cut_old_view(self, synced: Dict[int, int], view: Tuple[int, int]) -> None:
+        """Nothing to drop: the drain cut the old leader's stream at a
+        sequence number, and no decision was taken past it."""
+
     def transition_drained(self, cut_ts: int) -> bool:
         """True when the old leader's in-cut stream suffix is consumed."""
         if self._drain is None:

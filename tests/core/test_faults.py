@@ -182,3 +182,22 @@ def test_a_member_back_at_its_conviction_does_not_split_the_old_view():
     result = run_plan(plan, chaos_config_for("active", "combo"))
     assert result.violations == []
     assert result.final_members == (1, 2, 3, 5)
+
+
+def test_a_view_ordered_inside_a_drain_does_not_reorder_the_convicted():
+    # The campaign's combo seed 7, shrunk to three events: 4 pauses past
+    # the suspect timeout under 5.8 % loss while 6 joins.  The survivors
+    # convict 4 and their drain delivers 1's and 2's messages past 4's
+    # synced prefix; the AddProcessor of 6, ordered inside the drain,
+    # installs a view that ends it with 4 still a member.  4 is heard
+    # again, and its messages below the drained ones were delivered after
+    # them, (136, 2) then (120, 4), and never by 6
+    import os
+
+    from repro.analysis.chaos import replay
+
+    path = os.path.join(os.path.dirname(__file__), "..", "data", "explore",
+                        "active-combo-7-s7000.json")
+    result = replay(path)
+    assert result.violations == []
+    assert result.final_members == (1, 2, 3, 5, 6)

@@ -691,3 +691,25 @@ def test_a_convicted_members_messages_past_our_report_wait_for_the_drain():
     assert [(m.header.timestamp, m.header.source) for m in g.delivered] == [(5, 3)]
     r.begin_transition(frozenset({1, 2}), cut_ts=20, targets={1: 0, 2: 0, 3: 2})
     assert [(m.header.timestamp, m.header.source) for m in g.delivered] == [(5, 3), (6, 3)]
+
+
+def test_a_view_that_ends_a_drain_cuts_the_old_view_of_the_convicted():
+    # the drain delivered 1's and 2's messages past 3's synced prefix
+    # (seq 1); then an AddProcessor at key (20, 1) installed a view and
+    # ended the drain with 3 still a member.  3's seq 2 at ts 6 is the
+    # old view's, below what was delivered: dropped.  Its seq 3 at ts 25
+    # follows the view, and is delivered as the gate allows
+    g = MockGroup(membership=(1, 2, 3))
+    r = ROMP(g)
+    r.receive(regular(3, ts=5, seq=1))
+    r.begin_transition(frozenset({1, 2}), cut_ts=20, targets={1: 1, 2: 1, 3: 1})
+    r.receive(regular(1, ts=8, seq=1))
+    r.receive(regular(2, ts=9, seq=1))
+    r.end_transition()
+    r.cut_old_view({3: 1}, (20, 1))
+    r.receive(regular(3, ts=6, seq=2))
+    r.receive(regular(3, ts=25, seq=3))
+    for src in (1, 2, 3):
+        r.receive_heartbeat(heartbeat(src, ts=30, seq=1 if src != 3 else 3))
+    assert [(m.header.timestamp, m.header.source) for m in g.delivered] == [
+        (5, 3), (8, 1), (9, 2), (25, 3)]

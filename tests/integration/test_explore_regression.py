@@ -13,9 +13,11 @@ the chaos runner's shrinker (``make explore`` /
   current code, which is the regression guarantee: if a real ordering
   bug ever re-appears on this exact minimized scenario, this test fails.
 
-An artifact recorded without the injection is a real, unfixed defect: it
-replays red as recorded, and its green replay is a strict xfail until
-the fix lands (then the xfail fails, and the mark comes off).
+An artifact recorded without the injection is a real defect.  Until its
+fix lands it is in ``KNOWN_RED``: it replays red as recorded, and its
+green replay is a strict xfail (then the xfail fails, and the mark comes
+off).  Once fixed it is a regression pin: it replays green, and red only
+against the code it was recorded on.
 
 New artifacts dropped into the directory are picked up automatically.
 """
@@ -62,7 +64,17 @@ def test_artifact_is_minimized_and_well_formed(path):
     assert schedule.as_dict() == artifact["schedule"]
 
 
-@pytest.mark.parametrize("path", ARTIFACTS, ids=[os.path.basename(p) for p in ARTIFACTS])
+def _red(path):
+    """Recorded with the self-test injection, or a defect not fixed yet."""
+    with open(path, encoding="utf-8") as fh:
+        injected = json.load(fh)["inject_ordering_bug"]
+    return injected or os.path.basename(path) in KNOWN_RED
+
+
+RED = [p for p in ARTIFACTS if _red(p)]
+
+
+@pytest.mark.parametrize("path", RED, ids=[os.path.basename(p) for p in RED])
 def test_artifact_replays_red_as_recorded(path):
     with open(path, encoding="utf-8") as fh:
         artifact = json.load(fh)
