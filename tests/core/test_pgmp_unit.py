@@ -236,3 +236,29 @@ def test_membership_sent_once_per_proposal():
     # repeated conviction checks must not re-send for the same proposal
     p.on_source_ordered(suspect_msg(4, 0, (5,)))
     assert len(g.sent_memberships) == count_after_first == 1
+
+
+def test_a_round_reformed_after_a_view_counts_its_conviction_once():
+    # an AddProcessor ordered mid-round installs a view; the detector
+    # still suspects 5, so the round re-forms in the new view: that is
+    # the same conviction, not a second one
+    g = MockGroup(membership=(1, 2, 3, 4, 5))
+    g.fault_detector.suspected = {5}
+    p = PGMP(g)
+    p.raise_suspicion(5)
+    p.on_source_ordered(suspect_msg(2, 0, (5,)))
+    p.on_source_ordered(suspect_msg(3, 0, (5,)))
+    assert p.in_fault_round and p.stats.convictions == 1
+    g.membership, g.view_timestamp = (1, 2, 3, 4, 5, 6), 30
+    p.reset_after_view()
+    for src in (2, 3, 4):
+        p.on_source_ordered(suspect_msg(src, 30, (5,), seq=3, ts=31))
+    assert p.in_fault_round
+    assert p.stats.convictions == 1
+    # a round convicting one more member counts only that one
+    p.on_source_ordered(suspect_msg(2, 30, (4, 5), seq=4, ts=32))
+    p.on_source_ordered(suspect_msg(3, 30, (4, 5), seq=4, ts=32))
+    p.on_source_ordered(suspect_msg(6, 30, (4, 5), seq=4, ts=32))
+    p.raise_suspicion(4)
+    assert p._convicted() == {4, 5}
+    assert p.stats.convictions == 2
