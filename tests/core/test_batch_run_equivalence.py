@@ -102,10 +102,11 @@ def run_once(seed, as_runs):
 # delivered out of a gate entry in mid-batch stops its group with the rest
 # of the batch in hand.  Whether the datagram that completes the removal's
 # cover there is a batch or a single message is up to the loss stream, on
-# about half of the seeds; these two have it (a run of 4 cut at 1, one of
-# 2 cut at 1).  Re-pick when NACK, credit or heartbeat timing moves the
-# stream (seed 4 lost its cut to the head cover's heartbeats).
-@pytest.mark.parametrize("seed", [2, 5])
+# some of the seeds; these two have it (a run of 2 cut at 1, one of 4 cut
+# at 2).  Re-pick when NACK, credit or heartbeat timing moves the stream
+# (seed 4 lost its cut to the head cover's heartbeats, seed 5 to the late
+# cover's).
+@pytest.mark.parametrize("seed", [1, 2])
 def test_runs_leave_the_wire_and_the_upcalls_as_part_by_part_does(seed):
     wire_log, upcalls, counters, runs = run_once(seed, as_runs=True)
     ref_wire, ref_upcalls, ref_counters, ref_runs = run_once(seed, as_runs=False)

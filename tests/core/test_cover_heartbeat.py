@@ -3,7 +3,9 @@
 A member that receives a Regular on a §4 logical connection, and has
 stamped nothing since that Regular's timestamp, sends one §5 Heartbeat on
 the next scheduler turn instead of one heartbeat interval later
-(``SendPath.cover``).  These tests pin when it does and when it does not.
+(``SendPath.cover``).  A Regular outside any connection takes the late
+cover instead (``SendPath.cover_late``, pinned in ``test_head_cover.py``).
+These tests pin when it does and when it does not.
 """
 
 import pytest
@@ -116,9 +118,18 @@ def test_no_cover_when_the_member_sent_since(deferred):
     assert covers(groups)[2] == 1  # the idle server still covers
 
 
-def test_no_cover_outside_a_connection(monkeypatch):
-    called = []
+def test_only_late_covers_outside_a_connection(monkeypatch):
+    called, immediate = [], []
     monkeypatch.setattr(SendPath, "cover", lambda self, msg: called.append(msg))
+    send_cover = SendPath._send_cover
+
+    def sending_cover(self):
+        immediate.append(self)
+        send_cover(self)
+
+    # the connection and head covers send through _send_cover; the late
+    # cover is the idle clock ticking early
+    monkeypatch.setattr(SendPath, "_send_cover", sending_cover)
     net, stacks, groups = build()
     gid = stacks[8].connection_binding(CID).group_id
     beats = {p: groups[p].stats.heartbeats_sent for p in PIDS}
@@ -127,9 +138,23 @@ def test_no_cover_outside_a_connection(monkeypatch):
     net.run_for(0.1)
     # ConnectionId.none() is an identity test: the rule is never entered
     assert not called
-    assert covers(groups) == dict.fromkeys(PIDS, 0)
-    # the idle clock is all there is: 0.1 s of 0.02 s intervals
+    assert not immediate
+    # one late cover for the five Regulars at each member that received them
+    assert covers(groups) == {1: 1, 2: 1, 8: 0, 9: 1}
+    assert all(len(stacks[p].listener.deliveries) == 5 for p in PIDS)
+    # the idle clock is all there is besides: 0.1 s of 0.02 s intervals
     assert all(groups[p].stats.heartbeats_sent - beats[p] <= 5 for p in PIDS)
+
+
+def test_a_connection_regular_takes_the_connection_cover_only(monkeypatch):
+    late = []
+    monkeypatch.setattr(SendPath, "cover_late", lambda self, ts: late.append(ts))
+    net, stacks, groups = build()
+    stacks[8].send_on_connection(CID, b"REQ", request_num=1)
+    net.run_for(0.1)
+    assert not late
+    assert covers(groups) == {1: 1, 2: 1, 8: 0, 9: 1}
+    assert all(len(stacks[p].listener.deliveries) == 1 for p in PIDS)
 
 
 def test_no_cover_for_a_connection_this_stack_does_not_hold():

@@ -6,14 +6,17 @@ and this one has stamped nothing at or past it, the whole group waits
 for its §5 null message.  It sends one after ``heartbeat_interval *
 HEAD_COVER_DELAY`` (``SendPath.cover_head``, fed by
 ``ROMP.awaited_head`` once per received datagram) unless it stamps
-something first.  These tests pin when it does and when it does not.
+something first.  With two laggards or more, each sends it
+``heartbeat_interval * LATE_COVER_DELAY`` after the head arrived
+(``SendPath.cover_late``), unless it stamps something first.  These tests
+pin when they do and when they do not.
 """
 
 import pytest
 
 from repro.core import FTMPConfig, FTMPStack, RecordingListener
 from repro.core.constants import MessageType
-from repro.core.datapath import HEAD_COVER_DELAY
+from repro.core.datapath import HEAD_COVER_DELAY, LATE_COVER_DELAY
 from repro.simnet import LinkModel, Network, Topology
 
 GROUP, ADDRESS = 1, 5001
@@ -92,19 +95,43 @@ def test_no_head_cover_when_the_laggard_stamps_first():
     assert [d.payload for d in stacks[4].listener.deliveries][:1] == [b"head"]
 
 
-def test_two_laggards_wait_for_the_idle_clock():
+def test_two_laggards_cover_late():
     net, stacks, groups = build()
     logs = {p: record(net, groups[p]) for p in (3, 4)}
-    heard = member_1_sends_then(net, stacks, (2,))
-    net.scheduler.run_until(heard + INTERVAL / 2)
-    # 3 and 4 each hold the head back: neither covers it early
-    assert covers(groups) == dict.fromkeys(PIDS, 0)
+    member_1_sends_then(net, stacks, (2,))
+    late = T0 + HOP + INTERVAL * LATE_COVER_DELAY  # after the head arrived
+    net.scheduler.run_until(late - HOP)
+    # 3 and 4 each hold the head back: no head cover, the sole laggard's
+    assert covers(groups)[3] == covers(groups)[4] == 0
     assert all(not sent for sent in logs.values())
     assert all(not stacks[p].listener.deliveries for p in PIDS)
-    # the idle clock still comes: one interval after the last heartbeat
-    net.scheduler.run_until(heard + INTERVAL)
-    assert all(stacks[p].listener.deliveries for p in PIDS)
-    assert covers(groups)[3] == covers(groups)[4] == 0
+    # the late cover: 5/8 of an interval after the arrival, not a whole
+    # one after the last idle-clock tick
+    net.scheduler.run_until(late + 2 * HOP)
+    for p in (3, 4):
+        assert [t for t, _ in logs[p]] == [pytest.approx(late, abs=1e-9)]
+        assert [m for _, m in logs[p]] == [MessageType.HEARTBEAT]
+    assert covers(groups)[3] == covers(groups)[4] == 1
+    assert LATE_COVER_DELAY == 5 / 8
+    for p in PIDS:
+        first = stacks[p].listener.deliveries[0]
+        assert first.payload == b"head"
+        assert late < first.delivered_at <= late + HOP + 1e-9
+
+
+def test_no_late_cover_when_a_laggard_stamps_first():
+    net, stacks, groups = build()
+    logs = {p: record(net, groups[p]) for p in (3, 4)}
+    member_1_sends_then(net, stacks, (2,))
+    late = T0 + HOP + INTERVAL * LATE_COVER_DELAY
+    net.scheduler.at(T0 + INTERVAL / 4, stacks[4].multicast, GROUP, b"mine")
+    net.scheduler.run_until(late + 2 * HOP)
+    # 4's own Regular covered the head: its idle clock is back to a
+    # whole interval after that send
+    assert logs[4] == [(T0 + INTERVAL / 4, MessageType.REGULAR)]
+    assert covers(groups)[4] == 0
+    assert [m for _, m in logs[3]] == [MessageType.HEARTBEAT]
+    assert covers(groups)[3] == 1
 
 
 @pytest.mark.parametrize("config", [
@@ -128,3 +155,27 @@ def test_no_head_cover_while_joining():
     groups[4].joining, groups[4].join_barrier = False, None
     assert not sent
     assert groups[4].stats.cover_heartbeats == 0
+
+
+@pytest.mark.parametrize("config", [
+    FTMPConfig(heartbeat_interval=INTERVAL, ordering="leader"),
+    FTMPConfig(heartbeat_interval=INTERVAL, dissemination="tree"),
+], ids=["leader", "tree"])
+def test_no_late_cover_in_a_discipline_where_covers_are_off(config):
+    net, stacks, groups = build(config)
+    member_1_sends_then(net, stacks, (2,))
+    net.scheduler.run_until(T0 + HOP + INTERVAL * 3 / 4)
+    assert covers(groups) == dict.fromkeys(PIDS, 0)
+
+
+def test_no_late_cover_while_joining():
+    net, stacks, groups = build()
+    sent = record(net, groups[4])
+    groups[4].joining, groups[4].join_barrier = True, (0, 0)
+    member_1_sends_then(net, stacks, (2,))
+    # past 3's late cover, short of the idle clock's next tick
+    net.scheduler.run_until(T0 + 3 * HOP + INTERVAL * LATE_COVER_DELAY)
+    groups[4].joining, groups[4].join_barrier = False, None
+    assert not sent
+    assert groups[4].stats.cover_heartbeats == 0
+    assert groups[3].stats.cover_heartbeats == 1
