@@ -8,12 +8,14 @@ dominated by waiting for covering heartbeats from the quiet members).
 Sweep the interval; the reproduced figure is latency and packets/s per
 interval, and the asserted *shape* is: latency increases with the
 interval while traffic decreases.  A quiet member heartbeats one
-interval after its last send (§5), so no message waits longer than one
-interval plus a hop for the covering heartbeats.
+interval after its last send (§5), and :data:`LATE_COVER_DELAY` of one
+after a Regular it has not stamped past arrived, so no message waits
+longer than that plus two hops with jitter for the covering heartbeats.
 """
 
 from repro.analysis import Table, TimedWorkload, make_cluster, summarize
 from repro.core import FTMPConfig
+from repro.core.datapath import LATE_COVER_DELAY
 
 from _report import emit
 
@@ -49,13 +51,13 @@ def test_e1_heartbeat_tradeoff():
 
     means = [results[ms][0].mean for ms in INTERVALS_MS]
     packets = [results[ms][1] for ms in INTERVALS_MS]
-    # shape: latency bounded by one interval and clearly larger at the
+    # shape: latency bounded by the late cover and clearly larger at the
     # largest interval than the smallest
     assert means[-1] > means[0]
     assert means[-1] > 5 * means[1]
     for ms, (lat, _pps) in results.items():
         assert lat.mean <= ms / 1e3 + 0.002
-        assert lat.p99 <= ms / 1e3 + 0.0002
+        assert lat.p99 <= LATE_COVER_DELAY * ms / 1e3 + 0.0003
     # shape: traffic strictly decreases as the interval grows
     assert all(a > b for a, b in zip(packets, packets[1:]))
     # endpoints differ by roughly the interval ratio (50x) — allow slack
