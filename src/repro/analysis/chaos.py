@@ -131,6 +131,8 @@ _CRASH_AGAIN = ("the designated victim means nothing to Skeen ordering: the "
 #: and §7 virtual synchrony must survive — membership churn, transient
 #: partitions, crash faults, overload backpressure — plus the mode's own
 #: handoff class, exactly the same-time orders a policy exists to permute.
+#: The llft and multigroup rows also explore ``combo``: a join during a
+#: fault round, the joiner's replay racing the §7.2 drain.
 MODE_TABLE: Dict[str, ModeSpec] = {
     "active": ModeSpec(
         about="symmetric §6 Lamport order, all-member stability",
@@ -143,17 +145,12 @@ MODE_TABLE: Dict[str, ModeSpec] = {
               "synchrony excuses a crashed member's speculative suffix)",
         config={"ordering": "leader", "dissemination": "flat",
                 "llft_leader_pid": 0},  # 0: smallest member
-        explored=("churn", "partition", "crash", "overload", "leader_crash"),
+        explored=("churn", "partition", "crash", "combo", "overload", "leader_crash"),
         cells={"leader_crash": Cell(
             "the leader is pinned to the crash victim: a takeover with "
             "parked messages and OrderInfo gaps in flight",
             config={"llft_leader_pid": LLFT_LEADER_PID})},
-        excluded={
-            "combo": "a join during an active fault round: the joiner's "
-                     "sponsor-stream replay races the §7.2 drain, outside "
-                     "the takeover protocol's documented scope",
-            "overlap": _OTHER_MODES,
-        },
+        excluded={"overlap": _OTHER_MODES},
     ),
     "overlay": ModeSpec(
         about="tree dissemination with aggregated stability",
@@ -193,10 +190,8 @@ MODE_TABLE: Dict[str, ModeSpec] = {
         about="Skeen multi-group multicast over three overlapping groups, "
               "plus the cross-group acyclicity oracle",
         config={"ordering": "skeen", "dissemination": "flat"},
-        explored=("churn", "partition", "crash", "overlap"),
+        explored=("churn", "partition", "crash", "combo", "overlap"),
         excluded={
-            "combo": "outside the mix as drawn (environment classes + "
-                     "overlap); nothing known against it",
             "overload": "multi-group sends bypass the flow controller: the "
                         "credit loop cannot absorb the offered load",
             "leader_crash": _CRASH_AGAIN,

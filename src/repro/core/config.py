@@ -104,11 +104,11 @@ class FTMPConfig:
     clock_mode: str = ClockMode.LAMPORT
 
     # --- batching / piggybacking (extension) -----------------------------
-    #: Coalescing window for small Regular messages (seconds).  Within a
-    #: window, Regulars to the group address are packed into one Batch
-    #: datagram and pending heartbeats are suppressed (the batch carries
-    #: fresher timestamps anyway).  0 disables batching entirely: every
-    #: send goes out immediately, bit-identical to the unbatched stack.
+    #: Coalescing window for small Regular messages (seconds): Regulars to
+    #: the group address within it share one Batch datagram.  An idle or
+    #: late Heartbeat due while it holds any is skipped, which a window
+    #: under 5/8 ``heartbeat_interval`` never sees.  0 disables batching:
+    #: every send goes out at once, bit-identical to the unbatched stack.
     batch_window: float = 0.0
     #: Flush a pending batch as soon as its packed parts reach this many
     #: bytes; also the per-message eligibility cap (bigger messages are

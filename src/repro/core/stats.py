@@ -46,8 +46,8 @@ class GroupStats:
 
     regulars_sent: int = 0
     heartbeats_sent: int = 0
-    #: of ``heartbeats_sent``: sent before the idle clock's interval ran
-    #: out, to cover received Regulars (``SendPath.cover``,
+    #: of ``heartbeats_sent``: sent by a cover rule rather than the idle
+    #: clock, to cover received Regulars (``SendPath.cover``,
     #: ``cover_head``, ``cover_late``)
     cover_heartbeats: int = 0
     ordered_sends_deferred: int = 0

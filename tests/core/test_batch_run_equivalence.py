@@ -98,17 +98,30 @@ def run_once(seed, as_runs):
     return wire_log, upcalls, counters, runs
 
 
-# The run cut short from inside is the leaver's: its own RemoveProcessor
-# delivered out of a gate entry in mid-batch stops its group with the rest
-# of the batch in hand.  Whether the datagram that completes the removal's
-# cover there is a batch or a single message is up to the loss stream, on
-# some of the seeds; these two have it (a run of 2 cut at 1, one of 4 cut
-# at 2).  Re-pick when NACK, credit or heartbeat timing moves the stream
-# (seed 4 lost its cut to the head cover's heartbeats, seed 5 to the late
-# cover's).
-@pytest.mark.parametrize("seed", [1, 2])
-def test_runs_leave_the_wire_and_the_upcalls_as_part_by_part_does(seed):
+#: Every seed must give equivalence.  The run cut short from inside is
+#: the leaver's: its own RemoveProcessor delivered out of a gate entry in
+#: mid-batch stops its group with the rest of the batch in hand.  Whether
+#: the datagram that completes the removal's cover there is a batch or a
+#: single message is up to the loss stream, so only some seeds have it
+#: (about one in four); any NACK, credit or heartbeat timing change moves
+#: which.  ``test_some_runs_are_cut_short_from_inside`` asks it of two.
+SEEDS = range(12)
+
+
+def cut_short(runs):
+    return [(n, taken) for n, taken in runs if 0 < taken < n]
+
+
+@pytest.fixture(scope="module")
+def cuts():
+    """seed -> the runs its shipped run cut short (``n``, ``taken``)."""
+    return {}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_runs_leave_the_wire_and_the_upcalls_as_part_by_part_does(seed, cuts):
     wire_log, upcalls, counters, runs = run_once(seed, as_runs=True)
+    cuts[seed] = cut_short(runs)
     ref_wire, ref_upcalls, ref_counters, ref_runs = run_once(seed, as_runs=False)
     # the reference really went part by part
     assert ref_runs and not any(taken for _, taken in ref_runs)
@@ -118,15 +131,22 @@ def test_runs_leave_the_wire_and_the_upcalls_as_part_by_part_does(seed):
     assert wire_log == ref_wire
 
     # the scenario did what it is there for: most batched messages were
-    # taken as runs, some runs were cut short from inside (the leaver's
-    # group stopping, a view installed by a delivery), the newcomer
-    # joined, the leaver left, and credits ran out
+    # taken as runs, the newcomer joined, the leaver left, and credits
+    # ran out
     offered = sum(n for n, _ in runs)
     assert sum(taken for _, taken in runs) > 0.6 * offered > 1000
-    assert any(0 < taken < n for n, taken in runs)
     assert len(upcalls[NEWCOMER]) > 100
     assert any("removed=(4,)" in e for e in upcalls[1])
     # and ordered its own removal: what it missed was held for its NACKs
     assert any("removed=(4,)" in e for e in upcalls[LEAVER])
     assert sum(c[f"group.{GROUP}.flow.sends_queued"] for p, c in counters.items()
                if f"group.{GROUP}.flow.sends_queued" in c) > 100
+
+
+def test_some_runs_are_cut_short_from_inside(cuts):
+    # the equivalence above covers a run cut short (the leaver's group
+    # stopping, a view installed by a delivery) on at least two seeds
+    for seed in SEEDS:
+        if seed not in cuts:
+            cuts[seed] = cut_short(run_once(seed, as_runs=True)[3])
+    assert sum(1 for seed in SEEDS if cuts[seed]) >= 2, cuts

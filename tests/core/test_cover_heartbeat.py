@@ -121,15 +121,16 @@ def test_no_cover_when_the_member_sent_since(deferred):
 def test_only_late_covers_outside_a_connection(monkeypatch):
     called, immediate = [], []
     monkeypatch.setattr(SendPath, "cover", lambda self, msg: called.append(msg))
-    send_cover = SendPath._send_cover
+    tick = SendPath._tick
 
-    def sending_cover(self):
-        immediate.append(self)
-        send_cover(self)
+    def ticking(self):
+        # the connection and head covers share one deadline; the late
+        # cover is the idle clock's rule with an earlier deadline
+        if self._cover_at <= self._ctx.now():
+            immediate.append(self)
+        tick(self)
 
-    # the connection and head covers send through _send_cover; the late
-    # cover is the idle clock ticking early
-    monkeypatch.setattr(SendPath, "_send_cover", sending_cover)
+    monkeypatch.setattr(SendPath, "_tick", ticking)
     net, stacks, groups = build()
     gid = stacks[8].connection_binding(CID).group_id
     beats = {p: groups[p].stats.heartbeats_sent for p in PIDS}

@@ -223,9 +223,9 @@ def test_heartbeats_not_suppressed_while_credit_blocked():
 
 
 def test_heartbeat_tick_fires_despite_pending_window_when_blocked():
-    # Direct unit exercise of the guard in SendPath._heartbeat_tick: a
-    # pending batch normally suppresses the heartbeat, but never while
-    # the flow controller reports blocked.
+    # Direct unit exercise of the guard in SendPath._tick: a pending
+    # batch normally suppresses a due heartbeat, but never while the flow
+    # controller reports blocked.
     c = fc_cluster(window=1, batch_window=0.050)
     g = c.stacks[1].group(1)
     c.stacks[1].multicast(1, b"a")  # consumes the only credit
@@ -236,7 +236,7 @@ def test_heartbeat_tick_fires_despite_pending_window_when_blocked():
     suppressed_before = g.batch_stats.heartbeats_suppressed
     hb_before = g.stats.heartbeats_sent
     g.send_path._last_send_time = -1.0  # look idle to the heartbeat check
-    g.send_path._heartbeat_tick()
+    g.send_path._tick()
     assert g.stats.heartbeats_sent == hb_before + 1  # fired, not suppressed
     assert g.batch_stats.heartbeats_suppressed == suppressed_before
     g.send_path._pending = []

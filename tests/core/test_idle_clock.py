@@ -1,13 +1,13 @@
 """The §5 idle clock: a Heartbeat one interval after the last stamped send.
 
 §5: a processor that has sent nothing for one heartbeat interval sends a
-Heartbeat.  ``SendPath._heartbeat_tick`` re-arms for the rest of the
-interval when it finds the member idle for less, so the Heartbeat
-follows the last stamped datagram (a reliable message or a Heartbeat) by
-exactly one interval, wherever that send fell; sends never touch the
-timer.  These tests pin the rule, its reach over a loaded group, and
-that a cover heartbeat (``SendPath.cover``) restarts the clock like any
-other stamped send.
+Heartbeat.  ``SendPath._tick`` re-arms for the rest of the interval when
+it finds the member idle for less, so the Heartbeat follows the last
+stamped datagram (a reliable message or a Heartbeat) by exactly one
+interval, wherever that send fell; sends never touch the timer.  These
+tests pin the rule, that an open batch window does not move it, its
+reach over a loaded group, and that a cover heartbeat
+(``SendPath.cover``) restarts the clock like any other stamped send.
 """
 
 import random
@@ -65,6 +65,29 @@ def test_a_member_heartbeats_one_interval_after_its_last_send(phase):
     for k, (when, mtype) in enumerate(after[1:4], start=1):
         assert mtype == MessageType.HEARTBEAT
         assert when == pytest.approx(t + k * INTERVAL, abs=1e-6)
+
+
+def test_a_stale_tick_over_an_open_batch_window_keeps_the_idle_clock():
+    # a Regular stamped into the batch window just before the idle tick it
+    # makes stale: the tick finds the window open, but no Heartbeat is
+    # due, so the window suppresses nothing and the next Heartbeat still
+    # follows the stamp by exactly one interval, not one from the tick
+    net, stacks = founders((1, 2, 3), FTMPConfig(heartbeat_interval=INTERVAL,
+                                                 batch_window=INTERVAL / 2))
+    group = stacks[1].group(GROUP)
+    log = stamped_sends(net, group)
+    net.run_for(0.101)
+    beat, mtype = log[-1]
+    assert mtype == MessageType.HEARTBEAT
+    t = beat + 0.9 * INTERVAL  # the window is open until past beat + INTERVAL
+    assert t > net.scheduler.now
+    net.scheduler.at(t, stacks[1].multicast, GROUP, b"m")
+    net.run_for(t - net.scheduler.now + 1.5 * INTERVAL)
+    after = [(when, m) for when, m in log if when >= t]
+    assert after[0] == (t, MessageType.REGULAR)
+    assert after[1][1] == MessageType.HEARTBEAT
+    assert after[1][0] == pytest.approx(t + INTERVAL, abs=1e-9)
+    assert group.batch_stats.heartbeats_suppressed == 0
 
 
 def test_no_live_member_is_silent_for_more_than_one_interval():

@@ -172,8 +172,8 @@ def test_chaos_config_for_selects_mode_and_leader():
     assert LLFT_LEADER_PID != PROTECTED_PID
     with pytest.raises(ValueError):
         chaos_config_for("paxos", "crash")
-    # combo (join during an active fault round) stays out of the llft mix
-    assert "combo" not in MODE_TABLE["llft"].swept
+    # combo (a join during an active fault round) is in the llft mix
+    assert "combo" in MODE_TABLE["llft"].swept
     assert "leader_crash" in MODE_TABLE["llft"].swept
 
 

@@ -29,7 +29,7 @@ so do the receive-path golden scenarios.  Fixed by the §6 rule
 receives an ``AddProcessor``, the joiner counts in stability with the
 ack heard from it (0 before any) until the ``AddProcessor`` is ordered,
 so step 3 reclaims nothing the newcomer lacks.  Heartbeats that follow
-the last send by one interval (``SendPath._heartbeat_tick``) also move
+the last send by one interval (``SendPath._tick``) also move
 step 2 off this schedule; on the periodic grid they replaced, the
 repro hangs without the rule and completes with it.
 """
