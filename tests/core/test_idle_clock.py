@@ -126,3 +126,38 @@ def test_a_cover_heartbeat_restarts_the_idle_clock():
     # the cover went out on the Request's arrival; the next Heartbeat one
     # interval after it, not at the timer armed before it
     assert periodic == pytest.approx(cover + 0.02, abs=1e-6)
+
+
+def test_the_heartbeat_timer_cancels_nothing():
+    # every rule only ever moves the deadline earlier: an earlier one
+    # rides a second event, the one it supersedes fires as a no-op, and
+    # each live firing arms the next — no event is cancelled
+    pids = (1, 2, 3)
+    net, stacks = founders(pids, FTMPConfig(heartbeat_interval=INTERVAL, suspect_timeout=30.0),
+                           topology=lan(), seed=3)
+    g = stacks[1].group(GROUP)
+    armed = []
+    schedule = g.schedule
+
+    def scheduling(delay, fn, *args):
+        event = schedule(delay, fn, *args)
+        if fn == g.send_path._fire:
+            armed.append(event)
+        return event
+
+    g.schedule = scheduling
+    ticks = []
+    tick = g.send_path._tick
+    g.send_path._tick = lambda: (ticks.append(net.scheduler.now), tick())
+    rng = random.Random(5)
+    for p in (2, 3):
+        t = 0.0
+        while (t := t + rng.expovariate(250.0)) < 0.2:
+            net.scheduler.at(t, stacks[p].multicast, GROUP, b"x" * 64)
+    net.run_for(0.2)
+    assert not any(event.cancelled for event in armed)
+    # one arm per live firing, plus one per deadline moved earlier: the
+    # late cover of the Regulars that 2 and 3 send (the first arm is
+    # the start's)
+    assert len(ticks) < len(armed) <= 2 * len(ticks) + 1
+    assert g.stats.heartbeats_sent > 0
