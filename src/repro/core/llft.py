@@ -214,6 +214,11 @@ class LeaderOrdering(ROMP):
         self.llft_stats.parked += 1
         self._pending.setdefault(pid, deque()).append(msg)
 
+    def _cover_own(self) -> int:
+        """The leader's stream decides the order: our own entry moves with
+        our loopback only."""
+        return self.order_ts(self._pid)
+
     def _take_ordered(self, msg: FTMPMessage) -> bool:
         """Every totally-ordered message RMP hands up, after ROMP's shared
         clock/cover bookkeeping (so stability keeps advancing underneath).

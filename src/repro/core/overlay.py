@@ -426,7 +426,9 @@ class OverlayDissemination(Dissemination):
             elif seq > b[0] or ts > b[1]:
                 self._best[p] = (max(seq, b[0]), max(ts, b[1]))
         # the self-summary replaces the heartbeat loopback: it advances
-        # our own stream's order timestamp in our own cover gate.  Pure
+        # our own stream's order timestamp, which our own gate no longer
+        # needs (ROMP._cover_own) but our entry below carries to every
+        # neighbour as our stream's progress.  Pure
         # local bookkeeping, so it never touches the NIC — and it waits
         # while our own messages are still on their way back to us (in
         # the batch window, or a flat send's self-copy): its sequence
