@@ -85,9 +85,6 @@ class Cluster:
             "datagrams_per_delivery": datagrams / deliveries if deliveries else 0.0,
             "batches_sent": snap.get(f"group.{g}.batch.batches_sent", 0.0),
             "messages_batched": snap.get(f"group.{g}.batch.messages_batched", 0.0),
-            "heartbeats_suppressed": snap.get(
-                f"group.{g}.batch.heartbeats_suppressed", 0.0
-            ),
         }
 
     def stop(self) -> None:
