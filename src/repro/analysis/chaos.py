@@ -218,8 +218,8 @@ def default_chaos_config() -> FTMPConfig:
     # the campaign's one repair-rate limit: without it the llft and
     # overlay rows' overload class fails on some of seeds 0-19
     return FTMPConfig(heartbeat_interval=0.010, suspect_timeout=0.150,
-                      batch_window=0.001, batch_adaptive=True,
-                      flow_control_window=24, nack_dedupe_window=0.020)
+                      batch_window=0.001, flow_control_window=24,
+                      nack_dedupe_window=0.020)
 
 
 def _mode(mode: str) -> ModeSpec:

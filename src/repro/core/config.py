@@ -105,22 +105,20 @@ class FTMPConfig:
 
     # --- batching / piggybacking (extension) -----------------------------
     #: Coalescing window for small Regular messages (seconds): Regulars to
-    #: the group address within it share one Batch datagram.  An idle or
-    #: late Heartbeat due while it holds any is skipped, which a window
-    #: under 5/8 ``heartbeat_interval`` never sees.  0 disables batching:
+    #: the group address within it share one Batch datagram.  The window
+    #: adapts to the offered load: when the recent send rate would not
+    #: fill it with the break-even number of messages, an eligible send
+    #: bypasses it (unbatched low-load latency); under load it coalesces
+    #: up to ``batch_window`` / ``batch_max_bytes``.  0 disables batching:
     #: every send goes out at once, bit-identical to the unbatched stack.
     batch_window: float = 0.0
     #: Flush a pending batch as soon as its packed parts reach this many
     #: bytes; also the per-message eligibility cap (bigger messages are
     #: sent unbatched).
     batch_max_bytes: int = 1200
-    #: Adapt the coalescing window to the offered load: when the recent
-    #: send rate would not fill a window with the break-even number of
-    #: messages, eligible sends bypass the window entirely (near-unbatched
-    #: low-load latency); under load the window grows back toward
-    #: ``batch_window`` / ``batch_max_bytes`` coalescing.  Only meaningful
-    #: with ``batch_window > 0``.
-    batch_adaptive: bool = False
+    #: Retired: the window is always adaptive.  Kept, accepting only
+    #: True, while a caller still passes it; False raises ValueError.
+    batch_adaptive: bool = True
 
     # --- flow control (extension) ----------------------------------------
     #: Per-sender credit window: the maximum number of this processor's
@@ -210,6 +208,9 @@ class FTMPConfig:
             # a BATCH record states its part's payload length in a u16
             raise ValueError(
                 f"batch_max_bytes must be at most 65535, not {self.batch_max_bytes!r}")
+        if not self.batch_adaptive:
+            raise ValueError("batch_adaptive=False asks for the fixed batch "
+                             "window, which is retired: every window is adaptive")
         if not self.nack_backoff_factor >= 1.0:
             raise ValueError(
                 "nack_backoff_factor must be at least 1.0, not "

@@ -70,7 +70,6 @@ def default_cluster_config() -> Dict[str, object]:
         "nack_retry_interval": 0.03,
         "nack_dedupe_window": 0.02,
         "batch_window": 0.002,
-        "batch_adaptive": True,
         "batch_max_bytes": 8192,
         "flow_control_window": 256,
     }

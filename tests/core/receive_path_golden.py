@@ -99,11 +99,11 @@ class HashingListener(Listener):
 def config(mode: str, scenario: str) -> FTMPConfig:
     knobs = dict(MODES[mode], heartbeat_interval=0.002, suspect_timeout=30.0)
     if scenario == "lossy":
-        knobs.update(batch_window=0.001, batch_adaptive=True, flow_control_window=24)
+        knobs.update(batch_window=0.001, flow_control_window=24)
     if scenario == "saturate":
         knobs.update(batch_window=0.001, flow_control_window=48)
     if scenario == "batchchurn":
-        knobs.update(batch_window=0.002, batch_adaptive=True, flow_control_window=48)
+        knobs.update(batch_window=0.002, flow_control_window=48)
     if scenario in CHURNED:
         knobs.update(suspect_timeout=0.060)
     return FTMPConfig(**knobs)

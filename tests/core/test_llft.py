@@ -17,7 +17,7 @@ from repro.replication.oracles import run_history_oracles
 
 def _llft_cfg(leader: int = 0, **overrides) -> FTMPConfig:
     base = dict(heartbeat_interval=0.010, suspect_timeout=0.150,
-                batch_window=0.001, batch_adaptive=True)
+                batch_window=0.001)
     base.update(overrides)
     return FTMPConfig(**base, ordering="leader", llft_leader_pid=leader)
 

@@ -101,18 +101,22 @@ def test_an_own_message_in_the_batch_window_holds_a_later_head(clock):
     net, stacks = build(FTMPConfig(heartbeat_interval=INTERVAL, clock_mode=clock),
                         first=FTMPConfig(heartbeat_interval=INTERVAL, clock_mode=clock,
                                          batch_window=window))
-    stacks[1].multicast(GROUP, b"own")  # held in 1's window until T0 + window
-    net.scheduler.at(T0 + HOP / 2, stacks[2].multicast, GROUP, b"later")
-    net.scheduler.at(T0 + 2 * HOP, stacks[3].multicast, GROUP, b"past")
-    own = stacks[1].group(GROUP).romp._own_sent[0]
+    # a burst: ``alone`` bypasses the adaptive window, ``own`` engages it
+    # and is held in 1's window until T0 + window
+    stacks[1].multicast(GROUP, b"alone")
+    stacks[1].multicast(GROUP, b"own")
+    assert stacks[1].group(GROUP).send_path.pending_batch == 1
+    net.scheduler.at(T0 + 1.5 * HOP, stacks[2].multicast, GROUP, b"later")
+    net.scheduler.at(T0 + 3 * HOP, stacks[3].multicast, GROUP, b"past")
+    own = stacks[1].group(GROUP).romp._own_sent[-1]
     net.scheduler.run_until(T0 + window / 2)
     # 1 has heard 2 and 3 past ``later``, ordered after ``own`` (by its
     # source on a timestamp tie): it holds ``later`` while its own
     # message waits in the window
     assert stacks[1].group(GROUP).romp.order_ts(2) >= own
-    assert order(stacks, 1) == []
+    assert order(stacks, 1) == [b"alone"]
     net.scheduler.run_until(T0 + window + 3 * HOP)
-    assert order(stacks, 1)[:2] == [b"own", b"later"]
+    assert order(stacks, 1)[:3] == [b"alone", b"own", b"later"]
     net.scheduler.run_until(T0 + INTERVAL)
     assert order(stacks, 1) == order(stacks, 2) == order(stacks, 3)
 

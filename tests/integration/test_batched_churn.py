@@ -1,12 +1,13 @@
 """BATCH reception under loss and churn, judged by the oracle battery.
 
-Five members multicast through a fixed 2 ms coalescing window with flow
-control on, 5 % of the datagrams are lost, member 3 crashes and processor
-6 joins in order: nearly every message reaches its receivers inside a
-BATCH datagram and most of them are taken as a run (``RMP.on_run``); the
-gaps loss leaves, the crash, the §7.2 drain and the join fall between and
-inside those datagrams.  The history must still satisfy total order, FIFO, no duplicates,
-virtual synchrony, convergence and membership agreement.
+Five members multicast at 4,000 msg/s each, a rate that engages the
+adaptive 2 ms coalescing window, with flow control on; 5 % of the
+datagrams are lost, member 3 crashes and processor 6 joins in order:
+nearly every message reaches its receivers inside a BATCH datagram and
+most of them are taken as a run (``RMP.on_run``); the gaps loss leaves,
+the crash, the §7.2 drain and the join fall between and inside those
+datagrams.  The history must still satisfy total order, FIFO, no
+duplicates, virtual synchrony, convergence and membership agreement.
 """
 
 import random
@@ -40,7 +41,7 @@ def test_batched_cluster_with_loss_crash_and_join_satisfies_the_oracles():
     for p in pids:
         rng = random.Random(1800 + p)
         t, index = 0.0, 0
-        while (t := t + rng.expovariate(2_000.0)) < SENDS_UNTIL:
+        while (t := t + rng.expovariate(4_000.0)) < SENDS_UNTIL:
             # tests/integration/test_join_under_load.py: a send in flight
             # when the AddProcessor is built can strand the newcomer
             if abs(t - JOIN_AT) >= 0.005:
