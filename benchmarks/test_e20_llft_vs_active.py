@@ -56,7 +56,7 @@ PACED_WARMUP, PACED_WINDOW = 0.3, 1.0
 
 def _base_config(**overrides) -> FTMPConfig:
     base = dict(heartbeat_interval=0.002, suspect_timeout=30.0,
-                batch_window=0.001, batch_adaptive=True)
+                batch_window=0.001)
     base.update(overrides)
     return FTMPConfig(**base)
 
