@@ -7,7 +7,7 @@ timestamps; PGMP provides connections and processor-group membership.
 Entry point: :class:`FTMPStack`.
 """
 
-from .buffers import BufferedMessage, RetransmissionBuffer
+from .buffers import RetransmissionBuffer
 from .config import ClockMode, FTMPConfig
 from .connection import (
     ConnectionBinding,
@@ -144,7 +144,6 @@ __all__ = [
     "OverlayStats",
     "unicast_address",
     "RetransmissionBuffer",
-    "BufferedMessage",
     "RequestNumbering",
     "DuplicateDetector",
     "ConnectionBinding",

@@ -8,7 +8,9 @@ message" — concretely, a buffered message with timestamp ``ts`` is
 reclaimable once every member's advertised ack timestamp is >= ``ts``
 (then nobody can ever NACK it).
 
-The buffer also tracks occupancy statistics for experiment E4.
+It holds the message itself (encoded only when a NACK asks; nothing
+rewrites a message once stamped or decoded), and counts occupancy for
+experiment E4 in the length of its encoding, ``header.message_size``.
 
 Hot-path engineering: :meth:`RetransmissionBuffer.collect` runs on every
 ack advance (per received datagram under load), so it must not rescan the
@@ -21,25 +23,18 @@ departed member's copies stay to answer laggards until they are stable.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
-__all__ = ["BufferedMessage", "RetransmissionBuffer"]
+from .messages import FTMPMessage
 
-
-class BufferedMessage(NamedTuple):
-    """One retained wire message."""
-
-    source: int
-    sequence_number: int
-    timestamp: int
-    data: bytes
+__all__ = ["RetransmissionBuffer"]
 
 
 class RetransmissionBuffer:
     """Per-group store of reliable messages keyed by (source, seq)."""
 
     def __init__(self, gc_enabled: bool = True):
-        self._store: Dict[Tuple[int, int], BufferedMessage] = {}
+        self._store: Dict[Tuple[int, int], FTMPMessage] = {}
         # reclaim index: (timestamp, source, seq) pushed on add
         self._ts_heap: List[Tuple[int, int, int]] = []
         self.gc_enabled = gc_enabled
@@ -50,21 +45,22 @@ class RetransmissionBuffer:
         self.total_reclaimed = 0
 
     # ------------------------------------------------------------------
-    def add(self, source: int, seq: int, timestamp: int, data: bytes) -> None:
-        """Retain a reliable message (idempotent per (source, seq))."""
+    def add(self, source: int, seq: int, msg: FTMPMessage) -> None:
+        """Retain ``msg``, the reliable message ``seq`` of ``source``
+        (idempotent per (source, seq))."""
         key = (source, seq)
         if key in self._store:
             return
-        self._store[key] = BufferedMessage(source, seq, timestamp, data)
-        heapq.heappush(self._ts_heap, (timestamp, source, seq))
-        self._bytes += len(data)
+        self._store[key] = msg
+        heapq.heappush(self._ts_heap, (msg.header.timestamp, source, seq))
+        self._bytes += msg.header.message_size
         self.total_added += 1
         if len(self._store) > self.high_water_messages:
             self.high_water_messages = len(self._store)
         if self._bytes > self.high_water_bytes:
             self.high_water_bytes = self._bytes
 
-    def get(self, source: int, seq: int) -> Optional[BufferedMessage]:
+    def get(self, source: int, seq: int) -> Optional[FTMPMessage]:
         """Look up a retained message for retransmission."""
         return self._store.get((source, seq))
 
@@ -76,10 +72,10 @@ class RetransmissionBuffer:
 
     @property
     def bytes(self) -> int:
-        """Current occupancy in payload bytes."""
+        """Current occupancy in wire bytes."""
         return self._bytes
 
-    def range_for(self, source: int, start: int, stop: int) -> Iterator[BufferedMessage]:
+    def range_for(self, source: int, start: int, stop: int) -> Iterator[FTMPMessage]:
         """All retained messages of ``source`` with start <= seq <= stop."""
         for seq in range(start, stop + 1):
             m = self._store.get((source, seq))
@@ -101,7 +97,7 @@ class RetransmissionBuffer:
         reclaimed = 0
         while heap and heap[0][0] <= stable_timestamp:
             _, source, seq = heapq.heappop(heap)
-            self._bytes -= len(store.pop((source, seq)).data)
+            self._bytes -= store.pop((source, seq)).header.message_size
             reclaimed += 1
         self.total_reclaimed += reclaimed
         return reclaimed

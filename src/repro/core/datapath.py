@@ -10,9 +10,9 @@ This module is the seam between the protocol machines and the wire:
 * :class:`SendPath` — the downward pipeline: header stamping (sequence
   number, clock tick, piggybacked ack timestamp), retransmission
   retention, the heartbeat generator, and the optional coalescing window
-  that packs small Regular messages into one Batch datagram.
+  that packs small Regular messages, unencoded, into one Batch datagram.
 * :class:`ReceivePath` — the upward pipeline: Batch unpacking, new-member
-  join gating, then RMP with the message and its wire bytes.  The layers
+  join gating, then RMP with the message; no wire bytes.  The layers
   above never see a Batch: at most its Regulars as one in-order run
   (``RMP.on_run``), where today's per-message path would have taken
   each of them through its shortcuts anyway.
@@ -73,7 +73,7 @@ from .pgmp import PGMP
 from .rmp import RMP
 from .romp import DEPARTED, JOINING, LEAVING, LINGERING, MEMBER, ROMP, Peer
 from .stats import GroupStats
-from .wire import decode, encode, mark_retransmission, regular_full_size
+from .wire import decode, encode, mark_retransmission, regular_size
 
 if TYPE_CHECKING:  # pragma: no cover
     from random import Random
@@ -104,6 +104,10 @@ HEAD_COVER_DELAY = 1 / 8
 #: connection arrived, unless it stamps something first, before its idle
 #: clock covers it (:meth:`SendPath.cover_late`)
 LATE_COVER_DELAY = 5 / 8
+
+#: what a batch window counts of a Regular besides its payload, whatever
+#: its layout and header form: the 40 B header and 28 B connection block
+WINDOW_OVERHEAD = 68
 
 #: the interned connection id of Regulars outside any logical connection
 _NO_CONNECTION = ConnectionId.none()
@@ -189,7 +193,7 @@ class GroupContext(Protocol):
 
     # -- send services --------------------------------------------------
     def send(self, cls: Type[FTMPMessage], *body,
-             address: Optional[int] = None) -> bytes: ...
+             address: Optional[int] = None) -> Optional[bytes]: ...
 
     def retransmit_raw(self, raw: bytes, address: Optional[int] = None) -> None: ...
 
@@ -434,7 +438,8 @@ class SendPath:
         #: the heartbeat timer's arming count: only the firing of the
         #: latest arming is live (:meth:`_fire`)
         self._beat_gen = 0
-        self._pending: List[bytes] = []
+        #: the batch window: stamped Regulars, not yet encoded
+        self._pending: List[RegularMessage] = []
         self._pending_bytes = 0
         self._stopped = False
         # adaptive batching: EWMA of the gap between batchable sends —
@@ -465,13 +470,14 @@ class SendPath:
     # ------------------------------------------------------------------
     # transmission
     # ------------------------------------------------------------------
-    def send(self, msg: FTMPMessage, address: Optional[int] = None) -> bytes:
-        """Stamp-independent egress: retain, trace, then wire (or window)."""
-        raw = encode(msg)
+    def send(self, msg: FTMPMessage, address: Optional[int] = None) -> Optional[bytes]:
+        """Stamp-independent egress: retain, trace, then wire (or window).
+        Returns the wire bytes; None for a Regular the window took."""
         h = msg.header
         mtype = h.message_type
+        raw = None if address is None and self._windowed(msg) else encode(msg)
         if mtype in RELIABLE_TYPES:
-            self._ctx.buffer.add(h.source, h.sequence_number, h.timestamp, raw)
+            self._ctx.buffer.add(h.source, h.sequence_number, msg)
         if mtype in RELIABLE_TYPES or mtype == MessageType.HEARTBEAT:
             # §5: a Heartbeat is due when no *Regular* (ordered-stream)
             # message went out recently; control traffic such as
@@ -484,12 +490,8 @@ class SendPath:
         if self._ctx._stack.tracer is not None:
             self._ctx.trace("send", type=mtype.name, seq=h.sequence_number,
                             ts=h.timestamp)
-        if address is None and self._batchable(mtype, raw):
-            if self._adaptive_bypass():
-                self._ctx.batch_stats.adaptive_bypasses += 1
-                self._transmit(self._ctx.address, raw)
-            else:
-                self._append(raw)
+        if raw is None:
+            self._append(msg)
         elif address == LOOPBACK:
             # nothing reaches the wire, so the window's order on it is
             # not at stake: it stays closed
@@ -518,13 +520,17 @@ class SendPath:
     # ------------------------------------------------------------------
     # batching window
     # ------------------------------------------------------------------
-    def _batchable(self, mtype: MessageType, raw: bytes) -> bool:
+    def _windowed(self, msg: FTMPMessage) -> bool:
+        """The batch window takes ``msg`` — a Regular that fits it, unless
+        it bypasses — and sizes it for retention: only its BATCH encodes it."""
         cfg = self._ctx.config
-        return (
-            cfg.batch_window > 0.0
-            and mtype == MessageType.REGULAR
-            and regular_full_size(raw) <= cfg.batch_max_bytes
-        )
+        if (cfg.batch_window > 0.0 and msg.header.message_type is MessageType.REGULAR
+                and WINDOW_OVERHEAD + len(msg.payload) <= cfg.batch_max_bytes):
+            if not self._adaptive_bypass():
+                regular_size(msg)
+                return True
+            self._ctx.batch_stats.adaptive_bypasses += 1
+        return False
 
     def _adaptive_bypass(self) -> bool:
         """Decide window vs. immediate send for an eligible Regular.
@@ -560,9 +566,9 @@ class SendPath:
             bypass = self._gap_ewma > threshold
         return bypass and not (self._pending or self._ctx.flow.releasing)
 
-    def _append(self, raw: bytes) -> None:
-        self._pending.append(raw)
-        self._pending_bytes += regular_full_size(raw)
+    def _append(self, msg: RegularMessage) -> None:
+        self._pending.append(msg)
+        self._pending_bytes += WINDOW_OVERHEAD + len(msg.payload)
         if self._pending_bytes >= self._ctx.config.batch_max_bytes:
             self._ctx.batch_stats.flushes_on_size += 1
             self.flush()
@@ -587,7 +593,7 @@ class SendPath:
         pending, self._pending = self._pending, []
         self._pending_bytes = 0
         if len(pending) == 1:
-            self._transmit(self._ctx.address, pending[0])
+            self._transmit(self._ctx.address, encode(pending[0]))
             return
         envelope = BatchMessage(
             header=FTMPHeader(
@@ -729,8 +735,8 @@ class ReceivePath:
     """Upward pipeline of one processor group.
 
     Unpacks Batch envelopes, gates the new-member joining state, and
-    feeds RMP — message by message with its wire bytes, or a batch's
-    Regulars as one run.  The protocol machines above never see a Batch.
+    feeds RMP — message by message, or a batch's Regulars as one run.
+    The protocol machines above never see a Batch, nor wire bytes.
     """
 
     def __init__(self, group: "ProcessorGroup"):
@@ -739,19 +745,19 @@ class ReceivePath:
     def on_datagram(self, msg: FTMPMessage, raw: bytes) -> None:
         """One datagram, then the head cover's decision on the ack it
         left: once per datagram, so a BATCH taken as a run and one taken
-        part by part decide alike."""
+        part by part decide alike.  Nothing here reads ``raw``."""
         g = self._g
         if g.stopped:
             return
         if msg.__class__ is BatchMessage:
             self._on_batch(msg)
         else:
-            self._on_message(msg, raw)
+            self._on_message(msg)
         send_path = g.send_path
         if send_path.covers and not g.joining:
             send_path.cover_head(g.romp.ack_timestamp)
 
-    def _on_message(self, msg: FTMPMessage, raw: bytes) -> None:
+    def _on_message(self, msg: FTMPMessage) -> None:
         g = self._g
         if g.stopped:
             return
@@ -776,7 +782,7 @@ class ReceivePath:
         # observation: ROMP recognises the header again when RMP hands
         # the message up and does not fold it in twice.
         g.romp.observe_header(msg.header)
-        g.rmp.on_message(msg, raw)
+        g.rmp.on_message(msg)
         if cls is RegularMessage:
             if msg.connection_id is not _NO_CONNECTION:
                 g.send_path.cover(msg)
@@ -793,13 +799,12 @@ class ReceivePath:
         g = self._g
         batch = g.batch_stats
         batch.batches_received += 1
-        parts = msg.parts
-        run = msg.decoded
+        run = msg.parts
         batch.messages_unbatched += len(run)
         taken = 0
         # the ``recv`` trace events and the join gate are per part
         if run and not g.joining and g._stack.tracer is None:
-            taken = g.rmp.on_run(run, parts)
+            taken = g.rmp.on_run(run)
             late = 0
             for i in range(taken):
                 if run[i].connection_id is not _NO_CONNECTION:
@@ -810,7 +815,7 @@ class ReceivePath:
             if late and send_path.unstamped == _NEVER and send_path.covers:
                 send_path.cover_late(late)
         for i in range(taken, len(run)):
-            self._on_message(run[i], parts[i])
+            self._on_message(run[i])
 
 
 class ProcessorGroup:
@@ -974,7 +979,7 @@ class ProcessorGroup:
         self.romp.purge_source(pid)
         self._heard.discard(pid)
 
-    def _screen(self, msg: FTMPMessage, raw: bytes) -> bool:
+    def _screen(self, msg: FTMPMessage) -> bool:
         """True for a datagram that stops here, short of the receive path:
         any while we linger, and a leaving or departed peer's — its ack
         heard (what it misses is held while it is leaving), its NACKs
@@ -983,9 +988,9 @@ class ProcessorGroup:
         h = msg.header
         if self.pid in peers:  # lingering: acks past our removal end rows
             if msg.__class__ is BatchMessage:  # its parts carry them
-                if not msg.decoded:
+                if not msg.parts:
                     return True
-                h = msg.decoded[-1].header
+                h = msg.parts[-1].header
             peer = peers.get(h.source)
             if peer is not None and peer.state is MEMBER and h.ack_timestamp >= peer.key:
                 del peers[h.source]
@@ -1000,7 +1005,7 @@ class ProcessorGroup:
                 peer.ack = ack
                 self.romp.recheck_stability()
             if msg.__class__ is RetransmitRequestMessage:
-                self.rmp.on_message(msg, raw)
+                self.rmp.on_message(msg)
             return True
         if msg.__class__ is AddProcessorMessage:
             peer = peers.get(msg.new_member)
@@ -1084,7 +1089,7 @@ class ProcessorGroup:
     # datagram input (from the stack router)
     # ------------------------------------------------------------------
     def on_datagram(self, msg: FTMPMessage, raw: bytes) -> None:
-        if self.peers and self._screen(msg, raw):
+        if self.peers and self._screen(msg):
             return
         self._ingress(msg, raw)
 
@@ -1132,11 +1137,12 @@ class ProcessorGroup:
     # send paths
     # ------------------------------------------------------------------
     def send(self, cls: Type[FTMPMessage], *body, address: Optional[int] = None,
-             credit: bool = False) -> bytes:
+             credit: bool = False) -> Optional[bytes]:
         """The stamped-send service: build a ``cls`` message from ``body``
         (its fields after the header, in order), send it to the group —
         or to ``address``, :data:`~repro.core.dissemination.LOOPBACK`
-        included — and return its wire bytes.
+        included — and return its wire bytes: None for a Regular the
+        batch window took, which is encoded into its BATCH only.
 
         Everything the message's type entails is decided here, from the
         two tables of Figure 3: a reliable type takes the next sequence

@@ -14,8 +14,8 @@ and start at 1; sequence number 0 means "no reliable message sent yet".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, Tuple, Union
 
 from .constants import MAGIC, VERSION_MAJOR, VERSION_MINOR, MessageType
 
@@ -202,25 +202,19 @@ class BatchMessage:
     """One sender's Regulars to one group, packed into one datagram.
 
     A pure transport envelope (extension; not in the paper): ``parts``
-    are the complete wire encodings — header included — of the packed
-    first transmissions, so each part retains its own sequence number,
-    timestamps and retransmission identity.  The envelope itself is
-    unreliable and carries no ordering information:
-    :func:`~repro.core.wire.encode` sets its sequence number and
+    are the packed first transmissions themselves, each with its own
+    sequence number, timestamps and retransmission identity.
+    :func:`~repro.core.wire.encode` writes each part's record straight
+    from its fields; :func:`~repro.core.wire.decode` builds the parts
+    and nothing else.  The envelope itself is unreliable and carries no
+    ordering information: ``encode`` sets its sequence number and
     timestamps to the first part's (seq - 1, ts, ack), the base of that
     part's record, and the receive path never reads them.
     """
 
     TYPE = MessageType.BATCH
     header: FTMPHeader
-    parts: Tuple[bytes, ...]
-    #: decode side: ``decode(part)`` of every part, in order, built in the
-    #: envelope's pass (every part is a Regular) — a cache of ``parts``,
-    #: so it takes no part in equality and
-    #: :func:`~repro.core.wire.encode` ignores it; None on a message built
-    #: for sending
-    decoded: Optional[Tuple[RegularMessage, ...]] = field(
-        default=None, compare=False, repr=False)
+    parts: Tuple[RegularMessage, ...]
 
 
 @dataclass(slots=True)

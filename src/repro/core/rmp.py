@@ -35,6 +35,7 @@ from typing import TYPE_CHECKING, Deque, Dict, Optional, Sequence
 
 from .constants import RELIABLE_TYPES, MessageType
 from .messages import FTMPMessage, HeartbeatMessage, RetransmitRequestMessage
+from .wire import encode
 
 if TYPE_CHECKING:  # pragma: no cover
     from .datapath import GroupContext
@@ -136,12 +137,11 @@ class RMP:
     # ------------------------------------------------------------------
     # datagram entry point (called by the stack after decode + group filter)
     # ------------------------------------------------------------------
-    def on_message(self, msg: FTMPMessage, raw: bytes) -> None:
-        """Route one received FTMP message for this group, ``raw`` its
-        wire bytes."""
+    def on_message(self, msg: FTMPMessage) -> None:
+        """Route one received FTMP message for this group."""
         mtype = msg.header.message_type
         if mtype in RELIABLE_TYPES:
-            self._on_reliable(msg, raw)
+            self._on_reliable(msg)
         elif mtype == MessageType.HEARTBEAT:
             self._on_heartbeat(msg)  # type: ignore[arg-type]
         elif mtype == MessageType.RETRANSMIT_REQUEST:
@@ -158,7 +158,7 @@ class RMP:
     # ------------------------------------------------------------------
     # reliable source-ordered path
     # ------------------------------------------------------------------
-    def _on_reliable(self, msg: FTMPMessage, raw: bytes) -> None:
+    def _on_reliable(self, msg: FTMPMessage) -> None:
         h = msg.header
         src = h.source
         # A retransmitted copy we were about to send ourselves: suppress.
@@ -178,7 +178,7 @@ class RMP:
 
         # Retain for answering future NACKs ("any processor that has
         # received [the] message ... may retransmit", §5).
-        self._g.buffer.add(src, seq, h.timestamp, raw)
+        self._g.buffer.add(src, seq, msg)
 
         if seq == st.next_seq:
             if (not st.pending and st.nack_timer is None
@@ -199,12 +199,12 @@ class RMP:
             self.stats.out_of_order += 1
             self._note_gap(src, st)
 
-    def on_run(self, run: Sequence[FTMPMessage], raws: Sequence[bytes]) -> int:
-        """The Regulars of one BATCH datagram, ``raws`` their wire bytes:
-        take as many leading ones as are this source's in-order stream
-        with nothing outstanding — :meth:`_on_reliable`'s shortcut, for
-        the run — and return how many; the caller routes the rest one by
-        one.  0 has touched nothing.
+    def on_run(self, run: Sequence[FTMPMessage]) -> int:
+        """The Regulars of one BATCH datagram: take as many leading ones
+        as are this source's in-order stream with nothing outstanding —
+        :meth:`_on_reliable`'s shortcut, for the run — and return how
+        many; the caller routes the rest one by one.  0 has touched
+        nothing.
 
         The ordering layer folds the messages in up to the first one
         after which its gate has to be entered (``receive_run``); this
@@ -234,7 +234,7 @@ class RMP:
                and st.nack_timer is None and st.deferred_heartbeat is None
                and st.highest_heard <= st.next_seq
                and self._sources.get(src) is st and not g.stopped):
-            n, gate_due = romp.receive_run(run, raws, taken, stop)
+            n, gate_due = romp.receive_run(run, taken, stop)
             if not n:
                 break
             taken += n
@@ -402,7 +402,7 @@ class RMP:
             return  # ablation A2: only the source answers
         answers = self._answers
         for buffered in g.buffer.range_for(wanted_src, msg.start_seq, msg.stop_seq):
-            key = (buffered.source, buffered.sequence_number)
+            key = (wanted_src, buffered.header.sequence_number)
             rec = answers.get(key)
             if rec is None:
                 rec = answers[key] = Answer()
@@ -419,7 +419,7 @@ class RMP:
                     # back off randomly and suppress if a copy shows up
                     # first — avoids a retransmission implosion.
                     delay = 0.0 if wanted_src == g.pid else g.rng.random() * self.RETRANSMIT_BACKOFF
-                    rec.timer = g.schedule(delay, self._answer, rec, buffered.data)
+                    rec.timer = g.schedule(delay, self._answer, rec, buffered)
                     continue
                 # The requester keeps asking: whatever copy it has been
                 # offered is not reaching it (e.g. the source's link to it
@@ -427,13 +427,14 @@ class RMP:
                 # path carries the message.
             # Ablation A1 answers every request so: no backoff, no
             # suppression.
-            self._answer(rec, buffered.data)
+            self._answer(rec, buffered)
 
-    def _answer(self, rec: Answer, raw: bytes) -> None:
-        """Send our answer ``raw`` for ``rec``'s message now."""
+    def _answer(self, rec: Answer, msg: FTMPMessage) -> None:
+        """Send ``msg``, the retained message of ``rec``, now: encoded
+        here, the one time a retained message is."""
         rec.timer = None
         self.stats.retransmissions_sent += 1
-        self._g.retransmit_raw(raw)
+        self._g.retransmit_raw(encode(msg))
 
     # ------------------------------------------------------------------
     # duplicate-request suppression (extension)

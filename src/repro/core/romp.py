@@ -336,17 +336,17 @@ class ROMP:
             self.stats.max_queue_depth = depth
         return True
 
-    def receive_run(self, run: Sequence[FTMPMessage], raws: Sequence[bytes],
-                    start: int, stop: int) -> Tuple[int, bool]:
+    def receive_run(self, run: Sequence[FTMPMessage], start: int,
+                    stop: int) -> Tuple[int, bool]:
         """Discipline hook — take ``run[start:stop]``, consecutive in-order
         Regulars of one source out of one datagram, up to the first one
         after which the gate has to be entered.
 
         Per message exactly what :meth:`observe_header`, RMP's retention
-        (of ``raws[i]``, the message's wire bytes) and :meth:`receive`
-        do, in that order, except :meth:`evaluate`: returns ``(taken,
-        due)`` with the gate *not* entered, ``due`` telling the caller to
-        enter it once its own state covers the ``taken`` messages — so
+        and :meth:`receive` do, in that order, except :meth:`evaluate`:
+        returns ``(taken, due)`` with the gate *not* entered, ``due``
+        telling the caller to enter it once its own state covers the
+        ``taken`` messages — so
         whatever the gate delivers into sees every layer at the same
         message.  The gate is due when it could do more than look at the
         head and leave: a safe hold, a fault-view drain, stale stability,
@@ -386,7 +386,7 @@ class ROMP:
                     self._maybe_collect()
             if i == 0:
                 g.note_alive(src)
-            retain(src, h.sequence_number, ts, raws[i])
+            retain(src, h.sequence_number, msg)
             if ts > heard_ts:
                 heard_ts = order[src] = ts
                 if src in self._gate_set:

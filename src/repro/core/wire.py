@@ -95,30 +95,28 @@ record before the first part::
             u8   ts  - the previous record's ts
             u8   ack - the previous record's ack
         16B  connection id, u64 request number   (with connection only;
-                     without it they are the zero id and request 0,
-                     and the part is rebuilt in the connectionless
-                     layout)
+                     without it they are the zero id and request 0)
         u16  payload length
         ...  payload
 
-A part is a Regular of the envelope's source, group and endianness,
-without the retransmission flag (``send_raw`` re-sends single
-datagrams, never envelopes), whose payload is at most 0xFFFF bytes and
-which is in the layout and header form :func:`encode` gives it:
-connectionless, or the fixed prefix naming a connection or a request;
-the short header exactly when its fields fit one.  :func:`encode`
-refuses anything else with a :class:`CodecError`, and a flags byte
-opening no record is one on decode.  The record is a delta record when
-its seq is the previous record's + 1 and its ts and ack each exceed the
-previous record's by less than 256: a Regular below the ORB then costs
-5 B + payload (29 B + payload on a connection) instead of its header
-(and body prefix), the first part of an envelope included.  The record
-does not say which header form its part had: the receiver rebuilds each
-part in the form :func:`encode` gives the part's fields, which is the
-form it had, byte for byte, so retention and retransmission identity
-are untouched.  The same pass builds each part's message
-(:attr:`~repro.core.messages.BatchMessage.decoded`), so the receive path
-does not decode what was just packed.
+A part is a :class:`~repro.core.messages.RegularMessage` of the
+envelope's source, group, byte order, magic and version, without the
+retransmission flag (``send_raw`` re-sends single datagrams, never
+envelopes), whose payload is at most 0xFFFF bytes and whose fields fit
+their record; :func:`encode` writes its record from those fields and
+refuses anything else with a :class:`CodecError`.  A part given as wire
+bytes is decoded first, and must also be in the layout and header form
+:func:`encode` gives its fields (``perf/`` builds its BATCH that way).
+A flags byte opening no record is a :class:`CodecError` on decode.  The
+record is a delta record when its seq is the previous record's + 1 and
+its ts and ack each exceed the previous record's by less than 256: a
+Regular below the ORB then costs 5 B + payload (29 B + payload on a
+connection) instead of its header (and body prefix), the first part of
+an envelope included.  The record does not say which header form its
+part would have alone: :func:`decode` builds each part's message only,
+its ``message_size`` the length of the standalone encoding
+:func:`encode` gives its fields — what a retransmission of it is, and
+what retention counts.
 """
 
 from __future__ import annotations
@@ -154,7 +152,7 @@ __all__ = [
     "CodecError",
     "peek_header",
     "mark_retransmission",
-    "regular_full_size",
+    "regular_size",
 ]
 
 _FLAG_LITTLE_ENDIAN = 0x01
@@ -203,8 +201,6 @@ _HDR = _twins("4sBBBB")
 _HDR_REGULAR = _twins("4sBBBB", "IIIIQI")
 #: header + fixed AckSummary body prefix (kind, cover ts, ack ts, entry count)
 _HDR_ACK_SUMMARY = _twins("4sBBBB", "BQQH")
-#: a Regular part's size field, source, group, seq, ts and ack (or step)
-_PART_FIELDS = _twins("8x")
 #: Regular body alone (decode side)
 _REGULAR_BODY = {
     True: struct.Struct("<IIIIQI"),
@@ -242,29 +238,21 @@ _RECORD_LAYOUTS = {True: _record_layouts(True), False: _record_layouts(False)}
 #: delta record) or seq / ts / ack (a full one), [connection id and
 #: request number,] payload length
 _DELTA_HEAD = {True: struct.Struct("<BBBH"), False: struct.Struct(">BBBH")}
-_DELTA_HEAD_CONNECTION = {True: struct.Struct("<BBB24sH"), False: struct.Struct(">BBB24sH")}
+_DELTA_HEAD_CONNECTION = {True: struct.Struct("<BBBIIIIQH"), False: struct.Struct(">BBBIIIIQH")}
 _FULL_HEAD = {True: struct.Struct("<BIQQH"), False: struct.Struct(">BIQQH")}
-_FULL_HEAD_CONNECTION = {True: struct.Struct("<BIQQ24sH"), False: struct.Struct(">BIQQ24sH")}
+_FULL_HEAD_CONNECTION = {True: struct.Struct("<BIQQIIIIQH"),
+                         False: struct.Struct(">BIQQIIIIQH")}
 _U16 = {True: struct.Struct("<H"), False: struct.Struct(">H")}
-_U32 = {True: struct.Struct("<I"), False: struct.Struct(">I")}
 #: wire value -> MessageType member (``MessageType(x)`` is far slower)
 _TYPE_BY_VALUE = {int(t): t for t in MessageType}
 #: byte offset of the type field, and the fused decode's two wire values
 _TYPE_OFFSET = 7
 _REGULAR = int(MessageType.REGULAR)
 _HEARTBEAT = int(MessageType.HEARTBEAT)
-#: header bytes 0:8 of a Regular that may be a BATCH part: magic,
-#: version, the byte order's flag, in either layout and either header form
-_REGULAR_HEADS = {
-    little: tuple(MAGIC + bytes((VERSION_MAJOR, VERSION_MINOR, bit | layout | form, _REGULAR))
-                  for layout in (0, _FLAG_CONNECTIONLESS)
-                  for form in _HEADER_REST)
-    for little, bit in ((True, _FLAG_LITTLE_ENDIAN), (False, 0))}
 #: the Regular body's fixed prefix: connection id, request number, payload length
 _REGULAR_PREFIX = _REGULAR_BODY[True].size
-#: a Regular's connection id and request number when it is below the ORB
-_NO_CONNECTION_BYTES = bytes(_REGULAR_PREFIX - 4)
 _VERSION = (VERSION_MAJOR, VERSION_MINOR)
+_U64_MAX = 2**64 - 1
 #: the all-zero connection id of a Regular below the ORB, shared (the
 #: class is frozen) where building it anew would cost more than the
 #: rest of the record's decode
@@ -461,17 +449,12 @@ def encode(msg: FTMPMessage) -> bytes:
     if cls is BatchMessage:
         # A record is one precompiled ``pack`` of its head — flags, seq /
         # ts / ack or the two steps, a connection part's connection id and
-        # request number sliced from it — and the payload, assembled by
-        # one join.  The eligibility and delta tests are exactly those of
-        # ``_regular_fields`` / ``_regular_record`` in the reference
-        # encoder (tests/reference/wire_reference.py), which the codec
-        # property tests hold this one to.
-        parts = msg.parts
-        heads = _REGULAR_HEADS[little]
+        # request number — straight from the part's fields, and the
+        # payload, assembled by one join.  The refusal and delta tests
+        # are exactly those of ``_message_fields`` / ``_regular_record``
+        # in the reference encoder (tests/reference/wire_reference.py),
+        # which the codec property tests hold this one to.
         source, group = h.source, h.group
-        # the short form's other condition, the same for every part
-        short_ids = source <= 0xFFFF and group <= 0xFFFF
-        u32 = _U32[little].unpack_from
         delta_head = _DELTA_HEAD[little].pack
         delta_head_connection = _DELTA_HEAD_CONNECTION[little].pack
         full_head = _FULL_HEAD[little].pack
@@ -483,53 +466,53 @@ def encode(msg: FTMPMessage) -> bytes:
         # part, which sets the header's (the record before it)
         prev_seq = prev_ts = prev_ack = None
         h.sequence_number = h.timestamp = h.ack_timestamp = 0
-        for part in parts:
-            n = len(part)
-            # where the payload starts: 0 while the part is not a record
-            start = 0
-            short = n > _FLAGS_OFFSET and part[_FLAGS_OFFSET] & _FLAG_SHORT
-            hs = SHORT_HEADER_SIZE if short else HEADER_SIZE
-            if part[0:8] in heads and n >= hs:
-                size, src, grp, seq, ts, ack = _PART_FIELDS[part[6] & _FORM].unpack_from(part)
-                if short:
-                    ack = ts - ack
-                    size = n
-                # in the header form encode gives these fields, and decodable
-                fits = ts <= 0xFFFFFFFF and 0 <= ts - ack <= 0xFF and short_ids
-                if (size == n and src == source and grp == group and ack >= 0
-                        and fits == bool(short)):
-                    if part[6] & _FLAG_CONNECTIONLESS:
-                        start, conn = hs, None
-                    elif n >= hs + _REGULAR_PREFIX:
-                        # the zero block has its own form: this one is
-                        # not what encode emits
-                        conn = part[hs:hs + 24]
-                        if (conn != _NO_CONNECTION_BYTES
-                                and u32(part, hs + 24)[0] == n - hs - _REGULAR_PREFIX):
-                            start = hs + _REGULAR_PREFIX
-            if not start or (plen := n - start) > 0xFFFF:
-                raise CodecError("a BATCH part must be a first-transmission Regular of the "
-                                 "envelope's source, group and byte order, as encode gives it")
-            if prev_seq is None:
-                prev_seq, prev_ts, prev_ack = (seq - 1, ts, ack) if seq else (0, 0, 0)
-                h.sequence_number, h.timestamp, h.ack_timestamp = prev_seq, prev_ts, prev_ack
-            payload = part[start:]
-            if (seq == prev_seq + 1 and 0 <= (dts := ts - prev_ts) < 256
-                    and 0 <= (dack := ack - prev_ack) < 256):
-                if conn is None:
-                    extend((delta_head(rflags | _REC_DELTA, dts, dack, plen), payload))
-                else:
+        try:
+            for part in msg.parts:
+                if part.__class__ is not RegularMessage:
+                    part = _part_message(part)
+                ph = part.header
+                ack = ph.ack_timestamp
+                if (ph.source != source or ph.group != group or ph.little_endian != little
+                        or ph.retransmission or ack < 0
+                        or ph.message_type is not MessageType.REGULAR
+                        or ph.magic != MAGIC or ph.version != _VERSION):
+                    raise _refused()
+                seq, ts = ph.sequence_number, ph.timestamp
+                if prev_seq is None:
+                    prev_seq, prev_ts, prev_ack = (seq - 1, ts, ack) if seq else (0, 0, 0)
+                    h.sequence_number, h.timestamp, h.ack_timestamp = prev_seq, prev_ts, prev_ack
+                delta = (seq == prev_seq + 1 and 0 <= (dts := ts - prev_ts) < 256
+                         and 0 <= (dack := ack - prev_ack) < 256)
+                # a full record's fields are bounded by their pack, a
+                # delta record's by this
+                if delta and (seq > 0xFFFFFFFF or ts > _U64_MAX or ack > _U64_MAX):
+                    raise _refused()
+                payload = part.payload
+                cid = part.connection_id
+                req = part.request_num
+                if not req and (cid is _NO_CONNECTION or cid == _NO_CONNECTION):
+                    if delta:
+                        extend((delta_head(rflags | _REC_DELTA, dts, dack, len(payload)),
+                                payload))
+                    else:
+                        extend((full_head(rflags, seq, ts, ack, len(payload)), payload))
+                elif delta:
                     extend((delta_head_connection(
-                        rflags | _REC_DELTA | _REC_CONNECTION, dts, dack, conn, plen),
-                        payload))
-            elif conn is None:
-                extend((full_head(rflags, seq, ts, ack, plen), payload))
-            else:
-                extend((full_head_connection(rflags | _REC_CONNECTION, seq, ts, ack, conn,
-                                             plen), payload))
-            prev_seq, prev_ts, prev_ack = seq, ts, ack
-        chunks[1] = _U16[little].pack(len(parts))
-        chunks[0] = _packed_header(h, sum(map(len, chunks)))
+                        rflags | _REC_DELTA | _REC_CONNECTION, dts, dack, cid.client_domain,
+                        cid.client_group, cid.server_domain, cid.server_group, req,
+                        len(payload)), payload))
+                else:
+                    extend((full_head_connection(
+                        rflags | _REC_CONNECTION, seq, ts, ack, cid.client_domain,
+                        cid.client_group, cid.server_domain, cid.server_group, req,
+                        len(payload)), payload))
+                prev_seq, prev_ts, prev_ack = seq, ts, ack
+            chunks[1] = _U16[little].pack(len(msg.parts))
+            chunks[0] = _packed_header(h, sum(map(len, chunks)))
+        except struct.error:
+            # a field past its width: a seq, timestamp, connection id,
+            # request number or payload length
+            raise _refused() from None
         return b"".join(chunks)
     layout = _CONTROL_LAYOUTS.get(cls)
     if layout is None:
@@ -546,6 +529,28 @@ def _packed_header(h: FTMPHeader, body: int) -> bytes:
         h.magic, h.version[0], h.version[1], flags, int(h.message_type),
         size, h.source, h.group, h.sequence_number, h.timestamp, last,
     )
+
+
+def _refused() -> CodecError:
+    return CodecError("a BATCH part must be a first-transmission Regular of the "
+                      "envelope's source, group and byte order, as encode gives it")
+
+
+def _part_message(part: _Buffer) -> RegularMessage:
+    """A BATCH part given as wire bytes: its message, when the bytes are
+    a Regular in the layout and header form :func:`encode` gives its
+    fields (no other flag bit, no zero connection block, no byte past
+    the payload: each of them lengthens the datagram).  :func:`encode`
+    then holds the message to every other rule of a part."""
+    if (isinstance(part, (bytes, bytearray, memoryview)) and len(part) > _FLAGS_OFFSET
+            and not part[_FLAGS_OFFSET] & ~(_FORM | _FLAG_RETRANSMISSION | _FLAG_CONNECTIONLESS)):
+        try:
+            m = decode(part)
+        except CodecError:
+            m = None
+        if m.__class__ is RegularMessage and regular_size(m) == len(part):
+            return m
+    raise _refused()
 
 
 # ----------------------------------------------------------------------
@@ -596,19 +601,19 @@ def peek_header(data: _Buffer) -> FTMPHeader:
 
 
 def _decode_batch(h: FTMPHeader, data: _Buffer, little: bool, pos: int) -> BatchMessage:
-    """Unpack a Batch envelope whose body starts at ``pos``: every part's
-    full encoding, rebuilt byte for byte in the header form
-    :func:`encode` gives its fields, and each part's message, built in
-    the same pass.
+    """Unpack a Batch envelope whose body starts at ``pos`` into its
+    parts' messages, and nothing else: no part's standalone encoding is
+    rebuilt.  Each message's ``message_size`` is that encoding's length,
+    in the header form :func:`encode` gives its fields.
 
     One reader over one buffer; the header's seq / ts / ack are the
     record before the first.  A record that cannot be framed (a flags
     byte opening no Regular record, a sequence number carried past
     0xFFFFFFFF or a timestamp past 2**64 - 1, a length past the end)
-    raises :class:`CodecError`.  A rebuilt Regular passes every check
-    :func:`decode` makes — magic, size field, payload bound, endianness
-    bit hold by construction — so ``decoded[i] == decode(parts[i])``
-    field for field.
+    raises :class:`CodecError`.  Every message passes the checks
+    :func:`decode` makes of a standalone Regular — magic, size, payload
+    bound, endianness hold by construction — so ``decode(encode(part))
+    == part`` field for field.
     """
     n = len(data)
     if pos + 2 > n:
@@ -619,9 +624,7 @@ def _decode_batch(h: FTMPHeader, data: _Buffer, little: bool, pos: int) -> Batch
     source, group = h.source, h.group
     short_ids = source <= 0xFFFF and group <= 0xFFFF
     regular = MessageType.REGULAR
-    pflags = _FLAG_LITTLE_ENDIAN if little else 0
     parts = []
-    decoded = []
     # the previous record's
     seq, ts, ack = h.sequence_number, h.timestamp, h.ack_timestamp
     for _ in range(count):
@@ -635,7 +638,8 @@ def _decode_batch(h: FTMPHeader, data: _Buffer, little: bool, pos: int) -> Batch
         if body > n:
             raise CodecError("truncated batch record")
         connection = rflags & _REC_CONNECTION
-        if rflags & _REC_DELTA:
+        delta = rflags & _REC_DELTA
+        if delta:
             seq += 1
             if connection:
                 _f, dts, dack, cd, cg, sd, sg, req, plen = layout.unpack_from(data, pos)
@@ -652,38 +656,21 @@ def _decode_batch(h: FTMPHeader, data: _Buffer, little: bool, pos: int) -> Batch
         pos = body + plen
         if pos > n:
             raise CodecError("truncated batch part")
-        payload = bytes(data[body:pos])
-        # the part's header form: what encode gives these fields
-        size = plen + (_REGULAR_PREFIX if connection else 0)
-        last = ts - ack
-        if ts <= 0xFFFFFFFF and 0 <= last <= 0xFF and short_ids:
-            form = pflags | _FLAG_SHORT
-            size += SHORT_HEADER_SIZE
-            field = b""
-        else:
-            form = pflags
-            last = ack
-            field = size = size + HEADER_SIZE
-        try:
-            if connection:
-                parts.append(_HDR_REGULAR[form].pack(
-                    MAGIC, VERSION_MAJOR, VERSION_MINOR, form, _REGULAR, field, source,
-                    group, seq, ts, last, cd, cg, sd, sg, req, plen) + payload)
-            else:
-                parts.append(_HDR[form].pack(
-                    MAGIC, VERSION_MAJOR, VERSION_MINOR, form | _FLAG_CONNECTIONLESS,
-                    _REGULAR, field, source, group, seq, ts, last) + payload)
-        except struct.error:
-            # only a delta record's steps can carry a field past its width
+        # only a delta record's steps can carry a field past its width
+        if delta and (seq > 0xFFFFFFFF or ts > _U64_MAX or ack > _U64_MAX):
             raise CodecError("batch record sequence number past 0xFFFFFFFF"
                              if seq > 0xFFFFFFFF else
-                             "batch record timestamp past 2**64 - 1") from None
-        decoded.append(RegularMessage(
+                             "batch record timestamp past 2**64 - 1")
+        # the standalone length: the header form encode gives these fields
+        size = plen + (_REGULAR_PREFIX if connection else 0) + (
+            SHORT_HEADER_SIZE if ts <= 0xFFFFFFFF and 0 <= ts - ack <= 0xFF and short_ids
+            else HEADER_SIZE)
+        parts.append(RegularMessage(
             FTMPHeader(regular, source, group, seq, ts, ack, False, little, size,
                        MAGIC, _VERSION),
             ConnectionId(cd, cg, sd, sg) if cd or cg or sd or sg else _NO_CONNECTION,
-            req, payload))
-    return BatchMessage(h, tuple(parts), tuple(decoded))
+            req, bytes(data[body:pos])))
+    return BatchMessage(h, tuple(parts))
 
 
 def decode(data: _Buffer) -> FTMPMessage:
@@ -811,15 +798,17 @@ def decode_view(data: _Buffer) -> FTMPMessage:
     return decode(mv)
 
 
-def regular_full_size(raw: _Buffer) -> int:
-    """The length of a Regular's 68 B + payload form, whichever layout
-    and header form ``raw`` is in: what a batch window counts
-    (``batch_max_bytes``), so a window closes at the same number of
-    messages whether or not they travel with a connection block or a
-    short header."""
-    flags = raw[_FLAGS_OFFSET]
-    return (len(raw) + (HEADER_SIZE - SHORT_HEADER_SIZE if flags & _FLAG_SHORT else 0)
-            + (_REGULAR_PREFIX if flags & _FLAG_CONNECTIONLESS else 0))
+def regular_size(msg: RegularMessage) -> int:
+    """The length of ``msg``'s standalone encoding, in the layout and
+    header form :func:`encode` gives its fields, without encoding it;
+    back-filled into ``header.message_size`` as :func:`encode` does."""
+    cid = msg.connection_id
+    body = len(msg.payload)
+    if (msg.request_num or cid.client_domain or cid.client_group
+            or cid.server_domain or cid.server_group):
+        body += _REGULAR_PREFIX
+    _form(msg.header, body)
+    return msg.header.message_size
 
 
 def mark_retransmission(raw: _Buffer) -> bytes:

@@ -60,8 +60,10 @@ class FakeContext:
 
 
 def feed(rmp, msg):
-    """One received message, as the receive path hands it to RMP."""
-    rmp.on_message(msg, encode(msg))
+    """One received message, as the receive path hands it to RMP: its
+    ``message_size`` is its wire length, which retention counts."""
+    encode(msg)
+    rmp.on_message(msg)
 
 
 def regular(src: int, seq: int, ts: int = 0, retransmission: bool = False):

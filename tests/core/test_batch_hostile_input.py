@@ -2,9 +2,9 @@
 
 A BATCH datagram is the one FTMP message whose body is other messages, so
 it is where a sender chooses how much work one datagram costs its
-receivers — and since the codec decodes its records in the envelope's
-pass (``BatchMessage.decoded``) and RMP / ROMP take them as a run, it is
-also where a second way through the receiver begins.  A BATCH holds one
+receivers — and since the codec builds its parts' messages straight
+from the records (``BatchMessage.parts``) and RMP / ROMP take them as a
+run, it is also where a second way through the receiver begins.  A BATCH holds one
 sender's first-transmission Regulars and nothing else.  Records are laid
 out by hand here so that every fault can be planted where ``encode``
 would never put it: a sequence number carried past 0xFFFFFFFF or a
@@ -16,9 +16,10 @@ Whatever arrives:
 * ``CodecError``, counted once by the stack as a decode error for the
   whole datagram — nothing else escapes ``FTMPStack._on_datagram``, and
   the reader's work is bounded by the bytes present;
-* wherever the decode yields a message, that message equals
-  ``decode(part)`` of the rebuilt part field for field, ``bytes``
-  payload included when the datagram was a ``memoryview``;
+* wherever the decode yields a part, the part equals ``decode`` of its
+  own standalone encoding field for field, ``message_size`` its length
+  and a ``bytes`` payload included when the datagram was a
+  ``memoryview``;
 * a receiver fed the datagrams ends in the same state, counters and
   deliveries as one whose RMP took none of each run, and so routed
   every part one by one.
@@ -355,7 +356,7 @@ def decoded_or_error(data):
 def part_by_part():
     """The receive path with RMP taking none of any run: it routes every
     part of a batch one by one."""
-    return mock.patch.object(RMP, "on_run", lambda rmp, run, raws: 0)
+    return mock.patch.object(RMP, "on_run", lambda rmp, run: 0)
 
 
 # ----------------------------------------------------------------------
@@ -371,30 +372,37 @@ def test_in_pass_decode_is_the_record_loop_and_decode_of_each_part(session, buff
     if isinstance(got, str):
         return
     # whatever decodes is records of the kinds a BATCH holds, and each
-    # part comes with its message
+    # part is a message, what its standalone encoding decodes to
     if intact:
         assert all(k in RUN_KINDS for k in kinds[:len(got.parts)])
-    assert all(type(p) is bytes for p in got.parts)
-    assert len(got.decoded) == len(got.parts)
-    for message, part in zip(got.decoded, got.parts):
-        assert message == decode(part)
+    for message in got.parts:
         assert type(message) is RegularMessage and type(message.payload) is bytes
-    # a cache of ``parts``: no part in equality, nothing on the wire
-    assert got == BatchMessage(got.header, got.parts)
-    assert encode(got) == encode(BatchMessage(got.header, got.parts))
+        size = message.header.message_size
+        alone = encode(message)
+        assert len(alone) == size
+        assert decode(alone) == message
+    # and the parts are what the envelope encodes again
+    assert decode(encode(got)).parts == got.parts
 
 
 @pytest.mark.parametrize("e", "<>")
 def test_what_the_send_path_coalesces_decodes_in_the_envelope_pass(e):
-    parts = tuple(full_regular(seq, 10 + seq, e, payload=b"p" * seq) for seq in range(1, 9))
-    sent = encode(BatchMessage(
-        FTMPHeader(MessageType.BATCH, source=SENDER, group=GROUP, sequence_number=0,
-                   timestamp=0, ack_timestamp=0, little_endian=e == "<"), parts))
+    # the same parts given as the wire bytes ``perf/`` builds them in
+    raws = tuple(full_regular(seq, 10 + seq, e, payload=b"p" * seq) for seq in range(1, 9))
+    parts = tuple(decode(raw) for raw in raws)
+
+    def batch(parts):
+        return encode(BatchMessage(
+            FTMPHeader(MessageType.BATCH, source=SENDER, group=GROUP, sequence_number=0,
+                       timestamp=0, ack_timestamp=0, little_endian=e == "<"), parts))
+
+    sent = batch(parts)
+    assert batch(raws) == sent
     for data in (sent, memoryview(sent)):
         for got in (decode(data), decode_view(data)):
             assert got.parts == parts
-            assert got.decoded == tuple(decode(p) for p in parts)
-            assert all(type(m.payload) is bytes for m in got.decoded)
+            assert all(type(m.payload) is bytes for m in got.parts)
+            assert tuple(encode(m) for m in got.parts) == raws
 
 
 # ----------------------------------------------------------------------
@@ -499,8 +507,7 @@ def _good(e):
 #: a record the reader cannot frame, after what comes first -> the error,
 #: and the envelope header's (seq, ts, ack) where it is the fault (a
 #: length running past the end is the test above).  Every delta fault
-#: here is a part the rebuild could not pack: it must be the codec's
-#: error, not ``struct.error``
+#: here carries a field past its width: it must be the codec's error
 FRAMING_FAULTS = {
     "follows_after_verbatim": (
         lambda e: [verbatim(full_regular(2, 11, e), e),

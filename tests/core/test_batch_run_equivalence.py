@@ -49,8 +49,8 @@ def run_once(seed, as_runs):
         wire_log.append((self.endpoint.now, self.pid, address, bytes(raw)))
         transmit(self, address, raw)
 
-    def counting_on_run(self, run, raws):
-        taken = on_run(self, run, raws) if as_runs else 0
+    def counting_on_run(self, run):
+        taken = on_run(self, run) if as_runs else 0
         runs.append((len(run), taken))
         return taken
 

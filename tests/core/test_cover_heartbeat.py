@@ -49,14 +49,14 @@ def record(net, group):
         sent.append((net.scheduler.now, msg.header.message_type))
         return send(msg, address)
 
-    def receiving(msg, raw):
+    def receiving(msg):
         if msg.header.message_type == MessageType.REGULAR:
             arrived.append(net.scheduler.now)
-        on_message(msg, raw)
+        on_message(msg)
 
-    def receiving_run(run, raws):
+    def receiving_run(run):
         arrived.extend(net.scheduler.now for _ in run)
-        return on_run(run, raws)
+        return on_run(run)
 
     group.send_path.send = sending
     group.rmp.on_message = receiving
@@ -98,11 +98,11 @@ def test_no_cover_when_the_member_sent_since(deferred):
     def reply():
         stacks[1].send_on_connection(CID, b"REPLY", request_num=1)
 
-    def answering(msg, raw):
+    def answering(msg):
         # a server answering in the same instant, before the cover's turn
         # comes: its Reply is stamped past the Request, which is all a
         # cover would have said
-        on_message(msg, raw)
+        on_message(msg)
         if msg.header.message_type == MessageType.REGULAR and msg.header.source == 8:
             if deferred:
                 net.scheduler.schedule(0.0, reply)

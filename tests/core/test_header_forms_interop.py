@@ -46,13 +46,17 @@ def run(pids, leaps):
     cfg = FTMPConfig(heartbeat_interval=0.002, suspect_timeout=0.100, batch_window=0.001)
     c = make_cluster(pids, topology=lan(loss=0.03), config=cfg, seed=37)
 
-    # every message the send path encodes, and every datagram on the wire
+    # every message the send path encodes — a BATCH part as it would be
+    # alone, what a retransmission of it sends — and every datagram on
+    # the wire
     originals, wire_log = set(), []
     encode = wire.encode
 
     def recording(msg):
         raw = encode(msg)
-        if msg.header.message_type != MessageType.BATCH:
+        if msg.header.message_type == MessageType.BATCH:
+            originals.update(encode(part) for part in msg.parts)
+        else:
             originals.add(raw)
         return raw
 
@@ -84,7 +88,7 @@ def run(pids, leaps):
         h = wire.peek_header(raw)
         if h.message_type == MessageType.BATCH:
             for part in wire.decode(raw).parts:
-                assert part in originals
+                assert wire.encode(part) in originals
         elif raw[6] & RETRANSMISSION:
             retransmitted[raw[6] & SHORT] += 1
             assert raw[:6] + bytes((raw[6] & ~RETRANSMISSION,)) + raw[7:] in originals
@@ -170,7 +174,7 @@ def test_connection_requests_and_replies_take_the_short_header():
     kinds = {RequestMessage: 0, ReplyMessage: 0}
     for raw in wire_log:
         msg = wire.decode(raw)
-        parts = msg.decoded if msg.header.message_type == MessageType.BATCH else [msg]
+        parts = msg.parts if msg.header.message_type == MessageType.BATCH else [msg]
         for part in parts:
             if part.header.message_type == MessageType.REGULAR and part.header.group == group:
                 kinds[decode_giop(part.payload).__class__] += 1

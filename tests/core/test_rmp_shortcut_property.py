@@ -66,10 +66,10 @@ class RecordingContext(FakeContext):
         self.upward.append(("receive", h.source, h.sequence_number, h.retransmission))
         self._gate((h.source, h.sequence_number))
 
-    def receive_run(self, run, raws, start, stop):
+    def receive_run(self, run, start, stop):
         for i in range(start, stop):
             h = run[i].header
-            self.buffer.add(h.source, h.sequence_number, h.timestamp, raws[i])
+            self.buffer.add(h.source, h.sequence_number, run[i])
             self.upward.append(("receive", h.source, h.sequence_number, h.retransmission))
             if (h.source, h.sequence_number) in self.gates:
                 self._gate_at = (h.source, h.sequence_number)
@@ -97,7 +97,7 @@ class RecordingContext(FakeContext):
 class ReferenceRMP(RMP):
     """RMP with every in-order message taking the general ``_advance``."""
 
-    def _on_reliable(self, msg, raw):
+    def _on_reliable(self, msg):
         h = msg.header
         src, seq = h.source, h.sequence_number
         if h.retransmission:
@@ -107,7 +107,7 @@ class ReferenceRMP(RMP):
         if seq < st_.next_seq or seq in st_.pending:
             self.stats.duplicates += 1
             return
-        self._g.buffer.add(src, seq, h.timestamp, raw)
+        self._g.buffer.add(src, seq, msg)
         if seq == st_.next_seq:
             self._advance(src, st_, first=msg)
         else:
@@ -278,7 +278,9 @@ def deliver_batch(rmp, ctx, src, shape, as_run):
     taken = 0
     if as_run:
         before = repr(state_of(rmp, ctx))
-        taken = rmp.on_run(run, [encode(m) for m in run])
+        for m in run:
+            encode(m)  # the message_size a BATCH decode gives it
+        taken = rmp.on_run(run)
         assert taken or repr(state_of(rmp, ctx)) == before, "a declined run touched RMP"
     for msg in run[taken:]:
         if ctx.stopped:

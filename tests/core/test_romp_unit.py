@@ -118,7 +118,7 @@ def test_equal_timestamp_coverage_suffices():
 def test_ack_advances_with_deliveries_and_drives_stability():
     g = MockGroup(membership=(1, 2))
     r = ROMP(g)
-    g.buffer.add(1, 1, 5, b"raw")
+    g.buffer.add(1, 1, regular(1, ts=5))
     r.receive(regular(1, ts=5, ack=0))
     r.receive_heartbeat(heartbeat(2, ts=6, ack=0))
     assert r.ack_timestamp == 5
@@ -147,7 +147,7 @@ def test_a_joiner_counts_in_stability_from_its_add_processor_on():
     # before any — so the message stays retained for its NACK.
     g = MockGroup(membership=(1, 2))
     r = ROMP(g)
-    g.buffer.add(2, 1, 5, b"in flight")
+    g.buffer.add(2, 1, regular(2, ts=5, seq=1))
     r.receive(regular(2, ts=5, seq=1))
     r.receive(add_processor(2, ts=6, seq=2, new_member=4))
     r.receive_heartbeat(heartbeat(1, ts=7, ack=0))
@@ -197,7 +197,7 @@ def test_a_leaver_counts_in_stability_until_it_acknowledges_its_removal():
     assert rows(g) == {3: (LEAVING, 10)}
     g.membership = (1, 2)
     r.purge_source(3)
-    g.buffer.add(2, 1, 12, b"m")
+    g.buffer.add(2, 1, regular(2, ts=12, seq=1))
     r.receive(regular(2, ts=12, seq=1))
     r.receive_heartbeat(heartbeat(1, ts=13, ack=0))
     r.receive_heartbeat(heartbeat(2, ts=14, ack=12))
@@ -440,7 +440,7 @@ def one_by_one(r, g, msg):
     """What the receive path and RMP do around ROMP for one message."""
     h = msg.header
     r.observe_header(h)
-    g.buffer.add(h.source, h.sequence_number, h.timestamp, b"raw")
+    g.buffer.add(h.source, h.sequence_number, msg)
     if h.message_type == MessageType.HEARTBEAT:
         r.receive_heartbeat(msg)
     else:
@@ -450,10 +450,9 @@ def one_by_one(r, g, msg):
 def as_run(r, g, run):
     """What ``RMP.on_run`` does with a run: ROMP folds in up to the
     message after which the gate is due, the caller enters it."""
-    raws = [b"raw"] * len(run)
     taken = 0
     while taken < len(run):
-        n, gate_due = r.receive_run(run, raws, taken, len(run))
+        n, gate_due = r.receive_run(run, taken, len(run))
         assert n > 0
         taken += n
         if gate_due:

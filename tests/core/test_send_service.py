@@ -35,7 +35,7 @@ from repro.core.messages import (
     RetransmitRequestMessage,
     SuspectMessage,
 )
-from repro.core.wire import decode
+from repro.core.wire import decode, encode
 from repro.simnet import Network, lan
 
 GROUP, ADDRESS, ME = 1, 5001, 1
@@ -100,7 +100,10 @@ def test_figure_3_decides_what_a_send_entails(cls):
     assert h.sequence_number == g.last_sent_seq == seq + reliable
     assert len(g.buffer) == retained + reliable
     if reliable:
-        assert g.buffer.get(ME, h.sequence_number).data == raw
+        # the stamped message itself, which encodes to what was sent
+        kept = g.buffer.get(ME, h.sequence_number)
+        assert kept == msg and encode(kept) == raw
+        assert kept.header.message_size == len(raw)
     # ROMP's column: the discipline hears of it
     assert notified == ([msg] if ordered else [])
     # §5: only the ordered stream and heartbeats themselves defer a heartbeat

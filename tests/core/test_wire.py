@@ -5,6 +5,7 @@ import dataclasses
 
 import pytest
 
+from repro.analysis.harness import make_cluster
 from repro.core import (
     HEADER_SIZE,
     SHORT_HEADER_SIZE,
@@ -13,6 +14,7 @@ from repro.core import (
     CodecError,
     ConnectionId,
     ConnectMessage,
+    FTMPConfig,
     ConnectRequestMessage,
     FTMPHeader,
     HeartbeatMessage,
@@ -27,7 +29,7 @@ from repro.core import (
     mark_retransmission,
     peek_header,
 )
-from repro.core.wire import decode_view, regular_full_size
+from repro.core.wire import decode_view, regular_size
 
 
 def header(mtype: MessageType, little: bool = True, timestamp: int = 99) -> FTMPHeader:
@@ -148,24 +150,31 @@ def test_mark_retransmission_rejects_truncated_input():
 @pytest.mark.parametrize("little", [True, False], ids=["little-endian", "big-endian"])
 def test_batch_round_trip(little):
     parts = tuple(
-        encode(RegularMessage(header(MessageType.REGULAR, little), CID, i, b"p%d" % i))
+        sized(RegularMessage(header(MessageType.REGULAR, little), CID, i, b"p%d" % i))
         for i in range(3)
     )
     msg = BatchMessage(header(MessageType.BATCH, little), parts)
     out = decode(encode(msg))
     assert isinstance(out, BatchMessage)
     assert out.parts == parts
-    # every part decodes back to its original Regular
+    # every part is its original Regular, which encodes alone as before
     for i, part in enumerate(out.parts):
-        inner = decode(part)
-        assert isinstance(inner, RegularMessage)
-        assert inner.payload == b"p%d" % i
+        assert isinstance(part, RegularMessage)
+        assert part.payload == b"p%d" % i
+        assert encode(part) == encode(parts[i])
+
+
+def sized(msg):
+    """``msg`` with the ``message_size`` of its standalone encoding, as
+    the send path windows a Regular and a BATCH decode gives it back."""
+    regular_size(msg)
+    return msg
 
 
 def _coalesced(little, n, cid=ConnectionId.none(), request_num=0):
     """What the send path coalesces: one sender's consecutive Regulars,
     each a few ticks after the last, acks a step apart, 64 B payloads."""
-    parts = tuple(encode(RegularMessage(
+    parts = tuple(sized(RegularMessage(
         FTMPHeader(MessageType.REGULAR, source=7, group=42, sequence_number=100 + i,
                    timestamp=500 + 3 * i, ack_timestamp=480 + i // 2, little_endian=little),
         cid, request_num, b"x" * 64)) for i in range(n))
@@ -180,11 +189,11 @@ def test_delta_record_below_the_orb_costs_5_bytes_plus_payload(little):
         parts, raw = _coalesced(little, n)
         # every part and the envelope in the short header: the acks lag
         # the timestamps by ~20 ticks
-        assert len(parts[0]) == SHORT_HEADER_SIZE + 64
+        assert len(encode(parts[0])) == SHORT_HEADER_SIZE + 64
         assert len(raw) == SHORT_HEADER_SIZE + 2 + n * (5 + 64)
         out = decode(raw)
         assert out.parts == parts
-        first = decode(parts[0]).header
+        first = parts[0].header
         assert (out.header.sequence_number, out.header.timestamp, out.header.ack_timestamp) \
             == (first.sequence_number - 1, first.timestamp, first.ack_timestamp)
 
@@ -194,7 +203,7 @@ def test_delta_record_on_a_connection_costs_29_bytes_plus_payload(little):
     # + the connection id and request number
     for n in (1, 2, 8):
         parts, raw = _coalesced(little, n, CID, 9)
-        assert len(parts[0]) == SHORT_HEADER_SIZE + 28 + 64
+        assert len(encode(parts[0])) == SHORT_HEADER_SIZE + 28 + 64
         assert len(raw) == SHORT_HEADER_SIZE + 2 + n * (29 + 64)
         assert decode(raw).parts == parts
 
@@ -203,15 +212,17 @@ def test_delta_record_on_a_connection_costs_29_bytes_plus_payload(little):
 def test_a_step_of_256_takes_a_full_record(little):
     # ts 256 past the previous record's: seq, ts and ack in full (23 B).
     # The first part's ack step, 6, takes the short header, the second's,
-    # 262, the full one; the record says neither, the rebuild finds both
-    parts = tuple(encode(RegularMessage(
+    # 262, the full one; the record says neither, the decode finds both
+    parts = tuple(sized(RegularMessage(
         FTMPHeader(MessageType.REGULAR, source=7, group=42, sequence_number=1 + i,
                    timestamp=10 + 256 * i, ack_timestamp=4, little_endian=little),
         ConnectionId.none(), 0, b"x" * 64)) for i in range(2))
-    assert [len(p) for p in parts] == [SHORT_HEADER_SIZE + 64, HEADER_SIZE + 64]
+    assert [len(encode(p)) for p in parts] == [SHORT_HEADER_SIZE + 64, HEADER_SIZE + 64]
     raw = encode(BatchMessage(header(MessageType.BATCH, little), parts))
     assert len(raw) == SHORT_HEADER_SIZE + 2 + (5 + 64) + (23 + 64)
-    assert decode(raw).parts == parts
+    out = decode(raw).parts
+    assert out == parts
+    assert [p.header.message_size for p in out] == [SHORT_HEADER_SIZE + 64, HEADER_SIZE + 64]
 
 
 def _below_the_orb(little, n, timestamp, size):
@@ -272,10 +283,21 @@ def test_a_regular_on_a_connection_with_a_short_header_is_55_bytes_plus_payload(
 @pytest.mark.parametrize("cid,request_num", [(CID, 17), (ConnectionId.none(), 0)])
 def test_a_batch_window_counts_every_regular_as_68_bytes_plus_payload(timestamp, cid,
                                                                       request_num):
-    # whichever layout and header form: batch composition does not move
-    raw = encode(RegularMessage(header(MessageType.REGULAR, True, timestamp), cid, request_num,
-                                b"x" * 64))
-    assert regular_full_size(raw) == 68 + 64
+    # whichever layout and header form: batch composition does not move.
+    # A window of 2 x (68 + 64) B closes on its second such message
+    cluster = make_cluster((1, 2), config=FTMPConfig(batch_window=0.01,
+                                                     batch_max_bytes=2 * (68 + 64)))
+    try:
+        g = cluster.stacks[1].group(1)
+        for seq in (1, 2):
+            g.send_path._append(RegularMessage(
+                FTMPHeader(MessageType.REGULAR, 1, 1, seq, timestamp + seq, 55), cid,
+                request_num, b"x" * 64))
+            assert g.send_path.pending_batch == 2 - seq
+        assert g.batch_stats.flushes_on_size == 1
+        assert g.batch_stats.messages_batched == 2
+    finally:
+        cluster.stop()
 
 
 @pytest.mark.parametrize("little", [True, False], ids=["little-endian", "big-endian"])
@@ -349,10 +371,13 @@ def test_a_full_form_part_with_a_zero_connection_block_is_refused(little):
     assert len(encoded) == SHORT_HEADER_SIZE + 3  # the other layout and header form
     with pytest.raises(CodecError, match="BATCH part"):
         encode(BatchMessage(header(MessageType.BATCH, little), (encoded, full)))
-    raw = encode(BatchMessage(header(MessageType.BATCH, little), (encoded,)))
-    # the envelope header is the part's (seq - 1, ts, ack): a delta record
-    assert len(raw) == SHORT_HEADER_SIZE + 2 + (5 + 3)
-    assert decode(raw).parts == (encoded,)
+    # the message itself, or its bytes as encode gives them, is batched
+    message = decode(encoded)
+    for part in (message, encoded):
+        raw = encode(BatchMessage(header(MessageType.BATCH, little), (part,)))
+        # the envelope header is the part's (seq - 1, ts, ack): a delta record
+        assert len(raw) == SHORT_HEADER_SIZE + 2 + (5 + 3)
+        assert decode(raw).parts == (message,)
 
 
 def test_empty_batch_round_trip():

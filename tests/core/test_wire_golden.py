@@ -9,6 +9,7 @@ when encode/decode remain mutually consistent.
 import pytest
 
 from repro.core import (
+    BatchMessage,
     CodecError,
     ConnectionId,
     FTMPHeader,
@@ -253,3 +254,25 @@ def test_retransmission_flag_bit_position():
     )
     raw = encode(HeartbeatMessage(h))
     assert raw[6] == 0x0B  # little-endian bit | retransmission bit | short header
+
+
+def test_batch_delta_and_full_record_golden():
+    # pinned from the codec that batched parts given as wire bytes: the
+    # first part a delta record on the envelope header's base (its seq
+    # - 1, ts, ack), the second, two seqs on, a full one on a connection
+    def regular(seq, ts, ack, cid, request_num, payload):
+        return RegularMessage(FTMPHeader(MessageType.REGULAR, 3, 1, seq, ts, ack), cid,
+                              request_num, payload)
+
+    parts = (regular(8, 1000, 990, ConnectionId.none(), 0, b"ab"),
+             regular(10, 1300, 1001, ConnectionId(1, 2, 3, 4), 5, b"cd"))
+    raw = encode(BatchMessage(FTMPHeader(MessageType.BATCH, 3, 1, 0, 0, 0), parts))
+    assert raw.hex() == (
+        "46544d50" "0100" "09" "0a"                # magic, version, LE + short, BATCH
+        "0300" "0100" "07000000" "e8030000" "0a"   # source, group, seq 7, ts 1000, step 10
+        "0200"                                     # two parts
+        "05" "00" "00" "0200" "6162"               # delta: steps 0 and 0, "ab"
+        "09" "0a000000" "1405000000000000" "e903000000000000"  # full: seq 10, ts, ack
+        "01000000020000000300000004000000" "0500000000000000"  # connection, request 5
+        "0200" "6364")                             # "cd"
+    assert decode(raw).parts[1].header.message_size == 40 + 28 + 2

@@ -60,8 +60,8 @@ def test_batched_cluster_with_loss_crash_and_join_satisfies_the_oracles():
     runs = {"messages": 0, "taken": 0, "declined": 0}
     on_run = RMP.on_run
 
-    def counting(self, run, raws):
-        taken = on_run(self, run, raws)
+    def counting(self, run):
+        taken = on_run(self, run)
         runs["messages"] += len(run)
         runs["taken"] += taken
         runs["declined"] += not taken
