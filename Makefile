@@ -40,7 +40,7 @@ perf-ab:
 lint: layering
 	$(PYTHON) -m ruff check src/ tests/ benchmarks/
 
-# layering guard: the five rule families of tests/core/test_layering.py
+# layering guard: the six rule families of tests/core/test_layering.py
 # (its docstring states them), greppable without pytest
 layering:
 	@$(PYTHON) tests/core/test_layering.py

@@ -74,7 +74,7 @@ from .overlay import OverlayDissemination, OverlayStats, unicast_address
 from .stack import FTMPStack, ProcessorGroup
 from .stats import GroupStats, StackStats, StatsRegistry
 from .tracing import TraceEvent, Tracer
-from .wire import CodecError, decode, encode, mark_retransmission, peek_header
+from .wire import CodecError, decode, encode, peek_header
 
 __all__ = [
     "FTMPStack",
@@ -125,7 +125,6 @@ __all__ = [
     "encode",
     "decode",
     "peek_header",
-    "mark_retransmission",
     "CodecError",
     "Listener",
     "RecordingListener",

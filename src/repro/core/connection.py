@@ -40,7 +40,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from .constants import HANDSHAKE_RESEND_INTERVAL
 from .messages import ConnectionId, ConnectMessage, ConnectRequestMessage
-from .wire import peek_header
 
 if TYPE_CHECKING:  # pragma: no cover
     from .stack import FTMPStack
@@ -114,9 +113,9 @@ class ConnectionBinding:
     #: client processors named in the ConnectRequest: the responder's,
     #: and a client's own (it names them again when it refuses an id)
     client_pids: Tuple[int, ...] = ()
-    #: wire bytes of the Connect the binding came from: the responder
-    #: resends them, a member echoes them to the responder of a lower id
-    connect_raw: Optional[bytes] = None
+    #: the Connect the binding came from: the responder resends it, a
+    #: member echoes it to the responder of a lower id
+    connect: Optional[ConnectMessage] = None
 
 
 @dataclass
@@ -300,8 +299,8 @@ class ConnectionManager:
     def _send_connect(self, binding: ConnectionBinding) -> None:
         cid = binding.connection_id
         domain_addr = domain_multicast_address(cid.server_domain)
-        if binding.connect_raw is None:
-            binding.connect_raw = self._stack.send_connect_announcement(
+        if binding.connect is None:
+            binding.connect = self._stack.send_connect_announcement(
                 domain_address=domain_addr,
                 connection_id=cid,
                 group_id=binding.group_id,
@@ -313,7 +312,7 @@ class ConnectionManager:
             # retransmission flag set — not a new ordered Connect
             group = self._stack.group(binding.group_id)
             if group is not None:
-                group.retransmit_raw(binding.connect_raw, address=domain_addr)
+                group.retransmit(binding.connect, address=domain_addr)
         self._resend_timers[cid] = self._stack.schedule(
             HANDSHAKE_RESEND_INTERVAL, self._resend_connect, cid
         )
@@ -389,7 +388,7 @@ class ConnectionManager:
     # ==================================================================
     # Connect arrival (both sides, via the domain or a group address)
     # ==================================================================
-    def on_connect(self, msg: ConnectMessage, raw: bytes) -> bool:
+    def on_connect(self, msg: ConnectMessage) -> bool:
         """Route a Connect heard on the wire; True hands it to the live
         group its id names here (which this call may have bootstrapped).
 
@@ -425,12 +424,11 @@ class ConnectionManager:
             self._refuse(msg, client_pids)
             return False
         held = self._leave(cid)
-        self._join(msg, raw, client_pids)
+        self._join(msg, client_pids)
         self._resubmit(cid, held)
         return True
 
-    def _join(self, msg: ConnectMessage, raw: bytes,
-              client_pids: Tuple[int, ...]) -> None:
+    def _join(self, msg: ConnectMessage, client_pids: Tuple[int, ...]) -> None:
         """Bind the Connect's connection and bootstrap its group (§7)."""
         cid = msg.connection_id
         self._handshake_done(cid)
@@ -441,7 +439,7 @@ class ConnectionManager:
             membership=tuple(msg.membership),
             established=True,
             client_pids=client_pids,
-            connect_raw=bytes(raw),
+            connect=msg,
         )
         self._bind(binding)
         self._stack.bootstrap_connection_group(
@@ -472,10 +470,9 @@ class ConnectionManager:
         """Re-send the Connect ``binding`` came from to the server domain,
         so the responder of an id further back learns this one."""
         group = self._stack.group(binding.group_id)
-        if binding.connect_raw is not None and group is not None:
+        if binding.connect is not None and group is not None:
             domain = binding.connection_id.server_domain
-            group.retransmit_raw(binding.connect_raw,
-                                 address=domain_multicast_address(domain))
+            group.retransmit(binding.connect, address=domain_multicast_address(domain))
 
     def _quiescent(self, binding: ConnectionBinding) -> bool:
         """True while the binding's group has sent nothing ordered here
@@ -550,8 +547,8 @@ class ConnectionManager:
         binding = self._bindings.pop(cid, None)
         if binding is None:
             return None
-        if binding.connect_raw is not None:
-            h = peek_header(binding.connect_raw)
+        if binding.connect is not None:
+            h = binding.connect.header
             key = self._released[cid] = (h.source, h.timestamp)
             self._stack.schedule(self._stack.config.suspect_timeout,
                                  self._forget_released, cid, key)

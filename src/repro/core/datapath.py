@@ -34,7 +34,7 @@ message goes out the moment it is stamped.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -48,7 +48,7 @@ from typing import (
     Type,
 )
 
-from ..transport import NamedTimerSet
+from ..transport import TimerHandle
 from .buffers import RetransmissionBuffer
 from .config import FTMPConfig
 from .constants import JOIN_GRACE, RELIABLE_TYPES, TOTALLY_ORDERED_TYPES, MessageType
@@ -73,7 +73,7 @@ from .pgmp import PGMP
 from .rmp import RMP
 from .romp import DEPARTED, JOINING, LEAVING, LINGERING, MEMBER, ROMP, Peer
 from .stats import GroupStats
-from .wire import decode, encode, mark_retransmission, regular_size
+from .wire import decode, encode, regular_size
 
 if TYPE_CHECKING:  # pragma: no cover
     from random import Random
@@ -193,9 +193,9 @@ class GroupContext(Protocol):
 
     # -- send services --------------------------------------------------
     def send(self, cls: Type[FTMPMessage], *body,
-             address: Optional[int] = None) -> Optional[bytes]: ...
+             address: Optional[int] = None) -> FTMPMessage: ...
 
-    def retransmit_raw(self, raw: bytes, address: Optional[int] = None) -> None: ...
+    def retransmit(self, msg: FTMPMessage, address: Optional[int] = None) -> None: ...
 
     # -- membership transitions -----------------------------------------
     def install_view(self, membership: Tuple[int, ...], view_timestamp: int,
@@ -413,7 +413,6 @@ class SendPath:
     ):
         self._ctx = ctx
         self._transmit = transmit
-        self._timers = NamedTimerSet(ctx.schedule)
         #: periodic dissemination traffic stands in for §5 heartbeats
         self._heartbeats_replaced = ctx.dissemination.replaces_heartbeats
         #: received Regulars are covered: a connection one at once
@@ -441,6 +440,8 @@ class SendPath:
         #: the batch window: stamped Regulars, not yet encoded
         self._pending: List[RegularMessage] = []
         self._pending_bytes = 0
+        #: the window's flush timer, while armed
+        self._flush_timer: Optional[TimerHandle] = None
         self._stopped = False
         # adaptive batching: EWMA of the gap between batchable sends —
         # the load signal deciding window vs. immediate transmission
@@ -470,9 +471,9 @@ class SendPath:
     # ------------------------------------------------------------------
     # transmission
     # ------------------------------------------------------------------
-    def send(self, msg: FTMPMessage, address: Optional[int] = None) -> Optional[bytes]:
+    def send(self, msg: FTMPMessage, address: Optional[int] = None) -> FTMPMessage:
         """Stamp-independent egress: retain, trace, then wire (or window).
-        Returns the wire bytes; None for a Regular the window took."""
+        Returns ``msg``."""
         h = msg.header
         mtype = h.message_type
         raw = None if address is None and self._windowed(msg) else encode(msg)
@@ -499,17 +500,20 @@ class SendPath:
         else:
             self._flush_pending_first()
             self._transmit(self._ctx.address if address is None else address, raw)
-        return raw
+        return msg
 
-    def send_raw(self, raw: bytes, address: Optional[int] = None) -> None:
-        """Re-send retained wire bytes with the retransmission flag (§3.2).
+    def resend(self, msg: FTMPMessage, address: Optional[int] = None) -> None:
+        """Re-send a retained message as its retransmission (§3.2): a
+        copy whose header has the retransmission flag set, encoded anew —
+        the original datagram but for that flag.  ``msg`` stays as it is.
 
         Deliberately does not touch ``last_send_time``: retransmissions
         are not new ordered-stream traffic and must not defer heartbeats.
         """
+        raw = encode(replace(msg, header=replace(msg.header, retransmission=True)))
+        self._ctx.trace("resend", bytes=len(raw))
         self._flush_pending_first()
-        self._transmit(self._ctx.address if address is None else address,
-                       mark_retransmission(raw))
+        self._transmit(self._ctx.address if address is None else address, raw)
 
     def _flush_pending_first(self) -> None:
         """Keep per-source FIFO: drain the window before unbatched sends."""
@@ -572,11 +576,12 @@ class SendPath:
         if self._pending_bytes >= self._ctx.config.batch_max_bytes:
             self._ctx.batch_stats.flushes_on_size += 1
             self.flush()
-        elif not self._timers.is_armed("batch-flush"):
-            self._timers.arm("batch-flush", self._ctx.config.batch_window,
-                             self._timer_flush)
+        elif self._flush_timer is None:
+            self._flush_timer = self._ctx.schedule(self._ctx.config.batch_window,
+                                                   self._timer_flush)
 
     def _timer_flush(self) -> None:
+        self._flush_timer = None
         self._ctx.batch_stats.flushes_on_timer += 1
         self.flush()
 
@@ -587,7 +592,9 @@ class SendPath:
 
     def flush(self) -> None:
         """Transmit the coalesced window now (no-op when empty)."""
-        self._timers.cancel("batch-flush")
+        if self._flush_timer is not None:
+            self._flush_timer.cancel()
+            self._flush_timer = None
         if not self._pending:
             return
         pending, self._pending = self._pending, []
@@ -728,7 +735,6 @@ class SendPath:
         self._beat_at = -_NEVER
         self._beat_gen += 1
         self.flush()
-        self._timers.cancel_all()
 
 
 class ReceivePath:
@@ -1137,12 +1143,11 @@ class ProcessorGroup:
     # send paths
     # ------------------------------------------------------------------
     def send(self, cls: Type[FTMPMessage], *body, address: Optional[int] = None,
-             credit: bool = False) -> Optional[bytes]:
+             credit: bool = False) -> FTMPMessage:
         """The stamped-send service: build a ``cls`` message from ``body``
         (its fields after the header, in order), send it to the group —
         or to ``address``, :data:`~repro.core.dissemination.LOOPBACK`
-        included — and return its wire bytes: None for a Regular the
-        batch window took, which is encoded into its BATCH only.
+        included — and return the stamped message.
 
         Everything the message's type entails is decided here, from the
         two tables of Figure 3: a reliable type takes the next sequence
@@ -1159,12 +1164,12 @@ class ProcessorGroup:
         msg = cls(self.send_path.next_header(mtype), *body)
         if credit:
             self.flow.note_sent(msg.header.timestamp)
-        raw = self.send_path.send(msg, address)
+        self.send_path.send(msg, address)
         if mtype in TOTALLY_ORDERED_TYPES:
             if mtype is MessageType.ADD_PROCESSOR:
                 self.romp.hold_for_joiner(msg)
             self.romp.on_own_send(msg)
-        return raw
+        return msg
 
     def multicast(self, payload: bytes, connection_id: Optional[ConnectionId] = None,
                   request_num: int = 0) -> bool:
@@ -1188,10 +1193,9 @@ class ProcessorGroup:
         self.stats.regulars_sent += 1
         self.send(RegularMessage, cid, request_num, payload, credit=True)
 
-    def retransmit_raw(self, raw: bytes, address: Optional[int] = None) -> None:
+    def retransmit(self, msg: FTMPMessage, address: Optional[int] = None) -> None:
         """Re-send a retained message unchanged except the retrans flag (§3.2)."""
-        self.trace("resend", bytes=len(raw))
-        self.send_path.send_raw(raw, address)
+        self.send_path.resend(msg, address)
 
     # ------------------------------------------------------------------
     # membership state changes (called by PGMP)

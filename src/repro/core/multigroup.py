@@ -93,7 +93,6 @@ from .messages import (
     RemoveProcessorMessage,
 )
 from .romp import ROMP
-from .wire import peek_header
 
 if TYPE_CHECKING:  # pragma: no cover
     from .datapath import GroupContext, ProcessorGroup
@@ -380,9 +379,8 @@ class SkeenOrdering(ROMP):
         totally-ordered stream; returns the copy's header timestamp —
         this group's proposal in the timestamp-collection protocol."""
         self.stage.stats.proposes_sent += 1
-        raw = self._g.send(MultiGroupProposeMessage, mg_seq, conflict_class,
-                           group_ids, payload)
-        return peek_header(raw).timestamp
+        return self._g.send(MultiGroupProposeMessage, mg_seq, conflict_class,
+                            group_ids, payload).header.timestamp
 
     def send_commit(self, origin: int, mg_seq: int, commit_ts: int) -> None:
         """Announce the committed (max) timestamp into this group's stream."""

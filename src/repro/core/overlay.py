@@ -69,6 +69,7 @@ from typing import TYPE_CHECKING, Deque, Dict, Optional, Set, Tuple
 from .constants import MessageType
 from .dissemination import LOOPBACK, Dissemination, Receive, Transmit
 from .messages import AckSummaryMessage, FTMPMessage
+from .wire import _FLAG_RETRANSMISSION, _FLAGS_OFFSET, _TYPE_OFFSET
 
 if TYPE_CHECKING:  # pragma: no cover
     from .datapath import ProcessorGroup
@@ -82,11 +83,7 @@ __all__ = ["OVERLAY_UNICAST_BASE", "OverlayStats", "OverlayDissemination",
 #: migration moves the whole unicast family with the group.
 OVERLAY_UNICAST_BASE = 0x40000000
 
-# wire-format facts used to classify raw datagrams without decoding
-# (offsets fixed by the §3.2 header layout in repro.core.wire)
-_TYPE_OFFSET = 7
-_FLAGS_OFFSET = 6
-_FLAG_RETRANSMISSION = 0x02
+# the wire types the relay classifies raw datagrams by, without decoding
 _REGULAR = int(MessageType.REGULAR)
 _BATCH = int(MessageType.BATCH)
 

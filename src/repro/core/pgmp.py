@@ -87,8 +87,8 @@ class PGMP:
         #: with the sequence vector it reported
         self._sent_proposals: Dict[FrozenSet[int], Dict[int, int]] = {}
         self._round: Optional[_Round] = None
-        #: new-member pid -> (raw AddProcessor bytes, resend timer)
-        self._add_resends: Dict[int, Tuple[bytes, object]] = {}
+        #: new-member pid -> (the AddProcessor, resend timer)
+        self._add_resends: Dict[int, Tuple[AddProcessorMessage, object]] = {}
         #: ordering key of the last membership change ordered
         self._ordered_key = (0, 0)
         #: convicted members ``stats.convictions`` has counted: a round
@@ -105,27 +105,27 @@ class PGMP:
         (unreliable) new member until the new member is heard from."""
         if new_member in self._g.membership:
             raise ValueError(f"processor {new_member} is already a member")
-        raw = self._g.send(AddProcessorMessage, self._g.view_timestamp,
+        msg = self._g.send(AddProcessorMessage, self._g.view_timestamp,
                            tuple(sorted(self._g.membership)), self._seq_vector(),
                            new_member)
         timer = self._g.schedule(
             HANDSHAKE_RESEND_INTERVAL, self._resend_add, new_member
         )
-        self._add_resends[new_member] = (raw, timer)
+        self._add_resends[new_member] = (msg, timer)
 
     def _resend_add(self, new_member: int) -> None:
         entry = self._add_resends.get(new_member)
         if entry is None:
             return
-        raw, _old = entry
+        msg, _old = entry
         if self._g.has_heard_from(new_member):
             del self._add_resends[new_member]
             return
-        self._g.retransmit_raw(raw)
+        self._g.retransmit(msg)
         timer = self._g.schedule(
             HANDSHAKE_RESEND_INTERVAL, self._resend_add, new_member
         )
-        self._add_resends[new_member] = (raw, timer)
+        self._add_resends[new_member] = (msg, timer)
 
     def initiate_remove(self, member: int) -> None:
         """Multicast a RemoveProcessor (takes effect when ordered)."""
@@ -514,7 +514,7 @@ class PGMP:
             entry[1].cancel()
 
     def stop(self) -> None:
-        for _raw, timer in self._add_resends.values():
+        for _msg, timer in self._add_resends.values():
             timer.cancel()
         self._add_resends.clear()
         if self._round is not None and self._round.sync_timer is not None:

@@ -35,7 +35,6 @@ from typing import TYPE_CHECKING, Deque, Dict, Optional, Sequence
 
 from .constants import RELIABLE_TYPES, MessageType
 from .messages import FTMPMessage, HeartbeatMessage, RetransmitRequestMessage
-from .wire import encode
 
 if TYPE_CHECKING:  # pragma: no cover
     from .datapath import GroupContext
@@ -430,11 +429,11 @@ class RMP:
             self._answer(rec, buffered)
 
     def _answer(self, rec: Answer, msg: FTMPMessage) -> None:
-        """Send ``msg``, the retained message of ``rec``, now: encoded
-        here, the one time a retained message is."""
+        """Send ``msg``, the retained message of ``rec``, now, as its
+        retransmission: the send path encodes a flagged copy."""
         rec.timer = None
         self.stats.retransmissions_sent += 1
-        self._g.retransmit_raw(encode(msg))
+        self._g.retransmit(msg)
 
     # ------------------------------------------------------------------
     # duplicate-request suppression (extension)

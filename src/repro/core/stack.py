@@ -47,7 +47,7 @@ from .lamport import make_clock
 from .messages import ConnectionId, ConnectMessage, ConnectRequestMessage, FTMPHeader
 from .stats import StackStats, StatsRegistry
 from .tracing import Tracer
-from .wire import CodecError, decode, decode_view, encode, peek_header
+from .wire import CodecError, decode, decode_view, encode
 
 __all__ = ["FTMPStack", "ProcessorGroup", "StackStats"]
 
@@ -299,9 +299,9 @@ class FTMPStack:
 
     def send_connect_announcement(self, domain_address: int, connection_id: ConnectionId,
                                   group_id: int, address: int,
-                                  membership: Tuple[int, ...]) -> bytes:
+                                  membership: Tuple[int, ...]) -> ConnectMessage:
         g = self._require_group(group_id)
-        raw = g.send(ConnectMessage, connection_id, group_id, address,
+        msg = g.send(ConnectMessage, connection_id, group_id, address,
                      g.view_timestamp, membership, address=domain_address)
         # The responder adopts the Connect's timestamp as its view
         # timestamp immediately (the other members adopt it on receipt),
@@ -309,11 +309,11 @@ class FTMPStack:
         # window — even if the Connect can never be ordered because a
         # listed member is already dead.  Idempotent with the ordered
         # Connect delivery, which takes max().
-        connect_ts = peek_header(raw).timestamp
+        connect_ts = msg.header.timestamp
         if connect_ts > g.view_timestamp:
             g.view_timestamp = connect_ts
         g.romp.set_send_barrier(connect_ts)
-        return raw
+        return msg
 
     def notify_connection(self, binding: ConnectionBinding, migrated: bool) -> None:
         self.listener.on_connection(
@@ -351,7 +351,7 @@ class FTMPStack:
             # the connection manager decides whose Connect it is: it may
             # bootstrap the group it names, or refuse an id held here for
             # another group; a group's own Connect feeds its RMP
-            if self.connections.on_connect(msg, raw):  # type: ignore[arg-type]
+            if self.connections.on_connect(msg):  # type: ignore[arg-type]
                 self._groups[h.group].on_datagram(msg, raw)
             return
         group = self._groups.get(h.group) or self._leaving.get(h.group)

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import abc
 import random
-from typing import Any, Callable, Protocol, runtime_checkable
+from typing import Callable, Protocol, runtime_checkable
 
-__all__ = ["Endpoint", "TimerHandle", "NamedTimerSet"]
+__all__ = ["Endpoint", "TimerHandle"]
 
 
 @runtime_checkable
@@ -73,46 +73,3 @@ class Endpoint(abc.ABC):
     def close(self) -> None:
         """Detach from the network; no further callbacks fire."""
 
-
-class NamedTimerSet:
-    """Cancellable named one-shot timers over any ``schedule`` function.
-
-    Arming a name cancels its previous timer, so a name always has at most
-    one pending firing — the semantics a coalescing window wants (the
-    datapath uses this for its batch-flush timer).  Works over
-    :meth:`~repro.simnet.scheduler.Scheduler.schedule` and over any
-    :class:`Endpoint` ``schedule`` alike: the only requirement is that the
-    returned handle has ``cancel()``.
-    """
-
-    def __init__(self, schedule: Callable[..., Any]):
-        self._schedule = schedule
-        self._timers: dict = {}
-
-    def arm(self, name: str, delay: float, fn: Callable[..., Any], *args: Any):
-        """(Re-)arm ``name`` to run ``fn(*args)`` after ``delay`` seconds."""
-        self.cancel(name)
-
-        def fire() -> None:
-            self._timers.pop(name, None)
-            fn(*args)
-
-        handle = self._schedule(delay, fire)
-        self._timers[name] = handle
-        return handle
-
-    def is_armed(self, name: str) -> bool:
-        return name in self._timers
-
-    def cancel(self, name: str) -> bool:
-        """Cancel ``name`` if armed; True if a timer was actually cancelled."""
-        handle = self._timers.pop(name, None)
-        if handle is None:
-            return False
-        handle.cancel()
-        return True
-
-    def cancel_all(self) -> None:
-        for handle in self._timers.values():
-            handle.cancel()
-        self._timers.clear()

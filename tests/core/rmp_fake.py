@@ -30,7 +30,8 @@ class FakeContext:
         self.delivered: List[RegularMessage] = []
         self.heartbeats: List[HeartbeatMessage] = []
         self.nacks: List[Tuple[int, int, int]] = []
-        self.retransmitted: List[bytes] = []
+        #: the retained messages RMP asked to have retransmitted
+        self.retransmitted: List[RegularMessage] = []
         #: the dedupe window is what reads the clock on the answer path:
         #: with it off (the default) answering leaves this at 0
         self.clock_reads = 0
@@ -55,8 +56,8 @@ class FakeContext:
         assert cls is RetransmitRequestMessage and address is None
         self.nacks.append(body)
 
-    def retransmit_raw(self, raw, address=None):
-        self.retransmitted.append(raw)
+    def retransmit(self, msg, address=None):
+        self.retransmitted.append(msg)
 
 
 def feed(rmp, msg):

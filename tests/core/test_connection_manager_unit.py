@@ -130,10 +130,10 @@ def test_a_released_server_refuses_a_resend_of_the_old_connect():
     # after it released it, must not bootstrap the group again
     net, stacks = build()
     establish(net, stacks)
-    raw = stacks[1].connection_binding(CID).connect_raw
+    connect = stacks[1].connection_binding(CID).connect
     gid = stacks[2].connection_binding(CID).group_id
     stacks[2].release_connection_local(CID)
-    stacks[1].group(gid).retransmit_raw(raw, address=domain_multicast_address(7))
+    stacks[1].group(gid).retransmit(connect, address=domain_multicast_address(7))
     net.run_for(0.01)
     assert stacks[2].connection_binding(CID) is None
     assert not stacks[2].holds_group(gid)

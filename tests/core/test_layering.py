@@ -36,8 +36,14 @@ allow-listed file until ``perf/`` has such a workload — nothing under
 specification lives in ``tests/reference/``), and ``repro.analysis``
 does not import the wall-clock runtime, lazily or otherwise.
 
+Sixth rule (DESIGN.md, "Layered datapath"): the codec sits at the edge.
+Layers above it hold messages, never wire bytes, so in ``repro.core``
+only ``stack.py`` (datagrams in), ``datapath.py`` (datagrams out) and
+the package's ``__init__.py`` import ``encode``, ``decode``,
+``decode_view``, ``peek_header`` or ``regular_size`` from ``.wire``.
+
 Run as a script — all ``make layering`` is — it prints the violations of
-the five rules and exits 1.
+the six rules and exits 1.
 """
 
 import ast
@@ -177,6 +183,36 @@ def _one_harness_violations() -> list:
     return found
 
 
+#: the codec's entry points, and the files of ``core/`` that may import them
+CODEC_NAMES = ("encode", "decode", "decode_view", "peek_header", "regular_size")
+CODEC_EDGE = ("stack.py", "datapath.py", "__init__.py")
+
+
+def _codec_edge_violations() -> list:
+    """Imports of a codec entry point from ``.wire`` (or of the module
+    itself) in a ``core/`` file off the edge."""
+    found = []
+    for path in sorted((SRC / "core").glob("*.py")):
+        if path.name in CODEC_EDGE:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.module in ("wire", "repro.core.wire"):
+                names = [a.name for a in node.names if a.name in CODEC_NAMES + ("*",)]
+            elif node.module in (None, "repro.core"):
+                names = [a.name for a in node.names if a.name in CODEC_NAMES + ("wire",)]
+            else:
+                continue
+            found += [f"core/{path.name}:{node.lineno}: {name}" for name in names]
+    return found
+
+
+def test_only_the_edge_imports_the_codec():
+    problems = _codec_edge_violations()
+    assert not problems, "wire bytes above the edge:\n" + "\n".join(problems)
+
+
 def test_one_encoder_in_src_and_simulated_time_in_benchmarks():
     problems = _one_harness_violations()
     assert not problems, "a second encoder or harness:\n" + "\n".join(problems)
@@ -233,7 +269,7 @@ def test_core_loads_without_either_runtime():
 if __name__ == "__main__":
     bad = (_import_violations() + _engine_name_violations()
            + _send_route_violations() + _runtime_process_violations()
-           + _one_harness_violations())
+           + _one_harness_violations() + _codec_edge_violations())
     print("\n".join(bad) if bad else "layering OK: runtime imports, engine "
-          "seam, send service, one datapath, one harness")
+          "seam, send service, one datapath, one harness, codec at the edge")
     sys.exit(1 if bad else 0)

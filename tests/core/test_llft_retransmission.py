@@ -11,7 +11,7 @@ retransmission flag set (§3.2), whichever member answers.
 from repro.analysis.harness import make_cluster
 from repro.core import FTMPConfig
 from repro.core.messages import RegularMessage, RetransmitRequestMessage
-from repro.core.wire import decode, mark_retransmission
+from repro.core.wire import decode
 
 PAYLOAD = b"re-positioned"
 _RETRANSMISSION = 0x02  # wire flags bit 1
@@ -52,7 +52,10 @@ def test_nack_for_a_repositioned_message_is_answered_as_first_sent():
         for pid in pids:
             answers = [raw for raw in sent[pid]
                        if raw[_FLAGS] & _RETRANSMISSION and _is_payload(decode(raw))]
-            assert answers == [mark_retransmission(original)], pid
+            # the original datagram with flags bit 1 set, and nothing else
+            flagged = (original[:_FLAGS] + bytes([original[_FLAGS] | _RETRANSMISSION])
+                       + original[_FLAGS + 1:])
+            assert answers == [flagged], pid
     finally:
         cluster.stop()
 

@@ -1,6 +1,6 @@
 """RMP behaviour: reliable source-ordered delivery, NACKs, retransmission."""
 
-from repro.core import FTMPConfig, RetransmitRequestMessage, encode
+from repro.core import FTMPConfig, RetransmitRequestMessage
 from repro.simnet import LinkModel, lan
 
 from repro.analysis.harness import make_cluster
@@ -103,7 +103,7 @@ def test_duplicate_regular_messages_counted_not_redelivered():
     c.run_for(0.05)
     # re-inject the retained message as a spurious retransmission
     duplicates = c.stacks[2].group(1).rmp.stats.duplicates
-    g1.retransmit_raw(encode(g1.buffer.get(1, 1)))
+    g1.retransmit(g1.buffer.get(1, 1))
     c.run_for(0.05)
     assert c.stacks[2].group(1).rmp.stats.duplicates == duplicates + 1
     assert c.listeners[2].payloads(1) == [b"once"]

@@ -163,7 +163,7 @@ def test_a_pending_paced_answer_outlives_reclamation_and_goes_once():
     feed(rmp, nack(4, 1, 1, 1))  # no copy here to answer with any more
     assert (1, 1) in pending(rmp)
     ctx.scheduler.run_until(1.0)
-    assert ctx.retransmitted.count(encode(regular(1, 1))) == 1
+    assert [encode(m) for m in ctx.retransmitted].count(encode(regular(1, 1))) == 1
     assert rmp.stats.retransmissions_sent == 3 and pending(rmp) == []
 
 

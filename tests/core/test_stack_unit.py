@@ -9,7 +9,6 @@ from repro.core import (
     FTMPStack,
     HeartbeatMessage,
     RecordingListener,
-    peek_header,
 )
 from repro.simnet import Network, lan
 
@@ -35,7 +34,7 @@ def test_heartbeat_carries_latest_seq_and_ack():
     c.run_for(0.2)
     g1 = c.stacks[1].group(1)
     # a heartbeat's header reuses the last reliable seq
-    h = peek_header(g1.send(HeartbeatMessage))
+    h = g1.send(HeartbeatMessage).header
     assert h.sequence_number == 2
     assert h.ack_timestamp == g1.romp.ack_timestamp > 0
 

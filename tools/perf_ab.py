@@ -2,11 +2,13 @@
 """Before/after runs of the repo benchmark by the choosing-metrics §8 rule:
 ``python3 tools/perf_ab.py BASE [--workload W]... [--pairs 10]``.
 
-Exports commit ``BASE`` into a temporary directory, overlays the *current*
-``perf/`` and ``BENCHMARK.json`` onto it — identical benchmark code on
-both sides — and runs alternating pairs of ``perf/run.py --workload W
---seed N`` there and in this working tree, one seed per pair (use seeds
-that were not used while the change was written).  Per workload and
+Exports commit ``BASE`` and this working tree (tracked and untracked
+files, as checked out) into two sibling directories of one temporary
+directory, so that neither side runs from a path the other does not
+share, overlays the *current* ``perf/`` and ``BENCHMARK.json`` onto both
+— identical benchmark code on both sides — and runs alternating pairs
+of ``perf/run.py --workload W --seed N`` in the two, one seed per pair
+(use seeds that were not used while the change was written).  Per workload and
 metric it prints both medians with their quartiles, how many pairs the
 change won (ties count for neither side) and a verdict:
 
@@ -35,20 +37,40 @@ from pathlib import Path
 from typing import Dict, List
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[0:1] = [str(ROOT / "src"), str(ROOT)]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from perf.run import EXACT_METRICS, NAMES, SIM_WORKLOADS, SPEC  # noqa: E402
 
 
-def export(base: str, into: Path) -> None:
-    """``git archive BASE`` into ``into``, then this tree's benchmark on top."""
-    archive = subprocess.run(["git", "archive", "--format=tar", base],
-                             cwd=ROOT, check=True, capture_output=True).stdout
-    subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
-    shutil.rmtree(into / "perf", ignore_errors=True)
-    shutil.copytree(ROOT / "perf", into / "perf",
-                    ignore=shutil.ignore_patterns("out", "__pycache__"))
-    shutil.copy(ROOT / "BENCHMARK.json", into / "BENCHMARK.json")
+#: side -> its directory under the temporary one: names of one length
+SIDES = {"base": "base", "change": "work"}
+
+
+def _git(*args: str) -> bytes:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True,
+                          capture_output=True).stdout
+
+
+def export(base: str, into: Path) -> Dict[str, Path]:
+    """Both sides as siblings under ``into``: ``git archive BASE``, and
+    this working tree's tracked and untracked files as checked out; then
+    this tree's benchmark on both.  Returns side -> directory."""
+    trees = {side: into / name for side, name in SIDES.items()}
+    for tree in trees.values():
+        tree.mkdir()
+    subprocess.run(["tar", "-x", "-C", str(trees["base"])],
+                   input=_git("archive", "--format=tar", base), check=True)
+    listed = _git("ls-files", "-z", "--cached", "--others", "--exclude-standard")
+    for rel in filter(None, listed.decode().split("\0")):
+        if (ROOT / rel).is_file():  # a tracked file deleted here is gone
+            (trees["change"] / rel).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / rel, trees["change"] / rel)
+    for tree in trees.values():
+        shutil.rmtree(tree / "perf", ignore_errors=True)
+        shutil.copytree(ROOT / "perf", tree / "perf",
+                        ignore=shutil.ignore_patterns("out", "__pycache__"))
+        shutil.copy(ROOT / "BENCHMARK.json", tree / "BENCHMARK.json")
+    return trees
 
 
 def run_once(tree: Path, workload: str, seed: int, args) -> dict:
@@ -128,9 +150,7 @@ def main() -> int:
     metrics = SPEC["per_layer"] if args.trace else SPEC["end_to_end"]
     runs: Dict[str, List[Dict[str, dict]]] = {w: [] for w in workloads}
     with tempfile.TemporaryDirectory(prefix="perf-ab-") as tmp:
-        base_tree = Path(tmp)
-        export(args.base, base_tree)
-        trees = {"base": base_tree, "change": ROOT}
+        trees = export(args.base, Path(tmp))
         for i in range(args.pairs):
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             for w in workloads:
